@@ -11,8 +11,11 @@
 //! kernel level is active, the block engine must beat the one-point flat
 //! engine; and when at least two workers are requested *and* the host
 //! actually has at least two cores, the pooled arena pipeline must beat
-//! the single-thread flat engine — or the process exits non-zero. Gates
-//! whose precondition the host cannot meet are skipped loudly.
+//! the single-thread flat engine — or the process exits non-zero. The
+//! covering-layer scale rows (100k and 1M subscriptions under `--quick`)
+//! gate the count-level publish path: the 1M row must hold at least a
+//! third of the 100k row's events/s. Gates whose precondition the host
+//! cannot meet are skipped loudly.
 
 use std::sync::Arc;
 
@@ -24,7 +27,7 @@ use pubsub_bench::{
 };
 use pubsub_clustering::ClusteringAlgorithm;
 use pubsub_core::{
-    CoveringConfig, DeliveryMode, MatchArena, MatchScratch, Matcher, SubscriptionStream,
+    Broker, CoveringConfig, DeliveryMode, MatchArena, MatchScratch, Matcher, SubscriptionStream,
 };
 use pubsub_geom::{Point, Rect};
 use pubsub_netsim::NodeId;
@@ -60,8 +63,13 @@ struct ScaleRow {
     bytes_per_subscription: f64,
     /// Wall-clock seconds of the streaming covered compile.
     build_seconds: f64,
-    /// Single-thread covered matching throughput.
+    /// Single-thread `publish_batch_stats` throughput of a covered
+    /// broker: the count-level path, which moves runs and node sets and
+    /// never writes a subscription id.
     events_per_sec: f64,
+    /// Single-thread covered `match_event_into` throughput — the same
+    /// match with every matched id written out and sorted.
+    expand_events_per_sec: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -350,10 +358,12 @@ fn main() {
     // rectangle intermediate), and measure the matcher's resident
     // footprint as the live-heap delta across the build.
     let scale_defaults: &[usize] = if quick {
-        &[100_000]
+        &[100_000, 1_000_000]
     } else {
         &[100_000, 1_000_000, 10_000_000]
     };
+    let scale_samples = if quick { 2 } else { 3 };
+    let count_events: Vec<Point> = sample_events(&model, 2_000, seeds.publications);
     let mut scale = Vec::new();
     for count in sub_counts(scale_defaults) {
         let population = ScaleConfig::stock(count)
@@ -371,20 +381,39 @@ fn main() {
         let bytes = heap::live_bytes().saturating_sub(before);
         let stats = *covered.covering_stats().expect("covered build");
 
-        // Fewer events at the bigger counts: each matching event expands
-        // to a member list proportional to the population.
-        let scale_n = (200_000_000 / count).clamp(20, 2_000);
-        let scale_events: Vec<Point> = sample_events(&model, scale_n, seeds.publications);
-        let events_per_sec = measure(scale_n, if quick { 2 } else { 3 }, || {
+        // Fewer events at the bigger counts: writing the ids out costs
+        // time proportional to the population.
+        let expand_n = (200_000_000 / count).clamp(20, 2_000);
+        let expand_events_per_sec = measure(expand_n, scale_samples, || {
             let mut scratch = MatchScratch::new();
             let mut subs = Vec::new();
             let mut nodes = Vec::new();
             let mut total = 0usize;
-            for e in &scale_events {
+            for e in &count_events[..expand_n] {
                 covered.match_event_into(e, &mut scratch, &mut subs, &mut nodes);
                 total += subs.len();
             }
             total
+        });
+        drop(covered);
+
+        // The count-level path end to end: match, cost, decide and fold
+        // on a covered broker, in batches of one block.
+        let density = model.clone();
+        let mut covered_broker = Broker::builder(testbed.topology.clone(), stock_space())
+            .subscriptions(population.to_vec())
+            .covering(CoveringConfig::default())
+            .density(move |r| density.mass(r))
+            .build()
+            .expect("population is valid");
+        drop(population);
+        let events_per_sec = measure(count_events.len(), scale_samples, || {
+            for chunk in count_events.chunks(pubsub_parallel::BLOCK) {
+                covered_broker
+                    .publish_batch_stats(chunk, Some(1))
+                    .expect("events come from the model");
+            }
+            covered_broker.report().messages
         });
         scale.push(ScaleRow {
             subscriptions: count,
@@ -394,6 +423,7 @@ fn main() {
             bytes_per_subscription: bytes as f64 / count as f64,
             build_seconds,
             events_per_sec,
+            expand_events_per_sec,
         });
     }
     let last = scale.last().expect("at least one scale count");
@@ -428,19 +458,20 @@ fn main() {
 
     println!("\ncovering-layer scale (streaming covered compile, quantized index):");
     println!(
-        "{:>12} {:>8} {:>8} {:>8} {:>10} {:>9} {:>12}",
-        "subs", "uniques", "reps", "agg", "bytes/sub", "build_s", "events/s"
+        "{:>12} {:>8} {:>8} {:>8} {:>10} {:>9} {:>12} {:>12}",
+        "subs", "uniques", "reps", "agg", "bytes/sub", "build_s", "events/s", "expand ev/s"
     );
     for r in &scale {
         println!(
-            "{:>12} {:>8} {:>8} {:>7.1}x {:>10.1} {:>9.2} {:>12.0}",
+            "{:>12} {:>8} {:>8} {:>7.1}x {:>10.1} {:>9.2} {:>12.0} {:>12.0}",
             r.subscriptions,
             r.uniques,
             r.representatives,
             r.aggregation_ratio,
             r.bytes_per_subscription,
             r.build_seconds,
-            r.events_per_sec
+            r.events_per_sec,
+            r.expand_events_per_sec
         );
     }
 
@@ -503,6 +534,28 @@ fn main() {
             out.bytes_per_subscription,
             out.scale.last().expect("non-empty").subscriptions
         );
+        // The count-level gate (ROADMAP item 3): ten times the
+        // subscriptions may cost at most a factor three in events/s.
+        let row = |subs: usize| out.scale.iter().find(|r| r.subscriptions == subs);
+        match (row(100_000), row(1_000_000)) {
+            (Some(small), Some(large)) => {
+                let kept = large.events_per_sec / small.events_per_sec;
+                if kept < 1.0 / 3.0 {
+                    eprintln!(
+                        "FAIL: count-level publish keeps {kept:.2} of its 100k-sub \
+                         throughput at 1M subs ({:.0} -> {:.0} events/s, want >= 0.33)",
+                        small.events_per_sec, large.events_per_sec
+                    );
+                    std::process::exit(1);
+                }
+                println!(
+                    "count-level gate passed: {:.0} events/s at 1M subs, {kept:.2} of the \
+                     100k row",
+                    large.events_per_sec
+                );
+            }
+            _ => println!("count-level gate skipped: needs the 100k and the 1M scale row"),
+        }
         if threads >= 2 && available >= 2 {
             if parallel_speedup_vs_flat <= 1.0 {
                 eprintln!(

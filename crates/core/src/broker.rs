@@ -51,8 +51,8 @@ use crate::stage::StageKind;
 use crate::view::{OwnedOverlay, PublishView};
 use crate::{
     BrokerError, CostReport, CoveringConfig, CoveringStats, Decision, DistributionPolicy,
-    EngineSnapshot, MatchScratch, Matcher, MessageCosts, MulticastGroups, SubscriptionHandle,
-    SubscriptionId, SubscriptionRegistry, SubscriptionStream, UnicastReason,
+    EngineSnapshot, MatchScratch, MatchedSet, Matcher, MessageCosts, MulticastGroups,
+    SubscriptionHandle, SubscriptionId, SubscriptionRegistry, SubscriptionStream, UnicastReason,
 };
 
 /// Publication-density closure used by clustering.
@@ -90,8 +90,10 @@ pub struct PublishOutcome {
     /// when the decision was unicast or drop — efficiency trackers need
     /// to attribute unicast decisions to the group they bypassed.
     pub group_region: Option<usize>,
-    /// The matching subscription ids.
-    pub matched_subscriptions: Vec<SubscriptionId>,
+    /// The matching subscription ids, ascending. On a covered broker
+    /// the set references whole covering runs and writes the id list out
+    /// on first read; `len()` never does.
+    pub matched_subscriptions: MatchedSet,
     /// The deduplicated interested subscriber nodes `s`.
     pub interested: Vec<NodeId>,
     /// Matched subscriber nodes that were unreachable under the broker's
@@ -229,11 +231,12 @@ impl BrokerBuilder {
     /// Enables the pre-compilation covering layer: subscriptions are
     /// deduplicated (exact interning, rectangle subsumption, optional
     /// quantized merge) into a representative set compiled into a
-    /// `u16`-quantized [`pubsub_stree::CompactSTree`], with an expansion
-    /// table mapping representative hits back to concrete subscription
-    /// ids. Delivered sets and cost reports stay bit-identical to the
-    /// uncovered build; index memory drops with the workload's duplicate
-    /// skew. See [`CoveringConfig`].
+    /// `u16`-quantized [`pubsub_stree::CompactSTree`], with a covering
+    /// table mapping representative hits to the runs of concrete
+    /// subscription ids they stand for. The publish path carries those
+    /// runs, not the ids (see [`MatchedSet`]). Delivered sets and cost
+    /// reports stay bit-identical to the uncovered build; index memory
+    /// drops with the workload's duplicate skew. See [`CoveringConfig`].
     pub fn covering(mut self, config: CoveringConfig) -> Self {
         self.covering = Some(config);
         self
@@ -976,7 +979,7 @@ impl Broker {
         }
         self.spt
             .ensure(&self.net, publisher, &mut self.route_scratch);
-        let (matched_subscriptions, interested) = self.match_only(event);
+        let (matched_subscriptions, interested) = self.match_set(event);
         Ok(self.decide_and_record(publisher, event, matched_subscriptions, interested))
     }
 
@@ -1170,8 +1173,12 @@ impl Broker {
                 pubsub_parallel::effective_threads(None).max(requested),
             )));
         }
+        // A worker beyond the batch's block count would be woken for
+        // nothing: blocks are the unit of the block-cyclic assignment.
         let workers = match &self.pool {
-            Some(pool) => requested.min(pool.threads()),
+            Some(pool) => requested
+                .min(pool.threads())
+                .min(events.len().div_ceil(pubsub_parallel::BLOCK)),
             None => 1,
         };
         if self.pipeline_states.len() < workers {
@@ -1267,7 +1274,8 @@ impl Broker {
     /// group) at most once, exactly as [`Broker::decide_and_record`]
     /// does) and folds every event into the cumulative report. When
     /// `outcomes` is given, also materializes one [`PublishOutcome`] per
-    /// event by copying the arena slices.
+    /// event: the node slice is copied, the matched subscriptions stay
+    /// run references.
     fn fold_batch(&mut self, len: usize, used: usize, outcomes: Option<&mut Vec<PublishOutcome>>) {
         let batch = BatchMatches {
             states: &self.pipeline_states[..used],
@@ -1582,7 +1590,7 @@ impl Broker {
                 out.push(PublishOutcome {
                     decision,
                     group_region: group,
-                    matched_subscriptions: batch.subs(i).to_vec(),
+                    matched_subscriptions: batch.matched(i, &snapshot.matcher),
                     interested: interested.to_vec(),
                     unreachable: unreach.to_vec(),
                     costs,
@@ -1602,7 +1610,7 @@ impl Broker {
         &mut self,
         publisher: NodeId,
         event: &Point,
-        matched_subscriptions: Vec<SubscriptionId>,
+        matched_subscriptions: MatchedSet,
         interested: Vec<NodeId>,
     ) -> PublishOutcome {
         let snapshot = &self.snapshot;
@@ -1873,7 +1881,7 @@ impl Broker {
                 faults.routing.heal(&self.net, &mut self.spt, rendezvous);
             }
         }
-        let (matched_subscriptions, matched) = self.match_only(event);
+        let (matched_subscriptions, matched) = self.match_set(event);
         let snapshot = Arc::clone(&self.snapshot);
         let view = self.spt.view(publisher).expect("healed above");
         let mut interested = Vec::with_capacity(matched.len());
@@ -2624,6 +2632,17 @@ impl Broker {
         (subs, nodes)
     }
 
+    /// [`Broker::match_only`] at run level, for the single-event publish
+    /// paths: the same query, with the matched ids left unwritten in a
+    /// [`MatchedSet`].
+    fn match_set(&self, event: &Point) -> (MatchedSet, Vec<NodeId>) {
+        matcher::with_thread_scratch(|scratch| {
+            self.snapshot
+                .matcher
+                .match_event_set(event, self.churn_view().as_ref(), scratch)
+        })
+    }
+
     /// [`Broker::match_only`] into caller-provided buffers: `subs` and
     /// `nodes` are cleared and refilled; with a warm scratch the call is
     /// allocation-free apart from output growth. Merges the churn overlay
@@ -2852,8 +2871,8 @@ impl Broker {
 /// through the epoch-keyed memo (walking each (epoch, publisher, group)
 /// at most once, exactly as `Broker::decide_and_record` does) and folds
 /// every event into the cumulative report. When `outcomes` is given,
-/// also materializes one [`PublishOutcome`] per event by copying the
-/// arena slices.
+/// also materializes one [`PublishOutcome`] per event: the node slice
+/// is copied, the matched subscriptions stay run references.
 #[allow(clippy::too_many_arguments)]
 fn fold_pristine(
     batch: BatchMatches<'_>,
@@ -2914,7 +2933,7 @@ fn fold_pristine(
             out.push(PublishOutcome {
                 decision,
                 group_region,
-                matched_subscriptions: batch.subs(i).to_vec(),
+                matched_subscriptions: batch.matched(i, &snapshot.matcher),
                 interested: batch.nodes(i).to_vec(),
                 unreachable: Vec::new(),
                 costs,
@@ -4027,6 +4046,35 @@ mod tests {
             assert_eq!(counters.pooled_batches, 0);
             assert_eq!(counters.inline_batches, 2);
         }
+    }
+
+    #[test]
+    fn batches_never_dispatch_more_workers_than_blocks() {
+        let events: Vec<Point> = (0..100)
+            .map(|i| Point::new(vec![(i % 10) as f64, 5.0]).unwrap())
+            .collect();
+        let mut seq = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
+        let want: Vec<PublishOutcome> = events.iter().map(|e| seq.publish(e).unwrap()).collect();
+
+        // One block of events: nothing for a second worker to do, so the
+        // 2-thread pool is never woken.
+        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
+        broker.set_worker_pool(Arc::new(WorkerPool::new(2)));
+        let block = pubsub_parallel::BLOCK;
+        let got = broker.publish_batch(&events[..block], Some(2)).unwrap();
+        assert_eq!(got, want[..block]);
+        let counters = broker.pipeline_counters();
+        assert_eq!((counters.inline_batches, counters.pooled_batches), (1, 0));
+
+        // Two blocks on a 3-thread pool: two workers, not three.
+        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
+        broker.set_worker_pool(Arc::new(WorkerPool::new(3)));
+        let got = broker.publish_batch(&events, Some(3)).unwrap();
+        assert_eq!(got, want);
+        let counters = broker.pipeline_counters();
+        assert_eq!((counters.inline_batches, counters.pooled_batches), (0, 1));
+        assert_eq!(counters.max_workers, 2);
+        assert_eq!(broker.report(), seq.report());
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! step must deduplicate anyway.
 //!
 //! This module computes, before `compile_engine` builds the spatial
-//! index, a deduplicated **representative** set plus an expansion table
+//! index, a deduplicated **representative** set plus a covering table
 //! mapping each representative hit back to the concrete
-//! [`SubscriptionId`](crate::SubscriptionId)s it stands for:
+//! [`SubscriptionId`](crate::SubscriptionId)s it stands for — as whole
+//! *runs* (a group's ascending member ids with its precomputed owner-node
+//! set), which the publish path carries in place of the ids and which a
+//! [`MatchedSet`] writes out only when read:
 //!
 //! 1. **Exact-duplicate interning** — bit-identical (clamped)
 //!    rectangles collapse to one unique rectangle with a member list.
@@ -34,14 +37,16 @@
 //! pin this end to end.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use pubsub_geom::{Rect, Space};
 use pubsub_netsim::NodeId;
-use pubsub_stree::EntryId;
 
-use crate::BrokerError;
+use crate::{BrokerError, SubscriptionId};
 
 /// Knobs of the covering layer. The defaults aggregate duplicates and
 /// obvious subsumptions; `merge_cells` enables the lossier (but still
@@ -125,10 +130,12 @@ impl SubscriptionStream for &[(NodeId, Rect)] {
     }
 }
 
-/// The expansion table: exact representative bounds (for the
+/// The covering table: exact representative bounds (for the
 /// boundary-ambiguous re-check) plus a two-level CSR mapping each
 /// representative to its groups and each group to its concrete member
-/// subscription ids.
+/// subscription ids. A group's member list is a **run**: ascending ids,
+/// delivered or skipped as a whole, so the publish path carries the
+/// group index instead of the ids (see [`MatchedSet`]).
 ///
 /// Layout: representative bounds are dimension-major
 /// (`rep_lo[d * reps + r]`), mirroring the index layout; group re-check
@@ -155,6 +162,14 @@ pub struct CoveringTable {
     /// Exact rectangles of non-identity groups, row-major.
     grect_lo: Vec<f64>,
     grect_hi: Vec<f64>,
+    /// Per group: the row of its owner-node bitmap in `node_bits`, or
+    /// `u32::MAX` for a group too small to be worth one (its owners are
+    /// looked up member by member).
+    group_nodes: Vec<u32>,
+    /// Owner-node bitmaps of the large groups, `node_words` words each:
+    /// bit `n` is set iff some member is owned by node `n`.
+    node_bits: Vec<u64>,
+    node_words: usize,
     stats: CoveringStats,
 }
 
@@ -185,28 +200,30 @@ impl CoveringTable {
         (self.rep_lo.capacity()
             + self.rep_hi.capacity()
             + self.grect_lo.capacity()
-            + self.grect_hi.capacity())
+            + self.grect_hi.capacity()
+            + self.node_bits.capacity())
             * 8
             + (self.group_start.capacity()
                 + self.group_rect.capacity()
                 + self.group_member_start.capacity()
-                + self.members.capacity())
+                + self.members.capacity()
+                + self.group_nodes.capacity())
                 * 4
     }
 
-    /// Expands a representative hit into the concrete subscription ids
-    /// whose rectangles contain `point`, appending them to `out`.
+    /// Resolves a representative hit into the groups whose rectangles
+    /// contain `point`, appending their indices to `runs` — the covered
+    /// query shared by the scalar, block and single-publish paths.
     ///
     /// `ambiguous` hits (quantization could not prove exactness) are
     /// first re-checked against the representative's exact bounds — a
     /// failed re-check drops the whole hit, which is sound because the
     /// representative contains every member rectangle. Surviving
-    /// non-identity groups re-check their own exact rectangle once and
-    /// deliver all members on success; identity groups deliver
-    /// immediately (their rectangle is the representative's, already
-    /// proven to contain the point).
+    /// non-identity groups re-check their own exact rectangle once;
+    /// identity groups hit immediately (their rectangle is the
+    /// representative's, already proven to contain the point).
     #[inline]
-    pub fn expand(&self, rep: u32, ambiguous: bool, point: &[f64], out: &mut Vec<EntryId>) {
+    pub fn hit_runs(&self, rep: u32, ambiguous: bool, point: &[f64], runs: &mut Vec<u32>) {
         let r = rep as usize;
         let reps = self.rep_count();
         if ambiguous {
@@ -216,26 +233,179 @@ impl CoveringTable {
                 }
             }
         }
-        let lo = self.group_start[r] as usize;
-        let hi = self.group_start[r + 1] as usize;
-        for g in lo..hi {
-            let rect = self.group_rect[g];
+        for g in self.group_start[r]..self.group_start[r + 1] {
+            let rect = self.group_rect[g as usize];
             if rect != u32::MAX {
                 let base = rect as usize * self.dims;
-                let mut inside = true;
-                for (d, &x) in point.iter().enumerate() {
-                    if !(self.grect_lo[base + d] < x && x <= self.grect_hi[base + d]) {
-                        inside = false;
-                        break;
-                    }
-                }
+                let inside = point
+                    .iter()
+                    .enumerate()
+                    .all(|(d, &x)| self.grect_lo[base + d] < x && x <= self.grect_hi[base + d]);
                 if !inside {
                     continue;
                 }
             }
-            let ms = self.group_member_start[g] as usize..self.group_member_start[g + 1] as usize;
-            out.extend(self.members[ms].iter().map(|&s| EntryId(s)));
+            runs.push(g);
         }
+    }
+
+    /// The member subscription ids of group `run`, ascending.
+    #[inline]
+    pub fn run(&self, run: u32) -> &[u32] {
+        let g = run as usize;
+        &self.members[self.group_member_start[g] as usize..self.group_member_start[g + 1] as usize]
+    }
+
+    /// The owner-node bitmap of group `run`, precomputed at build time
+    /// for groups with at least [`node_set_min_members`] members; `None`
+    /// means the caller looks the owners up member by member.
+    #[inline]
+    pub fn run_nodes(&self, run: u32) -> Option<&[u64]> {
+        let row = self.group_nodes[run as usize];
+        (row != u32::MAX).then(|| {
+            let start = row as usize * self.node_words;
+            &self.node_bits[start..start + self.node_words]
+        })
+    }
+}
+
+/// Member count from which a group gets a precomputed owner-node bitmap
+/// of `words` words: the bitmap is then no bigger than the group's own
+/// member ids, so the node sets at most double the member array however
+/// the population is shaped (a Zipf pool of a few thousand rectangles
+/// pays a fraction of a byte per subscription).
+fn node_set_min_members(words: usize) -> usize {
+    2 * words
+}
+
+/// The matched subscription ids of one event.
+///
+/// On a covered matcher an event matches whole covering groups, so the
+/// set holds *references* — the hit runs of a shared [`CoveringTable`]
+/// plus the loose ids no run accounts for (overlay hits, the live
+/// members of a run with a tombstone in it) — and materializes the
+/// ascending id list once, on first read through [`Deref`]. The count
+/// is known without materializing. On the flat backend every id is
+/// loose and the set is just that list.
+///
+/// Equality, `Debug` and serialization are by content (the ascending id
+/// sequence), so a covered and a flat broker's sets compare equal.
+#[derive(Clone, Default)]
+pub struct MatchedSet {
+    table: Option<Arc<CoveringTable>>,
+    /// Hit groups of `table`; empty on the flat backend.
+    runs: Vec<u32>,
+    /// Ids outside every run, ascending.
+    loose: Vec<SubscriptionId>,
+    len: usize,
+    /// The materialized list; unused while `runs` is empty (`loose` is
+    /// then already the whole list).
+    ids: OnceLock<Vec<SubscriptionId>>,
+}
+
+impl MatchedSet {
+    /// A set of `runs` of `table` plus `loose` ids (ascending), `len`
+    /// ids in total. The runs and ids must be pairwise disjoint.
+    pub(crate) fn from_runs(
+        table: &Arc<CoveringTable>,
+        runs: &[u32],
+        loose: &[SubscriptionId],
+        len: usize,
+    ) -> Self {
+        debug_assert_eq!(
+            len,
+            loose.len() + runs.iter().map(|&g| table.run(g).len()).sum::<usize>()
+        );
+        MatchedSet {
+            table: (!runs.is_empty()).then(|| Arc::clone(table)),
+            runs: runs.to_vec(),
+            loose: loose.to_vec(),
+            len,
+            ids: OnceLock::new(),
+        }
+    }
+
+    /// Number of matched subscriptions — O(1), nothing materializes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing matched.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// Writes the ascending id list of `runs` ∪ `loose` to the tail of
+/// `out`.
+pub(crate) fn materialize_into(
+    table: &CoveringTable,
+    runs: &[u32],
+    loose: &[SubscriptionId],
+    out: &mut Vec<SubscriptionId>,
+) {
+    let start = out.len();
+    for &g in runs {
+        out.extend(table.run(g).iter().map(|&s| SubscriptionId(s)));
+    }
+    out.extend_from_slice(loose);
+    if !runs.is_empty() {
+        out[start..].sort_unstable();
+    }
+}
+
+impl Deref for MatchedSet {
+    type Target = [SubscriptionId];
+
+    fn deref(&self) -> &[SubscriptionId] {
+        match &self.table {
+            None => &self.loose,
+            Some(table) => self.ids.get_or_init(|| {
+                let mut ids = Vec::with_capacity(self.len);
+                materialize_into(table, &self.runs, &self.loose, &mut ids);
+                ids
+            }),
+        }
+    }
+}
+
+impl From<Vec<SubscriptionId>> for MatchedSet {
+    fn from(ids: Vec<SubscriptionId>) -> Self {
+        MatchedSet {
+            len: ids.len(),
+            loose: ids,
+            ..MatchedSet::default()
+        }
+    }
+}
+
+impl FromIterator<SubscriptionId> for MatchedSet {
+    fn from_iter<I: IntoIterator<Item = SubscriptionId>>(iter: I) -> Self {
+        iter.into_iter().collect::<Vec<_>>().into()
+    }
+}
+
+impl PartialEq for MatchedSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && **self == **other
+    }
+}
+
+impl fmt::Debug for MatchedSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for MatchedSet {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        (**self).serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for MatchedSet {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        Vec::<SubscriptionId>::deserialize(deserializer).map(MatchedSet::from)
     }
 }
 
@@ -249,7 +419,7 @@ pub(crate) struct CoveringBuild {
 
 /// Streams the subscriptions once, interning clamped rectangles,
 /// absorbing subsumed uniques into cover candidates and (optionally)
-/// merging near-identical uniques, and assembles the expansion table.
+/// merging near-identical uniques, and assembles the covering table.
 /// Transient memory is O(uniques) rectangles plus O(N) `u32`s — never
 /// O(N) rectangles.
 pub(crate) fn build_covering(
@@ -514,6 +684,28 @@ pub(crate) fn build_covering(
     group_member_start.push(members.len() as u32);
     debug_assert_eq!(members.len(), count);
 
+    // Owner-node bitmaps of the large groups, so a hit on one costs a
+    // few word ORs instead of an owner lookup per member.
+    let node_words = max_node as usize / 64 + 1;
+    let min_members = node_set_min_members(node_words);
+    let mut group_nodes = Vec::with_capacity(group_rect.len());
+    let mut node_bits: Vec<u64> = Vec::new();
+    for span in group_member_start.windows(2) {
+        let run = &members[span[0] as usize..span[1] as usize];
+        if run.len() < min_members {
+            group_nodes.push(u32::MAX);
+            continue;
+        }
+        let row = node_bits.len();
+        group_nodes.push((row / node_words) as u32);
+        node_bits.resize(row + node_words, 0);
+        for &m in run {
+            let node = owners[m as usize].0 as usize;
+            node_bits[row + node / 64] |= 1 << (node % 64);
+        }
+    }
+    node_bits.shrink_to_fit();
+
     let stats = CoveringStats {
         concrete: count,
         uniques,
@@ -532,6 +724,9 @@ pub(crate) fn build_covering(
             members,
             grect_lo,
             grect_hi,
+            group_nodes,
+            node_bits,
+            node_words,
             stats,
         },
         owners,
@@ -551,16 +746,16 @@ mod tests {
         Rect::from_corners(&lo, &hi).unwrap()
     }
 
-    fn expand_all(table: &CoveringTable, point: &[f64]) -> Vec<u32> {
-        let reps = table.rep_count();
-        let mut out = Vec::new();
-        for r in 0..reps {
-            // Treat every rep as an ambiguous hit: expand re-checks.
-            table.expand(r as u32, true, point, &mut out);
+    /// The ids matching `point`, through the run-level query. Every rep
+    /// is treated as an ambiguous hit, so `hit_runs` re-checks.
+    fn matched(table: &CoveringTable, point: &[f64]) -> Vec<u32> {
+        let mut runs = Vec::new();
+        for r in 0..table.rep_count() {
+            table.hit_runs(r as u32, true, point, &mut runs);
         }
-        let mut ids: Vec<u32> = out.into_iter().map(|e| e.0).collect();
-        ids.sort_unstable();
-        ids
+        let mut ids = Vec::new();
+        materialize_into(table, &runs, &[], &mut ids);
+        ids.into_iter().map(|s| s.0).collect()
     }
 
     #[test]
@@ -572,11 +767,8 @@ mod tests {
         assert_eq!(b.table.stats().uniques, 1);
         assert_eq!(b.table.stats().representatives, 1);
         assert_eq!(b.table.stats().aggregation_ratio(), 10.0);
-        assert_eq!(
-            expand_all(&b.table, &[2.0, 2.0]),
-            (0..10).collect::<Vec<_>>()
-        );
-        assert!(expand_all(&b.table, &[5.0, 5.0]).is_empty());
+        assert_eq!(matched(&b.table, &[2.0, 2.0]), (0..10).collect::<Vec<_>>());
+        assert!(matched(&b.table, &[5.0, 5.0]).is_empty());
     }
 
     #[test]
@@ -592,11 +784,11 @@ mod tests {
         assert_eq!(b.table.stats().representatives, 1);
         assert_eq!(b.table.stats().subsumed, 1);
         // Inside both.
-        assert_eq!(expand_all(&b.table, &[2.5, 2.5]), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(matched(&b.table, &[2.5, 2.5]), vec![0, 1, 2, 3, 4, 5]);
         // Inside the candidate only.
-        assert_eq!(expand_all(&b.table, &[6.0, 6.0]), vec![0, 1, 2, 3, 4]);
+        assert_eq!(matched(&b.table, &[6.0, 6.0]), vec![0, 1, 2, 3, 4]);
         // On the small rect's open lower edge: excluded from it.
-        assert_eq!(expand_all(&b.table, &[2.0, 2.5]), vec![0, 1, 2, 3, 4]);
+        assert_eq!(matched(&b.table, &[2.0, 2.5]), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -614,8 +806,8 @@ mod tests {
         let b = build_covering(&space(), &subs.as_slice(), &cfg).unwrap();
         assert_eq!(b.table.stats().representatives, 1);
         assert_eq!(b.table.stats().merged, 2);
-        assert_eq!(expand_all(&b.table, &[4.02, 4.02]), vec![1]);
-        assert_eq!(expand_all(&b.table, &[3.0, 3.0]), vec![0, 1]);
+        assert_eq!(matched(&b.table, &[4.02, 4.02]), vec![1]);
+        assert_eq!(matched(&b.table, &[3.0, 3.0]), vec![0, 1]);
     }
 
     #[test]
@@ -636,6 +828,61 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, (0..50).collect::<Vec<_>>());
         assert_eq!(b.owners.len(), 50);
+    }
+
+    #[test]
+    fn large_runs_carry_their_owner_node_set() {
+        // One word of node ids: groups of >= 2 members get a bitmap.
+        let mut subs: Vec<(NodeId, Rect)> = (0..12)
+            .map(|i| (NodeId(i % 5 * 3), rect([1.0, 1.0], [4.0, 4.0])))
+            .collect();
+        subs.push((NodeId(40), rect([6.0, 6.0], [9.0, 9.0])));
+        let b = build_covering(&space(), &subs.as_slice(), &CoveringConfig::default()).unwrap();
+        let mut runs = Vec::new();
+        b.table.hit_runs(0, false, &[2.0, 2.0], &mut runs);
+        b.table.hit_runs(1, false, &[7.0, 7.0], &mut runs);
+        assert_eq!(runs.len(), 2);
+        let bits = b.table.run_nodes(runs[0]).expect("12 members >= 2");
+        let want = [0u32, 3, 6, 9, 12].iter().fold(0u64, |w, n| w | 1 << n);
+        assert_eq!(bits, &[want]);
+        assert_eq!(b.table.run(runs[0]).len(), 12);
+        assert!(b.table.run_nodes(runs[1]).is_none(), "1 member < 2");
+        assert_eq!(b.table.run(runs[1]), &[12]);
+        assert!(b.table.heap_bytes() >= 8 + 2 * 4 + 13 * 4);
+    }
+
+    #[test]
+    fn matched_set_is_lazy_and_compares_by_content() {
+        let subs: Vec<(NodeId, Rect)> = (0..6)
+            .map(|i| (NodeId(i), rect([0.0, 0.0], [f64::from(i % 2) + 4.0, 4.0])))
+            .collect();
+        let b = build_covering(&space(), &subs.as_slice(), &CoveringConfig::default()).unwrap();
+        let table = Arc::new(b.table);
+        let mut runs = Vec::new();
+        for r in 0..table.rep_count() {
+            table.hit_runs(r as u32, true, &[2.0, 2.0], &mut runs);
+        }
+        assert_eq!(runs.len(), 2, "two distinct rectangles, both hit");
+        let loose = [SubscriptionId(9)];
+        let set = MatchedSet::from_runs(&table, &runs, &loose, 7);
+        assert_eq!(set.len(), 7);
+        assert!(set.ids.get().is_none(), "len() must not materialize");
+        let flat: MatchedSet = [0, 1, 2, 3, 4, 5, 9]
+            .map(SubscriptionId)
+            .into_iter()
+            .collect();
+        assert_eq!(set, flat);
+        assert!(
+            set.windows(2).all(|w| w[0] < w[1]),
+            "ascending, no duplicates"
+        );
+        assert_eq!(format!("{set:?}"), format!("{flat:?}"));
+        let json = serde_json::to_string(&set).unwrap();
+        assert_eq!(json, serde_json::to_string(&flat).unwrap());
+        let back: MatchedSet = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, set);
+        assert!(!MatchedSet::default().iter().any(|_| true));
+        assert!(MatchedSet::from_runs(&table, &[], &[], 0).is_empty());
     }
 
     #[test]

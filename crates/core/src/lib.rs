@@ -66,7 +66,7 @@ mod stage;
 mod view;
 
 pub use broker::{Broker, BrokerBuilder, DeliveryMode, GroupHealth, PublishOutcome};
-pub use covering::{CoveringConfig, CoveringStats, CoveringTable, SubscriptionStream};
+pub use covering::{CoveringConfig, CoveringStats, CoveringTable, MatchedSet, SubscriptionStream};
 pub use distribution::{Decision, DistributionPolicy, UnicastReason};
 pub use efficiency::{AdaptiveConfig, AdaptiveController, EfficiencyTracker, GroupEfficiency};
 pub use error::BrokerError;

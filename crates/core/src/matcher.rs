@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -13,9 +14,9 @@ use pubsub_stree::{
     Tombstones,
 };
 
-use crate::covering::{build_covering, CoveringConfig, CoveringStats, CoveringTable};
+use crate::covering::{self, build_covering, CoveringConfig, CoveringStats, CoveringTable};
 use crate::pipeline::MatchArena;
-use crate::{BrokerError, SubscriptionStream};
+use crate::{BrokerError, MatchedSet, SubscriptionStream};
 
 /// Identifier of one subscription (one rectangle; a subscriber may own
 /// several).
@@ -77,12 +78,13 @@ enum Backend {
     },
     /// Scale mode, built by [`Matcher::build_covered`]: the covering
     /// layer's representative set in a quantized [`CompactSTree`], with
-    /// hits expanded back to concrete ids through the
-    /// [`CoveringTable`] (boundary-ambiguous hits re-checked exactly).
+    /// hits resolved to member runs of the [`CoveringTable`]
+    /// (boundary-ambiguous hits re-checked exactly).
     Compact {
         index: CompactSTree,
-        /// Boxed to keep the enum near the `Flat` variant's size.
-        covering: Box<CoveringTable>,
+        /// Shared with every [`MatchedSet`] that references its runs, so
+        /// an outcome outlives a recompile of the matcher.
+        covering: Arc<CoveringTable>,
     },
 }
 
@@ -114,17 +116,20 @@ impl KernelCounters {
 }
 
 /// Reusable per-thread scratch for [`Matcher::match_event_into`]: the
-/// traversal stack and hit buffer of the flat point query, the
-/// subscriber dedup bitmap, and the SoA event block plus per-lane hit
-/// buffers of the block-mode batch path. One scratch makes every
-/// subsequent match on the same thread allocation-free (output vectors
-/// aside).
+/// traversal stack and hit buffers of the point query, the subscriber
+/// dedup bitmap, the SoA event block plus per-lane hit buffers of the
+/// block-mode batch path, and the one-event arena the single-event
+/// entry points collect into. One scratch makes every subsequent match
+/// on the same thread allocation-free (output vectors aside).
 #[derive(Debug, Default, Clone)]
 pub struct MatchScratch {
     /// Flat-tree traversal stack.
     stack: Vec<u32>,
-    /// Raw entry hits before dedup/sort.
+    /// Raw entry hits before dedup/sort: the flat backend's index hits,
+    /// then overlay hits and the live members of tombstoned runs.
     hits: Vec<EntryId>,
+    /// Covering groups hit on the compact (covered) backend.
+    runs: Vec<u32>,
     /// Subscriber dedup bitmap, indexed by node id; bits are cleared
     /// after every match so the buffer stays reusable.
     seen: Vec<u64>,
@@ -134,12 +139,16 @@ pub struct MatchScratch {
     block_stack: Vec<u64>,
     /// Per-lane raw hits of the current block ([`LANES`] buffers).
     lane_hits: Vec<Vec<EntryId>>,
+    /// Per-lane hit covering groups of the current block.
+    lane_runs: Vec<Vec<u32>>,
     /// Block-kernel dispatch totals since the last drain.
     kernels: KernelCounters,
     /// Quantized point buffer of the compact (covered) backend.
     qpoint: Vec<u16>,
     /// Quantized SoA block of the compact (covered) backend.
     qblock: QuantBlock,
+    /// One-event arena of the single-event entry points.
+    single: MatchArena,
 }
 
 impl MatchScratch {
@@ -256,7 +265,7 @@ impl Matcher {
         Ok(Matcher {
             backend: Backend::Compact {
                 index,
-                covering: Box::new(table),
+                covering: Arc::new(table),
             },
             owners: built.owners,
             max_node: built.max_node,
@@ -278,8 +287,9 @@ impl Matcher {
         }
     }
 
-    /// Bytes of heap held by the compact index and expansion table
-    /// (`None` for the default flat backend).
+    /// Bytes of heap held by the compact index and covering table,
+    /// per-run owner-node sets included (`None` for the default flat
+    /// backend).
     pub fn compact_heap_bytes(&self) -> Option<usize> {
         match &self.backend {
             Backend::Compact { index, covering } => {
@@ -347,7 +357,9 @@ impl Matcher {
     /// matching subscription ids (ascending) and `nodes` the deduplicated
     /// subscriber nodes (ascending by node id). Both are cleared first.
     /// With a warm `scratch`, the only allocations are output-buffer
-    /// growth.
+    /// growth. On a covered matcher this collects runs and then writes
+    /// their ids out; callers that only need counts and nodes should
+    /// match into a [`MatchArena`] instead.
     pub fn match_event_into(
         &self,
         event: &Point,
@@ -355,40 +367,94 @@ impl Matcher {
         subs: &mut Vec<SubscriptionId>,
         nodes: &mut Vec<NodeId>,
     ) {
-        subs.clear();
-        nodes.clear();
-        self.match_event_append(event, scratch, subs, nodes);
+        self.match_one(event, None, scratch, |arena| {
+            self.write_event(arena, subs, nodes);
+        });
     }
 
-    /// [`Matcher::match_event_into`] with *append* semantics: the event's
-    /// results are pushed onto the tails of `subs`/`nodes` (each tail
-    /// sorted on its own), leaving earlier contents untouched — the
-    /// primitive the CSR arenas build on.
-    fn match_event_append(
+    /// Matches one event into the scratch's one-event arena and hands
+    /// it to `read`.
+    fn match_one<R>(
         &self,
         event: &Point,
+        view: Option<&MatchOverlay<'_>>,
         scratch: &mut MatchScratch,
+        read: impl FnOnce(&MatchArena) -> R,
+    ) -> R {
+        let mut arena = std::mem::take(&mut scratch.single);
+        arena.begin();
+        scratch.hits.clear();
+        scratch.runs.clear();
+        self.query_event(event, scratch);
+        let MatchScratch {
+            hits, runs, seen, ..
+        } = scratch;
+        self.append_event(event, view, hits, runs, seen, &mut arena);
+        let result = read(&arena);
+        scratch.single = arena;
+        result
+    }
+
+    /// Writes out the only event of a one-event arena.
+    fn write_event(
+        &self,
+        arena: &MatchArena,
         subs: &mut Vec<SubscriptionId>,
         nodes: &mut Vec<NodeId>,
     ) {
-        scratch.hits.clear();
-        self.query_into_hits(event, scratch);
-        append_tail(
-            &mut scratch.seen,
-            &scratch.hits,
-            self.max_node,
-            |e| self.owners[e.0 as usize],
-            subs,
-            nodes,
-        );
+        subs.clear();
+        nodes.clear();
+        match &self.backend {
+            Backend::Flat { .. } => subs.extend_from_slice(arena.loose_slice(0)),
+            Backend::Compact { covering, .. } => {
+                covering::materialize_into(
+                    covering,
+                    arena.run_slice(0),
+                    arena.loose_slice(0),
+                    subs,
+                );
+            }
+        }
+        nodes.extend_from_slice(arena.node_slice(0));
     }
 
-    /// Runs the backend's point query, appending concrete subscription
-    /// hits to `scratch.hits`: the flat backend queries directly; the
-    /// compact backend queries representatives and expands each hit
-    /// through the covering table (with the exact re-check on
-    /// boundary-ambiguous hits).
-    fn query_into_hits(&self, event: &Point, scratch: &mut MatchScratch) {
+    /// The run-level form of [`Matcher::match_event_into`] (merged with
+    /// the churn overlay when `view` is given): the matched
+    /// subscriptions as a lazy [`MatchedSet`] — no id is written out on
+    /// a covered matcher — and the deduplicated subscriber nodes.
+    pub(crate) fn match_event_set(
+        &self,
+        event: &Point,
+        view: Option<&MatchOverlay<'_>>,
+        scratch: &mut MatchScratch,
+    ) -> (MatchedSet, Vec<NodeId>) {
+        self.match_one(event, view, scratch, |arena| {
+            (self.matched_set(arena, 0), arena.node_slice(0).to_vec())
+        })
+    }
+
+    /// The subscriptions local event `local` of `arena` matched, as a
+    /// lazy set over this matcher's covering runs. `arena` must have
+    /// been filled by this matcher.
+    pub fn matched_set(&self, arena: &MatchArena, local: usize) -> MatchedSet {
+        let loose = arena.loose_slice(local);
+        match &self.backend {
+            Backend::Flat { .. } => loose.to_vec().into(),
+            Backend::Compact { covering, .. } => MatchedSet::from_runs(
+                covering,
+                arena.run_slice(local),
+                loose,
+                arena.match_count(local),
+            ),
+        }
+    }
+
+    /// Runs the backend's point query: the flat backend appends its
+    /// concrete subscription hits to `scratch.hits`; the compact backend
+    /// queries representatives and appends the covering groups each hit
+    /// resolves to (with the exact re-check on boundary-ambiguous hits)
+    /// to `scratch.runs`.
+    fn query_event(&self, event: &Point, scratch: &mut MatchScratch) {
         match &self.backend {
             Backend::Flat { flat, .. } => {
                 flat.query_point_with(event, &mut scratch.stack, &mut scratch.hits);
@@ -398,15 +464,105 @@ impl Matcher {
                 index.quantize_into(point, &mut scratch.qpoint);
                 let MatchScratch {
                     stack,
-                    hits,
+                    runs,
                     qpoint,
                     ..
                 } = scratch;
                 index.query_point_with(qpoint, stack, |rep, amb| {
-                    covering.expand(rep, amb, point, hits);
+                    covering.hit_runs(rep, amb, point, runs);
                 });
             }
         }
+    }
+
+    /// Post-query bookkeeping shared by the scalar and block paths:
+    /// seals one arena event from the flat-index `hits` or the covered
+    /// `runs` of `event`, merged with the churn overlay when `view` is
+    /// given.
+    ///
+    /// A run stays a run — its index is recorded, its owner nodes come
+    /// from the precomputed node set (or a walk over a small run's
+    /// members) and no id is written — unless a tombstone sits inside
+    /// it: then its live members join `hits`. `hits`, with the overlay's
+    /// matches, become the event's sorted loose ids. Owners dedup and
+    /// sort through the `seen` bitmap (one bit per node id).
+    fn append_event(
+        &self,
+        event: &Point,
+        view: Option<&MatchOverlay<'_>>,
+        hits: &mut Vec<EntryId>,
+        runs: &[u32],
+        seen: &mut Vec<u64>,
+        arena: &mut MatchArena,
+    ) {
+        let max_node = view.map_or(self.max_node, |v| self.max_node.max(v.max_node));
+        let words = max_node as usize / 64 + 1;
+        if seen.len() < words {
+            seen.resize(words, 0);
+        }
+        // Interested nodes accumulate as bits of `seen`; `span` is the
+        // (first, last) word touched, which the tail of this function
+        // drains.
+        let mut span = (usize::MAX, 0usize);
+        let mut run_members = 0usize;
+        if let Backend::Compact { covering, .. } = &self.backend {
+            let dead = view.map(|v| v.tombstones).filter(|t| !t.is_empty());
+            for &run in runs {
+                let members = covering.run(run);
+                if let Some(dead) = dead {
+                    if members.iter().any(|&m| dead.contains(EntryId(m))) {
+                        let live = members.iter().map(|&m| EntryId(m));
+                        hits.extend(live.filter(|&e| !dead.contains(e)));
+                        continue;
+                    }
+                }
+                arena.runs.push(run);
+                run_members += members.len();
+                match covering.run_nodes(run) {
+                    Some(bits) => {
+                        for (word, &row) in seen.iter_mut().zip(bits) {
+                            *word |= row;
+                        }
+                        span = (0, span.1.max(bits.len() - 1));
+                    }
+                    None => {
+                        for &m in members {
+                            mark(seen, &mut span, self.owners[m as usize]);
+                        }
+                    }
+                }
+            }
+        } else if let Some(view) = view {
+            view.tombstones.retain_live(hits);
+        }
+        if let Some(view) = view {
+            view.overlay.query_point_into(event, hits);
+        }
+
+        let sub_start = arena.subs.len();
+        arena.subs.extend(hits.iter().map(|&e| SubscriptionId(e.0)));
+        arena.subs[sub_start..].sort_unstable();
+        for &e in hits.iter() {
+            let owner = match view {
+                Some(v) if e.0 >= v.base_count => v.owners[(e.0 - v.base_count) as usize],
+                _ => self.owners[e.0 as usize],
+            };
+            mark(seen, &mut span, owner);
+        }
+
+        // Draining the touched words in order yields the nodes ascending
+        // and leaves the bitmap clean for the next event.
+        if span.0 <= span.1 {
+            for (w, word) in seen[span.0..=span.1].iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let node = (span.0 + w) as u32 * 64 + bits.trailing_zeros();
+                    arena.nodes.push(NodeId(node));
+                    bits &= bits - 1;
+                }
+            }
+        }
+        arena.end_event(run_members);
     }
 
     /// Matches a batch of events, fanning the read-only point queries
@@ -452,39 +608,9 @@ impl Matcher {
         subs: &mut Vec<SubscriptionId>,
         nodes: &mut Vec<NodeId>,
     ) {
-        subs.clear();
-        nodes.clear();
-        self.match_event_overlaid_append(event, view, scratch, subs, nodes);
-    }
-
-    /// [`Matcher::match_event_overlaid_into`] with *append* semantics —
-    /// see [`Matcher::match_event_append`].
-    fn match_event_overlaid_append(
-        &self,
-        event: &Point,
-        view: &MatchOverlay<'_>,
-        scratch: &mut MatchScratch,
-        subs: &mut Vec<SubscriptionId>,
-        nodes: &mut Vec<NodeId>,
-    ) {
-        scratch.hits.clear();
-        self.query_into_hits(event, scratch);
-        view.tombstones.retain_live(&mut scratch.hits);
-        view.overlay.query_point_into(event, &mut scratch.hits);
-        append_tail(
-            &mut scratch.seen,
-            &scratch.hits,
-            self.max_node.max(view.max_node),
-            |e| {
-                if e.0 < view.base_count {
-                    self.owners[e.0 as usize]
-                } else {
-                    view.owners[(e.0 - view.base_count) as usize]
-                }
-            },
-            subs,
-            nodes,
-        );
+        self.match_one(event, Some(view), scratch, |arena| {
+            self.write_event(arena, subs, nodes);
+        });
     }
 
     /// Matches [`LANES`] (or fewer) consecutive events starting at
@@ -511,18 +637,21 @@ impl Matcher {
         }
         if scratch.lane_hits.len() < LANES {
             scratch.lane_hits.resize_with(LANES, Vec::new);
+            scratch.lane_runs.resize_with(LANES, Vec::new);
         }
         let MatchScratch {
             block,
             block_stack,
             lane_hits,
+            lane_runs,
             seen,
             kernels,
             qblock,
             ..
         } = scratch;
-        for hits in lane_hits.iter_mut() {
+        for (hits, runs) in lane_hits.iter_mut().zip(lane_runs.iter_mut()) {
             hits.clear();
+            runs.clear();
         }
         match &self.backend {
             Backend::Flat { flat, .. } => {
@@ -552,7 +681,7 @@ impl Matcher {
                     while m != 0 {
                         let l = m.trailing_zeros() as usize;
                         m &= m - 1;
-                        covering.expand(rep, amb >> l & 1 == 1, lane_refs[l], &mut lane_hits[l]);
+                        covering.hit_runs(rep, amb >> l & 1 == 1, lane_refs[l], &mut lane_runs[l]);
                     }
                 });
             }
@@ -565,24 +694,13 @@ impl Matcher {
         }
         kernels.lanes += k as u64;
 
-        let max_node = view.map_or(self.max_node, |v| self.max_node.max(v.max_node));
-        for (l, hits) in lane_hits.iter_mut().take(k).enumerate() {
-            if let Some(view) = view {
-                view.tombstones.retain_live(hits);
-                view.overlay.query_point_into(&events[start + l], hits);
-            }
-            append_tail(
-                seen,
-                hits,
-                max_node,
-                |e| match view {
-                    Some(v) if e.0 >= v.base_count => v.owners[(e.0 - v.base_count) as usize],
-                    _ => self.owners[e.0 as usize],
-                },
-                &mut arena.subs,
-                &mut arena.nodes,
-            );
-            arena.end_event();
+        for (l, (hits, runs)) in lane_hits
+            .iter_mut()
+            .zip(lane_runs.iter())
+            .take(k)
+            .enumerate()
+        {
+            self.append_event(&events[start + l], view, hits, runs, seen, arena);
         }
     }
 
@@ -685,41 +803,13 @@ impl Matcher {
     }
 }
 
-/// Post-match bookkeeping shared by the scalar and block paths: appends
-/// `hits` to `subs` as a sorted tail of subscription ids and their
-/// owners to `nodes` as a sorted, deduplicated tail, leaving earlier
-/// contents untouched. Owner dedup goes through the `seen` bitmap (one
-/// bit per node id); bits are cleared via the output tail so the bitmap
-/// is clean for the next event.
-fn append_tail(
-    seen: &mut Vec<u64>,
-    hits: &[EntryId],
-    max_node: u32,
-    owner_of: impl Fn(EntryId) -> NodeId,
-    subs: &mut Vec<SubscriptionId>,
-    nodes: &mut Vec<NodeId>,
-) {
-    let sub_start = subs.len();
-    let node_start = nodes.len();
-    subs.extend(hits.iter().map(|&e| SubscriptionId(e.0)));
-    subs[sub_start..].sort_unstable();
-
-    let words = (max_node as usize) / 64 + 1;
-    if seen.len() < words {
-        seen.resize(words, 0);
-    }
-    for &e in hits {
-        let node = owner_of(e);
-        let (word, bit) = (node.0 as usize / 64, node.0 % 64);
-        if seen[word] & (1 << bit) == 0 {
-            seen[word] |= 1 << bit;
-            nodes.push(node);
-        }
-    }
-    nodes[node_start..].sort_unstable();
-    for n in nodes[node_start..].iter() {
-        seen[n.0 as usize / 64] &= !(1 << (n.0 % 64));
-    }
+/// Sets `node`'s bit in the `seen` bitmap and widens the touched word
+/// `span` to include it.
+#[inline]
+fn mark(seen: &mut [u64], span: &mut (usize, usize), node: NodeId) {
+    let word = node.0 as usize / 64;
+    seen[word] |= 1 << (node.0 % 64);
+    *span = (span.0.min(word), span.1.max(word));
 }
 
 #[cfg(test)]
@@ -878,7 +968,7 @@ mod tests {
         );
         assert_eq!(aos.event_count(), via_soa.event_count());
         for i in 0..events.len() {
-            assert_eq!(aos.sub_slice(i), via_soa.sub_slice(i), "event {i} subs");
+            assert_eq!(aos.loose_slice(i), via_soa.loose_slice(i), "event {i} subs");
             assert_eq!(aos.node_slice(i), via_soa.node_slice(i), "event {i} nodes");
         }
     }
@@ -1025,7 +1115,14 @@ mod tests {
             );
             for (i, e) in events.iter().enumerate() {
                 let (subs_want, _) = flat.match_event(e);
-                assert_eq!(arena.sub_slice(i), &subs_want[..], "event {i}");
+                // Run-level: no id was written, the count is the run sum.
+                assert!(arena.loose_slice(i).is_empty(), "event {i}");
+                assert_eq!(arena.match_count(i), subs_want.len(), "event {i}");
+                assert_eq!(
+                    &covered.matched_set(&arena, i)[..],
+                    &subs_want[..],
+                    "event {i}"
+                );
             }
         }
     }

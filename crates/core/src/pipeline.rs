@@ -8,30 +8,44 @@
 //! arena, per-event metadata) that is constructed once and reused across
 //! batches, so the steady-state batch path performs **zero per-event heap
 //! allocations**. Matches are appended into a [`MatchArena`] — flat
-//! `subs`/`nodes` id vectors plus CSR offset vectors — instead of one
-//! `Vec` per event, and the per-worker arenas are read back *without
-//! copying* through [`BatchMatches`], which maps a global event index to
-//! its `(worker, local)` slot arithmetically from the block-cyclic
-//! assignment.
+//! run/id/node vectors plus CSR offset vectors — instead of one `Vec`
+//! per event, and the per-worker arenas are read back *without copying*
+//! through [`BatchMatches`], which maps a global event index to its
+//! `(worker, local)` slot arithmetically from the block-cyclic
+//! assignment. The arena is **count-level**: a covered matcher records
+//! which covering runs an event hit and how many subscriptions that is,
+//! never the ids, because cost, decision and fold need only `|s|` and
+//! the node set.
 
 use pubsub_netsim::{CostScratch, NodeId, PairCost};
 use pubsub_parallel::{PipelineScratch, BLOCK};
 
 use crate::matcher::MatchScratch;
-use crate::{Decision, SubscriptionId, UnicastReason};
+use crate::{Decision, MatchedSet, Matcher, SubscriptionId, UnicastReason};
 
-/// A reusable CSR result arena for batch matching: one flat vector of
-/// matching subscription ids and one of deduplicated interested nodes,
-/// each cut into per-event slices by an offsets vector. Filled through
+/// A reusable CSR result arena for batch matching, holding **run-level
+/// records**: per event the hit covering groups (`runs`, indices into
+/// the matcher's [`crate::CoveringTable`]), the loose subscription ids
+/// no run accounts for (`subs` — every id on the flat backend; overlay
+/// hits and tombstone-filtered runs on a covered one), the match count,
+/// and the deduplicated interested nodes. Each vector is cut into
+/// per-event slices by an offsets vector. Filled through
 /// `Matcher::match_events_into_arena` (or the overlaid variant); reset
 /// with [`MatchArena::begin`], which keeps the capacity so a warm arena
 /// never allocates.
 #[derive(Debug, Default, Clone)]
 pub struct MatchArena {
-    /// Matching subscription ids, ascending within each event's slice.
+    /// Hit covering groups, in query order within each event's slice.
+    pub(crate) runs: Vec<u32>,
+    /// CSR offsets into `runs`.
+    pub(crate) run_offsets: Vec<u32>,
+    /// Loose subscription ids, ascending within each event's slice.
     pub(crate) subs: Vec<SubscriptionId>,
     /// CSR offsets into `subs`: event `i` owns `subs[sub_offsets[i]..sub_offsets[i+1]]`.
     pub(crate) sub_offsets: Vec<u32>,
+    /// Per event: matched subscriptions, run members and loose ids
+    /// together.
+    pub(crate) counts: Vec<u32>,
     /// Deduplicated interested nodes, ascending within each event's slice.
     pub(crate) nodes: Vec<NodeId>,
     /// CSR offsets into `nodes`.
@@ -43,7 +57,7 @@ pub struct MatchArena {
     pub(crate) splits: Vec<u32>,
     /// Capacities snapshotted by [`MatchArena::begin`] for growth
     /// detection.
-    caps: [usize; 5],
+    caps: [usize; 8],
 }
 
 impl MatchArena {
@@ -54,20 +68,27 @@ impl MatchArena {
 
     /// Starts a new batch: clears the arena but keeps its capacity.
     pub fn begin(&mut self) {
+        self.runs.clear();
         self.subs.clear();
+        self.counts.clear();
         self.nodes.clear();
+        self.run_offsets.clear();
         self.sub_offsets.clear();
         self.node_offsets.clear();
         self.splits.clear();
+        self.run_offsets.push(0);
         self.sub_offsets.push(0);
         self.node_offsets.push(0);
         self.caps = self.capacities();
     }
 
-    fn capacities(&self) -> [usize; 5] {
+    fn capacities(&self) -> [usize; 8] {
         [
+            self.runs.capacity(),
+            self.run_offsets.capacity(),
             self.subs.capacity(),
             self.sub_offsets.capacity(),
+            self.counts.capacity(),
             self.nodes.capacity(),
             self.node_offsets.capacity(),
             self.splits.capacity(),
@@ -80,24 +101,49 @@ impl MatchArena {
         self.capacities() != self.caps
     }
 
-    /// Seals the current event: everything appended to `subs`/`nodes`
-    /// since the previous seal becomes the next event's slices.
-    pub(crate) fn end_event(&mut self) {
+    /// Seals the current event: everything appended to `runs`/`subs`/
+    /// `nodes` since the previous seal becomes the next event's slices,
+    /// `run_members` being the summed lengths of the appended runs.
+    pub(crate) fn end_event(&mut self, run_members: usize) {
+        let loose = self.subs.len() - self.sub_offsets[self.counts.len()] as usize;
+        self.counts.push((run_members + loose) as u32);
+        self.run_offsets.push(self.runs.len() as u32);
         self.sub_offsets.push(self.subs.len() as u32);
         self.node_offsets.push(self.nodes.len() as u32);
     }
 
     /// Number of events appended since the last [`MatchArena::begin`].
     pub fn event_count(&self) -> usize {
-        self.sub_offsets.len().saturating_sub(1)
+        self.counts.len()
     }
 
-    /// The matching subscription ids of local event `local` (ascending).
+    /// How many subscriptions local event `local` matched — run members
+    /// and loose ids together.
     ///
     /// # Panics
     ///
     /// Panics if `local >= event_count()`.
-    pub fn sub_slice(&self, local: usize) -> &[SubscriptionId] {
+    pub fn match_count(&self, local: usize) -> usize {
+        self.counts[local] as usize
+    }
+
+    /// The covering groups local event `local` hit (empty on the flat
+    /// backend); resolve them with `Matcher::matched_set`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `local >= event_count()`.
+    pub fn run_slice(&self, local: usize) -> &[u32] {
+        &self.runs[self.run_offsets[local] as usize..self.run_offsets[local + 1] as usize]
+    }
+
+    /// The matching subscription ids of local event `local` that no run
+    /// accounts for (ascending) — all of them on the flat backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `local >= event_count()`.
+    pub fn loose_slice(&self, local: usize) -> &[SubscriptionId] {
         &self.subs[self.sub_offsets[local] as usize..self.sub_offsets[local + 1] as usize]
     }
 
@@ -164,9 +210,10 @@ impl MatchArena {
         self.splits.push((w - start) as u32);
     }
 
-    /// Total subscription ids across all events of the batch.
+    /// Total matched subscriptions across all events of the batch
+    /// (run members included, though their ids were never written).
     pub fn total_subs(&self) -> usize {
-        self.subs.len()
+        self.counts.iter().map(|&c| c as usize).sum()
     }
 
     /// Total interested-node entries across all events of the batch.
@@ -336,14 +383,15 @@ impl<'a> BatchMatches<'a> {
         )
     }
 
-    /// The matching subscription ids of event `i` (ascending).
+    /// The subscriptions event `i` matched, as a lazy set over the
+    /// runs of `matcher` — the matcher the batch was matched with.
     ///
     /// # Panics
     ///
     /// Panics if `i >= len()`.
-    pub fn subs(&self, i: usize) -> &'a [SubscriptionId] {
+    pub fn matched(&self, i: usize, matcher: &Matcher) -> MatchedSet {
         let (w, local) = self.locate(i);
-        self.states[w].arena.sub_slice(local)
+        matcher.matched_set(&self.states[w].arena, local)
     }
 
     /// The deduplicated interested nodes of event `i` (ascending).
@@ -386,38 +434,53 @@ mod tests {
     fn arena_reuse_keeps_capacity() {
         let mut arena = MatchArena::new();
         arena.begin();
-        for i in 0..100u32 {
-            arena.subs.push(SubscriptionId(i));
-            arena.nodes.push(NodeId(i % 7));
-            arena.end_event();
-        }
+        // Every event: one loose id, one 10-member run, one node.
+        let fill = |arena: &mut MatchArena| {
+            for i in 0..100u32 {
+                arena.subs.push(SubscriptionId(i));
+                arena.runs.push(i % 3);
+                arena.nodes.push(NodeId(i % 7));
+                arena.end_event(10);
+            }
+        };
+        fill(&mut arena);
         assert_eq!(arena.event_count(), 100);
         assert!(arena.grew(), "first batch grows from empty");
-        assert_eq!(arena.sub_slice(3), &[SubscriptionId(3)]);
+        assert_eq!(arena.loose_slice(3), &[SubscriptionId(3)]);
+        assert_eq!(arena.run_slice(5), &[2]);
+        assert_eq!(arena.match_count(5), 11);
         assert_eq!(arena.node_slice(8), &[NodeId(1)]);
-        assert_eq!(arena.total_subs(), 100);
+        assert_eq!(
+            arena.total_subs(),
+            1100,
+            "count-level: run members included"
+        );
         assert_eq!(arena.total_nodes(), 100);
 
         arena.begin();
-        for i in 0..100u32 {
-            arena.subs.push(SubscriptionId(i));
-            arena.nodes.push(NodeId(i % 7));
-            arena.end_event();
-        }
+        fill(&mut arena);
         assert!(!arena.grew(), "second identical batch reuses capacity");
+
+        // The run vectors are part of the growth accounting.
+        arena.begin();
+        let room = arena.runs.capacity();
+        arena.runs.extend(std::iter::repeat_n(0, room + 1));
+        assert!(arena.grew(), "a run vector that reallocates must show");
     }
 
     #[test]
     fn empty_events_get_empty_slices() {
         let mut arena = MatchArena::new();
         arena.begin();
-        arena.end_event();
+        arena.end_event(0);
         arena.subs.push(SubscriptionId(9));
-        arena.end_event();
+        arena.end_event(0);
         assert_eq!(arena.event_count(), 2);
-        assert!(arena.sub_slice(0).is_empty());
+        assert!(arena.loose_slice(0).is_empty());
+        assert!(arena.run_slice(0).is_empty());
         assert!(arena.node_slice(0).is_empty());
-        assert_eq!(arena.sub_slice(1), &[SubscriptionId(9)]);
+        assert_eq!(arena.match_count(0), 0);
+        assert_eq!(arena.loose_slice(1), &[SubscriptionId(9)]);
     }
 
     #[test]
@@ -433,7 +496,7 @@ mod tests {
             for range in pubsub_parallel::block_ranges(len, workers, w) {
                 for i in range {
                     state.arena.subs.push(SubscriptionId(i as u32));
-                    state.arena.end_event();
+                    state.arena.end_event(0);
                 }
             }
         }
@@ -445,7 +508,12 @@ mod tests {
         assert_eq!(batch.len(), len);
         assert!(!batch.is_empty());
         for i in 0..len {
-            assert_eq!(batch.subs(i), &[SubscriptionId(i as u32)], "event {i}");
+            let (w, local) = batch.locate(i);
+            assert_eq!(
+                states[w].arena.loose_slice(local),
+                &[SubscriptionId(i as u32)],
+                "event {i}"
+            );
             assert!(batch.nodes(i).is_empty());
         }
     }

@@ -118,7 +118,9 @@ impl PublishView {
     /// batches through the same view concurrently, each with its own
     /// scratch. Fold the scratch into the broker with
     /// `Broker::fold_staged` in submission order, under this view's
-    /// [`PublishView::epoch`].
+    /// [`PublishView::epoch`] — the scratch holds covering-run indices
+    /// of this view's snapshot, and the fold's epoch check is what
+    /// guarantees they are resolved against the same covering table.
     ///
     /// # Errors
     ///

@@ -1,0 +1,247 @@
+//! Count-level delivery parity: a covered broker carries *runs* —
+//! whole covering groups and their precomputed node sets — from match
+//! to outcome and writes subscription ids out only when somebody reads
+//! them. Whatever the entry point, it must agree with a flat broker
+//! over the same Zipf population: equal outcomes, ids ascending and
+//! duplicate-free, `len()` equal to the written-out length, and a
+//! bit-identical `CostReport` — through `publish`, `publish_batch` at
+//! 1–3 threads, `PublishView::process_into` + `fold_staged`, with a
+//! tombstone inside a hit run and an overlay hit between batches, past a
+//! `recompile()` that retires the table old outcomes still reference,
+//! and under an installed fault plan.
+
+use std::sync::{Arc, OnceLock};
+
+use proptest::prelude::*;
+use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
+use pubsub::core::{Broker, CoveringConfig, PublishOutcome, PublishScratch};
+use pubsub::geom::Point;
+use pubsub::netsim::{FaultEvent, FaultPlan, NodeId, Topology, TransitStubConfig};
+use pubsub::parallel::WorkerPool;
+use pubsub::workload::{stock_space, Modes, ScaleConfig, SubscriptionConfig};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+/// The paper's 600-node network, generated once.
+fn topology() -> &'static Topology {
+    static TOPOLOGY: OnceLock<Topology> = OnceLock::new();
+    TOPOLOGY.get_or_init(|| TransitStubConfig::riabov().generate(1903).unwrap())
+}
+
+#[derive(Debug, Clone)]
+struct Scenario {
+    seed: u64,
+    count: usize,
+    pool_size: usize,
+    threshold: f64,
+    events: usize,
+    /// Extra churn: `(kind, live index)`; an even kind subscribes a
+    /// duplicate of the live subscription, an odd one unsubscribes it.
+    ops: Vec<(u8, usize)>,
+    /// `(step, kind, node pick, node pick)` of the fault plan.
+    faults: Vec<(u64, u32, usize, usize)>,
+}
+
+fn scenario() -> impl Strategy<Value = Scenario> {
+    (
+        0u64..1_000,
+        300usize..1_200,
+        6usize..40,
+        0.0f64..=0.6,
+        70usize..150,
+        prop::collection::vec((0u8..2, 0usize..10_000), 0..12),
+        prop::collection::vec((0u64..120, 0u32..3, 0usize..600, 0usize..600), 1..5),
+    )
+        .prop_map(
+            |(seed, count, pool_size, threshold, events, ops, faults)| Scenario {
+                seed,
+                count,
+                pool_size,
+                threshold,
+                events,
+                ops,
+                faults,
+            },
+        )
+}
+
+/// A flat and a covered broker over the same Zipf-skewed population,
+/// each with a 3-thread pool so multi-worker batches really fan out.
+fn brokers(s: &Scenario) -> (Broker, Broker) {
+    let population = ScaleConfig {
+        count: s.count,
+        pool_size: s.pool_size,
+        zipf_theta: 1.0,
+        base: SubscriptionConfig::riabov(),
+    }
+    .generate(topology(), s.seed, Some(1))
+    .unwrap()
+    .to_vec();
+    let build = |covering: Option<CoveringConfig>| {
+        let mut b = Broker::builder(topology().clone(), stock_space())
+            .clustering(ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 6))
+            .threshold(s.threshold)
+            .worker_pool(Arc::new(WorkerPool::new(3)))
+            .subscriptions(population.iter().cloned());
+        if let Some(config) = covering {
+            b = b.covering(config);
+        }
+        b.build().unwrap()
+    };
+    (build(None), build(Some(CoveringConfig::default())))
+}
+
+/// What a reader of the lazy set may rely on.
+fn check_set(outcome: &PublishOutcome) -> Result<(), String> {
+    let set = &outcome.matched_subscriptions;
+    let len = set.len();
+    prop_assert_eq!(len, set.iter().count(), "len() vs written-out length");
+    prop_assert_eq!(set.is_empty(), len == 0);
+    prop_assert!(set.windows(2).all(|w| w[0] < w[1]), "ascending, no dups");
+    Ok(())
+}
+
+fn check_all(covered: &[PublishOutcome], flat: &[PublishOutcome]) -> Result<(), String> {
+    prop_assert_eq!(covered.len(), flat.len());
+    for (c, f) in covered.iter().zip(flat) {
+        prop_assert_eq!(c, f);
+        check_set(c)?;
+    }
+    Ok(())
+}
+
+fn check_reports(covered: &Broker, flat: &Broker) -> Result<(), String> {
+    let (c, f) = (covered.report(), flat.report());
+    prop_assert_eq!(c, f);
+    prop_assert_eq!(c.scheme_cost.to_bits(), f.scheme_cost.to_bits());
+    prop_assert_eq!(c.unicast_cost.to_bits(), f.unicast_cost.to_bits());
+    prop_assert_eq!(c.ideal_cost.to_bits(), f.ideal_cost.to_bits());
+    Ok(())
+}
+
+/// Every synchronous entry point over `events`, covered against flat.
+fn check_publishing(
+    covered: &mut Broker,
+    flat: &mut Broker,
+    events: &[Point],
+) -> Result<(), String> {
+    for event in &events[..16] {
+        let (c, f) = (
+            covered.publish(event).unwrap(),
+            flat.publish(event).unwrap(),
+        );
+        check_all(&[c], &[f])?;
+    }
+    for threads in 1..=3 {
+        let c = covered.publish_batch(events, Some(threads)).unwrap();
+        let f = flat.publish_batch(events, Some(threads)).unwrap();
+        check_all(&c, &f)?;
+    }
+    check_reports(covered, flat)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn covered_runs_agree_with_flat_ids(s in scenario()) {
+        let (mut flat, mut covered) = brokers(&s);
+        let model = Modes::Nine.model();
+        let mut rng = ChaCha8Rng::seed_from_u64(s.seed);
+        let events: Vec<Point> = (0..s.events).map(|_| model.sample(&mut rng)).collect();
+
+        check_publishing(&mut covered, &mut flat, &events)?;
+
+        // The staged path: a fused pass on an owned view, folded back.
+        let staged = |covered: &mut Broker, flat: &mut Broker| -> Result<(), String> {
+            let view = covered.publish_view();
+            let mut scratch = PublishScratch::default();
+            view.process_into(&events, None, &mut scratch).unwrap();
+            let mut c = Vec::new();
+            covered.fold_staged(events.len(), view.epoch(), &mut scratch, &mut c);
+            let f = flat.publish_batch(&events, Some(1)).unwrap();
+            check_all(&c, &f)?;
+            check_reports(covered, flat)
+        };
+        staged(&mut covered, &mut flat)?;
+
+        // Churn between batches. First, deliberately: a tombstone inside
+        // a run some event hits, and an overlay subscription (a duplicate
+        // of the removed one) the same event hits.
+        let probe = covered.publish_batch(&events, Some(1)).unwrap();
+        flat.publish_batch(&events, Some(1)).unwrap();
+        if let Some(id) = probe.iter().find_map(|o| o.matched_subscriptions.first().copied()) {
+            let handle = covered.handle_of(id).unwrap();
+            prop_assert_eq!(flat.handle_of(id), Some(handle));
+            let (node, rect) = covered
+                .registry()
+                .live()
+                .find(|(h, _, _)| *h == handle)
+                .map(|(_, node, rect)| (node, rect.clone()))
+                .unwrap();
+            covered.unsubscribe(handle).unwrap();
+            flat.unsubscribe(handle).unwrap();
+            prop_assert_eq!(
+                covered.subscribe(node, rect.clone()).unwrap(),
+                flat.subscribe(node, rect).unwrap()
+            );
+        }
+        // Then whatever the scenario drew; handles stay in lockstep.
+        for &(kind, pick) in &s.ops {
+            let live: Vec<_> = covered
+                .registry()
+                .live()
+                .map(|(h, node, rect)| (h, node, rect.clone()))
+                .collect();
+            let (handle, node, rect) = live[pick % live.len()].clone();
+            if kind % 2 == 0 {
+                prop_assert_eq!(
+                    covered.subscribe(node, rect.clone()).unwrap(),
+                    flat.subscribe(node, rect).unwrap()
+                );
+            } else {
+                covered.unsubscribe(handle).unwrap();
+                flat.unsubscribe(handle).unwrap();
+            }
+        }
+        check_publishing(&mut covered, &mut flat, &events)?;
+        staged(&mut covered, &mut flat)?;
+
+        // Outcomes taken before a recompile keep the old table alive:
+        // they are read (written out) only after it has been replaced.
+        let held = covered.publish_batch(&events, Some(2)).unwrap();
+        let want = flat.publish_batch(&events, Some(2)).unwrap();
+        covered.recompile().unwrap();
+        flat.recompile().unwrap();
+        check_publishing(&mut covered, &mut flat, &events)?;
+        // Ids are renumbered by the recompile on both sides alike, but
+        // `held` and `want` both predate it.
+        check_all(&held, &want)?;
+
+        // Under a fault plan: segmented batches, reachability masks.
+        let nodes: Vec<NodeId> = topology().stub_nodes().to_vec();
+        let mut plan = FaultPlan::new();
+        let mut faults = s.faults.clone();
+        faults.sort_unstable();
+        for &(at, kind, a, b) in &faults {
+            let (a, b) = (nodes[a % nodes.len()], nodes[b % nodes.len()]);
+            plan.push(at, match kind {
+                0 => FaultEvent::LinkCut { a, b },
+                1 => FaultEvent::NodeDown { node: a },
+                _ => FaultEvent::NodeUp { node: a },
+            });
+        }
+        covered.install_fault_plan(plan.clone()).unwrap();
+        flat.install_fault_plan(plan).unwrap();
+        for threads in [2, 1] {
+            let c = covered.publish_batch(&events, Some(threads)).unwrap();
+            let f = flat.publish_batch(&events, Some(threads)).unwrap();
+            check_all(&c, &f)?;
+        }
+        for event in &events[..16] {
+            let (c, f) = (covered.publish(event).unwrap(), flat.publish(event).unwrap());
+            check_all(&[c], &[f])?;
+        }
+        check_reports(&covered, &flat)?;
+    }
+}
