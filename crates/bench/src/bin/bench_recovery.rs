@@ -9,7 +9,7 @@
 //!    cold directory. Reported per cell: WAL bytes, replayed ops, the
 //!    broker's internal `recovery_ms`, and the end-to-end wall time.
 //! 2. **Tail latency through a crash-restart window** — an open-loop
-//!    paced stream runs through a [`SupervisedServer`] twice: once
+//!    paced stream runs through a [`StagedServer`] twice: once
 //!    clean, once with a scheduled fold kill (broker owner dies, is
 //!    rebuilt from the journal, salvaged work replays). Publish→deliver
 //!    p50/p99/p999 for both runs quantify the crash window; every
@@ -33,8 +33,7 @@ use pubsub_core::{Broker, BrokerBuilder, JournalConfig};
 use pubsub_geom::{Point, Rect, Space};
 use pubsub_netsim::TransitStubConfig;
 use pubsub_server::{
-    CrashKind, CrashPlan, LatencySink, RejectReason, ServingConfig, SuperviseOptions,
-    SupervisedServer,
+    CrashKind, CrashPlan, LatencySink, RejectReason, ServingConfig, StagedServer, SuperviseOptions,
 };
 
 const TOPO_SEED: u64 = 23;
@@ -211,7 +210,8 @@ fn paced_run(events: u64, rate: f64, chaos: CrashPlan) -> PacedRun {
     let (broker, mut options) = journaled_serving_broker(&dir);
     options.chaos = chaos;
     let sink = LatencySink::new();
-    let server = SupervisedServer::start(broker, serving_config(), Box::new(sink.clone()), options);
+    let server =
+        StagedServer::start_with(broker, serving_config(), Box::new(sink.clone()), options);
     let handle = server.handle();
 
     let interval = Duration::from_secs_f64(1.0 / rate);
@@ -239,7 +239,7 @@ fn paced_run(events: u64, rate: f64, chaos: CrashPlan) -> PacedRun {
             Err(r) => panic!("paced submit rejected: {r}"),
         }
     }
-    let (broker, stats) = server.stop().expect("supervised run recovers");
+    let (broker, stats) = server.try_stop().expect("supervised run recovers");
     let mut lat = sink.take();
     lat.sort_unstable();
     assert_eq!(stats.accepted, accepted, "client and server agree on acks");
@@ -280,7 +280,8 @@ fn overload_shed_rate(probe: Duration, window: Duration) -> Overload {
     let dir = scratch_dir("overload");
     let (broker, options) = journaled_serving_broker(&dir);
     let sink = LatencySink::new();
-    let server = SupervisedServer::start(broker, serving_config(), Box::new(sink.clone()), options);
+    let server =
+        StagedServer::start_with(broker, serving_config(), Box::new(sink.clone()), options);
     let handle = server.handle();
 
     // Closed-loop probe: back-to-back accepted submissions.
@@ -320,7 +321,7 @@ fn overload_shed_rate(probe: Duration, window: Duration) -> Overload {
         }
         offered += 1;
     }
-    let (_broker, stats) = server.stop().expect("no chaos installed");
+    let (_broker, stats) = server.try_stop().expect("no chaos installed");
     assert_eq!(stats.accepted, probed + accepted);
     let _ = std::fs::remove_dir_all(&dir);
     Overload {

@@ -159,7 +159,7 @@ fn run_cell(
         let event = pool[submitted as usize % pool.len()].clone();
         match probe_handle.submit_now((submitted % clients as u64) as u32, submitted, event) {
             Ok(()) => submitted += 1,
-            Err(RejectReason::Shed { .. } | RejectReason::QueueFull) => {
+            Err(RejectReason::Shed { .. }) => {
                 std::thread::sleep(Duration::from_micros(50));
             }
             Err(r) => unreachable!("probe submit rejected: {r}"),
@@ -226,7 +226,7 @@ fn run_cell(
         }
         let event = pool[i % pool.len()].clone();
         match handle.submit(a.client, i as u64, event, scheduled) {
-            Ok(()) | Err(RejectReason::Shed { .. } | RejectReason::QueueFull) => {}
+            Ok(()) | Err(RejectReason::Shed { .. }) => {}
             Err(RejectReason::Closed) => rejected_closed += 1,
             Err(RejectReason::Malformed) => unreachable!("pool events match the space"),
         }

@@ -57,13 +57,19 @@
 //!
 //! # Crash safety
 //!
-//! [`SupervisedServer`] wraps the same pipeline in a supervisor thread
-//! that detects executor / fold / egress death, restarts the stage
-//! (rebuilding the broker from its durable journal through a
-//! [`RecoverFn`]) and replays salvaged in-flight work, so accepted
-//! events survive stage crashes. [`CrashPlan`] injects deterministic,
-//! seeded panics for the chaos tests. See the [`supervise`] module
-//! docs for the exact guarantees.
+//! Every [`StagedServer`] runs its executor, fold and egress threads
+//! under a supervisor that detects a stage's death, restarts it from
+//! the state the dead thread left behind and replays the salvaged
+//! in-flight work, so accepted events survive stage crashes.
+//! [`StagedServer::start`] is the bare case; [`StagedServer::start_with`]
+//! takes [`SuperviseOptions`]: a [`RecoverFn`] that rebuilds the broker
+//! from its durable journal when the fold — the broker's owner — dies,
+//! and a [`CrashPlan`] that injects deterministic, seeded panics for the
+//! chaos tests. Without a `RecoverFn` a dead fold is the one crash the
+//! server cannot survive: [`StagedServer::try_stop`] then reports
+//! [`ServingError::Crashed`] (and [`StagedServer::stop`] panics) instead
+//! of hanging. See the [`supervise`] module docs for the exact
+//! guarantees.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -78,6 +84,4 @@ pub use server::{
     CollectorSink, DeliverySink, EventRecord, IngestHandle, LatencySink, RejectReason, ServerStats,
     ServingConfig, ServingError, StagedServer,
 };
-pub use supervise::{
-    CrashEvent, CrashKind, CrashPlan, RecoverFn, SuperviseOptions, SupervisedServer,
-};
+pub use supervise::{CrashEvent, CrashKind, CrashPlan, RecoverFn, SuperviseOptions};

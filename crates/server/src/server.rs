@@ -37,6 +37,13 @@
 //!   state, so batches are forwarded raw and the fold degrades to
 //!   per-event processing — bit-identical to a synchronous `publish`
 //!   loop while giving every event an attributable record.
+//! * **Every stage thread is supervised.** The loops below keep whatever
+//!   must survive a crash of their thread in a state the thread's
+//!   wrapper owns (see [`crate::supervise`]): a panic in a stage loses
+//!   the loop's locals and nothing else, and the supervisor restarts the
+//!   stage from that state. An empty [`CrashPlan`](crate::CrashPlan) and
+//!   no [`RecoverFn`](crate::RecoverFn) — what [`StagedServer::start`]
+//!   means — is the same runtime with nothing scheduled to die.
 //! * **Batching adapts to load.** Shard flush deadlines shrink toward a
 //!   sub-millisecond floor while the ingest queue is shallow (latency
 //!   mode) and stretch toward the configured interval as it fills
@@ -57,6 +64,7 @@ use pubsub_netsim::NodeId;
 use pubsub_parallel::{PushError, SequenceWindow, StageQueue, VersionedCell};
 
 use crate::batcher::{EventBatch, EventBatcher, SubmitMeta};
+use crate::supervise::{supervisor_loop, ChaosSwitch, CrashKind, SuperviseOptions};
 
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
@@ -122,12 +130,8 @@ impl Default for ServingConfig {
 /// was enqueued.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RejectReason {
-    /// Admission control: the bounded ingest queue is full and the
-    /// shard's batch could not be handed off. Kept for wire
-    /// compatibility; the live publish path sheds with
-    /// [`RejectReason::Shed`] instead, which carries a retry hint.
-    QueueFull,
-    /// Load shedding: the publish tier is over capacity. Control
+    /// Load shedding: the bounded ingest queue is full and the shard's
+    /// batch could not be handed off. Control
     /// operations (subscribe/unsubscribe/recompile/metrics) are always
     /// admitted — only publishes shed. The hint says how long to back
     /// off before retrying, scaled to the current backlog.
@@ -144,7 +148,6 @@ pub enum RejectReason {
 impl fmt::Display for RejectReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RejectReason::QueueFull => write!(f, "ingest queue full"),
             RejectReason::Shed { retry_after_ms } => {
                 write!(f, "overloaded, retry after {retry_after_ms}ms")
             }
@@ -161,7 +164,7 @@ pub enum ServingError {
     Closed,
     /// The broker rejected the operation.
     Broker(BrokerError),
-    /// A stage thread died and the supervisor had no recovery path (or
+    /// The fold thread died and the supervisor had no recovery path (or
     /// recovery itself failed); the serving state is lost.
     Crashed(String),
 }
@@ -319,32 +322,31 @@ pub(crate) enum WorkItem {
 
 /// One work item after dispatch, on its way through an executor to the
 /// sequence window.
-// `Processed` dwarfs the other variants, but it is also the common
-// case: boxing the scratch would put a heap round-trip on the hot path
-// to slim the rare ones.
+// `Batch` dwarfs `Control`, but it is also the common case: boxing the
+// scratch would put a heap round-trip on the hot path to slim the rare
+// one.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Staged {
-    /// A batch whose fused pass already ran on this executor under the
-    /// view at `epoch`; the fold consumes the scratch.
-    Processed {
-        batch: EventBatch,
-        scratch: PublishScratch,
-        epoch: u64,
-        dequeued: Instant,
-    },
-    /// A batch forwarded untouched for fold-side processing (active
-    /// fault plan, or the view refused the batch).
-    Raw {
-        batch: EventBatch,
-        dequeued: Instant,
-    },
+    Batch(StagedBatch),
     /// A control operation, applied by the fold at its ticket.
     Control(ControlOp),
 }
 
+pub(crate) struct StagedBatch {
+    pub(crate) batch: EventBatch,
+    pub(crate) dequeued: Instant,
+    /// The scratch of the fused pass this batch's executor ran and the
+    /// epoch of the view it ran under; the fold consumes it. `None`
+    /// forwards the batch untouched for fold-side processing (active
+    /// fault plan, the view refused the batch, or its executor died).
+    pub(crate) pass: Option<(PublishScratch, u64)>,
+}
+
 pub(crate) struct EgressBatch {
     pub(crate) meta: Vec<SubmitMeta>,
-    pub(crate) results: Vec<Result<PublishOutcome, String>>,
+    /// One outcome per `meta` entry; egress moves them out front to
+    /// back, so what is left is what the sink has not been handed.
+    pub(crate) results: std::vec::IntoIter<Result<PublishOutcome, String>>,
     pub(crate) epoch: u64,
     pub(crate) dequeued: Instant,
     pub(crate) folded: Instant,
@@ -388,8 +390,8 @@ pub(crate) struct DispatchState {
     pub(crate) version: u64,
 }
 
-/// Everything the executor and fold threads share.
-pub(crate) struct ExecShared {
+/// Everything the stage threads and their supervisor share.
+pub(crate) struct StageShared {
     pub(crate) ingest: Arc<IngestShared>,
     pub(crate) dispatch: Mutex<DispatchState>,
     pub(crate) window: SequenceWindow<Staged>,
@@ -403,14 +405,33 @@ pub(crate) struct ExecShared {
     /// when set. Plans install before `StagedServer::start`, so this is
     /// constant for the server's lifetime.
     pub(crate) faults_active: bool,
+    pub(crate) egress_queue: StageQueue<EgressBatch>,
+    /// [`ServingConfig::threads`], for the fold-side pass.
+    pub(crate) threads: Option<usize>,
+    pub(crate) chaos: ChaosSwitch,
+    /// Stage threads restarted, and in-flight items salvaged and
+    /// replayed across those restarts; mirrored into the broker's
+    /// [`RecoveryCounters`](pubsub_core::RecoveryCounters) at every
+    /// metrics poll and at shutdown.
+    pub(crate) restarts: AtomicU64,
+    pub(crate) replayed: AtomicU64,
 }
 
-impl fmt::Debug for ExecShared {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExecShared")
-            .field("ingest", &self.ingest)
-            .field("faults_active", &self.faults_active)
-            .finish_non_exhaustive()
+impl StageShared {
+    pub(crate) fn note_restart(&self, replayed: bool) {
+        self.restarts.fetch_add(1, Ordering::Relaxed);
+        self.replayed
+            .fetch_add(u64::from(replayed), Ordering::Relaxed);
+    }
+
+    pub(crate) fn sync_recovery(&self, broker: &mut Broker) {
+        let have = broker.recovery_counters();
+        let restarts = self.restarts.load(Ordering::Relaxed);
+        let replayed = self.replayed.load(Ordering::Relaxed);
+        broker.note_recovery(
+            restarts.saturating_sub(have.restarts),
+            replayed.saturating_sub(have.replayed_batches),
+        );
     }
 }
 
@@ -614,7 +635,8 @@ pub(crate) struct EgressTotals {
     pub(crate) batches: u64,
 }
 
-/// Aggregate serving statistics returned by [`StagedServer::stop`].
+/// Aggregate serving statistics returned by [`StagedServer::stop`] and
+/// [`StagedServer::try_stop`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ServerStats {
     /// Submissions accepted (each produced exactly one sink record).
@@ -630,38 +652,48 @@ pub struct ServerStats {
     pub batches: u64,
     /// High-water mark of the ingest queue.
     pub ingest_queue_max_depth: u64,
-    /// Stage threads the supervisor restarted after a crash (always 0
-    /// for the unsupervised [`StagedServer`]).
+    /// Stage threads the supervisor restarted after a crash (a chaos
+    /// kill, a panicking sink, an engine bug); 0 on a healthy run.
     pub restarts: u64,
-    /// In-flight work items salvaged and replayed across stage restarts
-    /// (always 0 for the unsupervised [`StagedServer`]).
+    /// In-flight work items salvaged and replayed across stage restarts.
     pub replayed_batches: u64,
 }
 
-/// The running staged server. Owns the executor, fold and egress
-/// threads; [`StagedServer::stop`] (or drop) shuts down cleanly,
-/// returning the broker and the aggregate stats.
+/// The running staged server. Owns the flusher and the supervisor of
+/// the executor, fold and egress threads; [`StagedServer::stop`] (or
+/// drop) shuts down cleanly, returning the broker and the aggregate
+/// stats.
 #[derive(Debug)]
 pub struct StagedServer {
     handle: IngestHandle,
-    ctx: Arc<ExecShared>,
     flusher_stop: Arc<AtomicBool>,
     flusher: Option<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
-    fold: Option<JoinHandle<Broker>>,
-    egress: Option<JoinHandle<EgressTotals>>,
-    stats: ServerStats,
+    supervisor: Option<JoinHandle<Result<(Broker, ServerStats), String>>>,
 }
 
 impl StagedServer {
-    /// Starts the staged server around `broker`: spawns the pipeline
+    /// [`StagedServer::start_with`] the default [`SuperviseOptions`]:
+    /// nothing scheduled to crash, and no way to rebuild the broker if
+    /// the fold dies anyway.
+    pub fn start(broker: Broker, config: ServingConfig, sink: Box<dyn DeliverySink>) -> Self {
+        Self::start_with(broker, config, sink, SuperviseOptions::default())
+    }
+
+    /// Starts the staged server around `broker`: spawns the deadline
+    /// flusher and the supervisor, which in turn runs the pipeline
     /// executors (sharing an immutable [`PublishView`] of the broker),
-    /// the fold thread (which takes ownership of the broker), the egress
-    /// thread (which takes ownership of `sink`), and the deadline
-    /// flusher.
-    pub fn start(mut broker: Broker, config: ServingConfig, sink: Box<dyn DeliverySink>) -> Self {
+    /// the fold thread (which takes ownership of the broker) and the
+    /// egress thread (which takes ownership of `sink`).
+    /// `options.recover` enables fold-crash recovery; `options.chaos`
+    /// injects the scheduled panics.
+    pub fn start_with(
+        mut broker: Broker,
+        config: ServingConfig,
+        sink: Box<dyn DeliverySink>,
+        options: SuperviseOptions,
+    ) -> Self {
         let dims = broker.space().dims();
-        let shared = Arc::new(IngestShared {
+        let ingest = Arc::new(IngestShared {
             queue: StageQueue::new(config.ingest_capacity),
             shards: (0..config.shards.max(1))
                 .map(|_| Mutex::new(EventBatcher::new(config.max_batch, dims)))
@@ -674,8 +706,8 @@ impl StagedServer {
             flush_interval: config.flush_interval,
         });
         let executors = pubsub_parallel::effective_threads(config.executors);
-        let ctx = Arc::new(ExecShared {
-            ingest: Arc::clone(&shared),
+        let shared = StageShared {
+            ingest: Arc::clone(&ingest),
             dispatch: Mutex::new(DispatchState::default()),
             // The window bounds how far ahead of the fold the executors
             // can run; modest slack past the executor count is enough to
@@ -684,50 +716,33 @@ impl StagedServer {
             cell: VersionedCell::new(broker.publish_view()),
             scratch_pool: Mutex::new(Vec::new()),
             faults_active: broker.faults_active(),
-        });
-        let egress_queue: StageQueue<EgressBatch> = StageQueue::new(config.egress_capacity);
+            egress_queue: StageQueue::new(config.egress_capacity),
+            threads: config.threads,
+            chaos: ChaosSwitch::new(&options.chaos),
+            restarts: AtomicU64::new(0),
+            replayed: AtomicU64::new(0),
+        };
         let flusher_stop = Arc::new(AtomicBool::new(false));
-
         let flusher = {
-            let shared = Arc::clone(&shared);
+            let ingest = Arc::clone(&ingest);
             let stop = Arc::clone(&flusher_stop);
             std::thread::Builder::new()
                 .name("pubsub-flusher".into())
-                .spawn(move || flusher_loop(&shared, &stop))
+                .spawn(move || flusher_loop(&ingest, &stop))
                 .expect("spawn flusher thread")
         };
-        let executor_handles = (0..executors)
-            .map(|i| {
-                let ctx = Arc::clone(&ctx);
-                std::thread::Builder::new()
-                    .name(format!("pubsub-exec-{i}"))
-                    .spawn(move || executor_loop(&ctx))
-                    .expect("spawn executor thread")
-            })
-            .collect();
-        let fold = {
-            let ctx = Arc::clone(&ctx);
-            let egress_queue = egress_queue.clone();
-            let threads = config.threads;
-            std::thread::Builder::new()
-                .name("pubsub-fold".into())
-                .spawn(move || fold_loop(broker, &ctx, &egress_queue, threads))
-                .expect("spawn fold thread")
-        };
-        let egress = std::thread::Builder::new()
-            .name("pubsub-egress".into())
-            .spawn(move || egress_loop(&egress_queue, sink))
-            .expect("spawn egress thread");
+        let recover = options.recover;
+        let broker = Box::new(broker);
+        let supervisor = std::thread::Builder::new()
+            .name("pubsub-supervisor".into())
+            .spawn(move || supervisor_loop(&shared, broker, sink, recover, executors))
+            .expect("spawn supervisor thread");
 
         StagedServer {
-            handle: IngestHandle { shared },
-            ctx,
+            handle: IngestHandle { shared: ingest },
             flusher_stop,
             flusher: Some(flusher),
-            executors: executor_handles,
-            fold: Some(fold),
-            egress: Some(egress),
-            stats: ServerStats::default(),
+            supervisor: Some(supervisor),
         }
     }
 
@@ -736,21 +751,31 @@ impl StagedServer {
         self.handle.clone()
     }
 
-    /// Stops accepting, flushes every shard, drains the queues and the
-    /// sequence window, joins the stage threads, and returns the broker
-    /// (with the egress histogram merged into its counters) plus the
-    /// aggregate stats.
+    /// [`StagedServer::try_stop`] for callers with no recovery story.
     ///
     /// # Panics
     ///
-    /// Panics if a stage thread itself panicked.
-    pub fn stop(mut self) -> (Broker, ServerStats) {
-        let broker = self.shutdown().expect("stage threads healthy");
-        (broker, self.stats)
+    /// Panics if the serving state was lost to a stage crash.
+    pub fn stop(self) -> (Broker, ServerStats) {
+        self.try_stop().expect("stage threads healthy")
     }
 
-    fn shutdown(&mut self) -> Option<Broker> {
-        let fold = self.fold.take()?;
+    /// Stops accepting, flushes every shard, drains the queues and the
+    /// sequence window through every stage, joins the supervisor, and
+    /// returns the broker (with the egress histogram and the recovery
+    /// counters merged into its own) plus the aggregate stats.
+    ///
+    /// # Errors
+    ///
+    /// [`ServingError::Crashed`] if the fold died without a recovery
+    /// path, or recovery itself failed; accepted-but-undelivered events
+    /// are reported lost rather than silently dropped.
+    pub fn try_stop(mut self) -> Result<(Broker, ServerStats), ServingError> {
+        self.shutdown().expect("try_stop consumes the only handle")
+    }
+
+    fn shutdown(&mut self) -> Option<Result<(Broker, ServerStats), ServingError>> {
+        let supervisor = self.supervisor.take()?;
         let sh = &*self.handle.shared;
         sh.accepting.store(false, Ordering::SeqCst);
         // Final flush: every accepted event must reach the pipeline, so
@@ -767,40 +792,17 @@ impl StagedServer {
         if let Some(flusher) = self.flusher.take() {
             let _ = flusher.join();
         }
-        // Executors drain the closed queue and push their last tickets;
-        // only then may the window close (it would otherwise drop the
-        // gap behind a straggler).
-        for executor in self.executors.drain(..) {
-            executor.join().expect("executor thread panicked");
-        }
-        self.ctx.window.close();
-        let mut broker = fold.join().expect("fold thread panicked");
-        let totals = self
-            .egress
-            .take()
-            .expect("egress joined once")
+        let outcome = supervisor
             .join()
-            .expect("egress thread panicked");
-        broker.merge_stage_latencies(StageKind::Egress, &totals.histo);
-        sync_gauges(&mut broker, sh);
-        self.stats = ServerStats {
-            accepted: sh.accepted.load(Ordering::Relaxed),
-            rejected: sh.rejected.load(Ordering::Relaxed),
-            delivered: totals.delivered,
-            failed: totals.failed,
-            batches: totals.batches,
-            ingest_queue_max_depth: sh.queue.max_depth() as u64,
-            restarts: 0,
-            replayed_batches: 0,
-        };
-        Some(broker)
+            .unwrap_or_else(|_| Err("supervisor thread panicked".into()));
+        Some(outcome.map_err(ServingError::Crashed))
     }
 }
 
 impl Drop for StagedServer {
     fn drop(&mut self) {
-        // Explicit `stop` already ran if the fold is None; otherwise
-        // shut down so no stage thread outlives the server.
+        // Explicit `stop` already ran if the supervisor is None;
+        // otherwise shut down so no stage thread outlives the server.
         let _ = self.shutdown();
     }
 }
@@ -871,11 +873,25 @@ pub(crate) fn flusher_loop(shared: &IngestShared, stop: &AtomicBool) {
     }
 }
 
-/// What an executor popped, after the dispatcher stamped it.
-pub(crate) enum Popped {
-    /// A batch plus the view version it must process under.
-    Batch(EventBatch, u64),
-    Control(ControlOp),
+/// What must survive an executor thread: its identity, its progress
+/// count on the chaos clock, and the salvage slot.
+pub(crate) struct ExecState {
+    pub(crate) index: usize,
+    pops: u64,
+    /// The popped `(ticket, batch)`, parked here across the whole crash
+    /// window (chaos tick + view pass) so a death never leaves the
+    /// sequence window with a permanent gap.
+    pub(crate) slot: Option<(u64, StagedBatch)>,
+}
+
+impl ExecState {
+    pub(crate) fn new(index: usize) -> Self {
+        ExecState {
+            index,
+            pops: 0,
+            slot: None,
+        }
+    }
 }
 
 /// One concurrent pipeline executor: pop under the dispatcher lock (one
@@ -884,76 +900,78 @@ pub(crate) enum Popped {
 /// into the sequence window at the ticket. Everything order-sensitive
 /// (broker mutation, version publication, egress handoff) happens on the
 /// fold side, in ticket order.
-fn executor_loop(ctx: &ExecShared) {
+pub(crate) fn executor_loop(sh: &StageShared, st: &mut ExecState) {
+    // A dead predecessor's batch first, as it was left: a pass that
+    // never finished is a raw batch, and the fold processes it.
+    if let Some((ticket, job)) = st.slot.take() {
+        let _ = sh.window.push(ticket, Staged::Batch(job));
+    }
+    let me = CrashKind::KillExecutor(st.index);
     loop {
-        let (ticket, popped) = {
-            let mut st = lock(&ctx.dispatch);
+        let (ticket, item, version) = {
+            let mut d = lock(&sh.dispatch);
             // Popping under the dispatcher lock is what makes tickets a
             // total order consistent with the queue order; idle peers
             // block on the lock instead of the queue, which costs
             // nothing — they could not pop anyway.
-            let Some(item) = ctx.ingest.queue.pop() else {
+            let Some(item) = sh.ingest.queue.pop() else {
                 return;
             };
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            match item {
-                WorkItem::Batch(batch) => (ticket, Popped::Batch(batch, st.version)),
-                WorkItem::Control(op) => {
-                    if op.bumps_view() {
-                        st.version += 1;
-                    }
-                    (ticket, Popped::Control(op))
-                }
+            let ticket = d.next_ticket;
+            d.next_ticket += 1;
+            if matches!(&item, WorkItem::Control(op) if op.bumps_view()) {
+                d.version += 1;
             }
+            (ticket, item, d.version)
         };
-        match popped {
-            Popped::Control(op) => {
-                let _ = ctx.window.push(ticket, Staged::Control(op));
+        let batch = match item {
+            WorkItem::Control(op) => {
+                // Handed to the window before the crash point: a control
+                // op is never in executor-side flight.
+                let _ = sh.window.push(ticket, Staged::Control(op));
+                sh.chaos.tick(me, &mut st.pops);
+                continue;
             }
-            Popped::Batch(batch, version) => {
-                let dequeued = Instant::now();
-                let staged = if ctx.faults_active {
-                    Staged::Raw { batch, dequeued }
-                } else {
-                    // The fold publishes version v only after folding
-                    // every ticket before the op that bumped to v, and
-                    // all such tickets precede ours — so the wait both
-                    // terminates and can only ever observe our version.
-                    let (seen, view) = ctx.cell.wait_at_least(version);
-                    debug_assert_eq!(seen, version, "executor observed a future view");
-                    let mut scratch = lock(&ctx.scratch_pool).pop().unwrap_or_default();
-                    match view.process_into(&batch.points, Some(&batch.soa), &mut scratch) {
-                        Ok(()) => Staged::Processed {
-                            batch,
-                            scratch,
-                            epoch: view.epoch(),
-                            dequeued,
-                        },
-                        // Unreachable in practice (submit validates
-                        // dimensions), but losing records is not an
-                        // option: let the fold produce the errors.
-                        Err(_) => {
-                            lock(&ctx.scratch_pool).push(scratch);
-                            Staged::Raw { batch, dequeued }
-                        }
-                    }
-                };
-                let _ = ctx.window.push(ticket, staged);
+            WorkItem::Batch(batch) => batch,
+        };
+        let parked = StagedBatch {
+            batch,
+            dequeued: Instant::now(),
+            pass: None,
+        };
+        let (_, job) = st.slot.insert((ticket, parked));
+        sh.chaos.tick(me, &mut st.pops);
+        if !sh.faults_active {
+            // The fold publishes version v only after folding every
+            // ticket before the op that bumped to v, and all such
+            // tickets precede ours — so the wait both terminates and
+            // can only ever observe our version.
+            let (seen, view) = sh.cell.wait_at_least(version);
+            if seen != version {
+                // Only the supervisor's `abandon` publishes a version
+                // nobody was stamped with: the server is lost.
+                return;
+            }
+            // The pass reads the batch *in the slot*: a panic anywhere
+            // in here (the engine pass included) leaves it salvageable.
+            let mut scratch = lock(&sh.scratch_pool).pop().unwrap_or_default();
+            match view.process_into(&job.batch.points, Some(&job.batch.soa), &mut scratch) {
+                Ok(()) => job.pass = Some((scratch, view.epoch())),
+                // Unreachable in practice (submit validates dimensions),
+                // but losing records is not an option: let the fold
+                // produce the errors.
+                Err(_) => lock(&sh.scratch_pool).push(scratch),
             }
         }
+        let (ticket, job) = st.slot.take().expect("parked above");
+        let _ = sh.window.push(ticket, Staged::Batch(job));
     }
 }
 
 /// Per-event transport-in latencies, recorded when the fold (the only
 /// broker owner) sees the batch: batcher residency, queue wait, and
 /// their sum kept as the whole-stage histogram.
-pub(crate) fn note_ingest(
-    broker: &mut Broker,
-    meta: &[SubmitMeta],
-    enqueued: Instant,
-    dequeued: Instant,
-) {
+fn note_ingest(broker: &mut Broker, meta: &[SubmitMeta], enqueued: Instant, dequeued: Instant) {
     for m in meta {
         broker.note_stage_latency(
             StageKind::Batcher,
@@ -970,72 +988,57 @@ pub(crate) fn note_ingest(
     }
 }
 
-pub(crate) fn forward(
-    egress: &StageQueue<EgressBatch>,
-    batch: EventBatch,
-    results: Vec<Result<PublishOutcome, String>>,
-    epoch: u64,
-    dequeued: Instant,
-    folded: Instant,
-) {
-    if egress
-        .push(EgressBatch {
-            meta: batch.meta,
-            results,
-            epoch,
-            dequeued,
-            folded,
-        })
-        .is_err()
-    {
-        unreachable!("egress queue closes only after the fold exits");
+/// What must survive a fold thread: the broker (replaced through the
+/// [`RecoverFn`](crate::RecoverFn) after a crash — it died with the
+/// thread), the salvage slot, and the fold's place in the version and
+/// chaos sequences.
+pub(crate) struct FoldState {
+    /// Boxed so that handing the state from thread to thread moves a
+    /// pointer, not the broker.
+    pub(crate) broker: Box<Broker>,
+    /// The item being applied right now (replayed by the next
+    /// incarnation if this one dies mid-apply).
+    pub(crate) slot: Option<Staged>,
+    /// The last view version the fold published — the version the
+    /// supervisor republishes a recovered view under.
+    pub(crate) version: u64,
+    items: u64,
+}
+
+impl FoldState {
+    pub(crate) fn new(broker: Box<Broker>) -> Self {
+        FoldState {
+            broker,
+            slot: None,
+            version: 0,
+            items: 0,
+        }
     }
 }
 
 /// The in-order fold: the single broker owner. Consumes the sequence
 /// window in ticket order — folding executor scratches, processing raw
-/// (fault-path) batches, applying control operations and republishing
-/// the view on version bumps — and forwards egress batches in that same
-/// order, which is what keeps sink output deterministic.
-fn fold_loop(
-    mut broker: Broker,
-    ctx: &ExecShared,
-    egress: &StageQueue<EgressBatch>,
-    threads: Option<usize>,
-) -> Broker {
-    let mut version = 0u64;
+/// (fault-path or salvaged) batches, applying control operations and
+/// republishing the view on version bumps — and forwards egress batches
+/// in that same order, which is what keeps sink output deterministic.
+pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
+    let broker = &mut *st.broker;
     let mut outcomes: Vec<PublishOutcome> = Vec::new();
-    while let Some((_ticket, staged)) = ctx.window.pop_next() {
-        match staged {
-            Staged::Processed {
-                batch,
-                mut scratch,
-                epoch,
-                dequeued,
-            } => {
-                note_ingest(&mut broker, &batch.meta, batch.enqueued, dequeued);
-                outcomes.clear();
-                broker.fold_staged(batch.len(), epoch, &mut scratch, &mut outcomes);
-                lock(&ctx.scratch_pool).push(scratch);
-                let folded = Instant::now();
-                broker.note_stage_latency(
-                    StageKind::Pipeline,
-                    nanos(folded.saturating_duration_since(dequeued)),
-                );
-                let results = outcomes.drain(..).map(Ok).collect();
-                forward(egress, batch, results, epoch, dequeued, folded);
-            }
-            Staged::Raw { batch, dequeued } => {
-                note_ingest(&mut broker, &batch.meta, batch.enqueued, dequeued);
-                let (results, epoch) = process(&mut broker, &batch.points, threads);
-                let folded = Instant::now();
-                broker.note_stage_latency(
-                    StageKind::Pipeline,
-                    nanos(folded.saturating_duration_since(dequeued)),
-                );
-                forward(egress, batch, results, epoch, dequeued, folded);
-            }
-            Staged::Control(op) => {
+    loop {
+        // A salvaged item from a dead predecessor replays first; only
+        // then does this incarnation pop (and tick the chaos clock) on
+        // its own account.
+        if st.slot.is_none() {
+            let Some((_ticket, staged)) = sh.window.pop_next() else {
+                break;
+            };
+            st.slot = Some(staged);
+            sh.chaos.tick(CrashKind::KillFold, &mut st.items);
+        }
+        let Some(Staged::Batch(job)) = st.slot.as_mut() else {
+            // A control op leaves the slot before it is applied: at most
+            // once, and a caller whose op died sees its channel drop.
+            if let Some(Staged::Control(op)) = st.slot.take() {
                 let bumps = op.bumps_view();
                 match op {
                     ControlOp::Subscribe(node, rect, tx) => {
@@ -1048,7 +1051,8 @@ fn fold_loop(
                         let _ = tx.send(broker.recompile());
                     }
                     ControlOp::Metrics(tx) => {
-                        sync_gauges(&mut broker, &ctx.ingest);
+                        sync_gauges(broker, &sh.ingest);
+                        sh.sync_recovery(broker);
                         let _ = tx.send(broker.metrics_snapshot());
                     }
                 }
@@ -1056,14 +1060,50 @@ fn fold_loop(
                     // Republish even if the op itself failed: the
                     // dispatcher already advanced the version, and a
                     // batch stamped with it is (or will be) waiting.
-                    version += 1;
-                    ctx.cell.publish(version, Arc::new(broker.publish_view()));
+                    st.version += 1;
+                    sh.cell.publish(st.version, Arc::new(broker.publish_view()));
                 }
             }
+            continue;
+        };
+        note_ingest(broker, &job.batch.meta, job.batch.enqueued, job.dequeued);
+        let (results, epoch) = match &mut job.pass {
+            Some((scratch, epoch)) if *epoch == broker.epoch() => {
+                outcomes.clear();
+                broker.fold_staged(job.batch.len(), *epoch, scratch, &mut outcomes);
+                (outcomes.drain(..).map(Ok).collect(), *epoch)
+            }
+            // A raw batch, or a pass that ran under a view this broker
+            // no longer has (it predates a fold recovery): the broker
+            // processes it here, deterministically.
+            _ => process(broker, &job.batch.points, sh.threads),
+        };
+        let folded = Instant::now();
+        broker.note_stage_latency(
+            StageKind::Pipeline,
+            nanos(folded.saturating_duration_since(job.dequeued)),
+        );
+        // Effects are fully in the broker: the item leaves the crash
+        // window and its batch moves on to egress.
+        let Some(Staged::Batch(job)) = st.slot.take() else {
+            unreachable!("matched above");
+        };
+        if let Some((scratch, _)) = job.pass {
+            lock(&sh.scratch_pool).push(scratch);
         }
+        let handed = sh.egress_queue.push(EgressBatch {
+            meta: job.batch.meta,
+            results: results.into_iter(),
+            epoch,
+            dequeued: job.dequeued,
+            folded,
+        });
+        assert!(
+            handed.is_ok(),
+            "egress queue closes only after the fold exits"
+        );
     }
-    egress.close();
-    broker
+    sh.egress_queue.close();
 }
 
 /// Runs one batch through the engine on the fold side. Fault-free
@@ -1072,7 +1112,7 @@ fn fold_loop(
 /// one-event batch so a mid-batch abort (publisher down) cannot leave
 /// recorded events without records — see the module docs.
 #[allow(clippy::type_complexity)]
-pub(crate) fn process(
+fn process(
     broker: &mut Broker,
     points: &[Point],
     threads: Option<usize>,
@@ -1104,19 +1144,52 @@ pub(crate) fn process(
     }
 }
 
-fn egress_loop(queue: &StageQueue<EgressBatch>, mut sink: Box<dyn DeliverySink>) -> EgressTotals {
-    let mut totals = EgressTotals::default();
-    while let Some(batch) = queue.pop() {
+/// What must survive an egress thread: the sink, the totals, and the
+/// batch being emitted.
+pub(crate) struct EgressState {
+    sink: Box<dyn DeliverySink>,
+    /// The batch in flight; the outcomes still in it are the resume
+    /// point for a replacement thread.
+    pub(crate) batch: Option<EgressBatch>,
+    pub(crate) totals: EgressTotals,
+    records: u64,
+}
+
+impl EgressState {
+    pub(crate) fn new(sink: Box<dyn DeliverySink>) -> Self {
+        EgressState {
+            sink,
+            batch: None,
+            totals: EgressTotals::default(),
+            records: 0,
+        }
+    }
+}
+
+pub(crate) fn egress_loop(sh: &StageShared, st: &mut EgressState) {
+    loop {
+        // A dead predecessor's batch resumes where it stopped.
+        if st.batch.is_none() {
+            st.batch = sh.egress_queue.pop();
+        }
+        let Some(batch) = st.batch.as_mut() else {
+            return;
+        };
         let started = Instant::now();
-        debug_assert_eq!(batch.meta.len(), batch.results.len());
-        for (event, outcome) in batch.meta.into_iter().zip(batch.results) {
+        debug_assert!(batch.results.len() <= batch.meta.len());
+        while !batch.results.as_slice().is_empty() {
+            sh.chaos.tick(CrashKind::KillEgress, &mut st.records);
+            let event = batch.meta[batch.meta.len() - batch.results.len()];
+            // Moved out before the sink runs: a record the sink panics
+            // on was handed over once and is not offered again.
+            let outcome = batch.results.next().expect("checked non-empty");
             let now = Instant::now();
             if outcome.is_ok() {
-                totals.delivered += 1;
+                st.totals.delivered += 1;
             } else {
-                totals.failed += 1;
+                st.totals.failed += 1;
             }
-            sink.on_record(EventRecord {
+            st.sink.on_record(EventRecord {
                 client: event.client,
                 seq: event.seq,
                 epoch: batch.epoch,
@@ -1127,17 +1200,26 @@ fn egress_loop(queue: &StageQueue<EgressBatch>, mut sink: Box<dyn DeliverySink>)
                 egress_ns: nanos(now.saturating_duration_since(batch.folded)),
             });
         }
-        totals.histo.record(nanos(started.elapsed()));
-        totals.batches += 1;
+        st.totals.histo.record(nanos(started.elapsed()));
+        st.totals.batches += 1;
+        st.batch = None;
     }
-    totals
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervise::CrashPlan;
     use pubsub_clustering::{ClusteringAlgorithm, ClusteringConfig};
     use pubsub_netsim::TransitStubConfig;
+
+    type Starter = fn(Broker, ServingConfig, Box<dyn DeliverySink>) -> StagedServer;
+
+    /// Both constructors: plain `start` is `start_with` the default
+    /// options, and an empty plan must change nothing observable.
+    const STARTERS: [Starter; 2] = [StagedServer::start, |broker, config, sink| {
+        StagedServer::start_with(broker, config, sink, SuperviseOptions::default())
+    }];
 
     fn tiny_broker() -> Broker {
         let topo = TransitStubConfig::tiny().generate(11).expect("tiny topo");
@@ -1172,76 +1254,160 @@ mod tests {
 
     #[test]
     fn staged_results_match_synchronous_batch() {
-        let sink = CollectorSink::new();
-        let server = StagedServer::start(
-            tiny_broker(),
-            ServingConfig {
-                shards: 1, // one shard keeps submission order end to end
-                max_batch: 16,
-                ..ServingConfig::default()
-            },
-            Box::new(sink.clone()),
-        );
-        let handle = server.handle();
-        let stream = events(50);
-        for (i, e) in stream.iter().enumerate() {
-            handle
-                .submit_now(0, i as u64, e.clone())
-                .expect("no backpressure at this rate");
-        }
-        let (broker, stats) = server.stop();
-        assert_eq!(stats.accepted, 50);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.delivered, 50);
-        assert_eq!(stats.failed, 0);
+        for start in STARTERS {
+            let sink = CollectorSink::new();
+            let server = start(
+                tiny_broker(),
+                ServingConfig {
+                    shards: 1, // one shard keeps submission order end to end
+                    max_batch: 16,
+                    ..ServingConfig::default()
+                },
+                Box::new(sink.clone()),
+            );
+            let handle = server.handle();
+            let stream = events(50);
+            for (i, e) in stream.iter().enumerate() {
+                handle
+                    .submit_now(0, i as u64, e.clone())
+                    .expect("no backpressure at this rate");
+            }
+            let (broker, stats) = server.try_stop().expect("nothing crashed");
+            assert_eq!(stats.accepted, 50);
+            assert_eq!(stats.rejected, 0);
+            assert_eq!(stats.delivered, 50);
+            assert_eq!(stats.failed, 0);
+            assert_eq!((stats.restarts, stats.replayed_batches), (0, 0));
 
-        let mut records = sink.take();
-        assert_eq!(records.len(), 50);
-        records.sort_by_key(|r| r.seq);
-        let mut reference = tiny_broker();
-        let expected = reference.publish_batch(&stream, Some(1)).expect("batch");
-        for (record, want) in records.iter().zip(&expected) {
-            assert_eq!(record.outcome.as_ref().expect("delivered"), want);
-            assert_eq!(record.epoch, reference.epoch());
+            let mut records = sink.take();
+            assert_eq!(records.len(), 50);
+            records.sort_by_key(|r| r.seq);
+            let mut reference = tiny_broker();
+            let expected = reference.publish_batch(&stream, Some(1)).expect("batch");
+            for (record, want) in records.iter().zip(&expected) {
+                assert_eq!(record.outcome.as_ref().expect("delivered"), want);
+                assert_eq!(record.epoch, reference.epoch());
+            }
+            // The cumulative cost report is bit-identical too.
+            assert_eq!(broker.report(), reference.report());
         }
-        // The cumulative cost report is bit-identical too.
-        assert_eq!(broker.report(), reference.report());
     }
 
     #[test]
     fn concurrent_executors_keep_sink_order_and_identity() {
+        for start in STARTERS {
+            let sink = CollectorSink::new();
+            let server = start(
+                tiny_broker(),
+                ServingConfig {
+                    shards: 1,
+                    max_batch: 4, // many small batches — real reorder pressure
+                    executors: Some(3),
+                    ..ServingConfig::default()
+                },
+                Box::new(sink.clone()),
+            );
+            let handle = server.handle();
+            let stream = events(60);
+            for (i, e) in stream.iter().enumerate() {
+                handle
+                    .submit_now(0, i as u64, e.clone())
+                    .expect("no backpressure at this rate");
+            }
+            let (broker, stats) = server.try_stop().expect("nothing crashed");
+            assert_eq!(stats.delivered, 60);
+            assert_eq!((stats.restarts, stats.replayed_batches), (0, 0));
+
+            // No sort: the sequence window must deliver records to the
+            // sink in exact submission order despite three racing
+            // executors.
+            let records = sink.take();
+            let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+            assert_eq!(seqs, (0..60).collect::<Vec<u64>>());
+            let mut reference = tiny_broker();
+            let expected = reference.publish_batch(&stream, Some(1)).expect("batch");
+            for (record, want) in records.iter().zip(&expected) {
+                assert_eq!(record.outcome.as_ref().expect("delivered"), want);
+            }
+            assert_eq!(broker.report(), reference.report());
+        }
+    }
+
+    /// What `start` promises when the fold dies anyway: no recovery, but
+    /// no hang either. The kill is scheduled on the fold's first item —
+    /// the subscribe — so its caller is parked on the reply when the
+    /// supervisor abandons the server.
+    #[test]
+    fn unrecoverable_fold_crash_fails_stop_and_wakes_blocked_callers() {
         let sink = CollectorSink::new();
+        let server = StagedServer::start_with(
+            tiny_broker(),
+            ServingConfig {
+                executors: Some(2),
+                ..ServingConfig::default()
+            },
+            Box::new(sink.clone()),
+            SuperviseOptions {
+                recover: None,
+                chaos: CrashPlan::new().kill(CrashKind::KillFold, 1),
+            },
+        );
+        let handle = server.handle();
+        let (done_tx, done) = mpsc::channel();
+        let caller = handle.clone();
+        std::thread::spawn(move || {
+            let rect = Rect::from_corners(&[1.0, 1.0], &[2.0, 2.0]).expect("rect");
+            let subscribed = caller.subscribe(NodeId(0), rect).map(|_| ());
+            drop(caller);
+            let stopped = server.try_stop().map(|_| ());
+            let _ = done_tx.send((subscribed, stopped));
+        });
+        let (subscribed, stopped) = done
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a dead fold hung its callers");
+        assert!(matches!(subscribed, Err(ServingError::Closed)));
+        assert!(matches!(stopped, Err(ServingError::Crashed(_))));
+        assert_eq!(
+            handle.submit_now(0, 0, Point::new(vec![1.0, 2.0]).expect("point")),
+            Err(RejectReason::Closed)
+        );
+        // No stage thread, supervisor or flusher outlived the stop: they
+        // held the other references to the ingest state and the sink.
+        assert_eq!(Arc::strong_count(&handle.shared), 1);
+        assert_eq!(Arc::strong_count(&sink.records), 1);
+    }
+
+    #[test]
+    fn panicking_sink_restarts_egress_and_costs_only_its_record() {
+        let sink = CollectorSink::new();
+        let flaky = {
+            let mut sink = sink.clone();
+            move |record: EventRecord| {
+                assert_ne!(record.seq, 5, "sink bug");
+                sink.on_record(record);
+            }
+        };
         let server = StagedServer::start(
             tiny_broker(),
             ServingConfig {
                 shards: 1,
-                max_batch: 4, // many small batches — real reorder pressure
-                executors: Some(3),
+                max_batch: 4,
                 ..ServingConfig::default()
             },
-            Box::new(sink.clone()),
+            Box::new(flaky),
         );
         let handle = server.handle();
-        let stream = events(60);
-        for (i, e) in stream.iter().enumerate() {
-            handle
-                .submit_now(0, i as u64, e.clone())
-                .expect("no backpressure at this rate");
+        for (i, e) in events(30).into_iter().enumerate() {
+            handle.submit_now(0, i as u64, e).expect("accepted");
         }
-        let (broker, stats) = server.stop();
-        assert_eq!(stats.delivered, 60);
-
-        // No sort: the sequence window must deliver records to the sink
-        // in exact submission order despite three racing executors.
-        let records = sink.take();
-        let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, (0..60).collect::<Vec<u64>>());
-        let mut reference = tiny_broker();
-        let expected = reference.publish_batch(&stream, Some(1)).expect("batch");
-        for (record, want) in records.iter().zip(&expected) {
-            assert_eq!(record.outcome.as_ref().expect("delivered"), want);
-        }
-        assert_eq!(broker.report(), reference.report());
+        let (_, stats) = server.try_stop().expect("egress restarts need no broker");
+        assert_eq!(stats.restarts, 1);
+        assert_eq!(stats.replayed_batches, 1, "the batch seq 5 was in");
+        assert_eq!(stats.accepted, 30);
+        assert_eq!(stats.delivered, 30, "handed to the sink, seq 5 included");
+        let seqs: Vec<u64> = sink.take().iter().map(|r| r.seq).collect();
+        let expected: Vec<u64> = (0..30).filter(|&seq| seq != 5).collect();
+        assert_eq!(seqs, expected, "every other record exactly once, in order");
     }
 
     #[test]

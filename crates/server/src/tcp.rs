@@ -53,8 +53,7 @@ use pubsub_geom::Point;
 
 use crate::server::{lock, IngestHandle, RejectReason};
 use crate::wire::{
-    read_frame, write_frame, Frame, REASON_CLOSED, REASON_MALFORMED, REASON_NONE,
-    REASON_QUEUE_FULL, REASON_SHED,
+    read_frame, write_frame, Frame, REASON_CLOSED, REASON_MALFORMED, REASON_NONE, REASON_SHED,
 };
 
 /// The most session entries the server retains; beyond this the
@@ -311,7 +310,6 @@ fn submit_publish(
     match submit {
         Ok(()) => (true, REASON_NONE, 0),
         Err(RejectReason::Shed { retry_after_ms }) => (false, REASON_SHED, retry_after_ms),
-        Err(RejectReason::QueueFull) => (false, REASON_QUEUE_FULL, 0),
         Err(RejectReason::Malformed) => (false, REASON_MALFORMED, 0),
         Err(RejectReason::Closed) => (false, REASON_CLOSED, 0),
     }
@@ -590,7 +588,7 @@ impl ServingClient {
             match self.publish_hinted(seq, coords.to_vec()) {
                 Ok((true, _, _)) => return Ok(()),
                 Ok((false, reason, retry_after_ms)) => match reason {
-                    REASON_SHED | REASON_QUEUE_FULL => {
+                    REASON_SHED => {
                         if attempt >= self.config.max_retries {
                             return Err(ClientError::Rejected {
                                 reason,

@@ -17,8 +17,8 @@
 //!
 //! The ack `reason` byte is one of the `REASON_*` constants; it is 0
 //! (`REASON_NONE`) on accepted publishes. The trailing `u32` retry-after
-//! field was added for [`REASON_SHED`]; decoders accept the legacy
-//! 10-byte ack body (treated as retry-after 0) so old peers interoperate.
+//! field is meaningful with [`REASON_SHED`] and 0 otherwise; an ack body
+//! is exactly 14 bytes.
 //!
 //! `Hello` opens a *session*: the client presents a stable token, the
 //! server answers with the client id bound to that token and the highest
@@ -41,8 +41,6 @@ pub const MAX_FRAME: u32 = 1 << 20;
 
 /// Ack reason: accepted, nothing to report.
 pub const REASON_NONE: u8 = 0;
-/// Ack reason: rejected by admission control (ingest queue full).
-pub const REASON_QUEUE_FULL: u8 = 1;
 /// Ack reason: the server is shutting down.
 pub const REASON_CLOSED: u8 = 2;
 /// Ack reason: the event was malformed (wrong dimensionality or
@@ -217,21 +215,14 @@ fn decode(payload: &[u8]) -> io::Result<Frame> {
             Ok(Frame::Publish { seq, coords })
         }
         OP_ACK => {
-            // 10-byte legacy body (no retry field) or 14-byte current.
-            if body.len() != 10 && body.len() != 14 {
+            if body.len() != 14 {
                 return Err(bad("bad ack frame"));
             }
-            let seq = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-            let retry_after_ms = if body.len() == 14 {
-                u32::from_le_bytes(body[10..14].try_into().expect("4 bytes"))
-            } else {
-                0
-            };
             Ok(Frame::Ack {
-                seq,
+                seq: u64::from_le_bytes(body[0..8].try_into().expect("8 bytes")),
                 accepted: body[8] != 0,
                 reason: body[9],
-                retry_after_ms,
+                retry_after_ms: u32::from_le_bytes(body[10..14].try_into().expect("4 bytes")),
             })
         }
         OP_METRICS_REQUEST => {
@@ -299,7 +290,7 @@ mod tests {
         roundtrip(Frame::Ack {
             seq: 7,
             accepted: false,
-            reason: REASON_QUEUE_FULL,
+            reason: REASON_CLOSED,
             retry_after_ms: 0,
         });
         roundtrip(Frame::Ack {
@@ -364,25 +355,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_ten_byte_acks_still_decode() {
+    fn ten_byte_ack_bodies_are_rejected() {
         // Hand-built pre-retry-field ack: len 11 (opcode + 10B body).
         let mut buf = Vec::new();
         buf.extend_from_slice(&11u32.to_le_bytes());
         buf.push(2); // OP_ACK
         buf.extend_from_slice(&99u64.to_le_bytes());
         buf.push(0); // rejected
-        buf.push(REASON_QUEUE_FULL);
+        buf.push(REASON_SHED);
         let mut cursor = &buf[..];
-        let frame = read_frame(&mut cursor).expect("read").expect("frame");
-        assert_eq!(
-            frame,
-            Frame::Ack {
-                seq: 99,
-                accepted: false,
-                reason: REASON_QUEUE_FULL,
-                retry_after_ms: 0,
-            }
-        );
+        let err = read_frame(&mut cursor).expect_err("short ack body");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -136,7 +136,6 @@ proptest! {
                     prop_assert!(retry_after_ms >= 1, "shed hint must be positive");
                     rejected += 1;
                 }
-                Err(RejectReason::QueueFull) => rejected += 1,
                 Err(r) => return Err(format!("unexpected reject reason: {r}")),
             }
         }

@@ -18,8 +18,8 @@ use pubsub::core::{Broker, JournalConfig};
 use pubsub::geom::{Point, Rect, Space};
 use pubsub::netsim::TransitStubConfig;
 use pubsub::server::{
-    CollectorSink, CrashKind, CrashPlan, IngestHandle, RejectReason, ServingConfig,
-    SuperviseOptions, SupervisedServer,
+    CollectorSink, CrashKind, CrashPlan, IngestHandle, RejectReason, ServingConfig, StagedServer,
+    SuperviseOptions,
 };
 
 /// Unique scratch directory per test case (proptest reruns included).
@@ -153,7 +153,7 @@ proptest! {
         let plan_len = options.chaos.events().len();
 
         let sink = CollectorSink::new();
-        let server = SupervisedServer::start(
+        let server = StagedServer::start_with(
             broker,
             small_config(s.executors, s.max_batch),
             Box::new(sink.clone()),
@@ -183,7 +183,7 @@ proptest! {
         }
 
         let (broker, stats) = server
-            .stop()
+            .try_stop()
             .map_err(|e| format!("supervised stop failed: {e}"))?;
         let records = sink.take();
 
@@ -234,14 +234,14 @@ fn every_stage_crash_is_survived_exactly_once() {
 
     let sink = CollectorSink::new();
     let server =
-        SupervisedServer::start(broker, small_config(1, 1), Box::new(sink.clone()), options);
+        StagedServer::start_with(broker, small_config(1, 1), Box::new(sink.clone()), options);
     let handle = server.handle();
     let total = 30u64;
     for seq in 1..=total {
         let point = Point::new(vec![(seq % 10) as f64, 5.0]).unwrap();
         submit_patiently(&handle, seq, point).unwrap();
     }
-    let (broker, stats) = server.stop().unwrap();
+    let (broker, stats) = server.try_stop().unwrap();
 
     assert_eq!(stats.restarts, 3, "all three scheduled kills fired");
     assert_eq!(
@@ -268,14 +268,14 @@ fn whole_server_restart_recovers_subscriptions_from_journal() {
 
     let sink = CollectorSink::new();
     let server =
-        SupervisedServer::start(broker, small_config(2, 2), Box::new(sink.clone()), options);
+        StagedServer::start_with(broker, small_config(2, 2), Box::new(sink.clone()), options);
     let handle = server.handle();
     let node = TransitStubConfig::tiny().generate(7).unwrap().stub_nodes()[2];
     handle
         .subscribe(node, Rect::from_corners(&[2.0, 2.0], &[8.0, 8.0]).unwrap())
         .unwrap();
     submit_patiently(&handle, 1, Point::new(vec![5.0, 5.0]).unwrap()).unwrap();
-    let (_gone, stats) = server.stop().unwrap();
+    let (_gone, stats) = server.try_stop().unwrap();
     assert_eq!(stats.delivered, 1);
     // The pre-crash broker is dropped here without any farewell: the
     // journal directory is all that survives.
@@ -290,7 +290,7 @@ fn whole_server_restart_recovers_subscriptions_from_journal() {
         "both acked subscriptions recovered"
     );
     let sink2 = CollectorSink::new();
-    let server = SupervisedServer::start(
+    let server = StagedServer::start_with(
         recovered,
         small_config(2, 2),
         Box::new(sink2.clone()),
@@ -298,7 +298,7 @@ fn whole_server_restart_recovers_subscriptions_from_journal() {
     );
     let handle = server.handle();
     submit_patiently(&handle, 1, Point::new(vec![5.0, 5.0]).unwrap()).unwrap();
-    let (_broker, stats) = server.stop().unwrap();
+    let (_broker, stats) = server.try_stop().unwrap();
     assert_eq!(stats.delivered, 1);
     let record = &sink2.take()[0];
     let outcome = record.outcome.as_ref().expect("matched cleanly");
