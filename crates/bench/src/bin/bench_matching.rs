@@ -239,15 +239,6 @@ fn main() {
         total
     });
 
-    // The legacy batch API (per-batch thread scope, materialized vectors).
-    let legacy_batch = measure(n, samples, || {
-        matcher
-            .match_events(&events, Some(threads))
-            .iter()
-            .map(|(_, nodes)| nodes.len())
-            .sum::<usize>()
-    });
-
     // The persistent pool writing straight into per-worker CSR arenas:
     // the matching stage of the fused publish pipeline, isolated.
     let pool = Arc::new(WorkerPool::new(threads.max(1)));
@@ -287,21 +278,27 @@ fn main() {
 
     // The same pipeline at BENCH_churn's batch granularity, with each
     // batch's wall-clock recorded — the per-batch p50/p99 columns shared
-    // across the closed-loop benches.
+    // across the closed-loop benches. Run at the requested worker count
+    // and inline: two blocks per batch is the smallest job the pool
+    // takes, where a hand-off that costs more than it saves shows first.
     const BATCH_EVENTS: usize = 100;
-    let (batched_eps, batch_latency) = measure_batched(n, samples, |record| {
-        broker.reset_report();
-        let mut messages = 0u64;
-        for chunk in events.chunks(BATCH_EVENTS) {
-            let t0 = std::time::Instant::now();
-            messages += broker
-                .publish_batch_stats(chunk, Some(threads))
-                .expect("events come from the model")
-                .messages;
-            record(t0.elapsed());
-        }
-        messages
-    });
+    let mut batched = |workers: usize| {
+        measure_batched(n, samples, |record| {
+            broker.reset_report();
+            let mut messages = 0u64;
+            for chunk in events.chunks(BATCH_EVENTS) {
+                let t0 = std::time::Instant::now();
+                messages += broker
+                    .publish_batch_stats(chunk, Some(workers))
+                    .expect("events come from the model")
+                    .messages;
+                record(t0.elapsed());
+            }
+            messages
+        })
+    };
+    let (batched_eps, batch_latency) = batched(threads);
+    let (batched_inline_eps, _) = batched(1);
 
     let rows = vec![
         Row {
@@ -330,11 +327,6 @@ fn main() {
             speedup_vs_scalar: matcher_scalar / scalar,
         },
         Row {
-            name: "legacy_batch",
-            events_per_sec: legacy_batch,
-            speedup_vs_scalar: legacy_batch / scalar,
-        },
-        Row {
             name: "pool_batch",
             events_per_sec: pool_batch,
             speedup_vs_scalar: pool_batch / scalar,
@@ -348,6 +340,11 @@ fn main() {
             name: "pipeline_batched",
             events_per_sec: batched_eps,
             speedup_vs_scalar: batched_eps / scalar,
+        },
+        Row {
+            name: "pipeline_batched_inline",
+            events_per_sec: batched_inline_eps,
+            speedup_vs_scalar: batched_inline_eps / scalar,
         },
     ];
     let parallel_speedup_vs_flat = pool_batch / flat;
@@ -439,10 +436,10 @@ fn main() {
         available,
         simd_level.name()
     );
-    println!("{:<18} {:>14} {:>10}", "engine", "events/s", "speedup");
+    println!("{:<24} {:>14} {:>10}", "engine", "events/s", "speedup");
     for r in &rows {
         println!(
-            "{:<18} {:>14.0} {:>9.2}x",
+            "{:<24} {:>14.0} {:>9.2}x",
             r.name, r.events_per_sec, r.speedup_vs_scalar
         );
     }
@@ -565,9 +562,25 @@ fn main() {
                 std::process::exit(1);
             }
             println!("gate passed: {parallel_speedup_vs_flat:.2}x > 1.00x at {threads} threads");
+            // Pooled never loses: the dispatching thread works instead
+            // of waiting, so handing a batch to the pool may cost the
+            // wake-ups and no more.
+            let kept = batched_eps / batched_inline_eps;
+            if kept < 0.9 {
+                eprintln!(
+                    "FAIL: {BATCH_EVENTS}-event batches at {threads} threads reach {kept:.2} of \
+                     the inline path ({batched_eps:.0} vs {batched_inline_eps:.0} events/s, \
+                     want >= 0.90)"
+                );
+                std::process::exit(1);
+            }
+            println!(
+                "pooled-never-loses gate passed: {kept:.2} of inline at {threads} threads \
+                 ({batched_eps:.0} vs {batched_inline_eps:.0} events/s)"
+            );
         } else {
             println!(
-                "gate skipped: needs >= 2 threads on >= 2 cores \
+                "pooled gates skipped: need >= 2 threads on >= 2 cores \
                  (threads = {threads}, cores = {available})"
             );
         }

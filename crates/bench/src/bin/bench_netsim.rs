@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use serde::Serialize;
 
 use pubsub_bench::{build_testbed, event_count, measure, sample_events, scenario, Seeds};
-use pubsub_core::Matcher;
+use pubsub_core::{MatchScratch, Matcher};
 use pubsub_netsim::{
     cost_events, dijkstra, multicast_tree_cost, multicast_tree_cost_flat, unicast_and_tree_cost,
     unicast_cost, CostScratch, FlatNet, NodeId, ShortestPaths, SptTable,
@@ -67,10 +67,15 @@ fn main() {
     // nodes of each event, computed once up front (matching throughput is
     // bench_matching's subject, not this binary's).
     let events = sample_events(&scenario(Modes::Nine), n, seeds.publications);
-    let interested: Vec<Vec<NodeId>> = matcher
-        .match_events(&events, None)
-        .into_iter()
-        .map(|(_, nodes)| nodes)
+    let mut scratch = MatchScratch::new();
+    let mut subs = Vec::new();
+    let interested: Vec<Vec<NodeId>> = events
+        .iter()
+        .map(|event| {
+            let mut nodes = Vec::new();
+            matcher.match_event_into(event, &mut scratch, &mut subs, &mut nodes);
+            nodes
+        })
         .collect();
 
     // Round-robin multicast groups over the distinct subscriber nodes —

@@ -246,7 +246,9 @@ impl BrokerBuilder {
     /// pipeline. Without this, the broker lazily spawns its own pool the
     /// first time a batch asks for more than one worker; injecting one
     /// lets several brokers share a single set of threads (the pool
-    /// serializes whole jobs, so sharing is safe).
+    /// serializes whole jobs, so sharing is safe). The thread that
+    /// publishes a batch works on it too: `WorkerPool::new(n)` is
+    /// parallelism n, n − 1 threads.
     pub fn worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = Some(pool);
         self
@@ -1165,10 +1167,12 @@ impl Broker {
         if requested > 1 && self.pool.is_none() && pubsub_parallel::effective_threads(None) > 1 {
             // Size the lazily created pool for the machine, not for this
             // call, so a later batch asking for more workers reuses it.
-            // On a single-core host no pool is ever created here: pool
-            // dispatch can only lose to the fused inline path, so a
-            // deferred or explicit multi-worker request degenerates to
-            // inline unless a pool was injected via the builder.
+            // The size is the batch's parallelism *including* this
+            // thread, which runs worker 0 itself: one core per worker,
+            // one pool thread fewer. On a single-core host no pool is
+            // ever created here — a second thread has no core to run on,
+            // so a deferred or explicit multi-worker request degenerates
+            // to inline unless a pool was injected via the builder.
             self.pool = Some(Arc::new(WorkerPool::new(
                 pubsub_parallel::effective_threads(None).max(requested),
             )));
@@ -2782,7 +2786,9 @@ impl Broker {
     /// batch pipeline — the post-build equivalent of
     /// [`BrokerBuilder::worker_pool`]. An explicit pool is always
     /// honored, even on a single-core host where the broker would never
-    /// spawn one of its own.
+    /// spawn one of its own. As there, `WorkerPool::new(n)` is
+    /// parallelism n, n − 1 threads: the publishing thread is one of the
+    /// batch's workers.
     pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
         self.pool = Some(pool);
     }

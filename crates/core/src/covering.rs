@@ -257,8 +257,9 @@ impl CoveringTable {
     }
 
     /// The owner-node bitmap of group `run`, precomputed at build time
-    /// for groups with at least [`node_set_min_members`] members; `None`
-    /// means the caller looks the owners up member by member.
+    /// for groups big enough that the bitmap is no larger than their own
+    /// member ids (two ids per bitmap word); `None` means the caller
+    /// looks the owners up member by member.
     #[inline]
     pub fn run_nodes(&self, run: u32) -> Option<&[u64]> {
         let row = self.group_nodes[run as usize];

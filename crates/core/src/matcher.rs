@@ -565,29 +565,6 @@ impl Matcher {
         arena.end_event(run_members);
     }
 
-    /// Matches a batch of events, fanning the read-only point queries
-    /// across `threads` worker threads (`None` = available parallelism)
-    /// with one [`MatchScratch`] per worker. Results come back in event
-    /// order and are identical to mapping [`Matcher::match_event`]
-    /// sequentially, regardless of thread count.
-    pub fn match_events(
-        &self,
-        events: &[Point],
-        threads: Option<usize>,
-    ) -> Vec<(Vec<SubscriptionId>, Vec<NodeId>)> {
-        pubsub_parallel::map_with_scratch(
-            events,
-            pubsub_parallel::effective_threads(threads),
-            MatchScratch::new,
-            |event, scratch| {
-                let mut subs = Vec::new();
-                let mut nodes = Vec::new();
-                self.match_event_into(event, scratch, &mut subs, &mut nodes);
-                (subs, nodes)
-            },
-        )
-    }
-
     /// Largest subscriber node id seen at build time (used to size
     /// bitmaps).
     pub fn max_node_id(&self) -> u32 {
@@ -778,28 +755,6 @@ impl Matcher {
                 i += k;
             }
         }
-    }
-
-    /// Batch form of [`Matcher::match_event_overlaid_into`], parallelized
-    /// like [`Matcher::match_events`]. Results come back in event order and
-    /// are identical to the sequential loop for any thread count.
-    pub fn match_events_overlaid(
-        &self,
-        events: &[Point],
-        view: &MatchOverlay<'_>,
-        threads: Option<usize>,
-    ) -> Vec<(Vec<SubscriptionId>, Vec<NodeId>)> {
-        pubsub_parallel::map_with_scratch(
-            events,
-            pubsub_parallel::effective_threads(threads),
-            MatchScratch::new,
-            |event, scratch| {
-                let mut subs = Vec::new();
-                let mut nodes = Vec::new();
-                self.match_event_overlaid_into(event, view, scratch, &mut subs, &mut nodes);
-                (subs, nodes)
-            },
-        )
     }
 }
 
@@ -1045,18 +1000,6 @@ mod tests {
             let (_, fresh_nodes) = fresh.match_event(e);
             assert_eq!(nodes, fresh_nodes, "event {e:?}");
         }
-        // Batch agrees with the sequential loop.
-        let sequential: Vec<_> = events
-            .iter()
-            .map(|e| {
-                let (mut s, mut n) = (Vec::new(), Vec::new());
-                m.match_event_overlaid_into(e, &view, &mut scratch, &mut s, &mut n);
-                (s, n)
-            })
-            .collect();
-        for threads in [Some(1), Some(3), None] {
-            assert_eq!(m.match_events_overlaid(&events, &view, threads), sequential);
-        }
     }
 
     #[test]
@@ -1124,30 +1067,6 @@ mod tests {
                     "event {i}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn batch_matches_sequential_for_any_thread_count() {
-        let subs: Vec<(NodeId, Rect)> = (0..60)
-            .map(|i| {
-                let x = f64::from(i % 10);
-                let y = f64::from(i / 10);
-                (
-                    NodeId(i % 7),
-                    Rect::from_corners(&[x * 0.8, y], &[x * 0.8 + 3.0, y + 4.0]).unwrap(),
-                )
-            })
-            .collect();
-        let m = Matcher::build(&space(), &subs, STreeConfig::new(4, 0.3).unwrap()).unwrap();
-        let events: Vec<Point> = (0..97)
-            .map(|i| {
-                Point::new(vec![f64::from(i) * 1.37 % 10.0, f64::from(i) * 2.11 % 10.0]).unwrap()
-            })
-            .collect();
-        let sequential: Vec<_> = events.iter().map(|e| m.match_event(e)).collect();
-        for threads in [Some(1), Some(2), Some(5), None] {
-            assert_eq!(m.match_events(&events, threads), sequential);
         }
     }
 }

@@ -16,93 +16,10 @@
 //! owned [`Point`]s, so the pipeline's match kernels fill their lane
 //! blocks with contiguous column copies instead of transposing
 //! point-at-a-time on the hot path.
-//!
-//! [`Batcher`] is the generic size-or-deadline core, kept item-agnostic
-//! so the trigger logic stays unit-testable without the serving stack.
 
 use std::time::{Duration, Instant};
 
 use pubsub_geom::{EventSoA, Point};
-
-/// A bounded buffer that reports when it should flush. Generic over the
-/// item so the size-or-deadline logic is unit-testable without dragging
-/// the whole serving stack in.
-#[derive(Debug)]
-pub struct Batcher<T> {
-    items: Vec<T>,
-    /// Arrival instant of the oldest buffered item (deadline basis).
-    oldest: Option<Instant>,
-    max: usize,
-}
-
-impl<T> Batcher<T> {
-    /// A batcher flushing at `max` items (minimum 1).
-    pub fn new(max: usize) -> Self {
-        Batcher {
-            items: Vec::new(),
-            oldest: None,
-            max: max.max(1),
-        }
-    }
-
-    /// Items currently buffered.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Whether the buffer is at the size trigger — the caller must flush
-    /// (or reject the submission) before pushing more.
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.max
-    }
-
-    /// Buffers one item that arrived at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batcher [`Batcher::is_full`] — the caller owns the
-    /// flush-or-reject decision and must make it first.
-    pub fn push(&mut self, item: T, now: Instant) {
-        assert!(!self.is_full(), "push into a full batcher");
-        if self.items.is_empty() {
-            self.oldest = Some(now);
-        }
-        self.items.push(item);
-    }
-
-    /// Whether the deadline trigger has fired: something is buffered and
-    /// the oldest item has waited at least `interval`.
-    pub fn due(&self, now: Instant, interval: Duration) -> bool {
-        match self.oldest {
-            Some(oldest) => now.saturating_duration_since(oldest) >= interval,
-            None => false,
-        }
-    }
-
-    /// Takes the buffered batch, leaving the batcher empty. The backing
-    /// allocation moves out with the batch (the pipeline consumes it),
-    /// so a fresh buffer starts small and regrows only under load.
-    pub fn take(&mut self) -> Vec<T> {
-        self.oldest = None;
-        std::mem::take(&mut self.items)
-    }
-
-    /// Puts a just-taken batch back (a flush whose queue push was
-    /// rejected); `oldest` restarts at `now`, which only ever *delays*
-    /// the deadline — acceptable, the queue was full anyway.
-    pub fn restore(&mut self, items: Vec<T>, now: Instant) {
-        debug_assert!(self.items.is_empty(), "restore over buffered items");
-        if !items.is_empty() {
-            self.oldest = Some(now);
-        }
-        self.items = items;
-    }
-}
 
 /// Per-event submission bookkeeping carried alongside the payload from
 /// ingest to egress: who sent it and when, so the egress record can
@@ -148,9 +65,9 @@ impl EventBatch {
     }
 }
 
-/// The shard batcher of the staged server: [`Batcher`]'s size-or-deadline
-/// contract, specialized to events so every push extends the SoA columns
-/// in place.
+/// The shard batcher of the staged server: a bounded buffer that reports
+/// when it should flush (full, or its oldest event has waited out the
+/// deadline), and whose every push extends the SoA columns in place.
 #[derive(Debug)]
 pub struct EventBatcher {
     meta: Vec<SubmitMeta>,
@@ -251,51 +168,60 @@ impl EventBatcher {
 mod tests {
     use super::*;
 
+    /// One buffered event whose only distinguishing mark is `seq`.
+    fn push(b: &mut EventBatcher, seq: u64, now: Instant) {
+        b.push(meta(seq), Point::new(vec![0.0, 0.0]).expect("point"), now);
+    }
+
+    fn seqs(batch: &EventBatch) -> Vec<u64> {
+        batch.meta.iter().map(|m| m.seq).collect()
+    }
+
     #[test]
     fn size_trigger_fires_at_max() {
-        let mut b = Batcher::new(3);
+        let mut b = EventBatcher::new(3, 2);
         let now = Instant::now();
         assert!(b.is_empty());
-        b.push(1, now);
-        b.push(2, now);
+        push(&mut b, 1, now);
+        push(&mut b, 2, now);
         assert!(!b.is_full());
-        b.push(3, now);
+        push(&mut b, 3, now);
         assert!(b.is_full());
-        assert_eq!(b.take(), vec![1, 2, 3]);
+        assert_eq!(seqs(&b.take(now)), vec![1, 2, 3]);
         assert!(b.is_empty() && !b.is_full());
     }
 
     #[test]
     #[should_panic(expected = "push into a full batcher")]
     fn push_into_full_panics() {
-        let mut b = Batcher::new(1);
+        let mut b = EventBatcher::new(1, 2);
         let now = Instant::now();
-        b.push(1, now);
-        b.push(2, now);
+        push(&mut b, 1, now);
+        push(&mut b, 2, now);
     }
 
     #[test]
     fn deadline_trigger_tracks_oldest() {
-        let mut b = Batcher::new(10);
+        let mut b = EventBatcher::new(10, 2);
         let t0 = Instant::now();
         let interval = Duration::from_millis(5);
         assert!(!b.due(t0, interval), "empty batcher is never due");
-        b.push('a', t0);
+        push(&mut b, 1, t0);
         assert!(!b.due(t0, interval));
         assert!(b.due(t0 + Duration::from_millis(5), interval));
         // A later push does not reset the deadline basis.
-        b.push('b', t0 + Duration::from_millis(4));
+        push(&mut b, 2, t0 + Duration::from_millis(4));
         assert!(b.due(t0 + Duration::from_millis(5), interval));
-        b.take();
+        b.take(t0);
         assert!(!b.due(t0 + Duration::from_secs(1), interval));
     }
 
     #[test]
     fn restore_rearms_deadline() {
-        let mut b = Batcher::new(10);
+        let mut b = EventBatcher::new(10, 2);
         let t0 = Instant::now();
-        b.push(7u32, t0);
-        let batch = b.take();
+        push(&mut b, 7, t0);
+        let batch = b.take(t0);
         let t1 = t0 + Duration::from_millis(3);
         b.restore(batch, t1);
         assert_eq!(b.len(), 1);

@@ -31,15 +31,21 @@
 //! skip the handshake behave like before: accept-order ids, no
 //! cross-reconnect deduplication.
 //!
-//! Session state is bounded: the table holds at most [`MAX_SESSIONS`]
-//! entries, recycling the oldest-bound session beyond the cap (a
-//! recycled token that reconnects gets a fresh id and an empty
-//! watermark — bounded memory is bought with that session's
-//! cross-reconnect dedup).
+//! Session state is bounded: the table holds at most 65,536 entries,
+//! recycling the oldest-bound session beyond the cap (a recycled token
+//! that reconnects gets a fresh id and an empty watermark — bounded
+//! memory is bought with that session's cross-reconnect dedup).
 //!
-//! This front is deliberately simple (the quickstart example and small
-//! deployments); the serving benchmark bypasses TCP and drives
-//! [`IngestHandle`] in-process to simulate ~10⁵–10⁶ clients.
+//! Acks are written back in publish order and flushed as soon as the
+//! connection thread would otherwise block on the socket: a client that
+//! waits for each ack gets it at once, a client that pipelines a burst
+//! of publishes gets the burst's acks in one write.
+//!
+//! This front is deliberately simple — one thread per connection. The
+//! reference benchmark (`benchmark/`) drives its serving workloads
+//! through it over loopback; `bench_serving` submits through
+//! [`IngestHandle`] in-process instead, to stand in for ~10⁵–10⁶
+//! clients without as many sockets.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -53,7 +59,8 @@ use pubsub_geom::Point;
 
 use crate::server::{lock, IngestHandle, RejectReason};
 use crate::wire::{
-    read_frame, write_frame, Frame, REASON_CLOSED, REASON_MALFORMED, REASON_NONE, REASON_SHED,
+    frame_buffered, read_frame, write_frame, Frame, REASON_CLOSED, REASON_MALFORMED, REASON_NONE,
+    REASON_SHED,
 };
 
 /// The most session entries the server retains; beyond this the
@@ -271,7 +278,15 @@ fn serve_connection(
                         retry_after_ms,
                     },
                 )?;
-                writer.flush()?;
+                // One write per burst, not per ack: while the next frame
+                // is already here whole, reading it cannot block, and
+                // whatever it turns out to be — a publish, a frame that
+                // flushes its own reply, or garbage that ends the
+                // connection and drops the writer — this ack goes out
+                // with it.
+                if !frame_buffered(reader.buffer()) {
+                    writer.flush()?;
+                }
             }
             Frame::MetricsRequest => {
                 let json = match handle.metrics() {
@@ -785,6 +800,55 @@ mod tests {
         let (_, stats) = server.stop();
         assert_eq!(stats.accepted, 1, "only the whole frame was admitted");
         assert_eq!(sink.len(), 1);
+    }
+
+    /// A pipelining client: 64 publishes in one write, then half of a
+    /// 65th. Every whole publish is acked, in order — the last of them
+    /// although the frame after it never completes — and the 65th is
+    /// acked once its second half arrives.
+    #[test]
+    fn pipelined_publishes_are_all_acked_in_order() {
+        let server = StagedServer::start(
+            tiny_broker(),
+            ServingConfig::default(),
+            Box::new(CollectorSink::new()),
+        );
+        let front = TcpFront::start("127.0.0.1:0", server.handle()).expect("bind");
+        let mut stream = TcpStream::connect(front.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(ClientConfig::default().read_timeout))
+            .expect("read timeout");
+
+        let mut burst = Vec::new();
+        for seq in 1..=64u64 {
+            let coords = vec![2.0, 2.0];
+            write_frame(&mut burst, &Frame::Publish { seq, coords }).expect("encode");
+        }
+        let mut torn = Vec::new();
+        let coords = vec![3.0, 3.0];
+        write_frame(&mut torn, &Frame::Publish { seq: 65, coords }).expect("encode");
+        let (head, tail) = torn.split_at(torn.len() / 2);
+        burst.extend_from_slice(head);
+        stream.write_all(&burst).expect("burst");
+
+        let mut acks = BufReader::new(stream.try_clone().expect("clone"));
+        let mut expect_ack = |want: u64| match read_frame(&mut acks).expect("ack in time") {
+            Some(Frame::Ack { seq, accepted, .. }) => {
+                assert_eq!(seq, want);
+                assert!(accepted);
+            }
+            other => panic!("expected ack {want}, got {other:?}"),
+        };
+        // The server is now blocked mid-frame 65; nothing may be held
+        // back behind it.
+        (1..=64).for_each(&mut expect_ack);
+        stream.write_all(tail).expect("rest of frame 65");
+        expect_ack(65);
+
+        drop((stream, acks));
+        front.stop();
+        let (_, stats) = server.stop();
+        assert_eq!(stats.accepted, 65);
     }
 
     #[test]

@@ -191,6 +191,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
     decode(&payload).map(Some)
 }
 
+/// Whether `buffered` — bytes already received and not yet consumed —
+/// begins with a whole frame, so that the next [`read_frame`] will not
+/// have to wait for the peer.
+pub(crate) fn frame_buffered(buffered: &[u8]) -> bool {
+    buffered
+        .split_first_chunk::<4>()
+        .is_some_and(|(len, rest)| rest.len() >= u32::from_le_bytes(*len) as usize)
+}
+
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
@@ -269,6 +278,22 @@ mod tests {
         let back = read_frame(&mut cursor).expect("read").expect("frame");
         assert_eq!(back, frame);
         assert!(cursor.is_empty(), "reader consumed the whole frame");
+    }
+
+    #[test]
+    fn frame_buffered_needs_the_whole_frame() {
+        let mut buf = Vec::new();
+        let coords = vec![1.0, 2.0];
+        write_frame(&mut buf, &Frame::Publish { seq: 9, coords }).expect("write");
+        for cut in 0..buf.len() {
+            assert!(!frame_buffered(&buf[..cut]), "prefix of {cut} bytes");
+        }
+        assert!(frame_buffered(&buf));
+        buf.extend_from_slice(&[7, 7]);
+        assert!(
+            frame_buffered(&buf),
+            "bytes of a further frame do not matter"
+        );
     }
 
     #[test]
