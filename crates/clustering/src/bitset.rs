@@ -35,6 +35,13 @@ impl SubscriberSet {
         }
     }
 
+    /// Adopts `words` (bit `i % 64` of word `i / 64` is index `i`) as a
+    /// set of the given capacity. No bit at or past `capacity` may be set.
+    pub(crate) fn from_words(words: Vec<u64>, capacity: usize) -> Self {
+        debug_assert_eq!(words.len(), capacity.div_ceil(64));
+        SubscriberSet { words, capacity }
+    }
+
     /// The capacity the set was created with.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -1,7 +1,7 @@
 //! The grid model: per-cell subscriber membership and publication mass
 //! (Appendix A, step 0).
 
-use pubsub_geom::{CellId, Grid, Point, Rect};
+use pubsub_geom::{CellId, CellWalkBuf, Grid, Point, Rect};
 
 use crate::{ClusterError, SubscriberSet};
 
@@ -51,12 +51,18 @@ impl GridModel {
         )
     }
 
-    /// [`GridModel::build`] over a streaming subscription source: each
-    /// `(subscriber, rectangle)` pair is folded into the per-cell
-    /// membership sets as it is yielded, so the caller never has to
-    /// materialize an O(N) rectangle array. Per-item operations are
-    /// identical to [`GridModel::build`] (which delegates here), so the
-    /// two produce bit-identical models from the same sequence.
+    /// [`GridModel::build`] over a streaming subscription source, so the
+    /// caller never has to materialize an O(N) rectangle array.
+    ///
+    /// Membership accumulates in one flat word array, word-major: word
+    /// `w` of every cell's set is contiguous (`planes[w·cells + cell]`).
+    /// Each rectangle is walked with [`Grid::cell_runs`] — clamped to the
+    /// grid bounds there, no intermediate rectangle or cell list — and a
+    /// run of consecutive cells becomes one contiguous `|=` of the
+    /// subscriber's bit. The words are cut into per-cell
+    /// [`SubscriberSet`]s once at the end. Sets are order-free, so the
+    /// model depends only on which `(subscriber, cell)` pairs the walk
+    /// yields, not on how they are accumulated.
     ///
     /// # Errors
     ///
@@ -73,7 +79,9 @@ impl GridModel {
         F: Fn(&Rect) -> f64,
     {
         let cell_count = grid.cell_count();
-        let mut members = vec![SubscriberSet::new(subscriber_count); cell_count];
+        let words_per_set = subscriber_count.div_ceil(64);
+        let mut planes = vec![0u64; words_per_set * cell_count];
+        let mut walk = CellWalkBuf::default();
         for (subscriber, rect) in subscriptions {
             let rect = rect.borrow();
             if subscriber >= subscriber_count {
@@ -88,11 +96,22 @@ impl GridModel {
                     got: rect.dims(),
                 });
             }
-            let clamped = rect.clamp_to(grid.bounds());
-            for cell in grid.cells_intersecting(&clamped) {
-                members[cell.0].insert(subscriber);
+            let bit = 1u64 << (subscriber % 64);
+            let plane = &mut planes[subscriber / 64 * cell_count..][..cell_count];
+            for run in grid.cell_runs(rect, &mut walk) {
+                for word in &mut plane[run] {
+                    *word |= bit;
+                }
             }
         }
+        let members = (0..cell_count)
+            .map(|cell| {
+                let words = (0..words_per_set)
+                    .map(|w| planes[w * cell_count + cell])
+                    .collect();
+                SubscriberSet::from_words(words, subscriber_count)
+            })
+            .collect();
         let mut masses = Vec::with_capacity(cell_count);
         for i in 0..cell_count {
             let m = density(&grid.cell_rect(CellId(i)));

@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use pubsub_geom::{CellId, Grid, Rect};
+use pubsub_geom::{CellId, CellWalkBuf, Grid, Rect};
 use serde::{Deserialize, Serialize};
 
 use crate::ew::GroupState;
@@ -92,6 +92,8 @@ pub struct IncrementalClusterer {
     /// Per cell: subscriber -> number of covering live subscriptions.
     refcounts: Vec<HashMap<usize, u32>>,
     subscriptions: HashMap<SubscriptionHandle, (usize, Rect)>,
+    /// Scratch of the per-subscription cell walk in `insert`/`remove`.
+    walk: CellWalkBuf,
     next_handle: u64,
     config: ClusteringConfig,
     /// Current clusters as cell lists (empty until first `partition()`).
@@ -148,6 +150,7 @@ impl IncrementalClusterer {
             subscriber_count,
             masses,
             subscriptions: HashMap::new(),
+            walk: CellWalkBuf::default(),
             next_handle: 0,
             config,
             clusters: Vec::new(),
@@ -189,8 +192,8 @@ impl IncrementalClusterer {
             });
         }
         let clamped = rect.clamp_to(self.grid.bounds());
-        for cell in self.grid.cells_intersecting(&clamped) {
-            *self.refcounts[cell.0].entry(subscriber).or_insert(0) += 1;
+        for cell in self.grid.cell_runs(&clamped, &mut self.walk).flatten() {
+            *self.refcounts[cell].entry(subscriber).or_insert(0) += 1;
         }
         let handle = SubscriptionHandle(self.next_handle);
         self.next_handle += 1;
@@ -213,11 +216,11 @@ impl IncrementalClusterer {
                     parameter: "handle",
                     constraint: "handle must refer to a live subscription",
                 })?;
-        for cell in self.grid.cells_intersecting(&rect) {
-            if let Some(count) = self.refcounts[cell.0].get_mut(&subscriber) {
+        for cell in self.grid.cell_runs(&rect, &mut self.walk).flatten() {
+            if let Some(count) = self.refcounts[cell].get_mut(&subscriber) {
                 *count -= 1;
                 if *count == 0 {
-                    self.refcounts[cell.0].remove(&subscriber);
+                    self.refcounts[cell].remove(&subscriber);
                 }
             }
         }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use pubsub_clustering::{
     cluster, ClusteringAlgorithm, ClusteringConfig, GridModel, GroupState, SubscriberSet,
 };
-use pubsub_geom::{CellId, Grid, Rect};
+use pubsub_geom::{CellId, Grid, Interval, Rect};
 
 fn model_strategy() -> impl Strategy<Value = GridModel> {
     let sub = (
@@ -94,6 +94,61 @@ proptest! {
             let before = g.ew();
             g.add(&model, *extra);
             prop_assert!((g.ew() - before - d).abs() < 1e-9);
+        }
+    }
+
+    /// The flat-word build against the recipe it replaced — clamp, list
+    /// the cells, insert one bit at a time — at subscriber counts on both
+    /// sides of a word boundary, with repeated `(subscriber, rect)` pairs
+    /// and rectangles that are unbounded, empty or outside the grid.
+    #[test]
+    fn build_iter_equals_the_per_cell_insert_recipe(
+        count_idx in 0usize..5,
+        cells in 1usize..6,
+        subs in prop::collection::vec(
+            (0usize..130, 0usize..6, (-2.0f64..11.0, 0.0f64..8.0), (-2.0f64..11.0, 0.0f64..8.0)),
+            0..40,
+        ),
+        repeats in prop::collection::vec(0usize..40, 0..8),
+    ) {
+        let count = [1, 63, 64, 65, 130][count_idx];
+        let grid = Grid::new(
+            Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap(),
+            vec![cells, cells + 1],
+        )
+        .unwrap();
+        let mut rects: Vec<(usize, Rect)> = subs
+            .into_iter()
+            .map(|(s, kind, (x, w), (y, h))| {
+                let first = match kind {
+                    0 => Interval::at_least(x),
+                    1 => Interval::unbounded(),
+                    2 => Interval::empty_at(x),
+                    _ => Interval::new(x, x + w).unwrap(),
+                };
+                let second = Interval::new(y, y + h).unwrap();
+                (s % count, Rect::new(vec![first, second]).unwrap())
+            })
+            .collect();
+        for r in repeats {
+            if let Some(again) = rects.get(r).cloned() {
+                rects.push(again);
+            }
+        }
+
+        let mut reference = vec![SubscriberSet::new(count); grid.cell_count()];
+        for (s, r) in &rects {
+            for cell in grid.cells_intersecting(&r.clamp_to(grid.bounds())) {
+                reference[cell.0].insert(*s);
+            }
+        }
+        let streamed =
+            GridModel::build_iter(grid.clone(), count, rects.iter().map(|(s, r)| (*s, r)), |_| 0.5)
+                .unwrap();
+        let sliced = GridModel::build(grid.clone(), count, &rects, |_| 0.5).unwrap();
+        for (i, want) in reference.iter().enumerate() {
+            prop_assert_eq!(streamed.members(CellId(i)), want, "cell {}", i);
+            prop_assert_eq!(sliced.members(CellId(i)), want, "cell {}", i);
         }
     }
 

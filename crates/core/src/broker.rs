@@ -31,7 +31,7 @@ use pubsub_clustering::{
     cluster, ClusteringAlgorithm, ClusteringConfig, GridModel, IncrementalClusterer,
     SpacePartition, SubscriptionHandle as ClustererHandle,
 };
-use pubsub_geom::{CellId, EventSoA, Grid, Point, Rect, Space};
+use pubsub_geom::{CellId, CellWalkBuf, EventSoA, Grid, Point, Rect, Space};
 use pubsub_netsim::{
     cost_events_into, multicast_tree_cost_flat, sparse_mode_cost_flat, unicast_and_tree_cost,
     unicast_cost_flat, CostScratch, DijkstraScratch, FaultEvent, FaultPlan, FaultyRouting, FlatNet,
@@ -52,7 +52,7 @@ use crate::view::{OwnedOverlay, PublishView};
 use crate::{
     BrokerError, CostReport, CoveringConfig, CoveringStats, Decision, DistributionPolicy,
     EngineSnapshot, MatchScratch, MatchedSet, Matcher, MessageCosts, MulticastGroups,
-    SubscriptionHandle, SubscriptionId, SubscriptionRegistry, SubscriptionStream, UnicastReason,
+    SubscriptionHandle, SubscriptionId, SubscriptionRegistry, UnicastReason,
 };
 
 /// Publication-density closure used by clustering.
@@ -111,16 +111,12 @@ pub struct BrokerBuilder {
     space: Space,
     subscriptions: Vec<(NodeId, Rect)>,
     publisher: Option<NodeId>,
-    stree_config: STreeConfig,
-    clustering: ClusteringConfig,
-    grid_cells: usize,
+    compile: CompileInputs,
     threshold: f64,
     delivery: DeliveryMode,
-    density: Option<DensityFn>,
     recluster_fraction: f64,
     local_refresh_every: usize,
     pool: Option<Arc<WorkerPool>>,
-    covering: Option<CoveringConfig>,
     journal: Option<JournalConfig>,
 }
 
@@ -129,15 +125,18 @@ impl fmt::Debug for BrokerBuilder {
         f.debug_struct("BrokerBuilder")
             .field("subscriptions", &self.subscriptions.len())
             .field("publisher", &self.publisher)
-            .field("clustering", &self.clustering)
-            .field("grid_cells", &self.grid_cells)
+            .field("clustering", &self.compile.clustering)
+            .field("grid_cells", &self.compile.grid_cells)
             .field("threshold", &self.threshold)
             .field("delivery", &self.delivery)
-            .field("density", &self.density.as_ref().map(|_| "<closure>"))
+            .field(
+                "density",
+                &self.compile.density.as_ref().map(|_| "<closure>"),
+            )
             .field("recluster_fraction", &self.recluster_fraction)
             .field("local_refresh_every", &self.local_refresh_every)
             .field("pool", &self.pool.as_ref().map(|p| p.threads()))
-            .field("covering", &self.covering)
+            .field("covering", &self.compile.covering)
             .field("journal", &self.journal)
             .finish_non_exhaustive()
     }
@@ -168,21 +167,21 @@ impl BrokerBuilder {
 
     /// Overrides the S-tree configuration (default: `M = 40`, `p = 0.3`).
     pub fn stree_config(mut self, config: STreeConfig) -> Self {
-        self.stree_config = config;
+        self.compile.stree_config = config;
         self
     }
 
     /// Overrides the clustering configuration (default: Forgy k-means
     /// with 11 groups, `T = 200`).
     pub fn clustering(mut self, config: ClusteringConfig) -> Self {
-        self.clustering = config;
+        self.compile.clustering = config;
         self
     }
 
     /// Overrides the grid resolution `C` (cells per dimension, default
     /// 10).
     pub fn grid_cells(mut self, cells: usize) -> Self {
-        self.grid_cells = cells;
+        self.compile.grid_cells = cells;
         self
     }
 
@@ -207,7 +206,7 @@ impl BrokerBuilder {
     where
         F: Fn(&Rect) -> f64 + Send + Sync + 'static,
     {
-        self.density = Some(Box::new(density));
+        self.compile.density = Some(Box::new(density));
         self
     }
 
@@ -238,7 +237,7 @@ impl BrokerBuilder {
     /// reports stay bit-identical to the uncovered build; index memory
     /// drops with the workload's duplicate skew. See [`CoveringConfig`].
     pub fn covering(mut self, config: CoveringConfig) -> Self {
-        self.covering = Some(config);
+        self.compile.covering = Some(config);
         self
     }
 
@@ -267,11 +266,14 @@ impl BrokerBuilder {
 
     /// Recovers a broker from the journal configured via
     /// [`BrokerBuilder::journal`]: loads the last registry snapshot,
-    /// replays the valid WAL tail (discarding a torn final record), and
-    /// compiles the engine from the recovered registry. The result is
-    /// bit-identical to a live broker that held the same subscriptions
-    /// and called [`Broker::recompile`] at the recovery point — handles
-    /// keep their pre-crash numbering, dead slots stay dead.
+    /// replays the valid WAL tail (discarding a torn final record) into
+    /// the restored registry, and compiles the engine from it — once,
+    /// through the same compile [`BrokerBuilder::build`] and
+    /// [`Broker::recompile`] run. The result is bit-identical to a live
+    /// broker that held the same subscriptions and called
+    /// [`Broker::recompile`] at the recovery point (it reports
+    /// [`Broker::epoch`] 1, as that broker would) — handles keep their
+    /// pre-crash numbering, dead slots stay dead.
     ///
     /// # Errors
     ///
@@ -355,20 +357,10 @@ impl BrokerBuilder {
             }
             replayed_ops += 1;
         }
-        // Build over the recovered live list (dense handles), then swap
-        // in the restored registry — identical live set, pre-crash
-        // numbering — and recompile once so engine ids and id_to_handle
-        // are rebound to the real handles. By the recompile-parity
-        // property the resulting engine is bit-identical to the one a
-        // never-crashed broker would compile over these survivors.
-        self.subscriptions = registry
-            .live()
-            .map(|(_, node, rect)| (node, rect.clone()))
-            .collect();
-        let mut broker = self.build()?;
-        broker.registry = registry;
-        broker.recompile()?;
-        broker.counters = ChurnCounters::default();
+        // Epoch 1: the engine a never-crashed broker holds after
+        // recompiling over these survivors at this point.
+        let (policy, publisher) = self.validate()?;
+        let mut broker = self.assemble(policy, publisher, registry, 1)?;
         journal.write_snapshot(&broker.registry)?;
         broker.journal = Some(journal);
         broker.recovery = RecoveryCounters {
@@ -385,11 +377,44 @@ impl BrokerBuilder {
     /// Builds the broker: indexes subscriptions, clusters the event
     /// space, materializes multicast groups and precomputes routing.
     ///
+    /// The builder's subscriptions are *moved* into the registry and the
+    /// engine is compiled from there — the path every later
+    /// [`Broker::recompile`] takes — so no second copy of the rectangles
+    /// exists during the build.
+    ///
     /// # Errors
     ///
     /// Propagates every layer's configuration errors; additionally
     /// rejects out-of-topology nodes and dimensionality mismatches.
-    pub fn build(self) -> Result<Broker, BrokerError> {
+    pub fn build(mut self) -> Result<Broker, BrokerError> {
+        let (policy, publisher) = self.validate()?;
+
+        // The mutable layer: every subscription gets a stable handle.
+        let mut registry = SubscriptionRegistry::new(self.topology.graph().node_count());
+        registry.reserve(self.subscriptions.len());
+        for (node, rect) in std::mem::take(&mut self.subscriptions) {
+            registry.insert(node, rect)?;
+        }
+
+        // A configured journal starts from a fresh directory with the
+        // initial registry as its first snapshot, so recovery never needs
+        // the builder's subscription list.
+        let journal = match self.journal.take() {
+            Some(config) => {
+                let mut journal = DurableJournal::create(&config)?;
+                journal.write_snapshot(&registry)?;
+                Some(journal)
+            }
+            None => None,
+        };
+        let mut broker = self.assemble(policy, publisher, registry, 0)?;
+        broker.journal = journal;
+        Ok(broker)
+    }
+
+    /// Checks the options that need no subscription, resolving the
+    /// distribution policy and the default publisher.
+    fn validate(&self) -> Result<(DistributionPolicy, NodeId), BrokerError> {
         let policy = DistributionPolicy::new(self.threshold)?;
         if !(self.recluster_fraction > 0.0 && self.recluster_fraction.is_finite()) {
             return Err(BrokerError::InvalidConfig {
@@ -403,10 +428,9 @@ impl BrokerBuilder {
                 constraint: "at least 1",
             });
         }
-        let node_count = self.topology.graph().node_count();
         let publisher = match self.publisher {
             Some(p) => {
-                if p.0 as usize >= node_count {
+                if p.0 as usize >= self.topology.graph().node_count() {
                     return Err(BrokerError::UnknownNode { node: p.0 });
                 }
                 p
@@ -421,53 +445,21 @@ impl BrokerBuilder {
                     constraint: "at least one node",
                 })?,
         };
+        Ok((policy, publisher))
+    }
 
-        // The mutable layer: every subscription gets a stable handle.
-        let mut registry = SubscriptionRegistry::new(node_count);
-        for (node, rect) in &self.subscriptions {
-            registry.insert(*node, rect.clone())?;
-        }
-
-        // A configured journal starts from a fresh directory with the
-        // initial registry as its first snapshot, so recovery never needs
-        // the builder's subscription list.
-        let journal = match &self.journal {
-            Some(config) => {
-                let mut journal = DurableJournal::create(config)?;
-                journal.write_snapshot(&registry)?;
-                Some(journal)
-            }
-            None => None,
-        };
-
-        // The immutable layer: compile the engine over the same list, in
-        // the same order, as every later recompile does.
-        let engine = compile_engine(
-            &self.space,
-            &SubSource::Slice(&self.subscriptions),
-            self.stree_config,
-            &self.clustering,
-            self.grid_cells,
-            self.density.as_deref(),
-            self.covering.as_ref(),
-        )?;
-        let mut id_to_handle = Vec::with_capacity(registry.len());
-        for (i, (handle, _, _)) in registry.live().enumerate() {
-            id_to_handle.push(handle);
-            debug_assert_eq!(i, id_to_handle.len() - 1);
-        }
-        let handles = id_to_handle.clone();
-        for (i, handle) in handles.into_iter().enumerate() {
-            registry.set_engine_id(handle, i as u32);
-        }
-        let snapshot = Arc::new(EngineSnapshot {
-            epoch: 0,
-            matcher: Arc::new(engine.matcher),
-            grid_model: Arc::new(engine.grid_model),
-            partition: Arc::new(engine.partition),
-            groups: Arc::new(engine.groups),
-            id_to_handle: Arc::new(id_to_handle),
-        });
+    /// Compiles the engine from `registry` at `epoch`, precomputes routing
+    /// and assembles the (journal-less) broker — the tail
+    /// [`BrokerBuilder::build`] and [`BrokerBuilder::recover`] share.
+    fn assemble(
+        self,
+        policy: DistributionPolicy,
+        publisher: NodeId,
+        mut registry: SubscriptionRegistry,
+        epoch: u64,
+    ) -> Result<Broker, BrokerError> {
+        let node_count = self.topology.graph().node_count();
+        let snapshot = compile_engine(&self.space, &mut registry, &self.compile, epoch)?;
 
         // The compiled network engine: CSR adjacency once, then dense SPT
         // rows for every routing source the delivery mode needs, built in
@@ -516,11 +508,7 @@ impl BrokerBuilder {
             delivery: self.delivery,
             alm_dist,
             report: CostReport::default(),
-            stree_config: self.stree_config,
-            clustering: self.clustering,
-            grid_cells: self.grid_cells,
-            density: self.density,
-            covering: self.covering,
+            compile: self.compile,
             recluster_fraction: self.recluster_fraction,
             local_refresh_every: self.local_refresh_every,
             churn: None,
@@ -530,111 +518,78 @@ impl BrokerBuilder {
             pipeline_counters: PipelineCounters::default(),
             faults: None,
             panic_trap: AtomicUsize::new(usize::MAX),
-            journal,
+            journal: None,
             recovery: RecoveryCounters::default(),
         })
     }
 }
 
-/// One full compilation of the read-side engine. Produced by
-/// [`compile_engine`], shared by [`BrokerBuilder::build`] and
-/// [`Broker::recompile`] so both paths are bit-identical.
-struct CompiledEngine {
-    matcher: Matcher,
-    grid_model: GridModel,
-    partition: SpacePartition,
-    groups: MulticastGroups,
+/// What a compile reads besides the subscriptions. Held by the builder
+/// and then by the broker, so every recompile reproduces the build.
+struct CompileInputs {
+    stree_config: STreeConfig,
+    clustering: ClusteringConfig,
+    grid_cells: usize,
+    density: Option<DensityFn>,
+    covering: Option<CoveringConfig>,
 }
 
-/// The subscription source a compile reads: the builder's list or the
-/// live registry, streamed in stable subscription-id order. The registry
-/// variant lets a recompile feed the matcher and grid model directly
-/// from the live slots, never materializing an O(N) rectangle array.
-enum SubSource<'a> {
-    Slice(&'a [(NodeId, Rect)]),
-    Registry(&'a SubscriptionRegistry),
-}
-
-impl SubSource<'_> {
-    /// A fresh pass over the source, in subscription-id order.
-    fn iter(&self) -> Box<dyn Iterator<Item = (NodeId, &Rect)> + '_> {
-        match self {
-            SubSource::Slice(subs) => Box::new(subs.iter().map(|(n, r)| (*n, r))),
-            SubSource::Registry(reg) => Box::new(reg.live().map(|(_, n, r)| (n, r))),
-        }
-    }
-}
-
-impl SubscriptionStream for SubSource<'_> {
-    fn len(&self) -> usize {
-        match self {
-            SubSource::Slice(subs) => subs.len(),
-            SubSource::Registry(reg) => reg.len(),
-        }
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(NodeId, &Rect)) {
-        for (node, rect) in self.iter() {
-            f(node, rect);
-        }
-    }
-}
-
-/// Compiles matcher, grid model, partition and groups from a subscription
-/// source. Deterministic in the input order: subscription ids are
-/// assigned in stream order and the clustering is seed-free. With
-/// `covering` set, the matcher compiles the covering layer's
+/// The one compile: matcher, grid model, partition and groups from the
+/// registry's live subscriptions, installed as the snapshot of `epoch`
+/// with the new engine ids bound to their handles. `build`, `recover`
+/// and every recompile end here, which is what makes them bit-identical
+/// over the same survivors; on error the registry is untouched.
+///
+/// Deterministic in registry order: subscription ids are assigned in
+/// [`SubscriptionRegistry::live`] order and the clustering is seed-free.
+/// With `covering` set, the matcher compiles the covering layer's
 /// representative set into a quantized compact index instead of one flat
 /// entry per subscription; the grid model, partition and groups see the
 /// identical per-subscription sequence either way, so everything
 /// downstream of matching is bit-identical.
 fn compile_engine(
     space: &Space,
-    subs: &SubSource<'_>,
-    stree_config: STreeConfig,
-    clustering: &ClusteringConfig,
-    grid_cells: usize,
-    density: Option<&(dyn Fn(&Rect) -> f64 + Send + Sync)>,
-    covering: Option<&CoveringConfig>,
-) -> Result<CompiledEngine, BrokerError> {
-    let matcher = match covering {
+    registry: &mut SubscriptionRegistry,
+    inputs: &CompileInputs,
+    epoch: u64,
+) -> Result<Arc<EngineSnapshot>, BrokerError> {
+    let subs: &SubscriptionRegistry = registry;
+    let matcher = match &inputs.covering {
         Some(config) => Matcher::build_covered(space, subs, config)?,
-        None => match subs {
-            SubSource::Slice(list) => Matcher::build(space, list, stree_config)?,
-            SubSource::Registry(reg) => {
-                // The flat backend bulk-loads from a slice; only the
-                // covered path streams.
-                let list: Vec<(NodeId, Rect)> =
-                    reg.live().map(|(_, n, r)| (n, r.clone())).collect();
-                Matcher::build(space, &list, stree_config)?
-            }
-        },
+        None => Matcher::build_streamed(space, subs, inputs.stree_config)?,
     };
 
     // Dense subscriber indexing for the clustering model.
-    let mut distinct: Vec<NodeId> = subs.iter().map(|(n, _)| n).collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let index_of = |n: NodeId| distinct.binary_search(&n).expect("collected above");
+    let distinct: Vec<NodeId> = subs.active_nodes().collect();
+    let mut dense_of = vec![0usize; subs.node_capacity()];
+    for (i, node) in distinct.iter().enumerate() {
+        dense_of[node.0 as usize] = i;
+    }
 
-    let grid = Grid::uniform(space.bounds().clone(), grid_cells)?;
-    let space_volume = space.bounds().volume();
-    let default_density = move |r: &Rect| r.volume() / space_volume;
-    let grid_model = {
-        let indexed = subs.iter().map(|(n, r)| (index_of(n), space.clamp(r)));
-        match density {
-            Some(f) => GridModel::build_iter(grid, distinct.len(), indexed, f)?,
-            None => GridModel::build_iter(grid, distinct.len(), indexed, default_density)?,
+    // The grid covers the space bounds, so the model's cell walk clamps
+    // each rectangle exactly as the matcher's `space.clamp` does.
+    let grid = Grid::uniform(space.bounds().clone(), inputs.grid_cells)?;
+    let indexed = subs.live().map(|(_, n, r)| (dense_of[n.0 as usize], r));
+    let grid_model = match inputs.density.as_deref() {
+        Some(f) => GridModel::build_iter(grid, distinct.len(), indexed, f)?,
+        None => {
+            let space_volume = space.bounds().volume();
+            let uniform = move |r: &Rect| r.volume() / space_volume;
+            GridModel::build_iter(grid, distinct.len(), indexed, uniform)?
         }
     };
-    let partition = cluster(&grid_model, clustering)?;
+    let partition = cluster(&grid_model, &inputs.clustering)?;
     let groups = MulticastGroups::from_partition(&grid_model, &partition, &distinct);
-    Ok(CompiledEngine {
-        matcher,
-        grid_model,
-        partition,
-        groups,
-    })
+
+    // Commit point: nothing below can fail.
+    Ok(Arc::new(EngineSnapshot {
+        epoch,
+        matcher: Arc::new(matcher),
+        grid_model: Arc::new(grid_model),
+        partition: Arc::new(partition),
+        groups: Arc::new(groups),
+        id_to_handle: Arc::new(registry.bind_compiled_ids()),
+    }))
 }
 
 /// Epoch-keyed, per-publisher memo of group-send costs: the scheme cost
@@ -828,6 +783,8 @@ struct ChurnState {
     overlay_handles: Vec<Option<SubscriptionHandle>>,
     overlay_max_node: u32,
     ops_since_refresh: usize,
+    /// Scratch of the per-op cell walk behind the `group_rc` delta.
+    walk: CellWalkBuf,
 }
 
 /// The content-based pub-sub broker of the paper, end to end: publish an
@@ -861,12 +818,8 @@ pub struct Broker {
     delivery: DeliveryMode,
     alm_dist: Option<Vec<Vec<f64>>>,
     report: CostReport,
-    // Compile inputs, retained so `recompile` reproduces `build` exactly.
-    stree_config: STreeConfig,
-    clustering: ClusteringConfig,
-    grid_cells: usize,
-    density: Option<DensityFn>,
-    covering: Option<CoveringConfig>,
+    /// Retained so `recompile` reproduces `build` exactly.
+    compile: CompileInputs,
     recluster_fraction: f64,
     local_refresh_every: usize,
     churn: Option<ChurnState>,
@@ -903,7 +856,7 @@ impl fmt::Debug for Broker {
             .field("epoch", &self.snapshot.epoch)
             .field("publisher", &self.publisher)
             .field("delivery", &self.delivery)
-            .field("clustering", &self.clustering)
+            .field("clustering", &self.compile.clustering)
             .field("counters", &self.counters)
             .finish_non_exhaustive()
     }
@@ -917,16 +870,18 @@ impl Broker {
             space,
             subscriptions: Vec::new(),
             publisher: None,
-            stree_config: STreeConfig::default(),
-            clustering: ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 11),
-            grid_cells: 10,
+            compile: CompileInputs {
+                stree_config: STreeConfig::default(),
+                clustering: ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 11),
+                grid_cells: 10,
+                density: None,
+                covering: None,
+            },
             threshold: 0.15,
             delivery: DeliveryMode::DenseMode,
-            density: None,
             recluster_fraction: 0.5,
             local_refresh_every: 64,
             pool: None,
-            covering: None,
             journal: None,
         }
     }
@@ -2300,30 +2255,14 @@ impl Broker {
     /// appending mid-operation would let the snapshot cadence fire while
     /// the registry is ahead of the WAL.
     fn recompile_inner(&mut self) -> Result<(), BrokerError> {
-        let engine = compile_engine(
+        self.snapshot = compile_engine(
             &self.space,
-            &SubSource::Registry(&self.registry),
-            self.stree_config,
-            &self.clustering,
-            self.grid_cells,
-            self.density.as_deref(),
-            self.covering.as_ref(),
+            &mut self.registry,
+            &self.compile,
+            self.snapshot.epoch + 1,
         )?;
-        // Commit point: nothing below can fail (the clusterer re-adoption
-        // is over the same grid by construction).
-        let id_to_handle: Vec<SubscriptionHandle> =
-            self.registry.live().map(|(h, _, _)| h).collect();
-        for (i, handle) in id_to_handle.iter().enumerate() {
-            self.registry.set_engine_id(*handle, i as u32);
-        }
-        self.snapshot = Arc::new(EngineSnapshot {
-            epoch: self.snapshot.epoch + 1,
-            matcher: Arc::new(engine.matcher),
-            grid_model: Arc::new(engine.grid_model),
-            partition: Arc::new(engine.partition),
-            groups: Arc::new(engine.groups),
-            id_to_handle: Arc::new(id_to_handle),
-        });
+        // Nothing below can fail (the clusterer re-adoption is over the
+        // same grid by construction).
         self.policy.clear_group_thresholds();
         self.counters.recompiles += 1;
         if let Some(churn) = self.churn.as_mut() {
@@ -2388,8 +2327,9 @@ impl Broker {
         let churn = self.churn.as_mut().expect("checked above");
         let snapshot = &self.snapshot;
         let mut dirty: Vec<usize> = Vec::new();
-        for cell in snapshot.partition.grid().cells_intersecting(clamped) {
-            let Some(q) = snapshot.partition.group_of_cell(cell) else {
+        let grid = snapshot.partition.grid();
+        for cell in grid.cell_runs(clamped, &mut churn.walk).flatten() {
+            let Some(q) = snapshot.partition.group_of_cell(CellId(cell)) else {
                 continue;
             };
             let rc = &mut churn.group_rc[q][node.0 as usize];
@@ -2528,7 +2468,7 @@ impl Broker {
         let grid = self.snapshot.grid_model.grid().clone();
         let node_count = self.topology.graph().node_count();
         let space_volume = self.space.bounds().volume();
-        let density = self.density.as_deref();
+        let density = self.compile.density.as_deref();
         let mut clusterer = IncrementalClusterer::new(
             grid,
             node_count,
@@ -2536,7 +2476,7 @@ impl Broker {
                 Some(f) => f(r),
                 None => r.volume() / space_volume,
             },
-            self.clustering,
+            self.compile.clustering,
             self.recluster_fraction,
         )?;
         let mut cl_handles = HashMap::with_capacity(self.registry.len());
@@ -2558,6 +2498,7 @@ impl Broker {
             overlay_handles: Vec::new(),
             overlay_max_node: 0,
             ops_since_refresh: 0,
+            walk: CellWalkBuf::default(),
         });
         Ok(())
     }
@@ -2607,15 +2548,15 @@ impl Broker {
     /// Propagates clustering configuration errors; the broker is left
     /// unchanged on error.
     pub fn set_clustering(&mut self, config: &ClusteringConfig) -> Result<(), BrokerError> {
-        let old_config = self.clustering;
+        let old_config = self.compile.clustering;
         // The mirror clusterer bakes in the old config; drop it so it is
         // lazily recreated with the new one.
         let old_churn = self.churn.take();
-        self.clustering = *config;
+        self.compile.clustering = *config;
         match self.recompile_inner() {
             Ok(()) => Ok(()),
             Err(e) => {
-                self.clustering = old_config;
+                self.compile.clustering = old_config;
                 self.churn = old_churn;
                 Err(e)
             }

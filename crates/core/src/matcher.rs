@@ -213,19 +213,34 @@ impl Matcher {
         subscriptions: &[(NodeId, Rect)],
         config: STreeConfig,
     ) -> Result<Self, BrokerError> {
+        Self::build_streamed(space, &subscriptions, config)
+    }
+
+    /// [`Matcher::build`] over a [`SubscriptionStream`]: the index entries
+    /// (one clamped rectangle each) are the only per-subscription copy.
+    pub(crate) fn build_streamed(
+        space: &Space,
+        subscriptions: &dyn SubscriptionStream,
+        config: STreeConfig,
+    ) -> Result<Self, BrokerError> {
         let mut entries = Vec::with_capacity(subscriptions.len());
         let mut owners = Vec::with_capacity(subscriptions.len());
         let mut max_node = 0u32;
-        for (i, (node, rect)) in subscriptions.iter().enumerate() {
+        let mut mismatch = None;
+        subscriptions.for_each(&mut |node, rect| {
             if rect.dims() != space.dims() {
-                return Err(BrokerError::DimensionMismatch {
-                    expected: space.dims(),
-                    got: rect.dims(),
-                });
+                mismatch.get_or_insert(rect.dims());
+                return;
             }
-            entries.push(Entry::new(space.clamp(rect), EntryId(i as u32)));
-            owners.push(*node);
+            entries.push(Entry::new(space.clamp(rect), EntryId(entries.len() as u32)));
+            owners.push(node);
             max_node = max_node.max(node.0);
+        });
+        if let Some(got) = mismatch {
+            return Err(BrokerError::DimensionMismatch {
+                expected: space.dims(),
+                got,
+            });
         }
         let index = STree::build(entries, config)?;
         let flat = FlatSTree::from_stree(&index);

@@ -14,7 +14,7 @@ use pubsub_geom::Rect;
 use pubsub_netsim::NodeId;
 use serde::{Deserialize, Serialize};
 
-use crate::BrokerError;
+use crate::{BrokerError, SubscriptionStream};
 
 /// Stable identity of one registered subscription, valid until it is
 /// explicitly removed — in particular across engine recompiles, which
@@ -78,6 +78,12 @@ impl SubscriptionRegistry {
             node_refcounts: vec![0; node_count],
             active_nodes: 0,
         }
+    }
+
+    /// Makes room for `additional` more subscriptions, so a bulk load
+    /// sizes the slot array once instead of doubling its way there.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.slots.reserve_exact(additional);
     }
 
     /// Registers a subscription and returns its stable handle.
@@ -175,6 +181,16 @@ impl SubscriptionRegistry {
         self.active_nodes
     }
 
+    /// The nodes with at least one live subscription, ascending — the
+    /// dense subscriber indexing of the clustering model.
+    pub(crate) fn active_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.node_refcounts
+            .iter()
+            .enumerate()
+            .filter(|(_, &rc)| rc > 0)
+            .map(|(n, _)| NodeId(n as u32))
+    }
+
     /// Iterates live subscriptions in insertion order — the order every
     /// engine compile assigns [`crate::SubscriptionId`]s in, which is what
     /// makes an incremental recompile bit-identical to a from-scratch
@@ -263,9 +279,35 @@ impl SubscriptionRegistry {
             .map(|s| s.engine_id)
     }
 
-    /// Binds an engine id to a live handle (compile or overlay insert).
+    /// Binds an engine id to a live handle (overlay insert).
     pub(crate) fn set_engine_id(&mut self, handle: SubscriptionHandle, engine_id: u32) {
         self.slots[handle.0 as usize].engine_id = engine_id;
+    }
+
+    /// Binds the ids a compile assigns — `0..len()` over
+    /// [`SubscriptionRegistry::live`] order — and returns the handle of
+    /// each id.
+    pub(crate) fn bind_compiled_ids(&mut self) -> Vec<SubscriptionHandle> {
+        let mut id_to_handle = Vec::with_capacity(self.live);
+        for (i, slot) in self.slots.iter_mut().enumerate().filter(|(_, s)| s.alive) {
+            slot.engine_id = id_to_handle.len() as u32;
+            id_to_handle.push(SubscriptionHandle(i as u32));
+        }
+        id_to_handle
+    }
+}
+
+/// The live subscriptions in insertion order: what every engine compile
+/// streams, so no compile materializes an O(N) rectangle array.
+impl SubscriptionStream for SubscriptionRegistry {
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(NodeId, &Rect)) {
+        for (_, node, rect) in self.live() {
+            f(node, rect);
+        }
     }
 }
 

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -214,22 +215,28 @@ impl Grid {
         Rect::new(sides).expect("grid has >= 1 dimension")
     }
 
-    /// All cell ids whose rectangles intersect `r` (in ascending id order).
+    /// Walks the cells whose rectangles meet `r` clamped to the grid
+    /// bounds, as runs of consecutive cell ids in ascending order: one
+    /// run per combination of outer-dimension indices, spanning the
+    /// intersected cells of the last dimension (whose stride is 1).
     ///
-    /// An empty or fully-outside rectangle yields an empty vector.
-    pub fn cells_intersecting(&self, r: &Rect) -> Vec<CellId> {
+    /// `buf` holds the per-dimension index ranges; with a buffer reused
+    /// across calls the walk allocates nothing. An empty or fully-outside
+    /// rectangle yields no run.
+    pub fn cell_runs<'a>(&'a self, r: &Rect, buf: &'a mut CellWalkBuf) -> CellRuns<'a> {
         debug_assert_eq!(r.dims(), self.dims());
-        if r.is_empty() {
-            return Vec::new();
-        }
-        // Per-dimension index ranges of intersecting cells.
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(self.dims());
+        let empty = CellRuns {
+            strides: &[],
+            outer: &mut [],
+            next: None,
+            run: 0,
+        };
+        buf.axes.clear();
         for d in 0..self.dims() {
             let side = self.bounds.side(d);
-            let q = r.side(d);
-            if !side.intersects(q) {
-                return Vec::new();
-            }
+            let Some(q) = r.side(d).intersection(side) else {
+                return empty;
+            };
             let w = self.widths[d];
             // First cell i with lo + (i+1)w > q.lo.
             let mut i_min = ((q.lo() - side.lo()) / w).floor().max(0.0) as usize;
@@ -244,29 +251,90 @@ impl Grid {
             }
             i_min = i_min.min(self.cells_per_dim[d] - 1);
             if i_min > i_max {
-                return Vec::new();
+                return empty;
             }
-            ranges.push((i_min, i_max));
+            buf.axes.push(AxisRange {
+                lo: i_min,
+                hi: i_max,
+                at: i_min,
+            });
         }
-        // Cartesian product of the ranges, emitted in ascending linear order.
-        let mut out = Vec::new();
-        let mut coords: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
-        loop {
-            out.push(self.id_of_coords(&coords));
-            // Odometer increment from the last dimension.
-            let mut d = self.dims();
-            loop {
-                if d == 0 {
-                    return out;
-                }
-                d -= 1;
-                if coords[d] < ranges[d].1 {
-                    coords[d] += 1;
-                    break;
-                }
-                coords[d] = ranges[d].0;
+        let (outer, last) = buf.axes.split_at_mut(self.dims() - 1);
+        let first: usize = outer
+            .iter()
+            .zip(&self.strides)
+            .map(|(axis, stride)| axis.lo * stride)
+            .sum();
+        CellRuns {
+            strides: &self.strides[..outer.len()],
+            outer,
+            next: Some(first + last[0].lo),
+            run: last[0].hi - last[0].lo + 1,
+        }
+    }
+
+    /// All cell ids whose rectangles intersect `r` (in ascending id
+    /// order), collected from [`Grid::cell_runs`] — the allocating form
+    /// for one-off queries and tests; per-subscription loops hold a
+    /// [`CellWalkBuf`] and walk the runs directly.
+    ///
+    /// An empty or fully-outside rectangle yields an empty vector.
+    pub fn cells_intersecting(&self, r: &Rect) -> Vec<CellId> {
+        self.cell_runs(r, &mut CellWalkBuf::default())
+            .flatten()
+            .map(CellId)
+            .collect()
+    }
+}
+
+/// Inclusive cell-index range of one dimension, with the odometer's
+/// current position in it.
+#[derive(Clone, Copy, Debug)]
+struct AxisRange {
+    lo: usize,
+    hi: usize,
+    at: usize,
+}
+
+/// Caller-held scratch of [`Grid::cell_runs`]: the per-dimension index
+/// ranges of the rectangle being walked. Keep one per loop so every walk
+/// after the first reuses its storage.
+#[derive(Clone, Debug, Default)]
+pub struct CellWalkBuf {
+    axes: Vec<AxisRange>,
+}
+
+/// The walk [`Grid::cell_runs`] returns: ranges of consecutive cell ids,
+/// ascending and disjoint.
+#[derive(Debug)]
+pub struct CellRuns<'a> {
+    /// Strides and ranges of every dimension but the last.
+    strides: &'a [usize],
+    outer: &'a mut [AxisRange],
+    /// First cell id of the run `next()` yields, `None` once exhausted.
+    next: Option<usize>,
+    /// Cells per run: the last dimension's range length.
+    run: usize,
+}
+
+impl Iterator for CellRuns<'_> {
+    type Item = Range<usize>;
+
+    fn next(&mut self) -> Option<Range<usize>> {
+        let start = self.next?;
+        // Odometer step over the outer dimensions, innermost first.
+        let mut id = start;
+        self.next = None;
+        for (axis, &stride) in self.outer.iter_mut().zip(self.strides).rev() {
+            if axis.at < axis.hi {
+                axis.at += 1;
+                self.next = Some(id + stride);
+                break;
             }
+            id -= (axis.at - axis.lo) * stride;
+            axis.at = axis.lo;
         }
+        Some(start..start + self.run)
     }
 }
 

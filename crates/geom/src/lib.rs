@@ -44,7 +44,7 @@ mod soa;
 mod space;
 
 pub use error::GeomError;
-pub use grid::{CellCoords, CellId, Grid};
+pub use grid::{CellCoords, CellId, CellRuns, CellWalkBuf, Grid};
 pub use interval::Interval;
 pub use point::Point;
 pub use rect::Rect;

@@ -1,7 +1,7 @@
 //! Property-based tests for the geometric substrate.
 
 use proptest::prelude::*;
-use pubsub_geom::{Grid, Interval, Point, Rect};
+use pubsub_geom::{CellId, CellWalkBuf, Grid, Interval, Point, Rect};
 
 fn interval_strategy() -> impl Strategy<Value = Interval> {
     (-100.0f64..100.0, 0.0f64..50.0)
@@ -18,7 +18,62 @@ fn point_strategy(dims: usize) -> impl Strategy<Value = Point> {
         .prop_map(|coords| Point::new(coords).expect("finite coords"))
 }
 
+/// One side of a walked rectangle over grid bounds `(-50, 50]` cut into
+/// `cells` cells: `kind` picks bounded, half-unbounded, wild-card, empty,
+/// fully outside, or with both ends on cell boundaries (computed as the
+/// grid computes them); `a`/`b` in `0..1` place it.
+fn walked_side(kind: usize, a: f64, b: f64, cells: usize) -> Interval {
+    let edge = |t: f64| -50.0 + (t * cells as f64).floor() * (100.0 / cells as f64);
+    let (lo, hi) = (a.min(b), a.max(b));
+    match kind {
+        0 => Interval::at_least(-60.0 + 120.0 * a),
+        1 => Interval::at_most(-60.0 + 120.0 * a),
+        2 => Interval::unbounded(),
+        3 => Interval::empty_at(-60.0 + 120.0 * a),
+        4 => Interval::new(50.0 + 10.0 * lo, 51.0 + 10.0 * hi).unwrap(),
+        5..=7 => Interval::new(edge(lo), edge(hi)).unwrap(),
+        _ => Interval::new(-60.0 + 120.0 * lo, -60.0 + 120.0 * hi).unwrap(),
+    }
+}
+
+/// A grid of 1..=4 dimensions with its own cell count per dimension, and
+/// a rectangle to walk over it. Sides are mostly bounded so that most
+/// rectangles meet some cells.
+fn walk_case() -> impl Strategy<Value = (Grid, Rect)> {
+    let side = (0usize..14, 0.0f64..1.0, 0.0f64..1.0, 1usize..6);
+    prop::collection::vec(side, 1..5).prop_map(|sides| {
+        let dims = sides.len();
+        let bounds = Rect::from_corners(&vec![-50.0; dims], &vec![50.0; dims]).unwrap();
+        let cells = sides.iter().map(|s| s.3).collect();
+        let rect = sides
+            .iter()
+            .map(|&(kind, a, b, cells)| walked_side(kind, a, b, cells))
+            .collect();
+        (Grid::new(bounds, cells).unwrap(), Rect::new(rect).unwrap())
+    })
+}
+
 proptest! {
+    #[test]
+    fn grid_cell_runs_walk_the_bruteforce_set_in_order((grid, r) in walk_case()) {
+        let clamped = r.clamp_to(grid.bounds());
+        let brute: Vec<CellId> = (0..grid.cell_count())
+            .map(CellId)
+            .filter(|&id| grid.cell_rect(id).intersects(&clamped))
+            .collect();
+        // What an earlier walk left in the buffer must not matter.
+        let mut buf = CellWalkBuf::default();
+        let _ = grid.cell_runs(&Rect::unbounded(grid.dims()), &mut buf).count();
+        let mut walked = Vec::new();
+        for run in grid.cell_runs(&r, &mut buf) {
+            prop_assert!(run.start < run.end, "empty run {:?}", run);
+            prop_assert!(walked.last().is_none_or(|&CellId(last)| last < run.start));
+            walked.extend(run.map(CellId));
+        }
+        prop_assert_eq!(&walked, &brute);
+        prop_assert_eq!(grid.cells_intersecting(&r), brute);
+    }
+
     #[test]
     fn interval_intersection_is_commutative_and_contained(
         a in interval_strategy(),

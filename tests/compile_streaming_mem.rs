@@ -7,26 +7,38 @@
 //! registry into a `(NodeId, Rect)` list, for a population large enough
 //! that the difference is unambiguous.
 //!
-//! This test lives in its own integration-test file so it owns the
-//! process-global allocator.
+//! `build()` takes the same compile: it moves the builder's rectangles
+//! into the registry (no second copy) and its per-subscription work —
+//! registry insert, cell walk — does not allocate.
+//!
+//! These tests live in their own integration-test file so they own the
+//! process-global allocator, and take [`METER`] so they do not meter
+//! each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use pubsub::core::{Broker, CoveringConfig};
-use pubsub::geom::{Point, Rect, Space};
+use pubsub::geom::{Interval, Point, Rect, Space};
 use pubsub::netsim::{NodeId, TransitStubConfig};
 
-/// Tracks live and peak heap bytes; delegates all work to the system
-/// allocator. Always on — tests window it with [`live`] / [`reset_peak`].
+/// Tracks live and peak heap bytes and counts allocation calls;
+/// delegates all work to the system allocator. Always on — tests window
+/// it with [`live`] / [`reset_peak`] / [`calls`].
 struct MeterAlloc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by each test while it reads the meter.
+static METER: Mutex<()> = Mutex::new(());
 
 fn on_alloc(size: usize) {
     let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
     PEAK.fetch_max(live, Ordering::Relaxed);
+    CALLS.fetch_add(1, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for MeterAlloc {
@@ -76,6 +88,11 @@ fn peak() -> usize {
     PEAK.load(Ordering::SeqCst)
 }
 
+/// Allocations and reallocations so far.
+fn calls() -> usize {
+    CALLS.load(Ordering::SeqCst)
+}
+
 /// Runs `f` and returns `(transient peak above entry live, result)`.
 fn transient_peak<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = live();
@@ -117,6 +134,7 @@ fn population(nodes: &[NodeId]) -> Vec<(NodeId, Rect)> {
 
 #[test]
 fn covered_recompile_never_holds_an_o_n_rect_intermediate() {
+    let _meter = METER.lock().unwrap_or_else(|e| e.into_inner());
     let topo = TransitStubConfig::tiny().generate(17).unwrap();
     let nodes = topo.stub_nodes().to_vec();
     let mut broker = Broker::builder(topo, space_2d())
@@ -175,5 +193,40 @@ fn covered_recompile_never_holds_an_o_n_rect_intermediate() {
     assert!(
         second_bytes <= recompile_bytes + (recompile_bytes >> 2),
         "second recompile transient grew: {second_bytes} vs {recompile_bytes}"
+    );
+}
+
+#[test]
+fn covered_build_moves_its_rectangles_and_walks_without_allocating() {
+    let _meter = METER.lock().unwrap_or_else(|e| e.into_inner());
+    let topo = TransitStubConfig::tiny().generate(17).unwrap();
+    let nodes = topo.stub_nodes().to_vec();
+    let builder = Broker::builder(topo, space_2d())
+        .covering(CoveringConfig::default())
+        .grid_cells(5)
+        .subscriptions(population(&nodes));
+
+    let calls_before = calls();
+    let (build_bytes, broker) = transient_peak(|| builder.build().unwrap());
+    let build_calls = calls() - calls_before;
+    assert_eq!(broker.registry().len(), SUBS);
+
+    // One allocation per subscription is the covering pass's clamped
+    // rectangle; the registry insert and the grid model's cell walk add
+    // none. With a registry clone, two more clamps and three vectors per
+    // walk this was 7.35 per subscription.
+    assert!(
+        build_calls < 2 * SUBS,
+        "covered build made {build_calls} allocations for {SUBS} subscriptions"
+    );
+
+    // No second copy of the rectangles: against the peak measured when
+    // `build()` cloned them into the registry, this one is lower by at
+    // least their interval storage (it measures 4.0 MB).
+    const CLONING_BUILD_PEAK: usize = 10_049_157;
+    let interval_bytes = SUBS * 2 * std::mem::size_of::<Interval>();
+    assert!(
+        build_bytes + interval_bytes <= CLONING_BUILD_PEAK,
+        "covered build peaked {build_bytes} bytes above its entry live set"
     );
 }

@@ -11,6 +11,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
@@ -402,6 +403,55 @@ fn crash_between_rename_and_truncation_counts_stale_ops() {
         .unwrap();
     assert_eq!(next.raw(), 2);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovery compiles the engine once. The density closure is evaluated
+/// once per grid cell per compile, so its call count is the number of
+/// compiles: `recover()` makes as many calls as a `build()` of the same
+/// population, not twice that.
+#[test]
+fn recovery_compiles_once() {
+    let dir = scratch_dir("onecompile");
+    let nodes = topo(4).stub_nodes().to_vec();
+    let counted = |calls: &Arc<AtomicUsize>| {
+        let calls = Arc::clone(calls);
+        builder(4).density(move |r| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            r.volume() / 100.0
+        })
+    };
+
+    let build_calls = Arc::new(AtomicUsize::new(0));
+    let mut broker = counted(&build_calls)
+        .journal(JournalConfig::new(&dir))
+        .subscriptions((0..6).map(|i| {
+            let at = f64::from(i);
+            (
+                nodes[i as usize % nodes.len()],
+                make_rect(&((at, 3.0), (at, 2.0))),
+            )
+        }))
+        .build()
+        .unwrap();
+    let per_compile = build_calls.load(Ordering::Relaxed);
+    assert_eq!(per_compile, broker.grid_model().grid().cell_count());
+    // Leave a WAL tail for recovery to replay.
+    let extra = broker
+        .subscribe(nodes[0], make_rect(&((1.0, 1.0), (1.0, 1.0))))
+        .unwrap();
+    broker.unsubscribe(extra).unwrap();
+    drop(broker);
+
+    let recover_calls = Arc::new(AtomicUsize::new(0));
+    let recovered = counted(&recover_calls)
+        .journal(JournalConfig::new(&dir))
+        .recover()
+        .unwrap();
+    assert_eq!(recover_calls.load(Ordering::Relaxed), per_compile);
+    assert_eq!(recovered.epoch(), 1);
+    assert_eq!(recovered.recovery_counters().replayed_ops, 2);
+    assert_eq!(recovered.churn_counters().recompiles, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
