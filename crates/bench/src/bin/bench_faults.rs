@@ -14,14 +14,14 @@
 //!    reachable matched set must be exactly 1.0 — that is the acceptance
 //!    gate.
 //! 2. **measure** — throughput of the same stream through
-//!    `publish_batch` (a faulted broker reroutes batches through the
-//!    sequential path, so this prices the whole degraded pipeline), plus
+//!    `publish_batch` (a faulted broker runs batches as fault-clock
+//!    segments, so this prices the whole degraded pipeline), plus
 //!    the fallback decision mix (multicast / partial multicast / unicast
 //!    / dropped) from the cost report.
 //!
 //! A no-plan baseline broker is measured first so the 0% cell isolates
-//! the overhead of the fault machinery itself (empty plan, sequential
-//! rerouting) from the cost of actual damage.
+//! the overhead of the fault machinery itself (empty plan, segment
+//! bookkeeping) from the cost of actual damage.
 //!
 //! Prints a table and writes `results/BENCH_faults.json`. Event count is
 //! overridable with `PUBSUB_EVENTS`; pass `--quick` for a smoke-sized

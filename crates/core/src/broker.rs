@@ -33,26 +33,26 @@ use pubsub_clustering::{
 };
 use pubsub_geom::{CellId, CellWalkBuf, EventSoA, Grid, Point, Rect, Space};
 use pubsub_netsim::{
-    cost_events_into, multicast_tree_cost_flat, sparse_mode_cost_flat, unicast_and_tree_cost,
-    unicast_cost_flat, CostScratch, DijkstraScratch, FaultEvent, FaultPlan, FaultyRouting, FlatNet,
-    NetError, NodeId, SptTable, SptView, Topology,
+    cost_events_into, multicast_tree_cost_flat, sparse_mode_cost_flat, unicast_cost_flat,
+    CostScratch, DijkstraScratch, FaultEvent, FaultPlan, FaultyRouting, FlatNet, NetError, NodeId,
+    SptTable, SptView, Topology,
 };
 use pubsub_parallel::{pipeline_inline, BlockRanges, PipelineRun, WorkerPool};
 use pubsub_stree::{DeltaOverlay, Entry, EntryId, STreeConfig, Tombstones};
 use serde::{Deserialize, Serialize};
 
 use crate::journal::{DurableJournal, JournalConfig, JournalOp, RegistryImage};
-use crate::matcher::{self, KernelCounters, MatchOverlay};
+use crate::matcher::{self, MatchOverlay};
 use crate::metrics::{
     ChurnCounters, Delivery, LatencyHisto, MetricsSnapshot, PipelineCounters, RecoveryCounters,
+    StageKind,
 };
 use crate::pipeline::{BatchMatches, DecisionTag, EventMeta, PublishScratch, NO_GROUP};
-use crate::stage::StageKind;
 use crate::view::{OwnedOverlay, PublishView};
 use crate::{
     BrokerError, CostReport, CoveringConfig, CoveringStats, Decision, DistributionPolicy,
-    EngineSnapshot, MatchScratch, MatchedSet, Matcher, MessageCosts, MulticastGroups,
-    SubscriptionHandle, SubscriptionId, SubscriptionRegistry, UnicastReason,
+    EngineSnapshot, MatchedSet, Matcher, MessageCosts, MulticastGroups, SubscriptionHandle,
+    SubscriptionId, SubscriptionRegistry, UnicastReason,
 };
 
 /// Publication-density closure used by clustering.
@@ -893,13 +893,12 @@ impl Broker {
         self.snapshot.matcher.covering_stats()
     }
 
-    /// Publishes one event from the default publisher: matches, decides,
-    /// costs, and records.
+    /// Publishes one event from the default publisher:
+    /// [`Broker::publish_from`] with [`Broker::publisher`].
     ///
     /// # Errors
     ///
-    /// Returns [`BrokerError::DimensionMismatch`] if the event's
-    /// dimensionality differs from the space's.
+    /// As [`Broker::publish_from`].
     pub fn publish(&mut self, event: &Point) -> Result<PublishOutcome, BrokerError> {
         self.publish_from(self.publisher, event)
     }
@@ -909,35 +908,35 @@ impl Broker {
     /// groups; this entry point lets experiments model multiple feeds.
     /// Shortest-path trees are computed once per publisher and cached.
     ///
+    /// A one-event batch on the calling thread: it runs the same pass
+    /// and fold as [`Broker::publish_batch`], counts in
+    /// [`Broker::pipeline_counters`] like any other batch, and never
+    /// creates or wakes a worker pool.
+    ///
     /// # Errors
+    ///
+    /// Checked in this order:
     ///
     /// * [`BrokerError::UnknownNode`] if `publisher` is not in the
     ///   topology;
     /// * [`BrokerError::DimensionMismatch`] for a wrong-dimensional
     ///   event;
     /// * [`BrokerError::Net`] with [`NetError::Unreachable`] if an
-    ///   installed fault plan has taken the publisher node down.
+    ///   installed fault plan has taken the publisher node down (the
+    ///   fault clock has advanced by then).
     pub fn publish_from(
         &mut self,
         publisher: NodeId,
         event: &Point,
     ) -> Result<PublishOutcome, BrokerError> {
-        if publisher.0 as usize >= self.topology.graph().node_count() {
-            return Err(BrokerError::UnknownNode { node: publisher.0 });
-        }
-        if event.dims() != self.space.dims() {
-            return Err(BrokerError::DimensionMismatch {
-                expected: self.space.dims(),
-                got: event.dims(),
-            });
-        }
-        if self.tick_faults() {
-            return self.publish_degraded(publisher, event);
-        }
-        self.spt
-            .ensure(&self.net, publisher, &mut self.route_scratch);
-        let (matched_subscriptions, interested) = self.match_set(event);
-        Ok(self.decide_and_record(publisher, event, matched_subscriptions, interested))
+        let mut outcome = Vec::with_capacity(1);
+        self.publish_core(
+            publisher,
+            std::slice::from_ref(event),
+            Some(1),
+            Some(&mut outcome),
+        )?;
+        Ok(outcome.pop().expect("one outcome per event"))
     }
 
     /// Publishes a batch of events from the default publisher.
@@ -950,8 +949,9 @@ impl Broker {
     /// batch path performs zero per-event heap allocations up to output
     /// materialization. The record stage then folds sequentially **in
     /// event order**, so the cumulative [`CostReport`] and the returned
-    /// outcomes are identical to calling [`Broker::publish`] in a loop —
-    /// for any thread count (`None` = available parallelism), including
+    /// outcomes do not depend on how the events were cut into batches or
+    /// on the thread count (`None` = available parallelism): N events in
+    /// one batch at T workers equal N one-event batches, including
     /// mid-churn with a pending overlay and tombstones.
     ///
     /// With a fault plan installed the batch still runs through the
@@ -960,8 +960,7 @@ impl Broker {
     /// segment), each segment runs the same fused pipeline — with matched
     /// nodes additionally partitioned by reachability when a fault has
     /// applied — and the sequential fold replays the per-event fault
-    /// clock, health hysteresis and fallback ladder. Outcomes and the
-    /// report stay bit-identical to a loop of [`Broker::publish`] calls.
+    /// clock, health hysteresis and fallback ladder.
     ///
     /// # Errors
     ///
@@ -970,21 +969,14 @@ impl Broker {
     /// error nothing has been published or recorded. With a fault plan
     /// installed, [`NetError::Unreachable`] (the publisher went down
     /// mid-plan) aborts the batch at the failing event; earlier events
-    /// stay recorded, exactly as the equivalent `publish` loop would
-    /// leave them.
+    /// stay recorded, exactly as one-event batches would leave them.
     pub fn publish_batch(
         &mut self,
         events: &[Point],
         threads: Option<usize>,
     ) -> Result<Vec<PublishOutcome>, BrokerError> {
-        if self.faults.is_some() {
-            let mut outcomes = Vec::with_capacity(events.len());
-            self.publish_batch_faulted(events, threads, Some(&mut outcomes))?;
-            return Ok(outcomes);
-        }
-        let used = self.run_pipeline(events, threads, false)?;
         let mut outcomes = Vec::with_capacity(events.len());
-        self.fold_batch(events.len(), used, Some(&mut outcomes));
+        self.publish_core(self.publisher, events, threads, Some(&mut outcomes))?;
         Ok(outcomes)
     }
 
@@ -1003,33 +995,59 @@ impl Broker {
         events: &[Point],
         threads: Option<usize>,
     ) -> Result<CostReport, BrokerError> {
-        if self.faults.is_some() {
-            self.publish_batch_faulted(events, threads, None)?;
-            return Ok(self.report);
-        }
-        let used = self.run_pipeline(events, threads, false)?;
-        self.fold_batch(events.len(), used, None);
+        self.publish_core(self.publisher, events, threads, None)?;
         Ok(self.report)
     }
 
-    /// The batch driver under an installed fault plan: cuts the batch
-    /// into fault-clock segments (a segment ends right before the next
-    /// scheduled plan firing, so routing, node state and the fault
+    /// The whole synchronous publish path; every public entry point is
+    /// an adapter over it. Checks the publisher and the batch, then runs
+    /// the fused pass ([`Broker::run_pipeline`]) and the in-order fold —
+    /// as one piece on a broker without a fault plan, as fault-clock
+    /// segments ([`Broker::publish_segments`]) with one. With `outcomes`
+    /// it materializes one [`PublishOutcome`] per event.
+    fn publish_core(
+        &mut self,
+        publisher: NodeId,
+        events: &[Point],
+        threads: Option<usize>,
+        outcomes: Option<&mut Vec<PublishOutcome>>,
+    ) -> Result<(), BrokerError> {
+        if publisher.0 as usize >= self.topology.graph().node_count() {
+            return Err(BrokerError::UnknownNode { node: publisher.0 });
+        }
+        self.validate_batch(events)?;
+        // The worker states leave `self` for the call: the folds read
+        // them while the fault clock and the memo borrow the broker.
+        let mut states = std::mem::take(&mut self.pipeline_states);
+        let result = if self.faults.is_some() {
+            self.publish_segments(publisher, events, threads, &mut states, outcomes)
+        } else {
+            let batch = self.run_pipeline(publisher, events, threads, false, &mut states);
+            self.fold_batch(publisher, batch, outcomes);
+            Ok(())
+        };
+        self.pipeline_states = states;
+        result
+    }
+
+    /// [`Broker::publish_core`] under an installed fault plan: cuts the
+    /// batch into fault-clock segments (a segment ends right before the
+    /// next scheduled plan firing, so routing, node state and the fault
     /// overlay are constant within it), runs every segment through the
     /// fused worker pipeline, and folds sequentially. Pristine segments
     /// (no fault has ever applied) take the exact pristine fold; degraded
     /// segments replay the per-event step clock, health hysteresis and
-    /// fallback ladder in [`Broker::fold_batch_degraded`]. The result —
-    /// outcomes, report, memo and hysteresis state — is bit-identical to
-    /// a loop of [`Broker::publish`] calls.
-    fn publish_batch_faulted(
+    /// fallback ladder in [`Broker::fold_batch_degraded`]. Outcomes,
+    /// report, memo and hysteresis state do not depend on where the
+    /// caller cut its batches.
+    fn publish_segments(
         &mut self,
+        publisher: NodeId,
         events: &[Point],
         threads: Option<usize>,
+        states: &mut Vec<PublishScratch>,
         mut outcomes: Option<&mut Vec<PublishOutcome>>,
     ) -> Result<(), BrokerError> {
-        self.validate_batch(events)?;
-        let publisher = self.publisher;
         let mut start = 0usize;
         while start < events.len() {
             // Tick the clock for the segment's first event: fires
@@ -1038,7 +1056,7 @@ impl Broker {
             // *next* segment, so no event inside this one can change
             // routing or node state.
             let degraded = self.tick_faults();
-            let faults = self.faults.as_ref().expect("fault path implies a plan");
+            let faults = self.faults.as_mut().expect("fault path implies a plan");
             let current = faults.step - 1;
             let remaining = (events.len() - start) as u64;
             let seg = match faults.plan.events().get(faults.next_event) {
@@ -1050,33 +1068,29 @@ impl Broker {
                 // Nothing has ever faulted: the pristine pipeline and
                 // fold apply unchanged; the remaining seg - 1 ticks fire
                 // nothing, so the clock advances in bulk.
-                let used = self.run_pipeline(seg_events, threads, false)?;
-                self.fold_batch(seg, used, outcomes.as_deref_mut());
-                let faults = self.faults.as_mut().expect("fault path implies a plan");
                 faults.step += seg as u64 - 1;
+                let batch = self.run_pipeline(publisher, seg_events, threads, false, states);
+                self.fold_batch(publisher, batch, outcomes.as_deref_mut());
             } else {
-                {
-                    let faults = self.faults.as_mut().expect("fault path implies a plan");
-                    if !faults.routing.node_up(publisher) {
-                        // The publisher is down for the whole segment;
-                        // the segment's first event is exactly where the
-                        // sequential loop would abort.
-                        return Err(BrokerError::Net(NetError::Unreachable {
-                            node: publisher.0,
-                        }));
-                    }
-                    faults.routing.heal(&self.net, &mut self.spt, publisher);
-                    if let DeliveryMode::SparseMode { rendezvous } = self.delivery {
-                        faults.routing.heal(&self.net, &mut self.spt, rendezvous);
-                    }
+                if !faults.routing.node_up(publisher) {
+                    // The publisher is down for the whole segment: the
+                    // publish aborts at the segment's first event, its
+                    // clock tick already taken.
+                    return Err(BrokerError::Net(NetError::Unreachable {
+                        node: publisher.0,
+                    }));
                 }
-                let used = self.run_pipeline(seg_events, threads, true)?;
-                self.fold_batch_degraded(seg, used, outcomes.as_deref_mut());
-            }
-            self.pipeline_counters.fault_segments += 1;
-            if degraded {
+                // Self-healing: re-derive the stale rows this segment
+                // reads, lazily, against the current overlay.
+                faults.routing.heal(&self.net, &mut self.spt, publisher);
+                if let DeliveryMode::SparseMode { rendezvous } = self.delivery {
+                    faults.routing.heal(&self.net, &mut self.spt, rendezvous);
+                }
+                let batch = self.run_pipeline(publisher, seg_events, threads, true, states);
+                self.fold_batch_degraded(publisher, batch, outcomes.as_deref_mut());
                 self.pipeline_counters.degraded_segments += 1;
             }
+            self.pipeline_counters.fault_segments += 1;
             start += seg;
         }
         Ok(())
@@ -1096,11 +1110,12 @@ impl Broker {
         Ok(())
     }
 
-    /// The parallel front of a batch publication: validates the batch,
-    /// dispatches the fused match → cost → decide pass over the worker
-    /// pool (created lazily on first use) and leaves the results in the
-    /// per-worker arenas. Returns the number of workers used, which the
-    /// fold needs to invert the block-cyclic assignment.
+    /// The parallel front of a publication: dispatches the fused match →
+    /// cost → decide pass over the worker pool (created lazily on first
+    /// use) into the per-worker `states` and accounts it in the pipeline
+    /// counters. Returns the view over the results, which knows the
+    /// worker count the fold needs to invert the block-cyclic assignment.
+    /// The caller has validated `publisher` and `events`.
     ///
     /// In `degraded` mode (a fault has applied; the caller has already
     /// healed the routing rows this pass reads) the workers additionally
@@ -1108,14 +1123,14 @@ impl Broker {
     /// the reachable prefix; the distribution decision is left to
     /// [`Broker::fold_batch_degraded`], which owns the step-clocked
     /// health state.
-    fn run_pipeline(
+    fn run_pipeline<'s>(
         &mut self,
+        publisher: NodeId,
         events: &[Point],
         threads: Option<usize>,
         degraded: bool,
-    ) -> Result<usize, BrokerError> {
-        self.validate_batch(events)?;
-        let publisher = self.publisher;
+        states: &'s mut Vec<PublishScratch>,
+    ) -> BatchMatches<'s> {
         self.spt
             .ensure(&self.net, publisher, &mut self.route_scratch);
         let requested = pubsub_parallel::effective_threads(threads);
@@ -1137,42 +1152,29 @@ impl Broker {
         let workers = match &self.pool {
             Some(pool) => requested
                 .min(pool.threads())
-                .min(events.len().div_ceil(pubsub_parallel::BLOCK)),
+                .min(events.len().div_ceil(pubsub_parallel::BLOCK))
+                .max(1),
             None => 1,
         };
-        if self.pipeline_states.len() < workers {
-            self.pipeline_states
-                .resize_with(workers, PublishScratch::default);
-        }
-        if self.pipeline_states.is_empty() {
-            self.pipeline_states.push(PublishScratch::default());
+        if states.len() < workers {
+            states.resize_with(workers, PublishScratch::default);
         }
 
-        // Everything the workers read, bound up front so the dispatch
-        // below can borrow `pipeline_states` mutably alongside. The pass
-        // itself lives in [`FusedPass::run`], shared byte-for-byte with
-        // the concurrent serving executors ([`PublishView`]).
-        let pub_view = self.spt.view(publisher).expect("ensured above");
-        let sparse = match self.delivery {
-            DeliveryMode::SparseMode { rendezvous } => {
-                let rp_view = self.spt.view(rendezvous).expect("rendezvous SPT built");
-                Some((rp_view, pub_view.dist(rendezvous)))
-            }
-            _ => None,
-        };
-        let pass = FusedPass {
-            snapshot: &self.snapshot,
-            policy: &self.policy,
-            delivery: self.delivery,
+        // Everything the workers read, bound up front: the pass itself
+        // lives in [`FusedPass::run`], shared with the concurrent
+        // serving executors ([`PublishView`]).
+        let pass = FusedPass::bind(
+            &self.snapshot,
+            &self.policy,
+            self.delivery,
             publisher,
-            alm_dist: self.alm_dist.as_deref(),
-            overlay: churn_view_of(&self.churn, &self.snapshot),
-            pub_view,
-            sparse,
+            self.alm_dist.as_deref(),
+            churn_view_of(&self.churn, &self.snapshot),
+            &self.spt,
             degraded,
             events,
-            soa: None,
-        };
+            None,
+        );
         let trap = &self.panic_trap;
         let worker = |_w: usize, state: &mut PublishScratch, ranges: BlockRanges| {
             if trap
@@ -1184,67 +1186,35 @@ impl Broker {
             pass.run(state, ranges);
         };
 
-        let run = if workers <= 1 {
-            pipeline_inline(&mut self.pipeline_states[0], events.len(), worker);
-            PipelineRun {
-                workers: 1,
-                quarantined: 0,
-            }
+        let run = if workers == 1 {
+            pipeline_inline(&mut states[0], events.len(), worker);
+            INLINE_RUN
         } else {
             self.pool
                 .as_ref()
                 .expect("pool exists when workers > 1")
-                .try_pipeline(workers, &mut self.pipeline_states, events.len(), worker)
+                .try_pipeline(workers, states, events.len(), worker)
         };
-        let used = run.workers;
-
-        self.pipeline_counters.batches += 1;
-        self.pipeline_counters.events += events.len() as u64;
-        if used > 1 {
-            self.pipeline_counters.pooled_batches += 1;
-        } else {
-            self.pipeline_counters.inline_batches += 1;
+        account_pass(&mut self.pipeline_counters, events.len(), run, states);
+        BatchMatches {
+            states: &states[..run.workers],
+            workers: run.workers,
+            len: events.len(),
         }
-        if run.quarantined > 0 {
-            self.pipeline_counters.quarantined_workers += run.quarantined as u64;
-            self.pipeline_counters.retried_batches += 1;
-        }
-        self.pipeline_counters.max_workers = self.pipeline_counters.max_workers.max(used as u64);
-        if self.pipeline_states[..used].iter().any(|s| s.grew()) {
-            self.pipeline_counters.arena_growths += 1;
-        }
-        // Drain the per-worker SIMD kernel tallies (every state, not just
-        // `..used`: a quarantined worker's partial pass still dispatched
-        // blocks worth counting).
-        let mut kernels = KernelCounters::default();
-        for state in &mut self.pipeline_states {
-            kernels.merge(&state.matching.take_kernels());
-        }
-        self.pipeline_counters.match_blocks += kernels.blocks;
-        self.pipeline_counters.simd_blocks += kernels.simd_blocks;
-        self.pipeline_counters.scalar_blocks += kernels.scalar_blocks;
-        self.pipeline_counters.match_lanes += kernels.lanes;
-        Ok(used)
     }
 
-    /// The sequential tail of a batch publication: walks the fused
-    /// results **in global event order**, resolves multicast scheme costs
-    /// through the epoch-keyed memo (walking each (epoch, publisher,
-    /// group) at most once, exactly as [`Broker::decide_and_record`]
-    /// does) and folds every event into the cumulative report. When
-    /// `outcomes` is given, also materializes one [`PublishOutcome`] per
-    /// event: the node slice is copied, the matched subscriptions stay
-    /// run references.
-    fn fold_batch(&mut self, len: usize, used: usize, outcomes: Option<&mut Vec<PublishOutcome>>) {
-        let batch = BatchMatches {
-            states: &self.pipeline_states[..used],
-            workers: used,
-            len,
-        };
+    /// The sequential tail of a pristine publication: [`fold_pristine`]
+    /// over `batch` with the broker's memo, cost scratch and report.
+    fn fold_batch(
+        &mut self,
+        publisher: NodeId,
+        batch: BatchMatches<'_>,
+        outcomes: Option<&mut Vec<PublishOutcome>>,
+    ) {
         fold_pristine(
             batch,
             &self.snapshot,
-            self.publisher,
+            publisher,
             self.delivery,
             &self.spt,
             self.alm_dist.as_deref(),
@@ -1258,13 +1228,13 @@ impl Broker {
 
     /// Folds one staged batch whose fused pass already ran on a serving
     /// executor thread (via [`crate::PublishView::process_into`]) into
-    /// the broker — scheme-cost memoization, cumulative report, pipeline
-    /// counters and SIMD-kernel tallies — materializing one
-    /// [`PublishOutcome`] per event. Calling this for every executor
-    /// batch **in submission order** reproduces, bit for bit, the report
-    /// and outcomes a synchronous [`Broker::publish_batch`] sequence
-    /// would have produced: the fused pass is byte-identical per event
-    /// and the f64 accumulation order of the report is the fold order.
+    /// the broker — the write half of the publish core, split from its
+    /// read half: the same pass accounting and the same fold a
+    /// synchronous publish runs, materializing one [`PublishOutcome`] per
+    /// event. Calling this for every executor batch **in submission
+    /// order** therefore produces the report and outcomes of a
+    /// synchronous [`Broker::publish_batch`] sequence: the f64
+    /// accumulation order of the report is the fold order.
     ///
     /// # Panics
     ///
@@ -1286,35 +1256,18 @@ impl Broker {
             "epoch barrier violated: batch ran under epoch {epoch}, folding at {}",
             self.snapshot.epoch
         );
-        self.pipeline_counters.batches += 1;
-        self.pipeline_counters.events += len as u64;
-        self.pipeline_counters.inline_batches += 1;
-        if scratch.grew() {
-            self.pipeline_counters.arena_growths += 1;
-        }
-        let kernels = scratch.matching.take_kernels();
-        self.pipeline_counters.match_blocks += kernels.blocks;
-        self.pipeline_counters.simd_blocks += kernels.simd_blocks;
-        self.pipeline_counters.scalar_blocks += kernels.scalar_blocks;
-        self.pipeline_counters.match_lanes += kernels.lanes;
+        account_pass(
+            &mut self.pipeline_counters,
+            len,
+            INLINE_RUN,
+            std::slice::from_mut(scratch),
+        );
         let batch = BatchMatches {
             states: std::slice::from_ref(scratch),
             workers: 1,
             len,
         };
-        fold_pristine(
-            batch,
-            &self.snapshot,
-            self.publisher,
-            self.delivery,
-            &self.spt,
-            self.alm_dist.as_deref(),
-            &mut self.scheme_memo,
-            &mut self.scheme_walks,
-            &mut self.cost_scratch,
-            &mut self.report,
-            Some(outcomes),
-        );
+        self.fold_batch(self.publisher, batch, Some(outcomes));
     }
 
     /// Snapshots the publish-side read state into an owned
@@ -1362,38 +1315,31 @@ impl Broker {
         }
     }
 
-    /// The sequential tail of one *degraded* batch segment: walks the
-    /// fused results in global event order, replaying per event exactly
-    /// what [`Broker::publish_degraded`] does — advance the fault clock,
-    /// evaluate group health under hysteresis at that event's step, walk
-    /// the fallback ladder over the reachability-masked interested set,
-    /// memoize scheme costs under the per-event fault stamp — and folds
+    /// The sequential tail of one *degraded* segment, taken once any
+    /// fault has ever applied: walks the fused results in global event
+    /// order and per event advances the fault clock, evaluates group
+    /// health under hysteresis at that event's step, walks the fallback
+    /// ladder over the reachability-masked interested set, memoizes
+    /// scheme costs under the per-event fault stamp, and folds
     /// everything into the cumulative report. The workers already
     /// partitioned each event's nodes and costed the reachable prefix;
-    /// only the step-clocked state lives here.
+    /// only the step-clocked state lives here. Kept apart from
+    /// [`fold_pristine`] so a broker whose plan never fires stays on the
+    /// untouched fast path.
     fn fold_batch_degraded(
         &mut self,
-        len: usize,
-        used: usize,
+        publisher: NodeId,
+        batch: BatchMatches<'_>,
         mut outcomes: Option<&mut Vec<PublishOutcome>>,
     ) {
-        // The arenas move out of `self` for the duration of the fold so
-        // the step-clock and health methods can borrow the broker.
-        let states = std::mem::take(&mut self.pipeline_states);
         let snapshot = Arc::clone(&self.snapshot);
-        let publisher = self.publisher;
-        for i in 0..len {
+        for i in 0..batch.len() {
             if i > 0 {
                 // Fires nothing — the segment ends right before the next
                 // scheduled plan event — but advances the per-event step
                 // clock the health hysteresis is keyed on.
                 self.tick_faults();
             }
-            let batch = BatchMatches {
-                states: &states[..used],
-                workers: used,
-                len,
-            };
             let meta = batch.meta(i);
             let interested = batch.interested(i);
             let unreach = batch.unreachable(i);
@@ -1416,16 +1362,9 @@ impl Broker {
                 None => GroupHealth::Healthy,
             };
             let fault_stamp = faults.routing.route_generation() + faults.decision_gen;
-            let sparse = match self.delivery {
-                DeliveryMode::SparseMode { rendezvous } => {
-                    let rp_view = self
-                        .spt
-                        .view(rendezvous)
-                        .expect("healed by the segment driver");
-                    Some((rp_view, view.dist(rendezvous)))
-                }
-                _ => None,
-            };
+            // In sparse mode a down or cut-off rendezvous point severs
+            // every shared tree: no multicast flavor is available at all.
+            let sparse = sparse_binding(self.delivery, &self.spt, view);
             let rp_reachable = sparse.is_none_or(|(_, d)| d.is_finite());
 
             let decision = if interested.is_empty() {
@@ -1487,6 +1426,12 @@ impl Broker {
                     0,
                 ),
                 Decision::Unicast { .. } => (unicast, Delivery::Unicast, 0),
+                // Both multicast flavors cost (and deliver) over the
+                // *reachable* member subset: an interested member is
+                // covered exactly when the healed tree still reaches it,
+                // and pruned branches cost nothing — this also keeps the
+                // scheme cost finite while hysteresis lags a committed
+                // transition.
                 Decision::Multicast { group: q } | Decision::PartialMulticast { group: q } => {
                     let members = snapshot.groups.members(*q);
                     let reach_members: Vec<NodeId> = members
@@ -1555,101 +1500,6 @@ impl Broker {
                     costs,
                 });
             }
-        }
-        self.pipeline_states = states;
-    }
-
-    /// The sequential tail of a single publication: distribution
-    /// decision, cost accounting and report recording. The publisher's
-    /// SPT row must already be in the table. The per-event cost
-    /// arithmetic here is what the fused batch pipeline replicates in
-    /// its workers ([`Broker::run_pipeline`]) — the two must stay
-    /// bit-identical.
-    fn decide_and_record(
-        &mut self,
-        publisher: NodeId,
-        event: &Point,
-        matched_subscriptions: MatchedSet,
-        interested: Vec<NodeId>,
-    ) -> PublishOutcome {
-        let snapshot = &self.snapshot;
-        let group = snapshot.partition.group_of_point(event);
-        let group_size = group.map_or(0, |q| snapshot.groups.members(q).len());
-        let decision = self
-            .policy
-            .decide_counts(group, interested.len(), group_size);
-
-        let (unicast, ideal) = match self.delivery {
-            DeliveryMode::DenseMode => {
-                let view = self.spt.view(publisher).expect("publisher SPT ensured");
-                let pair = unicast_and_tree_cost(view, &interested, &mut self.cost_scratch);
-                (pair.unicast, pair.tree)
-            }
-            _ => {
-                let view = self.spt.view(publisher).expect("publisher SPT ensured");
-                let unicast = unicast_cost_flat(view, &interested, &mut self.cost_scratch);
-                let ideal = Self::send_cost(
-                    self.delivery,
-                    &self.spt,
-                    self.alm_dist.as_deref(),
-                    publisher,
-                    &interested,
-                    &mut self.cost_scratch,
-                );
-                (unicast, ideal)
-            }
-        };
-        let (scheme, delivery, wasted) = match &decision {
-            Decision::Drop => (0.0, Delivery::Dropped { unreachable: 0 }, 0),
-            Decision::Unicast { .. } => (unicast, Delivery::Unicast, 0),
-            // `decide_counts` never returns `PartialMulticast` (only the
-            // degraded fault path synthesizes it); the arm resolves like
-            // a full multicast for totality.
-            Decision::Multicast { group: q } | Decision::PartialMulticast { group: q } => {
-                // The scheme cost of a group send is event-independent, so
-                // each (epoch, publisher, group) triple is walked at most
-                // once; switching publishers does not evict other
-                // publishers' rows.
-                let members = snapshot.groups.members(*q);
-                let row =
-                    self.scheme_memo
-                        .slot(snapshot.epoch, 0, publisher, snapshot.groups.len());
-                let scheme = match row[*q] {
-                    Some(cost) => cost,
-                    None => {
-                        let cost = Self::send_cost(
-                            self.delivery,
-                            &self.spt,
-                            self.alm_dist.as_deref(),
-                            publisher,
-                            members,
-                            &mut self.cost_scratch,
-                        );
-                        row[*q] = Some(cost);
-                        self.scheme_walks += 1;
-                        cost
-                    }
-                };
-                (
-                    scheme,
-                    Delivery::Multicast,
-                    (members.len() - interested.len()) as u64,
-                )
-            }
-        };
-        let costs = MessageCosts {
-            scheme,
-            unicast,
-            ideal,
-        };
-        self.report.record(costs, delivery, wasted, 0);
-        PublishOutcome {
-            decision,
-            group_region: group,
-            matched_subscriptions,
-            interested,
-            unreachable: Vec::new(),
-            costs,
         }
     }
 
@@ -1813,222 +1663,6 @@ impl Broker {
         }
         faults.step += 1;
         faults.routing.ever_faulted()
-    }
-
-    /// The degraded-mode publish path, taken once any fault has ever
-    /// been applied: heals (only) the routing rows this publish reads,
-    /// masks matched subscribers by reachability, walks the health-driven
-    /// fallback ladder and memoizes scheme costs under the fault stamp.
-    /// Kept separate from the pristine path so a broker whose plan never
-    /// fires stays on the untouched fast path.
-    fn publish_degraded(
-        &mut self,
-        publisher: NodeId,
-        event: &Point,
-    ) -> Result<PublishOutcome, BrokerError> {
-        {
-            let faults = self.faults.as_mut().expect("degraded path implies a plan");
-            if !faults.routing.node_up(publisher) {
-                return Err(BrokerError::Net(NetError::Unreachable {
-                    node: publisher.0,
-                }));
-            }
-            // Self-healing: re-derive the stale rows this publish reads,
-            // lazily, against the current overlay.
-            faults.routing.heal(&self.net, &mut self.spt, publisher);
-            if let DeliveryMode::SparseMode { rendezvous } = self.delivery {
-                faults.routing.heal(&self.net, &mut self.spt, rendezvous);
-            }
-        }
-        let (matched_subscriptions, matched) = self.match_set(event);
-        let snapshot = Arc::clone(&self.snapshot);
-        let view = self.spt.view(publisher).expect("healed above");
-        let mut interested = Vec::with_capacity(matched.len());
-        let mut unreachable = Vec::new();
-        for &n in &matched {
-            if view.reachable(n) {
-                interested.push(n);
-            } else {
-                unreachable.push(n);
-            }
-        }
-        let group = snapshot.partition.group_of_point(event);
-
-        let faults = self.faults.as_mut().expect("degraded path implies a plan");
-        let health = match group {
-            Some(q) => eval_group_health(
-                faults,
-                snapshot.epoch,
-                snapshot.groups.len(),
-                publisher,
-                q,
-                snapshot.groups.members(q),
-                view,
-            ),
-            None => GroupHealth::Healthy,
-        };
-        let fault_stamp = faults.routing.route_generation() + faults.decision_gen;
-
-        // In sparse mode a down or cut-off rendezvous point severs every
-        // shared tree: no multicast flavor is available at all.
-        let sparse = match self.delivery {
-            DeliveryMode::SparseMode { rendezvous } => {
-                let rp_view = self.spt.view(rendezvous).expect("healed above");
-                Some((rp_view, view.dist(rendezvous)))
-            }
-            _ => None,
-        };
-        let rp_reachable = sparse.is_none_or(|(_, d)| d.is_finite());
-
-        let decision = if interested.is_empty() {
-            Decision::Drop
-        } else {
-            match group {
-                None => Decision::Unicast {
-                    reason: UnicastReason::CatchAll,
-                },
-                Some(q) => {
-                    let members = snapshot.groups.members(q);
-                    let ladder = match health {
-                        GroupHealth::Severed => Decision::Unicast {
-                            reason: UnicastReason::GroupSevered,
-                        },
-                        GroupHealth::Degraded => {
-                            let reach_size = members.iter().filter(|&&m| view.reachable(m)).count();
-                            match self
-                                .policy
-                                .decide_counts(Some(q), interested.len(), reach_size)
-                            {
-                                Decision::Multicast { group } => {
-                                    Decision::PartialMulticast { group }
-                                }
-                                other => other,
-                            }
-                        }
-                        GroupHealth::Healthy => {
-                            self.policy
-                                .decide_counts(Some(q), interested.len(), members.len())
-                        }
-                    };
-                    if !rp_reachable
-                        && matches!(
-                            ladder,
-                            Decision::Multicast { .. } | Decision::PartialMulticast { .. }
-                        )
-                    {
-                        Decision::Unicast {
-                            reason: UnicastReason::GroupSevered,
-                        }
-                    } else {
-                        ladder
-                    }
-                }
-            }
-        };
-
-        let (unicast, ideal) = match self.delivery {
-            DeliveryMode::DenseMode => {
-                let pair = unicast_and_tree_cost(view, &interested, &mut self.cost_scratch);
-                (pair.unicast, pair.tree)
-            }
-            DeliveryMode::SparseMode { .. } => {
-                let (rp_view, pub_to_rp) = sparse.expect("bound above");
-                let unicast = unicast_cost_flat(view, &interested, &mut self.cost_scratch);
-                let ideal = if pub_to_rp.is_finite() {
-                    sparse_mode_cost_flat(rp_view, pub_to_rp, &interested, &mut self.cost_scratch)
-                } else {
-                    // No shared tree exists at all: unicast is the only
-                    // scheme left and the reference collapses onto it.
-                    unicast
-                };
-                (unicast, ideal)
-            }
-            DeliveryMode::ApplicationLevel => {
-                unreachable!("fault plans are rejected for ALM delivery")
-            }
-        };
-
-        let skipped = unreachable.len() as u64;
-        let (scheme, delivered, wasted) = match &decision {
-            Decision::Drop => (
-                0.0,
-                Delivery::Dropped {
-                    unreachable: unreachable.len() as u32,
-                },
-                0,
-            ),
-            Decision::Unicast { .. } => (unicast, Delivery::Unicast, 0),
-            // Both multicast flavors cost (and deliver) over the
-            // *reachable* member subset: an interested member is covered
-            // exactly when the healed tree still reaches it, and pruned
-            // branches cost nothing — this also keeps the scheme cost
-            // finite while hysteresis lags a committed transition.
-            Decision::Multicast { group: q } | Decision::PartialMulticast { group: q } => {
-                let members = snapshot.groups.members(*q);
-                let reach_members: Vec<NodeId> = members
-                    .iter()
-                    .copied()
-                    .filter(|&m| view.reachable(m))
-                    .collect();
-                let row = self.scheme_memo.slot(
-                    snapshot.epoch,
-                    fault_stamp,
-                    publisher,
-                    snapshot.groups.len(),
-                );
-                let scheme = match row[*q] {
-                    Some(cost) => cost,
-                    None => {
-                        let cost = match self.delivery {
-                            DeliveryMode::DenseMode => multicast_tree_cost_flat(
-                                view,
-                                &reach_members,
-                                &mut self.cost_scratch,
-                            ),
-                            DeliveryMode::SparseMode { .. } => {
-                                let (rp_view, pub_to_rp) = sparse.expect("bound above");
-                                sparse_mode_cost_flat(
-                                    rp_view,
-                                    pub_to_rp,
-                                    &reach_members,
-                                    &mut self.cost_scratch,
-                                )
-                            }
-                            DeliveryMode::ApplicationLevel => {
-                                unreachable!("fault plans are rejected for ALM delivery")
-                            }
-                        };
-                        row[*q] = Some(cost);
-                        self.scheme_walks += 1;
-                        cost
-                    }
-                };
-                let delivered = if matches!(decision, Decision::Multicast { .. }) {
-                    Delivery::Multicast
-                } else {
-                    Delivery::PartialMulticast
-                };
-                (
-                    scheme,
-                    delivered,
-                    (reach_members.len() - interested.len()) as u64,
-                )
-            }
-        };
-        let costs = MessageCosts {
-            scheme,
-            unicast,
-            ideal,
-        };
-        self.report.record(costs, delivered, wasted, skipped);
-        Ok(PublishOutcome {
-            decision,
-            group_region: group,
-            matched_subscriptions,
-            interested,
-            unreachable,
-            costs,
-        })
     }
 
     /// The cost of one multicast to the *whole* group `q` from the
@@ -2503,13 +2137,6 @@ impl Broker {
         Ok(())
     }
 
-    /// The overlay view for match-time merging, or `None` when the
-    /// compiled matcher alone is current (no churn since the last
-    /// recompile).
-    fn churn_view(&self) -> Option<MatchOverlay<'_>> {
-        churn_view_of(&self.churn, &self.snapshot)
-    }
-
     // ------------------------------------------------------------------
     // Introspection and configuration.
     // ------------------------------------------------------------------
@@ -2565,50 +2192,19 @@ impl Broker {
 
     /// Matches an event without publishing: no decision, no cost, no
     /// report mutation. Returns the matching subscription ids and the
-    /// deduplicated interested subscriber nodes. Uses thread-local
-    /// scratch; hot callers with their own buffers should prefer
-    /// [`Broker::match_only_into`].
+    /// deduplicated interested subscriber nodes, merging the churn
+    /// overlay when one is pending. Uses thread-local scratch.
     pub fn match_only(&self, event: &Point) -> (Vec<SubscriptionId>, Vec<NodeId>) {
         let mut subs = Vec::new();
         let mut nodes = Vec::new();
-        matcher::with_thread_scratch(|scratch| {
-            self.match_only_into(event, scratch, &mut subs, &mut nodes);
+        let matcher = &self.snapshot.matcher;
+        matcher::with_thread_scratch(|scratch| match churn_view_of(&self.churn, &self.snapshot) {
+            Some(view) => {
+                matcher.match_event_overlaid_into(event, &view, scratch, &mut subs, &mut nodes)
+            }
+            None => matcher.match_event_into(event, scratch, &mut subs, &mut nodes),
         });
         (subs, nodes)
-    }
-
-    /// [`Broker::match_only`] at run level, for the single-event publish
-    /// paths: the same query, with the matched ids left unwritten in a
-    /// [`MatchedSet`].
-    fn match_set(&self, event: &Point) -> (MatchedSet, Vec<NodeId>) {
-        matcher::with_thread_scratch(|scratch| {
-            self.snapshot
-                .matcher
-                .match_event_set(event, self.churn_view().as_ref(), scratch)
-        })
-    }
-
-    /// [`Broker::match_only`] into caller-provided buffers: `subs` and
-    /// `nodes` are cleared and refilled; with a warm scratch the call is
-    /// allocation-free apart from output growth. Merges the churn overlay
-    /// when one is pending.
-    pub fn match_only_into(
-        &self,
-        event: &Point,
-        scratch: &mut MatchScratch,
-        subs: &mut Vec<SubscriptionId>,
-        nodes: &mut Vec<NodeId>,
-    ) {
-        match self.churn_view() {
-            Some(view) => self
-                .snapshot
-                .matcher
-                .match_event_overlaid_into(event, &view, scratch, subs, nodes),
-            None => self
-                .snapshot
-                .matcher
-                .match_event_into(event, scratch, subs, nodes),
-        }
     }
 
     /// The current engine snapshot (cheap `Arc` clone). The clone stays
@@ -2812,14 +2408,16 @@ impl Broker {
     }
 }
 
-/// The sequential fold shared by [`Broker::fold_batch`] (pool batches)
-/// and [`Broker::fold_staged`] (executor batches): walks the fused
-/// results **in global event order**, resolves multicast scheme costs
-/// through the epoch-keyed memo (walking each (epoch, publisher, group)
-/// at most once, exactly as `Broker::decide_and_record` does) and folds
-/// every event into the cumulative report. When `outcomes` is given,
-/// also materializes one [`PublishOutcome`] per event: the node slice
-/// is copied, the matched subscriptions stay run references.
+/// The sequential fold behind [`Broker::fold_batch`] — every pristine
+/// publication, synchronous or staged: walks the fused results **in
+/// global event order**, resolves multicast scheme costs through the
+/// epoch-keyed memo (the scheme cost of a group send is
+/// event-independent, so each (epoch, publisher, group) is walked at
+/// most once, and switching publishers does not evict other publishers'
+/// rows) and folds every event into the cumulative report. When
+/// `outcomes` is given, also materializes one [`PublishOutcome`] per
+/// event: the node slice is copied, the matched subscriptions stay run
+/// references.
 #[allow(clippy::too_many_arguments)]
 fn fold_pristine(
     batch: BatchMatches<'_>,
@@ -2889,40 +2487,127 @@ fn fold_pristine(
     }
 }
 
+/// What a pass on the calling thread reports: one worker, none
+/// quarantined (a panic there propagates instead).
+const INLINE_RUN: PipelineRun = PipelineRun {
+    workers: 1,
+    quarantined: 0,
+};
+
+/// Accounts one finished fused pass in the pipeline counters: batch and
+/// event totals, pooled vs inline, quarantines, arena growth and the
+/// per-worker SIMD kernel tallies (drained from every state, not just
+/// the `run.workers` that finished: a quarantined worker's partial pass
+/// still dispatched blocks worth counting).
+fn account_pass(
+    counters: &mut PipelineCounters,
+    events: usize,
+    run: PipelineRun,
+    states: &mut [PublishScratch],
+) {
+    counters.batches += 1;
+    counters.events += events as u64;
+    if run.workers > 1 {
+        counters.pooled_batches += 1;
+    } else {
+        counters.inline_batches += 1;
+    }
+    if run.quarantined > 0 {
+        counters.quarantined_workers += run.quarantined as u64;
+        counters.retried_batches += 1;
+    }
+    counters.max_workers = counters.max_workers.max(run.workers as u64);
+    if states[..run.workers].iter().any(|s| s.grew()) {
+        counters.arena_growths += 1;
+    }
+    for state in states {
+        let kernels = state.matching.take_kernels();
+        counters.match_blocks += kernels.blocks;
+        counters.simd_blocks += kernels.simd_blocks;
+        counters.scalar_blocks += kernels.scalar_blocks;
+        counters.match_lanes += kernels.lanes;
+    }
+}
+
+/// Sparse mode's extra routing inputs: the rendezvous point's SPT view
+/// and the publisher → rendezvous distance (`None` in the other modes).
+/// The rendezvous row must be in the table.
+fn sparse_binding<'a>(
+    delivery: DeliveryMode,
+    spt: &'a SptTable,
+    pub_view: SptView<'a>,
+) -> Option<(SptView<'a>, f64)> {
+    match delivery {
+        DeliveryMode::SparseMode { rendezvous } => {
+            let rp_view = spt.view(rendezvous).expect("rendezvous SPT built");
+            Some((rp_view, pub_view.dist(rendezvous)))
+        }
+        _ => None,
+    }
+}
+
 /// The read side of one fused match → cost → decide pass, bound up
 /// front and free of `&Broker` so it can run (a) under the worker pool
-/// while `pipeline_states` is mutably borrowed, and (b) on serving
+/// while the per-worker states are mutably borrowed, and (b) on serving
 /// executor threads that do not hold the broker at all
-/// ([`crate::PublishView`] wraps one over owned state). Everything here
+/// ([`crate::PublishView`] binds one over owned state). Everything here
 /// is read-only; results land in the caller's [`PublishScratch`].
 ///
 /// Each BLOCK-sized range is matched into the arena, costed in one
 /// batched walk (dense mode), and decided, before the next range starts
-/// — one pass over the data per worker. The per-event arithmetic calls
-/// exactly the functions the sequential `publish` path calls, with a
-/// freshly-epoched scratch per event, so every stored float is
-/// bit-identical to the sequential result regardless of worker count,
-/// interleaving, or which thread runs the pass.
+/// — one pass over the data per worker, with a freshly-epoched cost
+/// scratch per event, so every stored float is the same regardless of
+/// worker count, interleaving, or which thread runs the pass.
 pub(crate) struct FusedPass<'a> {
-    pub(crate) snapshot: &'a EngineSnapshot,
-    pub(crate) policy: &'a DistributionPolicy,
-    pub(crate) delivery: DeliveryMode,
-    pub(crate) publisher: NodeId,
-    pub(crate) alm_dist: Option<&'a [Vec<f64>]>,
-    pub(crate) overlay: Option<MatchOverlay<'a>>,
-    pub(crate) pub_view: SptView<'a>,
-    /// Sparse mode: the rendezvous point's SPT view and the
-    /// publisher → rendezvous distance.
-    pub(crate) sparse: Option<(SptView<'a>, f64)>,
-    pub(crate) degraded: bool,
-    pub(crate) events: &'a [Point],
+    snapshot: &'a EngineSnapshot,
+    policy: &'a DistributionPolicy,
+    delivery: DeliveryMode,
+    publisher: NodeId,
+    alm_dist: Option<&'a [Vec<f64>]>,
+    overlay: Option<MatchOverlay<'a>>,
+    pub_view: SptView<'a>,
+    sparse: Option<(SptView<'a>, f64)>,
+    degraded: bool,
+    events: &'a [Point],
     /// Structure-of-arrays mirror of `events` when the batch arrived
     /// pre-transposed (the staged ingest path); the SIMD blocks then
     /// fill by contiguous column copies.
-    pub(crate) soa: Option<&'a EventSoA>,
+    soa: Option<&'a EventSoA>,
 }
 
-impl FusedPass<'_> {
+impl<'a> FusedPass<'a> {
+    /// Binds a pass over `events` published from `publisher`, whose SPT
+    /// row (and, in sparse mode, the rendezvous point's) must be in
+    /// `spt`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn bind(
+        snapshot: &'a EngineSnapshot,
+        policy: &'a DistributionPolicy,
+        delivery: DeliveryMode,
+        publisher: NodeId,
+        alm_dist: Option<&'a [Vec<f64>]>,
+        overlay: Option<MatchOverlay<'a>>,
+        spt: &'a SptTable,
+        degraded: bool,
+        events: &'a [Point],
+        soa: Option<&'a EventSoA>,
+    ) -> Self {
+        let pub_view = spt.view(publisher).expect("publisher SPT ensured");
+        FusedPass {
+            snapshot,
+            policy,
+            delivery,
+            publisher,
+            alm_dist,
+            overlay,
+            pub_view,
+            sparse: sparse_binding(delivery, spt, pub_view),
+            degraded,
+            events,
+            soa,
+        }
+    }
+
     /// Runs the pass over `ranges` into `state`. See the type docs.
     pub(crate) fn run(&self, state: &mut PublishScratch, ranges: BlockRanges) {
         let FusedPass {
@@ -2946,29 +2631,14 @@ impl FusedPass<'_> {
         let reach_tmp = &mut state.reach_tmp;
         for range in ranges {
             let base = arena.event_count();
-            match (soa, &overlay) {
-                (Some(soa), view) => snapshot.matcher.match_events_soa_into_arena(
-                    events,
-                    soa,
-                    std::iter::once(range.clone()),
-                    view.as_ref(),
-                    matching,
-                    arena,
-                ),
-                (None, Some(view)) => snapshot.matcher.match_events_overlaid_into_arena(
-                    events,
-                    std::iter::once(range.clone()),
-                    view,
-                    matching,
-                    arena,
-                ),
-                (None, None) => snapshot.matcher.match_events_into_arena(
-                    events,
-                    std::iter::once(range.clone()),
-                    matching,
-                    arena,
-                ),
-            }
+            snapshot.matcher.match_events_into_arena(
+                events,
+                soa,
+                std::iter::once(range.clone()),
+                overlay.as_ref(),
+                matching,
+                arena,
+            );
             let count = arena.event_count();
             if degraded {
                 // Mask matched nodes by reachability in the healed
@@ -3683,25 +3353,6 @@ mod tests {
         broker.recompile().unwrap();
         broker.publish(&event).unwrap();
         assert_eq!(broker.scheme_cost_walks(), 3);
-    }
-
-    #[test]
-    fn match_only_into_reuses_caller_buffers() {
-        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
-        let node = broker.topology().stub_nodes()[0];
-        broker
-            .subscribe(node, rect(&[0.0, 0.0], &[10.0, 10.0]))
-            .unwrap();
-        let mut scratch = MatchScratch::new();
-        let mut subs = vec![SubscriptionId(999)];
-        let mut nodes = vec![NodeId(999)];
-        let event = Point::new(vec![2.0, 5.0]).unwrap();
-        broker.match_only_into(&event, &mut scratch, &mut subs, &mut nodes);
-        let (subs2, nodes2) = broker.match_only(&event);
-        assert_eq!(subs, subs2);
-        assert_eq!(nodes, nodes2);
-        assert!(nodes.contains(&node));
-        assert_eq!(broker.report().messages, 0);
     }
 
     #[test]

@@ -62,7 +62,6 @@ mod pipeline;
 mod registry;
 mod snapshot;
 mod spec;
-mod stage;
 mod view;
 
 pub use broker::{Broker, BrokerBuilder, DeliveryMode, GroupHealth, PublishOutcome};
@@ -78,11 +77,10 @@ pub use journal::{
 pub use matcher::{KernelCounters, MatchOverlay, MatchScratch, Matcher, SubscriptionId};
 pub use metrics::{
     ChurnCounters, CostReport, Delivery, LatencyHisto, MessageCosts, MetricsSnapshot,
-    PipelineCounters, RecoveryCounters, HISTO_BUCKETS,
+    PipelineCounters, RecoveryCounters, StageKind, HISTO_BUCKETS,
 };
 pub use pipeline::{BatchMatches, MatchArena, PublishScratch};
 pub use registry::{SubscriptionHandle, SubscriptionRegistry};
 pub use snapshot::EngineSnapshot;
 pub use spec::{Predicate, SubscriptionSpec};
-pub use stage::{PublishStage, StageKind, StagedBatch};
 pub use view::PublishView;

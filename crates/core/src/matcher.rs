@@ -105,16 +105,6 @@ pub struct KernelCounters {
     pub lanes: u64,
 }
 
-impl KernelCounters {
-    /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &KernelCounters) {
-        self.blocks += other.blocks;
-        self.simd_blocks += other.simd_blocks;
-        self.scalar_blocks += other.scalar_blocks;
-        self.lanes += other.lanes;
-    }
-}
-
 /// Reusable per-thread scratch for [`Matcher::match_event_into`]: the
 /// traversal stack and hit buffers of the point query, the subscriber
 /// dedup bitmap, the SoA event block plus per-lane hit buffers of the
@@ -433,21 +423,6 @@ impl Matcher {
         nodes.extend_from_slice(arena.node_slice(0));
     }
 
-    /// The run-level form of [`Matcher::match_event_into`] (merged with
-    /// the churn overlay when `view` is given): the matched
-    /// subscriptions as a lazy [`MatchedSet`] — no id is written out on
-    /// a covered matcher — and the deduplicated subscriber nodes.
-    pub(crate) fn match_event_set(
-        &self,
-        event: &Point,
-        view: Option<&MatchOverlay<'_>>,
-        scratch: &mut MatchScratch,
-    ) -> (MatchedSet, Vec<NodeId>) {
-        self.match_one(event, view, scratch, |arena| {
-            (self.matched_set(arena, 0), arena.node_slice(0).to_vec())
-        })
-    }
-
     /// The subscriptions local event `local` of `arena` matched, as a
     /// lazy set over this matcher's covering runs. `arena` must have
     /// been filled by this matcher.
@@ -614,7 +589,7 @@ impl Matcher {
     fn match_block_append(
         &self,
         events: &[Point],
-        cols: Option<&[&[f64]]>,
+        soa: Option<&EventSoA>,
         start: usize,
         k: usize,
         view: Option<&MatchOverlay<'_>>,
@@ -650,8 +625,8 @@ impl Matcher {
                 // A structure-of-arrays batch fills the block with
                 // contiguous column copies; the fallback transposes the
                 // per-event slices. Same block either way.
-                match cols {
-                    Some(cols) => block.fill_cols(cols, start, k),
+                match soa {
+                    Some(soa) => block.fill_cols(soa, start, k),
                     None => block.fill(&lane_refs[..k]),
                 }
                 flat.query_point_block_at(level, block, block_stack, |id, lanes| {
@@ -664,8 +639,8 @@ impl Matcher {
                 });
             }
             Backend::Compact { index, covering } => {
-                match cols {
-                    Some(cols) => index.fill_block_cols(cols, start, k, qblock),
+                match soa {
+                    Some(soa) => index.fill_block_cols(soa, start, k, qblock),
                     None => index.fill_block(&lane_refs[..k], qblock),
                 }
                 index.query_point_block_at(level, qblock, block_stack, |rep, lanes, amb| {
@@ -700,37 +675,20 @@ impl Matcher {
     /// worker's [`pubsub_parallel::block_ranges`]) into a CSR
     /// [`MatchArena`]: one appended arena event per index, in range
     /// order. The per-event slices are identical to what
-    /// [`Matcher::match_event_into`] produces; nothing is allocated once
-    /// scratch and arena are warm.
+    /// [`Matcher::match_event_into`] (with `view`:
+    /// [`Matcher::match_event_overlaid_into`]) produces; nothing is
+    /// allocated once scratch and arena are warm.
+    ///
+    /// With `soa` — the structure-of-arrays mirror of `events`, same
+    /// coordinates in the same order — the SIMD blocks fill from its
+    /// dimension-major columns (no per-block transpose) while overlay
+    /// queries and covering re-checks read the per-event `events` views.
+    /// The arena slices do not depend on it: the columns hold the same
+    /// `f64`s, only the copy pattern differs.
     pub fn match_events_into_arena<I>(
         &self,
         events: &[Point],
-        ranges: I,
-        scratch: &mut MatchScratch,
-        arena: &mut MatchArena,
-    ) where
-        I: IntoIterator<Item = std::ops::Range<usize>>,
-    {
-        for range in ranges {
-            let mut i = range.start;
-            while i < range.end {
-                let k = (range.end - i).min(LANES);
-                self.match_block_append(events, None, i, k, None, scratch, arena);
-                i += k;
-            }
-        }
-    }
-
-    /// [`Matcher::match_events_into_arena`] over a structure-of-arrays
-    /// batch: the SIMD blocks fill from `soa`'s dimension-major columns
-    /// (no per-block transpose) while overlay queries and covering
-    /// re-checks read the matching per-event `events` views. The arena
-    /// slices are bit-identical to the array-of-structs path — the
-    /// columns hold the same `f64`s, only the copy pattern differs.
-    pub fn match_events_soa_into_arena<I>(
-        &self,
-        events: &[Point],
-        soa: &EventSoA,
+        soa: Option<&EventSoA>,
         ranges: I,
         view: Option<&MatchOverlay<'_>>,
         scratch: &mut MatchScratch,
@@ -738,35 +696,12 @@ impl Matcher {
     ) where
         I: IntoIterator<Item = std::ops::Range<usize>>,
     {
-        debug_assert_eq!(soa.len(), events.len());
-        let cols: Vec<&[f64]> = (0..soa.dims()).map(|d| soa.col(d)).collect();
+        debug_assert!(soa.is_none_or(|s| s.len() == events.len()));
         for range in ranges {
             let mut i = range.start;
             while i < range.end {
                 let k = (range.end - i).min(LANES);
-                self.match_block_append(events, Some(&cols), i, k, view, scratch, arena);
-                i += k;
-            }
-        }
-    }
-
-    /// [`Matcher::match_events_into_arena`] merged with a churn overlay —
-    /// per-event slices identical to [`Matcher::match_event_overlaid_into`].
-    pub fn match_events_overlaid_into_arena<I>(
-        &self,
-        events: &[Point],
-        ranges: I,
-        view: &MatchOverlay<'_>,
-        scratch: &mut MatchScratch,
-        arena: &mut MatchArena,
-    ) where
-        I: IntoIterator<Item = std::ops::Range<usize>>,
-    {
-        for range in ranges {
-            let mut i = range.start;
-            while i < range.end {
-                let k = (range.end - i).min(LANES);
-                self.match_block_append(events, None, i, k, Some(view), scratch, arena);
+                self.match_block_append(events, soa, i, k, view, scratch, arena);
                 i += k;
             }
         }
@@ -923,14 +858,16 @@ mod tests {
         aos.begin();
         m.match_events_into_arena(
             &events,
+            None,
             std::iter::once(0..events.len()),
+            None,
             &mut scratch,
             &mut aos,
         );
         via_soa.begin();
-        m.match_events_soa_into_arena(
+        m.match_events_into_arena(
             &events,
-            &soa,
+            Some(&soa),
             std::iter::once(0..events.len()),
             None,
             &mut scratch,
@@ -1067,7 +1004,9 @@ mod tests {
             arena.begin();
             covered.match_events_into_arena(
                 &events,
+                None,
                 std::iter::once(0..events.len()),
+                None,
                 &mut scratch,
                 &mut arena,
             );

@@ -232,7 +232,11 @@ pub struct ChurnCounters {
 /// Assembled by `Broker::pipeline_counters`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct PipelineCounters {
-    /// Batches pushed through `publish_batch` / `publish_batch_stats`.
+    /// Passes through the publish pipeline: every `publish_batch` /
+    /// `publish_batch_stats` call (one per fault-clock segment under a
+    /// fault plan), every single `publish` / `publish_from` — a
+    /// one-event batch — and every staged batch folded by
+    /// `Broker::fold_staged`.
     pub batches: u64,
     /// Batches fanned out on the persistent worker pool (> 1 worker).
     pub pooled_batches: u64,
@@ -310,6 +314,29 @@ pub struct PipelineCounters {
     /// stamping), recorded by the serving path.
     #[serde(default)]
     pub stage_egress: LatencyHisto,
+}
+
+/// Which serving stage a latency sample belongs to — the index of the
+/// `stage_*` histograms in [`PipelineCounters`]; see
+/// `Broker::note_stage_latency`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum StageKind {
+    /// Transport-in: submission → dequeue by the pipeline stage
+    /// (per-event queueing delay in the ingest queue). The sum of
+    /// [`StageKind::Batcher`] and [`StageKind::QueueWait`], kept whole
+    /// for cross-version comparability.
+    Ingest,
+    /// Transport-in split: submission → shard-batcher flush (per-event
+    /// residency under the size-or-deadline trigger).
+    Batcher,
+    /// Transport-in split: batcher flush → dequeue by a pipeline
+    /// executor (per-event wait in the bounded ingest queue).
+    QueueWait,
+    /// The fused match → cost → decide pass plus the in-order fold
+    /// (per-batch).
+    Pipeline,
+    /// Transport-out: delivery fan-out and record stamping (per-batch).
+    Egress,
 }
 
 /// Counters describing crash-recovery activity: journal replays at

@@ -30,7 +30,7 @@ use crate::{Decision, MatchedSet, Matcher, SubscriptionId, UnicastReason};
 /// hits and tombstone-filtered runs on a covered one), the match count,
 /// and the deduplicated interested nodes. Each vector is cut into
 /// per-event slices by an offsets vector. Filled through
-/// `Matcher::match_events_into_arena` (or the overlaid variant); reset
+/// `Matcher::match_events_into_arena`; reset
 /// with [`MatchArena::begin`], which keeps the capacity so a warm arena
 /// never allocates.
 #[derive(Debug, Default, Clone)]
@@ -253,8 +253,8 @@ pub(crate) struct EventMeta {
 
 impl EventMeta {
     /// Re-expands the tag into the `Decision` / `group_region` pair of
-    /// `PublishOutcome` — bit-identical to what the sequential path's
-    /// `DistributionPolicy::decide_counts` returned in the worker.
+    /// `PublishOutcome` — what `DistributionPolicy::decide_counts`
+    /// returned in the worker.
     pub fn decode(&self) -> (Decision, Option<usize>) {
         let region = (self.group != NO_GROUP).then_some(self.group as usize);
         let decision = match self.decision {

@@ -108,9 +108,9 @@ impl PublishView {
     }
 
     /// Runs the fused match → cost → decide pass over `events` into
-    /// `scratch` (reset first), exactly as one synchronous
-    /// single-worker `Broker::publish_batch` pass would — bit-identical
-    /// arena slices and per-event meta. When `soa` is given it must
+    /// `scratch` (reset first) — the read half of the broker's publish
+    /// core, the very pass a synchronous single-worker
+    /// `Broker::publish_batch` runs. When `soa` is given it must
     /// mirror `events` (same coordinates in append order); the SIMD
     /// blocks then fill from its columns without transposing.
     ///
@@ -149,27 +149,18 @@ impl PublishView {
             base_count: o.base_count,
             max_node: o.max_node,
         });
-        let pub_view = self.spt.view(self.publisher).expect("publisher row cloned");
-        let sparse = match self.delivery {
-            DeliveryMode::SparseMode { rendezvous } => {
-                let rp_view = self.spt.view(rendezvous).expect("rendezvous row cloned");
-                Some((rp_view, pub_view.dist(rendezvous)))
-            }
-            _ => None,
-        };
-        let pass = FusedPass {
-            snapshot: &self.snapshot,
-            policy: &self.policy,
-            delivery: self.delivery,
-            publisher: self.publisher,
-            alm_dist: self.alm_dist.as_deref(),
+        let pass = FusedPass::bind(
+            &self.snapshot,
+            &self.policy,
+            self.delivery,
+            self.publisher,
+            self.alm_dist.as_deref(),
             overlay,
-            pub_view,
-            sparse,
-            degraded: false,
+            &self.spt,
+            false,
             events,
             soa,
-        };
+        );
         pubsub_parallel::pipeline_inline(scratch, events.len(), |_w, state, ranges| {
             pass.run(state, ranges)
         });

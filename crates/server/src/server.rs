@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use pubsub_core::{
     Broker, BrokerError, LatencyHisto, MetricsSnapshot, PublishOutcome, PublishScratch,
-    PublishStage, PublishView, StageKind, SubscriptionHandle,
+    PublishView, StageKind, SubscriptionHandle,
 };
 use pubsub_geom::{Point, Rect};
 use pubsub_netsim::NodeId;
@@ -1108,40 +1108,35 @@ pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
 
 /// Runs one batch through the engine on the fold side. Fault-free
 /// batches (an executor's view pass was refused) take the fused pipeline
-/// in one go; under an active fault plan each event runs as its own
-/// one-event batch so a mid-batch abort (publisher down) cannot leave
-/// recorded events without records — see the module docs.
+/// in one go; under an active fault plan each event is published on its
+/// own so a mid-batch abort (publisher down) cannot leave recorded
+/// events without records — see the module docs.
 #[allow(clippy::type_complexity)]
 fn process(
     broker: &mut Broker,
     points: &[Point],
     threads: Option<usize>,
 ) -> (Vec<Result<PublishOutcome, String>>, u64) {
-    if broker.faults_active() {
-        let results = points
+    // Publishing never swaps the snapshot, so the epoch read afterwards
+    // is the one the whole batch was matched and costed under.
+    let results = if broker.faults_active() {
+        points
             .iter()
-            .map(|p| {
-                broker
-                    .process_batch(std::slice::from_ref(p), threads)
-                    .map(|mut staged| staged.outcomes.pop().expect("one outcome per event"))
-                    .map_err(|e| e.to_string())
-            })
-            .collect();
-        return (results, broker.epoch());
-    }
-    match broker.process_batch(points, threads) {
-        Ok(staged) => {
-            let epoch = staged.epoch;
-            (staged.outcomes.into_iter().map(Ok).collect(), epoch)
+            .map(|p| broker.publish(p).map_err(|e| e.to_string()))
+            .collect()
+    } else {
+        match broker.publish_batch(points, threads) {
+            Ok(outcomes) => outcomes.into_iter().map(Ok).collect(),
+            // Whole-batch validation failure: nothing recorded, every
+            // event gets the error (submit-side dimension checks make
+            // this rare).
+            Err(err) => {
+                let msg = err.to_string();
+                points.iter().map(|_| Err(msg.clone())).collect()
+            }
         }
-        // Whole-batch validation failure: nothing recorded, every event
-        // gets the error (submit-side dimension checks make this rare).
-        Err(err) => {
-            let msg = err.to_string();
-            let epoch = broker.epoch();
-            (points.iter().map(|_| Err(msg.clone())).collect(), epoch)
-        }
-    }
+    };
+    (results, broker.epoch())
 }
 
 /// What must survive an egress thread: the sink, the totals, and the

@@ -3,21 +3,33 @@
 //! *non-empty* plan publishing through the segmented batch pipeline
 //! (pooled or inline) is bit-identical — outcomes, costs, hysteresis
 //! state and the cumulative report — to a sequential loop of
-//! `publish` calls over the same plan.
+//! `publish` calls over the same plan. The publisher is a parameter of
+//! that one path: `publish_from(p, ..)` equals `publish` on a broker
+//! built with publisher `p`, fault for fault.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
-use pubsub::core::{Broker, PublishOutcome};
+use pubsub::core::{Broker, BrokerError, PublishOutcome};
 use pubsub::geom::{Point, Rect, Space};
-use pubsub::netsim::{FaultEvent, FaultPlan, TransitStubConfig};
+use pubsub::netsim::{FaultEvent, FaultPlan, NetError, NodeId, TransitStubConfig};
 use pubsub::parallel::WorkerPool;
 
 /// (node pick, (x origin, width), (y origin, height)).
 type SubSpec = (usize, (f64, f64), (f64, f64));
 
 fn build(topo_seed: u64, threshold: f64, subs: &[SubSpec]) -> Broker {
+    build_from(topo_seed, threshold, subs, None)
+}
+
+/// [`build`] with an explicit publisher (`None` = the builder's default).
+fn build_from(
+    topo_seed: u64,
+    threshold: f64,
+    subs: &[SubSpec],
+    publisher: Option<NodeId>,
+) -> Broker {
     let topo = TransitStubConfig::tiny().generate(topo_seed).unwrap();
     let nodes = topo.stub_nodes().to_vec();
     let space = Space::anonymous(Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap()).unwrap();
@@ -29,6 +41,9 @@ fn build(topo_seed: u64, threshold: f64, subs: &[SubSpec]) -> Broker {
         let node = nodes[n % nodes.len()];
         let rect = Rect::from_corners(&[*x, *y], &[(x + w).min(10.0), (y + h).min(10.0)]).unwrap();
         b = b.subscription(node, rect);
+    }
+    if let Some(p) = publisher {
+        b = b.publisher(p);
     }
     b.build().unwrap()
 }
@@ -193,5 +208,75 @@ proptest! {
             }
         }
         prop_assert_eq!(stats.report(), seq.report());
+    }
+}
+
+/// The publisher is an argument of the one publish core, not a second
+/// path: under one fault plan, `publish_from(p, e)` on a broker built
+/// with the default publisher equals `publish(e)` on a broker built
+/// with `.publisher(p)` — outcome by outcome and report bit for bit —
+/// through the pristine steps, the degraded ones (matched subscribers
+/// down, a link of `p` cut and restored) and the `Unreachable` aborts
+/// while `p` itself is down.
+#[test]
+fn publish_from_equals_a_broker_built_with_that_publisher() {
+    let subs: Vec<SubSpec> = (0..16)
+        .map(|i| {
+            (
+                i % 4,
+                ((i % 5) as f64 * 1.5, 3.0),
+                ((i % 3) as f64 * 2.5, 4.0),
+            )
+        })
+        .collect();
+    for topo_seed in [3u64, 11, 19] {
+        let topo = TransitStubConfig::tiny().generate(topo_seed).unwrap();
+        let stubs = topo.stub_nodes();
+        let hosts: Vec<NodeId> = subs.iter().map(|s| stubs[s.0 % stubs.len()]).collect();
+        let p = *stubs
+            .iter()
+            .find(|n| !hosts.contains(n))
+            .expect("a stub node without subscriptions");
+        let (next_hop, _) = topo.graph().neighbors(p).next().expect("p has a link");
+
+        let mut plan = FaultPlan::new();
+        plan.push(6, FaultEvent::NodeDown { node: hosts[0] });
+        plan.push(10, FaultEvent::NodeDown { node: hosts[1] });
+        plan.push(14, FaultEvent::LinkCut { a: p, b: next_hop });
+        plan.push(18, FaultEvent::LinkRestore { a: p, b: next_hop });
+        plan.push(22, FaultEvent::NodeDown { node: p });
+        plan.push(28, FaultEvent::NodeUp { node: p });
+        plan.push(32, FaultEvent::NodeUp { node: hosts[0] });
+
+        let mut a = build(topo_seed, 0.1, &subs);
+        let mut b = build_from(topo_seed, 0.1, &subs, Some(p));
+        assert_ne!(a.publisher(), p);
+        assert_eq!(b.publisher(), p);
+        a.install_fault_plan(plan.clone()).unwrap();
+        b.install_fault_plan(plan).unwrap();
+
+        let (mut masked, mut aborted) = (0, 0);
+        for i in 0..40u32 {
+            let e = Point::new(vec![f64::from(i % 8) + 0.5, f64::from(i % 6) + 0.5]).unwrap();
+            match (a.publish_from(p, &e), b.publish(&e)) {
+                (Ok(x), Ok(y)) => {
+                    assert_bit_identical(&x, &y).unwrap();
+                    masked += usize::from(!x.unreachable.is_empty());
+                }
+                (Err(x), Err(y)) => {
+                    assert!(matches!(
+                        x,
+                        BrokerError::Net(NetError::Unreachable { node }) if node == p.0
+                    ));
+                    assert_eq!(format!("{x:?}"), format!("{y:?}"));
+                    aborted += 1;
+                }
+                (x, y) => panic!("step {i}: {x:?} vs {y:?}"),
+            }
+        }
+        assert_eq!(aborted, 6, "steps 22..28 publish from a downed node");
+        assert!(masked > 0, "the plan must mask some matched subscriber");
+        assert_eq!(a.report(), b.report());
+        assert_eq!(a.report().messages, 34);
     }
 }

@@ -1,18 +1,24 @@
-//! The fused-pipeline parity property: `publish_batch` on the persistent
-//! worker pool is bit-identical to a sequential `publish` loop — same
-//! subscription ids, interested nodes, decisions and message costs to
-//! the last bit, and the same cumulative report — for any worker count,
-//! on a freshly compiled snapshot AND mid-churn with a non-empty overlay
-//! and tombstones. Also exercises pool sharing (two brokers, one pool)
-//! and clean shutdown on drop.
+//! The fused-pipeline parity properties. Chunking invariance:
+//! `publish_batch` on the persistent worker pool is bit-identical to a
+//! `publish` loop (N events at T workers == N one-event batches inline)
+//! — same subscription ids, interested nodes, decisions and message
+//! costs to the last bit, and the same cumulative report — for any
+//! worker count, on a freshly compiled snapshot AND mid-churn with a
+//! non-empty overlay and tombstones. Since `publish` is itself a
+//! one-event batch, correctness rests on an independent reference:
+//! `outcomes_equal_an_independent_oracle` recomputes every outcome from
+//! the registry, the policy and node-based SPT walks. Also exercises
+//! pool sharing (two brokers, one pool) and clean shutdown on drop.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
-use pubsub::core::{Broker, CostReport, DeliveryMode, PublishOutcome};
+use pubsub::core::{Broker, CostReport, Decision, DeliveryMode, PublishOutcome};
 use pubsub::geom::{Point, Rect, Space};
-use pubsub::netsim::{NodeId, TransitStubConfig};
+use pubsub::netsim::{
+    dijkstra, multicast_tree_cost, sparse_mode_cost, unicast_cost, NodeId, TransitStubConfig,
+};
 use pubsub::parallel::WorkerPool;
 
 /// (node pick, (x origin, width), (y origin, height)).
@@ -153,8 +159,97 @@ fn assert_reports_identical(a: &CostReport, b: &CostReport) {
     assert_eq!(a.wasted_deliveries, b.wasted_deliveries);
 }
 
+/// Recomputes every outcome from first principles and compares: the
+/// interested set by a linear scan of the live registry, the decision
+/// from the policy over `(region, |s|, |M_q|)`, and the costs by the
+/// node-based walks over a fresh Dijkstra tree — nothing the publish
+/// path itself runs.
+fn assert_outcomes_match_oracle(broker: &Broker, events: &[Point], outcomes: &[PublishOutcome]) {
+    assert_eq!(outcomes.len(), events.len());
+    let graph = broker.topology().graph();
+    let spt = dijkstra(graph, broker.publisher());
+    let rendezvous = match broker.delivery_mode() {
+        DeliveryMode::SparseMode { rendezvous } => {
+            Some((dijkstra(graph, rendezvous), spt.dist(rendezvous)))
+        }
+        _ => None,
+    };
+    let dense = broker.delivery_mode() == DeliveryMode::DenseMode;
+    for (event, out) in events.iter().zip(outcomes) {
+        let mut want: Vec<NodeId> = broker
+            .registry()
+            .live()
+            .filter(|(_, _, rect)| rect.contains_point(event))
+            .map(|(_, node, _)| node)
+            .collect();
+        want.sort();
+        want.dedup();
+        assert_eq!(out.interested, want, "event {event:?}");
+        assert!(out.unreachable.is_empty());
+
+        let region = broker.partition().group_of_point(event);
+        let members = region.map_or(&[][..], |q| broker.groups().members(q));
+        assert_eq!(out.group_region, region);
+        assert_eq!(
+            out.decision,
+            broker
+                .policy()
+                .decide_counts(region, want.len(), members.len()),
+            "event {event:?}"
+        );
+
+        let unicast = unicast_cost(&spt, &want);
+        assert_eq!(out.costs.unicast.to_bits(), unicast.to_bits());
+        // Application-level multicast has no node-walk oracle; its
+        // interested set, decision and unicast cost are still checked.
+        let send = |receivers: &[NodeId]| match &rendezvous {
+            Some((rp_spt, pub_to_rp)) => Some(sparse_mode_cost(rp_spt, *pub_to_rp, receivers)),
+            None if dense => Some(multicast_tree_cost(&spt, receivers)),
+            None => None,
+        };
+        if let Some(ideal) = send(&want) {
+            assert_eq!(out.costs.ideal.to_bits(), ideal.to_bits());
+        }
+        match out.decision {
+            Decision::Drop => assert_eq!(out.costs.scheme.to_bits(), 0f64.to_bits()),
+            Decision::Unicast { .. } => {
+                assert_eq!(out.costs.scheme.to_bits(), unicast.to_bits());
+            }
+            Decision::Multicast { group } => {
+                if let Some(scheme) = send(broker.groups().members(group)) {
+                    assert_eq!(out.costs.scheme.to_bits(), scheme.to_bits());
+                }
+            }
+            Decision::PartialMulticast { .. } => panic!("no fault plan is installed"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// Every outcome of `publish_batch` (inline and pooled) and of a
+    /// `publish` loop equals the independent oracle — compiled snapshot
+    /// and mid-churn, across the delivery modes.
+    #[test]
+    fn outcomes_equal_an_independent_oracle(s in scenario_strategy()) {
+        let pool = Arc::new(WorkerPool::new(3));
+        let events = events_of(&s);
+        for churned in [false, true] {
+            for threads in [Some(1usize), Some(3), None] {
+                let (mut broker, nodes) = build_broker(&s, Some(Arc::clone(&pool)));
+                if churned {
+                    apply_churn(&mut broker, &s, &nodes);
+                    prop_assert!(broker.churn_counters().tombstone_len > 0);
+                }
+                let outcomes: Vec<_> = match threads {
+                    Some(_) => broker.publish_batch(&events, threads).unwrap(),
+                    None => events.iter().map(|e| broker.publish(e).unwrap()).collect(),
+                };
+                assert_outcomes_match_oracle(&broker, &events, &outcomes);
+            }
+        }
+    }
 
     /// Pooled `publish_batch` == sequential `publish` loop, bit for bit,
     /// for thread counts below, at, and above the pool size — compiled
