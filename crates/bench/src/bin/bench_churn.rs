@@ -131,7 +131,7 @@ fn main() {
             .expect("testbed subscription is valid");
     }
     assert_eq!(
-        overlay_broker.churn_counters().overlay_len,
+        overlay_broker.metrics_snapshot().churn.overlay_len,
         total - compiled,
         "the overlay must still be pending"
     );
@@ -244,7 +244,7 @@ fn main() {
     let churn_eps = n as f64 / best_churn;
     let static_chunked_latency = batch_quantiles(&mut static_chunked_lat_ns);
     let churn_latency = batch_quantiles(&mut churn_lat_ns);
-    let churn_counters = churn_broker.churn_counters();
+    let churn_counters = churn_broker.metrics_snapshot().churn;
 
     let overlay_overhead_pct = 100.0 * (1.0 - overlay_eps / static_eps);
     let churn_overhead_pct = 100.0 * (1.0 - churn_eps / static_chunked_eps);

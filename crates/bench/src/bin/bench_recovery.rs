@@ -124,7 +124,7 @@ fn recovery_vs_journal_length(lengths: &[usize]) -> Vec<RecoveryCell> {
             .recover()
             .unwrap();
         let recover_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let counters = recovered.recovery_counters();
+        let counters = recovered.metrics_snapshot().recovery;
         let live = recovered.registry().live().count();
         println!(
             "{:<12} {:>10} {:>10} {:>12} {:>10.2}",

@@ -44,7 +44,7 @@ use pubsub_bench::{
     build_broker, build_testbed, host_info, sample_events, scenario, HostInfo, Seeds, Testbed,
 };
 use pubsub_clustering::ClusteringAlgorithm;
-use pubsub_core::{DeliveryMode, MetricsSnapshot};
+use pubsub_core::DeliveryMode;
 use pubsub_geom::Point;
 use pubsub_server::{LatencySink, RejectReason, ServingConfig, StagedServer};
 use pubsub_workload::{Modes, OpenLoopConfig, PublicationModel};
@@ -82,7 +82,7 @@ struct Output {
     p50_ms: f64,
     p99_ms: f64,
     p999_ms: f64,
-    /// Per-stage latency medians from the broker's own histograms.
+    /// Per-stage latency medians from the server's stage histograms.
     /// Ingest is the submission→executor-dequeue total; the next two
     /// split it into time buffered in the shard batcher and time queued
     /// behind the dispatcher.
@@ -92,7 +92,6 @@ struct Output {
     stage_pipeline_p50_ns: f64,
     stage_egress_p50_ns: f64,
     ingest_queue_max_depth: u64,
-    ingest_rejected: u64,
 }
 
 fn percentile(sorted: &[u64], q: f64) -> u64 {
@@ -169,8 +168,9 @@ fn run_cell(
     let closed_eps = probe_stats.delivered as f64 / t0.elapsed().as_secs_f64();
     let offered_rate = (0.5 * closed_eps).clamp(5_000.0, 400_000.0);
 
-    // A fresh broker for the measured run, so its metrics histograms
-    // don't inherit the probe's (the broker build is deterministic).
+    // A fresh broker for the measured run, so its counters and cost
+    // report don't inherit the probe's (the broker build is
+    // deterministic).
     let broker = build_broker(
         testbed,
         model,
@@ -231,14 +231,12 @@ fn run_cell(
             Err(RejectReason::Malformed) => unreachable!("pool events match the space"),
         }
     }
-    let (broker, stats) = server.stop();
+    let (_, stats) = server.stop();
     let elapsed = (Instant::now() - start).as_secs_f64();
     assert_eq!(rejected_closed, 0, "server closed mid-replay");
 
     let mut latencies = sink.take();
     latencies.sort_unstable();
-    let snapshot: MetricsSnapshot = broker.metrics_snapshot();
-    let counters = snapshot.pipeline;
 
     let delivered = stats.delivered;
     let sustained = delivered as f64 / elapsed;
@@ -265,14 +263,13 @@ fn run_cell(
     );
     println!(
         "stage medians: ingest {:.3} ms (batcher {:.3} + queue-wait {:.3}), \
-         pipeline {:.3} ms, egress {:.3} ms; queue max depth {}, rejected {}",
-        counters.stage_ingest.quantile_ns(0.5) / 1e6,
-        counters.stage_batcher.quantile_ns(0.5) / 1e6,
-        counters.stage_queue_wait.quantile_ns(0.5) / 1e6,
-        counters.stage_pipeline.quantile_ns(0.5) / 1e6,
-        counters.stage_egress.quantile_ns(0.5) / 1e6,
-        counters.ingest_queue_max_depth,
-        counters.ingest_rejected
+         pipeline {:.3} ms, egress {:.3} ms; queue max depth {}",
+        stats.stage_ingest.quantile_ns(0.5) / 1e6,
+        stats.stage_batcher.quantile_ns(0.5) / 1e6,
+        stats.stage_queue_wait.quantile_ns(0.5) / 1e6,
+        stats.stage_pipeline.quantile_ns(0.5) / 1e6,
+        stats.stage_egress.quantile_ns(0.5) / 1e6,
+        stats.ingest_queue_max_depth,
     );
 
     // Every accepted event must have exactly one fate at the sink.
@@ -302,13 +299,12 @@ fn run_cell(
         p50_ms: p50 as f64 / 1e6,
         p99_ms: p99 as f64 / 1e6,
         p999_ms: p999 as f64 / 1e6,
-        stage_ingest_p50_ns: counters.stage_ingest.quantile_ns(0.5),
-        stage_batcher_p50_ns: counters.stage_batcher.quantile_ns(0.5),
-        stage_queue_wait_p50_ns: counters.stage_queue_wait.quantile_ns(0.5),
-        stage_pipeline_p50_ns: counters.stage_pipeline.quantile_ns(0.5),
-        stage_egress_p50_ns: counters.stage_egress.quantile_ns(0.5),
-        ingest_queue_max_depth: counters.ingest_queue_max_depth,
-        ingest_rejected: counters.ingest_rejected,
+        stage_ingest_p50_ns: stats.stage_ingest.quantile_ns(0.5),
+        stage_batcher_p50_ns: stats.stage_batcher.quantile_ns(0.5),
+        stage_queue_wait_p50_ns: stats.stage_queue_wait.quantile_ns(0.5),
+        stage_pipeline_p50_ns: stats.stage_pipeline.quantile_ns(0.5),
+        stage_egress_p50_ns: stats.stage_egress.quantile_ns(0.5),
+        ingest_queue_max_depth: stats.ingest_queue_max_depth,
     }
 }
 

@@ -44,8 +44,7 @@ use serde::{Deserialize, Serialize};
 use crate::journal::{DurableJournal, JournalConfig, JournalOp, RegistryImage};
 use crate::matcher::{self, MatchOverlay};
 use crate::metrics::{
-    ChurnCounters, Delivery, LatencyHisto, MetricsSnapshot, PipelineCounters, RecoveryCounters,
-    StageKind,
+    ChurnCounters, Delivery, MetricsSnapshot, PipelineCounters, RecoveryCounters,
 };
 use crate::pipeline::{BatchMatches, DecisionTag, EventMeta, PublishScratch, NO_GROUP};
 use crate::view::{OwnedOverlay, PublishView};
@@ -364,8 +363,6 @@ impl BrokerBuilder {
         journal.write_snapshot(&broker.registry)?;
         broker.journal = Some(journal);
         broker.recovery = RecoveryCounters {
-            restarts: 0,
-            replayed_batches: 0,
             truncated_records: replay.truncated_records,
             recovery_ms: start.elapsed().as_millis() as u64,
             replayed_ops,
@@ -844,8 +841,7 @@ pub struct Broker {
     /// churn path exactly as it was — no I/O, no clones, no allocation.
     journal: Option<DurableJournal>,
     /// Counters describing the recovery that produced this broker (all
-    /// zero for a broker built fresh) plus supervisor restarts reported
-    /// via [`Broker::note_recovery`].
+    /// zero for a broker built fresh).
     recovery: RecoveryCounters,
 }
 
@@ -910,7 +906,7 @@ impl Broker {
     ///
     /// A one-event batch on the calling thread: it runs the same pass
     /// and fold as [`Broker::publish_batch`], counts in
-    /// [`Broker::pipeline_counters`] like any other batch, and never
+    /// [`MetricsSnapshot::pipeline`] like any other batch, and never
     /// creates or wakes a worker pool.
     ///
     /// # Errors
@@ -1704,10 +1700,11 @@ impl Broker {
                 let view = spt.view(publisher).expect("publisher SPT ensured");
                 multicast_tree_cost_flat(view, members, scratch)
             }
-            DeliveryMode::SparseMode { rendezvous } => {
+            DeliveryMode::SparseMode { .. } => {
                 let pub_view = spt.view(publisher).expect("publisher SPT ensured");
-                let rp_view = spt.view(rendezvous).expect("rendezvous SPT built");
-                sparse_mode_cost_flat(rp_view, pub_view.dist(rendezvous), members, scratch)
+                let (rp_view, rp_dist) =
+                    sparse_binding(delivery, spt, pub_view).expect("sparse mode binds");
+                sparse_mode_cost_flat(rp_view, rp_dist, members, scratch)
             }
             DeliveryMode::ApplicationLevel => Self::alm_cost(
                 alm_dist.expect("ALM mode precomputes this"),
@@ -2164,32 +2161,6 @@ impl Broker {
         Ok(())
     }
 
-    /// Re-clusters the event space with a different configuration by
-    /// recompiling the engine into a fresh snapshot (the matcher is
-    /// rebuilt too, identically — matching behaviour does not change).
-    /// The routing caches and the report are kept; per-group threshold
-    /// overrides are cleared (group identities change).
-    ///
-    /// # Errors
-    ///
-    /// Propagates clustering configuration errors; the broker is left
-    /// unchanged on error.
-    pub fn set_clustering(&mut self, config: &ClusteringConfig) -> Result<(), BrokerError> {
-        let old_config = self.compile.clustering;
-        // The mirror clusterer bakes in the old config; drop it so it is
-        // lazily recreated with the new one.
-        let old_churn = self.churn.take();
-        self.compile.clustering = *config;
-        match self.recompile_inner() {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.compile.clustering = old_config;
-                self.churn = old_churn;
-                Err(e)
-            }
-        }
-    }
-
     /// Matches an event without publishing: no decision, no cost, no
     /// report mutation. Returns the matching subscription ids and the
     /// deduplicated interested subscriber nodes, merging the churn
@@ -2218,105 +2189,30 @@ impl Broker {
         self.snapshot.epoch
     }
 
-    /// Churn/epoch counters: subscribes, unsubscribes, recompiles, local
-    /// refreshes, and the current overlay/tombstone backlog.
-    pub fn churn_counters(&self) -> ChurnCounters {
-        let mut counters = self.counters;
-        counters.epoch = self.snapshot.epoch;
-        if let Some(churn) = &self.churn {
-            counters.overlay_len = churn.overlay.len();
-            counters.tombstone_len = churn.tombstones.len();
-        }
-        counters
-    }
-
-    /// How many scheme-cost tree walks have actually run (memo misses).
-    /// Diagnostics for the epoch-keyed per-publisher memo.
-    pub fn scheme_cost_walks(&self) -> u64 {
-        self.scheme_walks
-    }
-
-    /// Batch-pipeline counters: pooled vs inline dispatches, events
-    /// processed, the largest worker fan-out, and how often the
-    /// per-worker arenas grew (stops moving once the states are warm).
-    pub fn pipeline_counters(&self) -> PipelineCounters {
-        self.pipeline_counters
-    }
-
-    /// One coherent snapshot of every counter family — epoch, cost
-    /// report, churn counters, pipeline/serving counters and memo
-    /// misses — for serving front-ends and benchmarks that poll metrics
-    /// as a unit instead of stitching the individual accessors together.
+    /// One coherent snapshot of the broker's counters — epoch, cost
+    /// report, churn counters, pipeline counters, scheme-cost memo misses
+    /// and journal-recovery counters — and the only way to read them.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let mut churn = self.counters;
+        churn.epoch = self.snapshot.epoch;
+        if let Some(state) = &self.churn {
+            churn.overlay_len = state.overlay.len();
+            churn.tombstone_len = state.tombstones.len();
+        }
         MetricsSnapshot {
             epoch: self.snapshot.epoch,
             report: self.report,
-            churn: self.churn_counters(),
+            churn,
             pipeline: self.pipeline_counters,
             scheme_cost_walks: self.scheme_walks,
             recovery: self.recovery,
         }
     }
 
-    /// Counters describing the recovery that produced this broker and
-    /// any supervisor restarts reported since (all zero for a broker that
-    /// was built fresh and never supervised through a failure).
-    pub fn recovery_counters(&self) -> RecoveryCounters {
-        self.recovery
-    }
-
-    /// Reports supervised-restart work from a serving front-end:
-    /// `restarts` stage restarts and `replayed_batches` in-flight batches
-    /// replayed from the sequence window (both deltas, accumulated).
-    pub fn note_recovery(&mut self, restarts: u64, replayed_batches: u64) {
-        self.recovery.restarts += restarts;
-        self.recovery.replayed_batches += replayed_batches;
-    }
-
     /// The attached durable journal — its WAL length, directory and
     /// self-statistics. `None` for journal-less brokers (the default).
     pub fn journal(&self) -> Option<&DurableJournal> {
         self.journal.as_ref()
-    }
-
-    /// Reports an observed ingest-queue depth from a serving front-end;
-    /// the counters keep the high-water mark
-    /// ([`PipelineCounters::ingest_queue_max_depth`]).
-    pub fn note_queue_depth(&mut self, depth: u64) {
-        let gauge = &mut self.pipeline_counters.ingest_queue_max_depth;
-        *gauge = (*gauge).max(depth);
-    }
-
-    /// Reports submissions the serving front-end rejected under
-    /// backpressure (accumulates into
-    /// [`PipelineCounters::ingest_rejected`]).
-    pub fn note_rejected(&mut self, rejected: u64) {
-        self.pipeline_counters.ingest_rejected += rejected;
-    }
-
-    /// Records one serving-stage latency sample into the matching
-    /// fixed-bucket histogram (see [`StageKind`] for what each stage
-    /// covers and its sampling granularity).
-    pub fn note_stage_latency(&mut self, stage: StageKind, ns: u64) {
-        self.stage_histo(stage).record(ns);
-    }
-
-    /// Folds a whole histogram kept by another stage's thread into the
-    /// broker's counters — how the egress stage (which cannot touch the
-    /// broker while the pipeline stage owns it) hands its latencies back
-    /// at shutdown.
-    pub fn merge_stage_latencies(&mut self, stage: StageKind, histo: &LatencyHisto) {
-        self.stage_histo(stage).merge(histo);
-    }
-
-    fn stage_histo(&mut self, stage: StageKind) -> &mut LatencyHisto {
-        match stage {
-            StageKind::Ingest => &mut self.pipeline_counters.stage_ingest,
-            StageKind::Batcher => &mut self.pipeline_counters.stage_batcher,
-            StageKind::QueueWait => &mut self.pipeline_counters.stage_queue_wait,
-            StageKind::Pipeline => &mut self.pipeline_counters.stage_pipeline,
-            StageKind::Egress => &mut self.pipeline_counters.stage_egress,
-        }
     }
 
     /// Installs (or replaces) the persistent [`WorkerPool`] behind the
@@ -3054,35 +2950,6 @@ mod tests {
     }
 
     #[test]
-    fn set_clustering_rebuilds_groups_in_place() {
-        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
-        let event = Point::new(vec![2.0, 5.0]).unwrap();
-        let before = broker.publish(&event).unwrap();
-        let groups_before = broker.groups().len();
-
-        broker
-            .set_clustering(&ClusteringConfig::new(
-                ClusteringAlgorithm::MinimumSpanningTree,
-                4,
-            ))
-            .unwrap();
-        assert!(broker.groups().len() <= 4);
-        assert_ne!(broker.groups().len(), 0);
-        // Matching is untouched; only the group structure changed.
-        let after = broker.publish(&event).unwrap();
-        assert_eq!(after.interested, before.interested);
-        // The report kept accumulating across the swap.
-        assert_eq!(broker.report().messages, 2);
-        let _ = groups_before;
-
-        // Invalid config leaves the broker usable.
-        let err =
-            broker.set_clustering(&ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 0));
-        assert!(err.is_err());
-        assert!(broker.publish(&event).is_ok());
-    }
-
-    #[test]
     fn match_only_does_not_touch_the_report() {
         let broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
         let event = Point::new(vec![2.0, 5.0]).unwrap();
@@ -3229,7 +3096,7 @@ mod tests {
             .unwrap();
         live.unsubscribe(h_c).unwrap();
 
-        let counters = live.churn_counters();
+        let counters = live.metrics_snapshot().churn;
         assert_eq!(counters.subscribes, 3);
         assert_eq!(counters.unsubscribes, 3);
         assert!(counters.epoch > 0 || counters.recompiles > 0);
@@ -3265,8 +3132,8 @@ mod tests {
         let epoch_before = live.epoch();
         live.recompile().unwrap();
         assert!(live.epoch() > epoch_before);
-        assert_eq!(live.churn_counters().overlay_len, 0);
-        assert_eq!(live.churn_counters().tombstone_len, 0);
+        assert_eq!(live.metrics_snapshot().churn.overlay_len, 0);
+        assert_eq!(live.metrics_snapshot().churn.tombstone_len, 0);
         live.reset_report();
         assert_publish_parity(&mut live, &mut fresh);
         assert_eq!(live.matcher().subscription_count(), survivors.len());
@@ -3294,7 +3161,7 @@ mod tests {
                     .unwrap(),
             );
         }
-        let counters = broker.churn_counters();
+        let counters = broker.metrics_snapshot().churn;
         assert!(
             counters.recompiles >= 1,
             "9 subscribes over 8 compiled subscriptions should trip the 0.5 drift threshold: {counters:?}"
@@ -3340,7 +3207,7 @@ mod tests {
         let first = broker.publish(&event).unwrap();
         assert!(matches!(first.decision, Decision::Multicast { .. }));
         let other = first.interested[0];
-        let base = broker.scheme_cost_walks();
+        let base = broker.metrics_snapshot().scheme_cost_walks;
         assert_eq!(base, 1);
         // A-B-A-B-A-B on the same group: exactly one more walk (B's
         // first), regardless of the alternation.
@@ -3348,11 +3215,11 @@ mod tests {
             broker.publish_from(other, &event).unwrap();
             broker.publish(&event).unwrap();
         }
-        assert_eq!(broker.scheme_cost_walks(), 2);
+        assert_eq!(broker.metrics_snapshot().scheme_cost_walks, 2);
         // An epoch bump (recompile) invalidates the memo lazily.
         broker.recompile().unwrap();
         broker.publish(&event).unwrap();
-        assert_eq!(broker.scheme_cost_walks(), 3);
+        assert_eq!(broker.metrics_snapshot().scheme_cost_walks, 3);
     }
 
     #[test]
@@ -3602,7 +3469,7 @@ mod tests {
         trapped.arm_worker_panic(1);
         let clean_out = clean.publish_batch(&events, Some(2)).unwrap();
         let trapped_out = trapped.publish_batch(&events, Some(2)).unwrap();
-        assert_eq!(trapped.pipeline_counters().pooled_batches, 1);
+        assert_eq!(trapped.metrics_snapshot().pipeline.pooled_batches, 1);
         assert_eq!(clean_out.len(), trapped_out.len());
         for (a, b) in clean_out.iter().zip(&trapped_out) {
             assert_eq!(a.decision, b.decision);
@@ -3610,13 +3477,13 @@ mod tests {
             assert_eq!(a.costs.scheme.to_bits(), b.costs.scheme.to_bits());
         }
         assert_eq!(clean.report(), trapped.report());
-        let counters = trapped.pipeline_counters();
+        let counters = trapped.metrics_snapshot().pipeline;
         assert_eq!(counters.quarantined_workers, 1);
         assert_eq!(counters.retried_batches, 1);
         // The trap disarms after firing once: the next batch is clean.
         let again = trapped.publish_batch(&events, Some(2)).unwrap();
         assert_eq!(again.len(), events.len());
-        assert_eq!(trapped.pipeline_counters().quarantined_workers, 1);
+        assert_eq!(trapped.metrics_snapshot().pipeline.quarantined_workers, 1);
     }
 
     #[test]
@@ -3630,7 +3497,7 @@ mod tests {
             .map(|i| Point::new(vec![(i % 10) as f64, 5.0]).unwrap())
             .collect();
         broker.publish_batch(&events, Some(4)).unwrap();
-        let counters = broker.pipeline_counters();
+        let counters = broker.metrics_snapshot().pipeline;
         assert_eq!(counters.pooled_batches, 0);
         assert_eq!(counters.inline_batches, 1);
 
@@ -3640,7 +3507,7 @@ mod tests {
             let mut deferred = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
             deferred.publish_batch(&events, None).unwrap();
             deferred.publish_batch(&events, Some(8)).unwrap();
-            let counters = deferred.pipeline_counters();
+            let counters = deferred.metrics_snapshot().pipeline;
             assert_eq!(counters.pooled_batches, 0);
             assert_eq!(counters.inline_batches, 2);
         }
@@ -3661,7 +3528,7 @@ mod tests {
         let block = pubsub_parallel::BLOCK;
         let got = broker.publish_batch(&events[..block], Some(2)).unwrap();
         assert_eq!(got, want[..block]);
-        let counters = broker.pipeline_counters();
+        let counters = broker.metrics_snapshot().pipeline;
         assert_eq!((counters.inline_batches, counters.pooled_batches), (1, 0));
 
         // Two blocks on a 3-thread pool: two workers, not three.
@@ -3669,7 +3536,7 @@ mod tests {
         broker.set_worker_pool(Arc::new(WorkerPool::new(3)));
         let got = broker.publish_batch(&events, Some(3)).unwrap();
         assert_eq!(got, want);
-        let counters = broker.pipeline_counters();
+        let counters = broker.metrics_snapshot().pipeline;
         assert_eq!((counters.inline_batches, counters.pooled_batches), (0, 1));
         assert_eq!(counters.max_workers, 2);
         assert_eq!(broker.report(), seq.report());
@@ -3682,7 +3549,7 @@ mod tests {
             .map(|i| Point::new(vec![(i % 10) as f64, 5.0]).unwrap())
             .collect();
         broker.publish_batch(&events, None).unwrap();
-        let counters = broker.pipeline_counters();
+        let counters = broker.metrics_snapshot().pipeline;
         // 100 events in 8-lane blocks: 64-event ranges cut into 8 full
         // blocks, the 36-event tail into 5 — 13 blocks however the
         // block-cyclic ranges fall.

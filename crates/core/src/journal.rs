@@ -333,7 +333,7 @@ pub struct JournalReplay {
 }
 
 /// Statistics the journal keeps about itself, surfaced through
-/// `Broker::recovery_counters` after a recovery.
+/// `MetricsSnapshot::recovery` after a recovery.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct JournalStats {
     /// Operations appended since open.

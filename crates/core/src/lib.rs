@@ -76,8 +76,8 @@ pub use journal::{
 };
 pub use matcher::{KernelCounters, MatchOverlay, MatchScratch, Matcher, SubscriptionId};
 pub use metrics::{
-    ChurnCounters, CostReport, Delivery, LatencyHisto, MessageCosts, MetricsSnapshot,
-    PipelineCounters, RecoveryCounters, StageKind, HISTO_BUCKETS,
+    ChurnCounters, CostReport, Delivery, MessageCosts, MetricsSnapshot, PipelineCounters,
+    RecoveryCounters,
 };
 pub use pipeline::{BatchMatches, MatchArena, PublishScratch};
 pub use registry::{SubscriptionHandle, SubscriptionRegistry};

@@ -1,106 +1,10 @@
 //! Cost accounting and the paper's improvement-percentage metric (§5.2),
-//! plus the serving-path observability types: the fixed-bucket
-//! [`LatencyHisto`] behind the per-stage latency gauges and the combined
-//! [`MetricsSnapshot`] returned by `Broker::metrics_snapshot`.
+//! plus the broker's own counters, read as one [`MetricsSnapshot`]
+//! through `Broker::metrics_snapshot`. What a serving front-end measures
+//! around the broker (stage latencies, queue gauges, restarts) is the
+//! front-end's to keep.
 
 use serde::{Deserialize, Serialize};
-
-/// Number of power-of-two buckets in a [`LatencyHisto`]: bucket `i`
-/// covers `[2^i, 2^(i+1))` nanoseconds, so 40 buckets span 1 ns to
-/// ~18 minutes — more than any per-stage latency the broker can see.
-pub const HISTO_BUCKETS: usize = 40;
-
-/// A cheap fixed-bucket log₂ latency histogram.
-///
-/// Recording is one `leading_zeros` and one array increment — cheap
-/// enough to sit on the per-batch serving hot path. Quantiles are read
-/// back with [`LatencyHisto::quantile_ns`], which interpolates linearly
-/// inside the winning power-of-two bucket (so the answer is exact to
-/// within a factor of 2, plenty for p50/p99/p999 gauges; the serving
-/// bench keeps exact end-to-end latencies separately).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct LatencyHisto {
-    /// Sample counts per power-of-two bucket; see [`HISTO_BUCKETS`].
-    pub buckets: [u64; HISTO_BUCKETS],
-    /// Total samples recorded.
-    pub count: u64,
-    /// Sum of all recorded values (ns), for mean latency.
-    pub total_ns: u64,
-}
-
-// `[u64; 40]` has no std `Default` (arrays stop at 32), so spell it out.
-impl Default for LatencyHisto {
-    fn default() -> Self {
-        LatencyHisto {
-            buckets: [0; HISTO_BUCKETS],
-            count: 0,
-            total_ns: 0,
-        }
-    }
-}
-
-impl LatencyHisto {
-    /// Records one latency sample in nanoseconds.
-    pub fn record(&mut self, ns: u64) {
-        let idx = (63 - ns.max(1).leading_zeros() as usize).min(HISTO_BUCKETS - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Mean recorded latency in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-
-    /// The `q`-quantile (`0 ≤ q ≤ 1`) in nanoseconds, interpolated
-    /// linearly within the winning bucket. Returns 0 when empty.
-    pub fn quantile_ns(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if seen + n >= rank {
-                let lo = (1u64 << i) as f64;
-                let within = (rank - seen) as f64 / n as f64;
-                return lo + lo * within;
-            }
-            seen += n;
-        }
-        // Unreachable: counts sum to `count`. Keep a sane fallback.
-        (1u64 << (HISTO_BUCKETS - 1)) as f64
-    }
-
-    /// Folds another histogram into this one (used to merge per-stage
-    /// histograms kept by other threads back into the broker's counters
-    /// at shutdown).
-    pub fn merge(&mut self, other: &LatencyHisto) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
-    }
-}
 
 /// The three costs of delivering one publication.
 #[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
@@ -202,7 +106,6 @@ impl CostReport {
 
 /// Counters describing the broker's churn machinery: how the live
 /// subscription set has been mutated and how the engine kept up.
-/// Assembled by `Broker::churn_counters`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct ChurnCounters {
     /// Current engine-snapshot epoch (bumps on every snapshot swap:
@@ -212,8 +115,7 @@ pub struct ChurnCounters {
     pub subscribes: u64,
     /// Subscriptions removed via `unsubscribe` since construction.
     pub unsubscribes: u64,
-    /// Full engine recompiles (drift-triggered, explicit `recompile`, or
-    /// `set_clustering`).
+    /// Full engine recompiles (drift-triggered or explicit `recompile`).
     pub recompiles: u64,
     /// Local partition refreshes (incremental-clusterer local updates
     /// folded into the snapshot without a recompile).
@@ -229,7 +131,6 @@ pub struct ChurnCounters {
 /// Counters describing the fused batch-publish pipeline: how batches
 /// were dispatched on the persistent worker pool and whether the
 /// per-worker arenas are being reused (steady state) or still growing.
-/// Assembled by `Broker::pipeline_counters`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct PipelineCounters {
     /// Passes through the publish pipeline: every `publish_batch` /
@@ -281,77 +182,15 @@ pub struct PipelineCounters {
     /// mode.
     #[serde(default)]
     pub degraded_segments: u64,
-    /// High-water mark of the staged serving path's ingest queue (in
-    /// queued work items). 0 until a serving front-end reports it via
-    /// `Broker::note_queue_depth`.
-    #[serde(default)]
-    pub ingest_queue_max_depth: u64,
-    /// Submissions the serving front-end rejected under backpressure
-    /// (full ingest queue ⇒ explicit reject ack). 0 on the synchronous
-    /// path.
-    #[serde(default)]
-    pub ingest_rejected: u64,
-    /// Per-event ingest-stage latency (submission → dequeue by the
-    /// pipeline stage), recorded by the serving path. The sum of the two
-    /// split histograms below, kept for cross-PR comparability.
-    #[serde(default)]
-    pub stage_ingest: LatencyHisto,
-    /// Ingest split, per event: submission → shard-batcher flush — how
-    /// long the event waited for the size-or-deadline trigger. This is
-    /// the number adaptive batching shrinks when the queue is shallow.
-    #[serde(default)]
-    pub stage_batcher: LatencyHisto,
-    /// Ingest split, per event: batcher flush → dequeue by a pipeline
-    /// executor — time spent in the bounded ingest queue. This is the
-    /// backlog signal adaptive batching grows the deadline under.
-    #[serde(default)]
-    pub stage_queue_wait: LatencyHisto,
-    /// Per-batch pipeline-stage latency (the fused match → cost → decide
-    /// pass plus the sequential fold), recorded by the serving path.
-    #[serde(default)]
-    pub stage_pipeline: LatencyHisto,
-    /// Per-batch egress-stage latency (delivery fan-out and record
-    /// stamping), recorded by the serving path.
-    #[serde(default)]
-    pub stage_egress: LatencyHisto,
 }
 
-/// Which serving stage a latency sample belongs to — the index of the
-/// `stage_*` histograms in [`PipelineCounters`]; see
-/// `Broker::note_stage_latency`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StageKind {
-    /// Transport-in: submission → dequeue by the pipeline stage
-    /// (per-event queueing delay in the ingest queue). The sum of
-    /// [`StageKind::Batcher`] and [`StageKind::QueueWait`], kept whole
-    /// for cross-version comparability.
-    Ingest,
-    /// Transport-in split: submission → shard-batcher flush (per-event
-    /// residency under the size-or-deadline trigger).
-    Batcher,
-    /// Transport-in split: batcher flush → dequeue by a pipeline
-    /// executor (per-event wait in the bounded ingest queue).
-    QueueWait,
-    /// The fused match → cost → decide pass plus the in-order fold
-    /// (per-batch).
-    Pipeline,
-    /// Transport-out: delivery fan-out and record stamping (per-batch).
-    Egress,
-}
-
-/// Counters describing crash-recovery activity: journal replays at
-/// `Broker::recover` time and supervised stage restarts reported by a
-/// serving supervisor. All-zero on a broker that has never recovered.
+/// Counters describing the journal recovery that produced this broker
+/// (`BrokerBuilder::recover`). All-zero on a broker built fresh.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct RecoveryCounters {
-    /// Supervised stage restarts (executor/fold/egress threads replaced
-    /// after a panic).
-    pub restarts: u64,
-    /// In-flight batches salvaged from a dead stage and replayed.
-    pub replayed_batches: u64,
     /// Torn trailing journal records discarded during the last recovery.
     pub truncated_records: u64,
-    /// Wall-clock milliseconds the last `Broker::recover` took (journal
+    /// Wall-clock milliseconds the last recovery took (journal
     /// load + registry restore + engine compile).
     pub recovery_ms: u64,
     /// Journal tail operations replayed by the last recovery (ops after
@@ -364,9 +203,8 @@ pub struct RecoveryCounters {
     pub stale_ops: u64,
 }
 
-/// One coherent view of every broker-side counter family, assembled by
-/// `Broker::metrics_snapshot` — what a serving front-end or benchmark
-/// polls instead of stitching the individual accessors together.
+/// One coherent view of every broker-side counter family — the only
+/// way to read them, through `Broker::metrics_snapshot`.
 #[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Current engine-snapshot epoch.
@@ -375,11 +213,11 @@ pub struct MetricsSnapshot {
     pub report: CostReport,
     /// Churn machinery counters.
     pub churn: ChurnCounters,
-    /// Batch-pipeline and serving-stage counters.
+    /// Batch-pipeline counters.
     pub pipeline: PipelineCounters,
     /// Scheme-cost memo misses (cost walks actually performed).
     pub scheme_cost_walks: u64,
-    /// Crash-recovery counters (journal replays, supervised restarts).
+    /// Journal-recovery counters.
     #[serde(default)]
     pub recovery: RecoveryCounters,
 }
@@ -536,132 +374,12 @@ mod tests {
     }
 
     #[test]
-    fn histo_records_into_log2_buckets() {
-        let mut h = LatencyHisto::default();
-        h.record(0); // clamps to 1 → bucket 0
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.buckets[0], 2);
-        assert_eq!(h.buckets[1], 2);
-        assert_eq!(h.buckets[10], 1);
-        assert_eq!(h.total_ns, 1 + 2 + 3 + 1024);
-        // A sample beyond the last bucket clamps instead of panicking.
-        h.record(u64::MAX);
-        assert_eq!(h.buckets[HISTO_BUCKETS - 1], 1);
-    }
-
-    #[test]
-    fn histo_quantiles_bracket_the_samples() {
-        let mut h = LatencyHisto::default();
-        for _ in 0..99 {
-            h.record(1000);
-        }
-        h.record(1_000_000);
-        // p50 lives in the 1000ns bucket [512, 1024); p999 in the
-        // millisecond-ish bucket.
-        let p50 = h.quantile_ns(0.50);
-        assert!((512.0..=1024.0).contains(&p50), "p50 = {p50}");
-        let p999 = h.quantile_ns(0.999);
-        assert!((524_288.0..=1_048_576.0).contains(&p999), "p999 = {p999}");
-        assert!(h.quantile_ns(0.0) >= 512.0);
-        assert_eq!(LatencyHisto::default().quantile_ns(0.5), 0.0);
-        assert!((h.mean_ns() - (99.0 * 1000.0 + 1_000_000.0) / 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histo_merge_adds_counts() {
-        let mut a = LatencyHisto::default();
-        let mut b = LatencyHisto::default();
-        a.record(10);
-        b.record(10);
-        b.record(100_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.buckets[3], 2);
-        assert_eq!(a.total_ns, 10 + 10 + 100_000);
-    }
-
-    #[test]
-    fn counters_with_histos_roundtrip_serde() {
-        let mut c = PipelineCounters {
-            ingest_queue_max_depth: 7,
-            ingest_rejected: 3,
-            ..PipelineCounters::default()
-        };
-        c.stage_pipeline.record(12_345);
-        let json = serde_json::to_string(&c).expect("serialize");
-        let back: PipelineCounters = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn empty_histo_quantiles_are_zero() {
-        let h = LatencyHisto::default();
-        assert!(h.is_empty());
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean_ns(), 0.0);
-        for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
-            assert_eq!(h.quantile_ns(q), 0.0, "q={q} on an empty histogram");
-        }
-    }
-
-    #[test]
-    fn single_sample_histo_quantiles_share_one_bucket() {
-        let mut h = LatencyHisto::default();
-        h.record(1_000);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.mean_ns(), 1_000.0);
-        // Every quantile of a single sample resolves in its bucket
-        // [512, 1024): above the bucket floor, at most the next power.
-        for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
-            let v = h.quantile_ns(q);
-            assert!((512.0..=1024.0).contains(&v), "q={q} gave {v}");
-        }
-        // A zero-ns sample clamps to the first bucket instead of
-        // underflowing the log2 index.
-        let mut h = LatencyHisto::default();
-        h.record(0);
-        assert_eq!(h.count(), 1);
-        assert!(h.quantile_ns(0.5) >= 1.0);
-    }
-
-    #[test]
-    fn values_beyond_the_top_bucket_clamp() {
-        let mut h = LatencyHisto::default();
-        // 2^63 ns is far past the top bucket (index HISTO_BUCKETS - 1 =
-        // 39); the sample must clamp there, not index out of bounds.
-        h.record(u64::MAX);
-        h.record(1u64 << 62);
-        assert_eq!(h.count(), 2);
-        let top_floor = (1u64 << (HISTO_BUCKETS - 1)) as f64;
-        assert!(h.quantile_ns(0.5) >= top_floor);
-        assert!(h.quantile_ns(1.0) <= 2.0 * top_floor);
-        // total_ns saturates instead of wrapping.
-        assert_eq!(h.mean_ns(), u64::MAX as f64 / 2.0);
-    }
-
-    #[test]
-    fn quantiles_are_monotone_across_p50_p99_p999() {
-        let mut h = LatencyHisto::default();
-        // A spread of magnitudes, heavily skewed to the low end.
-        for i in 0..1000u64 {
-            h.record(100 + i);
-        }
-        for _ in 0..10 {
-            h.record(1_000_000);
-        }
-        h.record(500_000_000);
-        let p50 = h.quantile_ns(0.5);
-        let p99 = h.quantile_ns(0.99);
-        let p999 = h.quantile_ns(0.999);
-        assert!(p50 <= p99, "p50 {p50} > p99 {p99}");
-        assert!(p99 <= p999, "p99 {p99} > p999 {p999}");
-        assert!((64.0..=2048.0).contains(&p50), "p50 {p50} off the data");
-        assert!(p999 >= p50);
-        // Degenerate quantile arguments clamp instead of panicking.
-        assert!(h.quantile_ns(-1.0) <= h.quantile_ns(2.0));
+    fn snapshot_roundtrips_serde() {
+        let mut m = MetricsSnapshot::default();
+        m.pipeline.events = 7;
+        m.recovery.replayed_ops = 3;
+        let json = serde_json::to_string(&m).expect("serialize");
+        let back: MetricsSnapshot = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(back, m);
     }
 }

@@ -75,13 +75,15 @@
 #![deny(missing_debug_implementations)]
 
 pub mod batcher;
+mod metrics;
 mod server;
 pub mod supervise;
 pub mod tcp;
 pub mod wire;
 
+pub use metrics::{LatencyHisto, ServerStats, ServingMetrics, HISTO_BUCKETS};
 pub use server::{
-    CollectorSink, DeliverySink, EventRecord, IngestHandle, LatencySink, RejectReason, ServerStats,
+    CollectorSink, DeliverySink, EventRecord, IngestHandle, LatencySink, RejectReason,
     ServingConfig, ServingError, StagedServer,
 };
 pub use supervise::{CrashEvent, CrashKind, CrashPlan, RecoverFn, SuperviseOptions};

@@ -56,14 +56,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pubsub_core::{
-    Broker, BrokerError, LatencyHisto, MetricsSnapshot, PublishOutcome, PublishScratch,
-    PublishView, StageKind, SubscriptionHandle,
+    Broker, BrokerError, PublishOutcome, PublishScratch, PublishView, SubscriptionHandle,
 };
 use pubsub_geom::{Point, Rect};
 use pubsub_netsim::NodeId;
 use pubsub_parallel::{PushError, SequenceWindow, StageQueue, VersionedCell};
 
 use crate::batcher::{EventBatch, EventBatcher, SubmitMeta};
+use crate::metrics::{ServerStats, ServingMetrics};
 use crate::supervise::{supervisor_loop, ChaosSwitch, CrashKind, SuperviseOptions};
 
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -302,7 +302,7 @@ pub(crate) enum ControlOp {
     ),
     Unsubscribe(SubscriptionHandle, mpsc::Sender<Result<(), BrokerError>>),
     Recompile(mpsc::Sender<Result<(), BrokerError>>),
-    Metrics(mpsc::Sender<MetricsSnapshot>),
+    Metrics(mpsc::Sender<ServingMetrics>),
 }
 
 impl ControlOp {
@@ -358,9 +358,6 @@ pub(crate) struct IngestShared {
     pub(crate) accepting: AtomicBool,
     pub(crate) accepted: AtomicU64,
     pub(crate) rejected: AtomicU64,
-    /// Rejections already folded into the broker's counters (so gauge
-    /// syncs at metrics polls and shutdown never double-count).
-    pub(crate) rejected_reported: AtomicU64,
     pub(crate) dims: usize,
     pub(crate) flush_interval: Duration,
 }
@@ -410,9 +407,7 @@ pub(crate) struct StageShared {
     pub(crate) threads: Option<usize>,
     pub(crate) chaos: ChaosSwitch,
     /// Stage threads restarted, and in-flight items salvaged and
-    /// replayed across those restarts; mirrored into the broker's
-    /// [`RecoveryCounters`](pubsub_core::RecoveryCounters) at every
-    /// metrics poll and at shutdown.
+    /// replayed across those restarts.
     pub(crate) restarts: AtomicU64,
     pub(crate) replayed: AtomicU64,
 }
@@ -424,14 +419,18 @@ impl StageShared {
             .fetch_add(u64::from(replayed), Ordering::Relaxed);
     }
 
-    pub(crate) fn sync_recovery(&self, broker: &mut Broker) {
-        let have = broker.recovery_counters();
-        let restarts = self.restarts.load(Ordering::Relaxed);
-        let replayed = self.replayed.load(Ordering::Relaxed);
-        broker.note_recovery(
-            restarts.saturating_sub(have.restarts),
-            replayed.saturating_sub(have.replayed_batches),
-        );
+    /// `stats` with the counts the shared state keeps filled in:
+    /// admissions, the ingest queue's high-water mark and restarts.
+    pub(crate) fn stats(&self, stats: ServerStats) -> ServerStats {
+        let ingest = &*self.ingest;
+        ServerStats {
+            accepted: ingest.accepted.load(Ordering::Relaxed),
+            rejected: ingest.rejected.load(Ordering::Relaxed),
+            ingest_queue_max_depth: ingest.queue.max_depth() as u64,
+            restarts: self.restarts.load(Ordering::Relaxed),
+            replayed_batches: self.replayed.load(Ordering::Relaxed),
+            ..stats
+        }
     }
 }
 
@@ -581,13 +580,14 @@ impl IngestHandle {
             .map_err(ServingError::Broker)
     }
 
-    /// Polls a coherent metrics snapshot from the fold thread (counters,
-    /// cost report, stage-latency histograms, queue gauges).
+    /// Polls the fold thread, in ticket order, for the broker's counters
+    /// and the server's own (see [`ServerStats`] for the four egress
+    /// fields a poll leaves at 0).
     ///
     /// # Errors
     ///
     /// [`ServingError::Closed`] after shutdown.
-    pub fn metrics(&self) -> Result<MetricsSnapshot, ServingError> {
+    pub fn metrics(&self) -> Result<ServingMetrics, ServingError> {
         let (tx, rx) = mpsc::channel();
         self.control(ControlOp::Metrics(tx))?;
         rx.recv().map_err(|_| ServingError::Closed)
@@ -624,39 +624,6 @@ impl IngestHandle {
             .push(WorkItem::Control(op))
             .map_err(|_| ServingError::Closed)
     }
-}
-
-/// Totals the egress thread hands back at shutdown.
-#[derive(Debug, Default)]
-pub(crate) struct EgressTotals {
-    pub(crate) histo: LatencyHisto,
-    pub(crate) delivered: u64,
-    pub(crate) failed: u64,
-    pub(crate) batches: u64,
-}
-
-/// Aggregate serving statistics returned by [`StagedServer::stop`] and
-/// [`StagedServer::try_stop`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ServerStats {
-    /// Submissions accepted (each produced exactly one sink record).
-    pub accepted: u64,
-    /// Submissions rejected by admission control.
-    pub rejected: u64,
-    /// Accepted events whose outcome was a successful publish.
-    pub delivered: u64,
-    /// Accepted events the engine refused (fault-plan aborts etc.); their
-    /// records carry the error.
-    pub failed: u64,
-    /// Batches the pipeline processed.
-    pub batches: u64,
-    /// High-water mark of the ingest queue.
-    pub ingest_queue_max_depth: u64,
-    /// Stage threads the supervisor restarted after a crash (a chaos
-    /// kill, a panicking sink, an engine bug); 0 on a healthy run.
-    pub restarts: u64,
-    /// In-flight work items salvaged and replayed across stage restarts.
-    pub replayed_batches: u64,
 }
 
 /// The running staged server. Owns the flusher and the supervisor of
@@ -701,7 +668,6 @@ impl StagedServer {
             accepting: AtomicBool::new(true),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            rejected_reported: AtomicU64::new(0),
             dims,
             flush_interval: config.flush_interval,
         });
@@ -762,8 +728,7 @@ impl StagedServer {
 
     /// Stops accepting, flushes every shard, drains the queues and the
     /// sequence window through every stage, joins the supervisor, and
-    /// returns the broker (with the egress histogram and the recovery
-    /// counters merged into its own) plus the aggregate stats.
+    /// returns the broker plus the final aggregate stats.
     ///
     /// # Errors
     ///
@@ -805,15 +770,6 @@ impl Drop for StagedServer {
         // otherwise shut down so no stage thread outlives the server.
         let _ = self.shutdown();
     }
-}
-
-/// Folds the ingest-side gauges (queue high-water mark, rejection count)
-/// into the broker's counters, exactly once per rejection.
-pub(crate) fn sync_gauges(broker: &mut Broker, shared: &IngestShared) {
-    let total = shared.rejected.load(Ordering::Relaxed);
-    let prev = shared.rejected_reported.swap(total, Ordering::Relaxed);
-    broker.note_rejected(total - prev);
-    broker.note_queue_depth(shared.queue.max_depth() as u64);
 }
 
 /// The shed tier's retry hint: roughly how long the current backlog
@@ -968,30 +924,24 @@ pub(crate) fn executor_loop(sh: &StageShared, st: &mut ExecState) {
     }
 }
 
-/// Per-event transport-in latencies, recorded when the fold (the only
-/// broker owner) sees the batch: batcher residency, queue wait, and
-/// their sum kept as the whole-stage histogram.
-fn note_ingest(broker: &mut Broker, meta: &[SubmitMeta], enqueued: Instant, dequeued: Instant) {
-    for m in meta {
-        broker.note_stage_latency(
-            StageKind::Batcher,
-            nanos(enqueued.saturating_duration_since(m.submitted)),
-        );
-        broker.note_stage_latency(
-            StageKind::QueueWait,
-            nanos(dequeued.saturating_duration_since(enqueued)),
-        );
-        broker.note_stage_latency(
-            StageKind::Ingest,
-            nanos(dequeued.saturating_duration_since(m.submitted)),
-        );
+/// Per-event transport-in latencies, recorded by the fold as the batch
+/// leaves its crash window: batcher residency, queue wait, and their
+/// sum kept as the whole-stage histogram.
+fn record_ingest(stats: &mut ServerStats, batch: &EventBatch, dequeued: Instant) {
+    for m in &batch.meta {
+        let flushed = batch.enqueued.saturating_duration_since(m.submitted);
+        stats.stage_batcher.record(nanos(flushed));
+        let queued = dequeued.saturating_duration_since(batch.enqueued);
+        stats.stage_queue_wait.record(nanos(queued));
+        let ingest = dequeued.saturating_duration_since(m.submitted);
+        stats.stage_ingest.record(nanos(ingest));
     }
 }
 
 /// What must survive a fold thread: the broker (replaced through the
 /// [`RecoverFn`](crate::RecoverFn) after a crash — it died with the
-/// thread), the salvage slot, and the fold's place in the version and
-/// chaos sequences.
+/// thread), the salvage slot, the fold's place in the version and
+/// chaos sequences, and the stage histograms it records.
 pub(crate) struct FoldState {
     /// Boxed so that handing the state from thread to thread moves a
     /// pointer, not the broker.
@@ -1003,6 +953,9 @@ pub(crate) struct FoldState {
     /// supervisor republishes a recovered view under.
     pub(crate) version: u64,
     items: u64,
+    /// The ingest, batcher, queue-wait and pipeline histograms, recorded
+    /// once per batch as it leaves the crash window.
+    pub(crate) stats: ServerStats,
 }
 
 impl FoldState {
@@ -1012,6 +965,7 @@ impl FoldState {
             slot: None,
             version: 0,
             items: 0,
+            stats: ServerStats::default(),
         }
     }
 }
@@ -1051,9 +1005,10 @@ pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
                         let _ = tx.send(broker.recompile());
                     }
                     ControlOp::Metrics(tx) => {
-                        sync_gauges(broker, &sh.ingest);
-                        sh.sync_recovery(broker);
-                        let _ = tx.send(broker.metrics_snapshot());
+                        let _ = tx.send(ServingMetrics {
+                            broker: broker.metrics_snapshot(),
+                            server: sh.stats(st.stats),
+                        });
                     }
                 }
                 if bumps {
@@ -1066,7 +1021,6 @@ pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
             }
             continue;
         };
-        note_ingest(broker, &job.batch.meta, job.batch.enqueued, job.dequeued);
         let (results, epoch) = match &mut job.pass {
             Some((scratch, epoch)) if *epoch == broker.epoch() => {
                 outcomes.clear();
@@ -1079,15 +1033,14 @@ pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
             _ => process(broker, &job.batch.points, sh.threads),
         };
         let folded = Instant::now();
-        broker.note_stage_latency(
-            StageKind::Pipeline,
-            nanos(folded.saturating_duration_since(job.dequeued)),
-        );
         // Effects are fully in the broker: the item leaves the crash
-        // window and its batch moves on to egress.
+        // window, is counted once, and its batch moves on to egress.
         let Some(Staged::Batch(job)) = st.slot.take() else {
             unreachable!("matched above");
         };
+        record_ingest(&mut st.stats, &job.batch, job.dequeued);
+        let pipeline = folded.saturating_duration_since(job.dequeued);
+        st.stats.stage_pipeline.record(nanos(pipeline));
         if let Some((scratch, _)) = job.pass {
             lock(&sh.scratch_pool).push(scratch);
         }
@@ -1146,7 +1099,9 @@ pub(crate) struct EgressState {
     /// The batch in flight; the outcomes still in it are the resume
     /// point for a replacement thread.
     pub(crate) batch: Option<EgressBatch>,
-    pub(crate) totals: EgressTotals,
+    /// `delivered`, `failed`, `batches` and `stage_egress`: the egress
+    /// thread's share of the final [`ServerStats`].
+    pub(crate) totals: ServerStats,
     records: u64,
 }
 
@@ -1155,7 +1110,7 @@ impl EgressState {
         EgressState {
             sink,
             batch: None,
-            totals: EgressTotals::default(),
+            totals: ServerStats::default(),
             records: 0,
         }
     }
@@ -1195,7 +1150,7 @@ pub(crate) fn egress_loop(sh: &StageShared, st: &mut EgressState) {
                 egress_ns: nanos(now.saturating_duration_since(batch.folded)),
             });
         }
-        st.totals.histo.record(nanos(started.elapsed()));
+        st.totals.stage_egress.record(nanos(started.elapsed()));
         st.totals.batches += 1;
         st.batch = None;
     }
@@ -1441,7 +1396,6 @@ mod tests {
             accepting: AtomicBool::new(true),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            rejected_reported: AtomicU64::new(0),
             dims: 2,
             flush_interval: interval,
         };
@@ -1504,15 +1458,13 @@ mod tests {
             }
         }
         assert!(rejected > 0, "no backpressure despite stalled egress");
-        let (broker, stats) = server.stop();
+        let (_, stats) = server.stop();
         assert_eq!(stats.accepted, accepted);
         assert_eq!(stats.rejected, rejected);
         // Every accepted event got exactly one record; rejected ones none.
         assert_eq!(stats.delivered + stats.failed, accepted);
         assert_eq!(sink.len() as u64, accepted);
-        let counters = broker.pipeline_counters();
-        assert_eq!(counters.ingest_rejected, rejected);
-        assert!(counters.ingest_queue_max_depth >= 1);
+        assert!(stats.ingest_queue_max_depth >= 1);
     }
 
     #[test]
@@ -1537,7 +1489,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshot_reports_stage_histograms() {
+    fn metrics_poll_and_stop_report_stage_latencies() {
         let server = StagedServer::start(
             tiny_broker(),
             ServingConfig {
@@ -1551,16 +1503,15 @@ mod tests {
         for (i, e) in events(12).into_iter().enumerate() {
             handle.submit_now(0, i as u64, e).expect("accepted");
         }
-        let snapshot = handle.metrics().expect("metrics");
-        assert!(snapshot.pipeline.events >= 1);
-        assert!(!snapshot.pipeline.stage_ingest.is_empty());
-        assert!(!snapshot.pipeline.stage_pipeline.is_empty());
-        let (broker, _) = server.stop();
-        let final_counters = broker.pipeline_counters();
+        let polled = handle.metrics().expect("metrics");
+        assert!(polled.broker.pipeline.events >= 1);
+        assert!(!polled.server.stage_ingest.is_empty());
+        assert!(!polled.server.stage_pipeline.is_empty());
+        let (_, stats) = server.stop();
         // The whole-stage histogram and its two splits see every event.
-        assert_eq!(final_counters.stage_ingest.count(), 12);
-        assert_eq!(final_counters.stage_batcher.count(), 12);
-        assert_eq!(final_counters.stage_queue_wait.count(), 12);
-        assert!(!final_counters.stage_egress.is_empty());
+        assert_eq!(stats.stage_ingest.count(), 12);
+        assert_eq!(stats.stage_batcher.count(), 12);
+        assert_eq!(stats.stage_queue_wait.count(), 12);
+        assert!(!stats.stage_egress.is_empty());
     }
 }

@@ -59,11 +59,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Once};
 use std::thread::Scope;
 
-use pubsub_core::{Broker, BrokerError, StageKind};
+use pubsub_core::{Broker, BrokerError};
 
+use crate::metrics::ServerStats;
 use crate::server::{
-    egress_loop, executor_loop, fold_loop, sync_gauges, DeliverySink, EgressState, EgressTotals,
-    ExecState, FoldState, ServerStats, StageShared,
+    egress_loop, executor_loop, fold_loop, DeliverySink, EgressState, ExecState, FoldState,
+    StageShared,
 };
 
 /// Rebuilds a broker after the fold stage died with it — typically a
@@ -238,6 +239,9 @@ impl fmt::Debug for SuperviseOptions {
 
 /// A stage thread's exit report: whether its loop returned (`true`) or
 /// panicked, and the state to hand to a replacement.
+// The fold's and egress's states carry their stage histograms; a report
+// is sent once per thread lifetime, so boxing them would buy nothing.
+#[allow(clippy::large_enum_variant)]
 enum Exit {
     Executor(bool, ExecState),
     Fold(bool, FoldState),
@@ -279,7 +283,7 @@ pub(crate) fn supervisor_loop(
 ) -> Result<(Broker, ServerStats), String> {
     let (tx, exits) = mpsc::channel();
     let mut finished = None;
-    let mut totals = EgressTotals::default();
+    let mut totals = ServerStats::default();
     let mut failure = None;
     std::thread::scope(|scope| {
         let spawn_executor = |state: ExecState| {
@@ -328,7 +332,7 @@ pub(crate) fn supervisor_loop(
                         shared.window.close();
                     }
                 }
-                Exit::Fold(true, state) => finished = Some(state.broker),
+                Exit::Fold(true, state) => finished = Some(state),
                 // (No fold exit follows a failure: only a fold that was
                 // not replaced sets one.)
                 Exit::Fold(false, mut state) => {
@@ -373,22 +377,15 @@ pub(crate) fn supervisor_loop(
         while shared.ingest.queue.try_pop().is_some() {}
         return Err(why);
     }
-    let mut broker = *finished.expect("the fold's clean exit hands the broker back");
-    let ingest = &*shared.ingest;
-    broker.merge_stage_latencies(StageKind::Egress, &totals.histo);
-    sync_gauges(&mut broker, ingest);
-    shared.sync_recovery(&mut broker);
-    let stats = ServerStats {
-        accepted: ingest.accepted.load(Ordering::Relaxed),
-        rejected: ingest.rejected.load(Ordering::Relaxed),
+    let fold = finished.expect("the fold's clean exit hands the broker back");
+    let stats = shared.stats(ServerStats {
         delivered: totals.delivered,
         failed: totals.failed,
         batches: totals.batches,
-        ingest_queue_max_depth: ingest.queue.max_depth() as u64,
-        restarts: shared.restarts.load(Ordering::Relaxed),
-        replayed_batches: shared.replayed.load(Ordering::Relaxed),
-    };
-    Ok((broker, stats))
+        stage_egress: totals.stage_egress,
+        ..fold.stats
+    });
+    Ok((*fold.broker, stats))
 }
 
 /// Last-resort teardown when the fold cannot be rebuilt: wake and

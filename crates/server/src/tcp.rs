@@ -5,7 +5,8 @@
 //! `Publish` frames, submits them through the shared [`IngestHandle`],
 //! and answers every publish with an explicit `Ack` frame — accepted or
 //! rejected, the backpressure contract on the wire. `MetricsRequest`
-//! frames answer with the broker's `MetricsSnapshot` as JSON.
+//! frames answer with a [`ServingMetrics`](crate::ServingMetrics) poll
+//! as JSON: the broker's counters beside the server's own.
 //!
 //! # Sessions and exactly-once publishes
 //!
@@ -757,7 +758,19 @@ mod tests {
         assert_eq!(reason, REASON_MALFORMED);
 
         let json = client.metrics().expect("metrics");
-        assert!(json.contains("epoch"), "metrics JSON: {json}");
+        let polled: crate::ServingMetrics = serde_json::from_str(&json).expect("metrics JSON");
+        assert_eq!(polled.server.accepted, 1);
+        // The keys the reference benchmark finds by string search: a
+        // rename would silently zero its per-layer numbers.
+        for key in [
+            "stage_batcher",
+            "stage_queue_wait",
+            "ingest_queue_max_depth",
+            "replayed_ops",
+        ] {
+            let found = json.matches(&format!("\"{key}\":")).count();
+            assert_eq!(found, 1, "{key} in metrics JSON: {json}");
+        }
 
         drop(client);
         front.stop();

@@ -11,7 +11,7 @@
 //! | 1 | [`Frame::Publish`] | `u64` seq, `u16` dims, `dims × f64` coords |
 //! | 2 | [`Frame::Ack`] | `u64` seq, `u8` accepted, `u8` reason, `u32` retry-after ms |
 //! | 3 | [`Frame::MetricsRequest`] | empty |
-//! | 4 | [`Frame::Metrics`] | UTF-8 JSON (`MetricsSnapshot`) |
+//! | 4 | [`Frame::Metrics`] | UTF-8 JSON ([`ServingMetrics`](crate::ServingMetrics)) |
 //! | 5 | [`Frame::Hello`] | `u64` session token |
 //! | 6 | [`Frame::HelloAck`] | `u32` client id, `u64` last acked seq |
 //!
@@ -83,7 +83,7 @@ pub enum Frame {
     MetricsRequest,
     /// Server → client: the metrics snapshot as JSON.
     Metrics {
-        /// Serialized `pubsub_core::MetricsSnapshot`.
+        /// Serialized [`ServingMetrics`](crate::ServingMetrics).
         json: String,
     },
     /// Client → server: open (or resume) a session identified by a

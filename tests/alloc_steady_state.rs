@@ -113,7 +113,7 @@ fn warm_batch_publish_is_allocation_free() {
         for _ in 0..2 {
             broker.publish_batch_stats(&events, Some(threads)).unwrap();
         }
-        let growths_before = broker.pipeline_counters().arena_growths;
+        let growths_before = broker.metrics_snapshot().pipeline.arena_growths;
         let before = broker.report().messages;
 
         let (allocations, report) =
@@ -121,7 +121,7 @@ fn warm_batch_publish_is_allocation_free() {
 
         assert_eq!(report.messages, before + events.len() as u64);
         assert_eq!(
-            broker.pipeline_counters().arena_growths,
+            broker.metrics_snapshot().pipeline.arena_growths,
             growths_before,
             "warm states must not regrow (threads = {threads})"
         );
@@ -176,11 +176,11 @@ fn warm_covered_batch_allocates_runs_and_nodes_not_ids() {
     for _ in 0..2 {
         broker.publish_batch_stats(&events, Some(1)).unwrap();
     }
-    let growths_before = broker.pipeline_counters().arena_growths;
+    let growths_before = broker.metrics_snapshot().pipeline.arena_growths;
     let (allocations, _) =
         count_allocations(|| broker.publish_batch_stats(&events, Some(1)).unwrap());
     assert_eq!(
-        broker.pipeline_counters().arena_growths,
+        broker.metrics_snapshot().pipeline.arena_growths,
         growths_before,
         "warm run-level arenas must not regrow"
     );

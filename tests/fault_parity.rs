@@ -193,7 +193,7 @@ proptest! {
         prop_assert_eq!(seq.report(), batch.report());
         // The faulted batch must have gone through the pipeline, not a
         // per-event sequential reroute.
-        let counters = batch.pipeline_counters();
+        let counters = batch.metrics_snapshot().pipeline;
         prop_assert!(counters.fault_segments >= 1);
         prop_assert_eq!(counters.batches, counters.fault_segments);
 

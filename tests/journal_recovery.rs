@@ -188,7 +188,7 @@ proptest! {
             .journal(JournalConfig::new(&crash_dir))
             .recover()
             .unwrap();
-        let counters = recovered.recovery_counters();
+        let counters = recovered.metrics_snapshot().recovery;
         prop_assert!(counters.truncated_records <= 1,
             "a byte cut tears at most the record in flight");
 
@@ -245,7 +245,7 @@ proptest! {
         std::fs::write(dir.join("wal.bin"), &stale_wal[..cut]).unwrap();
 
         let recovered = builder(s.topo_seed).journal(config).recover().unwrap();
-        let counters = recovered.recovery_counters();
+        let counters = recovered.metrics_snapshot().recovery;
         prop_assert!(counters.truncated_records <= 1,
             "a byte cut tears at most the record in flight");
         prop_assert!(counters.stale_ops as usize <= s.ops.len());
@@ -295,7 +295,7 @@ proptest! {
         oracle.recompile().unwrap();
 
         let mut recovered = builder(s.topo_seed).journal(config.clone()).recover().unwrap();
-        prop_assert_eq!(recovered.recovery_counters().truncated_records, 0);
+        prop_assert_eq!(recovered.metrics_snapshot().recovery.truncated_records, 0);
         prop_assert_eq!(live_set(&recovered), live_set(&oracle));
 
         // Keep operating on the recovered broker, then recover again:
@@ -357,7 +357,7 @@ fn recover_from_empty_journal_is_an_empty_broker() {
         .recover()
         .unwrap();
     assert!(broker.registry().is_empty());
-    assert_eq!(broker.recovery_counters().replayed_ops, 0);
+    assert_eq!(broker.metrics_snapshot().recovery.replayed_ops, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -389,7 +389,7 @@ fn crash_between_rename_and_truncation_counts_stale_ops() {
     std::fs::write(dir.join("wal.bin"), &stale_wal).unwrap();
 
     let mut recovered = builder(2).journal(config).recover().unwrap();
-    let counters = recovered.recovery_counters();
+    let counters = recovered.metrics_snapshot().recovery;
     assert_eq!(counters.stale_ops, 3, "both subscribes and the unsubscribe");
     assert_eq!(counters.replayed_ops, 0);
     assert_eq!(counters.truncated_records, 0);
@@ -450,8 +450,8 @@ fn recovery_compiles_once() {
         .unwrap();
     assert_eq!(recover_calls.load(Ordering::Relaxed), per_compile);
     assert_eq!(recovered.epoch(), 1);
-    assert_eq!(recovered.recovery_counters().replayed_ops, 2);
-    assert_eq!(recovered.churn_counters().recompiles, 0);
+    assert_eq!(recovered.metrics_snapshot().recovery.replayed_ops, 2);
+    assert_eq!(recovered.metrics_snapshot().churn.recompiles, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

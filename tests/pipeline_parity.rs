@@ -240,7 +240,7 @@ proptest! {
                 let (mut broker, nodes) = build_broker(&s, Some(Arc::clone(&pool)));
                 if churned {
                     apply_churn(&mut broker, &s, &nodes);
-                    prop_assert!(broker.churn_counters().tombstone_len > 0);
+                    prop_assert!(broker.metrics_snapshot().churn.tombstone_len > 0);
                 }
                 let outcomes: Vec<_> = match threads {
                     Some(_) => broker.publish_batch(&events, threads).unwrap(),
@@ -267,10 +267,10 @@ proptest! {
                     apply_churn(&mut batch_broker, &s, &nodes);
                     apply_churn(&mut seq_broker, &s, &nodes);
                     prop_assert_eq!(
-                        batch_broker.churn_counters().overlay_len,
+                        batch_broker.metrics_snapshot().churn.overlay_len,
                         s.added.len()
                     );
-                    prop_assert!(batch_broker.churn_counters().tombstone_len > 0);
+                    prop_assert!(batch_broker.metrics_snapshot().churn.tombstone_len > 0);
                 }
                 let batch = batch_broker.publish_batch(&events, Some(threads)).unwrap();
                 let sequential: Vec<_> = events
@@ -280,8 +280,8 @@ proptest! {
                 assert_outcomes_identical(&batch, &sequential);
                 assert_reports_identical(batch_broker.report(), seq_broker.report());
                 prop_assert_eq!(
-                    batch_broker.scheme_cost_walks(),
-                    seq_broker.scheme_cost_walks()
+                    batch_broker.metrics_snapshot().scheme_cost_walks,
+                    seq_broker.metrics_snapshot().scheme_cost_walks
                 );
             }
         }
@@ -300,7 +300,7 @@ proptest! {
             let report = stats_only.publish_batch_stats(&events, Some(2)).unwrap();
             assert_reports_identical(&report, with_outcomes.report());
         }
-        let counters = stats_only.pipeline_counters();
+        let counters = stats_only.metrics_snapshot().pipeline;
         prop_assert_eq!(counters.batches, 3);
         prop_assert_eq!(counters.events, 3 * events.len() as u64);
         // Identical batches: only the first can grow the arenas.
@@ -348,7 +348,7 @@ fn one_pool_serves_two_brokers() {
         }
     }
     assert_eq!(broker_a.report(), seq_a.report());
-    assert!(broker_a.pipeline_counters().pooled_batches >= 1);
+    assert!(broker_a.metrics_snapshot().pipeline.pooled_batches >= 1);
 }
 
 /// Dropping brokers and the last pool handle joins all workers cleanly

@@ -56,10 +56,10 @@ fn quarantined_worker_output_is_bit_identical() {
         let clean_out = clean.publish_batch(&batch, Some(2)).unwrap();
         let trapped_out = trapped.publish_batch(&batch, Some(2)).unwrap();
 
-        assert_eq!(trapped.pipeline_counters().pooled_batches, 1);
-        assert_eq!(trapped.pipeline_counters().quarantined_workers, 1);
-        assert_eq!(trapped.pipeline_counters().retried_batches, 1);
-        assert_eq!(clean.pipeline_counters().quarantined_workers, 0);
+        assert_eq!(trapped.metrics_snapshot().pipeline.pooled_batches, 1);
+        assert_eq!(trapped.metrics_snapshot().pipeline.quarantined_workers, 1);
+        assert_eq!(trapped.metrics_snapshot().pipeline.retried_batches, 1);
+        assert_eq!(clean.metrics_snapshot().pipeline.quarantined_workers, 0);
 
         assert_eq!(clean_out.len(), trapped_out.len());
         for (a, b) in clean_out.iter().zip(&trapped_out) {
@@ -79,7 +79,7 @@ fn quarantined_worker_output_is_bit_identical() {
         for (a, b) in clean_again.iter().zip(&trapped_again) {
             assert_eq!(a.costs.scheme.to_bits(), b.costs.scheme.to_bits());
         }
-        assert_eq!(trapped.pipeline_counters().quarantined_workers, 1);
-        assert_eq!(trapped.pipeline_counters().retried_batches, 1);
+        assert_eq!(trapped.metrics_snapshot().pipeline.quarantined_workers, 1);
+        assert_eq!(trapped.metrics_snapshot().pipeline.retried_batches, 1);
     }
 }

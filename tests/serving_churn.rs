@@ -88,7 +88,7 @@ fn in_flight_batch_case(executors: usize) {
         .map(|i| Point::new(vec![0.5 + 0.9 * i as f64, 0.4 + 0.9 * i as f64]).unwrap())
         .collect();
 
-    let epoch_before = handle.metrics().unwrap().epoch;
+    let epoch_before = handle.metrics().unwrap().broker.epoch;
     // These five sit in the batcher — nothing has flushed them.
     for (i, e) in events[..5].iter().enumerate() {
         handle.submit_now(0, i as u64, e.clone()).unwrap();
@@ -99,7 +99,7 @@ fn in_flight_batch_case(executors: usize) {
         .subscribe(pubsub::netsim::NodeId(2), rect(1.0, 3.0, 1.0, 3.0))
         .unwrap();
     handle.recompile().unwrap();
-    let epoch_after = handle.metrics().unwrap().epoch;
+    let epoch_after = handle.metrics().unwrap().broker.epoch;
     assert!(epoch_after > epoch_before, "recompile must bump the epoch");
     for (i, e) in events[5..].iter().enumerate() {
         handle.submit_now(0, (5 + i) as u64, e.clone()).unwrap();
