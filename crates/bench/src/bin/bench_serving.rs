@@ -121,10 +121,8 @@ fn run_cell(
     // ingest queue is shallow — the ceiling only binds under backlog.
     let config = ServingConfig {
         ingest_capacity: 256,
-        egress_capacity: 256,
         max_batch: 256,
         flush_interval: Duration::from_millis(2),
-        threads: None,
         executors,
         shards: 4,
     };

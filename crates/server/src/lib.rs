@@ -3,8 +3,9 @@
 //! The core broker's `publish_batch` is a closed-loop API — the caller
 //! blocks until delivery decisions return, which hides queueing delay,
 //! the quantity the paper's multicast-vs-unicast cost tradeoff actually
-//! shapes for end users. This crate splits serving into three explicit
-//! stages decoupled by bounded [`pubsub_parallel::StageQueue`]s:
+//! shapes for end users. This crate splits serving into two stages joined
+//! by a bounded [`pubsub_parallel::StageQueue`], plus the delivery step
+//! that ends the second:
 //!
 //! * **transport-in** ([`IngestHandle`]) — submissions land in
 //!   per-connection-shard [`batcher`]s that assemble the SIMD-friendly
@@ -30,15 +31,16 @@
 //!   always processed under the epoch that was current when it entered
 //!   the queue — the epoch-keyed scheme-cost memo can never serve a
 //!   batch across a recompile boundary;
-//! * **transport-out** — the egress thread receives fold output in
-//!   ticket order (deterministic sink sequence), stamps per-event
+//! * **transport-out** — the fold thread itself, once a batch is folded
+//!   and before it takes the next item, stamps per-event
 //!   ingest/match/deliver timings into [`EventRecord`]s and hands them
-//!   to a caller-supplied [`DeliverySink`].
+//!   in ticket order (deterministic sink sequence) to a caller-supplied
+//!   [`DeliverySink`]. A slow sink stalls the fold, and through it the
+//!   executors and the ingest queue.
 //!
 //! [`tcp`] adds a small length-prefixed TCP front (thread per
 //! connection) speaking the [`wire`] protocol, for real clients; the
-//! serving benchmark instead drives [`IngestHandle`] in-process to
-//! simulate hundreds of thousands of clients.
+//! reference benchmark drives the server through it.
 //!
 //! # Backpressure contract
 //!
@@ -57,15 +59,17 @@
 //!
 //! # Crash safety
 //!
-//! Every [`StagedServer`] runs its executor, fold and egress threads
+//! Every [`StagedServer`] runs its executor and fold threads
 //! under a supervisor that detects a stage's death, restarts it from
 //! the state the dead thread left behind and replays the salvaged
 //! in-flight work, so accepted events survive stage crashes.
 //! [`StagedServer::start`] is the bare case; [`StagedServer::start_with`]
 //! takes [`SuperviseOptions`]: a [`RecoverFn`] that rebuilds the broker
-//! from its durable journal when the fold — the broker's owner — dies,
-//! and a [`CrashPlan`] that injects deterministic, seeded panics for the
-//! chaos tests. Without a `RecoverFn` a dead fold is the one crash the
+//! from its durable journal when the fold — the broker's owner — dies
+//! while applying an item, and a [`CrashPlan`] that injects
+//! deterministic, seeded panics for the chaos tests. A fold that dies
+//! while handing records to the sink restarts on its own broker. Without
+//! a `RecoverFn` a fold that dies while applying is the one crash the
 //! server cannot survive: [`StagedServer::try_stop`] then reports
 //! [`ServingError::Crashed`] (and [`StagedServer::stop`] panics) instead
 //! of hanging. See the [`supervise`] module docs for the exact

@@ -97,12 +97,10 @@ impl LatencyHisto {
 /// [`StagedServer::stop`](crate::StagedServer::stop) returns.
 ///
 /// The server keeps each of these once, where it happens: the ingest
-/// shards count admissions, the supervisor counts restarts, the fold
-/// thread records the ingest and pipeline histograms (they survive a
-/// fold recovery), and the egress thread owns `delivered`, `failed`,
-/// `batches` and `stage_egress`. A metrics poll cannot read the egress
-/// thread's totals and reports those four as 0: their values are final
-/// only in `stop`'s copy.
+/// shards count admissions, the supervisor counts restarts, and the
+/// fold thread records the stage histograms and the delivery counts
+/// (they survive a fold recovery). A metrics poll and `stop` read the
+/// same fold-side copy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Submissions accepted (each produced exactly one sink record).
@@ -139,8 +137,8 @@ pub struct ServerStats {
     /// complete (the fused match → cost → decide pass, the re-order
     /// window and the in-order fold).
     pub stage_pipeline: LatencyHisto,
-    /// Per-batch egress-stage latency (delivery fan-out and record
-    /// stamping).
+    /// Per-batch egress latency: fold complete → last record stamped
+    /// and handed to the sink.
     pub stage_egress: LatencyHisto,
 }
 

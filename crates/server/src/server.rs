@@ -1,6 +1,5 @@
 //! The staged server: ingest shards → ordered work queue → concurrent
-//! pipeline executors → in-order fold (owns the broker) → egress thread
-//! (owns the sink).
+//! pipeline executors → in-order fold (owns the broker and the sink).
 //!
 //! See the crate docs for the stage architecture and the backpressure
 //! contract. The implementation notes that matter:
@@ -22,10 +21,12 @@
 //!   every ticket before the bumping control — so a batch enqueued
 //!   before a recompile is processed under the pre-recompile view, under
 //!   the pre-recompile epoch, and its outcome records say so.
-//! * **Egress stays deterministic.** The fold forwards batches to egress
-//!   in ticket order (the sequence window re-orders whatever the
-//!   executors finish out of order), so the sink sees exactly the record
-//!   sequence the single-threaded server produced.
+//! * **Delivery stays deterministic.** The fold hands each batch's
+//!   records to the sink in ticket order (the sequence window re-orders
+//!   whatever the executors finish out of order) before it takes the
+//!   next item, so the sink sees exactly the record sequence a
+//!   single-threaded server produces, and a control op's reply follows
+//!   the records of every batch before it.
 //! * **Accepted means delivered-or-reported.** Once `submit` returns
 //!   `Ok`, the event sits in a shard batcher or the queue; shutdown
 //!   flushes every shard with a *blocking* push before closing the
@@ -80,12 +81,9 @@ pub struct ServingConfig {
     /// Bounded ingest-queue capacity in work items (batches + control
     /// operations). This is the admission-control knob: when the
     /// pipeline falls behind by this many batches, submissions reject.
+    /// A slow sink stalls the fold that calls it, and so fills this
+    /// queue: pressure reaches the edge instead of growing memory.
     pub ingest_capacity: usize,
-    /// Bounded pipeline → egress queue capacity in batches. A slow sink
-    /// eventually stalls the fold (lossless internal backpressure),
-    /// which fills the ingest queue, which rejects — pressure propagates
-    /// to the edge instead of growing unbounded memory.
-    pub egress_capacity: usize,
     /// Size trigger: a shard batch flushes when it reaches this many
     /// events.
     pub max_batch: usize,
@@ -96,14 +94,9 @@ pub struct ServingConfig {
     /// `(flush_interval / 16).max(100µs)` for latency, a backlogged one
     /// rides up to this ceiling so batches grow instead of the queue.
     pub flush_interval: Duration,
-    /// Worker threads for the broker's own fused pass (`None` =
-    /// available parallelism). Only exercised on the fold-side fault
-    /// path; the concurrent executors are single-worker passes by
-    /// construction.
-    pub threads: Option<usize>,
     /// Concurrent pipeline executors running the fused match → cost →
-    /// decide pass (`None` = available parallelism). The in-order fold
-    /// and the egress remain single threads regardless.
+    /// decide pass (`None` = available parallelism). The in-order fold,
+    /// which also delivers, remains a single thread regardless.
     pub executors: Option<usize>,
     /// Connection shards (batchers). Clients map to shards by
     /// `client % shards`; more shards mean less submit-lock contention
@@ -115,10 +108,8 @@ impl Default for ServingConfig {
     fn default() -> Self {
         ServingConfig {
             ingest_capacity: 64,
-            egress_capacity: 64,
             max_batch: 256,
             flush_interval: Duration::from_millis(1),
-            threads: None,
             executors: None,
             shards: 8,
         }
@@ -181,7 +172,7 @@ impl fmt::Display for ServingError {
 
 impl std::error::Error for ServingError {}
 
-/// What the egress stage emits for every accepted event: the outcome (or
+/// What the fold hands the sink for every accepted event: the outcome (or
 /// the broker's error, so fault-plan rejects are visible rather than
 /// silent), the epoch the event was processed under, and the per-stage
 /// timings.
@@ -207,11 +198,12 @@ pub struct EventRecord {
     /// Pipeline-stage residence of the event's batch: executor dequeue →
     /// fold complete (fused pass, re-order window and fold included).
     pub pipeline_ns: u64,
-    /// Egress-stage residence: fold handoff → this record stamped.
+    /// Egress residence: fold complete → this record stamped.
     pub egress_ns: u64,
 }
 
-/// Consumer of [`EventRecord`]s, owned by the egress thread.
+/// Consumer of [`EventRecord`]s, owned and called by the fold thread: a
+/// slow sink stalls the fold.
 pub trait DeliverySink: Send {
     /// Called exactly once per accepted event, in processing order.
     fn on_record(&mut self, record: EventRecord);
@@ -342,14 +334,15 @@ pub(crate) struct StagedBatch {
     pub(crate) pass: Option<(PublishScratch, u64)>,
 }
 
+/// A folded batch on its way to the sink.
 pub(crate) struct EgressBatch {
-    pub(crate) meta: Vec<SubmitMeta>,
-    /// One outcome per `meta` entry; egress moves them out front to
-    /// back, so what is left is what the sink has not been handed.
-    pub(crate) results: std::vec::IntoIter<Result<PublishOutcome, String>>,
-    pub(crate) epoch: u64,
-    pub(crate) dequeued: Instant,
-    pub(crate) folded: Instant,
+    meta: Vec<SubmitMeta>,
+    /// One outcome per `meta` entry; the emit step moves them out front
+    /// to back, so what is left is what the sink has not been handed.
+    results: std::vec::IntoIter<Result<PublishOutcome, String>>,
+    epoch: u64,
+    dequeued: Instant,
+    folded: Instant,
 }
 
 pub(crate) struct IngestShared {
@@ -402,9 +395,6 @@ pub(crate) struct StageShared {
     /// when set. Plans install before `StagedServer::start`, so this is
     /// constant for the server's lifetime.
     pub(crate) faults_active: bool,
-    pub(crate) egress_queue: StageQueue<EgressBatch>,
-    /// [`ServingConfig::threads`], for the fold-side pass.
-    pub(crate) threads: Option<usize>,
     pub(crate) chaos: ChaosSwitch,
     /// Stage threads restarted, and in-flight items salvaged and
     /// replayed across those restarts.
@@ -581,8 +571,8 @@ impl IngestHandle {
     }
 
     /// Polls the fold thread, in ticket order, for the broker's counters
-    /// and the server's own (see [`ServerStats`] for the four egress
-    /// fields a poll leaves at 0).
+    /// and the server's own. The fold has handed every earlier batch to
+    /// the sink before it answers, so the delivery counts are exact.
     ///
     /// # Errors
     ///
@@ -627,7 +617,7 @@ impl IngestHandle {
 }
 
 /// The running staged server. Owns the flusher and the supervisor of
-/// the executor, fold and egress threads; [`StagedServer::stop`] (or
+/// the executor and fold threads; [`StagedServer::stop`] (or
 /// drop) shuts down cleanly, returning the broker and the aggregate
 /// stats.
 #[derive(Debug)]
@@ -648,9 +638,9 @@ impl StagedServer {
 
     /// Starts the staged server around `broker`: spawns the deadline
     /// flusher and the supervisor, which in turn runs the pipeline
-    /// executors (sharing an immutable [`PublishView`] of the broker),
-    /// the fold thread (which takes ownership of the broker) and the
-    /// egress thread (which takes ownership of `sink`).
+    /// executors (sharing an immutable [`PublishView`] of the broker)
+    /// and the fold thread (which takes ownership of the broker and
+    /// `sink`).
     /// `options.recover` enables fold-crash recovery; `options.chaos`
     /// injects the scheduled panics.
     pub fn start_with(
@@ -682,8 +672,6 @@ impl StagedServer {
             cell: VersionedCell::new(broker.publish_view()),
             scratch_pool: Mutex::new(Vec::new()),
             faults_active: broker.faults_active(),
-            egress_queue: StageQueue::new(config.egress_capacity),
-            threads: config.threads,
             chaos: ChaosSwitch::new(&options.chaos),
             restarts: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
@@ -854,8 +842,8 @@ impl ExecState {
 /// ticket per item, version-stamped), run the read-only fused pass
 /// against the view at exactly the stamped version, and push the result
 /// into the sequence window at the ticket. Everything order-sensitive
-/// (broker mutation, version publication, egress handoff) happens on the
-/// fold side, in ticket order.
+/// (broker mutation, version publication, delivery) happens on the fold
+/// side, in ticket order.
 pub(crate) fn executor_loop(sh: &StageShared, st: &mut ExecState) {
     // A dead predecessor's batch first, as it was left: a pass that
     // never finished is a raw batch, and the fold processes it.
@@ -939,49 +927,59 @@ fn record_ingest(stats: &mut ServerStats, batch: &EventBatch, dequeued: Instant)
 }
 
 /// What must survive a fold thread: the broker (replaced through the
-/// [`RecoverFn`](crate::RecoverFn) after a crash — it died with the
-/// thread), the salvage slot, the fold's place in the version and
-/// chaos sequences, and the stage histograms it records.
+/// [`RecoverFn`](crate::RecoverFn) after a crash mid-apply — it died
+/// with the thread), the sink, the apply and emit slots, the fold's
+/// place in the version and chaos sequences, and the stats it records.
 pub(crate) struct FoldState {
     /// Boxed so that handing the state from thread to thread moves a
     /// pointer, not the broker.
     pub(crate) broker: Box<Broker>,
+    sink: Box<dyn DeliverySink>,
     /// The item being applied right now (replayed by the next
     /// incarnation if this one dies mid-apply).
     pub(crate) slot: Option<Staged>,
+    /// The folded batch whose records are being handed to the sink; the
+    /// outcomes still in it are where a replacement resumes.
+    pub(crate) emit: Option<EgressBatch>,
     /// The last view version the fold published — the version the
     /// supervisor republishes a recovered view under.
     pub(crate) version: u64,
     items: u64,
-    /// The ingest, batcher, queue-wait and pipeline histograms, recorded
-    /// once per batch as it leaves the crash window.
+    records: u64,
+    /// The stage histograms and delivery counts, recorded once per
+    /// batch as it leaves the apply slot and the emit slot.
     pub(crate) stats: ServerStats,
 }
 
 impl FoldState {
-    pub(crate) fn new(broker: Box<Broker>) -> Self {
+    pub(crate) fn new(broker: Box<Broker>, sink: Box<dyn DeliverySink>) -> Self {
         FoldState {
             broker,
+            sink,
             slot: None,
+            emit: None,
             version: 0,
             items: 0,
+            records: 0,
             stats: ServerStats::default(),
         }
     }
 }
 
-/// The in-order fold: the single broker owner. Consumes the sequence
-/// window in ticket order — folding executor scratches, processing raw
-/// (fault-path or salvaged) batches, applying control operations and
-/// republishing the view on version bumps — and forwards egress batches
-/// in that same order, which is what keeps sink output deterministic.
+/// The in-order fold: the single broker and sink owner. Consumes the
+/// sequence window in ticket order — folding executor scratches,
+/// processing raw (fault-path or salvaged) batches, applying control
+/// operations and republishing the view on version bumps — and hands
+/// each batch's records to the sink before taking the next item, which
+/// is what keeps sink output deterministic.
 pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
-    let broker = &mut *st.broker;
     let mut outcomes: Vec<PublishOutcome> = Vec::new();
     loop {
-        // A salvaged item from a dead predecessor replays first; only
-        // then does this incarnation pop (and tick the chaos clock) on
-        // its own account.
+        // A dead predecessor's unfinished emit, then its salvaged item,
+        // replay first; only then does this incarnation pop (and tick the
+        // chaos clock) on its own account.
+        emit(sh, st);
+        let broker = &mut *st.broker;
         if st.slot.is_none() {
             let Some((_ticket, staged)) = sh.window.pop_next() else {
                 break;
@@ -1030,11 +1028,11 @@ pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
             // A raw batch, or a pass that ran under a view this broker
             // no longer has (it predates a fold recovery): the broker
             // processes it here, deterministically.
-            _ => process(broker, &job.batch.points, sh.threads),
+            _ => process(broker, &job.batch.points),
         };
         let folded = Instant::now();
-        // Effects are fully in the broker: the item leaves the crash
-        // window, is counted once, and its batch moves on to egress.
+        // Effects are fully in the broker: the item leaves the apply
+        // slot, is counted once, and its batch moves to the emit slot.
         let Some(Staged::Batch(job)) = st.slot.take() else {
             unreachable!("matched above");
         };
@@ -1044,19 +1042,14 @@ pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
         if let Some((scratch, _)) = job.pass {
             lock(&sh.scratch_pool).push(scratch);
         }
-        let handed = sh.egress_queue.push(EgressBatch {
+        st.emit = Some(EgressBatch {
             meta: job.batch.meta,
             results: results.into_iter(),
             epoch,
             dequeued: job.dequeued,
             folded,
         });
-        assert!(
-            handed.is_ok(),
-            "egress queue closes only after the fold exits"
-        );
     }
-    sh.egress_queue.close();
 }
 
 /// Runs one batch through the engine on the fold side. Fault-free
@@ -1065,11 +1058,7 @@ pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
 /// own so a mid-batch abort (publisher down) cannot leave recorded
 /// events without records — see the module docs.
 #[allow(clippy::type_complexity)]
-fn process(
-    broker: &mut Broker,
-    points: &[Point],
-    threads: Option<usize>,
-) -> (Vec<Result<PublishOutcome, String>>, u64) {
+fn process(broker: &mut Broker, points: &[Point]) -> (Vec<Result<PublishOutcome, String>>, u64) {
     // Publishing never swaps the snapshot, so the epoch read afterwards
     // is the one the whole batch was matched and costed under.
     let results = if broker.faults_active() {
@@ -1078,7 +1067,9 @@ fn process(
             .map(|p| broker.publish(p).map_err(|e| e.to_string()))
             .collect()
     } else {
-        match broker.publish_batch(points, threads) {
+        // One worker: the fold is one thread, one worker never spawns a
+        // pool, and outcomes are bit-identical at any worker count.
+        match broker.publish_batch(points, Some(1)) {
             Ok(outcomes) => outcomes.into_iter().map(Ok).collect(),
             // Whole-batch validation failure: nothing recorded, every
             // event gets the error (submit-side dimension checks make
@@ -1092,68 +1083,41 @@ fn process(
     (results, broker.epoch())
 }
 
-/// What must survive an egress thread: the sink, the totals, and the
-/// batch being emitted.
-pub(crate) struct EgressState {
-    sink: Box<dyn DeliverySink>,
-    /// The batch in flight; the outcomes still in it are the resume
-    /// point for a replacement thread.
-    pub(crate) batch: Option<EgressBatch>,
-    /// `delivered`, `failed`, `batches` and `stage_egress`: the egress
-    /// thread's share of the final [`ServerStats`].
-    pub(crate) totals: ServerStats,
-    records: u64,
-}
-
-impl EgressState {
-    pub(crate) fn new(sink: Box<dyn DeliverySink>) -> Self {
-        EgressState {
-            sink,
-            batch: None,
-            totals: ServerStats::default(),
-            records: 0,
+/// The fold's emit step: hands the batch in the emit slot to the sink,
+/// record by record, in order. A dead predecessor's batch resumes where
+/// it stopped.
+fn emit(sh: &StageShared, st: &mut FoldState) {
+    let Some(batch) = st.emit.as_mut() else {
+        return;
+    };
+    let started = Instant::now();
+    debug_assert!(batch.results.len() <= batch.meta.len());
+    while !batch.results.as_slice().is_empty() {
+        sh.chaos.tick(CrashKind::KillEgress, &mut st.records);
+        let event = batch.meta[batch.meta.len() - batch.results.len()];
+        // Moved out before the sink runs: a record the sink panics on
+        // was handed over once and is not offered again.
+        let outcome = batch.results.next().expect("checked non-empty");
+        let now = Instant::now();
+        if outcome.is_ok() {
+            st.stats.delivered += 1;
+        } else {
+            st.stats.failed += 1;
         }
+        st.sink.on_record(EventRecord {
+            client: event.client,
+            seq: event.seq,
+            epoch: batch.epoch,
+            outcome,
+            latency_ns: nanos(now.saturating_duration_since(event.scheduled)),
+            ingest_ns: nanos(batch.dequeued.saturating_duration_since(event.submitted)),
+            pipeline_ns: nanos(batch.folded.saturating_duration_since(batch.dequeued)),
+            egress_ns: nanos(now.saturating_duration_since(batch.folded)),
+        });
     }
-}
-
-pub(crate) fn egress_loop(sh: &StageShared, st: &mut EgressState) {
-    loop {
-        // A dead predecessor's batch resumes where it stopped.
-        if st.batch.is_none() {
-            st.batch = sh.egress_queue.pop();
-        }
-        let Some(batch) = st.batch.as_mut() else {
-            return;
-        };
-        let started = Instant::now();
-        debug_assert!(batch.results.len() <= batch.meta.len());
-        while !batch.results.as_slice().is_empty() {
-            sh.chaos.tick(CrashKind::KillEgress, &mut st.records);
-            let event = batch.meta[batch.meta.len() - batch.results.len()];
-            // Moved out before the sink runs: a record the sink panics
-            // on was handed over once and is not offered again.
-            let outcome = batch.results.next().expect("checked non-empty");
-            let now = Instant::now();
-            if outcome.is_ok() {
-                st.totals.delivered += 1;
-            } else {
-                st.totals.failed += 1;
-            }
-            st.sink.on_record(EventRecord {
-                client: event.client,
-                seq: event.seq,
-                epoch: batch.epoch,
-                outcome,
-                latency_ns: nanos(now.saturating_duration_since(event.scheduled)),
-                ingest_ns: nanos(batch.dequeued.saturating_duration_since(event.submitted)),
-                pipeline_ns: nanos(batch.folded.saturating_duration_since(batch.dequeued)),
-                egress_ns: nanos(now.saturating_duration_since(batch.folded)),
-            });
-        }
-        st.totals.stage_egress.record(nanos(started.elapsed()));
-        st.totals.batches += 1;
-        st.batch = None;
-    }
+    st.stats.stage_egress.record(nanos(started.elapsed()));
+    st.stats.batches += 1;
+    st.emit = None;
 }
 
 #[cfg(test)]
@@ -1347,10 +1311,11 @@ mod tests {
             Box::new(flaky),
         );
         let handle = server.handle();
-        for (i, e) in events(30).into_iter().enumerate() {
-            handle.submit_now(0, i as u64, e).expect("accepted");
+        let stream = events(30);
+        for (i, e) in stream.iter().enumerate() {
+            handle.submit_now(0, i as u64, e.clone()).expect("accepted");
         }
-        let (_, stats) = server.try_stop().expect("egress restarts need no broker");
+        let (broker, stats) = server.try_stop().expect("egress restarts need no broker");
         assert_eq!(stats.restarts, 1);
         assert_eq!(stats.replayed_batches, 1, "the batch seq 5 was in");
         assert_eq!(stats.accepted, 30);
@@ -1358,6 +1323,11 @@ mod tests {
         let seqs: Vec<u64> = sink.take().iter().map(|r| r.seq).collect();
         let expected: Vec<u64> = (0..30).filter(|&seq| seq != 5).collect();
         assert_eq!(seqs, expected, "every other record exactly once, in order");
+        // The fold restarted on its own broker: the batch seq 5 was in
+        // was folded once, and nothing was rebuilt.
+        let mut reference = tiny_broker();
+        reference.publish_batch(&stream, Some(1)).expect("batch");
+        assert_eq!(broker.report(), reference.report());
     }
 
     #[test]
@@ -1422,8 +1392,9 @@ mod tests {
     #[test]
     fn overload_rejects_explicitly_and_loses_nothing() {
         let sink = CollectorSink::new();
-        // A sink this slow stalls egress; capacity-1 queues propagate the
-        // pressure back to submissions within a few batches.
+        // A sink this slow stalls the fold; a capacity-1 ingest queue
+        // propagates the pressure back to submissions within a few
+        // batches.
         let slow = {
             let sink = sink.clone();
             move |record: EventRecord| {
@@ -1436,7 +1407,6 @@ mod tests {
             tiny_broker(),
             ServingConfig {
                 ingest_capacity: 1,
-                egress_capacity: 1,
                 max_batch: 1,
                 shards: 1,
                 flush_interval: Duration::from_millis(1),
@@ -1513,5 +1483,30 @@ mod tests {
         assert_eq!(stats.stage_batcher.count(), 12);
         assert_eq!(stats.stage_queue_wait.count(), 12);
         assert!(!stats.stage_egress.is_empty());
+    }
+
+    /// The poll rides the ticket order behind every batch, and the fold
+    /// finishes handing a batch to the sink before it applies the next
+    /// item, so the delivery counts a poll reads are exact.
+    #[test]
+    fn metrics_poll_counts_every_earlier_delivery() {
+        let server = StagedServer::start(
+            tiny_broker(),
+            ServingConfig {
+                shards: 1,
+                max_batch: 4,
+                ..ServingConfig::default()
+            },
+            Box::new(LatencySink::new()),
+        );
+        let handle = server.handle();
+        for (i, e) in events(12).into_iter().enumerate() {
+            handle.submit_now(0, i as u64, e).expect("accepted");
+        }
+        let polled = handle.metrics().expect("metrics").server;
+        assert_eq!(polled.delivered, 12);
+        assert!(polled.batches >= 1);
+        assert_eq!(polled.stage_egress.count(), polled.batches);
+        server.stop();
     }
 }

@@ -1,11 +1,11 @@
 //! Supervision of the stage threads: every [`StagedServer`](crate::StagedServer)
-//! runs its executors, fold and egress under one supervisor thread that
+//! runs its executors and fold under one supervisor thread that
 //! restarts a dead stage without losing accepted work.
 //!
 //! # Failure model and guarantees
 //!
 //! Each stage thread's *state* — its salvage slot, its progress count
-//! and, for the fold and egress, the broker and the sink — is owned by
+//! and, for the fold, the broker and the sink — is owned by
 //! the thread's wrapper, outside the `catch_unwind` its loop runs in. A
 //! stage parks its in-flight work item in the slot before entering the
 //! region where it can die and removes it only once the item's effects
@@ -18,8 +18,9 @@
 //!   salvaged `(ticket, batch)` into the sequence window *raw*, so the
 //!   window never has a permanent gap and the fold processes the batch
 //!   itself. Result: the batch's events are delivered exactly once.
-//! * **Fold death** — the broker died with the thread. The supervisor
-//!   rebuilds it through the configured [`RecoverFn`] (typically
+//! * **Fold death while applying an item** — the broker died with the
+//!   thread. The supervisor rebuilds it through the configured
+//!   [`RecoverFn`] (typically
 //!   [`BrokerBuilder::recover`](pubsub_core::BrokerBuilder::recover)
 //!   over the durable journal), republishes the rebuilt
 //!   [`PublishView`](pubsub_core::PublishView) *at the same view
@@ -36,19 +37,22 @@
 //!   [`ServingError::Closed`](crate::ServingError::Closed), and
 //!   [`StagedServer::try_stop`](crate::StagedServer::try_stop) reports
 //!   [`ServingError::Crashed`](crate::ServingError::Crashed).
-//! * **Egress death** — the state holds the current egress batch, whose
-//!   outcomes are *moved* out one record at a time; the replacement
-//!   resumes at the first outcome still there, so the sink sees each
-//!   record exactly once. A record is handed over before the sink runs:
-//!   if the sink itself panics while consuming one, that record is not
-//!   offered again and every other record still arrives exactly once.
+//! * **Fold death in the emit step** — the state's emit slot holds the
+//!   folded batch whose records were being handed to the sink, so its
+//!   effects are all in the broker: the fold restarts on that broker,
+//!   with no `RecoverFn` call and no view republish. The batch's outcomes
+//!   are *moved* out one record at a time; the replacement resumes at
+//!   the first outcome still there, so the sink sees each record exactly
+//!   once. A record is handed over before the sink runs: if the sink
+//!   itself panics while consuming one, that record is not offered again
+//!   and every other record still arrives exactly once.
 //!
 //! # Chaos injection
 //!
 //! A [`CrashPlan`] schedules deterministic, single-shot panics at
 //! stage-progress counts: kill executor `n` after its `k`-th pop, kill
-//! the fold after its `k`-th item, kill egress after its `k`-th record.
-//! Plans are plain data and can be derived from a seed
+//! the fold after its `k`-th item, or after its `k`-th record handed to
+//! the sink. Plans are plain data and can be derived from a seed
 //! ([`CrashPlan::seeded`]), which is what the recovery property tests
 //! drive. An empty plan (the default) never fires and leaves the
 //! process-wide panic hook alone.
@@ -62,10 +66,7 @@ use std::thread::Scope;
 use pubsub_core::{Broker, BrokerError};
 
 use crate::metrics::ServerStats;
-use crate::server::{
-    egress_loop, executor_loop, fold_loop, DeliverySink, EgressState, ExecState, FoldState,
-    StageShared,
-};
+use crate::server::{executor_loop, fold_loop, DeliverySink, ExecState, FoldState, StageShared};
 
 /// Rebuilds a broker after the fold stage died with it — typically a
 /// closure around [`BrokerBuilder::recover`](pubsub_core::BrokerBuilder::recover)
@@ -81,8 +82,8 @@ pub enum CrashKind {
     /// Kill the fold thread (taking the broker with it) after it has
     /// consumed the configured number of sequence-window items.
     KillFold,
-    /// Kill the egress thread after it has emitted the configured
-    /// number of records to the sink.
+    /// Kill the fold thread in its emit step, after it has handed the
+    /// configured number of records to the sink.
     KillEgress,
 }
 
@@ -132,7 +133,7 @@ impl CrashPlan {
     }
 
     /// A seeded random plan: `crashes` kills spread over the three
-    /// stage kinds (`executors` is the executor count to draw targets
+    /// crash kinds (`executors` is the executor count to draw targets
     /// from), with progress counts in `1..=32`. The same seed always
     /// yields the same plan.
     pub fn seeded(seed: u64, crashes: usize, executors: usize) -> Self {
@@ -239,13 +240,12 @@ impl fmt::Debug for SuperviseOptions {
 
 /// A stage thread's exit report: whether its loop returned (`true`) or
 /// panicked, and the state to hand to a replacement.
-// The fold's and egress's states carry their stage histograms; a report
-// is sent once per thread lifetime, so boxing them would buy nothing.
+// The fold's state carries the stage histograms; a report is sent once
+// per thread lifetime, so boxing it would buy nothing.
 #[allow(clippy::large_enum_variant)]
 enum Exit {
     Executor(bool, ExecState),
     Fold(bool, FoldState),
-    Egress(bool, EgressState),
 }
 
 /// Spawns one stage thread in the supervisor's scope. `state` stays
@@ -283,7 +283,6 @@ pub(crate) fn supervisor_loop(
 ) -> Result<(Broker, ServerStats), String> {
     let (tx, exits) = mpsc::channel();
     let mut finished = None;
-    let mut totals = ServerStats::default();
     let mut failure = None;
     std::thread::scope(|scope| {
         let spawn_executor = |state: ExecState| {
@@ -302,15 +301,10 @@ pub(crate) fn supervisor_loop(
             let name = "pubsub-fold".to_owned();
             spawn_stage(scope, shared, &tx, name, state, fold_loop, Exit::Fold);
         };
-        let spawn_egress = |state: EgressState| {
-            let name = "pubsub-egress".to_owned();
-            spawn_stage(scope, shared, &tx, name, state, egress_loop, Exit::Egress);
-        };
         (0..executors).for_each(|index| spawn_executor(ExecState::new(index)));
-        spawn_fold(FoldState::new(broker));
-        spawn_egress(EgressState::new(sink));
+        spawn_fold(FoldState::new(broker, sink));
         let mut live_executors = executors;
-        let mut running = executors + 2;
+        let mut running = executors + 1;
         while running > 0 {
             running -= 1;
             match exits.recv().expect("the supervisor holds a sender") {
@@ -336,7 +330,14 @@ pub(crate) fn supervisor_loop(
                 // (No fold exit follows a failure: only a fold that was
                 // not replaced sets one.)
                 Exit::Fold(false, mut state) => {
-                    shared.note_restart(state.slot.is_some());
+                    shared.note_restart(state.slot.is_some() || state.emit.is_some());
+                    if state.emit.is_some() {
+                        // Died in the emit step: every effect of the
+                        // batch is in the broker, which it keeps.
+                        spawn_fold(state);
+                        running += 1;
+                        continue;
+                    }
                     let rebuilt = match recover.as_mut() {
                         Some(recover) => {
                             recover().map_err(|e| format!("fold recovery failed: {e}"))
@@ -361,12 +362,6 @@ pub(crate) fn supervisor_loop(
                         }
                     }
                 }
-                Exit::Egress(false, state) if failure.is_none() => {
-                    shared.note_restart(state.batch.is_some());
-                    spawn_egress(state);
-                    running += 1;
-                }
-                Exit::Egress(_, state) => totals = state.totals,
             }
         }
     });
@@ -378,14 +373,7 @@ pub(crate) fn supervisor_loop(
         return Err(why);
     }
     let fold = finished.expect("the fold's clean exit hands the broker back");
-    let stats = shared.stats(ServerStats {
-        delivered: totals.delivered,
-        failed: totals.failed,
-        batches: totals.batches,
-        stage_egress: totals.stage_egress,
-        ..fold.stats
-    });
-    Ok((*fold.broker, stats))
+    Ok((*fold.broker, shared.stats(fold.stats)))
 }
 
 /// Last-resort teardown when the fold cannot be rebuilt: wake and
@@ -401,5 +389,4 @@ fn abandon(shared: &StageShared) {
     shared.cell.publish(u64::MAX, view);
     shared.window.close();
     drop(shared.window.drain_pending());
-    shared.egress_queue.close();
 }

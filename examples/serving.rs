@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .threshold(0.4)
         .build()?;
 
-    // 2. Start the staged server. The sink runs on the egress thread and
+    // 2. Start the staged server. The sink runs on the fold thread and
     //    sees one EventRecord per accepted event; LatencySink just keeps
     //    the publish→deliver nanoseconds.
     let sink = LatencySink::new();

@@ -113,10 +113,8 @@ proptest! {
             broker,
             ServingConfig {
                 ingest_capacity: s.ingest_capacity,
-                egress_capacity: s.ingest_capacity,
                 max_batch: s.max_batch,
                 flush_interval: Duration::from_micros(500),
-                threads: Some(1),
                 executors: Some(s.executors),
                 shards: s.shards,
             },

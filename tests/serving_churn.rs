@@ -73,10 +73,8 @@ fn in_flight_batch_case(executors: usize) {
         // shard flush (or shutdown) can move them.
         ServingConfig {
             ingest_capacity: 64,
-            egress_capacity: 64,
             max_batch: 1 << 20,
             flush_interval: Duration::from_secs(3600),
-            threads: Some(1),
             executors: Some(executors),
             shards: 1,
         },
@@ -201,10 +199,8 @@ proptest! {
             // keep this a semantics test, not a backpressure test.
             ServingConfig {
                 ingest_capacity: 256,
-                egress_capacity: 256,
                 max_batch: 4,
                 flush_interval: Duration::from_micros(500),
-                threads: Some(1),
                 executors: Some(s.executors),
                 shards: 1,
             },

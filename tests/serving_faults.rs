@@ -95,10 +95,8 @@ proptest! {
             // how many executors race the dispatcher.
             ServingConfig {
                 ingest_capacity: 256,
-                egress_capacity: 256,
                 max_batch: 4,
                 flush_interval: Duration::from_micros(500),
-                threads: Some(1),
                 executors: Some(executors),
                 shards: 1,
             },

@@ -93,10 +93,8 @@ fn submit_patiently(handle: &IngestHandle, seq: u64, point: Point) -> Result<(),
 fn small_config(executors: usize, max_batch: usize) -> ServingConfig {
     ServingConfig {
         ingest_capacity: 16,
-        egress_capacity: 16,
         max_batch,
         flush_interval: Duration::from_micros(500),
-        threads: Some(1),
         executors: Some(executors),
         shards: 1,
     }
@@ -219,9 +217,10 @@ proptest! {
     }
 }
 
-/// A plan that provably fires on all three stages: the pipeline loses
-/// an executor, the fold (broker owner), and the egress thread, and
-/// still delivers every accepted event exactly once.
+/// A plan that provably fires all three crash kinds: the pipeline loses
+/// an executor, the fold (broker owner) while applying an item, and the
+/// fold again while handing records to the sink, and still delivers
+/// every accepted event exactly once.
 #[test]
 fn every_stage_crash_is_survived_exactly_once() {
     let dir = scratch_dir("stages");
