@@ -116,9 +116,9 @@ fn run_cell(
     let resolved = pubsub_parallel::effective_threads(executors);
 
     // Few shards, 2 ms flush ceiling: the single replay thread is the
-    // only producer (no shard contention to spread), and the adaptive
-    // deadline shrinks toward its sub-millisecond floor whenever the
-    // ingest queue is shallow — the ceiling only binds under backlog.
+    // only producer (no shard contention to spread), and an idle or
+    // draining pipeline flushes without waiting — the ceiling only binds
+    // while the pipeline stays busy.
     let config = ServingConfig {
         ingest_capacity: 256,
         max_batch: 256,

@@ -1,14 +1,13 @@
-//! Size-or-deadline batching for the transport-in stage.
+//! Size-or-wait batching for the transport-in stage.
 //!
 //! Each connection shard owns one [`EventBatcher`]: submissions
-//! accumulate until either the batch is full (size trigger, checked at
-//! submit) or the oldest buffered item has waited longer than the flush
-//! deadline (checked by the server's flusher tick). This is the classic
-//! serving tradeoff — batching amortizes per-batch pipeline cost, the
-//! deadline bounds the latency a sparse client pays for it. The server
-//! *adapts* the deadline to ingest-queue fill (see the crate docs): an
-//! idle queue flushes near the floor for latency, a backlogged one rides
-//! up to the configured interval so batches grow instead of the queue.
+//! accumulate until the batch is full (size trigger, checked at submit),
+//! the pipeline has nothing in flight (checked at submit and when the
+//! fold finishes its last item), or the oldest buffered item has waited
+//! longer than the flush deadline (checked by the server's flusher
+//! tick). Batching amortizes per-batch pipeline cost only against a pass
+//! already in flight, so events wait only while the pipeline is busy,
+//! and the deadline is just the ceiling on what a sparse client pays.
 //!
 //! The event batcher assembles the SIMD-friendly structure-of-arrays
 //! layout **at ingest**: every push appends the event's coordinates to

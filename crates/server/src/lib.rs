@@ -9,10 +9,10 @@
 //!
 //! * **transport-in** ([`IngestHandle`]) — submissions land in
 //!   per-connection-shard [`batcher`]s that assemble the SIMD-friendly
-//!   structure-of-arrays event layout at ingest and flush on
-//!   size-or-*adaptive*-deadline (sub-millisecond floor while the
-//!   ingest queue is shallow, growing toward the configured interval
-//!   under backlog); admission control is the bounded ingest queue: a
+//!   structure-of-arrays event layout at ingest and flush on size or
+//!   wait — at once into an idle pipeline, when the fold drains the
+//!   last work item in flight, and at the latest at the configured
+//!   deadline ceiling; admission control is the bounded ingest queue: a
 //!   full queue is an *explicit, synchronous reject* (the accept/reject
 //!   ack of the wire protocol), never a silent drop and never a blocked
 //!   transport thread;

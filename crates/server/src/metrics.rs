@@ -126,12 +126,11 @@ pub struct ServerStats {
     /// for cross-version comparability.
     pub stage_ingest: LatencyHisto,
     /// Ingest split, per event: submission → shard-batcher flush — how
-    /// long the event waited for the size-or-deadline trigger. This is
-    /// the number adaptive batching shrinks when the queue is shallow.
+    /// long the event waited for the size trigger, a drained pipeline or
+    /// the deadline. Near zero while the pipeline is idle.
     pub stage_batcher: LatencyHisto,
     /// Ingest split, per event: batcher flush → dequeue by a pipeline
-    /// executor — time spent in the bounded ingest queue. This is the
-    /// backlog signal adaptive batching grows the deadline under.
+    /// executor — time spent in the bounded ingest queue.
     pub stage_queue_wait: LatencyHisto,
     /// Per-batch pipeline-stage latency: executor dequeue → fold
     /// complete (the fused match → cost → decide pass, the re-order

@@ -45,14 +45,14 @@
 //!   stage from that state. An empty [`CrashPlan`](crate::CrashPlan) and
 //!   no [`RecoverFn`](crate::RecoverFn) — what [`StagedServer::start`]
 //!   means — is the same runtime with nothing scheduled to die.
-//! * **Batching adapts to load.** Shard flush deadlines shrink toward a
-//!   sub-millisecond floor while the ingest queue is shallow (latency
-//!   mode) and stretch toward the configured interval as it fills
-//!   (throughput mode) — see [`ServingConfig::flush_interval`].
+//! * **Batching earns its wait.** A submit into an idle pipeline flushes
+//!   at once, and the fold flushes every waiting shard when its last item
+//!   in flight finishes; events wait only while a pass is in flight to
+//!   amortise against, at most [`ServingConfig::flush_interval`].
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -87,12 +87,12 @@ pub struct ServingConfig {
     /// Size trigger: a shard batch flushes when it reaches this many
     /// events.
     pub max_batch: usize,
-    /// Deadline ceiling: a non-empty shard flushes when its oldest event
-    /// has waited this long, so sparse clients are not held hostage by
-    /// the size trigger. The *effective* deadline adapts to ingest-queue
-    /// fill — an idle queue flushes at a floor of
-    /// `(flush_interval / 16).max(100µs)` for latency, a backlogged one
-    /// rides up to this ceiling so batches grow instead of the queue.
+    /// Deadline ceiling only: a non-empty shard flushes when its oldest
+    /// event has waited this long. An idle pipeline never makes events
+    /// wait for it — a submit into it flushes at once, and the fold
+    /// flushes every waiting shard when the pipeline drains — so it binds
+    /// only for a sparse shard while other connections keep the pipeline
+    /// busy.
     pub flush_interval: Duration,
     /// Concurrent pipeline executors running the fused match → cost →
     /// decide pass (`None` = available parallelism). The in-order fold,
@@ -351,8 +351,74 @@ pub(crate) struct IngestShared {
     pub(crate) accepting: AtomicBool,
     pub(crate) accepted: AtomicU64,
     pub(crate) rejected: AtomicU64,
+    /// Work items pushed into `queue` and not yet finished by the fold:
+    /// a batch until its emit step ends, a control op until it leaves the
+    /// apply slot. Zero means the pipeline is idle.
+    pub(crate) in_flight: AtomicU64,
     pub(crate) dims: usize,
     pub(crate) flush_interval: Duration,
+}
+
+impl IngestShared {
+    /// Pushes `item` (blocking or not), counted in `in_flight` from
+    /// before the push so the fold never finishes an uncounted item; a
+    /// failed push is uncounted again. An undo that reaches zero drains
+    /// nothing, but it follows a full queue, and the ceiling bounds that.
+    fn push(&self, item: WorkItem, block: bool) -> Result<(), WorkItem> {
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        let pushed = if block {
+            self.queue.push(item)
+        } else {
+            self.queue.try_push(item).map_err(PushError::into_inner)
+        };
+        if pushed.is_err() {
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+        pushed
+    }
+
+    /// Flushes `batcher`'s events (if any) as one batch; whether they
+    /// left. A failed push puts them back.
+    fn flush(&self, batcher: &mut EventBatcher, now: Instant, block: bool) -> bool {
+        if batcher.is_empty() {
+            return true;
+        }
+        let Err(WorkItem::Batch(batch)) = self.push(WorkItem::Batch(batcher.take(now)), block)
+        else {
+            return true;
+        };
+        batcher.restore(batch, now);
+        false
+    }
+
+    /// The fold finished one work item; the one that leaves nothing in
+    /// flight flushes every shard that buffered events meanwhile.
+    ///
+    /// No wake-up is lost: `submit` reads `in_flight` under its shard
+    /// lock after buffering, and this decrement precedes every shard lock
+    /// below, so either that submit saw zero or this drain sees its
+    /// event. The fold is the queue's consumer, so it neither pushes
+    /// blocking nor waits on a shard lock, whose holder may be pushing
+    /// blocking: that holder waits on a full queue, which is work in
+    /// flight, so a contended shard is skipped once anything is in flight
+    /// — the drain that work ends in comes back to it.
+    pub(crate) fn finish(&self) {
+        if self.in_flight.fetch_sub(1, Ordering::SeqCst) != 1 {
+            return;
+        }
+        let now = Instant::now();
+        for shard in &self.shards {
+            let mut batcher = loop {
+                match shard.try_lock() {
+                    Ok(batcher) => break batcher,
+                    Err(TryLockError::Poisoned(poisoned)) => break poisoned.into_inner(),
+                    Err(_) if self.in_flight.load(Ordering::SeqCst) > 0 => return,
+                    Err(_) => std::thread::yield_now(),
+                }
+            };
+            self.flush(&mut batcher, now, false);
+        }
+    }
 }
 
 impl fmt::Debug for IngestShared {
@@ -363,6 +429,7 @@ impl fmt::Debug for IngestShared {
             .field("accepting", &self.accepting)
             .field("accepted", &self.accepted)
             .field("rejected", &self.rejected)
+            .field("in_flight", &self.in_flight)
             .finish_non_exhaustive()
     }
 }
@@ -467,29 +534,19 @@ impl IngestHandle {
         if !sh.accepting.load(Ordering::SeqCst) {
             return Err(RejectReason::Closed);
         }
-        if batcher.is_full() {
-            // Mandatory flush before accepting more: if the queue will
-            // not take the shard's batch, the *new* event is rejected
-            // and everything already accepted stays buffered.
-            let batch = batcher.take(now);
-            if let Err(err) = sh.queue.try_push(WorkItem::Batch(batch)) {
-                let (reason, item) = match err {
-                    // Publishes shed with a retry hint; control ops keep
-                    // their blocking-push lane and are always admitted.
-                    PushError::Full(item) => (
-                        RejectReason::Shed {
-                            retry_after_ms: shed_hint(sh),
-                        },
-                        item,
-                    ),
-                    PushError::Closed(item) => (RejectReason::Closed, item),
-                };
-                if let WorkItem::Batch(batch) = item {
-                    batcher.restore(batch, now);
-                }
-                sh.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(reason);
+        // Mandatory flush before accepting more: if the queue will not
+        // take the shard's batch, the *new* event is rejected and
+        // everything already accepted stays buffered.
+        if batcher.is_full() && !sh.flush(&mut batcher, now, false) {
+            sh.rejected.fetch_add(1, Ordering::Relaxed);
+            if sh.queue.is_closed() {
+                return Err(RejectReason::Closed);
             }
+            // Publishes shed with a retry hint; control ops keep their
+            // blocking-push lane and are always admitted.
+            return Err(RejectReason::Shed {
+                retry_after_ms: shed_hint(sh),
+            });
         }
         batcher.push(
             SubmitMeta {
@@ -502,15 +559,14 @@ impl IngestHandle {
             now,
         );
         sh.accepted.fetch_add(1, Ordering::Relaxed);
-        if batcher.is_full() {
-            // Opportunistic size-trigger flush; a full queue just leaves
-            // the batch for the next submit or the deadline flusher.
-            let batch = batcher.take(now);
-            if let Err(err) = sh.queue.try_push(WorkItem::Batch(batch)) {
-                if let WorkItem::Batch(batch) = err.into_inner() {
-                    batcher.restore(batch, now);
-                }
-            }
+        // Size trigger, or flush on idle: with nothing in flight there is
+        // no pass to amortise against. Read under the shard lock after
+        // buffering, while the fold's drain decrements before it locks a
+        // shard: either this read sees zero or that drain sees the event
+        // (see `IngestShared::finish`). A full queue leaves the batch for
+        // the next submit, the next drain or the deadline flusher.
+        if batcher.is_full() || sh.in_flight.load(Ordering::SeqCst) == 0 {
+            sh.flush(&mut batcher, now, false);
         }
         Ok(())
     }
@@ -599,19 +655,13 @@ impl IngestHandle {
     fn control(&self, op: ControlOp) -> Result<(), ServingError> {
         let sh = &*self.shared;
         for shard in &sh.shards {
-            let mut batcher = lock(shard);
-            if !batcher.is_empty() {
-                let batch = batcher.take(Instant::now());
-                if let Err(WorkItem::Batch(batch)) = sh.queue.push(WorkItem::Batch(batch)) {
-                    // Queue closed mid-shutdown: put them back for the
-                    // final flush and report closed.
-                    batcher.restore(batch, Instant::now());
-                    return Err(ServingError::Closed);
-                }
+            // A closed queue (mid-shutdown) puts the events back for the
+            // final flush.
+            if !sh.flush(&mut lock(shard), Instant::now(), true) {
+                return Err(ServingError::Closed);
             }
         }
-        sh.queue
-            .push(WorkItem::Control(op))
+        sh.push(WorkItem::Control(op), true)
             .map_err(|_| ServingError::Closed)
     }
 }
@@ -658,6 +708,7 @@ impl StagedServer {
             accepting: AtomicBool::new(true),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
             dims,
             flush_interval: config.flush_interval,
         });
@@ -734,11 +785,7 @@ impl StagedServer {
         // Final flush: every accepted event must reach the pipeline, so
         // this push blocks rather than rejects.
         for shard in &sh.shards {
-            let mut batcher = lock(shard);
-            if !batcher.is_empty() {
-                let batch = batcher.take(Instant::now());
-                let _ = sh.queue.push(WorkItem::Batch(batch));
-            }
+            sh.flush(&mut lock(shard), Instant::now(), true);
         }
         sh.queue.close();
         self.flusher_stop.store(true, Ordering::SeqCst);
@@ -771,47 +818,21 @@ pub(crate) fn shed_hint(shared: &IngestShared) -> u32 {
     (depth * per_batch_ms).clamp(1, 10_000) as u32
 }
 
-/// The adaptive-deadline floor: a shallow ingest queue flushes shards
-/// after this long, trading batch size for latency. Configs with long
-/// intervals (tests pin events with hour-scale ones) keep proportionally
-/// long floors, so "never flushes on its own" setups still hold.
-fn deadline_floor(interval: Duration) -> Duration {
-    (interval / 16)
-        .max(Duration::from_micros(100))
-        .min(interval)
-}
-
-/// The effective flush deadline right now: interpolates from the floor
-/// (idle queue — flush eagerly, the pipeline is starving) up to the
-/// configured ceiling as the ingest queue fills (backlog — let batches
-/// grow instead of adding queue entries).
-fn adaptive_deadline(shared: &IngestShared) -> Duration {
-    let ceiling = shared.flush_interval;
-    let floor = deadline_floor(ceiling);
-    let fill = shared.queue.depth() as f64 / shared.queue.capacity().max(1) as f64;
-    floor + (ceiling - floor).mul_f64(fill.clamp(0.0, 1.0))
-}
-
+/// The deadline ceiling, for a sparse shard while other connections keep
+/// the pipeline from ever draining.
 pub(crate) fn flusher_loop(shared: &IngestShared, stop: &AtomicBool) {
-    // The tick tracks the *floor* so an idle queue actually gets its
-    // eager flushes, and is capped so shutdown never waits on a sleeping
-    // flusher: `stop` joins this thread, and an arbitrarily long flush
-    // interval must not translate into an arbitrarily long join.
-    let tick = (deadline_floor(shared.flush_interval) / 2)
-        .clamp(Duration::from_micros(50), Duration::from_millis(20));
+    // The tick is capped so shutdown never waits on a sleeping flusher:
+    // `stop` joins this thread, and an arbitrarily long flush interval
+    // must not translate into an arbitrarily long join.
+    let deadline = shared.flush_interval;
+    let tick = (deadline / 2).clamp(Duration::from_micros(50), Duration::from_millis(20));
     while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(tick);
-        let deadline = adaptive_deadline(shared);
         let now = Instant::now();
         for shard in &shared.shards {
             let mut batcher = lock(shard);
             if batcher.due(now, deadline) {
-                let batch = batcher.take(now);
-                if let Err(err) = shared.queue.try_push(WorkItem::Batch(batch)) {
-                    if let WorkItem::Batch(batch) = err.into_inner() {
-                        batcher.restore(batch, now);
-                    }
-                }
+                shared.flush(&mut batcher, now, false);
             }
         }
     }
@@ -988,9 +1009,11 @@ pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
             sh.chaos.tick(CrashKind::KillFold, &mut st.items);
         }
         let Some(Staged::Batch(job)) = st.slot.as_mut() else {
-            // A control op leaves the slot before it is applied: at most
-            // once, and a caller whose op died sees its channel drop.
+            // A control op leaves the slot, and is finished, before it is
+            // applied: at most once, and a caller whose op died sees its
+            // channel drop.
             if let Some(Staged::Control(op)) = st.slot.take() {
+                sh.ingest.finish();
                 let bumps = op.bumps_view();
                 match op {
                     ControlOp::Subscribe(node, rect, tx) => {
@@ -1117,7 +1140,9 @@ fn emit(sh: &StageShared, st: &mut FoldState) {
     }
     st.stats.stage_egress.record(nanos(started.elapsed()));
     st.stats.batches += 1;
+    // Finished as it leaves the emit slot; a death before resumes it.
     st.emit = None;
+    sh.ingest.finish();
 }
 
 #[cfg(test)]
@@ -1330,63 +1355,126 @@ mod tests {
         assert_eq!(broker.report(), reference.report());
     }
 
+    /// Polls `done` for up to `limit`.
+    fn wait_until(limit: Duration, done: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + limit;
+        while !done() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        done()
+    }
+
+    /// A collector that blocks the fold in the sink on the first record
+    /// `hold` picks: the returned receiver hears when it is held, the
+    /// sender releases it (so does a 10 s timeout, so a failing test
+    /// cannot hang its server's shutdown).
+    fn holding_sink(
+        sink: &CollectorSink,
+        hold: fn(&EventRecord) -> bool,
+    ) -> (Box<dyn DeliverySink>, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (held_tx, held) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let mut sink = sink.clone();
+        let mut holding = true;
+        let gate = move |record: EventRecord| {
+            if holding && hold(&record) {
+                holding = false;
+                let _ = held_tx.send(());
+                let _ = release_rx.recv_timeout(Duration::from_secs(10));
+            }
+            sink.on_record(record);
+        };
+        (Box::new(gate), held, release)
+    }
+
+    /// An hour-long interval takes the deadline out of play: with
+    /// nothing in flight the submit itself flushes.
+    #[test]
+    fn idle_pipeline_flushes_at_submit() {
+        let sink = CollectorSink::new();
+        let server = StagedServer::start(
+            tiny_broker(),
+            ServingConfig {
+                flush_interval: Duration::from_secs(3600),
+                ..ServingConfig::default()
+            },
+            Box::new(sink.clone()),
+        );
+        server
+            .handle()
+            .submit_now(3, 77, Point::new(vec![1.0, 1.0]).expect("point"))
+            .expect("accepted");
+        let flushed = wait_until(Duration::from_secs(5), || sink.len() == 1);
+        assert!(flushed, "an idle pipeline kept the event waiting");
+        let (_, stats) = server.stop();
+        assert_eq!((stats.delivered, stats.batches), (1, 1));
+    }
+
+    /// Seq 0 flushes on idle and holds the pipeline busy in the sink, so
+    /// seqs 1–4 wait; the fold's drain, not the hour-long deadline,
+    /// flushes them as one batch once seq 0 is delivered.
+    #[test]
+    fn drained_pipeline_flushes_what_waited() {
+        let sink = CollectorSink::new();
+        let (gate, held, release) = holding_sink(&sink, |_| true);
+        let server = StagedServer::start(
+            tiny_broker(),
+            ServingConfig {
+                flush_interval: Duration::from_secs(3600),
+                ..ServingConfig::default()
+            },
+            gate,
+        );
+        let handle = server.handle();
+        let stream = events(5);
+        handle
+            .submit_now(0, 0, stream[0].clone())
+            .expect("accepted");
+        held.recv_timeout(Duration::from_secs(5))
+            .expect("an idle pipeline kept seq 0 waiting");
+        for (i, e) in stream.iter().enumerate().skip(1) {
+            handle.submit_now(0, i as u64, e.clone()).expect("accepted");
+        }
+        release.send(()).expect("the sink holds seq 0");
+        let drained = wait_until(Duration::from_secs(5), || sink.len() == 5);
+        assert!(drained, "the drain left events waiting");
+        let seqs: Vec<u64> = sink.take().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        let (_, stats) = server.stop();
+        assert_eq!(stats.batches, 2, "one flush on idle, one on drain");
+    }
+
+    /// The ceiling: client 0's record holds the pipeline busy in the
+    /// sink, so neither a flush on idle nor a drain can move client 1's
+    /// event on the other shard — only the deadline flusher can.
     #[test]
     fn deadline_flush_delivers_sparse_traffic() {
         let sink = CollectorSink::new();
+        let (gate, held, release) = holding_sink(&sink, |r| r.client == 0);
         let server = StagedServer::start(
             tiny_broker(),
             ServingConfig {
                 max_batch: 1_000_000, // size trigger unreachable
                 flush_interval: Duration::from_millis(2),
+                shards: 2,
                 ..ServingConfig::default()
             },
-            Box::new(sink.clone()),
+            gate,
         );
         let handle = server.handle();
-        handle
-            .submit_now(3, 77, Point::new(vec![1.0, 1.0]).expect("point"))
-            .expect("accepted");
-        // Only the deadline can flush this single event.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while sink.is_empty() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(sink.len(), 1, "deadline flusher never fired");
+        let point = Point::new(vec![1.0, 1.0]).expect("point");
+        handle.submit_now(0, 0, point.clone()).expect("accepted");
+        held.recv_timeout(Duration::from_secs(5))
+            .expect("client 0's record reached the sink");
+        handle.submit_now(1, 0, point).expect("accepted");
+        let flushed = wait_until(Duration::from_secs(1), || {
+            lock(&handle.shared.shards[1]).is_empty()
+        });
+        assert!(flushed, "deadline flusher never fired");
+        assert!(sink.is_empty(), "the sink was still held");
+        release.send(()).expect("the sink holds client 0's record");
         let (_, stats) = server.stop();
-        assert_eq!(stats.accepted, 1);
-        assert_eq!(stats.delivered, 1);
-    }
-
-    #[test]
-    fn adaptive_deadline_tracks_queue_fill() {
-        let interval = Duration::from_millis(8);
-        let shared = IngestShared {
-            queue: StageQueue::new(4),
-            shards: Vec::new(),
-            accepting: AtomicBool::new(true),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            dims: 2,
-            flush_interval: interval,
-        };
-        let floor = deadline_floor(interval);
-        assert_eq!(floor, Duration::from_micros(500));
-        // Idle queue: eager floor.
-        assert_eq!(adaptive_deadline(&shared), floor);
-        // Full queue: the configured ceiling.
-        for _ in 0..4 {
-            assert!(shared
-                .queue
-                .try_push(WorkItem::Control(ControlOp::Metrics(mpsc::channel().0)))
-                .is_ok());
-        }
-        assert_eq!(adaptive_deadline(&shared), interval);
-        // Long test intervals keep proportionally long floors, so
-        // "pin events in the batcher" configs never flush early.
-        assert_eq!(
-            deadline_floor(Duration::from_secs(3600)),
-            Duration::from_secs(225)
-        );
+        assert_eq!(stats.delivered, 2);
     }
 
     #[test]

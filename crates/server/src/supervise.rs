@@ -373,6 +373,8 @@ pub(crate) fn supervisor_loop(
         return Err(why);
     }
     let fold = finished.expect("the fold's clean exit hands the broker back");
+    // Every push was finished exactly once, across every restart.
+    debug_assert_eq!(shared.ingest.in_flight.load(Ordering::SeqCst), 0);
     Ok((*fold.broker, shared.stats(fold.stats)))
 }
 

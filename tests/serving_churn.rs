@@ -68,9 +68,10 @@ fn in_flight_batch_case(executors: usize) {
     let sink = CollectorSink::new();
     let server = StagedServer::start(
         broker,
-        // A huge batch size and a long flush interval keep submitted
-        // events buffered in the shard batcher: only the control op's
-        // shard flush (or shutdown) can move them.
+        // A huge batch size and a long flush interval take the size
+        // trigger and the deadline out of play: submitted events leave
+        // the shard batcher on an idle or drained pipeline, or at the
+        // latest with the control op's shard flush.
         ServingConfig {
             ingest_capacity: 64,
             max_batch: 1 << 20,
@@ -87,7 +88,8 @@ fn in_flight_batch_case(executors: usize) {
         .collect();
 
     let epoch_before = handle.metrics().unwrap().broker.epoch;
-    // These five sit in the batcher — nothing has flushed them.
+    // Some of these five may still sit in the batcher when the subscribe
+    // arrives; its shard flush puts them ahead of it either way.
     for (i, e) in events[..5].iter().enumerate() {
         handle.submit_now(0, i as u64, e.clone()).unwrap();
     }
