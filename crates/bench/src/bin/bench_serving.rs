@@ -13,11 +13,9 @@
 //! 1. builds the paper's testbed broker (1000 stock subscriptions,
 //!    nine-mode publications);
 //! 2. calibrates a closed-loop throughput figure *through the staged
-//!    server itself, at the configured executor count* — concurrent
-//!    executors change capacity, so the probe must run the same
-//!    concurrency as the measured run — and offers ~50% of it
-//!    open-loop, so the system is loaded but stable and the tail
-//!    reflects burstiness, not unbounded overload;
+//!    server itself* and offers ~50% of it open-loop, so the system is
+//!    loaded but stable and the tail reflects burstiness, not unbounded
+//!    overload;
 //! 3. generates a bursty arrival schedule across the simulated clients
 //!    (default 100 000 for 10 s) and replays it against the staged
 //!    server's in-process [`pubsub_server::IngestHandle`] — the TCP
@@ -28,13 +26,10 @@
 //!    the ingest stage), writing `BENCH_serving.json` in the current
 //!    directory with the uniform host header (core count, SIMD level).
 //!
-//! With `--quick` the run is the CI gate instead: a short calibrate +
-//! replay at *every* executor count in {1, 2, 3, 7}, each of which must
-//! deliver a finite p99, a positive sustained rate and zero lost acks
-//! (delivered + failed == accepted), or the process exits non-zero. On
-//! a single-core host the executor sweep still runs — oversubscribed
-//! threads must stay correct — but multi-core throughput expectations
-//! are skipped loudly rather than gated.
+//! With `--quick` the run is the CI gate instead: one short calibrate +
+//! replay, which must deliver a finite p99, a positive sustained rate
+//! and zero lost acks (delivered + failed == accepted), or the process
+//! exits non-zero.
 
 use std::time::{Duration, Instant};
 
@@ -54,14 +49,11 @@ struct Output {
     /// Host core count and runtime kernel level, uniform across every
     /// `BENCH_*.json` header.
     host: HostInfo,
-    /// Concurrent pipeline executors the staged server actually ran
-    /// (the resolved count, never 0).
-    executors: usize,
     clients: usize,
     duration_s: f64,
     burst_ratio: f64,
-    /// Closed-loop staged-server throughput (at the same executor
-    /// count) the offered rate was calibrated against.
+    /// Closed-loop staged-server throughput the offered rate was
+    /// calibrated against.
     closed_loop_events_per_sec: f64,
     /// The open-loop offered rate (~50% of closed-loop, clamped).
     offered_events_per_sec: f64,
@@ -83,9 +75,9 @@ struct Output {
     p99_ms: f64,
     p999_ms: f64,
     /// Per-stage latency medians from the server's stage histograms.
-    /// Ingest is the submission→executor-dequeue total; the next two
-    /// split it into time buffered in the shard batcher and time queued
-    /// behind the dispatcher.
+    /// Ingest is the submission→fold-dequeue total; the next two split
+    /// it into time buffered in the shard batcher and time queued in the
+    /// ingest queue.
     stage_ingest_p50_ns: f64,
     stage_batcher_p50_ns: f64,
     stage_queue_wait_p50_ns: f64,
@@ -102,18 +94,16 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// One full calibrate-then-replay cycle at a fixed executor count.
+/// One full calibrate-then-replay cycle.
 fn run_cell(
     testbed: &Testbed,
     model: &PublicationModel,
     pool: &[Point],
-    executors: Option<usize>,
     clients: usize,
     duration_s: f64,
     probe_window: Duration,
 ) -> Output {
     let seeds = Seeds::default();
-    let resolved = pubsub_parallel::effective_threads(executors);
 
     // Few shards, 2 ms flush ceiling: the single replay thread is the
     // only producer (no shard contention to spread), and an idle or
@@ -123,17 +113,13 @@ fn run_cell(
         ingest_capacity: 256,
         max_batch: 256,
         flush_interval: Duration::from_millis(2),
-        executors,
         shards: 4,
     };
 
     // Calibrate: drive the staged server itself closed-loop — submit as
     // fast as admission control accepts, retrying on backpressure — and
     // take the delivered rate as staged capacity, then offer half of it
-    // open-loop. The probe runs the same `executors` as the measured
-    // run: capacity is a property of the concurrency level, and
-    // calibrating at a different one would offer the wrong load.
-    // Calibrating against the raw broker's `publish_batch` instead
+    // open-loop. Calibrating against the raw broker's `publish_batch` instead
     // overestimates by ~2x: the staged path also pays batcher flushes,
     // queue handoffs, outcome materialization and per-record egress
     // stamping, and would sit in permanent saturation. The clamps keep
@@ -191,7 +177,7 @@ fn run_cell(
         .expect("preset schedule is valid");
 
     println!(
-        "open-loop serving [{resolved} executor(s)]: {clients} clients, {duration_s:.0} s, \
+        "open-loop serving: {clients} clients, {duration_s:.0} s, \
          {offered_rate:.0} events/s offered ({:.0}% of staged closed-loop {closed_eps:.0}), \
          burst ratio {:.0}x",
         100.0 * offered_rate / closed_eps,
@@ -279,7 +265,6 @@ fn run_cell(
 
     Output {
         host: host_info(),
-        executors: resolved,
         clients,
         duration_s,
         burst_ratio: schedule.burst_ratio,
@@ -308,7 +293,6 @@ fn run_cell(
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let host = host_info();
 
     let seeds = Seeds::default();
     let testbed = build_testbed(seeds);
@@ -316,67 +300,43 @@ fn main() {
     let pool = sample_events(&model, 4096, seeds.publications.wrapping_add(1));
 
     if quick {
-        // The CI gate: every executor count must stay correct — finite
-        // tail, positive rate, and the exact ack partition (no lost
-        // records) — even oversubscribed on a small host.
-        if host.host_cores < 2 {
-            println!(
-                "multi-core throughput targets SKIPPED: host has {} core(s); \
-                 executor counts are gated for correctness (finite p99, zero lost \
-                 acks) but concurrent speedup cannot be demonstrated here",
-                host.host_cores
+        // The CI gate: finite tail, positive rate, and the exact ack
+        // partition (no lost records).
+        let out = run_cell(
+            &testbed,
+            &model,
+            &pool,
+            10_000,
+            2.5,
+            Duration::from_millis(500),
+        );
+        let p99_ok = out.delivered > 0 && out.p99_ns > 0;
+        let eps_ok = out.sustained_events_per_sec > 0.0 && out.sustained_events_per_sec.is_finite();
+        let acks_ok = out.delivered + out.failed == out.accepted;
+        if !p99_ok || !eps_ok || !acks_ok {
+            eprintln!(
+                "FAIL: serving gate: p99 = {} ns over {} deliveries, sustained = {:.0} \
+                 events/s, accepted {} vs delivered {} + failed {}",
+                out.p99_ns,
+                out.delivered,
+                out.sustained_events_per_sec,
+                out.accepted,
+                out.delivered,
+                out.failed
             );
+            std::process::exit(1);
         }
-        for executors in [1usize, 2, 3, 7] {
-            let out = run_cell(
-                &testbed,
-                &model,
-                &pool,
-                Some(executors),
-                10_000,
-                2.5,
-                Duration::from_millis(500),
-            );
-            let p99_ok = out.delivered > 0 && out.p99_ns > 0;
-            let eps_ok =
-                out.sustained_events_per_sec > 0.0 && out.sustained_events_per_sec.is_finite();
-            let acks_ok = out.delivered + out.failed == out.accepted;
-            if !p99_ok || !eps_ok || !acks_ok {
-                eprintln!(
-                    "FAIL: serving gate at {executors} executor(s): p99 = {} ns over {} \
-                     deliveries, sustained = {:.0} events/s, accepted {} vs delivered {} + \
-                     failed {}",
-                    out.p99_ns,
-                    out.delivered,
-                    out.sustained_events_per_sec,
-                    out.accepted,
-                    out.delivered,
-                    out.failed
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "serving gate passed at {executors} executor(s): finite p99 ({:.3} ms), \
-                 positive sustained rate, zero lost acks",
-                out.p99_ms
-            );
-        }
+        println!(
+            "serving gate passed: finite p99 ({:.3} ms), positive sustained rate, zero lost acks",
+            out.p99_ms
+        );
         return;
     }
 
-    // The measured run: all cores. On a 1-core host this degenerates to
-    // a single executor — say so loudly, the JSON records the count.
-    if host.host_cores < 2 {
-        println!(
-            "NOTE: 1-core host — the pipeline runs a single executor; \
-             multi-core serving targets are not measurable in this BENCH_serving.json"
-        );
-    }
     let out = run_cell(
         &testbed,
         &model,
         &pool,
-        None,
         100_000,
         10.0,
         Duration::from_millis(2_500),

@@ -31,7 +31,7 @@ use pubsub_clustering::{
     cluster, ClusteringAlgorithm, ClusteringConfig, GridModel, IncrementalClusterer,
     SpacePartition, SubscriptionHandle as ClustererHandle,
 };
-use pubsub_geom::{CellId, CellWalkBuf, EventSoA, Grid, Point, Rect, Space};
+use pubsub_geom::{CellId, CellWalkBuf, Grid, Point, Rect, Space};
 use pubsub_netsim::{
     cost_events_into, multicast_tree_cost_flat, sparse_mode_cost_flat, unicast_cost_flat,
     CostScratch, DijkstraScratch, FaultEvent, FaultPlan, FaultyRouting, FlatNet, NetError, NodeId,
@@ -47,7 +47,6 @@ use crate::metrics::{
     ChurnCounters, Delivery, MetricsSnapshot, PipelineCounters, RecoveryCounters,
 };
 use crate::pipeline::{BatchMatches, DecisionTag, EventMeta, PublishScratch, NO_GROUP};
-use crate::view::{OwnedOverlay, PublishView};
 use crate::{
     BrokerError, CostReport, CoveringConfig, CoveringStats, Decision, DistributionPolicy,
     EngineSnapshot, MatchedSet, Matcher, MessageCosts, MulticastGroups, SubscriptionHandle,
@@ -1157,8 +1156,7 @@ impl Broker {
         }
 
         // Everything the workers read, bound up front: the pass itself
-        // lives in [`FusedPass::run`], shared with the concurrent
-        // serving executors ([`PublishView`]).
+        // lives in [`FusedPass::run`].
         let pass = FusedPass::bind(
             &self.snapshot,
             &self.policy,
@@ -1169,7 +1167,6 @@ impl Broker {
             &self.spt,
             degraded,
             events,
-            None,
         );
         let trap = &self.panic_trap;
         let worker = |_w: usize, state: &mut PublishScratch, ranges: BlockRanges| {
@@ -1183,8 +1180,13 @@ impl Broker {
         };
 
         let run = if workers == 1 {
+            // One worker, none quarantined: a panic on the calling
+            // thread propagates instead.
             pipeline_inline(&mut states[0], events.len(), worker);
-            INLINE_RUN
+            PipelineRun {
+                workers: 1,
+                quarantined: 0,
+            }
         } else {
             self.pool
                 .as_ref()
@@ -1220,95 +1222,6 @@ impl Broker {
             &mut self.report,
             outcomes,
         );
-    }
-
-    /// Folds one staged batch whose fused pass already ran on a serving
-    /// executor thread (via [`crate::PublishView::process_into`]) into
-    /// the broker — the write half of the publish core, split from its
-    /// read half: the same pass accounting and the same fold a
-    /// synchronous publish runs, materializing one [`PublishOutcome`] per
-    /// event. Calling this for every executor batch **in submission
-    /// order** therefore produces the report and outcomes of a
-    /// synchronous [`Broker::publish_batch`] sequence: the f64
-    /// accumulation order of the report is the fold order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch` (the epoch of the [`crate::PublishView`] the
-    /// batch was processed under) differs from the broker's current
-    /// snapshot epoch. The staged server's epoch barrier makes this
-    /// impossible — control operations serialize through the same
-    /// ordered queue — so a mismatch is a lost-update bug upstream, not
-    /// an input error.
-    pub fn fold_staged(
-        &mut self,
-        len: usize,
-        epoch: u64,
-        scratch: &mut PublishScratch,
-        outcomes: &mut Vec<PublishOutcome>,
-    ) {
-        assert_eq!(
-            epoch, self.snapshot.epoch,
-            "epoch barrier violated: batch ran under epoch {epoch}, folding at {}",
-            self.snapshot.epoch
-        );
-        account_pass(
-            &mut self.pipeline_counters,
-            len,
-            INLINE_RUN,
-            std::slice::from_mut(scratch),
-        );
-        let batch = BatchMatches {
-            states: std::slice::from_ref(scratch),
-            workers: 1,
-            len,
-        };
-        self.fold_batch(self.publisher, batch, Some(outcomes));
-    }
-
-    /// Snapshots the publish-side read state into an owned
-    /// [`PublishView`] — the shared read path of the concurrent serving
-    /// pipeline. The view is pinned to the current snapshot epoch;
-    /// rebuild it (and republish through the serving layer's versioned
-    /// cell) after any control operation that changes what publishing
-    /// reads: subscribe, unsubscribe, recompile, threshold or policy
-    /// edits. The engine snapshot is Arc-shared; the churn overlay, SPT
-    /// rows and policy are cloned, so view construction is
-    /// control-plane-rate work, not per-batch work.
-    pub fn publish_view(&mut self) -> PublishView {
-        self.spt
-            .ensure(&self.net, self.publisher, &mut self.route_scratch);
-        if let DeliveryMode::SparseMode { rendezvous } = self.delivery {
-            self.spt
-                .ensure(&self.net, rendezvous, &mut self.route_scratch);
-        }
-        let overlay = self.churn.as_ref().and_then(|c| {
-            // Same "compiled matcher alone is current" test as
-            // `churn_view_of`, so view and synchronous paths agree on
-            // when the overlay participates in matching.
-            if c.overlay.is_empty() && c.tombstones.is_empty() {
-                return None;
-            }
-            Some(OwnedOverlay {
-                overlay: c.overlay.clone(),
-                tombstones: c.tombstones.clone(),
-                owners: c.overlay_owners.clone(),
-                base_count: self.snapshot.compiled_count() as u32,
-                max_node: c.overlay_max_node,
-            })
-        });
-        PublishView {
-            snapshot: Arc::clone(&self.snapshot),
-            policy: self.policy.clone(),
-            delivery: self.delivery,
-            publisher: self.publisher,
-            alm_dist: self.alm_dist.clone(),
-            overlay,
-            spt: self.spt.clone(),
-            epoch: self.snapshot.epoch,
-            dims: self.space.dims(),
-            faults_active: self.faults.is_some(),
-        }
     }
 
     /// The sequential tail of one *degraded* segment, taken once any
@@ -2305,7 +2218,7 @@ impl Broker {
 }
 
 /// The sequential fold behind [`Broker::fold_batch`] — every pristine
-/// publication, synchronous or staged: walks the fused results **in
+/// publication: walks the fused results **in
 /// global event order**, resolves multicast scheme costs through the
 /// epoch-keyed memo (the scheme cost of a group send is
 /// event-independent, so each (epoch, publisher, group) is walked at
@@ -2383,13 +2296,6 @@ fn fold_pristine(
     }
 }
 
-/// What a pass on the calling thread reports: one worker, none
-/// quarantined (a panic there propagates instead).
-const INLINE_RUN: PipelineRun = PipelineRun {
-    workers: 1,
-    quarantined: 0,
-};
-
 /// Accounts one finished fused pass in the pipeline counters: batch and
 /// event totals, pooled vs inline, quarantines, arena growth and the
 /// per-worker SIMD kernel tallies (drained from every state, not just
@@ -2443,18 +2349,16 @@ fn sparse_binding<'a>(
 }
 
 /// The read side of one fused match → cost → decide pass, bound up
-/// front and free of `&Broker` so it can run (a) under the worker pool
-/// while the per-worker states are mutably borrowed, and (b) on serving
-/// executor threads that do not hold the broker at all
-/// ([`crate::PublishView`] binds one over owned state). Everything here
-/// is read-only; results land in the caller's [`PublishScratch`].
+/// front and free of `&Broker` so it can run under the worker pool
+/// while the per-worker states are mutably borrowed. Everything here is
+/// read-only; results land in the caller's [`PublishScratch`].
 ///
 /// Each BLOCK-sized range is matched into the arena, costed in one
 /// batched walk (dense mode), and decided, before the next range starts
 /// — one pass over the data per worker, with a freshly-epoched cost
 /// scratch per event, so every stored float is the same regardless of
 /// worker count, interleaving, or which thread runs the pass.
-pub(crate) struct FusedPass<'a> {
+struct FusedPass<'a> {
     snapshot: &'a EngineSnapshot,
     policy: &'a DistributionPolicy,
     delivery: DeliveryMode,
@@ -2465,10 +2369,6 @@ pub(crate) struct FusedPass<'a> {
     sparse: Option<(SptView<'a>, f64)>,
     degraded: bool,
     events: &'a [Point],
-    /// Structure-of-arrays mirror of `events` when the batch arrived
-    /// pre-transposed (the staged ingest path); the SIMD blocks then
-    /// fill by contiguous column copies.
-    soa: Option<&'a EventSoA>,
 }
 
 impl<'a> FusedPass<'a> {
@@ -2476,7 +2376,7 @@ impl<'a> FusedPass<'a> {
     /// row (and, in sparse mode, the rendezvous point's) must be in
     /// `spt`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn bind(
+    fn bind(
         snapshot: &'a EngineSnapshot,
         policy: &'a DistributionPolicy,
         delivery: DeliveryMode,
@@ -2486,7 +2386,6 @@ impl<'a> FusedPass<'a> {
         spt: &'a SptTable,
         degraded: bool,
         events: &'a [Point],
-        soa: Option<&'a EventSoA>,
     ) -> Self {
         let pub_view = spt.view(publisher).expect("publisher SPT ensured");
         FusedPass {
@@ -2500,12 +2399,11 @@ impl<'a> FusedPass<'a> {
             sparse: sparse_binding(delivery, spt, pub_view),
             degraded,
             events,
-            soa,
         }
     }
 
     /// Runs the pass over `ranges` into `state`. See the type docs.
-    pub(crate) fn run(&self, state: &mut PublishScratch, ranges: BlockRanges) {
+    fn run(&self, state: &mut PublishScratch, ranges: BlockRanges) {
         let FusedPass {
             snapshot,
             policy,
@@ -2517,7 +2415,6 @@ impl<'a> FusedPass<'a> {
             sparse,
             degraded,
             events,
-            soa,
         } = *self;
         let matching = &mut state.matching;
         let cost = &mut state.cost;
@@ -2529,7 +2426,6 @@ impl<'a> FusedPass<'a> {
             let base = arena.event_count();
             snapshot.matcher.match_events_into_arena(
                 events,
-                soa,
                 std::iter::once(range.clone()),
                 overlay.as_ref(),
                 matching,

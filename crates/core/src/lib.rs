@@ -62,7 +62,6 @@ mod pipeline;
 mod registry;
 mod snapshot;
 mod spec;
-mod view;
 
 pub use broker::{Broker, BrokerBuilder, DeliveryMode, GroupHealth, PublishOutcome};
 pub use covering::{CoveringConfig, CoveringStats, CoveringTable, MatchedSet, SubscriptionStream};
@@ -83,4 +82,3 @@ pub use pipeline::{BatchMatches, MatchArena, PublishScratch};
 pub use registry::{SubscriptionHandle, SubscriptionRegistry};
 pub use snapshot::EngineSnapshot;
 pub use spec::{Predicate, SubscriptionSpec};
-pub use view::PublishView;

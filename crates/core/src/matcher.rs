@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use pubsub_geom::{EventSoA, Point, Rect, Space};
+use pubsub_geom::{Point, Rect, Space};
 use pubsub_netsim::NodeId;
 use pubsub_stree::simd::{self, EventBlock, QuantBlock, SimdLevel, LANES};
 use pubsub_stree::{
@@ -585,11 +585,9 @@ impl Matcher {
     /// each lane's results to the arena in event order — per-event
     /// slices bit-identical to the scalar append path. `view` merges the
     /// churn overlay per lane exactly like the scalar overlaid path.
-    #[allow(clippy::too_many_arguments)]
     fn match_block_append(
         &self,
         events: &[Point],
-        soa: Option<&EventSoA>,
         start: usize,
         k: usize,
         view: Option<&MatchOverlay<'_>>,
@@ -622,13 +620,7 @@ impl Matcher {
         }
         match &self.backend {
             Backend::Flat { flat, .. } => {
-                // A structure-of-arrays batch fills the block with
-                // contiguous column copies; the fallback transposes the
-                // per-event slices. Same block either way.
-                match soa {
-                    Some(soa) => block.fill_cols(soa, start, k),
-                    None => block.fill(&lane_refs[..k]),
-                }
+                block.fill(&lane_refs[..k]);
                 flat.query_point_block_at(level, block, block_stack, |id, lanes| {
                     let mut m = lanes;
                     while m != 0 {
@@ -639,10 +631,7 @@ impl Matcher {
                 });
             }
             Backend::Compact { index, covering } => {
-                match soa {
-                    Some(soa) => index.fill_block_cols(soa, start, k, qblock),
-                    None => index.fill_block(&lane_refs[..k], qblock),
-                }
+                index.fill_block(&lane_refs[..k], qblock);
                 index.query_point_block_at(level, qblock, block_stack, |rep, lanes, amb| {
                     let mut m = lanes;
                     while m != 0 {
@@ -678,17 +667,9 @@ impl Matcher {
     /// [`Matcher::match_event_into`] (with `view`:
     /// [`Matcher::match_event_overlaid_into`]) produces; nothing is
     /// allocated once scratch and arena are warm.
-    ///
-    /// With `soa` — the structure-of-arrays mirror of `events`, same
-    /// coordinates in the same order — the SIMD blocks fill from its
-    /// dimension-major columns (no per-block transpose) while overlay
-    /// queries and covering re-checks read the per-event `events` views.
-    /// The arena slices do not depend on it: the columns hold the same
-    /// `f64`s, only the copy pattern differs.
     pub fn match_events_into_arena<I>(
         &self,
         events: &[Point],
-        soa: Option<&EventSoA>,
         ranges: I,
         view: Option<&MatchOverlay<'_>>,
         scratch: &mut MatchScratch,
@@ -696,12 +677,11 @@ impl Matcher {
     ) where
         I: IntoIterator<Item = std::ops::Range<usize>>,
     {
-        debug_assert!(soa.is_none_or(|s| s.len() == events.len()));
         for range in ranges {
             let mut i = range.start;
             while i < range.end {
                 let k = (range.end - i).min(LANES);
-                self.match_block_append(events, soa, i, k, view, scratch, arena);
+                self.match_block_append(events, i, k, view, scratch, arena);
                 i += k;
             }
         }
@@ -833,54 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn soa_block_matching_is_bit_identical_to_aos() {
-        // Enough events to cross several SIMD blocks, some matching,
-        // some not, some shared-coordinate.
-        let subs: Vec<(NodeId, Rect)> = (0..12)
-            .map(|i| {
-                let lo = (i % 5) as f64;
-                (
-                    NodeId(i % 4),
-                    Rect::from_corners(&[lo, lo * 0.5], &[lo + 3.0, lo * 0.5 + 4.0]).unwrap(),
-                )
-            })
-            .collect();
-        let m = Matcher::build(&space(), &subs, STreeConfig::default()).unwrap();
-        let events: Vec<Point> = (0..37)
-            .map(|i| Point::new(vec![(i % 10) as f64 + 0.25, ((i * 3) % 10) as f64 + 0.5]).unwrap())
-            .collect();
-        let mut soa = EventSoA::new(2);
-        for e in &events {
-            soa.push(e);
-        }
-        let mut scratch = MatchScratch::new();
-        let (mut aos, mut via_soa) = (MatchArena::new(), MatchArena::new());
-        aos.begin();
-        m.match_events_into_arena(
-            &events,
-            None,
-            std::iter::once(0..events.len()),
-            None,
-            &mut scratch,
-            &mut aos,
-        );
-        via_soa.begin();
-        m.match_events_into_arena(
-            &events,
-            Some(&soa),
-            std::iter::once(0..events.len()),
-            None,
-            &mut scratch,
-            &mut via_soa,
-        );
-        assert_eq!(aos.event_count(), via_soa.event_count());
-        for i in 0..events.len() {
-            assert_eq!(aos.loose_slice(i), via_soa.loose_slice(i), "event {i} subs");
-            assert_eq!(aos.node_slice(i), via_soa.node_slice(i), "event {i} nodes");
-        }
-    }
-
-    #[test]
     fn overlaid_matching_equals_fresh_build_over_survivors() {
         // Base: 4 subscriptions; kill one compiled, add two via overlay.
         let base = vec![
@@ -1004,7 +936,6 @@ mod tests {
             arena.begin();
             covered.match_events_into_arena(
                 &events,
-                None,
                 std::iter::once(0..events.len()),
                 None,
                 &mut scratch,

@@ -135,9 +135,8 @@ pub struct ChurnCounters {
 pub struct PipelineCounters {
     /// Passes through the publish pipeline: every `publish_batch` /
     /// `publish_batch_stats` call (one per fault-clock segment under a
-    /// fault plan), every single `publish` / `publish_from` — a
-    /// one-event batch — and every staged batch folded by
-    /// `Broker::fold_staged`.
+    /// fault plan) and every single `publish` / `publish_from` — a
+    /// one-event batch.
     pub batches: u64,
     /// Batches fanned out on the persistent worker pool (> 1 worker).
     pub pooled_batches: u64,

@@ -40,7 +40,6 @@ mod grid;
 mod interval;
 mod point;
 mod rect;
-mod soa;
 mod space;
 
 pub use error::GeomError;
@@ -48,5 +47,4 @@ pub use grid::{CellCoords, CellId, CellRuns, CellWalkBuf, Grid};
 pub use interval::Interval;
 pub use point::Point;
 pub use rect::Rect;
-pub use soa::EventSoA;
 pub use space::Space;

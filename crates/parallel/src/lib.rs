@@ -65,7 +65,7 @@ use std::mem::{ManuallyDrop, MaybeUninit};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 /// Fixed block size of the block-cyclic assignment. Small enough to
@@ -77,11 +77,17 @@ pub const BLOCK: usize = 64;
 /// Resolves a requested worker count: `None` (or `Some(0)`) means "use
 /// available parallelism", anything else is taken as given. Always ≥ 1.
 pub fn effective_threads(requested: Option<usize>) -> usize {
+    // `available_parallelism` reads the cgroup quota files on every call
+    // (about 12 µs on a 2-vCPU VM), which a caller passing `None` per
+    // batch would pay per batch: the process reads it once.
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     match requested {
         Some(n) if n > 0 => n,
-        _ => std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1),
+        _ => *AVAILABLE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        }),
     }
 }
 
@@ -849,263 +855,6 @@ impl<T> StageQueue<T> {
     }
 }
 
-struct SequenceWindowState<T> {
-    /// Out-of-order arrivals keyed by ticket, awaiting their turn.
-    pending: std::collections::BTreeMap<u64, T>,
-    /// The next ticket [`SequenceWindow::pop_next`] will release.
-    next: u64,
-    closed: bool,
-    /// High-water mark of `pending.len()` since construction.
-    max_held: usize,
-}
-
-struct SequenceWindowShared<T> {
-    state: Mutex<SequenceWindowState<T>>,
-    /// Maximum ticket *span* kept in flight: a push of ticket `t` parks
-    /// while `t >= next + span`.
-    span: u64,
-    /// Signalled when an item arrives or the window closes.
-    ready: Condvar,
-    /// Signalled when `next` advances or the window closes.
-    advanced: Condvar,
-}
-
-/// A re-ordering window between concurrent producers and one in-order
-/// consumer: items tagged with a dense ticket sequence (0, 1, 2, …) go
-/// in whenever their producer finishes, and come out strictly in ticket
-/// order.
-///
-/// This is the egress-determinism seam of the concurrent pipeline
-/// stage: N executors finish batches out of order, the fold stage pops
-/// them back in submission order, so delivery records and the
-/// f64-accumulating cost report stay bit-identical to a single-threaded
-/// run.
-///
-/// The window is bounded by ticket **span**, not occupancy: a push of
-/// ticket `t` blocks while `t >= next + span`. The producer holding
-/// ticket `next` therefore *never* blocks (`span ≥ 1`), which makes the
-/// window deadlock-free by induction — the consumer is always one push
-/// away from progress — while still propagating backpressure: a stalled
-/// consumer parks every producer more than `span` tickets ahead, which
-/// in turn stops them from draining the ingest queue, which surfaces as
-/// admission-control rejects at the front door.
-pub struct SequenceWindow<T> {
-    shared: Arc<SequenceWindowShared<T>>,
-}
-
-impl<T> Clone for SequenceWindow<T> {
-    fn clone(&self) -> Self {
-        SequenceWindow {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for SequenceWindow<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = lock(&self.shared.state);
-        f.debug_struct("SequenceWindow")
-            .field("span", &self.shared.span)
-            .field("next", &st.next)
-            .field("held", &st.pending.len())
-            .field("max_held", &st.max_held)
-            .field("closed", &st.closed)
-            .finish()
-    }
-}
-
-impl<T> SequenceWindow<T> {
-    /// Creates a window releasing tickets 0, 1, 2, … in order, admitting
-    /// at most `span` tickets beyond the next expected one (minimum 1).
-    pub fn new(span: u64) -> Self {
-        SequenceWindow {
-            shared: Arc::new(SequenceWindowShared {
-                state: Mutex::new(SequenceWindowState {
-                    pending: std::collections::BTreeMap::new(),
-                    next: 0,
-                    closed: false,
-                    max_held: 0,
-                }),
-                span: span.max(1),
-                ready: Condvar::new(),
-                advanced: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Hands in the item for `ticket`, parking while the ticket is more
-    /// than the span ahead of the next expected one. Each ticket must be
-    /// pushed at most once.
-    ///
-    /// # Errors
-    ///
-    /// Returns the item back if the window was closed (before or while
-    /// waiting).
-    pub fn push(&self, ticket: u64, item: T) -> Result<(), T> {
-        let mut st = lock(&self.shared.state);
-        loop {
-            if st.closed {
-                return Err(item);
-            }
-            if ticket < st.next.saturating_add(self.shared.span) {
-                debug_assert!(
-                    ticket >= st.next && !st.pending.contains_key(&ticket),
-                    "ticket {ticket} reused (next {})",
-                    st.next
-                );
-                st.pending.insert(ticket, item);
-                st.max_held = st.max_held.max(st.pending.len());
-                drop(st);
-                self.shared.ready.notify_all();
-                return Ok(());
-            }
-            st = cv_wait(&self.shared.advanced, st);
-        }
-    }
-
-    /// Releases the item for the next ticket in sequence, blocking until
-    /// it arrives. Returns `None` once the window is closed and the next
-    /// ticket is not pending — the consumer's shutdown signal. Close
-    /// only after every producer has finished, or in-window items beyond
-    /// a sequence gap are dropped.
-    pub fn pop_next(&self) -> Option<(u64, T)> {
-        let mut st = lock(&self.shared.state);
-        loop {
-            let ticket = st.next;
-            if let Some(item) = st.pending.remove(&ticket) {
-                st.next += 1;
-                drop(st);
-                self.shared.advanced.notify_all();
-                return Some((ticket, item));
-            }
-            if st.closed {
-                return None;
-            }
-            st = cv_wait(&self.shared.ready, st);
-        }
-    }
-
-    /// Closes the window: blocked producers and the consumer wake, later
-    /// pushes fail, and [`SequenceWindow::pop_next`] returns `None` once
-    /// the in-order prefix is drained.
-    pub fn close(&self) {
-        let mut st = lock(&self.shared.state);
-        st.closed = true;
-        drop(st);
-        self.shared.ready.notify_all();
-        self.shared.advanced.notify_all();
-    }
-
-    /// High-water mark of simultaneously-held out-of-order items.
-    pub fn max_held(&self) -> usize {
-        lock(&self.shared.state).max_held
-    }
-
-    /// Removes and returns every pending item in ticket order — including
-    /// items parked beyond a sequence gap — and advances the window past
-    /// the highest drained ticket, waking blocked producers.
-    ///
-    /// This is the teardown/recovery seam: after a stage failure the
-    /// supervisor drains the window to account for every in-flight batch
-    /// (replaying or reporting each) instead of silently dropping the
-    /// items stranded behind the gap a dead producer left.
-    pub fn drain_pending(&self) -> Vec<(u64, T)> {
-        let mut st = lock(&self.shared.state);
-        let drained: Vec<(u64, T)> = std::mem::take(&mut st.pending).into_iter().collect();
-        if let Some(&(last, _)) = drained.last() {
-            st.next = st.next.max(last + 1);
-        }
-        drop(st);
-        self.shared.advanced.notify_all();
-        drained
-    }
-}
-
-/// A read-mostly slot whose value advances through explicit, dense
-/// versions: readers park until the version they need is published,
-/// then share the value by `Arc`.
-///
-/// This is the epoch barrier of the concurrent pipeline stage. Each
-/// batch is tagged at dispatch with the number of control operations
-/// ordered before it; an executor asks the cell for exactly that
-/// version of the engine's read-side state and blocks if the in-order
-/// fold has not yet applied the intervening control op. Versions only
-/// move forward, and only the single fold thread publishes, so "which
-/// engine state does this batch see" is decided by queue order — never
-/// by scheduling luck.
-pub struct VersionedCell<T> {
-    state: Mutex<(u64, Arc<T>)>,
-    published: Condvar,
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for VersionedCell<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = lock(&self.state);
-        f.debug_struct("VersionedCell")
-            .field("version", &st.0)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T> VersionedCell<T> {
-    /// Creates the cell holding `value` at version 0.
-    pub fn new(value: T) -> Self {
-        VersionedCell {
-            state: Mutex::new((0, Arc::new(value))),
-            published: Condvar::new(),
-        }
-    }
-
-    /// Publishes `value` as `version`, waking every waiting reader.
-    /// Versions must strictly increase.
-    pub fn publish(&self, version: u64, value: Arc<T>) {
-        let mut st = lock(&self.state);
-        debug_assert!(version > st.0, "version {version} published after {}", st.0);
-        *st = (version, value);
-        drop(st);
-        self.published.notify_all();
-    }
-
-    /// The value at the newest version that is at least `version`,
-    /// parking until one is published. In the serving path the wait can
-    /// only ever observe `version` exactly — a later version implies a
-    /// control op whose ticket the in-order fold cannot have reached
-    /// while this batch is still unprocessed — but the cell itself makes
-    /// no such assumption.
-    pub fn wait_at_least(&self, version: u64) -> (u64, Arc<T>) {
-        let mut st = lock(&self.state);
-        while st.0 < version {
-            st = cv_wait(&self.published, st);
-        }
-        (st.0, Arc::clone(&st.1))
-    }
-
-    /// Replaces the value *at the current version* without bumping it —
-    /// the recovery seam. A supervisor that rebuilt the producer's state
-    /// (e.g. replayed a journal after a fold crash) swaps the rebuilt
-    /// view in under the same version so readers stamped with it are
-    /// neither stuck nor lied to about ordering. Existing waiters were
-    /// already satisfied by the old value; future reads see the
-    /// replacement.
-    pub fn republish(&self, version: u64, value: Arc<T>) {
-        let mut st = lock(&self.state);
-        assert_eq!(
-            version, st.0,
-            "republish must target the current version (got {version}, at {})",
-            st.0
-        );
-        st.1 = value;
-        drop(st);
-        self.published.notify_all();
-    }
-
-    /// The newest version and value, without waiting.
-    pub fn current(&self) -> (u64, Arc<T>) {
-        let st = lock(&self.state);
-        (st.0, Arc::clone(&st.1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1700,194 +1449,5 @@ mod tests {
         let mut seen = lock(&seen).clone();
         seen.sort_unstable();
         assert_eq!(seen, (0..200).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sequence_window_releases_in_ticket_order() {
-        let w: SequenceWindow<u64> = SequenceWindow::new(16);
-        let producers: Vec<_> = [3u64, 0, 2, 1]
-            .into_iter()
-            .map(|t| {
-                let w = w.clone();
-                std::thread::spawn(move || w.push(t, t * 10).expect("window open"))
-            })
-            .collect();
-        for p in producers {
-            p.join().expect("producer");
-        }
-        let drained: Vec<_> = (0..4).map(|_| w.pop_next().expect("pending")).collect();
-        assert_eq!(drained, vec![(0, 0), (1, 10), (2, 20), (3, 30)]);
-        w.close();
-        assert_eq!(w.pop_next(), None);
-        assert!(w.max_held() >= 1);
-    }
-
-    #[test]
-    fn sequence_window_span_parks_far_ahead_producers() {
-        let w: SequenceWindow<&'static str> = SequenceWindow::new(2);
-        w.push(0, "a").unwrap();
-        w.push(1, "b").unwrap();
-        let w2 = w.clone();
-        let landed = Arc::new(AtomicUsize::new(0));
-        let landed2 = Arc::clone(&landed);
-        // Ticket 2 is span-blocked until ticket 0 is consumed.
-        let far = std::thread::spawn(move || {
-            w2.push(2, "c").unwrap();
-            landed2.store(1, Ordering::SeqCst);
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(landed.load(Ordering::SeqCst), 0, "push(2) must park");
-        assert_eq!(w.pop_next(), Some((0, "a")));
-        far.join().expect("far producer");
-        assert_eq!(landed.load(Ordering::SeqCst), 1);
-        assert_eq!(w.pop_next(), Some((1, "b")));
-        assert_eq!(w.pop_next(), Some((2, "c")));
-    }
-
-    #[test]
-    fn sequence_window_close_wakes_everyone() {
-        let w: SequenceWindow<u8> = SequenceWindow::new(1);
-        let w2 = w.clone();
-        // Blocked consumer (nothing pending) and blocked far producer.
-        let consumer = std::thread::spawn(move || w2.pop_next());
-        let w3 = w.clone();
-        let producer = std::thread::spawn(move || w3.push(5, 0).is_err());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        w.close();
-        assert_eq!(consumer.join().expect("consumer"), None);
-        assert!(producer.join().expect("producer"), "push after close errs");
-        assert!(w.push(0, 9).is_err());
-    }
-
-    #[test]
-    fn versioned_cell_readers_park_until_published() {
-        let cell = Arc::new(VersionedCell::new(10u64));
-        assert_eq!(cell.current(), (0, Arc::new(10)));
-        assert_eq!(cell.wait_at_least(0).1.as_ref(), &10);
-        let c2 = Arc::clone(&cell);
-        let reader = std::thread::spawn(move || c2.wait_at_least(2));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        cell.publish(1, Arc::new(11));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        cell.publish(2, Arc::new(12));
-        let (version, value) = reader.join().expect("reader");
-        assert_eq!((version, *value), (2, 12));
-    }
-
-    /// Regression: the span admission test used `next + span`, which
-    /// overflows (and in release wraps to a tiny bound, parking every
-    /// producer forever) once `next` is nonzero and the span is huge.
-    #[test]
-    fn sequence_window_span_arithmetic_saturates() {
-        let w: SequenceWindow<u64> = SequenceWindow::new(u64::MAX);
-        w.push(0, 0).unwrap();
-        assert_eq!(w.pop_next(), Some((0, 0)));
-        // next = 1, span = u64::MAX: `1 + u64::MAX` would overflow; the
-        // saturating bound admits any ticket without blocking.
-        w.push(u64::MAX - 1, 7).unwrap();
-        w.push(1, 1).unwrap();
-        assert_eq!(w.pop_next(), Some((1, 1)));
-    }
-
-    /// A producer dying between taking a ticket and pushing it leaves a
-    /// sequence gap; `drain_pending` recovers the items stranded behind
-    /// it (in ticket order) instead of dropping them at close.
-    #[test]
-    fn sequence_window_drain_pending_recovers_gap_items() {
-        let w: SequenceWindow<&'static str> = SequenceWindow::new(16);
-        w.push(0, "a").unwrap();
-        w.push(2, "c").unwrap();
-        w.push(3, "d").unwrap();
-        assert_eq!(w.pop_next(), Some((0, "a")));
-        // Ticket 1 never arrives (its producer died). The consumer
-        // cannot advance; the supervisor drains instead.
-        assert_eq!(w.drain_pending(), vec![(2, "c"), (3, "d")]);
-        // The window advanced past the drained tickets: new pushes
-        // continue the sequence rather than re-blocking on the gap.
-        w.push(4, "e").unwrap();
-        assert_eq!(w.pop_next(), Some((4, "e")));
-        w.close();
-        assert_eq!(w.pop_next(), None);
-    }
-
-    /// Close with a stranded gap: the consumer sees `None` (never a
-    /// skipped-ahead item), and the stranded items remain recoverable
-    /// through `drain_pending` afterwards.
-    #[test]
-    fn sequence_window_close_strands_gap_items_for_drain() {
-        let w: SequenceWindow<u8> = SequenceWindow::new(8);
-        w.push(1, 11).unwrap();
-        let w2 = w.clone();
-        let consumer = std::thread::spawn(move || w2.pop_next());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        w.close();
-        assert_eq!(consumer.join().expect("consumer"), None);
-        assert_eq!(w.drain_pending(), vec![(1, 11)]);
-    }
-
-    /// Many readers waiting for distinct versions while a publisher
-    /// races through the whole version sequence: every reader observes a
-    /// version at least the one it asked for, and the value always
-    /// matches the version it rode in on.
-    #[test]
-    fn versioned_cell_wait_at_least_races_version_bumps() {
-        const VERSIONS: u64 = 64;
-        let cell = Arc::new(VersionedCell::new(0u64));
-        let readers: Vec<_> = (1..=VERSIONS)
-            .map(|v| {
-                let cell = Arc::clone(&cell);
-                std::thread::spawn(move || {
-                    let (version, value) = cell.wait_at_least(v);
-                    assert!(version >= v, "asked for {v}, got {version}");
-                    assert_eq!(*value, version, "value must match its version");
-                })
-            })
-            .collect();
-        for v in 1..=VERSIONS {
-            cell.publish(v, Arc::new(v));
-            if v % 8 == 0 {
-                std::thread::yield_now();
-            }
-        }
-        for r in readers {
-            r.join().expect("reader");
-        }
-        assert_eq!(cell.current().0, VERSIONS);
-    }
-
-    /// A reader parked on a version that skips past its target (the
-    /// publisher jumps 0 → 3 → 9) still wakes, with the newest value.
-    #[test]
-    fn versioned_cell_wait_survives_version_skips() {
-        let cell = Arc::new(VersionedCell::new(0u64));
-        let c2 = Arc::clone(&cell);
-        let reader = std::thread::spawn(move || c2.wait_at_least(5));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        cell.publish(3, Arc::new(3));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        cell.publish(9, Arc::new(9));
-        let (version, value) = reader.join().expect("reader");
-        assert_eq!((version, *value), (9, 9));
-    }
-
-    #[test]
-    fn versioned_cell_republish_swaps_value_in_place() {
-        let cell = VersionedCell::new(10u64);
-        cell.publish(1, Arc::new(11));
-        // Recovery path: same version, rebuilt value.
-        cell.republish(1, Arc::new(99));
-        let (version, value) = cell.current();
-        assert_eq!((version, *value), (1, 99));
-        // Readers waiting at-or-below the version see the replacement.
-        let (version, value) = cell.wait_at_least(1);
-        assert_eq!((version, *value), (1, 99));
-    }
-
-    #[test]
-    #[should_panic(expected = "republish must target the current version")]
-    fn versioned_cell_republish_rejects_stale_version() {
-        let cell = VersionedCell::new(0u64);
-        cell.publish(2, Arc::new(2));
-        cell.republish(1, Arc::new(1));
     }
 }

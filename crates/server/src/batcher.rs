@@ -8,17 +8,10 @@
 //! tick). Batching amortizes per-batch pipeline cost only against a pass
 //! already in flight, so events wait only while the pipeline is busy,
 //! and the deadline is just the ceiling on what a sparse client pays.
-//!
-//! The event batcher assembles the SIMD-friendly structure-of-arrays
-//! layout **at ingest**: every push appends the event's coordinates to
-//! per-dimension columns ([`pubsub_geom::EventSoA`]) alongside the
-//! owned [`Point`]s, so the pipeline's match kernels fill their lane
-//! blocks with contiguous column copies instead of transposing
-//! point-at-a-time on the hot path.
 
 use std::time::{Duration, Instant};
 
-use pubsub_geom::{EventSoA, Point};
+use pubsub_geom::Point;
 
 /// Per-event submission bookkeeping carried alongside the payload from
 /// ingest to egress: who sent it and when, so the egress record can
@@ -36,16 +29,13 @@ pub struct SubmitMeta {
 }
 
 /// One flushed shard batch in flight through the pipeline: submission
-/// metadata, the owned events, and their structure-of-arrays mirror
-/// (same coordinates, dimension-major columns) built at ingest.
+/// metadata and the owned events.
 #[derive(Debug)]
 pub struct EventBatch {
     /// Per-event submission bookkeeping, in submission order.
     pub meta: Vec<SubmitMeta>,
     /// The events, parallel to `meta`.
     pub points: Vec<Point>,
-    /// Dimension-major columns mirroring `points`.
-    pub soa: EventSoA,
     /// When the batch was flushed into the ingest queue (queue-wait
     /// latency basis). Meaningless until [`EventBatcher::take`] stamps
     /// it.
@@ -66,12 +56,11 @@ impl EventBatch {
 
 /// The shard batcher of the staged server: a bounded buffer that reports
 /// when it should flush (full, or its oldest event has waited out the
-/// deadline), and whose every push extends the SoA columns in place.
+/// deadline).
 #[derive(Debug)]
 pub struct EventBatcher {
     meta: Vec<SubmitMeta>,
     points: Vec<Point>,
-    soa: EventSoA,
     /// Arrival instant of the oldest buffered event (deadline basis).
     oldest: Option<Instant>,
     max: usize,
@@ -85,7 +74,6 @@ impl EventBatcher {
         EventBatcher {
             meta: Vec::new(),
             points: Vec::new(),
-            soa: EventSoA::new(dims),
             oldest: None,
             max: max.max(1),
             dims,
@@ -108,8 +96,7 @@ impl EventBatcher {
         self.meta.len() >= self.max
     }
 
-    /// Buffers one event that arrived at `now`, extending the SoA
-    /// columns with its coordinates.
+    /// Buffers one event that arrived at `now`.
     ///
     /// # Panics
     ///
@@ -118,10 +105,10 @@ impl EventBatcher {
     /// not match the batcher's (the server validates at submit).
     pub fn push(&mut self, meta: SubmitMeta, event: Point, now: Instant) {
         assert!(!self.is_full(), "push into a full batcher");
+        assert_eq!(event.dims(), self.dims, "event dimensionality");
         if self.meta.is_empty() {
             self.oldest = Some(now);
         }
-        self.soa.push(&event);
         self.points.push(event);
         self.meta.push(meta);
     }
@@ -144,7 +131,6 @@ impl EventBatcher {
         EventBatch {
             meta: std::mem::take(&mut self.meta),
             points: std::mem::take(&mut self.points),
-            soa: std::mem::replace(&mut self.soa, EventSoA::new(self.dims)),
             enqueued: now,
         }
     }
@@ -159,7 +145,6 @@ impl EventBatcher {
         }
         self.meta = batch.meta;
         self.points = batch.points;
-        self.soa = batch.soa;
     }
 }
 
@@ -237,32 +222,5 @@ mod tests {
             scheduled: now,
             submitted: now,
         }
-    }
-
-    #[test]
-    fn event_batcher_mirrors_points_into_columns() {
-        let mut b = EventBatcher::new(8, 2);
-        let now = Instant::now();
-        for i in 0..5u64 {
-            let p = Point::new(vec![i as f64, 10.0 - i as f64]).expect("point");
-            b.push(meta(i), p, now);
-        }
-        let batch = b.take(now);
-        assert!(b.is_empty(), "take drained the batcher");
-        assert_eq!(batch.len(), 5);
-        assert_eq!(batch.soa.len(), 5);
-        for (i, p) in batch.points.iter().enumerate() {
-            assert_eq!(batch.meta[i].seq, i as u64);
-            for d in 0..2 {
-                assert_eq!(batch.soa.col(d)[i].to_bits(), p.coord(d).to_bits());
-            }
-        }
-        // Restore round-trips the columns, and the next take flushes
-        // everything including post-restore pushes.
-        b.restore(batch, now);
-        b.push(meta(5), Point::new(vec![5.0, 5.0]).expect("point"), now);
-        let again = b.take(now);
-        assert_eq!(again.len(), 6);
-        assert_eq!(again.soa.col(0), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 }

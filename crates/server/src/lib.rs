@@ -8,35 +8,31 @@
 //! that ends the second:
 //!
 //! * **transport-in** ([`IngestHandle`]) — submissions land in
-//!   per-connection-shard [`batcher`]s that assemble the SIMD-friendly
-//!   structure-of-arrays event layout at ingest and flush on size or
-//!   wait — at once into an idle pipeline, when the fold drains the
-//!   last work item in flight, and at the latest at the configured
-//!   deadline ceiling; admission control is the bounded ingest queue: a
-//!   full queue is an *explicit, synchronous reject* (the accept/reject
-//!   ack of the wire protocol), never a silent drop and never a blocked
-//!   transport thread;
-//! * **pipeline** — N concurrent executors drain the ingest queue
-//!   through a single dispatcher lock that assigns each work item a
-//!   monotone ticket, and run the read-only fused match → cost → decide
-//!   pass against an epoch-stamped [`pubsub_core::PublishView`] of the
-//!   engine; a [`pubsub_parallel::SequenceWindow`] re-orders their
-//!   results so the **fold thread** — the sole [`pubsub_core::Broker`]
-//!   owner — consumes them strictly in ticket order, keeping outcomes,
-//!   the scheme-cost memo and the cumulative cost report bit-identical
-//!   to a synchronous broker. Control operations (subscribe /
-//!   unsubscribe / recompile) travel through the *same* ordered queue
-//!   and bump the view version; executors wait for exactly their
-//!   batch's version (the epoch barrier), so an in-flight batch is
-//!   always processed under the epoch that was current when it entered
-//!   the queue — the epoch-keyed scheme-cost memo can never serve a
-//!   batch across a recompile boundary;
-//! * **transport-out** — the fold thread itself, once a batch is folded
-//!   and before it takes the next item, stamps per-event
+//!   per-connection-shard [`batcher`]s that flush on size or wait — at
+//!   once into an idle pipeline, when the fold drains the last work item
+//!   in flight, and at the latest at the configured deadline ceiling;
+//!   admission control is the bounded ingest queue: a full queue is an
+//!   *explicit, synchronous reject* (the accept/reject ack of the wire
+//!   protocol), never a silent drop and never a blocked transport
+//!   thread;
+//! * **pipeline** — the **fold thread**, the sole [`pubsub_core::Broker`]
+//!   owner, pops the ingest queue and runs every batch through
+//!   [`pubsub_core::Broker::publish_batch`], so outcomes, the
+//!   scheme-cost memo and the cumulative cost report are bit-identical
+//!   to a synchronous broker. A batch of more than one
+//!   [`pubsub_parallel::BLOCK`] of events splits across the broker's own
+//!   worker pool. Control operations (subscribe / unsubscribe /
+//!   recompile) travel through the *same* queue and are applied between
+//!   batches, so an in-flight batch is always processed under the epoch
+//!   that was current when it entered the queue — the epoch-keyed
+//!   scheme-cost memo can never serve a batch across a recompile
+//!   boundary;
+//! * **transport-out** — the fold thread itself, once a batch is
+//!   processed and before it takes the next item, stamps per-event
 //!   ingest/match/deliver timings into [`EventRecord`]s and hands them
-//!   in ticket order (deterministic sink sequence) to a caller-supplied
+//!   in queue order (deterministic sink sequence) to a caller-supplied
 //!   [`DeliverySink`]. A slow sink stalls the fold, and through it the
-//!   executors and the ingest queue.
+//!   ingest queue.
 //!
 //! [`tcp`] adds a small length-prefixed TCP front (thread per
 //! connection) speaking the [`wire`] protocol, for real clients; the
@@ -59,10 +55,10 @@
 //!
 //! # Crash safety
 //!
-//! Every [`StagedServer`] runs its executor and fold threads
-//! under a supervisor that detects a stage's death, restarts it from
-//! the state the dead thread left behind and replays the salvaged
-//! in-flight work, so accepted events survive stage crashes.
+//! Every [`StagedServer`] runs its fold under supervision: the fold
+//! thread catches the fold's death, restarts it in place from the state
+//! the crashed pass left behind and replays the salvaged in-flight work,
+//! so accepted events survive fold crashes.
 //! [`StagedServer::start`] is the bare case; [`StagedServer::start_with`]
 //! takes [`SuperviseOptions`]: a [`RecoverFn`] that rebuilds the broker
 //! from its durable journal when the fold — the broker's owner — dies

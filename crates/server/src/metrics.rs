@@ -97,10 +97,10 @@ impl LatencyHisto {
 /// [`StagedServer::stop`](crate::StagedServer::stop) returns.
 ///
 /// The server keeps each of these once, where it happens: the ingest
-/// shards count admissions, the supervisor counts restarts, and the
-/// fold thread records the stage histograms and the delivery counts
-/// (they survive a fold recovery). A metrics poll and `stop` read the
-/// same fold-side copy.
+/// shards count admissions, and the fold thread records the stage
+/// histograms, the delivery counts and its own restarts (they survive a
+/// fold recovery). A metrics poll and `stop` read the same fold-side
+/// copy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Submissions accepted (each produced exactly one sink record).
@@ -116,25 +116,24 @@ pub struct ServerStats {
     pub batches: u64,
     /// High-water mark of the ingest queue (in queued work items).
     pub ingest_queue_max_depth: u64,
-    /// Stage threads the supervisor restarted after a crash (a chaos
-    /// kill, a panicking sink, an engine bug); 0 on a healthy run.
+    /// Fold restarts after a crash (a chaos kill, a panicking sink, an
+    /// engine bug); 0 on a healthy run.
     pub restarts: u64,
-    /// In-flight work items salvaged and replayed across stage restarts.
+    /// In-flight work items salvaged and replayed across fold restarts.
     pub replayed_batches: u64,
-    /// Per-event ingest-stage latency (submission → dequeue by a
-    /// pipeline executor): the sum of the two splits below, kept whole
-    /// for cross-version comparability.
+    /// Per-event ingest-stage latency (submission → fold dequeue): the
+    /// sum of the two splits below, kept whole for cross-version
+    /// comparability.
     pub stage_ingest: LatencyHisto,
     /// Ingest split, per event: submission → shard-batcher flush — how
     /// long the event waited for the size trigger, a drained pipeline or
     /// the deadline. Near zero while the pipeline is idle.
     pub stage_batcher: LatencyHisto,
-    /// Ingest split, per event: batcher flush → dequeue by a pipeline
-    /// executor — time spent in the bounded ingest queue.
+    /// Ingest split, per event: batcher flush → fold dequeue — time
+    /// spent in the bounded ingest queue.
     pub stage_queue_wait: LatencyHisto,
-    /// Per-batch pipeline-stage latency: executor dequeue → fold
-    /// complete (the fused match → cost → decide pass, the re-order
-    /// window and the in-order fold).
+    /// Per-batch pipeline-stage latency: fold dequeue → publish pass
+    /// complete (the fused match → cost → decide pass and its fold).
     pub stage_pipeline: LatencyHisto,
     /// Per-batch egress latency: fold complete → last record stamped
     /// and handed to the sink.

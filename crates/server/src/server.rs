@@ -1,50 +1,42 @@
-//! The staged server: ingest shards → ordered work queue → concurrent
-//! pipeline executors → in-order fold (owns the broker and the sink).
+//! The staged server: ingest shards → bounded ingest queue → the fold
+//! thread, which owns the broker and the sink.
 //!
 //! See the crate docs for the stage architecture and the backpressure
 //! contract. The implementation notes that matter:
 //!
-//! * **The pipeline stage is concurrent but the broker is not shared.**
-//!   Executors run the read-only fused pass ([`PublishView`]) against an
-//!   epoch-stamped view of the engine; the **fold thread owns the
-//!   `Broker` exclusively** and consumes executor results strictly in
-//!   ticket order through a [`SequenceWindow`], so the scheme-cost memo,
-//!   the cumulative f64 report and the per-event outcomes are
-//!   bit-identical to a synchronous broker processing the same batches
-//!   in the same order.
-//! * **The epoch barrier.** A single dispatcher lock assigns each popped
-//!   work item a monotone ticket and stamps batches with the current
-//!   *view version*; popping a control operation (subscribe /
-//!   unsubscribe / recompile) bumps the version. An executor waits until
-//!   the fold has published exactly its batch's version before running
-//!   the pass — and the fold publishes version `v+1` only after folding
-//!   every ticket before the bumping control — so a batch enqueued
-//!   before a recompile is processed under the pre-recompile view, under
-//!   the pre-recompile epoch, and its outcome records say so.
+//! * **One publish path.** The fold pops the ingest queue itself and
+//!   runs each batch through `Broker::publish_batch`, the call a
+//!   synchronous caller makes, so the outcomes, the scheme-cost memo and
+//!   the cumulative f64 report are bit-identical to a synchronous broker
+//!   processing the same batches in the same order. A batch of more than
+//!   one [`pubsub_parallel::BLOCK`] of events splits across the broker's
+//!   own worker pool.
+//! * **Queue order is the only order.** Control operations (subscribe /
+//!   unsubscribe / recompile / metrics) travel through the same queue,
+//!   behind every event accepted before them, and the fold applies them
+//!   between batches. A batch enqueued before a recompile is therefore
+//!   processed under the pre-recompile epoch, and its records say so.
 //! * **Delivery stays deterministic.** The fold hands each batch's
-//!   records to the sink in ticket order (the sequence window re-orders
-//!   whatever the executors finish out of order) before it takes the
-//!   next item, so the sink sees exactly the record sequence a
-//!   single-threaded server produces, and a control op's reply follows
-//!   the records of every batch before it.
+//!   records to the sink before it takes the next item, so the sink sees
+//!   the queue order, and a control op's reply follows the records of
+//!   every batch before it.
 //! * **Accepted means delivered-or-reported.** Once `submit` returns
 //!   `Ok`, the event sits in a shard batcher or the queue; shutdown
 //!   flushes every shard with a *blocking* push before closing the
 //!   queue, so exactly one [`EventRecord`] per accepted event reaches
 //!   the sink — even records for events the broker itself rejected
 //!   (fault-plan aborts) carry the error instead of vanishing.
-//! * **Under a fault plan the executors stand down**: the fault clock,
-//!   health hysteresis and mid-batch aborts are fold-side, per-event
-//!   state, so batches are forwarded raw and the fold degrades to
-//!   per-event processing — bit-identical to a synchronous `publish`
-//!   loop while giving every event an attributable record.
-//! * **Every stage thread is supervised.** The loops below keep whatever
-//!   must survive a crash of their thread in a state the thread's
-//!   wrapper owns (see [`crate::supervise`]): a panic in a stage loses
-//!   the loop's locals and nothing else, and the supervisor restarts the
-//!   stage from that state. An empty [`CrashPlan`](crate::CrashPlan) and
-//!   no [`RecoverFn`](crate::RecoverFn) — what [`StagedServer::start`]
-//!   means — is the same runtime with nothing scheduled to die.
+//! * **Under a fault plan** the fold publishes event by event: the fault
+//!   clock and a mid-batch abort are per-event state, and this way every
+//!   event gets an attributable record, bit-identical to a synchronous
+//!   `publish` loop.
+//! * **The fold is supervised.** It keeps whatever must survive a crash
+//!   in a `FoldState` held outside the `catch_unwind` it runs in (see
+//!   [`crate::supervise`]): a panic loses the loop's locals and nothing
+//!   else, and the fold restarts in place from that state. An empty
+//!   [`CrashPlan`] and no [`RecoverFn`](crate::RecoverFn) — what
+//!   [`StagedServer::start`] means — is the same runtime with nothing
+//!   scheduled to die.
 //! * **Batching earns its wait.** A submit into an idle pipeline flushes
 //!   at once, and the fold flushes every waiting shard when its last item
 //!   in flight finishes; events wait only while a pass is in flight to
@@ -56,16 +48,16 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pubsub_core::{
-    Broker, BrokerError, PublishOutcome, PublishScratch, PublishView, SubscriptionHandle,
-};
+use pubsub_core::{Broker, BrokerError, PublishOutcome, SubscriptionHandle};
 use pubsub_geom::{Point, Rect};
 use pubsub_netsim::NodeId;
-use pubsub_parallel::{PushError, SequenceWindow, StageQueue, VersionedCell};
+use pubsub_parallel::{PushError, StageQueue};
 
 use crate::batcher::{EventBatch, EventBatcher, SubmitMeta};
 use crate::metrics::{ServerStats, ServingMetrics};
-use crate::supervise::{supervisor_loop, ChaosSwitch, CrashKind, SuperviseOptions};
+use crate::supervise::{
+    install_chaos_hook, supervise_fold, CrashKind, CrashPlan, SuperviseOptions,
+};
 
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
@@ -94,10 +86,6 @@ pub struct ServingConfig {
     /// only for a sparse shard while other connections keep the pipeline
     /// busy.
     pub flush_interval: Duration,
-    /// Concurrent pipeline executors running the fused match → cost →
-    /// decide pass (`None` = available parallelism). The in-order fold,
-    /// which also delivers, remains a single thread regardless.
-    pub executors: Option<usize>,
     /// Connection shards (batchers). Clients map to shards by
     /// `client % shards`; more shards mean less submit-lock contention
     /// but smaller, more frequent batches.
@@ -110,7 +98,6 @@ impl Default for ServingConfig {
             ingest_capacity: 64,
             max_batch: 256,
             flush_interval: Duration::from_millis(1),
-            executors: None,
             shards: 8,
         }
     }
@@ -155,7 +142,7 @@ pub enum ServingError {
     Closed,
     /// The broker rejected the operation.
     Broker(BrokerError),
-    /// The fold thread died and the supervisor had no recovery path (or
+    /// The fold died while applying an item and had no recovery path (or
     /// recovery itself failed); the serving state is lost.
     Crashed(String),
 }
@@ -193,10 +180,10 @@ pub struct EventRecord {
     /// time, so queueing delay shows up here when the system falls
     /// behind.
     pub latency_ns: u64,
-    /// Ingest-stage residence: submission → executor dequeue.
+    /// Ingest-stage residence: submission → fold dequeue.
     pub ingest_ns: u64,
-    /// Pipeline-stage residence of the event's batch: executor dequeue →
-    /// fold complete (fused pass, re-order window and fold included).
+    /// Pipeline-stage residence of the event's batch: fold dequeue →
+    /// publish pass complete.
     pub pipeline_ns: u64,
     /// Egress residence: fold complete → this record stamped.
     pub egress_ns: u64,
@@ -297,41 +284,9 @@ pub(crate) enum ControlOp {
     Metrics(mpsc::Sender<ServingMetrics>),
 }
 
-impl ControlOp {
-    /// Whether applying this op can change what the publish path reads —
-    /// and therefore bumps the view version at dispatch and republishes
-    /// the [`PublishView`] after the fold applies it. A metrics poll
-    /// only reads, so it rides the ticket order without a bump.
-    pub(crate) fn bumps_view(&self) -> bool {
-        !matches!(self, ControlOp::Metrics(_))
-    }
-}
-
 pub(crate) enum WorkItem {
     Batch(EventBatch),
     Control(ControlOp),
-}
-
-/// One work item after dispatch, on its way through an executor to the
-/// sequence window.
-// `Batch` dwarfs `Control`, but it is also the common case: boxing the
-// scratch would put a heap round-trip on the hot path to slim the rare
-// one.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum Staged {
-    Batch(StagedBatch),
-    /// A control operation, applied by the fold at its ticket.
-    Control(ControlOp),
-}
-
-pub(crate) struct StagedBatch {
-    pub(crate) batch: EventBatch,
-    pub(crate) dequeued: Instant,
-    /// The scratch of the fused pass this batch's executor ran and the
-    /// epoch of the view it ran under; the fold consumes it. `None`
-    /// forwards the batch untouched for fold-side processing (active
-    /// fault plan, the view refused the batch, or its executor died).
-    pub(crate) pass: Option<(PublishScratch, u64)>,
 }
 
 /// A folded batch on its way to the sink.
@@ -419,6 +374,17 @@ impl IngestShared {
             self.flush(&mut batcher, now, false);
         }
     }
+
+    /// `stats` with the counts the ingest side keeps filled in:
+    /// admissions and the ingest queue's high-water mark.
+    pub(crate) fn stats(&self, stats: ServerStats) -> ServerStats {
+        ServerStats {
+            accepted: self.accepted.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            ingest_queue_max_depth: self.queue.max_depth() as u64,
+            ..stats
+        }
+    }
 }
 
 impl fmt::Debug for IngestShared {
@@ -431,63 +397,6 @@ impl fmt::Debug for IngestShared {
             .field("rejected", &self.rejected)
             .field("in_flight", &self.in_flight)
             .finish_non_exhaustive()
-    }
-}
-
-/// The dispatcher's ordered-handoff state: one lock assigns tickets and
-/// version stamps, making "popped before the control" a total order the
-/// window and the versioned view can both rely on.
-#[derive(Debug, Default)]
-pub(crate) struct DispatchState {
-    /// Next ticket — the position of the popped item in the global work
-    /// order; the sequence window releases results in this order.
-    pub(crate) next_ticket: u64,
-    /// Current view version: the number of version-bumping control
-    /// operations popped so far. Batches are stamped with it at pop.
-    pub(crate) version: u64,
-}
-
-/// Everything the stage threads and their supervisor share.
-pub(crate) struct StageShared {
-    pub(crate) ingest: Arc<IngestShared>,
-    pub(crate) dispatch: Mutex<DispatchState>,
-    pub(crate) window: SequenceWindow<Staged>,
-    pub(crate) cell: VersionedCell<PublishView>,
-    /// Recycled pass scratches: executors pop (or default), the fold
-    /// pushes back after consuming — the arenas regrow only on workload
-    /// shifts.
-    pub(crate) scratch_pool: Mutex<Vec<PublishScratch>>,
-    /// Whether the broker had a fault plan installed at start. Fault
-    /// state is fold-side and per-event; executors forward batches raw
-    /// when set. Plans install before `StagedServer::start`, so this is
-    /// constant for the server's lifetime.
-    pub(crate) faults_active: bool,
-    pub(crate) chaos: ChaosSwitch,
-    /// Stage threads restarted, and in-flight items salvaged and
-    /// replayed across those restarts.
-    pub(crate) restarts: AtomicU64,
-    pub(crate) replayed: AtomicU64,
-}
-
-impl StageShared {
-    pub(crate) fn note_restart(&self, replayed: bool) {
-        self.restarts.fetch_add(1, Ordering::Relaxed);
-        self.replayed
-            .fetch_add(u64::from(replayed), Ordering::Relaxed);
-    }
-
-    /// `stats` with the counts the shared state keeps filled in:
-    /// admissions, the ingest queue's high-water mark and restarts.
-    pub(crate) fn stats(&self, stats: ServerStats) -> ServerStats {
-        let ingest = &*self.ingest;
-        ServerStats {
-            accepted: ingest.accepted.load(Ordering::Relaxed),
-            rejected: ingest.rejected.load(Ordering::Relaxed),
-            ingest_queue_max_depth: ingest.queue.max_depth() as u64,
-            restarts: self.restarts.load(Ordering::Relaxed),
-            replayed_batches: self.replayed.load(Ordering::Relaxed),
-            ..stats
-        }
     }
 }
 
@@ -626,7 +535,7 @@ impl IngestHandle {
             .map_err(ServingError::Broker)
     }
 
-    /// Polls the fold thread, in ticket order, for the broker's counters
+    /// Polls the fold thread, in queue order, for the broker's counters
     /// and the server's own. The fold has handed every earlier batch to
     /// the sink before it answers, so the delivery counts are exact.
     ///
@@ -666,16 +575,15 @@ impl IngestHandle {
     }
 }
 
-/// The running staged server. Owns the flusher and the supervisor of
-/// the executor and fold threads; [`StagedServer::stop`] (or
-/// drop) shuts down cleanly, returning the broker and the aggregate
-/// stats.
+/// The running staged server. Owns the deadline flusher and the fold
+/// thread; [`StagedServer::stop`] (or drop) shuts down cleanly,
+/// returning the broker and the aggregate stats.
 #[derive(Debug)]
 pub struct StagedServer {
     handle: IngestHandle,
     flusher_stop: Arc<AtomicBool>,
     flusher: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<Result<(Broker, ServerStats), String>>>,
+    fold: Option<JoinHandle<Result<(Broker, ServerStats), String>>>,
 }
 
 impl StagedServer {
@@ -687,14 +595,12 @@ impl StagedServer {
     }
 
     /// Starts the staged server around `broker`: spawns the deadline
-    /// flusher and the supervisor, which in turn runs the pipeline
-    /// executors (sharing an immutable [`PublishView`] of the broker)
-    /// and the fold thread (which takes ownership of the broker and
-    /// `sink`).
+    /// flusher and the fold thread, which takes ownership of the broker
+    /// and `sink` and runs under its own supervision.
     /// `options.recover` enables fold-crash recovery; `options.chaos`
     /// injects the scheduled panics.
     pub fn start_with(
-        mut broker: Broker,
+        broker: Broker,
         config: ServingConfig,
         sink: Box<dyn DeliverySink>,
         options: SuperviseOptions,
@@ -712,21 +618,6 @@ impl StagedServer {
             dims,
             flush_interval: config.flush_interval,
         });
-        let executors = pubsub_parallel::effective_threads(config.executors);
-        let shared = StageShared {
-            ingest: Arc::clone(&ingest),
-            dispatch: Mutex::new(DispatchState::default()),
-            // The window bounds how far ahead of the fold the executors
-            // can run; modest slack past the executor count is enough to
-            // keep them all busy without unbounded reorder memory.
-            window: SequenceWindow::new(executors as u64 * 2 + 2),
-            cell: VersionedCell::new(broker.publish_view()),
-            scratch_pool: Mutex::new(Vec::new()),
-            faults_active: broker.faults_active(),
-            chaos: ChaosSwitch::new(&options.chaos),
-            restarts: AtomicU64::new(0),
-            replayed: AtomicU64::new(0),
-        };
         let flusher_stop = Arc::new(AtomicBool::new(false));
         let flusher = {
             let ingest = Arc::clone(&ingest);
@@ -736,18 +627,26 @@ impl StagedServer {
                 .spawn(move || flusher_loop(&ingest, &stop))
                 .expect("spawn flusher thread")
         };
+        // Only a plan that can fire replaces the process-wide panic hook;
+        // a default server leaves the host's hook alone.
+        if !options.chaos.is_empty() {
+            install_chaos_hook();
+        }
+        let state = FoldState::new(broker, sink, options.chaos);
         let recover = options.recover;
-        let broker = Box::new(broker);
-        let supervisor = std::thread::Builder::new()
-            .name("pubsub-supervisor".into())
-            .spawn(move || supervisor_loop(&shared, broker, sink, recover, executors))
-            .expect("spawn supervisor thread");
+        let fold = {
+            let ingest = Arc::clone(&ingest);
+            std::thread::Builder::new()
+                .name("pubsub-fold".into())
+                .spawn(move || supervise_fold(&ingest, state, recover))
+                .expect("spawn fold thread")
+        };
 
         StagedServer {
             handle: IngestHandle { shared: ingest },
             flusher_stop,
             flusher: Some(flusher),
-            supervisor: Some(supervisor),
+            fold: Some(fold),
         }
     }
 
@@ -760,14 +659,14 @@ impl StagedServer {
     ///
     /// # Panics
     ///
-    /// Panics if the serving state was lost to a stage crash.
+    /// Panics if the serving state was lost to a fold crash.
     pub fn stop(self) -> (Broker, ServerStats) {
-        self.try_stop().expect("stage threads healthy")
+        self.try_stop().expect("fold healthy")
     }
 
-    /// Stops accepting, flushes every shard, drains the queues and the
-    /// sequence window through every stage, joins the supervisor, and
-    /// returns the broker plus the final aggregate stats.
+    /// Stops accepting, flushes every shard, lets the fold drain the
+    /// closed ingest queue, joins it, and returns the broker plus the
+    /// final aggregate stats.
     ///
     /// # Errors
     ///
@@ -779,7 +678,7 @@ impl StagedServer {
     }
 
     fn shutdown(&mut self) -> Option<Result<(Broker, ServerStats), ServingError>> {
-        let supervisor = self.supervisor.take()?;
+        let fold = self.fold.take()?;
         let sh = &*self.handle.shared;
         sh.accepting.store(false, Ordering::SeqCst);
         // Final flush: every accepted event must reach the pipeline, so
@@ -792,17 +691,17 @@ impl StagedServer {
         if let Some(flusher) = self.flusher.take() {
             let _ = flusher.join();
         }
-        let outcome = supervisor
+        let outcome = fold
             .join()
-            .unwrap_or_else(|_| Err("supervisor thread panicked".into()));
+            .unwrap_or_else(|_| Err("fold thread panicked".into()));
         Some(outcome.map_err(ServingError::Crashed))
     }
 }
 
 impl Drop for StagedServer {
     fn drop(&mut self) {
-        // Explicit `stop` already ran if the supervisor is None;
-        // otherwise shut down so no stage thread outlives the server.
+        // Explicit `stop` already ran if the fold handle is gone;
+        // otherwise shut down so no thread outlives the server.
         let _ = self.shutdown();
     }
 }
@@ -838,101 +737,6 @@ pub(crate) fn flusher_loop(shared: &IngestShared, stop: &AtomicBool) {
     }
 }
 
-/// What must survive an executor thread: its identity, its progress
-/// count on the chaos clock, and the salvage slot.
-pub(crate) struct ExecState {
-    pub(crate) index: usize,
-    pops: u64,
-    /// The popped `(ticket, batch)`, parked here across the whole crash
-    /// window (chaos tick + view pass) so a death never leaves the
-    /// sequence window with a permanent gap.
-    pub(crate) slot: Option<(u64, StagedBatch)>,
-}
-
-impl ExecState {
-    pub(crate) fn new(index: usize) -> Self {
-        ExecState {
-            index,
-            pops: 0,
-            slot: None,
-        }
-    }
-}
-
-/// One concurrent pipeline executor: pop under the dispatcher lock (one
-/// ticket per item, version-stamped), run the read-only fused pass
-/// against the view at exactly the stamped version, and push the result
-/// into the sequence window at the ticket. Everything order-sensitive
-/// (broker mutation, version publication, delivery) happens on the fold
-/// side, in ticket order.
-pub(crate) fn executor_loop(sh: &StageShared, st: &mut ExecState) {
-    // A dead predecessor's batch first, as it was left: a pass that
-    // never finished is a raw batch, and the fold processes it.
-    if let Some((ticket, job)) = st.slot.take() {
-        let _ = sh.window.push(ticket, Staged::Batch(job));
-    }
-    let me = CrashKind::KillExecutor(st.index);
-    loop {
-        let (ticket, item, version) = {
-            let mut d = lock(&sh.dispatch);
-            // Popping under the dispatcher lock is what makes tickets a
-            // total order consistent with the queue order; idle peers
-            // block on the lock instead of the queue, which costs
-            // nothing — they could not pop anyway.
-            let Some(item) = sh.ingest.queue.pop() else {
-                return;
-            };
-            let ticket = d.next_ticket;
-            d.next_ticket += 1;
-            if matches!(&item, WorkItem::Control(op) if op.bumps_view()) {
-                d.version += 1;
-            }
-            (ticket, item, d.version)
-        };
-        let batch = match item {
-            WorkItem::Control(op) => {
-                // Handed to the window before the crash point: a control
-                // op is never in executor-side flight.
-                let _ = sh.window.push(ticket, Staged::Control(op));
-                sh.chaos.tick(me, &mut st.pops);
-                continue;
-            }
-            WorkItem::Batch(batch) => batch,
-        };
-        let parked = StagedBatch {
-            batch,
-            dequeued: Instant::now(),
-            pass: None,
-        };
-        let (_, job) = st.slot.insert((ticket, parked));
-        sh.chaos.tick(me, &mut st.pops);
-        if !sh.faults_active {
-            // The fold publishes version v only after folding every
-            // ticket before the op that bumped to v, and all such
-            // tickets precede ours — so the wait both terminates and
-            // can only ever observe our version.
-            let (seen, view) = sh.cell.wait_at_least(version);
-            if seen != version {
-                // Only the supervisor's `abandon` publishes a version
-                // nobody was stamped with: the server is lost.
-                return;
-            }
-            // The pass reads the batch *in the slot*: a panic anywhere
-            // in here (the engine pass included) leaves it salvageable.
-            let mut scratch = lock(&sh.scratch_pool).pop().unwrap_or_default();
-            match view.process_into(&job.batch.points, Some(&job.batch.soa), &mut scratch) {
-                Ok(()) => job.pass = Some((scratch, view.epoch())),
-                // Unreachable in practice (submit validates dimensions),
-                // but losing records is not an option: let the fold
-                // produce the errors.
-                Err(_) => lock(&sh.scratch_pool).push(scratch),
-            }
-        }
-        let (ticket, job) = st.slot.take().expect("parked above");
-        let _ = sh.window.push(ticket, Staged::Batch(job));
-    }
-}
-
 /// Per-event transport-in latencies, recorded by the fold as the batch
 /// leaves its crash window: batcher residency, queue wait, and their
 /// sum kept as the whole-stage histogram.
@@ -947,39 +751,36 @@ fn record_ingest(stats: &mut ServerStats, batch: &EventBatch, dequeued: Instant)
     }
 }
 
-/// What must survive a fold thread: the broker (replaced through the
-/// [`RecoverFn`](crate::RecoverFn) after a crash mid-apply — it died
-/// with the thread), the sink, the apply and emit slots, the fold's
-/// place in the version and chaos sequences, and the stats it records.
+/// What must survive a crash of the fold: the broker (replaced through
+/// the [`RecoverFn`](crate::RecoverFn) after a crash mid-apply — it died
+/// with the pass), the sink, the apply and emit slots, the chaos plan
+/// and the fold's place in it, and the stats it records.
 pub(crate) struct FoldState {
-    /// Boxed so that handing the state from thread to thread moves a
-    /// pointer, not the broker.
-    pub(crate) broker: Box<Broker>,
+    pub(crate) broker: Broker,
     sink: Box<dyn DeliverySink>,
-    /// The item being applied right now (replayed by the next
-    /// incarnation if this one dies mid-apply).
-    pub(crate) slot: Option<Staged>,
+    /// The item being applied right now, with the instant it left the
+    /// queue (replayed by the restarted fold if this pass dies
+    /// mid-apply).
+    pub(crate) slot: Option<(WorkItem, Instant)>,
     /// The folded batch whose records are being handed to the sink; the
-    /// outcomes still in it are where a replacement resumes.
+    /// outcomes still in it are where a restart resumes.
     pub(crate) emit: Option<EgressBatch>,
-    /// The last view version the fold published — the version the
-    /// supervisor republishes a recovered view under.
-    pub(crate) version: u64,
+    chaos: CrashPlan,
     items: u64,
     records: u64,
-    /// The stage histograms and delivery counts, recorded once per
-    /// batch as it leaves the apply slot and the emit slot.
+    /// The stage histograms, delivery counts and restarts, recorded once
+    /// per batch as it leaves the apply slot and the emit slot.
     pub(crate) stats: ServerStats,
 }
 
 impl FoldState {
-    pub(crate) fn new(broker: Box<Broker>, sink: Box<dyn DeliverySink>) -> Self {
+    pub(crate) fn new(broker: Broker, sink: Box<dyn DeliverySink>, chaos: CrashPlan) -> Self {
         FoldState {
             broker,
             sink,
             slot: None,
             emit: None,
-            version: 0,
+            chaos,
             items: 0,
             records: 0,
             stats: ServerStats::default(),
@@ -987,34 +788,31 @@ impl FoldState {
     }
 }
 
-/// The in-order fold: the single broker and sink owner. Consumes the
-/// sequence window in ticket order — folding executor scratches,
-/// processing raw (fault-path or salvaged) batches, applying control
-/// operations and republishing the view on version bumps — and hands
-/// each batch's records to the sink before taking the next item, which
-/// is what keeps sink output deterministic.
-pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
-    let mut outcomes: Vec<PublishOutcome> = Vec::new();
+/// The fold: the single broker and sink owner. Pops the ingest queue in
+/// order — running each batch through [`process`] and applying each
+/// control operation between batches — and hands each batch's records
+/// to the sink before taking the next item, which is what keeps sink
+/// output deterministic.
+pub(crate) fn fold_loop(ingest: &IngestShared, st: &mut FoldState) {
     loop {
-        // A dead predecessor's unfinished emit, then its salvaged item,
-        // replay first; only then does this incarnation pop (and tick the
-        // chaos clock) on its own account.
-        emit(sh, st);
-        let broker = &mut *st.broker;
+        // A crashed pass's unfinished emit, then its salvaged item,
+        // replay first; only then does the fold pop (and tick the chaos
+        // clock) again.
+        emit(ingest, st);
         if st.slot.is_none() {
-            let Some((_ticket, staged)) = sh.window.pop_next() else {
+            let Some(item) = ingest.queue.pop() else {
                 break;
             };
-            st.slot = Some(staged);
-            sh.chaos.tick(CrashKind::KillFold, &mut st.items);
+            st.slot = Some((item, Instant::now()));
+            st.chaos.tick(CrashKind::KillFold, &mut st.items);
         }
-        let Some(Staged::Batch(job)) = st.slot.as_mut() else {
+        let broker = &mut st.broker;
+        let Some((WorkItem::Batch(batch), _)) = &st.slot else {
             // A control op leaves the slot, and is finished, before it is
             // applied: at most once, and a caller whose op died sees its
             // channel drop.
-            if let Some(Staged::Control(op)) = st.slot.take() {
-                sh.ingest.finish();
-                let bumps = op.bumps_view();
+            if let Some((WorkItem::Control(op), _)) = st.slot.take() {
+                ingest.finish();
                 match op {
                     ControlOp::Subscribe(node, rect, tx) => {
                         let _ = tx.send(broker.subscribe(node, rect));
@@ -1028,58 +826,38 @@ pub(crate) fn fold_loop(sh: &StageShared, st: &mut FoldState) {
                     ControlOp::Metrics(tx) => {
                         let _ = tx.send(ServingMetrics {
                             broker: broker.metrics_snapshot(),
-                            server: sh.stats(st.stats),
+                            server: ingest.stats(st.stats),
                         });
                     }
-                }
-                if bumps {
-                    // Republish even if the op itself failed: the
-                    // dispatcher already advanced the version, and a
-                    // batch stamped with it is (or will be) waiting.
-                    st.version += 1;
-                    sh.cell.publish(st.version, Arc::new(broker.publish_view()));
                 }
             }
             continue;
         };
-        let (results, epoch) = match &mut job.pass {
-            Some((scratch, epoch)) if *epoch == broker.epoch() => {
-                outcomes.clear();
-                broker.fold_staged(job.batch.len(), *epoch, scratch, &mut outcomes);
-                (outcomes.drain(..).map(Ok).collect(), *epoch)
-            }
-            // A raw batch, or a pass that ran under a view this broker
-            // no longer has (it predates a fold recovery): the broker
-            // processes it here, deterministically.
-            _ => process(broker, &job.batch.points),
-        };
+        let (results, epoch) = process(broker, &batch.points);
         let folded = Instant::now();
         // Effects are fully in the broker: the item leaves the apply
         // slot, is counted once, and its batch moves to the emit slot.
-        let Some(Staged::Batch(job)) = st.slot.take() else {
+        let Some((WorkItem::Batch(batch), dequeued)) = st.slot.take() else {
             unreachable!("matched above");
         };
-        record_ingest(&mut st.stats, &job.batch, job.dequeued);
-        let pipeline = folded.saturating_duration_since(job.dequeued);
+        record_ingest(&mut st.stats, &batch, dequeued);
+        let pipeline = folded.saturating_duration_since(dequeued);
         st.stats.stage_pipeline.record(nanos(pipeline));
-        if let Some((scratch, _)) = job.pass {
-            lock(&sh.scratch_pool).push(scratch);
-        }
         st.emit = Some(EgressBatch {
-            meta: job.batch.meta,
+            meta: batch.meta,
             results: results.into_iter(),
             epoch,
-            dequeued: job.dequeued,
+            dequeued,
             folded,
         });
     }
 }
 
-/// Runs one batch through the engine on the fold side. Fault-free
-/// batches (an executor's view pass was refused) take the fused pipeline
-/// in one go; under an active fault plan each event is published on its
-/// own so a mid-batch abort (publisher down) cannot leave recorded
-/// events without records — see the module docs.
+/// Runs one batch through the broker: one `publish_batch`, which splits
+/// a batch of more than one block across the broker's worker pool. Under
+/// an active fault plan each event is published on its own, so a
+/// mid-batch abort (publisher down) cannot leave recorded events without
+/// records — see the module docs.
 #[allow(clippy::type_complexity)]
 fn process(broker: &mut Broker, points: &[Point]) -> (Vec<Result<PublishOutcome, String>>, u64) {
     // Publishing never swaps the snapshot, so the epoch read afterwards
@@ -1090,9 +868,7 @@ fn process(broker: &mut Broker, points: &[Point]) -> (Vec<Result<PublishOutcome,
             .map(|p| broker.publish(p).map_err(|e| e.to_string()))
             .collect()
     } else {
-        // One worker: the fold is one thread, one worker never spawns a
-        // pool, and outcomes are bit-identical at any worker count.
-        match broker.publish_batch(points, Some(1)) {
+        match broker.publish_batch(points, None) {
             Ok(outcomes) => outcomes.into_iter().map(Ok).collect(),
             // Whole-batch validation failure: nothing recorded, every
             // event gets the error (submit-side dimension checks make
@@ -1107,16 +883,16 @@ fn process(broker: &mut Broker, points: &[Point]) -> (Vec<Result<PublishOutcome,
 }
 
 /// The fold's emit step: hands the batch in the emit slot to the sink,
-/// record by record, in order. A dead predecessor's batch resumes where
-/// it stopped.
-fn emit(sh: &StageShared, st: &mut FoldState) {
+/// record by record, in order. A crashed pass's batch resumes where it
+/// stopped.
+fn emit(ingest: &IngestShared, st: &mut FoldState) {
     let Some(batch) = st.emit.as_mut() else {
         return;
     };
     let started = Instant::now();
     debug_assert!(batch.results.len() <= batch.meta.len());
     while !batch.results.as_slice().is_empty() {
-        sh.chaos.tick(CrashKind::KillEgress, &mut st.records);
+        st.chaos.tick(CrashKind::KillEgress, &mut st.records);
         let event = batch.meta[batch.meta.len() - batch.results.len()];
         // Moved out before the sink runs: a record the sink panics on
         // was handed over once and is not offered again.
@@ -1142,7 +918,7 @@ fn emit(sh: &StageShared, st: &mut FoldState) {
     st.stats.batches += 1;
     // Finished as it leaves the emit slot; a death before resumes it.
     st.emit = None;
-    sh.ingest.finish();
+    ingest.finish();
 }
 
 #[cfg(test)]
@@ -1240,8 +1016,7 @@ mod tests {
                 tiny_broker(),
                 ServingConfig {
                     shards: 1,
-                    max_batch: 4, // many small batches — real reorder pressure
-                    executors: Some(3),
+                    max_batch: 4, // many small batches
                     ..ServingConfig::default()
                 },
                 Box::new(sink.clone()),
@@ -1257,9 +1032,8 @@ mod tests {
             assert_eq!(stats.delivered, 60);
             assert_eq!((stats.restarts, stats.replayed_batches), (0, 0));
 
-            // No sort: the sequence window must deliver records to the
-            // sink in exact submission order despite three racing
-            // executors.
+            // No sort: the fold must deliver records to the sink in exact
+            // submission order across every small batch.
             let records = sink.take();
             let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
             assert_eq!(seqs, (0..60).collect::<Vec<u64>>());
@@ -1275,16 +1049,13 @@ mod tests {
     /// What `start` promises when the fold dies anyway: no recovery, but
     /// no hang either. The kill is scheduled on the fold's first item —
     /// the subscribe — so its caller is parked on the reply when the
-    /// supervisor abandons the server.
+    /// fold thread abandons the server.
     #[test]
     fn unrecoverable_fold_crash_fails_stop_and_wakes_blocked_callers() {
         let sink = CollectorSink::new();
         let server = StagedServer::start_with(
             tiny_broker(),
-            ServingConfig {
-                executors: Some(2),
-                ..ServingConfig::default()
-            },
+            ServingConfig::default(),
             Box::new(sink.clone()),
             SuperviseOptions {
                 recover: None,
@@ -1310,7 +1081,7 @@ mod tests {
             handle.submit_now(0, 0, Point::new(vec![1.0, 2.0]).expect("point")),
             Err(RejectReason::Closed)
         );
-        // No stage thread, supervisor or flusher outlived the stop: they
+        // Neither the fold thread nor the flusher outlived the stop: they
         // held the other references to the ingest state and the sink.
         assert_eq!(Arc::strong_count(&handle.shared), 1);
         assert_eq!(Arc::strong_count(&sink.records), 1);
@@ -1444,6 +1215,43 @@ mod tests {
         assert_eq!(stats.batches, 2, "one flush on idle, one on drain");
     }
 
+    /// Seq 0 holds the pipeline busy in the sink while the next
+    /// `max_batch` events fill the shard to its size trigger: one full
+    /// batch of several blocks, which the fold publishes across the
+    /// broker's own worker pool.
+    #[test]
+    fn full_batches_split_across_the_broker_pool() {
+        if pubsub_parallel::effective_threads(None) < 2 {
+            return; // a one-core host never creates a pool
+        }
+        let sink = CollectorSink::new();
+        let (gate, held, release) = holding_sink(&sink, |r| r.seq == 0);
+        let config = ServingConfig {
+            flush_interval: Duration::from_secs(3600),
+            ..ServingConfig::default()
+        };
+        let server = StagedServer::start(tiny_broker(), config, gate);
+        let handle = server.handle();
+        let stream = events(config.max_batch + 1);
+        handle
+            .submit_now(0, 0, stream[0].clone())
+            .expect("accepted");
+        held.recv_timeout(Duration::from_secs(5))
+            .expect("an idle pipeline kept seq 0 waiting");
+        for (i, e) in stream.iter().enumerate().skip(1) {
+            handle.submit_now(0, i as u64, e.clone()).expect("accepted");
+        }
+        release.send(()).expect("the sink holds seq 0");
+        let pipeline = handle.metrics().expect("metrics").broker.pipeline;
+        assert!(
+            pipeline.pooled_batches >= 1,
+            "the full batch ran inline: {pipeline:?}"
+        );
+        let (_, stats) = server.stop();
+        assert_eq!(stats.delivered, stream.len() as u64);
+        assert_eq!(stats.batches, 2, "one flush on idle, one full batch");
+    }
+
     /// The ceiling: client 0's record holds the pipeline busy in the
     /// sink, so neither a flush on idle nor a drain can move client 1's
     /// event on the other shard — only the deadline flusher can.
@@ -1498,7 +1306,6 @@ mod tests {
                 max_batch: 1,
                 shards: 1,
                 flush_interval: Duration::from_millis(1),
-                ..ServingConfig::default()
             },
             Box::new(slow),
         );

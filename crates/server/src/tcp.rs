@@ -50,7 +50,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -131,7 +131,6 @@ impl TcpFront {
     pub fn start<A: ToSocketAddrs>(addr: A, handle: IngestHandle) -> io::Result<TcpFront> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept_thread = {
             let shutdown = Arc::clone(&shutdown);
@@ -161,7 +160,20 @@ impl TcpFront {
     fn shutdown_inner(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // The accept thread blocks in `accept`: a connection of our own
+            // wakes it to see the flag. If none can be made, the thread has
+            // already left its loop (the listener failed) or cannot be
+            // woken; joining would then hang, so it is left to finish.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            if TcpStream::connect(wake).is_ok() {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -178,8 +190,14 @@ fn accept_loop(listener: &TcpListener, handle: &IngestHandle, shutdown: &AtomicB
     // the two populations never collide.
     let next_client = Arc::new(AtomicU32::new(0));
     let sessions: Arc<Sessions> = Arc::new(Mutex::new(SessionTable::default()));
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    // A blocking accept: a new connection is served the moment it
+    // arrives, and `TcpFront::stop` wakes the loop with one of its own.
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let fallback = next_client.fetch_add(1, Ordering::Relaxed);
                 let handle = handle.clone();
@@ -204,9 +222,6 @@ fn accept_loop(listener: &TcpListener, handle: &IngestHandle, shutdown: &AtomicB
                         .expect("spawn connection thread")
                 };
                 connections.push((stream, conn));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => break,
         }

@@ -35,8 +35,6 @@
 //! against [`LinearScan`](crate::LinearScan)-style exact oracles, plus
 //! kernel-level bit-identity of the emitted tape.
 
-use pubsub_geom::EventSoA;
-
 use crate::hilbert::hilbert_index;
 use crate::simd::{self, QuantBlock, SimdLevel, LANES};
 
@@ -313,19 +311,6 @@ impl CompactSTree {
         debug_assert!(events.iter().all(|e| e.len() == self.dims));
         block.fill_with(self.dims, events.len(), |lane, d| {
             self.cell(d, events[lane][d])
-        });
-    }
-
-    /// Fills a [`QuantBlock`] from a structure-of-arrays batch: lane `l`
-    /// quantizes `soa.col(d)[start + l]` along dimension `d`.
-    /// Bit-identical to [`CompactSTree::fill_block`] over the same
-    /// events — `cell` is applied to the same `f64`s in the same order,
-    /// only the memory walk changes (contiguous column reads instead of
-    /// a per-lane gather).
-    pub fn fill_block_cols(&self, soa: &EventSoA, start: usize, k: usize, block: &mut QuantBlock) {
-        debug_assert_eq!(soa.dims(), self.dims);
-        block.fill_with(self.dims, k, |lane, d| {
-            self.cell(d, soa.col(d)[start + lane])
         });
     }
 

@@ -38,8 +38,6 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use pubsub_geom::EventSoA;
-
 /// Number of events per [`EventBlock`]: 8 × `f64` lanes (two AVX2
 /// registers, four SSE2 registers).
 pub const LANES: usize = 8;
@@ -181,42 +179,6 @@ impl EventBlock {
         // Pad idle lanes with lane 0 so vector loads read defined,
         // harmless values (their results are masked off).
         for lane in self.lanes..LANES {
-            for d in 0..dims {
-                self.coords[d * LANES + lane] = self.coords[d * LANES];
-                self.points[lane * dims + d] = self.points[d];
-            }
-        }
-    }
-
-    /// Fills the block from a structure-of-arrays batch: lane `l` takes
-    /// coordinate `soa.col(d)[start + l]` along dimension `d`. Because
-    /// the columns already match the block's dimension-major layout,
-    /// each dimension is a straight contiguous copy — no per-lane
-    /// transpose, which is the point of assembling structure-of-arrays
-    /// batches at ingest. Produces exactly the block
-    /// [`EventBlock::fill`] would for the same events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `soa` has no dimensions, `k` is 0 or exceeds
-    /// [`LANES`], or the batch holds fewer than `start + k` events.
-    pub fn fill_cols(&mut self, soa: &EventSoA, start: usize, k: usize) {
-        let dims = soa.dims();
-        assert!(dims > 0 && k > 0 && k <= LANES);
-        self.dims = dims;
-        self.lanes = k;
-        self.coords.clear();
-        self.coords.resize(dims * LANES, 0.0);
-        self.points.clear();
-        self.points.resize(dims * LANES, 0.0);
-        for d in 0..dims {
-            let src = &soa.col(d)[start..start + k];
-            self.coords[d * LANES..d * LANES + k].copy_from_slice(src);
-            for (lane, &x) in src.iter().enumerate() {
-                self.points[lane * dims + d] = x;
-            }
-        }
-        for lane in k..LANES {
             for d in 0..dims {
                 self.coords[d * LANES + lane] = self.coords[d * LANES];
                 self.points[lane * dims + d] = self.points[d];
@@ -923,32 +885,5 @@ mod tests {
         force_level(None);
         let _ = active_level(); // re-detects without panicking
         force_level(None);
-    }
-
-    #[test]
-    fn fill_cols_matches_fill() {
-        // 3 dims, 5 active lanes (padding exercised), offset start.
-        let rows: Vec<Vec<f64>> = (0..20)
-            .map(|i| (0..3).map(|d| (d * 100 + i) as f64 * 0.5).collect())
-            .collect();
-        let mut batch = EventSoA::new(3);
-        for row in &rows {
-            batch.push(&pubsub_geom::Point::new(row.clone()).unwrap());
-        }
-        let start = 7;
-        let k = 5;
-        let mut aos = EventBlock::new();
-        aos.fill(&rows[start..start + k]);
-        let mut soa = EventBlock::new();
-        soa.fill_cols(&batch, start, k);
-        assert_eq!(soa.lanes(), aos.lanes());
-        assert_eq!(soa.dims(), aos.dims());
-        assert_eq!(soa.full_mask(), aos.full_mask());
-        for d in 0..3 {
-            assert_eq!(soa.dim(d), aos.dim(d), "dimension {d}");
-        }
-        for lane in 0..LANES {
-            assert_eq!(soa.point(lane), aos.point(lane), "lane {lane}");
-        }
     }
 }

@@ -1,9 +1,7 @@
 //! The zero-allocation guarantee of the fused batch pipeline: once the
 //! per-worker states are warm, `publish_batch_stats` in dense mode
 //! performs **no heap allocation at all** — not per event, not per
-//! batch — on both the inline and the pooled dispatch path, and neither
-//! does the serving executors' `PublishView::process_into` over a
-//! structure-of-arrays batch.
+//! batch — on both the inline and the pooled dispatch path.
 //!
 //! The same holds on a covered (scale-mode) broker, whose warm
 //! `publish_batch` additionally allocates only O(runs + nodes) bytes per
@@ -17,8 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pubsub::core::{Broker, CoveringConfig, PublishScratch};
-use pubsub::geom::{EventSoA, Point, Rect, Space};
+use pubsub::core::{Broker, CoveringConfig};
+use pubsub::geom::{Point, Rect, Space};
 use pubsub::netsim::TransitStubConfig;
 use pubsub::parallel::WorkerPool;
 use pubsub::workload::{stock_space, Modes, ScaleConfig};
@@ -130,26 +128,6 @@ fn warm_batch_publish_is_allocation_free() {
             "steady-state publish_batch_stats must not allocate (threads = {threads})"
         );
     }
-
-    // The split read half, as a serving executor runs it: the batch
-    // arrives with its column mirror and the blocks fill from it.
-    let view = broker.publish_view();
-    let mut soa = EventSoA::new(2);
-    for event in &events {
-        soa.push(event);
-    }
-    let mut scratch = PublishScratch::default();
-    for _ in 0..2 {
-        view.process_into(&events, Some(&soa), &mut scratch)
-            .unwrap();
-    }
-    let (allocations, result) =
-        count_allocations(|| view.process_into(&events, Some(&soa), &mut scratch));
-    result.unwrap();
-    assert_eq!(
-        allocations, 0,
-        "a warm executor pass over a structure-of-arrays batch must not allocate"
-    );
 }
 
 /// Count-level delivery on a covered broker: the warm stats path

@@ -4,17 +4,16 @@
 //! them. Whatever the entry point, it must agree with a flat broker
 //! over the same Zipf population: equal outcomes, ids ascending and
 //! duplicate-free, `len()` equal to the written-out length, and a
-//! bit-identical `CostReport` — through `publish`, `publish_batch` at
-//! 1–3 threads, `PublishView::process_into` + `fold_staged`, with a
-//! tombstone inside a hit run and an overlay hit between batches, past a
-//! `recompile()` that retires the table old outcomes still reference,
-//! and under an installed fault plan.
+//! bit-identical `CostReport` — through `publish` and `publish_batch` at
+//! 1–3 threads, with a tombstone inside a hit run and an overlay hit
+//! between batches, past a `recompile()` that retires the table old
+//! outcomes still reference, and under an installed fault plan.
 
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
-use pubsub::core::{Broker, CoveringConfig, PublishOutcome, PublishScratch};
+use pubsub::core::{Broker, CoveringConfig, PublishOutcome};
 use pubsub::geom::Point;
 use pubsub::netsim::{FaultEvent, FaultPlan, NodeId, Topology, TransitStubConfig};
 use pubsub::parallel::WorkerPool;
@@ -152,19 +151,6 @@ proptest! {
 
         check_publishing(&mut covered, &mut flat, &events)?;
 
-        // The staged path: a fused pass on an owned view, folded back.
-        let staged = |covered: &mut Broker, flat: &mut Broker| -> Result<(), String> {
-            let view = covered.publish_view();
-            let mut scratch = PublishScratch::default();
-            view.process_into(&events, None, &mut scratch).unwrap();
-            let mut c = Vec::new();
-            covered.fold_staged(events.len(), view.epoch(), &mut scratch, &mut c);
-            let f = flat.publish_batch(&events, Some(1)).unwrap();
-            check_all(&c, &f)?;
-            check_reports(covered, flat)
-        };
-        staged(&mut covered, &mut flat)?;
-
         // Churn between batches. First, deliberately: a tombstone inside
         // a run some event hits, and an overlay subscription (a duplicate
         // of the removed one) the same event hits.
@@ -205,7 +191,6 @@ proptest! {
             }
         }
         check_publishing(&mut covered, &mut flat, &events)?;
-        staged(&mut covered, &mut flat)?;
 
         // Outcomes taken before a recompile keep the old table alive:
         // they are read (written out) only after it has been replaced.

@@ -31,9 +31,6 @@ struct Scenario {
     ingest_capacity: usize,
     max_batch: usize,
     shards: usize,
-    /// Concurrent pipeline executors — the ack partition must be exact
-    /// whether one thread or seven race through the dispatcher.
-    executors: usize,
     /// Sink stall per record, microseconds — drives the backpressure.
     sink_delay_us: u64,
 }
@@ -53,12 +50,11 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
             1usize..4,
             1usize..6,
             1usize..4,
-            (0usize..4).prop_map(|i| [1usize, 2, 3, 7][i]),
             prop::collection::vec(0u64..2_000, 1..2),
         ),
     )
         .prop_map(|(topo_seed, threshold, subs, events, knobs)| {
-            let (ingest_capacity, max_batch, shards, executors, delay) = knobs;
+            let (ingest_capacity, max_batch, shards, delay) = knobs;
             Scenario {
                 topo_seed,
                 threshold,
@@ -67,7 +63,6 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
                 ingest_capacity,
                 max_batch,
                 shards,
-                executors,
                 sink_delay_us: delay[0],
             }
         })
@@ -115,7 +110,6 @@ proptest! {
                 ingest_capacity: s.ingest_capacity,
                 max_batch: s.max_batch,
                 flush_interval: Duration::from_micros(500),
-                executors: Some(s.executors),
                 shards: s.shards,
             },
             Box::new(sink),

@@ -52,18 +52,9 @@ const BASE_SUBS: &[SubSpec] = &[
 /// A recompile landing while a batch is still buffered in a shard
 /// batcher must not see it: the flush-before-control ordering processes
 /// the in-flight events against the pre-recompile engine, and their
-/// records carry the pre-recompile epoch. The epoch barrier must hold
-/// at every executor count — concurrent executors wait for exactly
-/// their batch's view version, so racing threads cannot leak a
-/// post-recompile engine into a pre-recompile batch.
+/// records carry the pre-recompile epoch.
 #[test]
 fn in_flight_batch_processes_before_the_recompile() {
-    for executors in [1usize, 2, 3, 7] {
-        in_flight_batch_case(executors);
-    }
-}
-
-fn in_flight_batch_case(executors: usize) {
     let broker = build(11, 0.3, BASE_SUBS);
     let sink = CollectorSink::new();
     let server = StagedServer::start(
@@ -76,7 +67,6 @@ fn in_flight_batch_case(executors: usize) {
             ingest_capacity: 64,
             max_batch: 1 << 20,
             flush_interval: Duration::from_secs(3600),
-            executors: Some(executors),
             shards: 1,
         },
         Box::new(sink.clone()),
@@ -142,10 +132,10 @@ fn in_flight_batch_case(executors: usize) {
     // The first five carry the pre-recompile epoch, the rest the bumped
     // one — the in-flight batch did not see the new engine.
     for r in &records[..5] {
-        assert_eq!(r.epoch, epoch_before, "executors={executors}");
+        assert_eq!(r.epoch, epoch_before);
     }
     for r in &records[5..] {
-        assert_eq!(r.epoch, epoch_after, "executors={executors}");
+        assert_eq!(r.epoch, epoch_after);
     }
 }
 
@@ -157,9 +147,6 @@ struct Scenario {
     topo_seed: u64,
     threshold: f64,
     ops: Vec<OpSpec>,
-    /// Concurrent pipeline executors — churn interleavings must stay
-    /// bit-identical whether one thread or seven race the dispatcher.
-    executors: usize,
 }
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
@@ -175,13 +162,11 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
             ),
             5..40,
         ),
-        (0usize..4).prop_map(|i| [1usize, 2, 3, 7][i]),
     )
-        .prop_map(|(topo_seed, threshold, ops, executors)| Scenario {
+        .prop_map(|(topo_seed, threshold, ops)| Scenario {
             topo_seed,
             threshold,
             ops,
-            executors,
         })
 }
 
@@ -203,7 +188,6 @@ proptest! {
                 ingest_capacity: 256,
                 max_batch: 4,
                 flush_interval: Duration::from_micros(500),
-                executors: Some(s.executors),
                 shards: 1,
             },
             Box::new(sink.clone()),

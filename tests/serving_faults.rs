@@ -1,9 +1,8 @@
-//! Fault plans through the staged serving front-end, at every executor
-//! count: the concurrent executors stand down (fault state is fold-side,
-//! per-event), so records — outcomes, aborts-as-errors, epochs — must be
-//! bit-identical to a synchronous `publish` loop over the same plan, and
-//! every accepted event must produce exactly one record even when the
-//! engine aborts mid-stream.
+//! Fault plans through the staged serving front-end: the fold publishes
+//! event by event (fault state is per-event), so records — outcomes,
+//! aborts-as-errors, epochs — must be bit-identical to a synchronous
+//! `publish` loop over the same plan, and every accepted event must
+//! produce exactly one record even when the engine aborts mid-stream.
 
 use std::time::Duration;
 
@@ -66,7 +65,7 @@ proptest! {
 
     /// Staged serving under an active fault plan is bit-identical —
     /// outcomes, abort errors, epochs, and the cumulative report — to a
-    /// synchronous publish loop, at executor counts 1, 2, 3 and 7.
+    /// synchronous publish loop.
     #[test]
     fn staged_faults_match_the_synchronous_loop(
         topo_seed in 0u64..20,
@@ -80,7 +79,6 @@ proptest! {
             (0u64..30, 0u32..5, 0usize..100, 0usize..100, 1.0f64..8.0),
             1..8,
         ),
-        executors in (0usize..4).prop_map(|i| [1usize, 2, 3, 7][i]),
     ) {
         let mut broker = build(topo_seed, threshold, &subs);
         broker.install_fault_plan(plan_from(topo_seed, &schedule)).unwrap();
@@ -91,13 +89,11 @@ proptest! {
         let server = StagedServer::start(
             broker,
             // One shard keeps the submission order total; the fault path
-            // degrades to per-event processing fold-side regardless of
-            // how many executors race the dispatcher.
+            // degrades to per-event processing on the fold.
             ServingConfig {
                 ingest_capacity: 256,
                 max_batch: 4,
                 flush_interval: Duration::from_micros(500),
-                executors: Some(executors),
                 shards: 1,
             },
             Box::new(sink.clone()),
@@ -137,19 +133,19 @@ proptest! {
         for (r, (epoch, want)) in records.iter().zip(&expected) {
             prop_assert_eq!(
                 r.epoch, *epoch,
-                "seq {} (executors {}): epoch diverges", r.seq, executors
+                "seq {}: epoch diverges", r.seq
             );
             match (&r.outcome, want) {
                 (Ok(out), Ok(exp)) => prop_assert_eq!(
                     out, exp,
-                    "seq {} (executors {}): outcome diverges", r.seq, executors
+                    "seq {}: outcome diverges", r.seq
                 ),
                 (Err(got), Err(exp)) => prop_assert_eq!(
                     got, exp,
-                    "seq {} (executors {}): abort message diverges", r.seq, executors
+                    "seq {}: abort message diverges", r.seq
                 ),
                 (got, want) => return Err(format!(
-                    "seq {} (executors {executors}): fate diverges: staged {got:?} vs reference {want:?}",
+                    "seq {}: fate diverges: staged {got:?} vs reference {want:?}",
                     r.seq
                 )),
             }

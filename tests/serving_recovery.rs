@@ -1,8 +1,8 @@
 //! Process-level chaos tests for the supervised staged server.
 //!
-//! The contract under stage crashes: an accepted event (`Ok` from
-//! `submit`) produces **exactly one** sink record no matter which stage
-//! threads die, when, or how often — the supervisor salvages in-flight
+//! The contract under fold crashes: an accepted event (`Ok` from
+//! `submit`) produces **exactly one** sink record no matter where the
+//! fold dies, when, or how often — its supervision salvages in-flight
 //! work, rebuilds the broker from its durable journal, and replays.
 //! Control operations (subscribe through the serving front) survive the
 //! same way: their effects are journaled before the ack, so a recovered
@@ -90,12 +90,11 @@ fn submit_patiently(handle: &IngestHandle, seq: u64, point: Point) -> Result<(),
     }
 }
 
-fn small_config(executors: usize, max_batch: usize) -> ServingConfig {
+fn small_config(max_batch: usize) -> ServingConfig {
     ServingConfig {
         ingest_capacity: 16,
         max_batch,
         flush_interval: Duration::from_micros(500),
-        executors: Some(executors),
         shards: 1,
     }
 }
@@ -105,7 +104,6 @@ struct Chaos {
     topo_seed: u64,
     crash_seed: u64,
     crashes: usize,
-    executors: usize,
     max_batch: usize,
     events: Vec<(f64, f64)>,
     /// Every `control_every`-th submit also pushes a subscribe control
@@ -118,17 +116,15 @@ fn chaos_strategy() -> impl Strategy<Value = Chaos> {
         0u64..10,
         0u64..u64::MAX,
         1usize..4,
-        (0usize..3).prop_map(|i| [1usize, 2, 3][i]),
         1usize..3,
         prop::collection::vec((0.0f64..10.0, 0.0f64..10.0), 40..90),
         7usize..20,
     )
         .prop_map(
-            |(topo_seed, crash_seed, crashes, executors, max_batch, events, control_every)| Chaos {
+            |(topo_seed, crash_seed, crashes, max_batch, events, control_every)| Chaos {
                 topo_seed,
                 crash_seed,
                 crashes,
-                executors,
                 max_batch,
                 events,
                 control_every,
@@ -139,7 +135,7 @@ fn chaos_strategy() -> impl Strategy<Value = Chaos> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Seeded kills of arbitrary stages at arbitrary progress points:
+    /// Seeded kills of the fold at arbitrary progress points:
     /// every accepted event still reaches the sink exactly once, every
     /// acked control op survives into the recovered broker, and the
     /// stage histograms sample every accepted event once.
@@ -147,13 +143,13 @@ proptest! {
     fn chaos_crashes_preserve_accepted_events(s in chaos_strategy()) {
         let dir = scratch_dir("chaos");
         let (broker, mut options) = journaled_broker(s.topo_seed, &dir);
-        options.chaos = CrashPlan::seeded(s.crash_seed, s.crashes, s.executors);
+        options.chaos = CrashPlan::seeded(s.crash_seed, s.crashes);
         let plan_len = options.chaos.events().len();
 
         let sink = CollectorSink::new();
         let server = StagedServer::start_with(
             broker,
-            small_config(s.executors, s.max_batch),
+            small_config(s.max_batch),
             Box::new(sink.clone()),
             options,
         );
@@ -217,22 +213,19 @@ proptest! {
     }
 }
 
-/// A plan that provably fires all three crash kinds: the pipeline loses
-/// an executor, the fold (broker owner) while applying an item, and the
-/// fold again while handing records to the sink, and still delivers
-/// every accepted event exactly once.
+/// A plan that provably fires both crash kinds: the fold (broker owner)
+/// dies while applying an item, and again while handing records to the
+/// sink, and still delivers every accepted event exactly once.
 #[test]
 fn every_stage_crash_is_survived_exactly_once() {
     let dir = scratch_dir("stages");
     let (broker, mut options) = journaled_broker(5, &dir);
     options.chaos = CrashPlan::new()
-        .kill(CrashKind::KillExecutor(0), 1)
         .kill(CrashKind::KillFold, 2)
         .kill(CrashKind::KillEgress, 2);
 
     let sink = CollectorSink::new();
-    let server =
-        StagedServer::start_with(broker, small_config(1, 1), Box::new(sink.clone()), options);
+    let server = StagedServer::start_with(broker, small_config(1), Box::new(sink.clone()), options);
     let handle = server.handle();
     let total = 30u64;
     for seq in 1..=total {
@@ -241,9 +234,9 @@ fn every_stage_crash_is_survived_exactly_once() {
     }
     let (_, stats) = server.try_stop().unwrap();
 
-    assert_eq!(stats.restarts, 3, "all three scheduled kills fired");
+    assert_eq!(stats.restarts, 2, "both scheduled kills fired");
     assert_eq!(
-        stats.replayed_batches, 3,
+        stats.replayed_batches, 2,
         "each kill fired with an item in flight, each was replayed"
     );
     assert_eq!(stats.accepted, total);
@@ -269,8 +262,7 @@ fn whole_server_restart_recovers_subscriptions_from_journal() {
     let (broker, options) = journaled_broker(7, &dir);
 
     let sink = CollectorSink::new();
-    let server =
-        StagedServer::start_with(broker, small_config(2, 2), Box::new(sink.clone()), options);
+    let server = StagedServer::start_with(broker, small_config(2), Box::new(sink.clone()), options);
     let handle = server.handle();
     let node = TransitStubConfig::tiny().generate(7).unwrap().stub_nodes()[2];
     handle
@@ -294,7 +286,7 @@ fn whole_server_restart_recovers_subscriptions_from_journal() {
     let sink2 = CollectorSink::new();
     let server = StagedServer::start_with(
         recovered,
-        small_config(2, 2),
+        small_config(2),
         Box::new(sink2.clone()),
         SuperviseOptions::default(),
     );
