@@ -18,12 +18,11 @@ use std::collections::HashMap;
 use serde::Serialize;
 
 use pubsub_bench::{build_testbed, event_count, measure, sample_events, scenario, Seeds};
-use pubsub_core::{MatchScratch, Matcher};
+use pubsub_core::{CoveringConfig, MatchScratch, Matcher};
 use pubsub_netsim::{
     cost_events, dijkstra, multicast_tree_cost, multicast_tree_cost_flat, unicast_and_tree_cost,
     unicast_cost, CostScratch, FlatNet, NodeId, ShortestPaths, SptTable,
 };
-use pubsub_stree::STreeConfig;
 use pubsub_workload::{stock_space, Modes};
 
 #[derive(Debug, Serialize)]
@@ -59,7 +58,7 @@ fn main() {
     let matcher = Matcher::build(
         &stock_space(),
         &testbed.subscriptions,
-        STreeConfig::default(),
+        CoveringConfig::default(),
     )
     .expect("testbed is valid");
 

@@ -11,8 +11,8 @@
 //! recompiles, churn is absorbed incrementally:
 //!
 //! * new subscriptions land in a linear-scan delta overlay merged with
-//!   the flat index at match time; removals of compiled subscriptions are
-//!   masked by a tombstone bitset;
+//!   the compiled index at match time; removals of compiled subscriptions
+//!   are masked by a tombstone bitset;
 //! * multicast groups are kept *exact* under the current partition via
 //!   per-(group, node) incidence refcounts, and an
 //!   [`IncrementalClusterer`] mirrors every change so the partition
@@ -38,7 +38,7 @@ use pubsub_netsim::{
     SptTable, SptView, Topology,
 };
 use pubsub_parallel::{pipeline_inline, BlockRanges, PipelineRun, WorkerPool};
-use pubsub_stree::{DeltaOverlay, Entry, EntryId, STreeConfig, Tombstones};
+use pubsub_stree::{DeltaOverlay, Entry, EntryId, Tombstones};
 use serde::{Deserialize, Serialize};
 
 use crate::journal::{DurableJournal, JournalConfig, JournalOp, RegistryImage};
@@ -88,9 +88,9 @@ pub struct PublishOutcome {
     /// when the decision was unicast or drop — efficiency trackers need
     /// to attribute unicast decisions to the group they bypassed.
     pub group_region: Option<usize>,
-    /// The matching subscription ids, ascending. On a covered broker
-    /// the set references whole covering runs and writes the id list out
-    /// on first read; `len()` never does.
+    /// The matching subscription ids, ascending. The set references
+    /// whole covering runs and writes the id list out on first read;
+    /// `len()` never does.
     pub matched_subscriptions: MatchedSet,
     /// The deduplicated interested subscriber nodes `s`.
     pub interested: Vec<NodeId>,
@@ -163,12 +163,6 @@ impl BrokerBuilder {
         self
     }
 
-    /// Overrides the S-tree configuration (default: `M = 40`, `p = 0.3`).
-    pub fn stree_config(mut self, config: STreeConfig) -> Self {
-        self.compile.stree_config = config;
-        self
-    }
-
     /// Overrides the clustering configuration (default: Forgy k-means
     /// with 11 groups, `T = 200`).
     pub fn clustering(mut self, config: ClusteringConfig) -> Self {
@@ -225,17 +219,19 @@ impl BrokerBuilder {
         self
     }
 
-    /// Enables the pre-compilation covering layer: subscriptions are
-    /// deduplicated (exact interning, rectangle subsumption, optional
-    /// quantized merge) into a representative set compiled into a
-    /// `u16`-quantized [`pubsub_stree::CompactSTree`], with a covering
-    /// table mapping representative hits to the runs of concrete
-    /// subscription ids they stand for. The publish path carries those
-    /// runs, not the ids (see [`MatchedSet`]). Delivered sets and cost
-    /// reports stay bit-identical to the uncovered build; index memory
-    /// drops with the workload's duplicate skew. See [`CoveringConfig`].
+    /// Overrides the covering layer every compile runs (default:
+    /// [`CoveringConfig::default`]): subscriptions are deduplicated
+    /// (exact interning, rectangle subsumption, optional quantized
+    /// merge) into a representative set compiled into the
+    /// `u16`-quantized [`pubsub_stree::CompactSTree`] the matcher
+    /// queries, with a covering table mapping representative hits to the
+    /// runs of concrete subscription ids they stand for. The publish
+    /// path carries those runs, not the ids (see [`MatchedSet`]).
+    /// Delivered sets and cost reports do not depend on the
+    /// configuration; index memory drops with the workload's duplicate
+    /// skew.
     pub fn covering(mut self, config: CoveringConfig) -> Self {
-        self.compile.covering = Some(config);
+        self.compile.covering = config;
         self
     }
 
@@ -523,11 +519,10 @@ impl BrokerBuilder {
 /// What a compile reads besides the subscriptions. Held by the builder
 /// and then by the broker, so every recompile reproduces the build.
 struct CompileInputs {
-    stree_config: STreeConfig,
     clustering: ClusteringConfig,
     grid_cells: usize,
     density: Option<DensityFn>,
-    covering: Option<CoveringConfig>,
+    covering: CoveringConfig,
 }
 
 /// The one compile: matcher, grid model, partition and groups from the
@@ -538,11 +533,11 @@ struct CompileInputs {
 ///
 /// Deterministic in registry order: subscription ids are assigned in
 /// [`SubscriptionRegistry::live`] order and the clustering is seed-free.
-/// With `covering` set, the matcher compiles the covering layer's
-/// representative set into a quantized compact index instead of one flat
-/// entry per subscription; the grid model, partition and groups see the
-/// identical per-subscription sequence either way, so everything
-/// downstream of matching is bit-identical.
+/// The matcher streams the registry through the covering layer and
+/// compiles its representative set into the quantized compact index
+/// ([`Matcher::build_covered`]); the grid model, partition and groups
+/// see the per-subscription sequence, so nothing downstream of matching
+/// depends on how the covering layer aggregated.
 fn compile_engine(
     space: &Space,
     registry: &mut SubscriptionRegistry,
@@ -550,10 +545,7 @@ fn compile_engine(
     epoch: u64,
 ) -> Result<Arc<EngineSnapshot>, BrokerError> {
     let subs: &SubscriptionRegistry = registry;
-    let matcher = match &inputs.covering {
-        Some(config) => Matcher::build_covered(space, subs, config)?,
-        None => Matcher::build_streamed(space, subs, inputs.stree_config)?,
-    };
+    let matcher = Matcher::build_covered(space, subs, &inputs.covering)?;
 
     // Dense subscriber indexing for the clustering model.
     let distinct: Vec<NodeId> = subs.active_nodes().collect();
@@ -866,11 +858,10 @@ impl Broker {
             subscriptions: Vec::new(),
             publisher: None,
             compile: CompileInputs {
-                stree_config: STreeConfig::default(),
                 clustering: ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 11),
                 grid_cells: 10,
                 density: None,
-                covering: None,
+                covering: CoveringConfig::default(),
             },
             threshold: 0.15,
             delivery: DeliveryMode::DenseMode,
@@ -881,11 +872,11 @@ impl Broker {
         }
     }
 
-    /// Aggregation statistics of the current snapshot's covering layer;
-    /// `None` when the broker compiles without covering (see
-    /// [`BrokerBuilder::covering`]).
+    /// Aggregation statistics of the current snapshot's covering layer
+    /// (see [`BrokerBuilder::covering`]). Always `Some`: every broker
+    /// compiles through the covering layer.
     pub fn covering_stats(&self) -> Option<&CoveringStats> {
-        self.snapshot.matcher.covering_stats()
+        Some(self.snapshot.matcher.covering_stats())
     }
 
     /// Publishes one event from the default publisher:
@@ -1670,7 +1661,7 @@ impl Broker {
 
     /// Adds a subscription live, without recompiling the engine: the
     /// subscription lands in the delta overlay (matched by linear scan
-    /// merged with the flat index) and the multicast groups are updated
+    /// merged with the compiled index) and the multicast groups are updated
     /// exactly under the current partition. When accumulated churn trips
     /// the clusterer's drift threshold, a full [`Broker::recompile`] runs
     /// automatically.
@@ -2620,6 +2611,31 @@ mod tests {
         assert_eq!(out.decision, Decision::Drop);
         assert_eq!(out.costs.scheme, 0.0);
         assert_eq!(broker.report().dropped, 1);
+    }
+
+    #[test]
+    fn broker_without_subscriptions_drops_every_event() {
+        let event = Point::new(vec![2.0, 5.0]).unwrap();
+        let mut empty = Broker::builder(tiny_topo(), space_2d())
+            .covering(CoveringConfig::default())
+            .build()
+            .unwrap();
+        assert_eq!(empty.covering_stats().unwrap().representatives, 0);
+        assert_eq!(empty.publish(&event).unwrap().decision, Decision::Drop);
+        let batch = empty.publish_batch(&[event.clone(), event.clone()], Some(1));
+        assert!(batch.unwrap().iter().all(|o| o.decision == Decision::Drop));
+        assert_eq!(empty.report().dropped, 3);
+
+        // A broker recompiled down to zero subscriptions is the same.
+        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
+        let handles: Vec<_> = broker.registry().live().map(|(h, _, _)| h).collect();
+        for h in handles {
+            broker.unsubscribe(h).unwrap();
+        }
+        broker.recompile().unwrap();
+        assert_eq!(broker.publish(&event).unwrap().decision, Decision::Drop);
+        let batch = broker.publish_batch(std::slice::from_ref(&event), None);
+        assert_eq!(batch.unwrap()[0].decision, Decision::Drop);
     }
 
     #[test]

@@ -281,20 +281,20 @@ fn node_set_min_members(words: usize) -> usize {
 
 /// The matched subscription ids of one event.
 ///
-/// On a covered matcher an event matches whole covering groups, so the
-/// set holds *references* — the hit runs of a shared [`CoveringTable`]
-/// plus the loose ids no run accounts for (overlay hits, the live
-/// members of a run with a tombstone in it) — and materializes the
-/// ascending id list once, on first read through [`Deref`]. The count
-/// is known without materializing. On the flat backend every id is
-/// loose and the set is just that list.
+/// An event matches whole covering groups, so the set holds
+/// *references* — the hit runs of a shared [`CoveringTable`] plus the
+/// loose ids no run accounts for (overlay hits, the live members of a
+/// run with a tombstone in it) — and materializes the ascending id list
+/// once, on first read through [`Deref`]. The count is known without
+/// materializing. A set without runs (only loose hits, or built from an
+/// id list) is just that list.
 ///
 /// Equality, `Debug` and serialization are by content (the ascending id
-/// sequence), so a covered and a flat broker's sets compare equal.
+/// sequence), so a set of runs and the same ids as a list compare equal.
 #[derive(Clone, Default)]
 pub struct MatchedSet {
     table: Option<Arc<CoveringTable>>,
-    /// Hit groups of `table`; empty on the flat backend.
+    /// Hit groups of `table`; empty when `table` is `None`.
     runs: Vec<u32>,
     /// Ids outside every run, ascending.
     loose: Vec<SubscriptionId>,

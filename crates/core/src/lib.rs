@@ -2,8 +2,10 @@
 //! problems need, glued into an end-to-end [`Broker`].
 //!
 //! * **Matching** (§3) — [`Matcher`] answers "which subscribers are
-//!   interested in event `ω`?" with an S-tree point query, deduplicating
-//!   subscriptions into subscriber nodes.
+//!   interested in event `ω`?" with a point query over the covering
+//!   layer's representatives in a quantized, Hilbert-packed index (the
+//!   paper's S-tree stays in `pubsub_stree`, measured beside it),
+//!   deduplicating subscriptions into subscriber nodes.
 //! * **Multicast groups** (§4) — [`MulticastGroups`] materializes
 //!   `M_q = {v : ∃ b ∩ S_q ≠ ∅}` from a clustering
 //!   [`pubsub_clustering::SpacePartition`].

@@ -8,11 +8,8 @@ use serde::{Deserialize, Serialize};
 
 use pubsub_geom::{Point, Rect, Space};
 use pubsub_netsim::NodeId;
-use pubsub_stree::simd::{self, EventBlock, QuantBlock, SimdLevel, LANES};
-use pubsub_stree::{
-    CompactConfig, CompactSTree, DeltaOverlay, Entry, EntryId, FlatSTree, STree, STreeConfig,
-    Tombstones,
-};
+use pubsub_stree::simd::{self, QuantBlock, SimdLevel, LANES};
+use pubsub_stree::{CompactConfig, CompactSTree, DeltaOverlay, EntryId, Tombstones};
 
 use crate::covering::{self, build_covering, CoveringConfig, CoveringStats, CoveringTable};
 use crate::pipeline::MatchArena;
@@ -29,16 +26,26 @@ impl fmt::Display for SubscriptionId {
     }
 }
 
-/// The matcher: an S-tree point index over the (clamped) subscription
-/// rectangles, plus the subscription→subscriber mapping.
+/// The matcher: the covering layer's representative set (interned,
+/// subsumed and optionally merged subscription rectangles, clamped to
+/// the space) in a `u16`-quantized, Hilbert-packed [`CompactSTree`],
+/// plus the covering table that resolves a representative hit to the
+/// runs of concrete subscriptions it stands for, and the
+/// subscription→subscriber mapping.
+///
+/// The paper's S-tree (`pubsub_stree::STree`) is not the product's
+/// matcher: on the paper's own testbed a point query visits 32 of its
+/// 39 nodes against 22 for a Hilbert-packed tree (EXPERIMENTS.md §3),
+/// and quantizing the packed bounds to `u16` sweeps a quarter of the
+/// bytes per visit. Matches are exact either way: boundary-ambiguous hits
+/// of the quantized index are re-checked against the `f64` rectangles.
 ///
 /// # Example
 ///
 /// ```
-/// use pubsub_core::Matcher;
+/// use pubsub_core::{CoveringConfig, Matcher};
 /// use pubsub_geom::{Point, Rect, Space};
 /// use pubsub_netsim::NodeId;
-/// use pubsub_stree::STreeConfig;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let space = Space::anonymous(Rect::from_corners(&[0.0], &[10.0])?)?;
@@ -49,43 +56,26 @@ impl fmt::Display for SubscriptionId {
 ///         (NodeId(7), Rect::from_corners(&[2.0], &[8.0])?),
 ///         (NodeId(9), Rect::from_corners(&[6.0], &[9.0])?),
 ///     ],
-///     STreeConfig::default(),
+///     CoveringConfig::default(),
 /// )?;
 /// // Both of node 7's subscriptions match, but the node appears once.
 /// let (subs, nodes) = matcher.match_event(&Point::new(vec![3.0])?);
 /// assert_eq!(subs.len(), 2);
 /// assert_eq!(nodes, vec![NodeId(7)]);
+/// assert_eq!(matcher.covering_stats().representatives, 3);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct Matcher {
-    backend: Backend,
+    /// The representatives' quantized index.
+    index: CompactSTree,
+    /// Shared with every [`MatchedSet`] that references its runs, so an
+    /// outcome outlives a recompile of the matcher.
+    covering: Arc<CoveringTable>,
     owners: Vec<NodeId>,
     /// Scratch-free upper bound for the subscriber dedup bitmap.
     max_node: u32,
-}
-
-/// The two index backends a [`Matcher`] can compile to.
-#[derive(Debug, Clone)]
-enum Backend {
-    /// One index entry per concrete subscription, exact `f64` bounds —
-    /// the default, built by [`Matcher::build`].
-    Flat {
-        index: STree,
-        /// Cache-friendly compilation of `index`; the matching hot path.
-        flat: FlatSTree,
-    },
-    /// Scale mode, built by [`Matcher::build_covered`]: the covering
-    /// layer's representative set in a quantized [`CompactSTree`], with
-    /// hits resolved to member runs of the [`CoveringTable`]
-    /// (boundary-ambiguous hits re-checked exactly).
-    Compact {
-        index: CompactSTree,
-        /// Shared with every [`MatchedSet`] that references its runs, so
-        /// an outcome outlives a recompile of the matcher.
-        covering: Arc<CoveringTable>,
-    },
 }
 
 /// Running totals of the SIMD block kernels: how many event blocks were
@@ -106,36 +96,34 @@ pub struct KernelCounters {
 }
 
 /// Reusable per-thread scratch for [`Matcher::match_event_into`]: the
-/// traversal stack and hit buffers of the point query, the subscriber
-/// dedup bitmap, the SoA event block plus per-lane hit buffers of the
-/// block-mode batch path, and the one-event arena the single-event
-/// entry points collect into. One scratch makes every subsequent match
-/// on the same thread allocation-free (output vectors aside).
+/// traversal stacks, quantized event buffers and hit buffers of the
+/// point and block queries, the subscriber dedup bitmap, and the
+/// one-event arena the single-event entry points collect into. One
+/// scratch makes every subsequent match on the same thread
+/// allocation-free (output vectors aside).
 #[derive(Debug, Default, Clone)]
 pub struct MatchScratch {
-    /// Flat-tree traversal stack.
+    /// Point-query traversal stack.
     stack: Vec<u32>,
-    /// Raw entry hits before dedup/sort: the flat backend's index hits,
-    /// then overlay hits and the live members of tombstoned runs.
+    /// Loose subscription hits before the sort: overlay hits and the
+    /// live members of tombstoned runs.
     hits: Vec<EntryId>,
-    /// Covering groups hit on the compact (covered) backend.
+    /// Covering groups hit by the point query.
     runs: Vec<u32>,
     /// Subscriber dedup bitmap, indexed by node id; bits are cleared
     /// after every match so the buffer stays reusable.
     seen: Vec<u64>,
-    /// Dimension-major SoA transpose of the current event block.
-    block: EventBlock,
     /// Lane-masked traversal stack of the block query.
     block_stack: Vec<u64>,
-    /// Per-lane raw hits of the current block ([`LANES`] buffers).
+    /// Per-lane loose hits of the current block ([`LANES`] buffers).
     lane_hits: Vec<Vec<EntryId>>,
     /// Per-lane hit covering groups of the current block.
     lane_runs: Vec<Vec<u32>>,
     /// Block-kernel dispatch totals since the last drain.
     kernels: KernelCounters,
-    /// Quantized point buffer of the compact (covered) backend.
+    /// Quantized point buffer of the point query.
     qpoint: Vec<u16>,
-    /// Quantized SoA block of the compact (covered) backend.
+    /// Quantized SoA block of the block query.
     qblock: QuantBlock,
     /// One-event arena of the single-event entry points.
     single: MatchArena,
@@ -190,64 +178,30 @@ pub struct MatchOverlay<'a> {
 }
 
 impl Matcher {
-    /// Builds the matcher from `(subscriber node, rectangle)` pairs.
-    /// Rectangles are clamped to `space` so unbounded predicates index
-    /// cleanly. Subscription ids are assigned in input order.
+    /// Builds the matcher from `(subscriber node, rectangle)` pairs:
+    /// [`Matcher::build_covered`] over the slice. Subscription ids are
+    /// assigned in input order.
     ///
     /// # Errors
     ///
     /// Returns [`BrokerError::DimensionMismatch`] if a rectangle disagrees
-    /// with the space and propagates S-tree build errors.
+    /// with the space.
     pub fn build(
         space: &Space,
         subscriptions: &[(NodeId, Rect)],
-        config: STreeConfig,
+        config: CoveringConfig,
     ) -> Result<Self, BrokerError> {
-        Self::build_streamed(space, &subscriptions, config)
-    }
-
-    /// [`Matcher::build`] over a [`SubscriptionStream`]: the index entries
-    /// (one clamped rectangle each) are the only per-subscription copy.
-    pub(crate) fn build_streamed(
-        space: &Space,
-        subscriptions: &dyn SubscriptionStream,
-        config: STreeConfig,
-    ) -> Result<Self, BrokerError> {
-        let mut entries = Vec::with_capacity(subscriptions.len());
-        let mut owners = Vec::with_capacity(subscriptions.len());
-        let mut max_node = 0u32;
-        let mut mismatch = None;
-        subscriptions.for_each(&mut |node, rect| {
-            if rect.dims() != space.dims() {
-                mismatch.get_or_insert(rect.dims());
-                return;
-            }
-            entries.push(Entry::new(space.clamp(rect), EntryId(entries.len() as u32)));
-            owners.push(node);
-            max_node = max_node.max(node.0);
-        });
-        if let Some(got) = mismatch {
-            return Err(BrokerError::DimensionMismatch {
-                expected: space.dims(),
-                got,
-            });
-        }
-        let index = STree::build(entries, config)?;
-        let flat = FlatSTree::from_stree(&index);
-        Ok(Matcher {
-            backend: Backend::Flat { index, flat },
-            owners,
-            max_node,
-        })
+        Self::build_covered(space, &subscriptions, &config)
     }
 
     /// Builds the matcher through the **covering layer**: subscriptions
     /// are streamed (never materialized as an O(N) rectangle array),
+    /// clamped to `space` so unbounded predicates index cleanly,
     /// interned/subsumed/merged into a representative set, and the
     /// representatives compiled into a quantized [`CompactSTree`].
-    /// Matching results are bit-identical to [`Matcher::build`] over
-    /// the same stream; memory per subscription is an order of
-    /// magnitude lower on duplicate-heavy workloads.
+    /// Matches are exactly those of a linear scan over the clamped
+    /// rectangles, whatever `config` aggregates; memory per subscription
+    /// drops with the workload's duplicate skew.
     ///
     /// # Errors
     ///
@@ -268,40 +222,22 @@ impl Matcher {
             CompactConfig::default(),
         );
         Ok(Matcher {
-            backend: Backend::Compact {
-                index,
-                covering: Arc::new(table),
-            },
+            index,
+            covering: Arc::new(table),
             owners: built.owners,
             max_node: built.max_node,
         })
     }
 
-    /// Whether this matcher was built through the covering layer
-    /// ([`Matcher::build_covered`]).
-    pub fn is_covered(&self) -> bool {
-        matches!(self.backend, Backend::Compact { .. })
-    }
-
-    /// Aggregation statistics of the covering build (`None` for the
-    /// default flat backend).
-    pub fn covering_stats(&self) -> Option<&CoveringStats> {
-        match &self.backend {
-            Backend::Compact { covering, .. } => Some(covering.stats()),
-            Backend::Flat { .. } => None,
-        }
+    /// Aggregation statistics of the covering build.
+    pub fn covering_stats(&self) -> &CoveringStats {
+        self.covering.stats()
     }
 
     /// Bytes of heap held by the compact index and covering table,
-    /// per-run owner-node sets included (`None` for the default flat
-    /// backend).
-    pub fn compact_heap_bytes(&self) -> Option<usize> {
-        match &self.backend {
-            Backend::Compact { index, covering } => {
-                Some(index.heap_bytes() + covering.heap_bytes())
-            }
-            Backend::Flat { .. } => None,
-        }
+    /// per-run owner-node sets included.
+    pub fn compact_heap_bytes(&self) -> usize {
+        self.index.heap_bytes() + self.covering.heap_bytes()
     }
 
     /// Number of subscriptions indexed.
@@ -316,31 +252,6 @@ impl Matcher {
     /// Panics if the id is out of range.
     pub fn owner(&self, id: SubscriptionId) -> NodeId {
         self.owners[id.0 as usize]
-    }
-
-    /// The underlying S-tree (for statistics and benchmarking).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a covered matcher ([`Matcher::build_covered`]), which
-    /// has no per-subscription S-tree.
-    pub fn index(&self) -> &STree {
-        match &self.backend {
-            Backend::Flat { index, .. } => index,
-            Backend::Compact { .. } => panic!("covered matcher has no S-tree index"),
-        }
-    }
-
-    /// The flat compilation of the S-tree (the matching hot path).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a covered matcher ([`Matcher::build_covered`]).
-    pub fn flat_index(&self) -> &FlatSTree {
-        match &self.backend {
-            Backend::Flat { flat, .. } => flat,
-            Backend::Compact { .. } => panic!("covered matcher has no flat index"),
-        }
     }
 
     /// Matches an event: returns the matching subscription ids and the
@@ -362,7 +273,7 @@ impl Matcher {
     /// matching subscription ids (ascending) and `nodes` the deduplicated
     /// subscriber nodes (ascending by node id). Both are cleared first.
     /// With a warm `scratch`, the only allocations are output-buffer
-    /// growth. On a covered matcher this collects runs and then writes
+    /// growth. This collects runs and then writes
     /// their ids out; callers that only need counts and nodes should
     /// match into a [`MatchArena`] instead.
     pub fn match_event_into(
@@ -409,17 +320,12 @@ impl Matcher {
     ) {
         subs.clear();
         nodes.clear();
-        match &self.backend {
-            Backend::Flat { .. } => subs.extend_from_slice(arena.loose_slice(0)),
-            Backend::Compact { covering, .. } => {
-                covering::materialize_into(
-                    covering,
-                    arena.run_slice(0),
-                    arena.loose_slice(0),
-                    subs,
-                );
-            }
-        }
+        covering::materialize_into(
+            &self.covering,
+            arena.run_slice(0),
+            arena.loose_slice(0),
+            subs,
+        );
         nodes.extend_from_slice(arena.node_slice(0));
     }
 
@@ -427,48 +333,35 @@ impl Matcher {
     /// lazy set over this matcher's covering runs. `arena` must have
     /// been filled by this matcher.
     pub fn matched_set(&self, arena: &MatchArena, local: usize) -> MatchedSet {
-        let loose = arena.loose_slice(local);
-        match &self.backend {
-            Backend::Flat { .. } => loose.to_vec().into(),
-            Backend::Compact { covering, .. } => MatchedSet::from_runs(
-                covering,
-                arena.run_slice(local),
-                loose,
-                arena.match_count(local),
-            ),
-        }
+        MatchedSet::from_runs(
+            &self.covering,
+            arena.run_slice(local),
+            arena.loose_slice(local),
+            arena.match_count(local),
+        )
     }
 
-    /// Runs the backend's point query: the flat backend appends its
-    /// concrete subscription hits to `scratch.hits`; the compact backend
-    /// queries representatives and appends the covering groups each hit
-    /// resolves to (with the exact re-check on boundary-ambiguous hits)
-    /// to `scratch.runs`.
+    /// Runs the point query: quantizes the event, queries the
+    /// representatives and appends the covering groups each hit resolves
+    /// to (with the exact re-check on boundary-ambiguous hits) to
+    /// `scratch.runs`.
     fn query_event(&self, event: &Point, scratch: &mut MatchScratch) {
-        match &self.backend {
-            Backend::Flat { flat, .. } => {
-                flat.query_point_with(event, &mut scratch.stack, &mut scratch.hits);
-            }
-            Backend::Compact { index, covering } => {
-                let point = event.as_slice();
-                index.quantize_into(point, &mut scratch.qpoint);
-                let MatchScratch {
-                    stack,
-                    runs,
-                    qpoint,
-                    ..
-                } = scratch;
-                index.query_point_with(qpoint, stack, |rep, amb| {
-                    covering.hit_runs(rep, amb, point, runs);
-                });
-            }
-        }
+        let point = event.as_slice();
+        self.index.quantize_into(point, &mut scratch.qpoint);
+        let MatchScratch {
+            stack,
+            runs,
+            qpoint,
+            ..
+        } = scratch;
+        self.index.query_point_with(qpoint, stack, |rep, amb| {
+            self.covering.hit_runs(rep, amb, point, runs);
+        });
     }
 
     /// Post-query bookkeeping shared by the scalar and block paths:
-    /// seals one arena event from the flat-index `hits` or the covered
-    /// `runs` of `event`, merged with the churn overlay when `view` is
-    /// given.
+    /// seals one arena event from the hit `runs` of `event`, merged with
+    /// the churn overlay when `view` is given.
     ///
     /// A run stays a run — its index is recorded, its owner nodes come
     /// from the precomputed node set (or a walk over a small run's
@@ -495,35 +388,31 @@ impl Matcher {
         // drains.
         let mut span = (usize::MAX, 0usize);
         let mut run_members = 0usize;
-        if let Backend::Compact { covering, .. } = &self.backend {
-            let dead = view.map(|v| v.tombstones).filter(|t| !t.is_empty());
-            for &run in runs {
-                let members = covering.run(run);
-                if let Some(dead) = dead {
-                    if members.iter().any(|&m| dead.contains(EntryId(m))) {
-                        let live = members.iter().map(|&m| EntryId(m));
-                        hits.extend(live.filter(|&e| !dead.contains(e)));
-                        continue;
-                    }
+        let dead = view.map(|v| v.tombstones).filter(|t| !t.is_empty());
+        for &run in runs {
+            let members = self.covering.run(run);
+            if let Some(dead) = dead {
+                if members.iter().any(|&m| dead.contains(EntryId(m))) {
+                    let live = members.iter().map(|&m| EntryId(m));
+                    hits.extend(live.filter(|&e| !dead.contains(e)));
+                    continue;
                 }
-                arena.runs.push(run);
-                run_members += members.len();
-                match covering.run_nodes(run) {
-                    Some(bits) => {
-                        for (word, &row) in seen.iter_mut().zip(bits) {
-                            *word |= row;
-                        }
-                        span = (0, span.1.max(bits.len() - 1));
+            }
+            arena.runs.push(run);
+            run_members += members.len();
+            match self.covering.run_nodes(run) {
+                Some(bits) => {
+                    for (word, &row) in seen.iter_mut().zip(bits) {
+                        *word |= row;
                     }
-                    None => {
-                        for &m in members {
-                            mark(seen, &mut span, self.owners[m as usize]);
-                        }
+                    span = (0, span.1.max(bits.len() - 1));
+                }
+                None => {
+                    for &m in members {
+                        mark(seen, &mut span, self.owners[m as usize]);
                     }
                 }
             }
-        } else if let Some(view) = view {
-            view.tombstones.retain_live(hits);
         }
         if let Some(view) = view {
             view.overlay.query_point_into(event, hits);
@@ -605,7 +494,6 @@ impl Matcher {
             scratch.lane_runs.resize_with(LANES, Vec::new);
         }
         let MatchScratch {
-            block,
             block_stack,
             lane_hits,
             lane_runs,
@@ -618,30 +506,17 @@ impl Matcher {
             hits.clear();
             runs.clear();
         }
-        match &self.backend {
-            Backend::Flat { flat, .. } => {
-                block.fill(&lane_refs[..k]);
-                flat.query_point_block_at(level, block, block_stack, |id, lanes| {
-                    let mut m = lanes;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        lane_hits[l].push(id);
-                    }
-                });
-            }
-            Backend::Compact { index, covering } => {
-                index.fill_block(&lane_refs[..k], qblock);
-                index.query_point_block_at(level, qblock, block_stack, |rep, lanes, amb| {
-                    let mut m = lanes;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        covering.hit_runs(rep, amb >> l & 1 == 1, lane_refs[l], &mut lane_runs[l]);
-                    }
-                });
-            }
-        }
+        let covering = &self.covering;
+        self.index.fill_block(&lane_refs[..k], qblock);
+        self.index
+            .query_point_block_at(level, qblock, block_stack, |rep, lanes, amb| {
+                let mut m = lanes;
+                while m != 0 {
+                    let l = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    covering.hit_runs(rep, amb >> l & 1 == 1, lane_refs[l], &mut lane_runs[l]);
+                }
+            });
         kernels.blocks += 1;
         if level == SimdLevel::Scalar {
             kernels.scalar_blocks += 1;
@@ -701,6 +576,7 @@ fn mark(seen: &mut [u64], span: &mut (usize, usize), node: NodeId) {
 mod tests {
     use super::*;
     use pubsub_geom::Interval;
+    use pubsub_stree::{Entry, LinearScan, SpatialIndex};
 
     fn space() -> Space {
         Space::anonymous(Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap()).unwrap()
@@ -724,7 +600,7 @@ mod tests {
                     Rect::from_corners(&[8.0, 8.0], &[10.0, 10.0]).unwrap(),
                 ),
             ],
-            STreeConfig::default(),
+            CoveringConfig::default(),
         )
         .unwrap();
         let (subs, nodes) = m.match_event(&Point::new(vec![2.0, 2.0]).unwrap());
@@ -743,7 +619,7 @@ mod tests {
                 NodeId(1),
                 Rect::new(vec![Interval::at_least(4.0), Interval::unbounded()]).unwrap(),
             )],
-            STreeConfig::default(),
+            CoveringConfig::default(),
         )
         .unwrap();
         let (_, nodes) = m.match_event(&Point::new(vec![5.0, 9.0]).unwrap());
@@ -757,7 +633,7 @@ mod tests {
         let err = Matcher::build(
             &space(),
             &[(NodeId(0), Rect::from_corners(&[0.0], &[1.0]).unwrap())],
-            STreeConfig::default(),
+            CoveringConfig::default(),
         );
         assert!(matches!(
             err,
@@ -770,7 +646,7 @@ mod tests {
 
     #[test]
     fn empty_matcher() {
-        let m = Matcher::build(&space(), &[], STreeConfig::default()).unwrap();
+        let m = Matcher::build(&space(), &[], CoveringConfig::default()).unwrap();
         let (subs, nodes) = m.match_event(&Point::new(vec![1.0, 1.0]).unwrap());
         assert!(subs.is_empty() && nodes.is_empty());
         assert_eq!(m.subscription_count(), 0);
@@ -794,7 +670,7 @@ mod tests {
                     Rect::from_corners(&[8.0, 8.0], &[10.0, 10.0]).unwrap(),
                 ),
             ],
-            STreeConfig::default(),
+            CoveringConfig::default(),
         )
         .unwrap();
         let mut scratch = MatchScratch::new();
@@ -833,7 +709,7 @@ mod tests {
                 Rect::from_corners(&[8.0, 0.0], &[10.0, 10.0]).unwrap(),
             ),
         ];
-        let m = Matcher::build(&space(), &base, STreeConfig::default()).unwrap();
+        let m = Matcher::build(&space(), &base, CoveringConfig::default()).unwrap();
         let mut overlay = DeltaOverlay::new();
         let mut tombstones = Tombstones::new();
         tombstones.insert(EntryId(1)); // drop NodeId(4)'s subscription
@@ -870,7 +746,7 @@ mod tests {
             added[0].clone(),
             added[1].clone(),
         ];
-        let fresh = Matcher::build(&space(), &survivors, STreeConfig::default()).unwrap();
+        let fresh = Matcher::build(&space(), &survivors, CoveringConfig::default()).unwrap();
 
         let mut scratch = MatchScratch::new();
         let (mut subs, mut nodes) = (Vec::new(), Vec::new());
@@ -886,6 +762,27 @@ mod tests {
         }
     }
 
+    /// The reference matches of `subs`: a linear scan over the clamped
+    /// rectangles, ids ascending, owner nodes deduplicated ascending.
+    fn scan_match(
+        scan: &LinearScan,
+        subs: &[(NodeId, Rect)],
+        e: &Point,
+    ) -> (Vec<SubscriptionId>, Vec<NodeId>) {
+        let ids: Vec<SubscriptionId> = scan
+            .query_point(e)
+            .into_iter()
+            .map(|id| SubscriptionId(id.0))
+            .collect();
+        let mut nodes: Vec<NodeId> = ids.iter().map(|id| subs[id.0 as usize].0).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        (ids, nodes)
+    }
+
+    /// Every covering configuration matches exactly what a flat linear
+    /// scan over the clamped rectangles matches, and so does the
+    /// interning-only build, through the point and the block query.
     #[test]
     fn covered_matcher_is_bit_identical_to_flat() {
         // Duplicate-heavy with nesting: exercises interning, subsumption
@@ -905,7 +802,27 @@ mod tests {
                 Rect::from_corners(&[1.0 + k, 1.0], &[2.0 + k, 2.0]).unwrap(),
             ));
         }
-        let flat = Matcher::build(&space(), &subs, STreeConfig::default()).unwrap();
+        let scan = LinearScan::new(
+            subs.iter()
+                .enumerate()
+                .map(|(i, (_, r))| Entry::new(space().clamp(r), EntryId(i as u32)))
+                .collect(),
+        )
+        .unwrap();
+        // The interning-only build: one representative per distinct
+        // rectangle, nothing subsumed or merged.
+        let interned = Matcher::build(
+            &space(),
+            &subs,
+            CoveringConfig {
+                max_covers: 0,
+                ..CoveringConfig::default()
+            },
+        )
+        .unwrap();
+        let stats = interned.covering_stats();
+        assert_eq!((stats.subsumed, stats.merged), (0, 0));
+        assert_eq!(stats.representatives, stats.uniques);
         for cfg in [
             CoveringConfig::default(),
             CoveringConfig {
@@ -915,12 +832,12 @@ mod tests {
             },
         ] {
             let covered = Matcher::build_covered(&space(), &subs.as_slice(), &cfg).unwrap();
-            assert!(covered.is_covered());
-            let stats = covered.covering_stats().unwrap();
+            let stats = covered.covering_stats();
             assert_eq!(stats.concrete, subs.len());
             assert!(stats.representatives < subs.len());
+            assert!(stats.representatives <= interned.covering_stats().representatives);
             assert_eq!(covered.subscription_count(), subs.len());
-            assert_eq!(covered.max_node_id(), flat.max_node_id());
+            assert_eq!(covered.max_node_id(), 16);
             let events: Vec<Point> = (0..120)
                 .map(|i| {
                     Point::new(vec![f64::from(i) * 1.37 % 10.0, f64::from(i) * 2.11 % 10.0])
@@ -928,7 +845,9 @@ mod tests {
                 })
                 .collect();
             for e in &events {
-                assert_eq!(covered.match_event(e), flat.match_event(e), "event {e:?}");
+                let want = scan_match(&scan, &subs, e);
+                assert_eq!(covered.match_event(e), want, "event {e:?}");
+                assert_eq!(interned.match_event(e), want, "event {e:?}");
             }
             // Arena (block) path agrees with the scalar path.
             let mut scratch = MatchScratch::new();
@@ -942,7 +861,7 @@ mod tests {
                 &mut arena,
             );
             for (i, e) in events.iter().enumerate() {
-                let (subs_want, _) = flat.match_event(e);
+                let (subs_want, nodes_want) = scan_match(&scan, &subs, e);
                 // Run-level: no id was written, the count is the run sum.
                 assert!(arena.loose_slice(i).is_empty(), "event {i}");
                 assert_eq!(arena.match_count(i), subs_want.len(), "event {i}");
@@ -951,6 +870,7 @@ mod tests {
                     &subs_want[..],
                     "event {i}"
                 );
+                assert_eq!(arena.node_slice(i), &nodes_want[..], "event {i}");
             }
         }
     }

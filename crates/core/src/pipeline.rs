@@ -12,7 +12,7 @@
 //! per event, and the per-worker arenas are read back *without copying*
 //! through [`BatchMatches`], which maps a global event index to its
 //! `(worker, local)` slot arithmetically from the block-cyclic
-//! assignment. The arena is **count-level**: a covered matcher records
+//! assignment. The arena is **count-level**: the matcher records
 //! which covering runs an event hit and how many subscriptions that is,
 //! never the ids, because cost, decision and fold need only `|s|` and
 //! the node set.
@@ -26,8 +26,8 @@ use crate::{Decision, MatchedSet, Matcher, SubscriptionId, UnicastReason};
 /// A reusable CSR result arena for batch matching, holding **run-level
 /// records**: per event the hit covering groups (`runs`, indices into
 /// the matcher's [`crate::CoveringTable`]), the loose subscription ids
-/// no run accounts for (`subs` — every id on the flat backend; overlay
-/// hits and tombstone-filtered runs on a covered one), the match count,
+/// no run accounts for (`subs` — overlay hits and the live members of
+/// runs with a tombstone in them), the match count,
 /// and the deduplicated interested nodes. Each vector is cut into
 /// per-event slices by an offsets vector. Filled through
 /// `Matcher::match_events_into_arena`; reset
@@ -127,8 +127,8 @@ impl MatchArena {
         self.counts[local] as usize
     }
 
-    /// The covering groups local event `local` hit (empty on the flat
-    /// backend); resolve them with `Matcher::matched_set`.
+    /// The covering groups local event `local` hit; resolve them with
+    /// `Matcher::matched_set`.
     ///
     /// # Panics
     ///
@@ -138,7 +138,7 @@ impl MatchArena {
     }
 
     /// The matching subscription ids of local event `local` that no run
-    /// accounts for (ascending) — all of them on the flat backend.
+    /// accounts for (ascending).
     ///
     /// # Panics
     ///

@@ -15,9 +15,9 @@
 //!   half-open `lo < x && x <= hi` (4 bytes of bounds per dimension,
 //!   16× smaller than the flat layout);
 //! * the same **dimension-major** bound layout and span-encoded
-//!   breadth-first node numbering as `FlatSTree`, so the PR 6 block
-//!   traversal carries over with the integer-lane kernels
-//!   ([`simd::sweep_mask_q`], [`simd::lanes_contain_q`]);
+//!   breadth-first node numbering as `FlatSTree`, walked eight events at
+//!   a time by a lane-masked block traversal over the integer-lane
+//!   kernels ([`simd::sweep_mask_q`], [`simd::lanes_contain_q`]);
 //! * a **streaming build**: bounds are pulled through an accessor
 //!   closure, so the builder never needs the caller to materialize an
 //!   O(N) `f64` rectangle array — its own transients are one `u64`
@@ -107,8 +107,11 @@ impl CompactSTree {
         let leaf_size = config.leaf_size.clamp(1, 64);
         let fanout = config.fanout.max(2);
         if count == 0 {
+            // Every dimension degenerate, so `cell` still answers.
             return CompactSTree {
                 dims,
+                mins: vec![0.0; dims],
+                inv_steps: vec![0.0; dims],
                 ..CompactSTree::default()
             };
         }
@@ -389,9 +392,12 @@ impl CompactSTree {
         }
     }
 
-    /// Block point query: up to [`LANES`] quantized events in one
-    /// joint lane-masked traversal, the integer-kernel analogue of
-    /// [`FlatSTree::query_point_block`](crate::FlatSTree::query_point_block).
+    /// Block point query: up to [`LANES`] quantized events in **one
+    /// joint traversal**. Each stack element carries a node id plus the
+    /// bitmask of lanes still alive at that node, so a subtree shared by
+    /// several events is walked once; restricted to any one lane, the
+    /// emitted hits are exactly that lane's
+    /// [`CompactSTree::query_point_with`] hits.
     /// `emit(rep, hit_lanes, ambiguous_lanes)` is called per matched
     /// representative; `ambiguous_lanes ⊆ hit_lanes` flags the lanes
     /// whose hit needs the exact re-check. The emitted tape is
@@ -454,11 +460,15 @@ impl CompactSTree {
         self.block_query_impl(SimdLevel::Sse2, block, stack, emit);
     }
 
-    /// The joint lane-masked traversal, structured exactly like
-    /// `FlatSTree::block_query_impl`: stack elements pack
-    /// `(node << 8) | lane_mask`, spans sweep in ≤64 chunks per live
-    /// lane, and a node down to one live lane skips the per-lane
-    /// bookkeeping.
+    /// The joint lane-masked traversal: stack elements pack
+    /// `(node << 8) | lane_mask`, the root is pruned with one all-lanes
+    /// test, spans sweep in ≤64 chunks per live lane, and a node down to
+    /// one live lane skips the per-lane bookkeeping.
+    ///
+    /// Kernel-level-monomorphized through the `#[target_feature]`
+    /// wrappers above: a dynamic kernel call per lane per dimension per
+    /// chunk costs more than the compares it saves at typical fanouts,
+    /// so the intrinsics must inline into the traversal loop to win.
     #[inline(always)]
     fn block_query_impl(
         &self,
@@ -632,8 +642,15 @@ mod tests {
     fn empty_and_tiny_trees() {
         let t = CompactSTree::build(3, 0, |_, _| unreachable!(), CompactConfig::default());
         assert!(t.is_empty());
+        let mut q = Vec::new();
+        t.quantize_into(&[1.5, f64::NAN, -2.0], &mut q);
+        assert_eq!(q, vec![0, 0, 0]);
         let mut stack = Vec::new();
-        t.query_point_with(&[0, 0, 0], &mut stack, |_, _| panic!("no hits"));
+        t.query_point_with(&q, &mut stack, |_, _| panic!("no hits"));
+        let mut block = QuantBlock::new();
+        t.fill_block(&[&[1.0, 2.0, 3.0]], &mut block);
+        let mut bstack = Vec::new();
+        t.query_point_block(&block, &mut bstack, |_, _, _| panic!("no hits"));
 
         let rects = demo_rects(1);
         let t = CompactSTree::build(

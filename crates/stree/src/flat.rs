@@ -50,7 +50,6 @@ use std::cell::RefCell;
 use pubsub_geom::{Point, Rect};
 
 use crate::packed::PackedRTree;
-use crate::simd::{self, EventBlock, SimdLevel, LANES};
 use crate::stree::{Children, STree};
 use crate::{EntryId, SpatialIndex};
 
@@ -275,251 +274,6 @@ impl FlatSTree {
         }
     }
 
-    /// Block point query: answers up to [`LANES`] point queries in **one
-    /// joint traversal**. Each stack element carries a node id plus the
-    /// bitmask of lanes still alive at that node, so a subtree shared by
-    /// several events is walked once: the root is pruned with one
-    /// all-lanes containment test ([`simd::lanes_contain`]), every span
-    /// below it is swept once per live lane with the vector sweep kernel
-    /// ([`simd::sweep_mask`]), and nodes down to a single live lane
-    /// drop the lane bookkeeping and replay that lane's scalar walk
-    /// with vector sweeps.
-    ///
-    /// `emit(id, lane_mask)` is called for every matched entry with the
-    /// set of lanes whose point it contains. Restricted to any
-    /// single lane, the sequence of emitted entries is **identical**
-    /// (same ids, same order) to what [`FlatSTree::query_point_with`]
-    /// produces for that lane's point: both traversals push surviving
-    /// children in ascending index order onto a LIFO stack, and a node
-    /// survives for a lane here exactly when it contains that lane's
-    /// point, so the joint walk restricted to one lane's bits replays
-    /// that lane's scalar walk move for move.
-    pub fn query_point_block(
-        &self,
-        block: &EventBlock,
-        stack: &mut Vec<u64>,
-        emit: impl FnMut(EntryId, u8),
-    ) {
-        self.query_point_block_at(simd::active_level(), block, stack, emit);
-    }
-
-    /// Explicit-level variant of [`FlatSTree::query_point_block`], used
-    /// by the bit-identity property tests and benches to pin the kernel
-    /// implementation instead of taking [`simd::active_level`].
-    pub fn query_point_block_at(
-        &self,
-        level: SimdLevel,
-        block: &EventBlock,
-        stack: &mut Vec<u64>,
-        mut emit: impl FnMut(EntryId, u8),
-    ) {
-        self.block_query::<false>(level, block, stack, &mut |id, lanes| emit(id, lanes));
-    }
-
-    /// Count-only form of [`FlatSTree::query_point_block`]: per-lane
-    /// match counts, no id materialization. `counts[l]` equals
-    /// [`FlatSTree::count_point_with`] on lane `l`'s point.
-    pub fn count_point_block(&self, block: &EventBlock, stack: &mut Vec<u64>) -> [usize; LANES] {
-        self.count_point_block_at(simd::active_level(), block, stack)
-    }
-
-    /// Explicit-level variant of [`FlatSTree::count_point_block`].
-    pub fn count_point_block_at(
-        &self,
-        level: SimdLevel,
-        block: &EventBlock,
-        stack: &mut Vec<u64>,
-    ) -> [usize; LANES] {
-        self.block_query::<true>(level, block, stack, &mut |_, _| {})
-    }
-
-    /// The joint lane-masked block traversal behind
-    /// [`FlatSTree::query_point_block`] /
-    /// [`FlatSTree::count_point_block`]. Stack elements pack
-    /// `(node << 8) | lane_mask`.
-    ///
-    /// Dims-monomorphized like [`FlatSTree::point_query`] (so the
-    /// per-dimension sweep loop unrolls), then kernel-level-monomorphized
-    /// through `#[target_feature]` wrappers: a dynamic kernel call per
-    /// lane per dimension per chunk costs more than the compares it
-    /// saves at typical fanouts, so the intrinsics must inline into the
-    /// traversal loop to win.
-    fn block_query<const COUNT: bool>(
-        &self,
-        level: SimdLevel,
-        block: &EventBlock,
-        stack: &mut Vec<u64>,
-        emit: &mut impl FnMut(EntryId, u8),
-    ) -> [usize; LANES] {
-        match self.dims {
-            1 => self.block_query_at::<1, COUNT>(level, block, stack, emit),
-            2 => self.block_query_at::<2, COUNT>(level, block, stack, emit),
-            3 => self.block_query_at::<3, COUNT>(level, block, stack, emit),
-            4 => self.block_query_at::<4, COUNT>(level, block, stack, emit),
-            _ => self.block_query_at::<0, COUNT>(level, block, stack, emit),
-        }
-    }
-
-    fn block_query_at<const D: usize, const COUNT: bool>(
-        &self,
-        level: SimdLevel,
-        block: &EventBlock,
-        stack: &mut Vec<u64>,
-        emit: &mut impl FnMut(EntryId, u8),
-    ) -> [usize; LANES] {
-        #[cfg(target_arch = "x86_64")]
-        {
-            match level {
-                // SAFETY: dispatch only selects Avx2/Sse2 when the CPU
-                // reports the feature.
-                SimdLevel::Avx2 => {
-                    return unsafe { self.block_query_avx2::<D, COUNT>(block, stack, emit) }
-                }
-                SimdLevel::Sse2 => {
-                    return unsafe { self.block_query_sse2::<D, COUNT>(block, stack, emit) }
-                }
-                SimdLevel::Scalar => {}
-            }
-        }
-        let _ = level;
-        self.block_query_impl::<D, COUNT>(SimdLevel::Scalar, block, stack, emit)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn block_query_avx2<const D: usize, const COUNT: bool>(
-        &self,
-        block: &EventBlock,
-        stack: &mut Vec<u64>,
-        emit: &mut impl FnMut(EntryId, u8),
-    ) -> [usize; LANES] {
-        self.block_query_impl::<D, COUNT>(SimdLevel::Avx2, block, stack, emit)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "sse2")]
-    unsafe fn block_query_sse2<const D: usize, const COUNT: bool>(
-        &self,
-        block: &EventBlock,
-        stack: &mut Vec<u64>,
-        emit: &mut impl FnMut(EntryId, u8),
-    ) -> [usize; LANES] {
-        self.block_query_impl::<D, COUNT>(SimdLevel::Sse2, block, stack, emit)
-    }
-
-    #[inline(always)]
-    fn block_query_impl<const D: usize, const COUNT: bool>(
-        &self,
-        level: SimdLevel,
-        block: &EventBlock,
-        stack: &mut Vec<u64>,
-        emit: &mut impl FnMut(EntryId, u8),
-    ) -> [usize; LANES] {
-        let mut counts = [0usize; LANES];
-        if self.spans.is_empty() {
-            return counts;
-        }
-        debug_assert_eq!(block.dims(), self.dims);
-        let dims = if D == 0 { self.dims } else { D };
-        let n = self.node_count();
-        let en = self.ids.len();
-        stack.clear();
-        let root = simd::lanes_contain(
-            level,
-            &self.node_lo,
-            &self.node_hi,
-            n,
-            0,
-            block,
-            block.full_mask(),
-        );
-        if root != 0 {
-            stack.push(u64::from(root));
-        }
-        while let Some(top) = stack.pop() {
-            let v = (top >> 8) as usize;
-            let active = top as u8;
-            let (start, len) = self.spans[v];
-            let (start, len) = (start as usize, len as usize);
-            let is_leaf = self.leaf[v];
-            let (lo, hi, stride) = if is_leaf {
-                (&self.entry_lo, &self.entry_hi, en)
-            } else {
-                (&self.node_lo, &self.node_hi, n)
-            };
-            if active & (active - 1) == 0 {
-                // Single live lane — the walk below this node is exactly
-                // that lane's scalar walk, so sweep directly and skip
-                // the per-lane mask array, union and lanes-byte gather.
-                let l = active.trailing_zeros() as usize;
-                let point = block.point(l);
-                let mut k = 0usize;
-                while k < len {
-                    let chunk = (len - k).min(64);
-                    let base = start + k;
-                    let mut mask: u64 = if chunk == 64 { !0 } else { (1u64 << chunk) - 1 };
-                    for (d, &x) in point.iter().enumerate().take(dims) {
-                        let row = d * stride + base;
-                        mask &= simd::sweep_mask(level, &lo[row..], &hi[row..], chunk, x);
-                        if mask == 0 {
-                            break;
-                        }
-                    }
-                    if COUNT && is_leaf {
-                        counts[l] += mask.count_ones() as usize;
-                    } else {
-                        while mask != 0 {
-                            let j = mask.trailing_zeros() as usize;
-                            mask &= mask - 1;
-                            if is_leaf {
-                                emit(self.ids[base + j], active);
-                            } else {
-                                stack.push((((base + j) as u64) << 8) | u64::from(active));
-                            }
-                        }
-                    }
-                    k += chunk;
-                }
-                continue;
-            }
-            let mut k = 0usize;
-            while k < len {
-                let chunk = (len - k).min(64);
-                let base = start + k;
-                let masks =
-                    block_chunk_masks::<D>(level, lo, hi, stride, base, chunk, block, active, dims);
-                if COUNT && is_leaf {
-                    for (l, m) in masks.iter().enumerate() {
-                        counts[l] += m.count_ones() as usize;
-                    }
-                } else {
-                    let mut union = 0u64;
-                    for m in &masks {
-                        union |= m;
-                    }
-                    while union != 0 {
-                        let j = union.trailing_zeros() as usize;
-                        union &= union - 1;
-                        let mut lanes = 0u8;
-                        let mut rest = active;
-                        while rest != 0 {
-                            let l = rest.trailing_zeros() as usize;
-                            rest &= rest - 1;
-                            lanes |= (((masks[l] >> j) & 1) as u8) << l;
-                        }
-                        if is_leaf {
-                            emit(self.ids[base + j], lanes);
-                        } else {
-                            stack.push((((base + j) as u64) << 8) | u64::from(lanes));
-                        }
-                    }
-                }
-                k += chunk;
-            }
-        }
-        counts
-    }
-
     /// Region query with caller-provided traversal scratch.
     pub fn query_region_with(&self, r: &Rect, stack: &mut Vec<u32>, out: &mut Vec<EntryId>) {
         if self.spans.is_empty() {
@@ -705,53 +459,6 @@ fn span_masks<const D: usize>(
         }
         k += chunk;
     }
-}
-
-/// Per-lane survivor masks for the elements `[base, base + chunk)` of a
-/// dimension-major bound array, the block-mode analogue of
-/// [`span_masks`]: `result[l]` has bit `j` set ⇔ lane `l` is in `active`
-/// and element `base + j` contains lane `l`'s point.
-///
-/// Always the **sweep orientation**: each live lane's coordinate is
-/// swept over the chunk's bounds with [`simd::sweep_mask`], the vector
-/// form of the scalar branchless sweep, with the same empty-mask
-/// dimension short-circuit. The alternative lane orientation (one bound
-/// pair vs all 8 event lanes with [`simd::lanes_contain`]) measured
-/// slower at every live-lane count on the paper's testbed: it cannot
-/// short-circuit per lane, so once the lanes' walks diverge it pays
-/// `chunk × dims` vector compares that the sweeps skip.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn block_chunk_masks<const D: usize>(
-    level: SimdLevel,
-    lo: &[f64],
-    hi: &[f64],
-    stride: usize,
-    base: usize,
-    chunk: usize,
-    block: &EventBlock,
-    active: u8,
-    dims: usize,
-) -> [u64; LANES] {
-    let dims = if D == 0 { dims } else { D };
-    let mut lane_masks = [0u64; LANES];
-    let full: u64 = if chunk == 64 { !0 } else { (1u64 << chunk) - 1 };
-    let mut rest = active;
-    while rest != 0 {
-        let l = rest.trailing_zeros() as usize;
-        rest &= rest - 1;
-        let point = block.point(l);
-        let mut mask = full;
-        for (d, &x) in point.iter().enumerate().take(dims) {
-            let row = d * stride + base;
-            mask &= simd::sweep_mask(level, &lo[row..], &hi[row..], chunk, x);
-            if mask == 0 {
-                break;
-            }
-        }
-        lane_masks[l] = mask;
-    }
-    lane_masks
 }
 
 impl SpatialIndex for FlatSTree {

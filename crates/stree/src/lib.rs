@@ -24,24 +24,26 @@
 //!   ranges);
 //! * [`FlatSTree`] — a cache-friendly, query-only recompilation of a
 //!   built [`STree`] or [`PackedRTree`] into contiguous dimension-major
-//!   bound arrays with span-encoded children (the matching hot path);
+//!   bound arrays with span-encoded children;
+//! * [`CompactSTree`] — the index `pubsub_core`'s matcher queries:
+//!   `u16`-quantized bounds with conservative outward rounding,
+//!   Hilbert-packed and built streaming from a bounds accessor (no O(N)
+//!   `f64` intermediate), reporting boundary-ambiguous hits for the
+//!   caller's exact re-check. The product matches through it rather than
+//!   the S-tree because the packed shape visits fewer nodes per point
+//!   query on the paper's testbed (EXPERIMENTS.md §3) and the `u16`
+//!   bounds sweep a quarter of the bytes;
 //! * [`simd`] — explicit SIMD interval-containment kernels (AVX2/SSE2
 //!   with runtime dispatch and a portable scalar fallback) over
-//!   [`EventBlock`]s, the 8-event structure-of-arrays batches behind
-//!   [`FlatSTree::query_point_block`], plus integer-lane variants over
-//!   quantized [`QuantBlock`]s;
-//! * [`CompactSTree`] — the scale-mode index: `u16`-quantized bounds
-//!   with conservative outward rounding, Hilbert-packed and built
-//!   streaming from a bounds accessor (no O(N) `f64` intermediate),
-//!   reporting boundary-ambiguous hits for the caller's exact
-//!   re-check;
+//!   quantized 8-event [`QuantBlock`]s, the batches behind
+//!   [`CompactSTree::query_point_block`];
 //! * [`LinearScan`] — the brute-force correctness oracle;
 //! * [`DynamicIndex`] — an extension: a rebuild-on-threshold wrapper that
 //!   supports online subscription insertion and removal on top of any
 //!   bulk-built index;
 //! * [`DeltaOverlay`] / [`Tombstones`] — the churn primitives behind
-//!   [`DynamicIndex`], also merged with [`FlatSTree`] by the core broker
-//!   to absorb subscribe/unsubscribe between engine recompiles.
+//!   [`DynamicIndex`], also merged with the compiled matcher by the core
+//!   broker to absorb subscribe/unsubscribe between engine recompiles.
 //!
 //! All indexes implement the [`SpatialIndex`] trait.
 //!
@@ -94,5 +96,5 @@ pub use index::SpatialIndex;
 pub use linear::LinearScan;
 pub use overlay::{DeltaOverlay, Tombstones};
 pub use packed::{PackedConfig, PackedRTree};
-pub use simd::{EventBlock, QuantBlock, SimdLevel, LANES};
+pub use simd::{QuantBlock, SimdLevel, LANES};
 pub use stree::{STree, STreeConfig, STreeStats};

@@ -15,7 +15,7 @@
 //! Periodically the owner recompiles the index over the surviving entries
 //! and clears both structures. [`crate::DynamicIndex`] wires the pair to a
 //! self-rebuilding [`crate::STree`]; `pubsub_core::Broker` merges them
-//! with its flat matcher between engine-snapshot recompiles.
+//! with its compiled matcher between engine-snapshot recompiles.
 
 use pubsub_geom::{Point, Rect};
 
@@ -74,14 +74,6 @@ impl Tombstones {
     pub fn clear(&mut self) {
         self.words.clear();
         self.dead = 0;
-    }
-
-    /// Removes tombstoned ids from a hit list, preserving the order of
-    /// the survivors.
-    pub fn retain_live(&self, ids: &mut Vec<EntryId>) {
-        if self.dead > 0 {
-            ids.retain(|&id| !self.contains(id));
-        }
     }
 }
 
@@ -197,10 +189,6 @@ mod tests {
         assert!(t.contains(EntryId(3)));
         assert!(!t.contains(EntryId(4)));
         assert!(!t.contains(EntryId(9999)), "beyond storage is live");
-
-        let mut hits = vec![EntryId(1), EntryId(3), EntryId(130), EntryId(7)];
-        t.retain_live(&mut hits);
-        assert_eq!(hits, vec![EntryId(1), EntryId(7)]);
 
         t.clear();
         assert!(t.is_empty());

@@ -1,21 +1,17 @@
-//! Explicit SIMD interval-containment kernels over structure-of-arrays
-//! **event blocks**.
+//! Explicit SIMD interval-containment kernels over quantized,
+//! structure-of-arrays **event blocks** — the kernels behind
+//! [`CompactSTree`](crate::CompactSTree)'s point and block queries.
 //!
-//! [`FlatSTree`](crate::FlatSTree)'s dimension-major bound arrays were
-//! laid out for vectorization, but the scalar scan tests one event
-//! against one bound pair at a time. This module adds the two kernel
-//! orientations the block-mode queries are built from:
+//! Two kernel orientations, both over `u16` cells:
 //!
-//! * the **lane kernel** ([`lanes_contain`]) — one bound pair (a tree
-//!   node's or an entry's interval along one dimension) tested against
-//!   all [`LANES`] event coordinates of an [`EventBlock`] at once; this
-//!   is what lets a whole block of events share a single tree
-//!   traversal, and
-//! * the **sweep kernel** ([`sweep_mask`]) — one event coordinate
-//!   broadcast against a contiguous run of up to 64 bound pairs from a
-//!   dimension-major array, producing the same survivor bitmask the
-//!   scalar branchless sweep builds, four (AVX2) or two (SSE2) bounds
-//!   per instruction.
+//! * the **lane kernel** ([`lanes_contain_q`]) — one bound pair (a tree
+//!   node's interval along one dimension) tested against all [`LANES`]
+//!   event cells of a [`QuantBlock`] at once; this is what lets a whole
+//!   block of events share a single tree traversal, and
+//! * the **sweep kernel** ([`sweep_mask_q`]) — one event cell broadcast
+//!   against a contiguous run of up to 64 bound pairs from a
+//!   dimension-major array, producing the hit and certainty bitmasks
+//!   sixteen (AVX2) or eight (SSE2) bounds per instruction.
 //!
 //! Both kernels exist in three implementations — AVX2, SSE2 and a
 //! portable scalar fallback — selected once per process by
@@ -28,18 +24,15 @@
 //!
 //! # Semantics
 //!
-//! Containment is the half-open `lo < x && x <= hi` of
-//! [`pubsub_geom::Interval::contains`]. All comparisons are *ordered*
-//! (quiet on NaN): a NaN coordinate or bound makes the comparison
-//! false, exactly as the scalar operators do, so every implementation
-//! is bit-identical on NaN, ±∞ and boundary coordinates — property
-//! tests in `crates/stree/tests/simd_properties.rs` pin this across
-//! every level the host supports.
+//! Integer compares are exact, so every implementation returns the same
+//! masks for every input; the unit tests below and
+//! `crates/stree/tests/compact_properties.rs` pin this across every
+//! level the host supports.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Number of events per [`EventBlock`]: 8 × `f64` lanes (two AVX2
-/// registers, four SSE2 registers).
+/// Number of events per [`QuantBlock`]: 8 `u16` lanes, one SSE2
+/// register.
 pub const LANES: usize = 8;
 
 /// Which kernel implementation is in use.
@@ -127,297 +120,13 @@ pub fn force_level(level: Option<SimdLevel>) {
     LEVEL.store(level.map_or(0, encode), Ordering::Relaxed);
 }
 
-/// A block of up to [`LANES`] events transposed into dimension-major
-/// structure-of-arrays form: `coords[d * LANES + lane]` is event
-/// `lane`'s coordinate along dimension `d`. Unused lanes (when fewer
-/// than [`LANES`] events remain) are padded with the first active
-/// lane's coordinates and masked out of [`EventBlock::full_mask`], so
-/// the kernels never read uninitialized or stale values.
-#[derive(Debug, Default, Clone)]
-pub struct EventBlock {
-    /// Dimension-major: `coords[d * LANES + lane]`.
-    coords: Vec<f64>,
-    /// Lane-major mirror: `points[lane * dims + d]` — the contiguous
-    /// per-event view [`EventBlock::point`] hands to the sweep kernels.
-    points: Vec<f64>,
-    dims: usize,
-    lanes: usize,
-}
-
-impl EventBlock {
-    /// Creates an empty block; [`EventBlock::fill`] sizes it.
-    pub fn new() -> Self {
-        EventBlock::default()
-    }
-
-    /// Fills the block from per-event coordinate slices (at most
-    /// [`LANES`] of them, all of the same dimensionality), transposing
-    /// into the dimension-major layout. The block's buffer is reused
-    /// across fills — no allocation once warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `events` is empty, holds more than [`LANES`] slices,
-    /// or the slices disagree on dimensionality.
-    pub fn fill<S: AsRef<[f64]>>(&mut self, events: &[S]) {
-        assert!(!events.is_empty() && events.len() <= LANES);
-        let dims = events[0].as_ref().len();
-        self.dims = dims;
-        self.lanes = events.len();
-        self.coords.clear();
-        self.coords.resize(dims * LANES, 0.0);
-        self.points.clear();
-        self.points.resize(dims * LANES, 0.0);
-        for (lane, event) in events.iter().enumerate() {
-            let event = event.as_ref();
-            assert_eq!(event.len(), dims, "event lanes must agree on dims");
-            for (d, &x) in event.iter().enumerate() {
-                self.coords[d * LANES + lane] = x;
-                self.points[lane * dims + d] = x;
-            }
-        }
-        // Pad idle lanes with lane 0 so vector loads read defined,
-        // harmless values (their results are masked off).
-        for lane in self.lanes..LANES {
-            for d in 0..dims {
-                self.coords[d * LANES + lane] = self.coords[d * LANES];
-                self.points[lane * dims + d] = self.points[d];
-            }
-        }
-    }
-
-    /// Number of active lanes (events) in the block.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Dimensionality of the block's events.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// Bitmask of the active lanes: bit `l` set ⇔ lane `l` holds a real
-    /// event.
-    pub fn full_mask(&self) -> u8 {
-        if self.lanes == LANES {
-            u8::MAX
-        } else {
-            (1u8 << self.lanes) - 1
-        }
-    }
-
-    /// The [`LANES`] coordinates of dimension `d` (padded lanes
-    /// included).
-    #[inline]
-    pub fn dim(&self, d: usize) -> &[f64] {
-        &self.coords[d * LANES..(d + 1) * LANES]
-    }
-
-    /// One lane's coordinate along dimension `d`.
-    #[inline]
-    pub fn coord(&self, d: usize, lane: usize) -> f64 {
-        self.coords[d * LANES + lane]
-    }
-
-    /// One lane's full coordinate vector, contiguous (padded lanes
-    /// mirror lane 0). This is the per-lane view the block traversal
-    /// feeds to [`sweep_mask`], one dimension at a time.
-    #[inline]
-    pub fn point(&self, lane: usize) -> &[f64] {
-        &self.points[lane * self.dims..(lane + 1) * self.dims]
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lane kernel: one bound pair vs all lanes of a block.
-// ---------------------------------------------------------------------
-
-/// Tests one bound pair per dimension — `lo[d * stride + v]`,
-/// `hi[d * stride + v]` — against every lane of `block` and returns the
-/// surviving subset of `mask` (bit `l` set ⇔ lane `l`'s point is
-/// contained in the box of element `v`). Dimensions short-circuit once
-/// the mask empties.
-#[inline(always)]
-pub fn lanes_contain(
-    level: SimdLevel,
-    lo: &[f64],
-    hi: &[f64],
-    stride: usize,
-    v: usize,
-    block: &EventBlock,
-    mut mask: u8,
-) -> u8 {
-    for d in 0..block.dims() {
-        if mask == 0 {
-            return 0;
-        }
-        let i = d * stride + v;
-        mask &= lanes_in_interval(level, lo[i], hi[i], block.dim(d));
-    }
-    mask
-}
-
-/// One dimension of the lane kernel: which of the [`LANES`] coordinates
-/// `x` satisfy `lo < x && x <= hi`.
-#[inline(always)]
-fn lanes_in_interval(level: SimdLevel, lo: f64, hi: f64, xs: &[f64]) -> u8 {
-    debug_assert_eq!(xs.len(), LANES);
-    #[cfg(target_arch = "x86_64")]
-    {
-        match level {
-            // SAFETY: dispatch only selects Avx2/Sse2 when the CPU
-            // reports the feature.
-            SimdLevel::Avx2 => return unsafe { lanes_in_interval_avx2(lo, hi, xs) },
-            SimdLevel::Sse2 => return unsafe { lanes_in_interval_sse2(lo, hi, xs) },
-            SimdLevel::Scalar => {}
-        }
-    }
-    let _ = level;
-    lanes_in_interval_scalar(lo, hi, xs)
-}
-
-#[inline]
-fn lanes_in_interval_scalar(lo: f64, hi: f64, xs: &[f64]) -> u8 {
-    let mut m = 0u8;
-    for (l, &x) in xs.iter().enumerate() {
-        m |= u8::from((lo < x) & (x <= hi)) << l;
-    }
-    m
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lanes_in_interval_avx2(lo: f64, hi: f64, xs: &[f64]) -> u8 {
-    use core::arch::x86_64::*;
-    // SAFETY: xs has LANES = 8 elements; two unaligned 4-lane loads.
-    unsafe {
-        let vlo = _mm256_set1_pd(lo);
-        let vhi = _mm256_set1_pd(hi);
-        let a = _mm256_loadu_pd(xs.as_ptr());
-        let b = _mm256_loadu_pd(xs.as_ptr().add(4));
-        // Ordered-quiet compares: false on NaN, like the scalar `<`/`<=`.
-        let in_a = _mm256_and_pd(
-            _mm256_cmp_pd::<_CMP_LT_OQ>(vlo, a),
-            _mm256_cmp_pd::<_CMP_LE_OQ>(a, vhi),
-        );
-        let in_b = _mm256_and_pd(
-            _mm256_cmp_pd::<_CMP_LT_OQ>(vlo, b),
-            _mm256_cmp_pd::<_CMP_LE_OQ>(b, vhi),
-        );
-        (_mm256_movemask_pd(in_a) as u8) | ((_mm256_movemask_pd(in_b) as u8) << 4)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn lanes_in_interval_sse2(lo: f64, hi: f64, xs: &[f64]) -> u8 {
-    use core::arch::x86_64::*;
-    // SAFETY: xs has LANES = 8 elements; four unaligned 2-lane loads.
-    unsafe {
-        let vlo = _mm_set1_pd(lo);
-        let vhi = _mm_set1_pd(hi);
-        let mut m = 0u8;
-        for half in 0..4 {
-            let x = _mm_loadu_pd(xs.as_ptr().add(2 * half));
-            let hit = _mm_and_pd(_mm_cmplt_pd(vlo, x), _mm_cmple_pd(x, vhi));
-            m |= (_mm_movemask_pd(hit) as u8) << (2 * half);
-        }
-        m
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sweep kernel: one coordinate vs a run of bounds.
-// ---------------------------------------------------------------------
-
-/// Tests `x` against the bound pairs `lo[..chunk]` / `hi[..chunk]`
-/// (`chunk <= 64`) and returns the survivor bitmask: bit `j` set ⇔
-/// `lo[j] < x && x <= hi[j]`. This is the vector form of the scalar
-/// branchless sweep in `FlatSTree`'s span scan.
-#[inline(always)]
-pub fn sweep_mask(level: SimdLevel, lo: &[f64], hi: &[f64], chunk: usize, x: f64) -> u64 {
-    debug_assert!(chunk <= 64 && lo.len() >= chunk && hi.len() >= chunk);
-    #[cfg(target_arch = "x86_64")]
-    {
-        match level {
-            // SAFETY: dispatch only selects Avx2/Sse2 when the CPU
-            // reports the feature.
-            SimdLevel::Avx2 => return unsafe { sweep_mask_avx2(lo, hi, chunk, x) },
-            SimdLevel::Sse2 => return unsafe { sweep_mask_sse2(lo, hi, chunk, x) },
-            SimdLevel::Scalar => {}
-        }
-    }
-    let _ = level;
-    sweep_mask_scalar(lo, hi, chunk, x)
-}
-
-#[inline]
-fn sweep_mask_scalar(lo: &[f64], hi: &[f64], chunk: usize, x: f64) -> u64 {
-    let mut m = 0u64;
-    for j in 0..chunk {
-        m |= u64::from((lo[j] < x) & (x <= hi[j])) << j;
-    }
-    m
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn sweep_mask_avx2(lo: &[f64], hi: &[f64], chunk: usize, x: f64) -> u64 {
-    use core::arch::x86_64::*;
-    // SAFETY: every load reads 4 elements at offset j with j + 4 <=
-    // chunk <= lo.len(), hi.len().
-    unsafe {
-        let vx = _mm256_set1_pd(x);
-        let mut m = 0u64;
-        let mut j = 0usize;
-        while j + 4 <= chunk {
-            let vlo = _mm256_loadu_pd(lo.as_ptr().add(j));
-            let vhi = _mm256_loadu_pd(hi.as_ptr().add(j));
-            let hit = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_LT_OQ>(vlo, vx),
-                _mm256_cmp_pd::<_CMP_LE_OQ>(vx, vhi),
-            );
-            m |= (_mm256_movemask_pd(hit) as u64) << j;
-            j += 4;
-        }
-        while j < chunk {
-            m |= u64::from((lo[j] < x) & (x <= hi[j])) << j;
-            j += 1;
-        }
-        m
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn sweep_mask_sse2(lo: &[f64], hi: &[f64], chunk: usize, x: f64) -> u64 {
-    use core::arch::x86_64::*;
-    // SAFETY: every load reads 2 elements at offset j with j + 2 <=
-    // chunk <= lo.len(), hi.len().
-    unsafe {
-        let vx = _mm_set1_pd(x);
-        let mut m = 0u64;
-        let mut j = 0usize;
-        while j + 2 <= chunk {
-            let vlo = _mm_loadu_pd(lo.as_ptr().add(j));
-            let vhi = _mm_loadu_pd(hi.as_ptr().add(j));
-            let hit = _mm_and_pd(_mm_cmplt_pd(vlo, vx), _mm_cmple_pd(vx, vhi));
-            m |= (_mm_movemask_pd(hit) as u64) << j;
-            j += 2;
-        }
-        if j < chunk {
-            m |= u64::from((lo[j] < x) & (x <= hi[j])) << j;
-        }
-        m
-    }
-}
-
 // ---------------------------------------------------------------------
 // Quantized (u16) kernels for the compressed representative index.
 // ---------------------------------------------------------------------
 
-/// A block of up to [`LANES`] events quantized to `u16` cells, in the
-/// same dimension-major structure-of-arrays layout as [`EventBlock`].
+/// A block of up to [`LANES`] events quantized to `u16` cells, in
+/// dimension-major structure-of-arrays layout with a lane-major
+/// mirror.
 /// Built by `CompactSTree::fill_block`, which owns the per-dimension
 /// affine quantizer; the kernels here only see cells.
 #[derive(Debug, Default, Clone)]
@@ -715,82 +424,6 @@ mod tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn block_transposes_and_pads() {
-        let mut block = EventBlock::new();
-        block.fill(&[[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]);
-        assert_eq!(block.lanes(), 3);
-        assert_eq!(block.dims(), 2);
-        assert_eq!(block.full_mask(), 0b111);
-        assert_eq!(&block.dim(0)[..3], &[1.0, 2.0, 3.0]);
-        assert_eq!(&block.dim(1)[..3], &[10.0, 20.0, 30.0]);
-        // Idle lanes are padded with lane 0.
-        assert_eq!(block.dim(0)[7], 1.0);
-        assert_eq!(block.coord(1, 5), 10.0);
-    }
-
-    #[test]
-    fn lane_kernel_levels_agree_on_tricky_values() {
-        let xs = [
-            0.5,
-            1.0,
-            1.0 + f64::EPSILON,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -0.0,
-            0.0,
-        ];
-        let bounds = [
-            (0.0, 1.0),
-            (f64::NEG_INFINITY, f64::INFINITY),
-            (f64::NAN, 1.0),
-            (0.0, f64::NAN),
-            (-0.0, 0.0),
-            (1.0, 1.0),
-        ];
-        for &(lo, hi) in &bounds {
-            let want = lanes_in_interval_scalar(lo, hi, &xs);
-            for level in levels() {
-                assert_eq!(
-                    lanes_in_interval(level, lo, hi, &xs),
-                    want,
-                    "lo={lo} hi={hi} level={level:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_kernel_levels_agree_for_every_chunk_size() {
-        let lo: Vec<f64> = (0..64)
-            .map(|j| match j % 5 {
-                0 => f64::NAN,
-                1 => f64::NEG_INFINITY,
-                _ => (j as f64) * 0.25 - 4.0,
-            })
-            .collect();
-        let hi: Vec<f64> = (0..64)
-            .map(|j| match j % 7 {
-                0 => f64::NAN,
-                1 => f64::INFINITY,
-                _ => (j as f64) * 0.5,
-            })
-            .collect();
-        for x in [0.0, -0.0, 1.0, 7.25, f64::NAN, f64::INFINITY] {
-            for chunk in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 33, 64] {
-                let want = sweep_mask_scalar(&lo, &hi, chunk, x);
-                for level in levels() {
-                    assert_eq!(
-                        sweep_mask(level, &lo, &hi, chunk, x),
-                        want,
-                        "x={x} chunk={chunk} level={level:?}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

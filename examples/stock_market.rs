@@ -39,10 +39,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         broker.groups().len(),
         broker.groups().sizes()
     );
-    let stree = broker.matcher().index().stats();
+    let covering = broker.matcher().covering_stats();
     println!(
-        "matcher: S-tree with {} nodes, depth {}..{}, avg fanout {:.1}",
-        stree.node_count, stree.min_leaf_depth, stree.max_leaf_depth, stree.avg_internal_fanout
+        "matcher: {} subscriptions as {} representatives ({} distinct, {} subsumed), \
+         {:.1} KiB of quantized index and covering table",
+        covering.concrete,
+        covering.representatives,
+        covering.uniques,
+        covering.subsumed,
+        broker.matcher().compact_heap_bytes() as f64 / 1024.0
     );
 
     // A trading session.

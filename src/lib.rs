@@ -4,7 +4,8 @@
 //! depend on a single crate:
 //!
 //! * [`geom`] — event-space geometry (points, half-open rectangles, grids);
-//! * [`stree`] — the S-tree spatial index and baseline indexes;
+//! * [`stree`] — the S-tree spatial index, baseline indexes, and the
+//!   quantized packed index the broker's matcher queries;
 //! * [`netsim`] — transit-stub network simulation and multicast cost models;
 //! * [`workload`] — stock-market subscription/publication generators;
 //! * [`clustering`] — grid-based subscription clustering (Forgy k-means,

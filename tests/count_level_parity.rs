@@ -1,16 +1,22 @@
 //! Count-level delivery parity: a covered broker carries *runs* —
 //! whole covering groups and their precomputed node sets — from match
 //! to outcome and writes subscription ids out only when somebody reads
-//! them. Whatever the entry point, it must agree with a flat broker
-//! over the same Zipf population: equal outcomes, ids ascending and
-//! duplicate-free, `len()` equal to the written-out length, and a
-//! bit-identical `CostReport` — through `publish` and `publish_batch` at
+//! them. Whatever the entry point, it must match what a flat linear scan
+//! over the live subscriptions' clamped rectangles matches, and agree
+//! with an interning-only broker (one representative per distinct
+//! rectangle, no covers) over the same Zipf population: equal outcomes,
+//! ids ascending and duplicate-free, `len()` equal to the written-out
+//! length, and a bit-identical `CostReport` — through `publish` and
+//! `publish_batch` at
 //! 1–3 threads, with a tombstone inside a hit run and an overlay hit
 //! between batches, past a `recompile()` that retires the table old
 //! outcomes still reference, and under an installed fault plan.
 
+mod common;
+
 use std::sync::{Arc, OnceLock};
 
+use common::ScanOracle;
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
 use pubsub::core::{Broker, CoveringConfig, PublishOutcome};
@@ -64,8 +70,9 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         )
 }
 
-/// A flat and a covered broker over the same Zipf-skewed population,
-/// each with a 3-thread pool so multi-worker batches really fan out.
+/// An interning-only and a default covered broker over the same
+/// Zipf-skewed population, each with a 3-thread pool so multi-worker
+/// batches really fan out.
 fn brokers(s: &Scenario) -> (Broker, Broker) {
     let population = ScaleConfig {
         count: s.count,
@@ -76,18 +83,21 @@ fn brokers(s: &Scenario) -> (Broker, Broker) {
     .generate(topology(), s.seed, Some(1))
     .unwrap()
     .to_vec();
-    let build = |covering: Option<CoveringConfig>| {
-        let mut b = Broker::builder(topology().clone(), stock_space())
+    let build = |covering: CoveringConfig| {
+        Broker::builder(topology().clone(), stock_space())
             .clustering(ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 6))
             .threshold(s.threshold)
             .worker_pool(Arc::new(WorkerPool::new(3)))
-            .subscriptions(population.iter().cloned());
-        if let Some(config) = covering {
-            b = b.covering(config);
-        }
-        b.build().unwrap()
+            .subscriptions(population.iter().cloned())
+            .covering(covering)
+            .build()
+            .unwrap()
     };
-    (build(None), build(Some(CoveringConfig::default())))
+    let interning_only = CoveringConfig {
+        max_covers: 0,
+        ..CoveringConfig::default()
+    };
+    (build(interning_only), build(CoveringConfig::default()))
 }
 
 /// What a reader of the lazy set may rely on.
@@ -100,17 +110,17 @@ fn check_set(outcome: &PublishOutcome) -> Result<(), String> {
     Ok(())
 }
 
-fn check_all(covered: &[PublishOutcome], flat: &[PublishOutcome]) -> Result<(), String> {
-    prop_assert_eq!(covered.len(), flat.len());
-    for (c, f) in covered.iter().zip(flat) {
+fn check_all(covered: &[PublishOutcome], interned: &[PublishOutcome]) -> Result<(), String> {
+    prop_assert_eq!(covered.len(), interned.len());
+    for (c, f) in covered.iter().zip(interned) {
         prop_assert_eq!(c, f);
         check_set(c)?;
     }
     Ok(())
 }
 
-fn check_reports(covered: &Broker, flat: &Broker) -> Result<(), String> {
-    let (c, f) = (covered.report(), flat.report());
+fn check_reports(covered: &Broker, interned: &Broker) -> Result<(), String> {
+    let (c, f) = (covered.report(), interned.report());
     prop_assert_eq!(c, f);
     prop_assert_eq!(c.scheme_cost.to_bits(), f.scheme_cost.to_bits());
     prop_assert_eq!(c.unicast_cost.to_bits(), f.unicast_cost.to_bits());
@@ -118,25 +128,32 @@ fn check_reports(covered: &Broker, flat: &Broker) -> Result<(), String> {
     Ok(())
 }
 
-/// Every synchronous entry point over `events`, covered against flat.
+/// Every synchronous entry point over `events`, covered against the
+/// scan of its live subscriptions and against the interning-only
+/// broker.
 fn check_publishing(
     covered: &mut Broker,
-    flat: &mut Broker,
+    interned: &mut Broker,
     events: &[Point],
 ) -> Result<(), String> {
+    let scan = ScanOracle::of(covered);
     for event in &events[..16] {
         let (c, f) = (
             covered.publish(event).unwrap(),
-            flat.publish(event).unwrap(),
+            interned.publish(event).unwrap(),
         );
+        scan.check(covered, event, &c)?;
         check_all(&[c], &[f])?;
     }
     for threads in 1..=3 {
         let c = covered.publish_batch(events, Some(threads)).unwrap();
-        let f = flat.publish_batch(events, Some(threads)).unwrap();
+        let f = interned.publish_batch(events, Some(threads)).unwrap();
+        for (outcome, event) in c.iter().zip(events) {
+            scan.check(covered, event, outcome)?;
+        }
         check_all(&c, &f)?;
     }
-    check_reports(covered, flat)
+    check_reports(covered, interned)
 }
 
 proptest! {
@@ -144,21 +161,21 @@ proptest! {
 
     #[test]
     fn covered_runs_agree_with_flat_ids(s in scenario()) {
-        let (mut flat, mut covered) = brokers(&s);
+        let (mut interned, mut covered) = brokers(&s);
         let model = Modes::Nine.model();
         let mut rng = ChaCha8Rng::seed_from_u64(s.seed);
         let events: Vec<Point> = (0..s.events).map(|_| model.sample(&mut rng)).collect();
 
-        check_publishing(&mut covered, &mut flat, &events)?;
+        check_publishing(&mut covered, &mut interned, &events)?;
 
         // Churn between batches. First, deliberately: a tombstone inside
         // a run some event hits, and an overlay subscription (a duplicate
         // of the removed one) the same event hits.
         let probe = covered.publish_batch(&events, Some(1)).unwrap();
-        flat.publish_batch(&events, Some(1)).unwrap();
+        interned.publish_batch(&events, Some(1)).unwrap();
         if let Some(id) = probe.iter().find_map(|o| o.matched_subscriptions.first().copied()) {
             let handle = covered.handle_of(id).unwrap();
-            prop_assert_eq!(flat.handle_of(id), Some(handle));
+            prop_assert_eq!(interned.handle_of(id), Some(handle));
             let (node, rect) = covered
                 .registry()
                 .live()
@@ -166,10 +183,10 @@ proptest! {
                 .map(|(_, node, rect)| (node, rect.clone()))
                 .unwrap();
             covered.unsubscribe(handle).unwrap();
-            flat.unsubscribe(handle).unwrap();
+            interned.unsubscribe(handle).unwrap();
             prop_assert_eq!(
                 covered.subscribe(node, rect.clone()).unwrap(),
-                flat.subscribe(node, rect).unwrap()
+                interned.subscribe(node, rect).unwrap()
             );
         }
         // Then whatever the scenario drew; handles stay in lockstep.
@@ -183,22 +200,22 @@ proptest! {
             if kind % 2 == 0 {
                 prop_assert_eq!(
                     covered.subscribe(node, rect.clone()).unwrap(),
-                    flat.subscribe(node, rect).unwrap()
+                    interned.subscribe(node, rect).unwrap()
                 );
             } else {
                 covered.unsubscribe(handle).unwrap();
-                flat.unsubscribe(handle).unwrap();
+                interned.unsubscribe(handle).unwrap();
             }
         }
-        check_publishing(&mut covered, &mut flat, &events)?;
+        check_publishing(&mut covered, &mut interned, &events)?;
 
         // Outcomes taken before a recompile keep the old table alive:
         // they are read (written out) only after it has been replaced.
         let held = covered.publish_batch(&events, Some(2)).unwrap();
-        let want = flat.publish_batch(&events, Some(2)).unwrap();
+        let want = interned.publish_batch(&events, Some(2)).unwrap();
         covered.recompile().unwrap();
-        flat.recompile().unwrap();
-        check_publishing(&mut covered, &mut flat, &events)?;
+        interned.recompile().unwrap();
+        check_publishing(&mut covered, &mut interned, &events)?;
         // Ids are renumbered by the recompile on both sides alike, but
         // `held` and `want` both predate it.
         check_all(&held, &want)?;
@@ -217,16 +234,21 @@ proptest! {
             });
         }
         covered.install_fault_plan(plan.clone()).unwrap();
-        flat.install_fault_plan(plan).unwrap();
+        interned.install_fault_plan(plan).unwrap();
+        let scan = ScanOracle::of(&covered);
         for threads in [2, 1] {
             let c = covered.publish_batch(&events, Some(threads)).unwrap();
-            let f = flat.publish_batch(&events, Some(threads)).unwrap();
+            let f = interned.publish_batch(&events, Some(threads)).unwrap();
+            for (outcome, event) in c.iter().zip(&events) {
+                scan.check(&covered, event, outcome)?;
+            }
             check_all(&c, &f)?;
         }
         for event in &events[..16] {
-            let (c, f) = (covered.publish(event).unwrap(), flat.publish(event).unwrap());
+            let (c, f) = (covered.publish(event).unwrap(), interned.publish(event).unwrap());
+            scan.check(&covered, event, &c)?;
             check_all(&[c], &[f])?;
         }
-        check_reports(&covered, &flat)?;
+        check_reports(&covered, &interned)?;
     }
 }

@@ -1,14 +1,19 @@
-//! The covering-parity property: a broker compiled through the
-//! subscription covering layer (duplicate interning, rectangle
-//! subsumption, optional quantized merge) must be **bit-identical** in
-//! every observable to the same broker compiled flat — matched
-//! subscription ids, interested nodes, decisions, message costs down to
-//! the last bit, and the cumulative `CostReport` — across `publish`,
-//! `publish_batch`, and subscribe/unsubscribe churn followed by a
-//! `recompile()`. Covering is a pure matcher-index transformation; if
-//! any of these diverge, the expansion table lost or invented a
-//! subscription.
+//! The covering-parity property: whatever the covering layer aggregates
+//! (duplicate interning, rectangle subsumption, optional quantized
+//! merge), a broker must match exactly what a flat linear scan over its
+//! live subscriptions' clamped rectangles matches, and must be
+//! **bit-identical** in every observable to the same broker compiled
+//! with interning alone (one representative per distinct rectangle,
+//! nothing subsumed or merged) — matched subscription ids, interested
+//! nodes, decisions, message costs down to the last bit, and the
+//! cumulative `CostReport` — across `publish`, `publish_batch`, and
+//! subscribe/unsubscribe churn followed by a `recompile()`. Covering is
+//! a pure matcher-index transformation; if any of these diverge, the
+//! expansion table lost or invented a subscription.
 
+mod common;
+
+use common::ScanOracle;
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
 use pubsub::core::{Broker, CoveringConfig, PublishOutcome, SubscriptionHandle};
@@ -39,6 +44,14 @@ struct Scenario {
     initial: Vec<SubSpec>,
     ops: Vec<ChurnOp>,
     events: Vec<(f64, f64)>,
+}
+
+/// The reference configuration: duplicate interning only.
+fn interning_only() -> CoveringConfig {
+    CoveringConfig {
+        max_covers: 0,
+        ..CoveringConfig::default()
+    }
 }
 
 /// The covering configurations under test: plain interning+subsumption,
@@ -117,17 +130,16 @@ fn spec_rect((_, (x, w), (y, h)): &SubSpec) -> Rect {
     Rect::from_corners(&[*x, *y], &[(x + w).min(10.0), (y + h).min(10.0)]).unwrap()
 }
 
-fn builder(s: &Scenario, subs: Vec<(NodeId, Rect)>, covering: Option<CoveringConfig>) -> Broker {
+fn builder(s: &Scenario, subs: Vec<(NodeId, Rect)>, covering: CoveringConfig) -> Broker {
     let topo = TransitStubConfig::tiny().generate(s.topo_seed).unwrap();
-    let mut b = Broker::builder(topo, space_2d())
+    Broker::builder(topo, space_2d())
         .threshold(s.threshold)
         .clustering(ClusteringConfig::new(s.algorithm, s.groups).with_max_cells(30))
         .grid_cells(5)
-        .subscriptions(subs);
-    if let Some(config) = covering {
-        b = b.covering(config);
-    }
-    b.build().unwrap()
+        .subscriptions(subs)
+        .covering(covering)
+        .build()
+        .unwrap()
 }
 
 fn assert_outcomes_eq(a: &PublishOutcome, b: &PublishOutcome) -> Result<(), String> {
@@ -144,10 +156,10 @@ fn assert_outcomes_eq(a: &PublishOutcome, b: &PublishOutcome) -> Result<(), Stri
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(25))]
 
-    /// End-to-end parity of the covered and flat compiles: identical
-    /// delivered sets and cost reports for per-event publishes, for the
-    /// fused batch pipeline, and again after churn + recompile (the
-    /// streaming registry compile path).
+    /// End-to-end parity of the covered compile with the scan and the
+    /// interning-only compile: identical delivered sets and cost reports
+    /// for per-event publishes, for the fused batch pipeline, and again
+    /// after churn + recompile (the streaming registry compile path).
     #[test]
     fn covered_broker_is_bit_identical_to_flat(s in scenario_strategy()) {
         let config = covering_configs()[s.covering];
@@ -158,15 +170,17 @@ proptest! {
             .iter()
             .map(|spec| (nodes[spec.0 % nodes.len()], spec_rect(spec)))
             .collect();
-        let mut flat = builder(&s, initial.clone(), None);
-        let mut covered = builder(&s, initial, Some(config));
+        let mut interned = builder(&s, initial.clone(), interning_only());
+        let mut covered = builder(&s, initial, config);
 
-        prop_assert!(covered.covering_stats().is_some());
-        prop_assert!(flat.covering_stats().is_none());
         let stats = *covered.covering_stats().unwrap();
         prop_assert_eq!(stats.concrete, s.initial.len());
         prop_assert!(stats.representatives <= stats.uniques);
         prop_assert!(stats.uniques <= stats.concrete);
+        let reference = *interned.covering_stats().unwrap();
+        prop_assert_eq!((reference.subsumed, reference.merged), (0, 0));
+        prop_assert_eq!(reference.representatives, stats.uniques);
+        let scan = ScanOracle::of(&covered);
 
         let events: Vec<Point> = s
             .events
@@ -177,34 +191,36 @@ proptest! {
         // Per-event publish parity.
         for event in &events {
             let a = covered.publish(event).unwrap();
-            let b = flat.publish(event).unwrap();
+            let b = interned.publish(event).unwrap();
+            scan.check(&covered, event, &a)?;
             assert_outcomes_eq(&a, &b)?;
         }
-        prop_assert_eq!(covered.report(), flat.report());
+        prop_assert_eq!(covered.report(), interned.report());
 
         // Fused batch pipeline parity (single- and multi-worker).
         for threads in [Some(1), Some(2)] {
             let a = covered.publish_batch(&events, threads).unwrap();
-            let b = flat.publish_batch(&events, threads).unwrap();
+            let b = interned.publish_batch(&events, threads).unwrap();
             prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
+            for ((x, y), event) in a.iter().zip(&b).zip(&events) {
+                scan.check(&covered, event, x)?;
                 assert_outcomes_eq(x, y)?;
             }
-            prop_assert_eq!(covered.report(), flat.report());
+            prop_assert_eq!(covered.report(), interned.report());
         }
 
         // Identical churn on both sides. Handles stay in lockstep
         // because both registries saw the same insertion sequence.
         let mut covered_handles: Vec<SubscriptionHandle> =
             covered.registry().live().map(|(h, _, _)| h).collect();
-        let mut flat_handles: Vec<SubscriptionHandle> =
-            flat.registry().live().map(|(h, _, _)| h).collect();
+        let mut interned_handles: Vec<SubscriptionHandle> =
+            interned.registry().live().map(|(h, _, _)| h).collect();
         for op in &s.ops {
             match op {
                 ChurnOp::Subscribe(spec) => {
                     let node = nodes[spec.0 % nodes.len()];
                     covered_handles.push(covered.subscribe(node, spec_rect(spec)).unwrap());
-                    flat_handles.push(flat.subscribe(node, spec_rect(spec)).unwrap());
+                    interned_handles.push(interned.subscribe(node, spec_rect(spec)).unwrap());
                 }
                 ChurnOp::Unsubscribe(i) => {
                     if covered_handles.is_empty() {
@@ -212,7 +228,7 @@ proptest! {
                     }
                     let i = i % covered_handles.len();
                     covered.unsubscribe(covered_handles.swap_remove(i)).unwrap();
-                    flat.unsubscribe(flat_handles.swap_remove(i)).unwrap();
+                    interned.unsubscribe(interned_handles.swap_remove(i)).unwrap();
                 }
                 ChurnOp::Duplicate(i) => {
                     if covered_handles.is_empty() {
@@ -228,23 +244,25 @@ proptest! {
                         (node, rect.clone())
                     };
                     covered_handles.push(covered.subscribe(node, rect.clone()).unwrap());
-                    flat_handles.push(flat.subscribe(node, rect).unwrap());
+                    interned_handles.push(interned.subscribe(node, rect).unwrap());
                 }
             }
         }
 
-        // Recompile both: covered takes the streaming covered registry
-        // path, flat the collected bulk-load path. Still bit-identical.
+        // Recompile both through the streaming registry path. Still
+        // bit-identical, and still the scan's matches.
         covered.recompile().unwrap();
-        flat.recompile().unwrap();
+        interned.recompile().unwrap();
         covered.reset_report();
-        flat.reset_report();
+        interned.reset_report();
+        let scan = ScanOracle::of(&covered);
         for event in &events {
             let a = covered.publish(event).unwrap();
-            let b = flat.publish(event).unwrap();
+            let b = interned.publish(event).unwrap();
+            scan.check(&covered, event, &a)?;
             assert_outcomes_eq(&a, &b)?;
         }
-        prop_assert_eq!(covered.report(), flat.report());
+        prop_assert_eq!(covered.report(), interned.report());
 
         // The covering stats survive the recompile and still describe
         // the post-churn population.
@@ -255,7 +273,8 @@ proptest! {
     /// Duplicate-heavy populations actually aggregate: with every
     /// subscription drawn from a pool much smaller than the population,
     /// the representative count must collapse to at most the pool size,
-    /// while matching stays bit-identical to the flat build.
+    /// while matching stays the scan's and bit-identical to the
+    /// interning-only build.
     #[test]
     fn duplicates_collapse_without_changing_matches(
         seed in 0u64..30,
@@ -286,8 +305,9 @@ proptest! {
             ops: Vec::new(),
             events: Vec::new(),
         };
-        let mut flat = builder(&scenario, subs.clone(), None);
-        let mut covered = builder(&scenario, subs, Some(CoveringConfig::default()));
+        let mut interned = builder(&scenario, subs.clone(), interning_only());
+        let mut covered = builder(&scenario, subs, CoveringConfig::default());
+        let scan = ScanOracle::of(&covered);
 
         let stats = covered.covering_stats().unwrap();
         prop_assert_eq!(stats.concrete, picks.len());
@@ -297,9 +317,61 @@ proptest! {
         for &(x, y) in &events {
             let event = Point::new(vec![x, y]).unwrap();
             let a = covered.publish(&event).unwrap();
-            let b = flat.publish(&event).unwrap();
+            let b = interned.publish(&event).unwrap();
+            scan.check(&covered, &event, &a)?;
             assert_outcomes_eq(&a, &b)?;
         }
-        prop_assert_eq!(covered.report(), flat.report());
+        prop_assert_eq!(covered.report(), interned.report());
+    }
+}
+
+/// A builder without `.covering` still compiles the covering layer into
+/// the compact index: one representative per distinct rectangle at most,
+/// every subscription accounted for, and matches equal to a linear scan
+/// over the clamped rectangles.
+#[test]
+fn default_broker_compiles_the_compact_index() {
+    let topo = TransitStubConfig::tiny().generate(7).unwrap();
+    let nodes = topo.stub_nodes().to_vec();
+    // Distinct rectangles, some reaching past the space to exercise the
+    // clamp, none repeated or nested, so nothing aggregates.
+    let subs: Vec<(NodeId, Rect)> = (0..60u32)
+        .map(|i| {
+            let (x, y) = (f64::from(i % 10), f64::from(i / 10) * 1.7);
+            let node = nodes[i as usize % nodes.len()];
+            (
+                node,
+                Rect::from_corners(&[x - 0.5, y], &[x + 1.5, y + 2.5]).unwrap(),
+            )
+        })
+        .collect();
+    let mut broker = Broker::builder(topo, space_2d())
+        .subscriptions(subs.clone())
+        .build()
+        .unwrap();
+    let stats = *broker.covering_stats().expect("every broker is covered");
+    assert_eq!(stats.concrete, subs.len());
+    assert_eq!(stats.representatives, subs.len());
+    assert_eq!(broker.matcher().covering_stats(), &stats);
+
+    let scan = ScanOracle::of(&broker);
+    let events: Vec<Point> = (0..80)
+        .map(|i| Point::new(vec![f64::from(i) * 1.37 % 10.0, f64::from(i) * 2.11 % 10.0]).unwrap())
+        .collect();
+    for event in &events {
+        let outcome = broker.publish(event).unwrap();
+        scan.check(&broker, event, &outcome).unwrap();
+        // Before any churn, subscription ids are registry positions.
+        let (ids, nodes) = broker.matcher().match_event(event);
+        assert_eq!(&outcome.matched_subscriptions[..], &ids[..]);
+        assert_eq!(outcome.interested, nodes);
+    }
+    for (outcome, event) in broker
+        .publish_batch(&events, Some(2))
+        .unwrap()
+        .iter()
+        .zip(&events)
+    {
+        scan.check(&broker, event, outcome).unwrap();
     }
 }
