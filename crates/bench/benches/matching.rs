@@ -10,8 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pubsub_bench::{sample_events, scenario};
 use pubsub_netsim::TransitStubConfig;
 use pubsub_stree::{
-    CountingIndex, CurveKind, Entry, EntryId, FlatSTree, LinearScan, PackedConfig, PackedRTree,
-    STree, STreeConfig, SpatialIndex,
+    CountingIndex, CurveKind, Entry, EntryId, LinearScan, PackedConfig, PackedRTree, STree,
+    STreeConfig, SpatialIndex,
 };
 use pubsub_workload::{stock_space, Modes, SubscriptionConfig};
 
@@ -44,30 +44,6 @@ fn bench_point_queries(c: &mut Criterion) {
                     idx.query_point_into(e, &mut out);
                 }
                 out.len()
-            })
-        });
-
-        let flat = FlatSTree::from_stree(&stree);
-        group.bench_with_input(BenchmarkId::new("flat", k), &flat, |b, idx| {
-            let mut stack = Vec::new();
-            let mut out = Vec::new();
-            b.iter(|| {
-                for e in &events {
-                    out.clear();
-                    idx.query_point_with(e, &mut stack, &mut out);
-                }
-                out.len()
-            })
-        });
-
-        group.bench_with_input(BenchmarkId::new("flat_count", k), &flat, |b, idx| {
-            let mut stack = Vec::new();
-            b.iter(|| {
-                let mut total = 0usize;
-                for e in &events {
-                    total += idx.count_point_with(e, &mut stack);
-                }
-                total
             })
         });
 

@@ -128,7 +128,9 @@ fn verify_coverage(
     let mut delivered_total = 0u64;
     let mut matched_total = 0u64;
     for event in events {
-        let (_, matched) = broker.match_only(event);
+        let (_, matched) = broker
+            .match_only(event)
+            .expect("events come from the model");
         let out = broker.publish(event).expect("publisher is never downed");
         assert_eq!(
             out.interested.len() + out.unreachable.len(),

@@ -2069,7 +2069,16 @@ impl Broker {
     /// report mutation. Returns the matching subscription ids and the
     /// deduplicated interested subscriber nodes, merging the churn
     /// overlay when one is pending. Uses thread-local scratch.
-    pub fn match_only(&self, event: &Point) -> (Vec<SubscriptionId>, Vec<NodeId>) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BrokerError::DimensionMismatch`] if the event's
+    /// dimensionality differs from the broker's space.
+    pub fn match_only(
+        &self,
+        event: &Point,
+    ) -> Result<(Vec<SubscriptionId>, Vec<NodeId>), BrokerError> {
+        self.validate_batch(std::slice::from_ref(event))?;
         let mut subs = Vec::new();
         let mut nodes = Vec::new();
         let matcher = &self.snapshot.matcher;
@@ -2079,7 +2088,7 @@ impl Broker {
             }
             None => matcher.match_event_into(event, scratch, &mut subs, &mut nodes),
         });
-        (subs, nodes)
+        Ok((subs, nodes))
     }
 
     /// The current engine snapshot (cheap `Arc` clone). The clone stays
@@ -2865,11 +2874,37 @@ mod tests {
     fn match_only_does_not_touch_the_report() {
         let broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
         let event = Point::new(vec![2.0, 5.0]).unwrap();
-        let (subs, nodes) = broker.match_only(&event);
+        let (subs, nodes) = broker.match_only(&event).unwrap();
         assert!(!subs.is_empty());
         assert_eq!(nodes.len(), 4);
         assert_eq!(broker.report().messages, 0);
         assert!(broker.grid_model().subscriber_count() > 0);
+    }
+
+    #[test]
+    fn match_only_rejects_wrong_dimensional_events() {
+        let topo = tiny_topo();
+        let nodes = topo.stub_nodes().to_vec();
+        let broker = Broker::builder(topo, space_2d())
+            .subscriptions(vec![
+                (nodes[0], rect(&[0.0, 0.0], &[2.0, 2.0])),
+                (nodes[1], rect(&[0.0, 8.0], &[2.0, 10.0])),
+            ])
+            .build()
+            .unwrap();
+        // A 1-D event would test only the first coordinate and match
+        // both; a 3-D one would index past the space's dimensions.
+        for coords in [vec![1.0], vec![1.0, 1.0, 1.0]] {
+            let got = coords.len();
+            assert!(matches!(
+                broker.match_only(&Point::new(coords).unwrap()),
+                Err(BrokerError::DimensionMismatch { expected: 2, got: g }) if g == got
+            ));
+        }
+        let (subs, _) = broker
+            .match_only(&Point::new(vec![1.0, 1.0]).unwrap())
+            .unwrap();
+        assert_eq!(subs, vec![SubscriptionId(0)]);
     }
 
     #[test]
@@ -3014,7 +3049,9 @@ mod tests {
         assert!(counters.epoch > 0 || counters.recompiles > 0);
 
         // An overlay handle resolves back through a live match.
-        let (subs, _) = live.match_only(&Point::new(vec![1.0, 1.0]).unwrap());
+        let (subs, _) = live
+            .match_only(&Point::new(vec![1.0, 1.0]).unwrap())
+            .unwrap();
         assert!(subs.iter().any(|&s| live.handle_of(s) == Some(h_a)));
 
         // A fresh broker over the surviving subscriptions, in registry
@@ -3035,8 +3072,8 @@ mod tests {
         let mut fresh = fresh_builder.build().unwrap();
         for i in 0..20 {
             let event = Point::new(vec![f64::from(i % 10) + 0.5, f64::from(i % 7) + 0.7]).unwrap();
-            let (_, live_nodes) = live.match_only(&event);
-            let (_, fresh_nodes) = fresh.match_only(&event);
+            let (_, live_nodes) = live.match_only(&event).unwrap();
+            let (_, fresh_nodes) = fresh.match_only(&event).unwrap();
             assert_eq!(live_nodes, fresh_nodes, "pre-recompile event {i}");
         }
 

@@ -213,7 +213,7 @@ impl CoveringTable {
 
     /// Resolves a representative hit into the groups whose rectangles
     /// contain `point`, appending their indices to `runs` — the covered
-    /// query shared by the scalar, block and single-publish paths.
+    /// query every lane of the matcher's block query runs.
     ///
     /// `ambiguous` hits (quantization could not prove exactness) are
     /// first re-checked against the representative's exact bounds — a

@@ -96,33 +96,26 @@ pub struct KernelCounters {
 }
 
 /// Reusable per-thread scratch for [`Matcher::match_event_into`]: the
-/// traversal stacks, quantized event buffers and hit buffers of the
-/// point and block queries, the subscriber dedup bitmap, and the
-/// one-event arena the single-event entry points collect into. One
-/// scratch makes every subsequent match on the same thread
-/// allocation-free (output vectors aside).
+/// block query's traversal stack, quantized block and per-lane hit
+/// buffers, the subscriber dedup bitmap, and the one-event arena the
+/// single-event entry points collect into. One scratch makes every
+/// subsequent match on the same thread allocation-free (output vectors
+/// aside).
 #[derive(Debug, Default, Clone)]
 pub struct MatchScratch {
-    /// Point-query traversal stack.
-    stack: Vec<u32>,
-    /// Loose subscription hits before the sort: overlay hits and the
-    /// live members of tombstoned runs.
-    hits: Vec<EntryId>,
-    /// Covering groups hit by the point query.
-    runs: Vec<u32>,
     /// Subscriber dedup bitmap, indexed by node id; bits are cleared
     /// after every match so the buffer stays reusable.
     seen: Vec<u64>,
     /// Lane-masked traversal stack of the block query.
     block_stack: Vec<u64>,
-    /// Per-lane loose hits of the current block ([`LANES`] buffers).
+    /// Per-lane loose subscription hits of the current block before the
+    /// sort — overlay hits and the live members of tombstoned runs
+    /// ([`LANES`] buffers).
     lane_hits: Vec<Vec<EntryId>>,
     /// Per-lane hit covering groups of the current block.
     lane_runs: Vec<Vec<u32>>,
     /// Block-kernel dispatch totals since the last drain.
     kernels: KernelCounters,
-    /// Quantized point buffer of the point query.
-    qpoint: Vec<u16>,
     /// Quantized SoA block of the block query.
     qblock: QuantBlock,
     /// One-event arena of the single-event entry points.
@@ -260,6 +253,11 @@ impl Matcher {
     /// Thin wrapper over [`Matcher::match_event_into`] using thread-local
     /// scratch, so it performs no intermediate allocation (the two output
     /// vectors aside).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event's dimensionality differs from the space the
+    /// matcher was built over.
     pub fn match_event(&self, event: &Point) -> (Vec<SubscriptionId>, Vec<NodeId>) {
         let mut subs = Vec::new();
         let mut nodes = Vec::new();
@@ -276,6 +274,11 @@ impl Matcher {
     /// growth. This collects runs and then writes
     /// their ids out; callers that only need counts and nodes should
     /// match into a [`MatchArena`] instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event's dimensionality differs from the space the
+    /// matcher was built over.
     pub fn match_event_into(
         &self,
         event: &Point,
@@ -288,8 +291,8 @@ impl Matcher {
         });
     }
 
-    /// Matches one event into the scratch's one-event arena and hands
-    /// it to `read`.
+    /// Matches one event — a one-lane block query — into the scratch's
+    /// one-event arena and hands it to `read`.
     fn match_one<R>(
         &self,
         event: &Point,
@@ -297,15 +300,14 @@ impl Matcher {
         scratch: &mut MatchScratch,
         read: impl FnOnce(&MatchArena) -> R,
     ) -> R {
+        assert_eq!(
+            event.dims(),
+            self.index.dims(),
+            "event dimensionality differs from the matcher's space"
+        );
         let mut arena = std::mem::take(&mut scratch.single);
         arena.begin();
-        scratch.hits.clear();
-        scratch.runs.clear();
-        self.query_event(event, scratch);
-        let MatchScratch {
-            hits, runs, seen, ..
-        } = scratch;
-        self.append_event(event, view, hits, runs, seen, &mut arena);
+        self.match_block_append(std::slice::from_ref(event), 0, 1, view, scratch, &mut arena);
         let result = read(&arena);
         scratch.single = arena;
         result
@@ -341,27 +343,9 @@ impl Matcher {
         )
     }
 
-    /// Runs the point query: quantizes the event, queries the
-    /// representatives and appends the covering groups each hit resolves
-    /// to (with the exact re-check on boundary-ambiguous hits) to
-    /// `scratch.runs`.
-    fn query_event(&self, event: &Point, scratch: &mut MatchScratch) {
-        let point = event.as_slice();
-        self.index.quantize_into(point, &mut scratch.qpoint);
-        let MatchScratch {
-            stack,
-            runs,
-            qpoint,
-            ..
-        } = scratch;
-        self.index.query_point_with(qpoint, stack, |rep, amb| {
-            self.covering.hit_runs(rep, amb, point, runs);
-        });
-    }
-
-    /// Post-query bookkeeping shared by the scalar and block paths:
-    /// seals one arena event from the hit `runs` of `event`, merged with
-    /// the churn overlay when `view` is given.
+    /// Post-query bookkeeping of one block lane: seals one arena event
+    /// from the hit `runs` of `event`, merged with the churn overlay when
+    /// `view` is given.
     ///
     /// A run stays a run — its index is recorded, its owner nodes come
     /// from the precomputed node set (or a walk over a small run's
@@ -456,6 +440,11 @@ impl Matcher {
     /// deduplicated across both sources. Semantics are identical to a
     /// matcher freshly built over (compiled − removed) ∪ overlay, except
     /// that overlay subscriptions keep their overlay ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event's dimensionality differs from the space the
+    /// matcher was built over.
     pub fn match_event_overlaid_into(
         &self,
         event: &Point,
@@ -471,9 +460,8 @@ impl Matcher {
 
     /// Matches [`LANES`] (or fewer) consecutive events starting at
     /// `events[start]` through one joint SIMD block query, then appends
-    /// each lane's results to the arena in event order — per-event
-    /// slices bit-identical to the scalar append path. `view` merges the
-    /// churn overlay per lane exactly like the scalar overlaid path.
+    /// each lane's results to the arena in event order. `view` merges
+    /// the churn overlay into every lane.
     fn match_block_append(
         &self,
         events: &[Point],
@@ -645,6 +633,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "dimensionality")]
+    fn wrong_dimensional_event_panics() {
+        let m = Matcher::build(&space(), &[], CoveringConfig::default()).unwrap();
+        m.match_event(&Point::new(vec![1.0, 1.0, 1.0]).unwrap());
+    }
+
+    #[test]
     fn empty_matcher() {
         let m = Matcher::build(&space(), &[], CoveringConfig::default()).unwrap();
         let (subs, nodes) = m.match_event(&Point::new(vec![1.0, 1.0]).unwrap());
@@ -780,11 +775,11 @@ mod tests {
         (ids, nodes)
     }
 
-    /// Every covering configuration matches exactly what a flat linear
-    /// scan over the clamped rectangles matches, and so does the
-    /// interning-only build, through the point and the block query.
+    /// Every covering configuration matches exactly what a linear scan
+    /// over the clamped rectangles matches, and so does the
+    /// interning-only build, one event at a time and in full blocks.
     #[test]
-    fn covered_matcher_is_bit_identical_to_flat() {
+    fn covered_and_interned_matchers_equal_a_linear_scan() {
         // Duplicate-heavy with nesting: exercises interning, subsumption
         // and the quantized merge at once.
         let mut subs: Vec<(NodeId, Rect)> = Vec::new();
@@ -849,7 +844,7 @@ mod tests {
                 assert_eq!(covered.match_event(e), want, "event {e:?}");
                 assert_eq!(interned.match_event(e), want, "event {e:?}");
             }
-            // Arena (block) path agrees with the scalar path.
+            // Full blocks into one arena agree with the scan too.
             let mut scratch = MatchScratch::new();
             let mut arena = MatchArena::new();
             arena.begin();

@@ -1,23 +1,25 @@
 //! Compressed, quantized spatial index for the covering layer's
 //! representative set.
 //!
-//! [`FlatSTree`](crate::FlatSTree) stores two `f64`s per dimension per
+//! The `f64` trees ([`STree`](crate::STree),
+//! [`PackedRTree`](crate::PackedRTree)) store two `f64`s per dimension per
 //! entry — 64 bytes of bounds for a 4-D subscription before ids. At the
 //! ROADMAP's millions-of-subscriptions scale that blows the cache and
 //! the build materializes an O(N) `Rect` intermediate. [`CompactSTree`]
-//! is the scale-mode replacement, built by the core covering layer for
-//! the deduplicated *representative* set:
+//! is the index the core covering layer builds for the deduplicated
+//! *representative* set:
 //!
 //! * per-dimension **affine quantization** to `u16` cells with
 //!   conservative outward rounding — `lo` cells round down, `hi` cells
 //!   round up — so the quantized closed-cell test
 //!   `qlo <= qx && qx <= qhi` can only over-approximate the exact
 //!   half-open `lo < x && x <= hi` (4 bytes of bounds per dimension,
-//!   16× smaller than the flat layout);
-//! * the same **dimension-major** bound layout and span-encoded
-//!   breadth-first node numbering as `FlatSTree`, walked eight events at
-//!   a time by a lane-masked block traversal over the integer-lane
-//!   kernels ([`simd::sweep_mask_q`], [`simd::lanes_contain_q`]);
+//!   16× smaller than `f64` bounds);
+//! * a **dimension-major** bound layout with breadth-first node
+//!   numbering, so every node's children (and every leaf's entries) are
+//!   one contiguous span, walked up to eight events at a time by a
+//!   lane-masked block traversal over the integer-lane kernels
+//!   ([`simd::sweep_mask_q`], [`simd::lanes_contain_q`]);
 //! * a **streaming build**: bounds are pulled through an accessor
 //!   closure, so the builder never needs the caller to materialize an
 //!   O(N) `f64` rectangle array — its own transients are one `u64`
@@ -190,7 +192,7 @@ impl CompactSTree {
         // Pass 4: complete bottom-up packing — level sizes bottom to
         // top, then breadth-first node numbering top to bottom so every
         // node's children (and every leaf's entries) are a contiguous
-        // ascending span, exactly like `FlatSTree`.
+        // ascending span.
         let mut level_sizes = vec![count.div_ceil(leaf_size)];
         while *level_sizes.last().expect("non-empty") > 1 {
             level_sizes.push(level_sizes.last().expect("non-empty").div_ceil(fanout));
@@ -297,15 +299,8 @@ impl CompactSTree {
     /// `f64` line; NaN lands in cell 0 (and can therefore never
     /// produce a certain hit — see the module docs).
     #[inline]
-    pub fn cell(&self, d: usize, v: f64) -> u16 {
+    fn cell(&self, d: usize, v: f64) -> u16 {
         ((v - self.mins[d]) * self.inv_steps[d]).floor() as u16
-    }
-
-    /// Quantizes a full coordinate vector into `out` (cleared first).
-    pub fn quantize_into(&self, coords: &[f64], out: &mut Vec<u16>) {
-        debug_assert_eq!(coords.len(), self.dims);
-        out.clear();
-        out.extend(coords.iter().enumerate().map(|(d, &v)| self.cell(d, v)));
     }
 
     /// Fills a [`QuantBlock`] from up to [`LANES`] event coordinate
@@ -317,90 +312,15 @@ impl CompactSTree {
         });
     }
 
-    /// Point query with caller-provided scratch: `emit(rep, ambiguous)`
-    /// is called once per hit representative; `ambiguous` is `true`
-    /// when the hit needs the caller's exact `f64` re-check. Hits are
-    /// a superset of the exact answer and non-ambiguous hits are
-    /// guaranteed exact.
-    pub fn query_point_with(
-        &self,
-        qpoint: &[u16],
-        stack: &mut Vec<u32>,
-        emit: impl FnMut(u32, bool),
-    ) {
-        self.query_point_at(simd::active_level(), qpoint, stack, emit);
-    }
-
-    /// Explicit-kernel-level variant of
-    /// [`CompactSTree::query_point_with`], for the bit-identity tests.
-    pub fn query_point_at(
-        &self,
-        level: SimdLevel,
-        qpoint: &[u16],
-        stack: &mut Vec<u32>,
-        mut emit: impl FnMut(u32, bool),
-    ) {
-        if self.spans.is_empty() {
-            return;
-        }
-        debug_assert_eq!(qpoint.len(), self.dims);
-        let n = self.node_count();
-        let en = self.ids.len();
-        stack.clear();
-        let mut root_in = true;
-        for (d, &q) in qpoint.iter().enumerate() {
-            root_in &= self.node_lo[d * n] <= q && q <= self.node_hi[d * n];
-        }
-        if root_in {
-            stack.push(0);
-        }
-        while let Some(v) = stack.pop() {
-            let (start, len) = self.spans[v as usize];
-            let (start, len) = (start as usize, len as usize);
-            let is_leaf = self.leaf[v as usize];
-            let (lo, hi, stride) = if is_leaf {
-                (&self.entry_lo, &self.entry_hi, en)
-            } else {
-                (&self.node_lo, &self.node_hi, n)
-            };
-            let mut k = 0usize;
-            while k < len {
-                let chunk = (len - k).min(64);
-                let base = start + k;
-                let mut hit: u64 = if chunk == 64 { !0 } else { (1u64 << chunk) - 1 };
-                let mut certain = hit;
-                for (d, &q) in qpoint.iter().enumerate() {
-                    let row = d * stride + base;
-                    let (h, c) = simd::sweep_mask_q(level, &lo[row..], &hi[row..], chunk, q);
-                    hit &= h;
-                    certain &= c;
-                    if hit == 0 {
-                        break;
-                    }
-                }
-                while hit != 0 {
-                    let j = hit.trailing_zeros() as usize;
-                    hit &= hit - 1;
-                    if is_leaf {
-                        emit(self.ids[base + j], (certain >> j) & 1 == 0);
-                    } else {
-                        stack.push((base + j) as u32);
-                    }
-                }
-                k += chunk;
-            }
-        }
-    }
-
     /// Block point query: up to [`LANES`] quantized events in **one
     /// joint traversal**. Each stack element carries a node id plus the
     /// bitmask of lanes still alive at that node, so a subtree shared by
-    /// several events is walked once; restricted to any one lane, the
-    /// emitted hits are exactly that lane's
-    /// [`CompactSTree::query_point_with`] hits.
-    /// `emit(rep, hit_lanes, ambiguous_lanes)` is called per matched
-    /// representative; `ambiguous_lanes ⊆ hit_lanes` flags the lanes
-    /// whose hit needs the exact re-check. The emitted tape is
+    /// several events is walked once. A one-lane block is the point
+    /// query. `emit(rep, hit_lanes, ambiguous_lanes)` is called per
+    /// matched representative; `ambiguous_lanes ⊆ hit_lanes` flags the
+    /// lanes whose hit needs the caller's exact `f64` re-check. Per lane,
+    /// the hits are a superset of the exact answer and non-ambiguous hits
+    /// are guaranteed exact. The emitted tape is
     /// identical at every kernel level (the integer kernels are exact).
     pub fn query_point_block(
         &self,
@@ -508,7 +428,8 @@ impl CompactSTree {
                 (&self.node_lo, &self.node_hi, n)
             };
             if active & (active - 1) == 0 {
-                // Single live lane: replay that lane's scalar walk.
+                // Single live lane: sweep for it alone, no per-lane
+                // bookkeeping.
                 let l = active.trailing_zeros() as usize;
                 let qpoint = block.point(l);
                 let mut k = 0usize;
@@ -599,16 +520,18 @@ impl CompactSTree {
 mod tests {
     use super::*;
 
-    /// Exact oracle: half-open containment against the source bounds.
-    fn exact_hits(rects: &[(Vec<f64>, Vec<f64>)], p: &[f64]) -> Vec<u32> {
-        let mut out: Vec<u32> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, (lo, hi))| p.iter().enumerate().all(|(d, &x)| lo[d] < x && x <= hi[d]))
-            .map(|(i, _)| i as u32)
-            .collect();
-        out.sort_unstable();
-        out
+    type Rects = [(Vec<f64>, Vec<f64>)];
+
+    /// Half-open containment against the source bounds.
+    fn contains((lo, hi): &(Vec<f64>, Vec<f64>), p: &[f64]) -> bool {
+        p.iter().enumerate().all(|(d, &x)| lo[d] < x && x <= hi[d])
+    }
+
+    /// Exact oracle: every rectangle containing `p`, ascending.
+    fn exact_hits(rects: &Rects, p: &[f64]) -> Vec<u32> {
+        (0..rects.len() as u32)
+            .filter(|&i| contains(&rects[i as usize], p))
+            .collect()
     }
 
     fn demo_rects(n: usize) -> Vec<(Vec<f64>, Vec<f64>)> {
@@ -621,36 +544,41 @@ mod tests {
             .collect()
     }
 
-    /// Resolves a compact query to the exact hit set by re-checking
-    /// ambiguous hits, the way the covering layer does.
-    fn resolved(tree: &CompactSTree, rects: &[(Vec<f64>, Vec<f64>)], p: &[f64]) -> Vec<u32> {
-        let mut q = Vec::new();
-        tree.quantize_into(p, &mut q);
-        let mut stack = Vec::new();
-        let mut out = Vec::new();
-        tree.query_point_with(&q, &mut stack, |rep, amb| {
-            let (lo, hi) = &rects[rep as usize];
-            if !amb || p.iter().enumerate().all(|(d, &x)| lo[d] < x && x <= hi[d]) {
-                out.push(rep);
+    /// Per lane of a block query over `points`: the hits resolved to the
+    /// exact set by re-checking ambiguous ones, the way the covering
+    /// layer does, ascending.
+    fn resolved_lanes(tree: &CompactSTree, rects: &Rects, points: &[&[f64]]) -> Vec<Vec<u32>> {
+        let mut block = QuantBlock::new();
+        tree.fill_block(points, &mut block);
+        let mut out = vec![Vec::new(); points.len()];
+        tree.query_point_block(&block, &mut Vec::new(), |rep, lanes, amb| {
+            for (l, hits) in out.iter_mut().enumerate() {
+                let ambiguous = amb >> l & 1 == 1;
+                if lanes >> l & 1 == 1 && (!ambiguous || contains(&rects[rep as usize], points[l]))
+                {
+                    hits.push(rep);
+                }
             }
         });
-        out.sort_unstable();
+        for hits in &mut out {
+            hits.sort_unstable();
+        }
         out
+    }
+
+    /// [`resolved_lanes`] for one point: the one-lane block query.
+    fn resolved(tree: &CompactSTree, rects: &Rects, p: &[f64]) -> Vec<u32> {
+        resolved_lanes(tree, rects, &[p]).remove(0)
     }
 
     #[test]
     fn empty_and_tiny_trees() {
         let t = CompactSTree::build(3, 0, |_, _| unreachable!(), CompactConfig::default());
         assert!(t.is_empty());
-        let mut q = Vec::new();
-        t.quantize_into(&[1.5, f64::NAN, -2.0], &mut q);
-        assert_eq!(q, vec![0, 0, 0]);
-        let mut stack = Vec::new();
-        t.query_point_with(&q, &mut stack, |_, _| panic!("no hits"));
         let mut block = QuantBlock::new();
-        t.fill_block(&[&[1.0, 2.0, 3.0]], &mut block);
-        let mut bstack = Vec::new();
-        t.query_point_block(&block, &mut bstack, |_, _, _| panic!("no hits"));
+        t.fill_block(&[&[1.5, f64::NAN, -2.0]], &mut block);
+        assert_eq!(block.point(0), &[0, 0, 0]);
+        t.query_point_block(&block, &mut Vec::new(), |_, _, _| panic!("no hits"));
 
         let rects = demo_rects(1);
         let t = CompactSTree::build(
@@ -692,19 +620,16 @@ mod tests {
             |i, d| (rects[i].0[d], rects[i].1[d]),
             CompactConfig::default(),
         );
-        let mut q = Vec::new();
+        let mut block = QuantBlock::new();
         let mut stack = Vec::new();
         for i in 0..150 {
             let p = vec![(i % 31) as f64 * 0.83 - 6.0, (i % 19) as f64 * 1.17 - 10.0];
-            t.quantize_into(&p, &mut q);
-            t.query_point_with(&q, &mut stack, |rep, amb| {
-                if !amb {
-                    let (lo, hi) = &rects[rep as usize];
-                    assert!(
-                        p.iter().enumerate().all(|(d, &x)| lo[d] < x && x <= hi[d]),
-                        "certain hit rep={rep} p={p:?} is false"
-                    );
-                }
+            t.fill_block(&[&p], &mut block);
+            t.query_point_block(&block, &mut stack, |rep, _, amb| {
+                assert!(
+                    amb != 0 || contains(&rects[rep as usize], &p),
+                    "certain hit rep={rep} p={p:?} is false"
+                );
             });
         }
     }
@@ -730,7 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn block_tape_matches_scalar_walk_per_lane() {
+    fn every_block_lane_resolves_to_the_exact_hits() {
         let rects = demo_rects(400);
         let t = CompactSTree::build(
             2,
@@ -750,27 +675,8 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
-        let mut block = QuantBlock::new();
-        t.fill_block(&refs, &mut block);
-        let mut bstack = Vec::new();
-        let mut per_lane: Vec<Vec<(u32, bool)>> = vec![Vec::new(); 8];
-        t.query_point_block(&block, &mut bstack, |rep, lanes, amb| {
-            for (l, hits) in per_lane.iter_mut().enumerate() {
-                if lanes >> l & 1 == 1 {
-                    hits.push((rep, amb >> l & 1 == 1));
-                }
-            }
-        });
-        let mut q = Vec::new();
-        let mut stack = Vec::new();
-        for (l, p) in points.iter().enumerate() {
-            let mut scalar = Vec::new();
-            t.quantize_into(p, &mut q);
-            t.query_point_with(&q, &mut stack, |rep, amb| scalar.push((rep, amb)));
-            let mut a = per_lane[l].clone();
-            a.sort_unstable();
-            scalar.sort_unstable();
-            assert_eq!(a, scalar, "lane {l}");
+        for (l, hits) in resolved_lanes(&t, &rects, &refs).iter().enumerate() {
+            assert_eq!(hits, &exact_hits(&rects, &points[l]), "lane {l}");
         }
     }
 

@@ -22,9 +22,6 @@
 //!   equality/wild-card subscriptions, the predicate class the paper says
 //!   Gryphon's algorithms are optimized for (and which cannot express
 //!   ranges);
-//! * [`FlatSTree`] — a cache-friendly, query-only recompilation of a
-//!   built [`STree`] or [`PackedRTree`] into contiguous dimension-major
-//!   bound arrays with span-encoded children;
 //! * [`CompactSTree`] — the index `pubsub_core`'s matcher queries:
 //!   `u16`-quantized bounds with conservative outward rounding,
 //!   Hilbert-packed and built streaming from a bounds accessor (no O(N)
@@ -38,14 +35,12 @@
 //!   quantized 8-event [`QuantBlock`]s, the batches behind
 //!   [`CompactSTree::query_point_block`];
 //! * [`LinearScan`] — the brute-force correctness oracle;
-//! * [`DynamicIndex`] — an extension: a rebuild-on-threshold wrapper that
-//!   supports online subscription insertion and removal on top of any
-//!   bulk-built index;
-//! * [`DeltaOverlay`] / [`Tombstones`] — the churn primitives behind
-//!   [`DynamicIndex`], also merged with the compiled matcher by the core
-//!   broker to absorb subscribe/unsubscribe between engine recompiles.
+//! * [`DeltaOverlay`] / [`Tombstones`] — the churn primitives the core
+//!   broker merges with its compiled matcher to absorb
+//!   subscribe/unsubscribe between engine recompiles.
 //!
-//! All indexes implement the [`SpatialIndex`] trait.
+//! Every index but [`CompactSTree`] implements the [`SpatialIndex`]
+//! trait.
 //!
 //! # Example
 //!
@@ -71,10 +66,8 @@
 
 mod compact;
 mod counting;
-mod dynamic;
 mod entry;
 mod error;
-mod flat;
 mod gryphon;
 mod hilbert;
 mod index;
@@ -86,10 +79,8 @@ mod stree;
 
 pub use compact::{CompactConfig, CompactSTree};
 pub use counting::CountingIndex;
-pub use dynamic::DynamicIndex;
 pub use entry::{Entry, EntryId};
 pub use error::{IndexError, InvariantViolation};
-pub use flat::FlatSTree;
 pub use gryphon::{EqualitySubscription, GryphonIndex};
 pub use hilbert::{hilbert_index, morton_index, CurveKind};
 pub use index::SpatialIndex;

@@ -1,10 +1,10 @@
 //! Churn primitives for compiled indexes: a linear-scan delta overlay and
 //! a tombstone bitset.
 //!
-//! A compiled index ([`crate::FlatSTree`], [`crate::STree`]) is immutable:
-//! its excellent bulk packing is exactly what makes in-place updates
-//! impractical. Live systems absorb churn *beside* the compiled structure
-//! instead:
+//! A compiled index ([`crate::STree`], [`crate::CompactSTree`]) is
+//! immutable: its excellent bulk packing is exactly what makes in-place
+//! updates impractical. Live systems absorb churn *beside* the compiled
+//! structure instead:
 //!
 //! * inserts land in a [`DeltaOverlay`] — a small entry list scanned
 //!   linearly per query (a handful of rectangle tests, cheap until the
@@ -13,9 +13,8 @@
 //!   per entry id, filtered out of every hit list.
 //!
 //! Periodically the owner recompiles the index over the surviving entries
-//! and clears both structures. [`crate::DynamicIndex`] wires the pair to a
-//! self-rebuilding [`crate::STree`]; `pubsub_core::Broker` merges them
-//! with its compiled matcher between engine-snapshot recompiles.
+//! and clears both structures. `pubsub_core::Broker` merges the pair with
+//! its compiled matcher between engine-snapshot recompiles.
 
 use pubsub_geom::{Point, Rect};
 

@@ -91,13 +91,13 @@ impl Default for PackedConfig {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct Node {
-    pub(crate) mbr: Rect,
+struct Node {
+    mbr: Rect,
     /// Children: leaf nodes store an entry range, internal nodes a node
     /// range (packed trees have contiguous children by construction).
-    pub(crate) first: u32,
-    pub(crate) len: u32,
-    pub(crate) leaf: bool,
+    first: u32,
+    len: u32,
+    leaf: bool,
 }
 
 /// A packed R-tree built bottom-up over a space-filling-curve ordering.
@@ -122,9 +122,9 @@ pub(crate) struct Node {
 pub struct PackedRTree {
     config: PackedConfig,
     dims: usize,
-    pub(crate) entries: Vec<Entry>,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) root: Option<u32>,
+    entries: Vec<Entry>,
+    nodes: Vec<Node>,
+    root: Option<u32>,
 }
 
 impl PackedRTree {

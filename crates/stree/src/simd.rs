@@ -112,11 +112,9 @@ pub fn active_level() -> SimdLevel {
 }
 
 /// Test hook: forces the dispatch level for the whole process (`None`
-/// reverts to detection on the next [`active_level`] call). The
-/// bit-identity property tests use this to run the same queries under
-/// every implementation the host supports.
-#[doc(hidden)]
-pub fn force_level(level: Option<SimdLevel>) {
+/// reverts to detection on the next [`active_level`] call).
+#[cfg(test)]
+fn force_level(level: Option<SimdLevel>) {
     LEVEL.store(level.map_or(0, encode), Ordering::Relaxed);
 }
 

@@ -66,7 +66,7 @@ impl Default for STreeConfig {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) enum Children {
+enum Children {
     /// Leaf: a contiguous range of the (permuted) entry array.
     Leaf { start: u32, len: u32 },
     /// Internal node: arena indices of the children.
@@ -74,9 +74,9 @@ pub(crate) enum Children {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct Node {
-    pub(crate) mbr: Rect,
-    pub(crate) children: Children,
+struct Node {
+    mbr: Rect,
+    children: Children,
 }
 
 /// The S-tree: an unbalanced packed spatial index for point and region
@@ -114,9 +114,9 @@ pub(crate) struct Node {
 pub struct STree {
     config: STreeConfig,
     dims: usize,
-    pub(crate) entries: Vec<Entry>,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) root: Option<u32>,
+    entries: Vec<Entry>,
+    nodes: Vec<Node>,
+    root: Option<u32>,
 }
 
 impl STree {

@@ -5,9 +5,12 @@
 //! * **certainty** — a hit emitted without the ambiguous flag is always
 //!   an exact hit (no re-check needed), so resolving ambiguous hits
 //!   against the exact `f64` bounds reproduces the exact answer;
-//! * **kernel bit-identity** — the emitted tape (ids, lane masks,
+//! * **kernel bit-identity** — the emitted block tape (ids, lane masks,
 //!   ambiguity flags, order) is identical at every kernel level the
-//!   host supports, for both the scalar and block traversals.
+//!   host supports.
+//!
+//! Both are checked on every lane of block tapes of 1..=[`LANES`]
+//! points; a one-lane block is the point query.
 
 use proptest::prelude::*;
 use pubsub_stree::simd::{QuantBlock, SimdLevel, LANES};
@@ -59,6 +62,13 @@ fn exact(lo: &[f64], hi: &[f64], p: &[f64]) -> bool {
     p.iter().enumerate().all(|(d, &x)| lo[d] < x && x <= hi[d])
 }
 
+/// The exact answer for `p`: every rectangle containing it, ascending.
+fn exact_hits(rs: &[(Vec<f64>, Vec<f64>)], p: &[f64]) -> Vec<u32> {
+    (0..rs.len() as u32)
+        .filter(|&i| exact(&rs[i as usize].0, &rs[i as usize].1, p))
+        .collect()
+}
+
 fn build(dims: usize, rs: &[(Vec<f64>, Vec<f64>)], leaf: usize, fanout: usize) -> CompactSTree {
     CompactSTree::build(
         dims,
@@ -69,6 +79,36 @@ fn build(dims: usize, rs: &[(Vec<f64>, Vec<f64>)], leaf: usize, fanout: usize) -
             fanout,
         },
     )
+}
+
+/// Splits a block tape into per-lane `(rep, ambiguous)` hit lists.
+fn lanes_of(tape: &[(u32, u8, u8)], lanes: usize) -> Vec<Vec<(u32, bool)>> {
+    (0..lanes)
+        .map(|l| {
+            tape.iter()
+                .filter(|&&(_, hit, _)| hit >> l & 1 == 1)
+                .map(|&(rep, _, amb)| (rep, amb >> l & 1 == 1))
+                .collect()
+        })
+        .collect()
+}
+
+/// Checks one lane's hits against the exact answer: a non-ambiguous hit
+/// is exact (certainty), and re-checking the ambiguous ones yields
+/// exactly the exact answer (superset + resolution).
+fn check_lane(rs: &[(Vec<f64>, Vec<f64>)], p: &[f64], hits: &[(u32, bool)]) -> Result<(), String> {
+    let mut resolved = Vec::new();
+    for &(rep, amb) in hits {
+        let (lo, hi) = &rs[rep as usize];
+        let is_exact = exact(lo, hi, p);
+        prop_assert!(amb || is_exact, "false certain hit {} at {:?}", rep, p);
+        if is_exact {
+            resolved.push(rep);
+        }
+    }
+    resolved.sort_unstable();
+    prop_assert_eq!(resolved, exact_hits(rs, p), "p = {:?}", p);
+    Ok(())
 }
 
 proptest! {
@@ -87,33 +127,19 @@ proptest! {
         })
     ) {
         let tree = build(dims, &rs, leaf, fanout);
-        let mut q = Vec::new();
+        let mut block = QuantBlock::new();
         let mut stack = Vec::new();
-        for p in &points {
-            let mut hits = Vec::new();
-            tree.quantize_into(p, &mut q);
-            tree.query_point_with(&q, &mut stack, |rep, amb| hits.push((rep, amb)));
-            let mut resolved: Vec<u32> = Vec::new();
-            for &(rep, amb) in &hits {
-                let (lo, hi) = &rs[rep as usize];
-                let is_exact = exact(lo, hi, p);
-                // Certainty: a non-ambiguous hit must be exact.
-                prop_assert!(amb || is_exact, "false certain hit {} at {:?}", rep, p);
-                if is_exact {
-                    resolved.push(rep);
-                }
+        // Blocks of LANES points, the last one ragged (1..=LANES lanes).
+        for chunk in points.chunks(LANES) {
+            let refs: Vec<&[f64]> = chunk.iter().map(|p| p.as_slice()).collect();
+            tree.fill_block(&refs, &mut block);
+            let mut tape = Vec::new();
+            tree.query_point_block(&block, &mut stack, |rep, lanes, amb| {
+                tape.push((rep, lanes, amb));
+            });
+            for (p, hits) in chunk.iter().zip(lanes_of(&tape, chunk.len())) {
+                check_lane(&rs, p, &hits)?;
             }
-            resolved.sort_unstable();
-            // Superset + resolution: re-checking ambiguous hits yields
-            // exactly the exact answer.
-            let mut want: Vec<u32> = rs
-                .iter()
-                .enumerate()
-                .filter(|(_, (lo, hi))| exact(lo, hi, p))
-                .map(|(i, _)| i as u32)
-                .collect();
-            want.sort_unstable();
-            prop_assert_eq!(resolved, want, "p = {:?}", p);
         }
     }
 
@@ -130,25 +156,10 @@ proptest! {
         })
     ) {
         let tree = build(dims, &rs, leaf, fanout);
-        let mut q = Vec::new();
-        let mut stack = Vec::new();
         let mut bstack = Vec::new();
 
-        // Scalar tape per level.
-        let mut scalar_tapes: Vec<Vec<(u32, bool)>> = Vec::new();
-        for &level in &levels() {
-            let mut tape = Vec::new();
-            for p in &points {
-                tree.quantize_into(p, &mut q);
-                tree.query_point_at(level, &q, &mut stack, |rep, amb| tape.push((rep, amb)));
-            }
-            scalar_tapes.push(tape);
-        }
-        for t in &scalar_tapes[1..] {
-            prop_assert_eq!(t, &scalar_tapes[0]);
-        }
-
-        // Block tape per level, and per-lane agreement with scalar.
+        // Block tape per level, and each lane's resolution against the
+        // exact answer.
         let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
         let mut block = QuantBlock::new();
         tree.fill_block(&refs, &mut block);
@@ -163,18 +174,8 @@ proptest! {
         for t in &block_tapes[1..] {
             prop_assert_eq!(t, &block_tapes[0]);
         }
-        for (l, p) in points.iter().enumerate() {
-            let mut from_block: Vec<(u32, bool)> = block_tapes[0]
-                .iter()
-                .filter(|&&(_, lanes, _)| lanes >> l & 1 == 1)
-                .map(|&(rep, _, amb)| (rep, amb >> l & 1 == 1))
-                .collect();
-            let mut scalar = Vec::new();
-            tree.quantize_into(p, &mut q);
-            tree.query_point_with(&q, &mut stack, |rep, amb| scalar.push((rep, amb)));
-            from_block.sort_unstable();
-            scalar.sort_unstable();
-            prop_assert_eq!(from_block, scalar, "lane {}", l);
+        for (p, hits) in points.iter().zip(lanes_of(&block_tapes[0], points.len())) {
+            check_lane(&rs, p, &hits)?;
         }
     }
 }

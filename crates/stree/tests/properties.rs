@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use pubsub_geom::{Point, Rect};
 use pubsub_stree::{
-    CountingIndex, CurveKind, DynamicIndex, Entry, EntryId, FlatSTree, LinearScan, PackedConfig,
-    PackedRTree, STree, STreeConfig, SpatialIndex,
+    CountingIndex, CurveKind, Entry, EntryId, LinearScan, PackedConfig, PackedRTree, STree,
+    STreeConfig, SpatialIndex,
 };
 
 const DIMS: usize = 3;
@@ -91,46 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn dynamic_index_matches_oracle_under_churn(
-        initial in entries_strategy(),
-        extra in prop::collection::vec(entry_strategy(), 0..50),
-        remove_mask in prop::collection::vec(prop::bool::ANY, 0..50),
-        points in points_strategy(),
-    ) {
-        let next_id = initial.len() as u32;
-        let mut idx = DynamicIndex::new(
-            initial.clone(),
-            STreeConfig::new(8, 0.3).unwrap(),
-            0.3,
-        )
-        .unwrap();
-        let mut live: Vec<Entry> = initial;
-
-        for (k, r) in extra.into_iter().enumerate() {
-            let e = Entry::new(r, EntryId(next_id + k as u32));
-            idx.insert(e.clone()).unwrap();
-            live.push(e);
-        }
-        // Remove a prefix of live entries according to the mask.
-        let mut removed_ids = Vec::new();
-        for (k, &rm) in remove_mask.iter().enumerate() {
-            if rm && k < live.len() {
-                removed_ids.push(live[k].id);
-            }
-        }
-        for id in &removed_ids {
-            idx.remove(*id).unwrap();
-        }
-        live.retain(|e| !removed_ids.contains(&e.id));
-
-        let oracle = LinearScan::new(live).unwrap();
-        prop_assert_eq!(idx.len(), oracle.len());
-        for p in &points {
-            prop_assert_eq!(sorted(idx.query_point(p)), sorted(oracle.query_point(p)));
-        }
-    }
-
-    #[test]
     fn counting_index_matches_oracle(
         entries in entries_strategy(),
         points in points_strategy(),
@@ -175,62 +135,15 @@ proptest! {
         points in points_strategy(),
         hilbert in prop::bool::ANY,
     ) {
-        // The specialized count_point overrides (STree, PackedRTree,
-        // FlatSTree) must agree with materializing the ids.
+        // The specialized count_point overrides (STree, PackedRTree)
+        // must agree with materializing the ids.
         let curve = if hilbert { CurveKind::Hilbert } else { CurveKind::Morton };
         let tree = STree::build(entries.clone(), STreeConfig::default()).unwrap();
         let packed =
             PackedRTree::build(entries, PackedConfig::new(16, curve, 8).unwrap()).unwrap();
-        let flat = FlatSTree::from_stree(&tree);
         for p in &points {
             prop_assert_eq!(tree.count_point(p), tree.query_point(p).len());
             prop_assert_eq!(packed.count_point(p), packed.query_point(p).len());
-            prop_assert_eq!(flat.count_point(p), flat.query_point(p).len());
         }
-    }
-
-    #[test]
-    fn flat_tree_matches_source_trees_and_oracle(
-        entries in entries_strategy(),
-        points in points_strategy(),
-        fanout in 2usize..20,
-        skew in 0.05f64..0.5,
-        hilbert in prop::bool::ANY,
-    ) {
-        // The flat compilation of either source tree must answer point
-        // queries exactly like the tree it was compiled from — and like
-        // the linear-scan oracle.
-        let curve = if hilbert { CurveKind::Hilbert } else { CurveKind::Morton };
-        let oracle = LinearScan::new(entries.clone()).unwrap();
-        let tree =
-            STree::build(entries.clone(), STreeConfig::new(fanout, skew).unwrap()).unwrap();
-        let packed =
-            PackedRTree::build(entries, PackedConfig::new(fanout, curve, 8).unwrap()).unwrap();
-        let from_stree = FlatSTree::from_stree(&tree);
-        let from_packed = FlatSTree::from_packed(&packed);
-        prop_assert_eq!(from_stree.len(), tree.len());
-        prop_assert_eq!(from_packed.len(), packed.len());
-        for p in &points {
-            let expect = sorted(oracle.query_point(p));
-            prop_assert_eq!(sorted(from_stree.query_point(p)), expect.clone());
-            prop_assert_eq!(sorted(from_packed.query_point(p)), expect.clone());
-            prop_assert_eq!(from_stree.count_point(p), expect.len());
-            prop_assert_eq!(from_packed.count_point(p), expect.len());
-        }
-    }
-
-    #[test]
-    fn flat_tree_region_matches_oracle(
-        entries in entries_strategy(),
-        query in entry_strategy(),
-        fanout in 2usize..20,
-    ) {
-        let oracle = LinearScan::new(entries.clone()).unwrap();
-        let tree = STree::build(entries, STreeConfig::new(fanout, 0.3).unwrap()).unwrap();
-        let flat = FlatSTree::from_stree(&tree);
-        prop_assert_eq!(
-            sorted(flat.query_region(&query)),
-            sorted(oracle.query_region(&query))
-        );
     }
 }

@@ -1,10 +1,10 @@
 //! A living system: subscriptions churn, groups are maintained
 //! incrementally, and the distribution thresholds adapt per group.
 //!
-//! Demonstrates three extensions beyond the paper's static setting:
-//! `DynamicIndex` (matching under churn), `IncrementalClusterer` (group
-//! maintenance without full re-clustering) and `AdaptiveController` (the
-//! §6 future-work per-group thresholds).
+//! Demonstrates two extensions beyond the paper's static setting:
+//! `IncrementalClusterer` (group maintenance without full re-clustering)
+//! and `AdaptiveController` (the §6 future-work per-group thresholds).
+//! Matching under churn is `Broker::subscribe` / `Broker::unsubscribe`.
 //!
 //! Run with: `cargo run --release --example churn_and_adapt`
 

@@ -2,8 +2,8 @@
 //! R-trees vs linear scan, on the paper's subscription workload.
 //!
 //! Every index answers the same point queries identically; they differ in
-//! how much of the structure a query touches. Also demonstrates the
-//! dynamic (churn-tolerant) wrapper.
+//! how much of the structure a query touches. Churn is the broker's job:
+//! see `examples/churn_and_adapt.rs`.
 //!
 //! Run with: `cargo run --release --example matching_engines`
 
@@ -12,8 +12,8 @@ use std::time::Instant;
 use pubsub::geom::Point;
 use pubsub::netsim::TransitStubConfig;
 use pubsub::stree::{
-    CountingIndex, CurveKind, DynamicIndex, Entry, EntryId, LinearScan, PackedConfig, PackedRTree,
-    STree, STreeConfig, SpatialIndex,
+    CountingIndex, CurveKind, Entry, EntryId, LinearScan, PackedConfig, PackedRTree, STree,
+    STreeConfig, SpatialIndex,
 };
 use pubsub::workload::{stock_space, Modes, SubscriptionConfig};
 use rand::SeedableRng;
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PackedConfig::new(40, CurveKind::Morton, 10)?,
     )?;
     let counting = CountingIndex::new(entries.clone())?;
-    let linear = LinearScan::new(entries.clone())?;
+    let linear = LinearScan::new(entries)?;
 
     println!("index        | total matches | elapsed");
     let indexes: [(&str, &dyn SpatialIndex); 5] = [
@@ -69,26 +69,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Some(r) => assert_eq!(r, matches, "{name} disagrees with the s-tree"),
         }
     }
-
-    // Churn: subscriptions come and go; the dynamic wrapper rebuilds the
-    // packed tree once churn passes 25% of the live set.
-    let mut dynamic = DynamicIndex::new(entries, STreeConfig::default(), 0.25)?;
-    let churn_space = space.bounds();
-    for i in 0..400u32 {
-        dynamic.remove(EntryId(i))?;
-        let side = churn_space.side(0);
-        let rect = pubsub::geom::Rect::new(vec![
-            pubsub::geom::Interval::new(side.lo(), side.hi())?,
-            pubsub::geom::Interval::new(-5.0, 5.0)?,
-            pubsub::geom::Interval::new(0.0, 20.0)?,
-            pubsub::geom::Interval::new(0.0, 20.0)?,
-        ])?;
-        dynamic.insert(Entry::new(rect, EntryId(10_000 + i)))?;
-    }
-    println!(
-        "\ndynamic wrapper after 400 removals + 400 inserts: {} live entries, {} rebuilds",
-        dynamic.len(),
-        dynamic.rebuild_count()
-    );
     Ok(())
 }

@@ -165,8 +165,8 @@ proptest! {
         // (subscription ids and groups may differ until the recompile).
         for &(x, y) in &s.events {
             let event = Point::new(vec![x, y]).unwrap();
-            let (live_subs, live_nodes) = live.match_only(&event);
-            let (fresh_subs, fresh_nodes) = fresh.match_only(&event);
+            let (live_subs, live_nodes) = live.match_only(&event).unwrap();
+            let (fresh_subs, fresh_nodes) = fresh.match_only(&event).unwrap();
             prop_assert_eq!(&live_nodes, &fresh_nodes);
             prop_assert_eq!(live_subs.len(), fresh_subs.len());
             // Every matched id maps back to a live handle.

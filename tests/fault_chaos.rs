@@ -206,7 +206,7 @@ proptest! {
             let reachable = oracle.reachable_from(&topo, publisher);
 
             let event = Point::new(vec![x, y]).unwrap();
-            let (_, matched) = broker.match_only(&event);
+            let (_, matched) = broker.match_only(&event).unwrap();
             match broker.publish(&event) {
                 Err(BrokerError::Net(NetError::Unreachable { node })) => {
                     // Only a downed publisher aborts a publish.

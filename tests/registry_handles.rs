@@ -100,7 +100,7 @@ proptest! {
 
         // Matching only ever reaches live subscribers.
         let event = Point::new(vec![probe.0, probe.1]).unwrap();
-        let (subs, matched) = broker.match_only(&event);
+        let (subs, matched) = broker.match_only(&event).unwrap();
         for n in &matched {
             prop_assert!(live.iter().any(|(_, node, _)| node == n));
         }
