@@ -267,8 +267,9 @@ fn main() {
     // The same pipeline at BENCH_churn's batch granularity, with each
     // batch's wall-clock recorded — the per-batch p50/p99 columns shared
     // across the closed-loop benches. Run at the requested worker count
-    // and inline: two blocks per batch is the smallest job the pool
-    // takes, where a hand-off that costs more than it saves shows first.
+    // and inline: a batch of three blocks and a tail is a small job for
+    // the pool, where a hand-off that costs more than it saves shows
+    // first.
     const BATCH_EVENTS: usize = 100;
     let mut batched = |workers: usize| {
         measure_batched(n, samples, |record| {
@@ -343,6 +344,7 @@ fn main() {
         &[100_000, 1_000_000, 10_000_000]
     };
     let scale_samples = if quick { 2 } else { 3 };
+    const SCALE_BATCH_EVENTS: usize = 64;
     let count_events: Vec<Point> = sample_events(&model, 2_000, seeds.publications);
     let mut scale = Vec::new();
     for count in sub_counts(scale_defaults) {
@@ -378,7 +380,9 @@ fn main() {
         drop(covered);
 
         // The count-level path end to end: match, cost, decide and fold
-        // on a covered broker, in batches of one block.
+        // on a covered broker, one worker, in 64-event batches — a size
+        // pinned apart from the pool's BLOCK so these rows stay
+        // comparable across block-size changes.
         let density = model.clone();
         let mut covered_broker = Broker::builder(testbed.topology.clone(), stock_space())
             .subscriptions(population.to_vec())
@@ -388,7 +392,7 @@ fn main() {
             .expect("population is valid");
         drop(population);
         let events_per_sec = measure(count_events.len(), scale_samples, || {
-            for chunk in count_events.chunks(pubsub_parallel::BLOCK) {
+            for chunk in count_events.chunks(SCALE_BATCH_EVENTS) {
                 covered_broker
                     .publish_batch_stats(chunk, Some(1))
                     .expect("events come from the model");

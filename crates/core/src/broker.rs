@@ -1133,13 +1133,10 @@ impl Broker {
                 pubsub_parallel::effective_threads(None).max(requested),
             )));
         }
-        // A worker beyond the batch's block count would be woken for
-        // nothing: blocks are the unit of the block-cyclic assignment.
+        // One share per full block of events, up to the pool's
+        // parallelism: a batch of fewer than two blocks runs inline.
         let workers = match &self.pool {
-            Some(pool) => requested
-                .min(pool.threads())
-                .min(events.len().div_ceil(pubsub_parallel::BLOCK))
-                .max(1),
+            Some(pool) => pubsub_parallel::shares(events.len(), requested.min(pool.threads())),
             None => 1,
         };
         if states.len() < workers {
@@ -3410,7 +3407,7 @@ mod tests {
         // single-core host (the broker never spawns its own pool there).
         clean.set_worker_pool(Arc::new(WorkerPool::new(2)));
         trapped.set_worker_pool(Arc::new(WorkerPool::new(2)));
-        // More than 2 * BLOCK events so the batch actually fans out on
+        // At least 2 * BLOCK events so the batch actually fans out on
         // the pool (shorter batches run inline and bypass quarantine).
         let events: Vec<Point> = (0..160)
             .map(|i| Point::new(vec![(i % 10) as f64, 5.0]).unwrap())
@@ -3464,7 +3461,8 @@ mod tests {
 
     #[test]
     fn batches_never_dispatch_more_workers_than_blocks() {
-        let events: Vec<Point> = (0..100)
+        let block = pubsub_parallel::BLOCK;
+        let events: Vec<Point> = (0..2 * block + block / 2)
             .map(|i| Point::new(vec![(i % 10) as f64, 5.0]).unwrap())
             .collect();
         let mut seq = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
@@ -3474,13 +3472,29 @@ mod tests {
         // 2-thread pool is never woken.
         let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
         broker.set_worker_pool(Arc::new(WorkerPool::new(2)));
-        let block = pubsub_parallel::BLOCK;
         let got = broker.publish_batch(&events[..block], Some(2)).unwrap();
         assert_eq!(got, want[..block]);
         let counters = broker.metrics_snapshot().pipeline;
         assert_eq!((counters.inline_batches, counters.pooled_batches), (1, 0));
 
-        // Two blocks on a 3-thread pool: two workers, not three.
+        // The boundary: one event short of two full blocks still runs
+        // inline; two full blocks are pooled.
+        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
+        broker.set_worker_pool(Arc::new(WorkerPool::new(2)));
+        let got = broker
+            .publish_batch(&events[..2 * block - 1], Some(2))
+            .unwrap();
+        assert_eq!(got, want[..2 * block - 1]);
+        let counters = broker.metrics_snapshot().pipeline;
+        assert_eq!((counters.inline_batches, counters.pooled_batches), (1, 0));
+        let got = broker.publish_batch(&events[..2 * block], Some(2)).unwrap();
+        assert_eq!(got, want[..2 * block]);
+        let counters = broker.metrics_snapshot().pipeline;
+        assert_eq!((counters.inline_batches, counters.pooled_batches), (1, 1));
+        assert_eq!(counters.max_workers, 2);
+
+        // Two and a half blocks on a 3-thread pool: two workers, not
+        // three — a half block never gets a worker of its own.
         let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
         broker.set_worker_pool(Arc::new(WorkerPool::new(3)));
         let got = broker.publish_batch(&events, Some(3)).unwrap();
@@ -3499,8 +3513,8 @@ mod tests {
             .collect();
         broker.publish_batch(&events, None).unwrap();
         let counters = broker.metrics_snapshot().pipeline;
-        // 100 events in 8-lane blocks: 64-event ranges cut into 8 full
-        // blocks, the 36-event tail into 5 — 13 blocks however the
+        // 100 events in 8-lane blocks: 32-event ranges cut into 4 full
+        // blocks, the 4-event tail into 1 — 13 blocks however the
         // block-cyclic ranges fall.
         assert_eq!(counters.match_blocks, 13);
         assert_eq!(counters.match_lanes, 100);

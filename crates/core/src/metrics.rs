@@ -140,8 +140,8 @@ pub struct PipelineCounters {
     pub batches: u64,
     /// Batches fanned out on the persistent worker pool (> 1 worker).
     pub pooled_batches: u64,
-    /// Batches run inline on the caller's thread (1 worker or at most
-    /// one block of events).
+    /// Batches run inline on the caller's thread (1 worker or fewer than
+    /// two blocks of events).
     pub inline_batches: u64,
     /// Events pushed through the pipeline.
     pub events: u64,

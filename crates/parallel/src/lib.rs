@@ -26,7 +26,10 @@
 //!   which OS thread ran which share — *by construction*, and
 //!   interleaving blocks keeps the load balanced even when cost varies
 //!   along the event stream (one contiguous chunk per worker would stall
-//!   the whole batch on the slowest region).
+//!   the whole batch on the slowest region). [`shares`] decides the
+//!   worker count: one share per *full* block, up to the parallelism, so
+//!   no share is smaller than a block and a batch of fewer than two
+//!   blocks runs inline.
 //! * [`PipelineScratch`] — per-share state constructed once and reused
 //!   across batches (match scratch, cost scratch, result arenas), handed
 //!   to the job exclusively via [`WorkerPool::pipeline`].
@@ -68,11 +71,24 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
-/// Fixed block size of the block-cyclic assignment. Small enough to
-/// balance load across workers on realistic batches, large enough that a
-/// block's results stay cache-resident through a fused
-/// match → cost → decide pass.
-pub const BLOCK: usize = 64;
+/// Fixed block size of the block-cyclic assignment. Small enough that a
+/// 64-event batch already fills two shares, large enough that a block's
+/// results stay cache-resident through a fused match → cost → decide
+/// pass and that a share's dispatch is paid for by a full block of work
+/// ([`shares`] never cuts a share smaller than one block).
+pub const BLOCK: usize = 32;
+
+/// How many shares a batch of `len` items gets with parallelism up to
+/// `threads`: one per full [`BLOCK`], at most `threads`, at least 1.
+///
+/// Every share therefore owns at least one full block, so a batch of
+/// fewer than two blocks runs inline, and a trailing partial block never
+/// wakes a worker of its own. This is the one place the share count is
+/// decided: [`WorkerPool::try_pipeline`] and [`map_with_scratch`] both
+/// cut their work with it.
+pub fn shares(len: usize, threads: usize) -> usize {
+    threads.clamp(1, (len / BLOCK).max(1))
+}
 
 /// Resolves a requested worker count: `None` (or `Some(0)`) means "use
 /// available parallelism", anything else is taken as given. Always ≥ 1.
@@ -176,10 +192,10 @@ impl<T> Copy for SendPtr<T> {}
 /// so they may leak — acceptable on the panic path, never unsound). The
 /// panic only propagates if the inline retry panics too.
 ///
-/// With `threads <= 1`, or an input of at most one [`BLOCK`], the map
-/// runs inline on the caller's thread with no spawn at all. For repeated
-/// batches prefer a persistent [`WorkerPool`]; this function still spawns
-/// per call.
+/// With `threads <= 1`, or an input of fewer than two [`BLOCK`]s (see
+/// [`shares`]), the map runs inline on the caller's thread with no spawn
+/// at all. For repeated batches prefer a persistent [`WorkerPool`]; this
+/// function still spawns per call.
 pub fn map_with_scratch<T, U, S, MS, F>(
     items: &[T],
     threads: usize,
@@ -193,8 +209,7 @@ where
     F: Fn(&T, &mut S) -> U + Sync,
 {
     let len = items.len();
-    // A share beyond the block count would own no index at all.
-    let workers = threads.clamp(1, len.div_ceil(BLOCK).max(1));
+    let workers = shares(len, threads);
     if workers == 1 {
         let mut scratch = make_scratch();
         return items.iter().map(|item| f(item, &mut scratch)).collect();
@@ -537,9 +552,9 @@ impl WorkerPool {
     /// Runs a fused pipeline over `len` items: worker `w` gets exclusive
     /// access to `states[w]` (reset via [`PipelineScratch::begin_batch`])
     /// and its block-cyclic ranges ([`block_ranges`]). Returns the number
-    /// of workers actually used — `workers` clamped to the pool's
-    /// parallelism and `states.len()`, or 1 when the batch is at most one
-    /// block (the job then runs inline with worker 0's state and ranges).
+    /// of workers actually used — [`shares`] of `len` over `workers`
+    /// clamped to the pool's parallelism and `states.len()`; when that is
+    /// 1 the job runs inline with worker 0's state and ranges.
     ///
     /// A worker that panics is quarantined and its blocks recomputed
     /// inline; see [`WorkerPool::try_pipeline`], which this forwards to.
@@ -580,8 +595,8 @@ impl WorkerPool {
         F: Fn(usize, &mut S, BlockRanges) + Sync,
     {
         assert!(!states.is_empty(), "pipeline needs at least one state");
-        let workers = workers.clamp(1, self.threads()).min(states.len());
-        if workers == 1 || len <= BLOCK {
+        let workers = shares(len, workers.min(self.threads()).min(states.len()));
+        if workers == 1 {
             pipeline_inline(&mut states[0], len, f);
             return PipelineRun {
                 workers: 1,
@@ -930,8 +945,23 @@ mod tests {
 
     #[test]
     fn block_ranges_partition_in_order() {
-        for len in [0usize, 1, 63, 64, 65, 128, 1000, 4096 + 17] {
-            for workers in [1usize, 2, 3, 7, 64] {
+        let thread_counts = [1usize, 2, 3, 7, 64];
+        let pools: Vec<WorkerPool> = thread_counts.iter().map(|&n| WorkerPool::new(n)).collect();
+        let lens = [
+            0usize,
+            1,
+            BLOCK - 1,
+            BLOCK,
+            BLOCK + 1,
+            2 * BLOCK - 1,
+            2 * BLOCK,
+            2 * BLOCK + 1,
+            128,
+            1000,
+            4096 + 17,
+        ];
+        for len in lens {
+            for (&workers, pool) in thread_counts.iter().zip(&pools) {
                 let mut covered = vec![false; len];
                 for w in 0..workers {
                     let mut prev_end = None;
@@ -952,6 +982,32 @@ mod tests {
                     }
                 }
                 assert!(covered.iter().all(|&c| c), "len={len} workers={workers}");
+
+                // The share rule: every share owns at least one full
+                // block, so a batch of fewer than two blocks is one share.
+                let n = shares(len, workers);
+                assert!((1..=workers).contains(&n));
+                if len >= BLOCK {
+                    for s in 0..n {
+                        assert!(
+                            block_ranges(len, n, s).any(|r| r.len() == BLOCK),
+                            "len={len} shares={n}: share {s} owns no full block"
+                        );
+                    }
+                } else {
+                    assert_eq!(n, 1, "len={len}");
+                }
+
+                // The pool cuts a batch with exactly that rule.
+                let mut states: Vec<SumState> = (0..workers)
+                    .map(|_| SumState { batches: 0, sum: 0 })
+                    .collect();
+                let run = pool.try_pipeline(workers, &mut states, len, |_w, st, ranges| {
+                    st.sum = ranges.map(|r| r.len() as u64).sum();
+                });
+                assert_eq!(run.workers, n, "len={len} threads={workers}");
+                let total: u64 = states[..run.workers].iter().map(|s| s.sum).sum();
+                assert_eq!(total, len as u64);
             }
         }
     }

@@ -19,12 +19,13 @@
 //!   owner, pops the ingest queue and runs every batch through
 //!   [`pubsub_core::Broker::publish_batch`], so outcomes, the
 //!   scheme-cost memo and the cumulative cost report are bit-identical
-//!   to a synchronous broker. A batch of more than one
-//!   [`pubsub_parallel::BLOCK`] of events splits across the broker's own
-//!   worker pool. Control operations (subscribe / unsubscribe /
-//!   recompile) travel through the *same* queue and are applied between
-//!   batches, so an in-flight batch is always processed under the epoch
-//!   that was current when it entered the queue — the epoch-keyed
+//!   to a synchronous broker. A batch of at least two
+//!   [`pubsub_parallel::BLOCK`]s of events splits across the broker's own
+//!   worker pool ([`pubsub_parallel::shares`]). Control operations
+//!   (subscribe / unsubscribe / recompile) travel through the *same*
+//!   queue and are applied between batches, so an in-flight batch is
+//!   always processed under the epoch that was current when it entered
+//!   the queue — the epoch-keyed
 //!   scheme-cost memo can never serve a batch across a recompile
 //!   boundary;
 //! * **transport-out** — the fold thread itself, once a batch is

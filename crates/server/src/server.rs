@@ -8,9 +8,9 @@
 //!   runs each batch through `Broker::publish_batch`, the call a
 //!   synchronous caller makes, so the outcomes, the scheme-cost memo and
 //!   the cumulative f64 report are bit-identical to a synchronous broker
-//!   processing the same batches in the same order. A batch of more than
-//!   one [`pubsub_parallel::BLOCK`] of events splits across the broker's
-//!   own worker pool.
+//!   processing the same batches in the same order. A batch of at least
+//!   two [`pubsub_parallel::BLOCK`]s of events splits across the broker's
+//!   own worker pool ([`pubsub_parallel::shares`]).
 //! * **Queue order is the only order.** Control operations (subscribe /
 //!   unsubscribe / recompile / metrics) travel through the same queue,
 //!   behind every event accepted before them, and the fold applies them
@@ -854,7 +854,7 @@ pub(crate) fn fold_loop(ingest: &IngestShared, st: &mut FoldState) {
 }
 
 /// Runs one batch through the broker: one `publish_batch`, which splits
-/// a batch of more than one block across the broker's worker pool. Under
+/// a batch of at least two blocks across the broker's worker pool. Under
 /// an active fault plan each event is published on its own, so a
 /// mid-batch abort (publisher down) cannot leave recorded events without
 /// records — see the module docs.

@@ -57,8 +57,9 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         prop::collection::vec(sub_spec(), 2..12),
         prop::collection::vec(sub_spec(), 1..6),
         1usize..3,
-        // Straddles BLOCK (64): small batches exercise the inline path,
-        // large ones the pooled multi-block path.
+        // Straddles two BLOCKs (2 × 32): batches of fewer than two
+        // blocks exercise the inline path, larger ones the pooled
+        // multi-block path.
         prop::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..220),
     )
         .prop_map(
