@@ -21,6 +21,7 @@
 //!   the whole engine from the registry — bit-identical to a fresh
 //!   [`BrokerBuilder::build`] over the surviving subscriptions.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,7 +47,7 @@ use crate::matcher::{self, MatchOverlay};
 use crate::metrics::{
     ChurnCounters, Delivery, MetricsSnapshot, PipelineCounters, RecoveryCounters,
 };
-use crate::pipeline::{BatchMatches, DecisionTag, EventMeta, PublishScratch, NO_GROUP};
+use crate::pipeline::{BatchMatches, EventMeta, PublishScratch, NO_GROUP};
 use crate::{
     BrokerError, CostReport, CoveringConfig, CoveringStats, Decision, DistributionPolicy,
     EngineSnapshot, MatchedSet, Matcher, MessageCosts, MulticastGroups, SubscriptionHandle,
@@ -928,13 +929,13 @@ impl Broker {
     /// Publishes a batch of events from the default publisher.
     ///
     /// The batch runs as a fused pipeline on the broker's persistent
-    /// [`WorkerPool`]: each worker executes match → cost → decide for its
+    /// [`WorkerPool`]: each worker executes match → cost for its
     /// block-cyclic share of the events in one pass, reusing a
     /// per-worker [`PublishScratch`] (match scratch, epoch-stamped cost
     /// scratch, CSR result arena) that is constructed once — the warm
     /// batch path performs zero per-event heap allocations up to output
-    /// materialization. The record stage then folds sequentially **in
-    /// event order**, so the cumulative [`CostReport`] and the returned
+    /// materialization. The record stage then decides and folds
+    /// sequentially **in event order**, so the cumulative [`CostReport`] and the returned
     /// outcomes do not depend on how the events were cut into batches or
     /// on the thread count (`None` = available parallelism): N events in
     /// one batch at T workers equal N one-event batches, including
@@ -1009,7 +1010,7 @@ impl Broker {
             self.publish_segments(publisher, events, threads, &mut states, outcomes)
         } else {
             let batch = self.run_pipeline(publisher, events, threads, false, &mut states);
-            self.fold_batch(publisher, batch, outcomes);
+            self.fold_batch(publisher, batch, false, outcomes);
             Ok(())
         };
         self.pipeline_states = states;
@@ -1020,12 +1021,12 @@ impl Broker {
     /// batch into fault-clock segments (a segment ends right before the
     /// next scheduled plan firing, so routing, node state and the fault
     /// overlay are constant within it), runs every segment through the
-    /// fused worker pipeline, and folds sequentially. Pristine segments
-    /// (no fault has ever applied) take the exact pristine fold; degraded
-    /// segments replay the per-event step clock, health hysteresis and
-    /// fallback ladder in [`Broker::fold_batch_degraded`]. Outcomes,
-    /// report, memo and hysteresis state do not depend on where the
-    /// caller cut its batches.
+    /// fused worker pipeline, and folds sequentially through
+    /// [`Broker::fold_batch`]. A degraded segment (a fault has applied)
+    /// first heals the routing rows it reads, and its fold replays the
+    /// per-event step clock, health hysteresis and fallback ladder.
+    /// Outcomes, report, memo and hysteresis state do not depend on where
+    /// the caller cut its batches.
     fn publish_segments(
         &mut self,
         publisher: NodeId,
@@ -1050,14 +1051,7 @@ impl Broker {
                 None => remaining as usize,
             };
             let seg_events = &events[start..start + seg];
-            if !degraded {
-                // Nothing has ever faulted: the pristine pipeline and
-                // fold apply unchanged; the remaining seg - 1 ticks fire
-                // nothing, so the clock advances in bulk.
-                faults.step += seg as u64 - 1;
-                let batch = self.run_pipeline(publisher, seg_events, threads, false, states);
-                self.fold_batch(publisher, batch, outcomes.as_deref_mut());
-            } else {
+            if degraded {
                 if !faults.routing.node_up(publisher) {
                     // The publisher is down for the whole segment: the
                     // publish aborts at the segment's first event, its
@@ -1072,10 +1066,15 @@ impl Broker {
                 if let DeliveryMode::SparseMode { rendezvous } = self.delivery {
                     faults.routing.heal(&self.net, &mut self.spt, rendezvous);
                 }
-                let batch = self.run_pipeline(publisher, seg_events, threads, true, states);
-                self.fold_batch_degraded(publisher, batch, outcomes.as_deref_mut());
                 self.pipeline_counters.degraded_segments += 1;
+            } else {
+                // Nothing has ever faulted: the remaining seg - 1 ticks
+                // fire nothing and no health state exists yet, so the
+                // clock advances in bulk.
+                faults.step += seg as u64 - 1;
             }
+            let batch = self.run_pipeline(publisher, seg_events, threads, degraded, states);
+            self.fold_batch(publisher, batch, degraded, outcomes.as_deref_mut());
             self.pipeline_counters.fault_segments += 1;
             start += seg;
         }
@@ -1097,18 +1096,17 @@ impl Broker {
     }
 
     /// The parallel front of a publication: dispatches the fused match →
-    /// cost → decide pass over the worker pool (created lazily on first
-    /// use) into the per-worker `states` and accounts it in the pipeline
-    /// counters. Returns the view over the results, which knows the
-    /// worker count the fold needs to invert the block-cyclic assignment.
-    /// The caller has validated `publisher` and `events`.
+    /// cost pass over the worker pool (created lazily on first use) into
+    /// the per-worker `states` and accounts it in the pipeline counters.
+    /// Returns the view over the results, which knows the worker count
+    /// the fold needs to invert the block-cyclic assignment. The caller
+    /// has validated `publisher` and `events`; the distribution decision
+    /// is left to [`Broker::fold_batch`].
     ///
     /// In `degraded` mode (a fault has applied; the caller has already
     /// healed the routing rows this pass reads) the workers additionally
     /// partition each event's matched nodes by reachability and cost only
-    /// the reachable prefix; the distribution decision is left to
-    /// [`Broker::fold_batch_degraded`], which owns the step-clocked
-    /// health state.
+    /// the reachable prefix.
     fn run_pipeline<'s>(
         &mut self,
         publisher: NodeId,
@@ -1147,7 +1145,6 @@ impl Broker {
         // lives in [`FusedPass::run`].
         let pass = FusedPass::bind(
             &self.snapshot,
-            &self.policy,
             self.delivery,
             publisher,
             self.alm_dist.as_deref(),
@@ -1189,132 +1186,108 @@ impl Broker {
         }
     }
 
-    /// The sequential tail of a pristine publication: [`fold_pristine`]
-    /// over `batch` with the broker's memo, cost scratch and report.
+    /// The sequential tail of every publication, with or without faults:
+    /// walks the fused results **in global event order** and, per event,
+    /// decides by the paper's rule (unicast from `S_0`, drop an empty
+    /// interested set, multicast to `M_q` iff `|s|/|M_q| ≥ t`), resolves
+    /// the multicast scheme cost through the memo and folds everything
+    /// into the cumulative report. The scheme cost of a group send is
+    /// event-independent, so each (epoch, fault stamp, publisher, group)
+    /// is walked at most once, and switching publishers does not evict
+    /// other publishers' rows. When `outcomes` is given, also
+    /// materializes one [`PublishOutcome`] per event: the node slices are
+    /// copied, the matched subscriptions stay run references.
+    ///
+    /// A `degraded` segment (a fault has applied; the segment driver has
+    /// ticked its first event and healed the rows the pass read)
+    /// additionally advances the per-event step clock, evaluates group
+    /// health under hysteresis at each event's step, walks the fallback
+    /// ladder over the reachability-masked member set and keys the memo
+    /// on the fault state. Otherwise every group is healthy, the fault
+    /// stamp is 0 and the reachable members are the whole group: the fold
+    /// ticks no clock and allocates nothing beyond the outcomes.
     fn fold_batch(
         &mut self,
         publisher: NodeId,
         batch: BatchMatches<'_>,
-        outcomes: Option<&mut Vec<PublishOutcome>>,
-    ) {
-        fold_pristine(
-            batch,
-            &self.snapshot,
-            publisher,
-            self.delivery,
-            &self.spt,
-            self.alm_dist.as_deref(),
-            &mut self.scheme_memo,
-            &mut self.scheme_walks,
-            &mut self.cost_scratch,
-            &mut self.report,
-            outcomes,
-        );
-    }
-
-    /// The sequential tail of one *degraded* segment, taken once any
-    /// fault has ever applied: walks the fused results in global event
-    /// order and per event advances the fault clock, evaluates group
-    /// health under hysteresis at that event's step, walks the fallback
-    /// ladder over the reachability-masked interested set, memoizes
-    /// scheme costs under the per-event fault stamp, and folds
-    /// everything into the cumulative report. The workers already
-    /// partitioned each event's nodes and costed the reachable prefix;
-    /// only the step-clocked state lives here. Kept apart from
-    /// [`fold_pristine`] so a broker whose plan never fires stays on the
-    /// untouched fast path.
-    fn fold_batch_degraded(
-        &mut self,
-        publisher: NodeId,
-        batch: BatchMatches<'_>,
+        degraded: bool,
         mut outcomes: Option<&mut Vec<PublishOutcome>>,
     ) {
-        let snapshot = Arc::clone(&self.snapshot);
+        let Broker {
+            snapshot,
+            policy,
+            delivery,
+            spt,
+            alm_dist,
+            faults,
+            scheme_memo,
+            scheme_walks,
+            cost_scratch,
+            report,
+            ..
+        } = self;
+        let (snapshot, spt, delivery) = (&**snapshot, &*spt, *delivery);
+        let view = spt.view(publisher).expect("publisher SPT ensured");
+        // In sparse mode a cut-off rendezvous point severs every shared
+        // tree: no multicast flavor is available at all.
+        let rp_cut =
+            degraded && sparse_binding(delivery, spt, view).is_some_and(|(_, d)| !d.is_finite());
+        let mut faults = degraded.then(|| faults.as_mut().expect("degraded fold implies a plan"));
         for i in 0..batch.len() {
-            if i > 0 {
-                // Fires nothing — the segment ends right before the next
-                // scheduled plan event — but advances the per-event step
-                // clock the health hysteresis is keyed on.
-                self.tick_faults();
-            }
             let meta = batch.meta(i);
             let interested = batch.interested(i);
             let unreach = batch.unreachable(i);
             let group = (meta.group != NO_GROUP).then_some(meta.group as usize);
-            let view = self
-                .spt
-                .view(publisher)
-                .expect("healed by the segment driver");
-            let faults = self.faults.as_mut().expect("degraded fold implies a plan");
-            let health = match group {
-                Some(q) => eval_group_health(
-                    faults,
-                    snapshot.epoch,
-                    snapshot.groups.len(),
-                    publisher,
-                    q,
-                    snapshot.groups.members(q),
-                    view,
-                ),
-                None => GroupHealth::Healthy,
-            };
-            let fault_stamp = faults.routing.route_generation() + faults.decision_gen;
-            // In sparse mode a down or cut-off rendezvous point severs
-            // every shared tree: no multicast flavor is available at all.
-            let sparse = sparse_binding(self.delivery, &self.spt, view);
-            let rp_reachable = sparse.is_none_or(|(_, d)| d.is_finite());
+            let mut health = GroupHealth::Healthy;
+            let mut fault_stamp = 0;
+            if let Some(faults) = faults.as_deref_mut() {
+                if i > 0 {
+                    // The segment ends right before the next scheduled
+                    // plan event, so this tick fires nothing; it advances
+                    // the step clock the health hysteresis is keyed on.
+                    faults.step += 1;
+                }
+                if let Some(q) = group {
+                    health = eval_group_health(
+                        faults,
+                        snapshot.epoch,
+                        snapshot.groups.len(),
+                        publisher,
+                        q,
+                        snapshot.groups.members(q),
+                        view,
+                    );
+                }
+                fault_stamp = faults.routing.route_generation() + faults.decision_gen;
+            }
 
-            let decision = if interested.is_empty() {
-                Decision::Drop
-            } else {
-                match group {
-                    None => Decision::Unicast {
-                        reason: UnicastReason::CatchAll,
-                    },
-                    Some(q) => {
-                        let members = snapshot.groups.members(q);
-                        let ladder = match health {
-                            GroupHealth::Severed => Decision::Unicast {
-                                reason: UnicastReason::GroupSevered,
-                            },
-                            GroupHealth::Degraded => {
-                                let reach_size =
-                                    members.iter().filter(|&&m| view.reachable(m)).count();
-                                match self.policy.decide_counts(
-                                    Some(q),
-                                    interested.len(),
-                                    reach_size,
-                                ) {
-                                    Decision::Multicast { group } => {
-                                        Decision::PartialMulticast { group }
-                                    }
-                                    other => other,
-                                }
-                            }
-                            GroupHealth::Healthy => {
-                                self.policy
-                                    .decide_counts(Some(q), interested.len(), members.len())
-                            }
-                        };
-                        if !rp_reachable
-                            && matches!(
-                                ladder,
-                                Decision::Multicast { .. } | Decision::PartialMulticast { .. }
-                            )
-                        {
-                            Decision::Unicast {
-                                reason: UnicastReason::GroupSevered,
-                            }
-                        } else {
-                            ladder
-                        }
+            let decision = match (group, health) {
+                (Some(_), GroupHealth::Severed) if !interested.is_empty() => Decision::Unicast {
+                    reason: UnicastReason::GroupSevered,
+                },
+                (Some(q), GroupHealth::Degraded) => {
+                    let members = snapshot.groups.members(q);
+                    let reach_size = members.iter().filter(|&&m| view.reachable(m)).count();
+                    match policy.decide_counts(group, interested.len(), reach_size) {
+                        Decision::Multicast { group } => Decision::PartialMulticast { group },
+                        other => other,
                     }
                 }
+                _ => {
+                    let group_size = group.map_or(0, |q| snapshot.groups.members(q).len());
+                    policy.decide_counts(group, interested.len(), group_size)
+                }
+            };
+            let decision = match decision {
+                Decision::Multicast { .. } | Decision::PartialMulticast { .. } if rp_cut => {
+                    Decision::Unicast {
+                        reason: UnicastReason::GroupSevered,
+                    }
+                }
+                other => other,
             };
 
-            let (unicast, ideal) = (meta.unicast, meta.ideal);
-            let skipped = unreach.len() as u64;
-            let (scheme, delivered, wasted) = match &decision {
+            let (scheme, delivered, wasted) = match decision {
                 Decision::Drop => (
                     0.0,
                     Delivery::Dropped {
@@ -1322,7 +1295,7 @@ impl Broker {
                     },
                     0,
                 ),
-                Decision::Unicast { .. } => (unicast, Delivery::Unicast, 0),
+                Decision::Unicast { .. } => (meta.unicast, Delivery::Unicast, 0),
                 // Both multicast flavors cost (and deliver) over the
                 // *reachable* member subset: an interested member is
                 // covered exactly when the healed tree still reaches it,
@@ -1330,42 +1303,35 @@ impl Broker {
                 // scheme cost finite while hysteresis lags a committed
                 // transition.
                 Decision::Multicast { group: q } | Decision::PartialMulticast { group: q } => {
-                    let members = snapshot.groups.members(*q);
-                    let reach_members: Vec<NodeId> = members
-                        .iter()
-                        .copied()
-                        .filter(|&m| view.reachable(m))
-                        .collect();
-                    let row = self.scheme_memo.slot(
+                    let members = snapshot.groups.members(q);
+                    let reach_members: Cow<'_, [NodeId]> = if degraded {
+                        members
+                            .iter()
+                            .copied()
+                            .filter(|&m| view.reachable(m))
+                            .collect()
+                    } else {
+                        Cow::Borrowed(members)
+                    };
+                    let row = scheme_memo.slot(
                         snapshot.epoch,
                         fault_stamp,
                         publisher,
                         snapshot.groups.len(),
                     );
-                    let scheme = match row[*q] {
+                    let scheme = match row[q] {
                         Some(cost) => cost,
                         None => {
-                            let cost = match self.delivery {
-                                DeliveryMode::DenseMode => multicast_tree_cost_flat(
-                                    view,
-                                    &reach_members,
-                                    &mut self.cost_scratch,
-                                ),
-                                DeliveryMode::SparseMode { .. } => {
-                                    let (rp_view, pub_to_rp) = sparse.expect("bound above");
-                                    sparse_mode_cost_flat(
-                                        rp_view,
-                                        pub_to_rp,
-                                        &reach_members,
-                                        &mut self.cost_scratch,
-                                    )
-                                }
-                                DeliveryMode::ApplicationLevel => {
-                                    unreachable!("fault plans are rejected for ALM delivery")
-                                }
-                            };
-                            row[*q] = Some(cost);
-                            self.scheme_walks += 1;
+                            let cost = Broker::send_cost(
+                                delivery,
+                                spt,
+                                alm_dist.as_deref(),
+                                publisher,
+                                &reach_members,
+                                cost_scratch,
+                            );
+                            row[q] = Some(cost);
+                            *scheme_walks += 1;
                             cost
                         }
                     };
@@ -1383,10 +1349,10 @@ impl Broker {
             };
             let costs = MessageCosts {
                 scheme,
-                unicast,
-                ideal,
+                unicast: meta.unicast,
+                ideal: meta.ideal,
             };
-            self.report.record(costs, delivered, wasted, skipped);
+            report.record(costs, delivered, wasted, unreach.len() as u64);
             if let Some(out) = outcomes.as_mut() {
                 out.push(PublishOutcome {
                     decision,
@@ -2125,17 +2091,6 @@ impl Broker {
         self.journal.as_ref()
     }
 
-    /// Installs (or replaces) the persistent [`WorkerPool`] behind the
-    /// batch pipeline — the post-build equivalent of
-    /// [`BrokerBuilder::worker_pool`]. An explicit pool is always
-    /// honored, even on a single-core host where the broker would never
-    /// spawn one of its own. As there, `WorkerPool::new(n)` is
-    /// parallelism n, n − 1 threads: the publishing thread is one of the
-    /// batch's workers.
-    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
-
     /// The live subscription registry (stable handles, per-node
     /// refcounts).
     pub fn registry(&self) -> &SubscriptionRegistry {
@@ -2214,85 +2169,6 @@ impl Broker {
     }
 }
 
-/// The sequential fold behind [`Broker::fold_batch`] — every pristine
-/// publication: walks the fused results **in
-/// global event order**, resolves multicast scheme costs through the
-/// epoch-keyed memo (the scheme cost of a group send is
-/// event-independent, so each (epoch, publisher, group) is walked at
-/// most once, and switching publishers does not evict other publishers'
-/// rows) and folds every event into the cumulative report. When
-/// `outcomes` is given, also materializes one [`PublishOutcome`] per
-/// event: the node slice is copied, the matched subscriptions stay run
-/// references.
-#[allow(clippy::too_many_arguments)]
-fn fold_pristine(
-    batch: BatchMatches<'_>,
-    snapshot: &EngineSnapshot,
-    publisher: NodeId,
-    delivery: DeliveryMode,
-    spt: &SptTable,
-    alm_dist: Option<&[Vec<f64>]>,
-    scheme_memo: &mut SchemeMemo,
-    scheme_walks: &mut u64,
-    cost_scratch: &mut CostScratch,
-    report: &mut CostReport,
-    mut outcomes: Option<&mut Vec<PublishOutcome>>,
-) {
-    for i in 0..batch.len() {
-        let meta = batch.meta(i);
-        let (decision, group_region) = meta.decode();
-        let (scheme, delivered, wasted) = match &decision {
-            Decision::Drop => (0.0, Delivery::Dropped { unreachable: 0 }, 0),
-            Decision::Unicast { .. } => (meta.unicast, Delivery::Unicast, 0),
-            // This fold only handles pristine batches and segments
-            // (degraded segments fold through `fold_batch_degraded`),
-            // so the partial-multicast arm cannot actually fold here;
-            // it resolves like a full multicast for totality.
-            Decision::Multicast { group: q } | Decision::PartialMulticast { group: q } => {
-                let members = snapshot.groups.members(*q);
-                let row = scheme_memo.slot(snapshot.epoch, 0, publisher, snapshot.groups.len());
-                let scheme = match row[*q] {
-                    Some(cost) => cost,
-                    None => {
-                        let cost = Broker::send_cost(
-                            delivery,
-                            spt,
-                            alm_dist,
-                            publisher,
-                            members,
-                            cost_scratch,
-                        );
-                        row[*q] = Some(cost);
-                        *scheme_walks += 1;
-                        cost
-                    }
-                };
-                (
-                    scheme,
-                    Delivery::Multicast,
-                    (members.len() - batch.nodes(i).len()) as u64,
-                )
-            }
-        };
-        let costs = MessageCosts {
-            scheme,
-            unicast: meta.unicast,
-            ideal: meta.ideal,
-        };
-        report.record(costs, delivered, wasted, 0);
-        if let Some(out) = outcomes.as_mut() {
-            out.push(PublishOutcome {
-                decision,
-                group_region,
-                matched_subscriptions: batch.matched(i, &snapshot.matcher),
-                interested: batch.nodes(i).to_vec(),
-                unreachable: Vec::new(),
-                costs,
-            });
-        }
-    }
-}
-
 /// Accounts one finished fused pass in the pipeline counters: batch and
 /// event totals, pooled vs inline, quarantines, arena growth and the
 /// per-worker SIMD kernel tallies (drained from every state, not just
@@ -2345,19 +2221,19 @@ fn sparse_binding<'a>(
     }
 }
 
-/// The read side of one fused match → cost → decide pass, bound up
-/// front and free of `&Broker` so it can run under the worker pool
-/// while the per-worker states are mutably borrowed. Everything here is
-/// read-only; results land in the caller's [`PublishScratch`].
+/// The read side of one fused match → cost pass, bound up front and
+/// free of `&Broker` so it can run under the worker pool while the
+/// per-worker states are mutably borrowed. Everything here is read-only;
+/// results land in the caller's [`PublishScratch`], and the decision is
+/// left to the sequential [`Broker::fold_batch`].
 ///
-/// Each BLOCK-sized range is matched into the arena, costed in one
-/// batched walk (dense mode), and decided, before the next range starts
-/// — one pass over the data per worker, with a freshly-epoched cost
+/// Each BLOCK-sized range is matched into the arena, located in the
+/// partition and costed in one batched walk (dense mode) before the next
+/// range starts — one pass over the data per worker, with a freshly-epoched cost
 /// scratch per event, so every stored float is the same regardless of
 /// worker count, interleaving, or which thread runs the pass.
 struct FusedPass<'a> {
     snapshot: &'a EngineSnapshot,
-    policy: &'a DistributionPolicy,
     delivery: DeliveryMode,
     publisher: NodeId,
     alm_dist: Option<&'a [Vec<f64>]>,
@@ -2375,7 +2251,6 @@ impl<'a> FusedPass<'a> {
     #[allow(clippy::too_many_arguments)]
     fn bind(
         snapshot: &'a EngineSnapshot,
-        policy: &'a DistributionPolicy,
         delivery: DeliveryMode,
         publisher: NodeId,
         alm_dist: Option<&'a [Vec<f64>]>,
@@ -2387,7 +2262,6 @@ impl<'a> FusedPass<'a> {
         let pub_view = spt.view(publisher).expect("publisher SPT ensured");
         FusedPass {
             snapshot,
-            policy,
             delivery,
             publisher,
             alm_dist,
@@ -2403,7 +2277,6 @@ impl<'a> FusedPass<'a> {
     fn run(&self, state: &mut PublishScratch, ranges: BlockRanges) {
         let FusedPass {
             snapshot,
-            policy,
             delivery,
             publisher,
             alm_dist,
@@ -2449,16 +2322,6 @@ impl<'a> FusedPass<'a> {
                 let local = base + k;
                 let nodes = arena.interested_slice(local);
                 let group = snapshot.partition.group_of_point(&events[i]);
-                // In degraded mode the decision depends on the
-                // step-clocked health state, which only the
-                // sequential fold may touch: the tag pushed here is a
-                // placeholder the fold overrides.
-                let decision = if degraded {
-                    DecisionTag::Drop
-                } else {
-                    let group_size = group.map_or(0, |q| snapshot.groups.members(q).len());
-                    DecisionTag::from(&policy.decide_counts(group, nodes.len(), group_size))
-                };
                 let (unicast, ideal) = match delivery {
                     DeliveryMode::DenseMode => {
                         let pair = pairs[k];
@@ -2491,7 +2354,6 @@ impl<'a> FusedPass<'a> {
                     unicast,
                     ideal,
                     group: group.map_or(NO_GROUP, |q| q as u32),
-                    decision,
                 });
             }
         }
@@ -2572,6 +2434,20 @@ mod tests {
 
     /// Stub nodes subscribing to opposite halves of the space.
     fn build_two_camp_broker(threshold: f64, mode: DeliveryMode) -> Broker {
+        two_camp_builder(threshold, mode).build().unwrap()
+    }
+
+    /// The dense two-camp broker at t = 0.15 with an injected
+    /// `WorkerPool::new(threads)`, so batches fan out even on a
+    /// single-core host, where the broker never spawns a pool of its own.
+    fn pooled_two_camp_broker(threads: usize) -> Broker {
+        two_camp_builder(0.15, DeliveryMode::DenseMode)
+            .worker_pool(Arc::new(WorkerPool::new(threads)))
+            .build()
+            .unwrap()
+    }
+
+    fn two_camp_builder(threshold: f64, mode: DeliveryMode) -> BrokerBuilder {
         let topo = tiny_topo();
         let nodes = topo.stub_nodes().to_vec();
         assert!(nodes.len() >= 8);
@@ -2588,7 +2464,7 @@ mod tests {
             };
             b = b.subscription(n, r);
         }
-        b.build().unwrap()
+        b
     }
 
     #[test]
@@ -3401,12 +3277,10 @@ mod tests {
 
     #[test]
     fn quarantined_worker_batch_stays_bit_identical() {
-        let mut clean = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
-        let mut trapped = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
-        // Inject real 2-thread pools so the batch fans out even on a
+        // Real 2-thread pools, so the batch fans out even on a
         // single-core host (the broker never spawns its own pool there).
-        clean.set_worker_pool(Arc::new(WorkerPool::new(2)));
-        trapped.set_worker_pool(Arc::new(WorkerPool::new(2)));
+        let mut clean = pooled_two_camp_broker(2);
+        let mut trapped = pooled_two_camp_broker(2);
         // At least 2 * BLOCK events so the batch actually fans out on
         // the pool (shorter batches run inline and bypass quarantine).
         let events: Vec<Point> = (0..160)
@@ -3434,11 +3308,10 @@ mod tests {
 
     #[test]
     fn single_thread_pool_batches_run_inline() {
-        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
         // A 1-thread pool can only add dispatch overhead: the batch must
         // degenerate to the fused inline path even when the caller asks
         // for more workers.
-        broker.set_worker_pool(Arc::new(WorkerPool::new(1)));
+        let mut broker = pooled_two_camp_broker(1);
         let events: Vec<Point> = (0..200)
             .map(|i| Point::new(vec![(i % 10) as f64, 5.0]).unwrap())
             .collect();
@@ -3470,8 +3343,7 @@ mod tests {
 
         // One block of events: nothing for a second worker to do, so the
         // 2-thread pool is never woken.
-        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
-        broker.set_worker_pool(Arc::new(WorkerPool::new(2)));
+        let mut broker = pooled_two_camp_broker(2);
         let got = broker.publish_batch(&events[..block], Some(2)).unwrap();
         assert_eq!(got, want[..block]);
         let counters = broker.metrics_snapshot().pipeline;
@@ -3479,8 +3351,7 @@ mod tests {
 
         // The boundary: one event short of two full blocks still runs
         // inline; two full blocks are pooled.
-        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
-        broker.set_worker_pool(Arc::new(WorkerPool::new(2)));
+        let mut broker = pooled_two_camp_broker(2);
         let got = broker
             .publish_batch(&events[..2 * block - 1], Some(2))
             .unwrap();
@@ -3495,8 +3366,7 @@ mod tests {
 
         // Two and a half blocks on a 3-thread pool: two workers, not
         // three — a half block never gets a worker of its own.
-        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
-        broker.set_worker_pool(Arc::new(WorkerPool::new(3)));
+        let mut broker = pooled_two_camp_broker(3);
         let got = broker.publish_batch(&events, Some(3)).unwrap();
         assert_eq!(got, want);
         let counters = broker.metrics_snapshot().pipeline;

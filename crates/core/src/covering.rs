@@ -10,7 +10,7 @@
 //! This module computes, before `compile_engine` builds the spatial
 //! index, a deduplicated **representative** set plus a covering table
 //! mapping each representative hit back to the concrete
-//! [`SubscriptionId`](crate::SubscriptionId)s it stands for — as whole
+//! [`SubscriptionId`]s it stands for — as whole
 //! *runs* (a group's ascending member ids with its precomputed owner-node
 //! set), which the publish path carries in place of the ids and which a
 //! [`MatchedSet`] writes out only when read:

@@ -2,8 +2,8 @@
 //! match arenas and the zero-copy [`BatchMatches`] view stitched over
 //! them.
 //!
-//! `Broker::publish_batch` runs match → cost → decide fused per worker on
-//! a persistent [`pubsub_parallel::WorkerPool`]: each worker owns one
+//! `Broker::publish_batch` runs match → cost fused per worker on a
+//! persistent [`pubsub_parallel::WorkerPool`]: each worker owns one
 //! [`PublishScratch`] (match scratch, epoch-stamped cost scratch, result
 //! arena, per-event metadata) that is constructed once and reused across
 //! batches, so the steady-state batch path performs **zero per-event heap
@@ -21,7 +21,7 @@ use pubsub_netsim::{CostScratch, NodeId, PairCost};
 use pubsub_parallel::{PipelineScratch, BLOCK};
 
 use crate::matcher::MatchScratch;
-use crate::{Decision, MatchedSet, Matcher, SubscriptionId, UnicastReason};
+use crate::{MatchedSet, Matcher, SubscriptionId};
 
 /// A reusable CSR result arena for batch matching, holding **run-level
 /// records**: per event the hit covering groups (`runs`, indices into
@@ -222,24 +222,12 @@ impl MatchArena {
     }
 }
 
-/// How the fused decide stage resolved one event — a compact tag the
-/// sequential fold re-expands into a [`Decision`]. Kept separate from
-/// `Decision` so per-event metadata stays `Copy` and heap-free.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum DecisionTag {
-    Drop,
-    UnicastCatchAll,
-    UnicastBelowThreshold,
-    UnicastGroupSevered,
-    Multicast,
-    PartialMulticast,
-}
-
 /// Sentinel for "the event fell in the catch-all region `S_0`".
 pub(crate) const NO_GROUP: u32 = u32::MAX;
 
-/// Per-event output of the fused match → cost → decide worker pass:
-/// everything the sequential fold needs besides the arena slices.
+/// Per-event output of the fused match → cost worker pass: everything
+/// the sequential fold needs besides the arena slices to decide, cost
+/// and record the event.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EventMeta {
     /// Pure-unicast cost to the interested set.
@@ -248,54 +236,6 @@ pub(crate) struct EventMeta {
     pub ideal: f64,
     /// The group region `S_q` the event fell in ([`NO_GROUP`] = `S_0`).
     pub group: u32,
-    pub decision: DecisionTag,
-}
-
-impl EventMeta {
-    /// Re-expands the tag into the `Decision` / `group_region` pair of
-    /// `PublishOutcome` — what `DistributionPolicy::decide_counts`
-    /// returned in the worker.
-    pub fn decode(&self) -> (Decision, Option<usize>) {
-        let region = (self.group != NO_GROUP).then_some(self.group as usize);
-        let decision = match self.decision {
-            DecisionTag::Drop => Decision::Drop,
-            DecisionTag::UnicastCatchAll => Decision::Unicast {
-                reason: UnicastReason::CatchAll,
-            },
-            DecisionTag::UnicastBelowThreshold => Decision::Unicast {
-                reason: UnicastReason::BelowThreshold,
-            },
-            DecisionTag::UnicastGroupSevered => Decision::Unicast {
-                reason: UnicastReason::GroupSevered,
-            },
-            DecisionTag::Multicast => Decision::Multicast {
-                group: self.group as usize,
-            },
-            DecisionTag::PartialMulticast => Decision::PartialMulticast {
-                group: self.group as usize,
-            },
-        };
-        (decision, region)
-    }
-}
-
-impl From<&Decision> for DecisionTag {
-    fn from(decision: &Decision) -> Self {
-        match decision {
-            Decision::Drop => DecisionTag::Drop,
-            Decision::Unicast {
-                reason: UnicastReason::CatchAll,
-            } => DecisionTag::UnicastCatchAll,
-            Decision::Unicast {
-                reason: UnicastReason::BelowThreshold,
-            } => DecisionTag::UnicastBelowThreshold,
-            Decision::Unicast {
-                reason: UnicastReason::GroupSevered,
-            } => DecisionTag::UnicastGroupSevered,
-            Decision::Multicast { .. } => DecisionTag::Multicast,
-            Decision::PartialMulticast { .. } => DecisionTag::PartialMulticast,
-        }
-    }
 }
 
 /// One worker's whole reusable state for the fused publish pipeline:
@@ -392,16 +332,6 @@ impl<'a> BatchMatches<'a> {
     pub fn matched(&self, i: usize, matcher: &Matcher) -> MatchedSet {
         let (w, local) = self.locate(i);
         matcher.matched_set(&self.states[w].arena, local)
-    }
-
-    /// The deduplicated interested nodes of event `i` (ascending).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn nodes(&self, i: usize) -> &'a [NodeId] {
-        let (w, local) = self.locate(i);
-        self.states[w].arena.node_slice(local)
     }
 
     /// The fused-stage metadata of event `i`.
@@ -514,44 +444,7 @@ mod tests {
                 &[SubscriptionId(i as u32)],
                 "event {i}"
             );
-            assert!(batch.nodes(i).is_empty());
-        }
-    }
-
-    #[test]
-    fn decision_tags_roundtrip() {
-        for decision in [
-            Decision::Drop,
-            Decision::Unicast {
-                reason: UnicastReason::CatchAll,
-            },
-            Decision::Unicast {
-                reason: UnicastReason::BelowThreshold,
-            },
-            Decision::Unicast {
-                reason: UnicastReason::GroupSevered,
-            },
-            Decision::Multicast { group: 5 },
-            Decision::PartialMulticast { group: 5 },
-        ] {
-            let group = match &decision {
-                Decision::Multicast { group } | Decision::PartialMulticast { group } => {
-                    *group as u32
-                }
-                Decision::Unicast {
-                    reason: UnicastReason::CatchAll,
-                } => NO_GROUP,
-                _ => 5,
-            };
-            let meta = EventMeta {
-                unicast: 0.0,
-                ideal: 0.0,
-                group,
-                decision: DecisionTag::from(&decision),
-            };
-            let (decoded, region) = meta.decode();
-            assert_eq!(decoded, decision);
-            assert_eq!(region, (group != NO_GROUP).then_some(group as usize));
+            assert!(batch.interested(i).is_empty());
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Waxman flat random topologies (extension).
 //!
 //! Zegura, Calvert and Bhattacharjee's "How to model an internetwork"
-//! (the paper's topology reference [17]) contrasts *hierarchical*
+//! (the paper's topology reference \[17\]) contrasts *hierarchical*
 //! transit-stub graphs with *flat* random graphs, of which Waxman's is
 //! the canonical model: nodes scattered uniformly in the unit square,
 //! edge probability decaying with distance,

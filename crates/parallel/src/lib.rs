@@ -73,8 +73,8 @@ use std::thread::JoinHandle;
 
 /// Fixed block size of the block-cyclic assignment. Small enough that a
 /// 64-event batch already fills two shares, large enough that a block's
-/// results stay cache-resident through a fused match → cost → decide
-/// pass and that a share's dispatch is paid for by a full block of work
+/// results stay cache-resident through a fused match → cost pass and
+/// that a share's dispatch is paid for by a full block of work
 /// ([`shares`] never cuts a share smaller than one block).
 pub const BLOCK: usize = 32;
 

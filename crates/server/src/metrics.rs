@@ -133,7 +133,7 @@ pub struct ServerStats {
     /// spent in the bounded ingest queue.
     pub stage_queue_wait: LatencyHisto,
     /// Per-batch pipeline-stage latency: fold dequeue → publish pass
-    /// complete (the fused match → cost → decide pass and its fold).
+    /// complete (the fused match → cost pass and the fold that decides).
     pub stage_pipeline: LatencyHisto,
     /// Per-batch egress latency: fold complete → last record stamped
     /// and handed to the sink.

@@ -1,5 +1,7 @@
 //! Fault plans must not change what a batch computes, only how: an
-//! *empty* plan is a perfect no-op against a plan-free broker, and any
+//! *empty* plan — or one whose faults all undo themselves before the
+//! first publish, which still sends every segment down the degraded
+//! fold — is a perfect no-op against a plan-free broker, and any
 //! *non-empty* plan publishing through the segmented batch pipeline
 //! (pooled or inline) is bit-identical — outcomes, costs, hysteresis
 //! state and the cumulative report — to a sequential loop of
@@ -20,15 +22,17 @@ use pubsub::parallel::WorkerPool;
 type SubSpec = (usize, (f64, f64), (f64, f64));
 
 fn build(topo_seed: u64, threshold: f64, subs: &[SubSpec]) -> Broker {
-    build_from(topo_seed, threshold, subs, None)
+    build_from(topo_seed, threshold, subs, None, None)
 }
 
-/// [`build`] with an explicit publisher (`None` = the builder's default).
+/// [`build`] with an explicit publisher and worker pool (`None` = the
+/// builder's default).
 fn build_from(
     topo_seed: u64,
     threshold: f64,
     subs: &[SubSpec],
     publisher: Option<NodeId>,
+    pool: Option<Arc<WorkerPool>>,
 ) -> Broker {
     let topo = TransitStubConfig::tiny().generate(topo_seed).unwrap();
     let nodes = topo.stub_nodes().to_vec();
@@ -44,6 +48,9 @@ fn build_from(
     }
     if let Some(p) = publisher {
         b = b.publisher(p);
+    }
+    if let Some(pool) = pool {
+        b = b.worker_pool(pool);
     }
     b.build().unwrap()
 }
@@ -73,10 +80,27 @@ proptest! {
         ),
         events in prop::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..20),
         threads in 1usize..4,
+        self_healing in prop::bool::ANY,
+        edge in (0usize..1000, 0usize..1000),
     ) {
         let mut plain = build(topo_seed, threshold, &subs);
         let mut faulty = build(topo_seed, threshold, &subs);
-        faulty.install_fault_plan(FaultPlan::new()).unwrap();
+        // Shape one: the empty plan. Shape two: at step 0, cut a real
+        // link (a, b), take b down, restore the link and bring b back
+        // up — nothing stays broken, yet a fault has applied, so every
+        // segment folds in degraded mode.
+        let mut plan = FaultPlan::new();
+        if self_healing {
+            let topo = TransitStubConfig::tiny().generate(topo_seed).unwrap();
+            let a = NodeId((edge.0 % topo.graph().node_count()) as u32);
+            let degree = topo.graph().neighbors(a).count();
+            let (b, _) = topo.graph().neighbors(a).nth(edge.1 % degree).expect("a has a link");
+            plan.push(0, FaultEvent::LinkCut { a, b });
+            plan.push(0, FaultEvent::NodeDown { node: b });
+            plan.push(0, FaultEvent::LinkRestore { a, b });
+            plan.push(0, FaultEvent::NodeUp { node: b });
+        }
+        faulty.install_fault_plan(plan).unwrap();
         prop_assert!(faulty.faults_active());
         prop_assert_eq!(faulty.fault_epoch(), 0);
 
@@ -92,8 +116,8 @@ proptest! {
             assert_bit_identical(&a, &b)?;
         }
 
-        // Batch parity: the faulted broker reroutes batches through the
-        // sequential path; outcomes and reports must not notice.
+        // Batch parity: the faulted broker cuts batches into fault-clock
+        // segments; outcomes and reports must not notice.
         let a = plain.publish_batch(&points, Some(threads)).unwrap();
         let b = faulty.publish_batch(&points, Some(threads)).unwrap();
         prop_assert_eq!(a.len(), b.len());
@@ -105,6 +129,9 @@ proptest! {
         let rb = faulty.publish_batch_stats(&points, Some(threads)).unwrap();
         prop_assert_eq!(ra, rb);
         prop_assert_eq!(plain.report(), faulty.report());
+        if self_healing {
+            prop_assert!(faulty.metrics_snapshot().pipeline.degraded_segments > 0);
+        }
     }
 
     /// A *non-empty* plan publishing through the segmented batch
@@ -127,14 +154,12 @@ proptest! {
         ),
         threads in 1usize..4,
     ) {
-        let mut seq = build(topo_seed, threshold, &subs);
-        let mut batch = build(topo_seed, threshold, &subs);
-        let mut stats = build(topo_seed, threshold, &subs);
         // A real pool, so degraded segments exercise pooled dispatch
         // even on single-core hosts.
         let pool = Arc::new(WorkerPool::new(2));
-        batch.set_worker_pool(Arc::clone(&pool));
-        stats.set_worker_pool(pool);
+        let mut seq = build(topo_seed, threshold, &subs);
+        let mut batch = build_from(topo_seed, threshold, &subs, None, Some(Arc::clone(&pool)));
+        let mut stats = build_from(topo_seed, threshold, &subs, None, Some(pool));
 
         let topo_nodes = TransitStubConfig::tiny()
             .generate(topo_seed)
@@ -249,7 +274,7 @@ fn publish_from_equals_a_broker_built_with_that_publisher() {
         plan.push(32, FaultEvent::NodeUp { node: hosts[0] });
 
         let mut a = build(topo_seed, 0.1, &subs);
-        let mut b = build_from(topo_seed, 0.1, &subs, Some(p));
+        let mut b = build_from(topo_seed, 0.1, &subs, Some(p), None);
         assert_ne!(a.publisher(), p);
         assert_eq!(b.publisher(), p);
         a.install_fault_plan(plan.clone()).unwrap();

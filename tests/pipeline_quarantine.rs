@@ -10,6 +10,8 @@ use pubsub::geom::{Point, Rect, Space};
 use pubsub::netsim::TransitStubConfig;
 use pubsub::parallel::WorkerPool;
 
+/// A two-camp broker on a real 2-thread pool: the broker never spawns
+/// its own pool on a single-core host, and these batches must fan out.
 fn build(mode: DeliveryMode) -> Broker {
     let topo = TransitStubConfig::tiny().generate(7).unwrap();
     let nodes = topo.stub_nodes().to_vec();
@@ -18,7 +20,8 @@ fn build(mode: DeliveryMode) -> Broker {
         .threshold(0.15)
         .delivery_mode(mode)
         .clustering(ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 2))
-        .grid_cells(4);
+        .grid_cells(4)
+        .worker_pool(Arc::new(WorkerPool::new(2)));
     for (i, &n) in nodes.iter().enumerate().take(8) {
         let r = if i % 2 == 0 {
             Rect::from_corners(&[0.0, 0.0], &[5.0, 10.0]).unwrap()
@@ -45,10 +48,6 @@ fn quarantined_worker_output_is_bit_identical() {
     for mode in [DeliveryMode::DenseMode, DeliveryMode::ApplicationLevel] {
         let mut clean = build(mode);
         let mut trapped = build(mode);
-        // Inject real 2-thread pools: the broker never spawns its own
-        // pool on a single-core host, and this test must fan out.
-        clean.set_worker_pool(Arc::new(WorkerPool::new(2)));
-        trapped.set_worker_pool(Arc::new(WorkerPool::new(2)));
         // Long enough that a 2-worker batch takes the pooled path.
         let batch = events(200);
 
