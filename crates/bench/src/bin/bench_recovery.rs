@@ -174,8 +174,6 @@ fn journaled_serving_broker(dir: &PathBuf) -> (Broker, SuperviseOptions) {
 fn serving_config() -> ServingConfig {
     ServingConfig {
         max_batch: 16,
-        flush_interval: Duration::from_micros(500),
-        shards: 1,
         ..ServingConfig::default()
     }
 }

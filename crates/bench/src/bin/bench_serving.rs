@@ -76,8 +76,8 @@ struct Output {
     p999_ms: f64,
     /// Per-stage latency medians from the server's stage histograms.
     /// Ingest is the submission→fold-dequeue total; the next two split
-    /// it into time buffered in the shard batcher and time queued in the
-    /// ingest queue.
+    /// it into time in the open batch (submission → cut) and time queued
+    /// as a cut batch.
     stage_ingest_p50_ns: f64,
     stage_batcher_p50_ns: f64,
     stage_queue_wait_p50_ns: f64,
@@ -105,22 +105,18 @@ fn run_cell(
 ) -> Output {
     let seeds = Seeds::default();
 
-    // Few shards, 2 ms flush ceiling: the single replay thread is the
-    // only producer (no shard contention to spread), and an idle or
-    // draining pipeline flushes without waiting — the ceiling only binds
-    // while the pipeline stays busy.
+    // Roomy queue, 256-event cap: every client's events join one open
+    // batch, which the fold takes whole whenever it is free.
     let config = ServingConfig {
         ingest_capacity: 256,
         max_batch: 256,
-        flush_interval: Duration::from_millis(2),
-        shards: 4,
     };
 
     // Calibrate: drive the staged server itself closed-loop — submit as
     // fast as admission control accepts, retrying on backpressure — and
     // take the delivered rate as staged capacity, then offer half of it
     // open-loop. Calibrating against the raw broker's `publish_batch` instead
-    // overestimates by ~2x: the staged path also pays batcher flushes,
+    // overestimates by ~2x: the staged path also pays batch cuts,
     // queue handoffs, outcome materialization and per-record egress
     // stamping, and would sit in permanent saturation. The clamps keep
     // the run meaningful on both weak CI runners and large hosts (the

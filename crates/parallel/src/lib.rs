@@ -35,11 +35,6 @@
 //!   to the job exclusively via [`WorkerPool::pipeline`].
 //! * [`map_with_scratch`] — the one-shot form for build-time maps: the
 //!   same fork-join on a pool that lives for one call.
-//! * [`StageQueue`] — the bounded hand-off between pipeline stages of
-//!   the staged (async) serving path: a multi-producer multi-consumer
-//!   queue whose [`StageQueue::try_push`] is the admission-control
-//!   primitive (a full queue is an *explicit reject*, never a block),
-//!   with depth gauges for the serving metrics.
 //!
 //! # Fault containment
 //!
@@ -649,227 +644,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Why a [`StageQueue::try_push`] did not enqueue. Carries the rejected
-/// item back so the producer can ack the rejection (or retry later)
-/// without cloning every submission up front.
-#[derive(Debug)]
-pub enum PushError<T> {
-    /// The queue is at capacity. This is the backpressure signal of the
-    /// staged serving path: the caller must turn it into an explicit
-    /// reject ack, not silently drop the item.
-    Full(T),
-    /// The queue was closed; no further items will ever be accepted.
-    Closed(T),
-}
-
-impl<T> PushError<T> {
-    /// Recovers the rejected item.
-    pub fn into_inner(self) -> T {
-        match self {
-            PushError::Full(item) | PushError::Closed(item) => item,
-        }
-    }
-}
-
-struct StageQueueState<T> {
-    items: std::collections::VecDeque<T>,
-    closed: bool,
-    /// High-water mark of `items.len()` since construction.
-    max_depth: usize,
-    /// `try_push` calls rejected with [`PushError::Full`].
-    rejected: u64,
-}
-
-struct StageQueueShared<T> {
-    state: Mutex<StageQueueState<T>>,
-    capacity: usize,
-    /// Signalled when an item is pushed or the queue closes.
-    not_empty: Condvar,
-    /// Signalled when an item is popped or the queue closes.
-    not_full: Condvar,
-}
-
-/// A bounded multi-producer multi-consumer queue decoupling the stages
-/// of the serving path (transport-in → pipeline → transport-out).
-///
-/// Two disciplines coexist on the same queue:
-///
-/// * **Lossy producers** (event ingest) use [`StageQueue::try_push`]:
-///   a full queue returns [`PushError::Full`] immediately — the
-///   admission-control reject — and never blocks a transport thread.
-/// * **Lossless producers** (control operations, internal stage-to-stage
-///   hand-off) use the blocking [`StageQueue::push`], which parks until
-///   space frees up; ordering relative to earlier pushes is preserved,
-///   which is what carries churn/recompile barriers through the staging
-///   in submission order.
-///
-/// Consumers block in [`StageQueue::pop`] until an item arrives or the
-/// queue is both closed and drained, so shutdown is a `close()` followed
-/// by the consumer naturally running dry — no sentinel items.
-///
-/// Cloning the handle is cheap (an `Arc` bump); all clones address the
-/// same queue.
-pub struct StageQueue<T> {
-    shared: Arc<StageQueueShared<T>>,
-}
-
-impl<T> Clone for StageQueue<T> {
-    fn clone(&self) -> Self {
-        StageQueue {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for StageQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = lock(&self.shared.state);
-        f.debug_struct("StageQueue")
-            .field("capacity", &self.shared.capacity)
-            .field("depth", &st.items.len())
-            .field("max_depth", &st.max_depth)
-            .field("rejected", &st.rejected)
-            .field("closed", &st.closed)
-            .finish()
-    }
-}
-
-impl<T> StageQueue<T> {
-    /// Creates a queue holding at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        StageQueue {
-            shared: Arc::new(StageQueueShared {
-                state: Mutex::new(StageQueueState {
-                    items: std::collections::VecDeque::new(),
-                    closed: false,
-                    max_depth: 0,
-                    rejected: 0,
-                }),
-                capacity: capacity.max(1),
-                not_empty: Condvar::new(),
-                not_full: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Attempts to enqueue without blocking. A full queue is the
-    /// backpressure signal: the item comes back in [`PushError::Full`]
-    /// and the rejection counter advances, so "how often did admission
-    /// control fire" is observable from [`StageQueue::rejected`].
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`StageQueue::close`].
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut st = lock(&self.shared.state);
-        if st.closed {
-            return Err(PushError::Closed(item));
-        }
-        if st.items.len() >= self.shared.capacity {
-            st.rejected += 1;
-            return Err(PushError::Full(item));
-        }
-        st.items.push_back(item);
-        st.max_depth = st.max_depth.max(st.items.len());
-        drop(st);
-        self.shared.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues, blocking while the queue is at capacity. Used by
-    /// lossless producers (control operations, inter-stage hand-off)
-    /// where backpressure should stall the producing stage rather than
-    /// reject.
-    ///
-    /// # Errors
-    ///
-    /// Returns the item back if the queue is closed (before or while
-    /// waiting).
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut st = lock(&self.shared.state);
-        loop {
-            if st.closed {
-                return Err(item);
-            }
-            if st.items.len() < self.shared.capacity {
-                st.items.push_back(item);
-                st.max_depth = st.max_depth.max(st.items.len());
-                drop(st);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            st = cv_wait(&self.shared.not_full, st);
-        }
-    }
-
-    /// Dequeues the oldest item, blocking until one arrives. Returns
-    /// `None` once the queue is closed *and* drained — the consumer's
-    /// natural shutdown signal.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = lock(&self.shared.state);
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                drop(st);
-                self.shared.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = cv_wait(&self.shared.not_empty, st);
-        }
-    }
-
-    /// Dequeues the oldest item if one is ready; never blocks.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut st = lock(&self.shared.state);
-        let item = st.items.pop_front();
-        if item.is_some() {
-            drop(st);
-            self.shared.not_full.notify_one();
-        }
-        item
-    }
-
-    /// Closes the queue: every later push fails, every blocked producer
-    /// and consumer wakes, and consumers drain what is already queued
-    /// before [`StageQueue::pop`] starts returning `None`.
-    pub fn close(&self) {
-        let mut st = lock(&self.shared.state);
-        st.closed = true;
-        drop(st);
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
-    }
-
-    /// Whether [`StageQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        lock(&self.shared.state).closed
-    }
-
-    /// Items currently queued.
-    pub fn depth(&self) -> usize {
-        lock(&self.shared.state).items.len()
-    }
-
-    /// High-water mark of [`StageQueue::depth`] since construction —
-    /// the ingest-queue gauge the serving metrics report.
-    pub fn max_depth(&self) -> usize {
-        lock(&self.shared.state).max_depth
-    }
-
-    /// `try_push` calls rejected with [`PushError::Full`] so far.
-    pub fn rejected(&self) -> u64 {
-        lock(&self.shared.state).rejected
-    }
-
-    /// The fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1380,22 +1154,22 @@ mod tests {
     #[test]
     fn concurrent_callers_are_serialized() {
         let pool = Arc::new(WorkerPool::new(2));
-        let in_flight = Arc::new(AtomicUsize::new(0));
+        let active = Arc::new(AtomicUsize::new(0));
         let max_seen = Arc::new(AtomicUsize::new(0));
         let mut callers = Vec::new();
         for _ in 0..4 {
-            let (pool, in_flight, max_seen) = (
+            let (pool, active, max_seen) = (
                 Arc::clone(&pool),
-                Arc::clone(&in_flight),
+                Arc::clone(&active),
                 Arc::clone(&max_seen),
             );
             callers.push(std::thread::spawn(move || {
                 for _ in 0..50 {
                     pool.run(2, |w| {
                         if w == 0 {
-                            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                            let now = active.fetch_add(1, Ordering::SeqCst) + 1;
                             max_seen.fetch_max(now, Ordering::SeqCst);
-                            in_flight.fetch_sub(1, Ordering::SeqCst);
+                            active.fetch_sub(1, Ordering::SeqCst);
                         }
                     });
                 }
@@ -1406,104 +1180,5 @@ mod tests {
         }
         // Jobs never interleave: at most one batch's worker 0 at a time.
         assert_eq!(max_seen.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn stage_queue_rejects_at_capacity_and_counts() {
-        let q = StageQueue::new(2);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        match q.try_push(3) {
-            Err(PushError::Full(item)) => assert_eq!(item, 3),
-            other => panic!("expected Full, got {other:?}"),
-        }
-        assert_eq!(q.rejected(), 1);
-        assert_eq!(q.depth(), 2);
-        assert_eq!(q.max_depth(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert!(q.try_push(3).is_ok());
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.try_pop(), None);
-        assert_eq!(q.max_depth(), 2);
-    }
-
-    #[test]
-    fn stage_queue_close_drains_then_ends() {
-        let q = StageQueue::new(4);
-        q.try_push("a").unwrap();
-        q.try_push("b").unwrap();
-        q.close();
-        match q.try_push("c") {
-            Err(PushError::Closed(item)) => assert_eq!(item, "c"),
-            other => panic!("expected Closed, got {other:?}"),
-        }
-        assert_eq!(q.push("d"), Err("d"));
-        // Queued items still drain in order; only then does pop end.
-        assert_eq!(q.pop(), Some("a"));
-        assert_eq!(q.pop(), Some("b"));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn stage_queue_blocking_push_waits_for_space() {
-        let q = StageQueue::new(1);
-        q.try_push(0u32).unwrap();
-        let q2 = q.clone();
-        let producer = std::thread::spawn(move || q2.push(1).is_ok());
-        // Give the producer a moment to park on the full queue.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(0));
-        assert!(producer.join().expect("producer thread"));
-        assert_eq!(q.pop(), Some(1));
-    }
-
-    #[test]
-    fn stage_queue_consumer_blocks_until_item_or_close() {
-        let q: StageQueue<u64> = StageQueue::new(4);
-        let q2 = q.clone();
-        let consumer = std::thread::spawn(move || (q2.pop(), q2.pop()));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        q.push(7).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        q.close();
-        assert_eq!(consumer.join().expect("consumer thread"), (Some(7), None));
-    }
-
-    #[test]
-    fn stage_queue_mpmc_delivers_every_item_once() {
-        let q: StageQueue<usize> = StageQueue::new(8);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let consumers: Vec<_> = (0..3)
-            .map(|_| {
-                let q = q.clone();
-                let seen = Arc::clone(&seen);
-                std::thread::spawn(move || {
-                    while let Some(item) = q.pop() {
-                        lock(&seen).push(item);
-                    }
-                })
-            })
-            .collect();
-        let producers: Vec<_> = (0..2)
-            .map(|p| {
-                let q = q.clone();
-                std::thread::spawn(move || {
-                    for i in 0..100 {
-                        q.push(p * 100 + i).expect("queue open");
-                    }
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().expect("producer");
-        }
-        q.close();
-        for c in consumers {
-            c.join().expect("consumer");
-        }
-        let mut seen = lock(&seen).clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..200).collect::<Vec<_>>());
     }
 }

@@ -4,17 +4,18 @@
 //! blocks until delivery decisions return, which hides queueing delay,
 //! the quantity the paper's multicast-vs-unicast cost tradeoff actually
 //! shapes for end users. This crate splits serving into two stages joined
-//! by a bounded [`pubsub_parallel::StageQueue`], plus the delivery step
+//! by one bounded, lock-protected ingest queue, plus the delivery step
 //! that ends the second:
 //!
-//! * **transport-in** ([`IngestHandle`]) — submissions land in
-//!   per-connection-shard [`batcher`]s that flush on size or wait — at
-//!   once into an idle pipeline, when the fold drains the last work item
-//!   in flight, and at the latest at the configured deadline ceiling;
-//!   admission control is the bounded ingest queue: a full queue is an
-//!   *explicit, synchronous reject* (the accept/reject ack of the wire
-//!   protocol), never a silent drop and never a blocked transport
-//!   thread;
+//! * **transport-in** ([`IngestHandle`]) — submissions from every
+//!   connection join one open [`batcher`] batch, which the fold takes
+//!   whole whenever it is free (natural batching: a batch is what
+//!   arrived during the previous pass), and which is cut into the queue
+//!   early only at its size cap or behind a control op; admission
+//!   control is the bounded ingest queue: a full open batch with no room
+//!   to cut it into is an *explicit, synchronous reject* (the
+//!   accept/reject ack of the wire protocol), never a silent drop and
+//!   never a blocked transport thread;
 //! * **pipeline** — the **fold thread**, the sole [`pubsub_core::Broker`]
 //!   owner, pops the ingest queue and runs every batch through
 //!   [`pubsub_core::Broker::publish_batch`], so outcomes, the

@@ -97,7 +97,7 @@ impl LatencyHisto {
 /// [`StagedServer::stop`](crate::StagedServer::stop) returns.
 ///
 /// The server keeps each of these once, where it happens: the ingest
-/// shards count admissions, and the fold thread records the stage
+/// queue counts admissions, and the fold thread records the stage
 /// histograms, the delivery counts and its own restarts (they survive a
 /// fold recovery). A metrics poll and `stop` read the same fold-side
 /// copy.
@@ -114,7 +114,9 @@ pub struct ServerStats {
     pub failed: u64,
     /// Batches the pipeline processed.
     pub batches: u64,
-    /// High-water mark of the ingest queue (in queued work items).
+    /// High-water mark of the ingest queue, in cut work items (batches
+    /// and control ops); the open batch, which the fold takes whole,
+    /// never counts.
     pub ingest_queue_max_depth: u64,
     /// Fold restarts after a crash (a chaos kill, a panicking sink, an
     /// engine bug); 0 on a healthy run.
@@ -125,12 +127,13 @@ pub struct ServerStats {
     /// sum of the two splits below, kept whole for cross-version
     /// comparability.
     pub stage_ingest: LatencyHisto,
-    /// Ingest split, per event: submission → shard-batcher flush — how
-    /// long the event waited for the size trigger, a drained pipeline or
-    /// the deadline. Near zero while the pipeline is idle.
+    /// Ingest split, per event: submission → cut, the time spent in the
+    /// open batch. The fold's take, a full batch or a control op cuts
+    /// it, so this is mostly the wait for the pass in flight to end;
+    /// near zero while the pipeline is idle.
     pub stage_batcher: LatencyHisto,
-    /// Ingest split, per event: batcher flush → fold dequeue — time
-    /// spent in the bounded ingest queue.
+    /// Ingest split, per event: cut → fold dequeue — time spent queued
+    /// as a cut batch. Zero for a batch the fold took whole.
     pub stage_queue_wait: LatencyHisto,
     /// Per-batch pipeline-stage latency: fold dequeue → publish pass
     /// complete (the fused match → cost pass and the fold that decides).

@@ -1,5 +1,5 @@
-//! The staged server: ingest shards → bounded ingest queue → the fold
-//! thread, which owns the broker and the sink.
+//! The staged server: one ingest queue → the fold thread, which owns the
+//! broker and the sink.
 //!
 //! See the crate docs for the stage architecture and the backpressure
 //! contract. The implementation notes that matter:
@@ -21,11 +21,11 @@
 //!   the queue order, and a control op's reply follows the records of
 //!   every batch before it.
 //! * **Accepted means delivered-or-reported.** Once `submit` returns
-//!   `Ok`, the event sits in a shard batcher or the queue; shutdown
-//!   flushes every shard with a *blocking* push before closing the
-//!   queue, so exactly one [`EventRecord`] per accepted event reaches
-//!   the sink — even records for events the broker itself rejected
-//!   (fault-plan aborts) carry the error instead of vanishing.
+//!   `Ok`, the event sits in the open batch or the queue, and the fold
+//!   drains both before it ends, so exactly one [`EventRecord`] per
+//!   accepted event reaches the sink — even records for events the
+//!   broker itself rejected (fault-plan aborts) carry the error instead
+//!   of vanishing.
 //! * **Under a fault plan** the fold publishes event by event: the fault
 //!   clock and a mid-batch abort are per-event state, and this way every
 //!   event gets an attributable record, bit-identical to a synchronous
@@ -37,21 +37,23 @@
 //!   [`CrashPlan`] and no [`RecoverFn`](crate::RecoverFn) — what
 //!   [`StagedServer::start`] means — is the same runtime with nothing
 //!   scheduled to die.
-//! * **Batching earns its wait.** A submit into an idle pipeline flushes
-//!   at once, and the fold flushes every waiting shard when its last item
-//!   in flight finishes; events wait only while a pass is in flight to
-//!   amortise against, at most [`ServingConfig::flush_interval`].
+//! * **Natural batching.** Accepted events collect in one open batch,
+//!   which the fold takes whole whenever it is free: an idle fold takes
+//!   a lone event at once, and a busy one finds everything that arrived
+//!   during its pass. The open batch is cut into the queue early only
+//!   when it reaches [`ServingConfig::max_batch`] or a control op must
+//!   queue behind it. Events wait only while a pass is in flight.
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pubsub_core::{Broker, BrokerError, PublishOutcome, SubscriptionHandle};
 use pubsub_geom::{Point, Rect};
 use pubsub_netsim::NodeId;
-use pubsub_parallel::{PushError, StageQueue};
 
 use crate::batcher::{EventBatch, EventBatcher, SubmitMeta};
 use crate::metrics::{ServerStats, ServingMetrics};
@@ -63,6 +65,10 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(|e| e.into_inner())
+}
+
 pub(crate) fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
@@ -70,26 +76,17 @@ pub(crate) fn nanos(d: Duration) -> u64 {
 /// Configuration of a [`StagedServer`]. Passive data: public fields.
 #[derive(Clone, Copy, Debug)]
 pub struct ServingConfig {
-    /// Bounded ingest-queue capacity in work items (batches + control
-    /// operations). This is the admission-control knob: when the
-    /// pipeline falls behind by this many batches, submissions reject.
-    /// A slow sink stalls the fold that calls it, and so fills this
-    /// queue: pressure reaches the edge instead of growing memory.
+    /// Bounded ingest-queue capacity in work items (cut batches +
+    /// control operations), besides the open batch. This is the
+    /// admission-control knob: when the pipeline falls behind by this
+    /// many items and the open batch is full, submissions reject. A slow
+    /// sink stalls the fold that calls it, and so fills this queue:
+    /// pressure reaches the edge instead of growing memory.
     pub ingest_capacity: usize,
-    /// Size trigger: a shard batch flushes when it reaches this many
-    /// events.
+    /// Size cap of one batch: the open batch is cut into the queue when
+    /// it holds this many events. Below the cap a batch holds whatever
+    /// arrived while the fold's previous pass ran.
     pub max_batch: usize,
-    /// Deadline ceiling only: a non-empty shard flushes when its oldest
-    /// event has waited this long. An idle pipeline never makes events
-    /// wait for it — a submit into it flushes at once, and the fold
-    /// flushes every waiting shard when the pipeline drains — so it binds
-    /// only for a sparse shard while other connections keep the pipeline
-    /// busy.
-    pub flush_interval: Duration,
-    /// Connection shards (batchers). Clients map to shards by
-    /// `client % shards`; more shards mean less submit-lock contention
-    /// but smaller, more frequent batches.
-    pub shards: usize,
 }
 
 impl Default for ServingConfig {
@@ -97,8 +94,6 @@ impl Default for ServingConfig {
         ServingConfig {
             ingest_capacity: 64,
             max_batch: 256,
-            flush_interval: Duration::from_millis(1),
-            shards: 8,
         }
     }
 }
@@ -108,11 +103,11 @@ impl Default for ServingConfig {
 /// was enqueued.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RejectReason {
-    /// Load shedding: the bounded ingest queue is full and the shard's
-    /// batch could not be handed off. Control
-    /// operations (subscribe/unsubscribe/recompile/metrics) are always
-    /// admitted — only publishes shed. The hint says how long to back
-    /// off before retrying, scaled to the current backlog.
+    /// Load shedding: the open batch is full and the bounded ingest
+    /// queue has no room to cut it into. Control operations
+    /// (subscribe/unsubscribe/recompile/metrics) are always admitted —
+    /// only publishes shed. The hint says how long to back off before
+    /// retrying, scaled to the current backlog.
     Shed {
         /// Suggested client backoff before retrying, in milliseconds.
         retry_after_ms: u32,
@@ -300,88 +295,117 @@ pub(crate) struct EgressBatch {
     folded: Instant,
 }
 
+/// What the ingest lock guards: the open batch, the queue of cut work
+/// behind it, and the admission counts.
+struct Ingest {
+    /// The events accepted since the last cut.
+    open: EventBatcher,
+    /// Cut batches and control ops, in acceptance order.
+    items: VecDeque<WorkItem>,
+    /// Set at shutdown: admission stops, and the fold drains `items`,
+    /// then `open`, and ends.
+    closed: bool,
+    /// The fold waits on `work`; whoever gives it work clears this and
+    /// wakes it, so a busy fold costs submitters no wake-up. Only set
+    /// while `open` and `items` are empty, so cutting `open` never
+    /// needs a wake-up.
+    parked: bool,
+    /// High-water mark of `items.len()`.
+    max_depth: usize,
+    accepted: u64,
+    rejected: u64,
+}
+
+impl Ingest {
+    /// Queues `item` behind everything cut before it; whether the fold
+    /// is parked and must be woken.
+    fn enqueue(&mut self, item: WorkItem) -> bool {
+        self.items.push_back(item);
+        self.max_depth = self.max_depth.max(self.items.len());
+        std::mem::take(&mut self.parked)
+    }
+}
+
+/// The one ingest queue between the transport threads and the fold.
 pub(crate) struct IngestShared {
-    pub(crate) queue: StageQueue<WorkItem>,
-    pub(crate) shards: Vec<Mutex<EventBatcher>>,
-    pub(crate) accepting: AtomicBool,
-    pub(crate) accepted: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    /// Work items pushed into `queue` and not yet finished by the fold:
-    /// a batch until its emit step ends, a control op until it leaves the
-    /// apply slot. Zero means the pipeline is idle.
-    pub(crate) in_flight: AtomicU64,
-    pub(crate) dims: usize,
-    pub(crate) flush_interval: Duration,
+    state: Mutex<Ingest>,
+    /// The fold parks here while `items` and `open` are both empty.
+    work: Condvar,
+    /// Control ops wait here for room in `items`.
+    space: Condvar,
+    capacity: usize,
+    dims: usize,
 }
 
 impl IngestShared {
-    /// Pushes `item` (blocking or not), counted in `in_flight` from
-    /// before the push so the fold never finishes an uncounted item; a
-    /// failed push is uncounted again. An undo that reaches zero drains
-    /// nothing, but it follows a full queue, and the ceiling bounds that.
-    fn push(&self, item: WorkItem, block: bool) -> Result<(), WorkItem> {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        let pushed = if block {
-            self.queue.push(item)
-        } else {
-            self.queue.try_push(item).map_err(PushError::into_inner)
-        };
-        if pushed.is_err() {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+    fn new(config: &ServingConfig, dims: usize) -> Self {
+        IngestShared {
+            state: Mutex::new(Ingest {
+                open: EventBatcher::new(config.max_batch, dims),
+                items: VecDeque::new(),
+                closed: false,
+                parked: false,
+                max_depth: 0,
+                accepted: 0,
+                rejected: 0,
+            }),
+            work: Condvar::new(),
+            space: Condvar::new(),
+            capacity: config.ingest_capacity.max(1),
+            dims,
         }
-        pushed
     }
 
-    /// Flushes `batcher`'s events (if any) as one batch; whether they
-    /// left. A failed push puts them back.
-    fn flush(&self, batcher: &mut EventBatcher, now: Instant, block: bool) -> bool {
-        if batcher.is_empty() {
-            return true;
+    /// The fold's next work item and the instant it left the queue: the
+    /// front of the queue, or else the open batch whole. Parks while
+    /// both are empty; `None` once the queue is closed and drained.
+    pub(crate) fn pop(&self) -> Option<(WorkItem, Instant)> {
+        let mut ing = lock(&self.state);
+        loop {
+            if let Some(item) = ing.items.pop_front() {
+                drop(ing);
+                self.space.notify_one();
+                return Some((item, Instant::now()));
+            }
+            if !ing.open.is_empty() {
+                let now = Instant::now();
+                return Some((WorkItem::Batch(ing.open.take(now)), now));
+            }
+            if ing.closed {
+                return None;
+            }
+            ing.parked = true;
+            ing = wait(&self.work, ing);
         }
-        let Err(WorkItem::Batch(batch)) = self.push(WorkItem::Batch(batcher.take(now)), block)
-        else {
-            return true;
-        };
-        batcher.restore(batch, now);
-        false
     }
 
-    /// The fold finished one work item; the one that leaves nothing in
-    /// flight flushes every shard that buffered events meanwhile.
-    ///
-    /// No wake-up is lost: `submit` reads `in_flight` under its shard
-    /// lock after buffering, and this decrement precedes every shard lock
-    /// below, so either that submit saw zero or this drain sees its
-    /// event. The fold is the queue's consumer, so it neither pushes
-    /// blocking nor waits on a shard lock, whose holder may be pushing
-    /// blocking: that holder waits on a full queue, which is work in
-    /// flight, so a contended shard is skipped once anything is in flight
-    /// — the drain that work ends in comes back to it.
-    pub(crate) fn finish(&self) {
-        if self.in_flight.fetch_sub(1, Ordering::SeqCst) != 1 {
-            return;
-        }
-        let now = Instant::now();
-        for shard in &self.shards {
-            let mut batcher = loop {
-                match shard.try_lock() {
-                    Ok(batcher) => break batcher,
-                    Err(TryLockError::Poisoned(poisoned)) => break poisoned.into_inner(),
-                    Err(_) if self.in_flight.load(Ordering::SeqCst) > 0 => return,
-                    Err(_) => std::thread::yield_now(),
-                }
-            };
-            self.flush(&mut batcher, now, false);
-        }
+    /// Stops admission. The fold drains what was accepted and ends;
+    /// callers blocked on room see `Closed`.
+    fn close(&self) {
+        lock(&self.state).closed = true;
+        self.work.notify_all();
+        self.space.notify_all();
+    }
+
+    /// Closes the queue and drops everything in it — which is how a
+    /// control caller waiting for its reply learns the fold is gone.
+    pub(crate) fn abandon(&self) {
+        let mut ing = lock(&self.state);
+        ing.closed = true;
+        ing.items.clear();
+        ing.open.take(Instant::now());
+        drop(ing);
+        self.space.notify_all();
     }
 
     /// `stats` with the counts the ingest side keeps filled in:
     /// admissions and the ingest queue's high-water mark.
     pub(crate) fn stats(&self, stats: ServerStats) -> ServerStats {
+        let ing = lock(&self.state);
         ServerStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            ingest_queue_max_depth: self.queue.max_depth() as u64,
+            accepted: ing.accepted,
+            rejected: ing.rejected,
+            ingest_queue_max_depth: ing.max_depth as u64,
             ..stats
         }
     }
@@ -389,13 +413,14 @@ impl IngestShared {
 
 impl fmt::Debug for IngestShared {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ing = lock(&self.state);
         f.debug_struct("IngestShared")
-            .field("queue", &self.queue)
-            .field("shards", &self.shards.len())
-            .field("accepting", &self.accepting)
-            .field("accepted", &self.accepted)
-            .field("rejected", &self.rejected)
-            .field("in_flight", &self.in_flight)
+            .field("open", &ing.open.len())
+            .field("depth", &ing.items.len())
+            .field("capacity", &self.capacity)
+            .field("closed", &ing.closed)
+            .field("accepted", &ing.accepted)
+            .field("rejected", &ing.rejected)
             .finish_non_exhaustive()
     }
 }
@@ -435,29 +460,24 @@ impl IngestHandle {
             return Err(RejectReason::Malformed);
         }
         let now = Instant::now();
-        let shard = &sh.shards[client as usize % sh.shards.len()];
-        let mut batcher = lock(shard);
-        // Re-check under the shard lock: shutdown sets the flag before
-        // flushing the shards, so a submit that lands after the final
-        // flush sees it here and cannot strand an accepted event.
-        if !sh.accepting.load(Ordering::SeqCst) {
+        let mut ing = lock(&sh.state);
+        if ing.closed {
             return Err(RejectReason::Closed);
         }
-        // Mandatory flush before accepting more: if the queue will not
-        // take the shard's batch, the *new* event is rejected and
-        // everything already accepted stays buffered.
-        if batcher.is_full() && !sh.flush(&mut batcher, now, false) {
-            sh.rejected.fetch_add(1, Ordering::Relaxed);
-            if sh.queue.is_closed() {
-                return Err(RejectReason::Closed);
+        // A full open batch is cut into the queue before it takes more;
+        // if the queue has no room, the *new* event is rejected and
+        // everything already accepted stays where it is.
+        if ing.open.is_full() {
+            if ing.items.len() >= sh.capacity {
+                ing.rejected += 1;
+                return Err(RejectReason::Shed {
+                    retry_after_ms: shed_hint(ing.items.len()),
+                });
             }
-            // Publishes shed with a retry hint; control ops keep their
-            // blocking-push lane and are always admitted.
-            return Err(RejectReason::Shed {
-                retry_after_ms: shed_hint(sh),
-            });
+            let batch = ing.open.take(now);
+            ing.enqueue(WorkItem::Batch(batch));
         }
-        batcher.push(
+        ing.open.push(
             SubmitMeta {
                 client,
                 seq,
@@ -467,15 +487,11 @@ impl IngestHandle {
             event,
             now,
         );
-        sh.accepted.fetch_add(1, Ordering::Relaxed);
-        // Size trigger, or flush on idle: with nothing in flight there is
-        // no pass to amortise against. Read under the shard lock after
-        // buffering, while the fold's drain decrements before it locks a
-        // shard: either this read sees zero or that drain sees the event
-        // (see `IngestShared::finish`). A full queue leaves the batch for
-        // the next submit, the next drain or the deadline flusher.
-        if batcher.is_full() || sh.in_flight.load(Ordering::SeqCst) == 0 {
-            sh.flush(&mut batcher, now, false);
+        ing.accepted += 1;
+        let wake = std::mem::take(&mut ing.parked);
+        drop(ing);
+        if wake {
+            sh.work.notify_one();
         }
         Ok(())
     }
@@ -550,39 +566,52 @@ impl IngestHandle {
 
     /// Submissions accepted so far.
     pub fn accepted(&self) -> u64 {
-        self.shared.accepted.load(Ordering::Relaxed)
+        lock(&self.shared.state).accepted
     }
 
     /// Submissions rejected by admission control so far.
     pub fn rejected(&self) -> u64 {
-        self.shared.rejected.load(Ordering::Relaxed)
+        lock(&self.shared.state).rejected
     }
 
-    /// Enqueues a control operation behind everything already accepted:
-    /// flushes every shard (blocking — accepted events are never
-    /// dropped), then pushes the op through the same ordered queue.
+    /// Enqueues a control operation behind everything already accepted,
+    /// waiting for room rather than shedding. The open batch is cut
+    /// first, into room of its own; events accepted while the op then
+    /// waits may follow it, so a busy submitter cannot starve it. The
+    /// batch and the op never wait for room together: with a capacity
+    /// of one that room never comes.
     fn control(&self, op: ControlOp) -> Result<(), ServingError> {
         let sh = &*self.shared;
-        for shard in &sh.shards {
-            // A closed queue (mid-shutdown) puts the events back for the
-            // final flush.
-            if !sh.flush(&mut lock(shard), Instant::now(), true) {
+        let mut ing = lock(&sh.state);
+        let mut behind_open = !ing.open.is_empty();
+        loop {
+            if ing.closed {
                 return Err(ServingError::Closed);
             }
+            if ing.items.len() >= sh.capacity {
+                ing = wait(&sh.space, ing);
+            } else if behind_open && !ing.open.is_empty() {
+                let batch = ing.open.take(Instant::now());
+                ing.enqueue(WorkItem::Batch(batch));
+                behind_open = false;
+            } else {
+                let wake = ing.enqueue(WorkItem::Control(op));
+                drop(ing);
+                if wake {
+                    sh.work.notify_one();
+                }
+                return Ok(());
+            }
         }
-        sh.push(WorkItem::Control(op), true)
-            .map_err(|_| ServingError::Closed)
     }
 }
 
-/// The running staged server. Owns the deadline flusher and the fold
-/// thread; [`StagedServer::stop`] (or drop) shuts down cleanly,
-/// returning the broker and the aggregate stats.
+/// The running staged server. Owns the fold thread;
+/// [`StagedServer::stop`] (or drop) shuts down cleanly, returning the
+/// broker and the aggregate stats.
 #[derive(Debug)]
 pub struct StagedServer {
     handle: IngestHandle,
-    flusher_stop: Arc<AtomicBool>,
-    flusher: Option<JoinHandle<()>>,
     fold: Option<JoinHandle<Result<(Broker, ServerStats), String>>>,
 }
 
@@ -594,9 +623,9 @@ impl StagedServer {
         Self::start_with(broker, config, sink, SuperviseOptions::default())
     }
 
-    /// Starts the staged server around `broker`: spawns the deadline
-    /// flusher and the fold thread, which takes ownership of the broker
-    /// and `sink` and runs under its own supervision.
+    /// Starts the staged server around `broker`: spawns the fold thread,
+    /// which takes ownership of the broker and `sink` and runs under its
+    /// own supervision.
     /// `options.recover` enables fold-crash recovery; `options.chaos`
     /// injects the scheduled panics.
     pub fn start_with(
@@ -605,28 +634,7 @@ impl StagedServer {
         sink: Box<dyn DeliverySink>,
         options: SuperviseOptions,
     ) -> Self {
-        let dims = broker.space().dims();
-        let ingest = Arc::new(IngestShared {
-            queue: StageQueue::new(config.ingest_capacity),
-            shards: (0..config.shards.max(1))
-                .map(|_| Mutex::new(EventBatcher::new(config.max_batch, dims)))
-                .collect(),
-            accepting: AtomicBool::new(true),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            dims,
-            flush_interval: config.flush_interval,
-        });
-        let flusher_stop = Arc::new(AtomicBool::new(false));
-        let flusher = {
-            let ingest = Arc::clone(&ingest);
-            let stop = Arc::clone(&flusher_stop);
-            std::thread::Builder::new()
-                .name("pubsub-flusher".into())
-                .spawn(move || flusher_loop(&ingest, &stop))
-                .expect("spawn flusher thread")
-        };
+        let ingest = Arc::new(IngestShared::new(&config, broker.space().dims()));
         // Only a plan that can fire replaces the process-wide panic hook;
         // a default server leaves the host's hook alone.
         if !options.chaos.is_empty() {
@@ -644,8 +652,6 @@ impl StagedServer {
 
         StagedServer {
             handle: IngestHandle { shared: ingest },
-            flusher_stop,
-            flusher: Some(flusher),
             fold: Some(fold),
         }
     }
@@ -664,9 +670,9 @@ impl StagedServer {
         self.try_stop().expect("fold healthy")
     }
 
-    /// Stops accepting, flushes every shard, lets the fold drain the
-    /// closed ingest queue, joins it, and returns the broker plus the
-    /// final aggregate stats.
+    /// Stops accepting, lets the fold drain the closed ingest queue and
+    /// the open batch, joins it, and returns the broker plus the final
+    /// aggregate stats.
     ///
     /// # Errors
     ///
@@ -679,18 +685,7 @@ impl StagedServer {
 
     fn shutdown(&mut self) -> Option<Result<(Broker, ServerStats), ServingError>> {
         let fold = self.fold.take()?;
-        let sh = &*self.handle.shared;
-        sh.accepting.store(false, Ordering::SeqCst);
-        // Final flush: every accepted event must reach the pipeline, so
-        // this push blocks rather than rejects.
-        for shard in &sh.shards {
-            sh.flush(&mut lock(shard), Instant::now(), true);
-        }
-        sh.queue.close();
-        self.flusher_stop.store(true, Ordering::SeqCst);
-        if let Some(flusher) = self.flusher.take() {
-            let _ = flusher.join();
-        }
+        self.handle.shared.close();
         let outcome = fold
             .join()
             .unwrap_or_else(|_| Err("fold thread panicked".into()));
@@ -706,44 +701,22 @@ impl Drop for StagedServer {
     }
 }
 
-/// The shed tier's retry hint: roughly how long the current backlog
-/// takes to drain (queue depth × the flush interval each entry
-/// represents), clamped to a sane client-side backoff band. A deeper
-/// backlog tells clients to stay away longer instead of hammering the
-/// admission edge.
-pub(crate) fn shed_hint(shared: &IngestShared) -> u32 {
-    let depth = shared.queue.depth().max(1) as u128;
-    let per_batch_ms = shared.flush_interval.as_millis().max(1);
-    (depth * per_batch_ms).clamp(1, 10_000) as u32
-}
-
-/// The deadline ceiling, for a sparse shard while other connections keep
-/// the pipeline from ever draining.
-pub(crate) fn flusher_loop(shared: &IngestShared, stop: &AtomicBool) {
-    // The tick is capped so shutdown never waits on a sleeping flusher:
-    // `stop` joins this thread, and an arbitrarily long flush interval
-    // must not translate into an arbitrarily long join.
-    let deadline = shared.flush_interval;
-    let tick = (deadline / 2).clamp(Duration::from_micros(50), Duration::from_millis(20));
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(tick);
-        let now = Instant::now();
-        for shard in &shared.shards {
-            let mut batcher = lock(shard);
-            if batcher.due(now, deadline) {
-                shared.flush(&mut batcher, now, false);
-            }
-        }
-    }
+/// The shed tier's retry hint: roughly how long the current backlog of
+/// `depth` queued items takes to drain at about a millisecond each,
+/// clamped to a sane client-side backoff band. A deeper backlog tells
+/// clients to stay away longer instead of hammering the admission edge.
+fn shed_hint(depth: usize) -> u32 {
+    depth.clamp(1, 10_000) as u32
 }
 
 /// Per-event transport-in latencies, recorded by the fold as the batch
-/// leaves its crash window: batcher residency, queue wait, and their
-/// sum kept as the whole-stage histogram.
+/// leaves its crash window: time in the open batch (submission → cut),
+/// queue wait (cut → dequeue), and their sum kept as the whole-stage
+/// histogram.
 fn record_ingest(stats: &mut ServerStats, batch: &EventBatch, dequeued: Instant) {
     for m in &batch.meta {
-        let flushed = batch.enqueued.saturating_duration_since(m.submitted);
-        stats.stage_batcher.record(nanos(flushed));
+        let batched = batch.enqueued.saturating_duration_since(m.submitted);
+        stats.stage_batcher.record(nanos(batched));
         let queued = dequeued.saturating_duration_since(batch.enqueued);
         stats.stage_queue_wait.record(nanos(queued));
         let ingest = dequeued.saturating_duration_since(m.submitted);
@@ -798,21 +771,19 @@ pub(crate) fn fold_loop(ingest: &IngestShared, st: &mut FoldState) {
         // A crashed pass's unfinished emit, then its salvaged item,
         // replay first; only then does the fold pop (and tick the chaos
         // clock) again.
-        emit(ingest, st);
+        emit(st);
         if st.slot.is_none() {
-            let Some(item) = ingest.queue.pop() else {
+            let Some(item) = ingest.pop() else {
                 break;
             };
-            st.slot = Some((item, Instant::now()));
+            st.slot = Some(item);
             st.chaos.tick(CrashKind::KillFold, &mut st.items);
         }
         let broker = &mut st.broker;
         let Some((WorkItem::Batch(batch), _)) = &st.slot else {
-            // A control op leaves the slot, and is finished, before it is
-            // applied: at most once, and a caller whose op died sees its
-            // channel drop.
+            // A control op leaves the slot before it is applied: at most
+            // once, and a caller whose op died sees its channel drop.
             if let Some((WorkItem::Control(op), _)) = st.slot.take() {
-                ingest.finish();
                 match op {
                     ControlOp::Subscribe(node, rect, tx) => {
                         let _ = tx.send(broker.subscribe(node, rect));
@@ -885,7 +856,7 @@ fn process(broker: &mut Broker, points: &[Point]) -> (Vec<Result<PublishOutcome,
 /// The fold's emit step: hands the batch in the emit slot to the sink,
 /// record by record, in order. A crashed pass's batch resumes where it
 /// stopped.
-fn emit(ingest: &IngestShared, st: &mut FoldState) {
+fn emit(st: &mut FoldState) {
     let Some(batch) = st.emit.as_mut() else {
         return;
     };
@@ -918,7 +889,6 @@ fn emit(ingest: &IngestShared, st: &mut FoldState) {
     st.stats.batches += 1;
     // Finished as it leaves the emit slot; a death before resumes it.
     st.emit = None;
-    ingest.finish();
 }
 
 #[cfg(test)]
@@ -974,7 +944,6 @@ mod tests {
             let server = start(
                 tiny_broker(),
                 ServingConfig {
-                    shards: 1, // one shard keeps submission order end to end
                     max_batch: 16,
                     ..ServingConfig::default()
                 },
@@ -1015,7 +984,6 @@ mod tests {
             let server = start(
                 tiny_broker(),
                 ServingConfig {
-                    shards: 1,
                     max_batch: 4, // many small batches
                     ..ServingConfig::default()
                 },
@@ -1081,8 +1049,8 @@ mod tests {
             handle.submit_now(0, 0, Point::new(vec![1.0, 2.0]).expect("point")),
             Err(RejectReason::Closed)
         );
-        // Neither the fold thread nor the flusher outlived the stop: they
-        // held the other references to the ingest state and the sink.
+        // The fold thread did not outlive the stop: it held the other
+        // references to the ingest state and the sink.
         assert_eq!(Arc::strong_count(&handle.shared), 1);
         assert_eq!(Arc::strong_count(&sink.records), 1);
     }
@@ -1100,7 +1068,6 @@ mod tests {
         let server = StagedServer::start(
             tiny_broker(),
             ServingConfig {
-                shards: 1,
                 max_batch: 4,
                 ..ServingConfig::default()
             },
@@ -1158,17 +1125,13 @@ mod tests {
         (Box::new(gate), held, release)
     }
 
-    /// An hour-long interval takes the deadline out of play: with
-    /// nothing in flight the submit itself flushes.
+    /// A parked fold wakes for a lone event and takes it at once.
     #[test]
     fn idle_pipeline_flushes_at_submit() {
         let sink = CollectorSink::new();
         let server = StagedServer::start(
             tiny_broker(),
-            ServingConfig {
-                flush_interval: Duration::from_secs(3600),
-                ..ServingConfig::default()
-            },
+            ServingConfig::default(),
             Box::new(sink.clone()),
         );
         server
@@ -1181,21 +1144,14 @@ mod tests {
         assert_eq!((stats.delivered, stats.batches), (1, 1));
     }
 
-    /// Seq 0 flushes on idle and holds the pipeline busy in the sink, so
-    /// seqs 1–4 wait; the fold's drain, not the hour-long deadline,
-    /// flushes them as one batch once seq 0 is delivered.
+    /// Seq 0 goes alone to an idle fold and holds it busy in the sink,
+    /// so seqs 1–4, from four other clients, wait in the open batch; the
+    /// fold takes them as one batch once seq 0 is delivered.
     #[test]
     fn drained_pipeline_flushes_what_waited() {
         let sink = CollectorSink::new();
         let (gate, held, release) = holding_sink(&sink, |_| true);
-        let server = StagedServer::start(
-            tiny_broker(),
-            ServingConfig {
-                flush_interval: Duration::from_secs(3600),
-                ..ServingConfig::default()
-            },
-            gate,
-        );
+        let server = StagedServer::start(tiny_broker(), ServingConfig::default(), gate);
         let handle = server.handle();
         let stream = events(5);
         handle
@@ -1204,7 +1160,9 @@ mod tests {
         held.recv_timeout(Duration::from_secs(5))
             .expect("an idle pipeline kept seq 0 waiting");
         for (i, e) in stream.iter().enumerate().skip(1) {
-            handle.submit_now(0, i as u64, e.clone()).expect("accepted");
+            handle
+                .submit_now(i as u32, i as u64, e.clone())
+                .expect("accepted");
         }
         release.send(()).expect("the sink holds seq 0");
         let drained = wait_until(Duration::from_secs(5), || sink.len() == 5);
@@ -1212,13 +1170,13 @@ mod tests {
         let seqs: Vec<u64> = sink.take().iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
         let (_, stats) = server.stop();
-        assert_eq!(stats.batches, 2, "one flush on idle, one on drain");
+        assert_eq!(stats.batches, 2, "seq 0 alone, then every client's wait");
     }
 
     /// Seq 0 holds the pipeline busy in the sink while the next
-    /// `max_batch` events fill the shard to its size trigger: one full
-    /// batch of several blocks, which the fold publishes across the
-    /// broker's own worker pool.
+    /// `max_batch` events fill the open batch to its cap: one full batch
+    /// of several blocks, which the fold publishes across the broker's
+    /// own worker pool.
     #[test]
     fn full_batches_split_across_the_broker_pool() {
         if pubsub_parallel::effective_threads(None) < 2 {
@@ -1226,10 +1184,7 @@ mod tests {
         }
         let sink = CollectorSink::new();
         let (gate, held, release) = holding_sink(&sink, |r| r.seq == 0);
-        let config = ServingConfig {
-            flush_interval: Duration::from_secs(3600),
-            ..ServingConfig::default()
-        };
+        let config = ServingConfig::default();
         let server = StagedServer::start(tiny_broker(), config, gate);
         let handle = server.handle();
         let stream = events(config.max_batch + 1);
@@ -1249,40 +1204,53 @@ mod tests {
         );
         let (_, stats) = server.stop();
         assert_eq!(stats.delivered, stream.len() as u64);
-        assert_eq!(stats.batches, 2, "one flush on idle, one full batch");
+        assert_eq!(stats.batches, 2, "seq 0 alone, then one full batch");
     }
 
-    /// The ceiling: client 0's record holds the pipeline busy in the
-    /// sink, so neither a flush on idle nor a drain can move client 1's
-    /// event on the other shard — only the deadline flusher can.
+    /// A control op on a full queue: seq 0 holds the fold in the sink,
+    /// seqs 1–4 wait in the open batch, and the recompile cuts them into
+    /// the queue's one slot, then waits for room of its own. Waiting for
+    /// room for both at once would never end.
     #[test]
-    fn deadline_flush_delivers_sparse_traffic() {
+    fn control_op_waits_for_room_behind_accepted_events() {
         let sink = CollectorSink::new();
-        let (gate, held, release) = holding_sink(&sink, |r| r.client == 0);
-        let server = StagedServer::start(
-            tiny_broker(),
-            ServingConfig {
-                max_batch: 1_000_000, // size trigger unreachable
-                flush_interval: Duration::from_millis(2),
-                shards: 2,
-                ..ServingConfig::default()
-            },
-            gate,
-        );
+        let (gate, held, release) = holding_sink(&sink, |r| r.seq == 0);
+        let broker = tiny_broker();
+        let epoch = broker.epoch();
+        let config = ServingConfig {
+            ingest_capacity: 1,
+            ..ServingConfig::default()
+        };
+        let server = StagedServer::start(broker, config, gate);
         let handle = server.handle();
-        let point = Point::new(vec![1.0, 1.0]).expect("point");
-        handle.submit_now(0, 0, point.clone()).expect("accepted");
+        let stream = events(5);
+        handle
+            .submit_now(0, 0, stream[0].clone())
+            .expect("accepted");
         held.recv_timeout(Duration::from_secs(5))
-            .expect("client 0's record reached the sink");
-        handle.submit_now(1, 0, point).expect("accepted");
-        let flushed = wait_until(Duration::from_secs(1), || {
-            lock(&handle.shared.shards[1]).is_empty()
+            .expect("an idle pipeline kept seq 0 waiting");
+        for (i, e) in stream.iter().enumerate().skip(1) {
+            handle.submit_now(0, i as u64, e.clone()).expect("accepted");
+        }
+        let recompile = {
+            let handle = handle.clone();
+            std::thread::spawn(move || handle.recompile())
+        };
+        let cut = wait_until(Duration::from_secs(5), || {
+            let ing = lock(&handle.shared.state);
+            ing.open.is_empty() && ing.items.len() == 1
         });
-        assert!(flushed, "deadline flusher never fired");
-        assert!(sink.is_empty(), "the sink was still held");
-        release.send(()).expect("the sink holds client 0's record");
-        let (_, stats) = server.stop();
-        assert_eq!(stats.delivered, 2);
+        assert!(cut, "the recompile never cut the open batch");
+        release.send(()).expect("the sink holds seq 0");
+        let recompiled = recompile.join().expect("recompile thread");
+        assert!(recompiled.is_ok(), "recompile failed: {recompiled:?}");
+        let records = sink.take();
+        let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        assert!(records.iter().all(|r| r.epoch == epoch));
+        let (broker, stats) = server.stop();
+        assert!(broker.epoch() > epoch, "the recompile never applied");
+        assert_eq!(stats.batches, 2);
     }
 
     #[test]
@@ -1304,8 +1272,6 @@ mod tests {
             ServingConfig {
                 ingest_capacity: 1,
                 max_batch: 1,
-                shards: 1,
-                flush_interval: Duration::from_millis(1),
             },
             Box::new(slow),
         );
@@ -1358,7 +1324,6 @@ mod tests {
         let server = StagedServer::start(
             tiny_broker(),
             ServingConfig {
-                shards: 1,
                 max_batch: 4,
                 ..ServingConfig::default()
             },
@@ -1388,7 +1353,6 @@ mod tests {
         let server = StagedServer::start(
             tiny_broker(),
             ServingConfig {
-                shards: 1,
                 max_batch: 4,
                 ..ServingConfig::default()
             },

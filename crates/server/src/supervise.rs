@@ -22,8 +22,8 @@
 //!   so recovery replays them exactly once; an un-acked operation in
 //!   flight is applied at most once and its caller observes a clean
 //!   channel drop. Without a `RecoverFn` (or when it fails) the server is
-//!   *abandoned*: admission stops, the ingest queue closes and is
-//!   emptied, blocked control callers get
+//!   *abandoned*: admission stops, the ingest queue and its open batch
+//!   are emptied, blocked control callers get
 //!   [`ServingError::Closed`](crate::ServingError::Closed), and
 //!   [`StagedServer::try_stop`](crate::StagedServer::try_stop) reports
 //!   [`ServingError::Crashed`](crate::ServingError::Crashed).
@@ -48,7 +48,6 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Once;
 
 use pubsub_core::{Broker, BrokerError};
@@ -220,22 +219,12 @@ pub(crate) fn supervise_fold(
         match rebuilt {
             Ok(broker) => state.broker = broker,
             Err(why) => {
-                abandon(ingest);
+                // Last-resort teardown: submitters see `Closed`, and
+                // control callers blocked on room or on their reply wake.
+                ingest.abandon();
                 return Err(why);
             }
         }
     }
-    // Every push was finished exactly once, across every restart.
-    debug_assert_eq!(ingest.in_flight.load(Ordering::SeqCst), 0);
     Ok((state.broker, ingest.stats(state.stats)))
-}
-
-/// Last-resort teardown when the fold cannot be rebuilt: stop admission
-/// and close the ingest queue, so submitters see `Closed` and blocked
-/// producers wake, then drop whatever the queue still holds — which is
-/// how a control caller waiting for its reply learns the server is gone.
-fn abandon(ingest: &IngestShared) {
-    ingest.accepting.store(false, Ordering::SeqCst);
-    ingest.queue.close();
-    while ingest.queue.try_pop().is_some() {}
 }

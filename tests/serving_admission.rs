@@ -30,7 +30,6 @@ struct Scenario {
     events: Vec<(f64, f64)>,
     ingest_capacity: usize,
     max_batch: usize,
-    shards: usize,
     /// Sink stall per record, microseconds — drives the backpressure.
     sink_delay_us: u64,
 }
@@ -49,12 +48,11 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         (
             1usize..4,
             1usize..6,
-            1usize..4,
             prop::collection::vec(0u64..2_000, 1..2),
         ),
     )
         .prop_map(|(topo_seed, threshold, subs, events, knobs)| {
-            let (ingest_capacity, max_batch, shards, delay) = knobs;
+            let (ingest_capacity, max_batch, delay) = knobs;
             Scenario {
                 topo_seed,
                 threshold,
@@ -62,7 +60,6 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
                 events,
                 ingest_capacity,
                 max_batch,
-                shards,
                 sink_delay_us: delay[0],
             }
         })
@@ -109,8 +106,6 @@ proptest! {
             ServingConfig {
                 ingest_capacity: s.ingest_capacity,
                 max_batch: s.max_batch,
-                flush_interval: Duration::from_micros(500),
-                shards: s.shards,
             },
             Box::new(sink),
         );

@@ -3,15 +3,12 @@
 //!
 //! Control operations (subscribe / unsubscribe / recompile) travel
 //! through the *same ordered queue* as event batches — `control()`
-//! flushes every ingest shard before enqueueing the op — so a batch
-//! submitted before a recompile is matched against the pre-recompile
-//! engine and stamped with the pre-recompile epoch, even if the
-//! recompile lands while the batch is still buffered in a shard
-//! batcher. These tests pin that ordering: every record's outcome and
+//! cuts the open batch into the queue before enqueueing the op — so a
+//! batch submitted before a recompile is matched against the
+//! pre-recompile engine and stamped with the pre-recompile epoch, even
+//! if the recompile lands while the events still sit in the open batch. These tests pin that ordering: every record's outcome and
 //! epoch must be bit-identical to a synchronous reference broker
 //! applying the same operation sequence.
-
-use std::time::Duration;
 
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
@@ -49,25 +46,22 @@ const BASE_SUBS: &[SubSpec] = &[
     (7, (5.0, 4.0), (4.0, 5.0)),
 ];
 
-/// A recompile landing while a batch is still buffered in a shard
-/// batcher must not see it: the flush-before-control ordering processes
-/// the in-flight events against the pre-recompile engine, and their
-/// records carry the pre-recompile epoch.
+/// A recompile landing while events still sit in the open batch must
+/// not see them: the cut-before-control ordering processes them against
+/// the pre-recompile engine, and their records carry the pre-recompile
+/// epoch.
 #[test]
 fn in_flight_batch_processes_before_the_recompile() {
     let broker = build(11, 0.3, BASE_SUBS);
     let sink = CollectorSink::new();
     let server = StagedServer::start(
         broker,
-        // A huge batch size and a long flush interval take the size
-        // trigger and the deadline out of play: submitted events leave
-        // the shard batcher on an idle or drained pipeline, or at the
-        // latest with the control op's shard flush.
+        // A huge batch size takes the size cap out of play: submitted
+        // events leave the open batch when the fold takes it, or at the
+        // latest when the control op cuts it.
         ServingConfig {
             ingest_capacity: 64,
             max_batch: 1 << 20,
-            flush_interval: Duration::from_secs(3600),
-            shards: 1,
         },
         Box::new(sink.clone()),
     );
@@ -78,8 +72,8 @@ fn in_flight_batch_processes_before_the_recompile() {
         .collect();
 
     let epoch_before = handle.metrics().unwrap().broker.epoch;
-    // Some of these five may still sit in the batcher when the subscribe
-    // arrives; its shard flush puts them ahead of it either way.
+    // Some of these five may still sit in the open batch when the
+    // subscribe arrives; its cut puts them ahead of it either way.
     for (i, e) in events[..5].iter().enumerate() {
         handle.submit_now(0, i as u64, e.clone()).unwrap();
     }
@@ -182,13 +176,11 @@ proptest! {
         let sink = CollectorSink::new();
         let server = StagedServer::start(
             broker,
-            // One shard keeps the submission order total; roomy queues
-            // keep this a semantics test, not a backpressure test.
+            // Roomy queues keep this a semantics test, not a
+            // backpressure test.
             ServingConfig {
                 ingest_capacity: 256,
                 max_batch: 4,
-                flush_interval: Duration::from_micros(500),
-                shards: 1,
             },
             Box::new(sink.clone()),
         );

@@ -4,8 +4,6 @@
 //! `publish` loop over the same plan, and every accepted event must
 //! produce exactly one record even when the engine aborts mid-stream.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
 use pubsub::core::Broker;
@@ -88,13 +86,10 @@ proptest! {
         let sink = CollectorSink::new();
         let server = StagedServer::start(
             broker,
-            // One shard keeps the submission order total; the fault path
-            // degrades to per-event processing on the fold.
+            // The fault path degrades to per-event processing on the fold.
             ServingConfig {
                 ingest_capacity: 256,
                 max_batch: 4,
-                flush_interval: Duration::from_micros(500),
-                shards: 1,
             },
             Box::new(sink.clone()),
         );

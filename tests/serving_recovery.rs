@@ -94,8 +94,6 @@ fn small_config(max_batch: usize) -> ServingConfig {
     ServingConfig {
         ingest_capacity: 16,
         max_batch,
-        flush_interval: Duration::from_micros(500),
-        shards: 1,
     }
 }
 
