@@ -1,8 +1,8 @@
 //! Matching-throughput comparison on the paper's testbed: the paper's
-//! node-based S-tree walk vs the quantized compact index the broker's
-//! matcher queries (block query on the SIMD and on the scalar kernels)
-//! vs the matcher itself, single-threaded and pooled, vs the fused
-//! publish pipeline.
+//! node-based S-tree walk vs the quantized `CompactSTree` baseline
+//! (block query on the SIMD and on the scalar kernels) vs the broker's
+//! matcher (slab bitmaps plus the exact check), single-threaded and
+//! pooled, vs the fused publish pipeline.
 //!
 //! Prints a throughput table and writes the machine-readable result to
 //! `BENCH_matching.json` in the current directory. Event count is
@@ -51,7 +51,7 @@ struct Row {
 }
 
 /// One covering-layer scale point: N subscriptions compiled through the
-/// covering layer into the quantized compact index.
+/// covering layer into the matcher's slab bitmaps.
 #[derive(Debug, Serialize)]
 struct ScaleRow {
     subscriptions: usize,
@@ -62,7 +62,7 @@ struct ScaleRow {
     /// Concrete subscriptions per compiled index entry.
     aggregation_ratio: f64,
     /// Live heap bytes held by the covered matcher, per subscription
-    /// (owners + expansion table + quantized index).
+    /// (owners + covering table + slab bitmaps).
     bytes_per_subscription: f64,
     /// Wall-clock seconds of the streaming covered compile.
     build_seconds: f64,
@@ -147,10 +147,8 @@ fn main() {
     let space = stock_space();
     let matcher = Matcher::build(&space, &testbed.subscriptions, CoveringConfig::default())
         .expect("testbed is valid");
-    // The paper's S-tree and a bare compact index, built here over the
-    // clamped testbed rectangles: the matcher wraps the second (at 1,000
-    // subscriptions the covering layer keeps every one) and never
-    // queries the first.
+    // The paper's S-tree and the CompactSTree baseline, built here over
+    // the clamped testbed rectangles; the matcher queries neither.
     let clamped: Vec<Rect> = testbed
         .subscriptions
         .iter()
@@ -188,9 +186,9 @@ fn main() {
         total
     });
 
-    // The compact block query the matcher runs, 8 events per quantized
-    // block, at the given kernel level; counts hit lanes, ambiguous or
-    // not (the matcher's exact re-check is not part of the kernel).
+    // The baseline's compact block query, 8 events per quantized block,
+    // at the given kernel level; counts hit lanes, ambiguous or not (an
+    // exact re-check is not part of the kernel).
     let compact_block = |level: SimdLevel| {
         measure(n, samples, || {
             let mut block = QuantBlock::new();
@@ -213,8 +211,8 @@ fn main() {
     let compact_simd = compact_block(simd_level);
     let compact_scalar = compact_block(SimdLevel::Scalar);
 
-    // The full single-thread matcher (compact query, run resolution and
-    // dedup into nodes).
+    // The full single-thread matcher (slab filter, exact check, run
+    // resolution and dedup into nodes).
     let matcher_scalar = measure(n, samples, || {
         let mut scratch = MatchScratch::new();
         let mut subs = Vec::new();
@@ -440,7 +438,7 @@ fn main() {
         batch_latency.batches
     );
 
-    println!("\ncovering-layer scale (streaming covered compile, quantized index):");
+    println!("\ncovering-layer scale (streaming covered compile, slab bitmaps):");
     println!(
         "{:>12} {:>8} {:>8} {:>8} {:>10} {:>9} {:>12} {:>12}",
         "subs", "uniques", "reps", "agg", "bytes/sub", "build_s", "events/s", "expand ev/s"

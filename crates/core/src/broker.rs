@@ -223,11 +223,11 @@ impl BrokerBuilder {
     /// Overrides the covering layer every compile runs (default:
     /// [`CoveringConfig::default`]): subscriptions are deduplicated
     /// (exact interning, rectangle subsumption, optional quantized
-    /// merge) into a representative set compiled into the
-    /// `u16`-quantized [`pubsub_stree::CompactSTree`] the matcher
-    /// queries, with a covering table mapping representative hits to the
-    /// runs of concrete subscription ids they stand for. The publish
-    /// path carries those runs, not the ids (see [`MatchedSet`]).
+    /// merge) into a representative set whose slab bitmaps the matcher
+    /// queries, with a covering table deciding each candidate exactly
+    /// and mapping a hit to the runs of concrete subscription ids it
+    /// stands for. The publish path carries those runs, not the ids
+    /// (see [`MatchedSet`]).
     /// Delivered sets and cost reports do not depend on the
     /// configuration; index memory drops with the workload's duplicate
     /// skew.
@@ -535,7 +535,7 @@ struct CompileInputs {
 /// Deterministic in registry order: subscription ids are assigned in
 /// [`SubscriptionRegistry::live`] order and the clustering is seed-free.
 /// The matcher streams the registry through the covering layer and
-/// compiles its representative set into the quantized compact index
+/// builds its representatives' slab bitmaps
 /// ([`Matcher::build_covered`]); the grid model, partition and groups
 /// see the per-subscription sequence, so nothing downstream of matching
 /// depends on how the covering layer aggregated.
@@ -2171,9 +2171,9 @@ impl Broker {
 
 /// Accounts one finished fused pass in the pipeline counters: batch and
 /// event totals, pooled vs inline, quarantines, arena growth and the
-/// per-worker SIMD kernel tallies (drained from every state, not just
-/// the `run.workers` that finished: a quarantined worker's partial pass
-/// still dispatched blocks worth counting).
+/// per-worker match work (drained from every state, not just the
+/// `run.workers` that finished: a quarantined worker's partial pass
+/// still did work worth counting).
 fn account_pass(
     counters: &mut PipelineCounters,
     events: usize,
@@ -2196,11 +2196,9 @@ fn account_pass(
         counters.arena_growths += 1;
     }
     for state in states {
-        let kernels = state.matching.take_kernels();
-        counters.match_blocks += kernels.blocks;
-        counters.simd_blocks += kernels.simd_blocks;
-        counters.scalar_blocks += kernels.scalar_blocks;
-        counters.match_lanes += kernels.lanes;
+        let (candidates, words) = state.matching.take_work();
+        counters.match_candidates += candidates;
+        counters.match_words += words;
     }
 }
 
@@ -3376,22 +3374,21 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_counts_kernel_blocks() {
+    fn pipeline_counts_match_work() {
         let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
         let events: Vec<Point> = (0..100)
             .map(|i| Point::new(vec![(i % 10) as f64, 5.0]).unwrap())
             .collect();
         broker.publish_batch(&events, None).unwrap();
         let counters = broker.metrics_snapshot().pipeline;
-        // 100 events in 8-lane blocks: 32-event ranges cut into 4 full
-        // blocks, the 4-event tail into 1 — 13 blocks however the
-        // block-cyclic ranges fall.
-        assert_eq!(counters.match_blocks, 13);
-        assert_eq!(counters.match_lanes, 100);
-        assert_eq!(
-            counters.simd_blocks + counters.scalar_blocks,
-            counters.match_blocks
-        );
+        // Two representatives, [0,5]×[0,10] and [5,10]×[0,10], so every
+        // slab row is one bitmap word under one summary word: each event
+        // ANDs 2 summary + 2 bitmap words. Along x the 64 slabs are 10/64
+        // wide: x = 0..4 sits in slabs 0..25 (left camp only), x = 6..9
+        // in slabs 38..57 (right camp only), and x = 5 in slab 32, which
+        // both camps touch — 11 candidates per 10 events.
+        assert_eq!(counters.match_words, 400);
+        assert_eq!(counters.match_candidates, 110);
         // Fault-free batches dispatch no fault segments.
         assert_eq!(counters.fault_segments, 0);
         assert_eq!(counters.degraded_segments, 0);

@@ -46,6 +46,7 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use pubsub_geom::{Rect, Space};
 use pubsub_netsim::NodeId;
 
+use crate::slab::hilbert_order;
 use crate::{BrokerError, SubscriptionId};
 
 /// Knobs of the covering layer. The defaults aggregate duplicates and
@@ -130,23 +131,23 @@ impl SubscriptionStream for &[(NodeId, Rect)] {
     }
 }
 
-/// The covering table: exact representative bounds (for the
-/// boundary-ambiguous re-check) plus a two-level CSR mapping each
+/// The covering table: exact representative bounds (for the exact
+/// test of each candidate) plus a two-level CSR mapping each
 /// representative to its groups and each group to its concrete member
 /// subscription ids. A group's member list is a **run**: ascending ids,
 /// delivered or skipped as a whole, so the publish path carries the
 /// group index instead of the ids (see [`MatchedSet`]).
 ///
-/// Layout: representative bounds are dimension-major
-/// (`rep_lo[d * reps + r]`), mirroring the index layout; group re-check
-/// rectangles are row-major (`grect_lo[g * dims + d]`) because they are
-/// touched one at a time.
+/// Layout: representatives are numbered along the Hilbert curve of
+/// their centres (the slot order of the matcher's slab bitmaps). Their
+/// bounds and the group re-check rectangles are row-major
+/// (`rep_bounds[r * dims + d]`, `grect_lo[g * dims + d]`) because each
+/// is tested one candidate at a time.
 #[derive(Debug, Clone, Default)]
 pub struct CoveringTable {
     dims: usize,
-    /// Exact (clamped) representative bounds, dimension-major.
-    rep_lo: Vec<f64>,
-    rep_hi: Vec<f64>,
+    /// Exact (clamped) representative bounds `(lo, hi)`, row-major.
+    rep_bounds: Vec<(f64, f64)>,
     /// Representative → group span: groups of rep `r` are
     /// `group_rect[group_start[r]..group_start[r + 1]]`.
     group_start: Vec<u32>,
@@ -191,14 +192,12 @@ impl CoveringTable {
     /// Exact bounds of representative `r` along dimension `d`.
     #[inline]
     pub fn rep_bounds(&self, r: usize, d: usize) -> (f64, f64) {
-        let reps = self.rep_count();
-        (self.rep_lo[d * reps + r], self.rep_hi[d * reps + r])
+        self.rep_bounds[r * self.dims + d]
     }
 
     /// Bytes of heap held by the table arrays.
     pub fn heap_bytes(&self) -> usize {
-        (self.rep_lo.capacity()
-            + self.rep_hi.capacity()
+        (2 * self.rep_bounds.capacity()
             + self.grect_lo.capacity()
             + self.grect_hi.capacity()
             + self.node_bits.capacity())
@@ -211,27 +210,26 @@ impl CoveringTable {
                 * 4
     }
 
-    /// Resolves a representative hit into the groups whose rectangles
-    /// contain `point`, appending their indices to `runs` — the covered
-    /// query every lane of the matcher's block query runs.
+    /// Decides a candidate representative exactly: appends to `runs`
+    /// the groups of `rep` whose rectangles contain `point` — the exact
+    /// half-open `f64` test every candidate of the matcher's slab filter
+    /// gets.
     ///
-    /// `ambiguous` hits (quantization could not prove exactness) are
-    /// first re-checked against the representative's exact bounds — a
-    /// failed re-check drops the whole hit, which is sound because the
-    /// representative contains every member rectangle. Surviving
-    /// non-identity groups re-check their own exact rectangle once;
-    /// identity groups hit immediately (their rectangle is the
-    /// representative's, already proven to contain the point).
+    /// The representative's own bounds are tested first; a miss drops
+    /// the whole candidate, which is sound because the representative
+    /// contains every member rectangle. On a hit, non-identity groups
+    /// re-check their own exact rectangle once; identity groups hit
+    /// immediately (their rectangle is the representative's).
     #[inline]
-    pub fn hit_runs(&self, rep: u32, ambiguous: bool, point: &[f64], runs: &mut Vec<u32>) {
+    pub fn hit_runs(&self, rep: u32, point: &[f64], runs: &mut Vec<u32>) {
         let r = rep as usize;
-        let reps = self.rep_count();
-        if ambiguous {
-            for (d, &x) in point.iter().enumerate() {
-                if !(self.rep_lo[d * reps + r] < x && x <= self.rep_hi[d * reps + r]) {
-                    return;
-                }
-            }
+        let bounds = &self.rep_bounds[r * self.dims..][..self.dims];
+        if !bounds
+            .iter()
+            .zip(point)
+            .all(|(&(lo, hi), &x)| lo < x && x <= hi)
+        {
+            return;
         }
         for g in self.group_start[r]..self.group_start[r + 1] {
             let rect = self.group_rect[g as usize];
@@ -622,13 +620,12 @@ pub(crate) fn build_covering(
     }
     let reps = rep_src.len();
 
-    // Representative bounds: dimension-major; merge reps take the hull
-    // of their members.
-    let mut rep_lo = vec![0.0f64; dims * reps];
-    let mut rep_hi = vec![0.0f64; dims * reps];
-    for (r, &(src, is_merge)) in rep_src.iter().enumerate() {
+    // Representative bounds in source order, row-major; merge reps
+    // take the hull of their members.
+    let mut by_source = Vec::with_capacity(dims * reps);
+    for &(src, is_merge) in &rep_src {
         for d in 0..dims {
-            let (lo, hi) = if is_merge {
+            by_source.push(if is_merge {
                 let group = &merge_groups[src as usize];
                 let mut lo = f64::INFINITY;
                 let mut hi = f64::NEG_INFINITY;
@@ -640,17 +637,27 @@ pub(crate) fn build_covering(
                 (lo, hi)
             } else {
                 ub(src as usize, d)
-            };
-            rep_lo[d * reps + r] = lo;
-            rep_hi[d * reps + r] = hi;
+            });
         }
     }
+
+    // Renumber the representatives along the Hilbert curve of their
+    // centres, so a word of the matcher's slab bitmaps holds
+    // representatives close in space.
+    let order = hilbert_order(dims, reps, |r, d| by_source[r * dims + d]);
+    let mut rank = vec![0u32; reps];
+    let mut rep_bounds = Vec::with_capacity(dims * reps);
+    for (slot, &r) in order.iter().enumerate() {
+        rank[r as usize] = slot as u32;
+        rep_bounds.extend_from_slice(&by_source[r as usize * dims..][..dims]);
+    }
+    drop((by_source, order));
 
     // Group assembly: bucket uniques under their rep (unique order
     // within each rep), then flatten the two-level CSR.
     let mut rep_uniques: Vec<Vec<u32>> = vec![Vec::new(); reps];
     for u in 0..uniques {
-        rep_uniques[rep_of_uniq[u] as usize].push(u as u32);
+        rep_uniques[rank[rep_of_uniq[u] as usize] as usize].push(u as u32);
     }
     let mut group_start = Vec::with_capacity(reps + 1);
     let mut group_rect = Vec::new();
@@ -662,10 +669,7 @@ pub(crate) fn build_covering(
         group_start.push(group_rect.len() as u32);
         for &u in us {
             let u = u as usize;
-            let identity = (0..dims).all(|d| {
-                let (ul, uh) = ub(u, d);
-                ul == rep_lo[d * reps + r] && uh == rep_hi[d * reps + r]
-            });
+            let identity = (0..dims).all(|d| ub(u, d) == rep_bounds[r * dims + d]);
             if identity {
                 group_rect.push(u32::MAX);
             } else {
@@ -717,8 +721,7 @@ pub(crate) fn build_covering(
     Ok(CoveringBuild {
         table: CoveringTable {
             dims,
-            rep_lo,
-            rep_hi,
+            rep_bounds,
             group_start,
             group_rect,
             group_member_start,
@@ -747,12 +750,12 @@ mod tests {
         Rect::from_corners(&lo, &hi).unwrap()
     }
 
-    /// The ids matching `point`, through the run-level query. Every rep
-    /// is treated as an ambiguous hit, so `hit_runs` re-checks.
+    /// The ids matching `point`, through the run-level query with every
+    /// representative as a candidate.
     fn matched(table: &CoveringTable, point: &[f64]) -> Vec<u32> {
         let mut runs = Vec::new();
         for r in 0..table.rep_count() {
-            table.hit_runs(r as u32, true, point, &mut runs);
+            table.hit_runs(r as u32, point, &mut runs);
         }
         let mut ids = Vec::new();
         materialize_into(table, &runs, &[], &mut ids);
@@ -840,8 +843,11 @@ mod tests {
         subs.push((NodeId(40), rect([6.0, 6.0], [9.0, 9.0])));
         let b = build_covering(&space(), &subs.as_slice(), &CoveringConfig::default()).unwrap();
         let mut runs = Vec::new();
-        b.table.hit_runs(0, false, &[2.0, 2.0], &mut runs);
-        b.table.hit_runs(1, false, &[7.0, 7.0], &mut runs);
+        for point in [[2.0, 2.0], [7.0, 7.0]] {
+            for r in 0..2 {
+                b.table.hit_runs(r, &point, &mut runs);
+            }
+        }
         assert_eq!(runs.len(), 2);
         let bits = b.table.run_nodes(runs[0]).expect("12 members >= 2");
         let want = [0u32, 3, 6, 9, 12].iter().fold(0u64, |w, n| w | 1 << n);
@@ -861,7 +867,7 @@ mod tests {
         let table = Arc::new(b.table);
         let mut runs = Vec::new();
         for r in 0..table.rep_count() {
-            table.hit_runs(r as u32, true, &[2.0, 2.0], &mut runs);
+            table.hit_runs(r as u32, &[2.0, 2.0], &mut runs);
         }
         assert_eq!(runs.len(), 2, "two distinct rectangles, both hit");
         let loose = [SubscriptionId(9)];

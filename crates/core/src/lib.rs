@@ -2,10 +2,11 @@
 //! problems need, glued into an end-to-end [`Broker`].
 //!
 //! * **Matching** (§3) — [`Matcher`] answers "which subscribers are
-//!   interested in event `ω`?" with a point query over the covering
-//!   layer's representatives in a quantized, Hilbert-packed index (the
-//!   paper's S-tree stays in `pubsub_stree`, measured beside it),
-//!   deduplicating subscriptions into subscriber nodes.
+//!   interested in event `ω`?" by ANDing per-dimension slab bitmaps
+//!   over the covering layer's representatives and deciding each
+//!   candidate exactly (the paper's S-tree stays in `pubsub_stree`,
+//!   measured beside it), deduplicating subscriptions into subscriber
+//!   nodes.
 //! * **Multicast groups** (§4) — [`MulticastGroups`] materializes
 //!   `M_q = {v : ∃ b ∩ S_q ≠ ∅}` from a clustering
 //!   [`pubsub_clustering::SpacePartition`].
@@ -62,6 +63,7 @@ mod matcher;
 mod metrics;
 mod pipeline;
 mod registry;
+mod slab;
 mod snapshot;
 mod spec;
 
@@ -75,7 +77,7 @@ pub use groups::MulticastGroups;
 pub use journal::{
     crc32, DurableJournal, JournalConfig, JournalOp, JournalReplay, JournalStats, RegistryImage,
 };
-pub use matcher::{KernelCounters, MatchOverlay, MatchScratch, Matcher, SubscriptionId};
+pub use matcher::{MatchOverlay, MatchScratch, Matcher, SubscriptionId};
 pub use metrics::{
     ChurnCounters, CostReport, Delivery, MessageCosts, MetricsSnapshot, PipelineCounters,
     RecoveryCounters,

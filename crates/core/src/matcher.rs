@@ -8,11 +8,11 @@ use serde::{Deserialize, Serialize};
 
 use pubsub_geom::{Point, Rect, Space};
 use pubsub_netsim::NodeId;
-use pubsub_stree::simd::{self, QuantBlock, SimdLevel, LANES};
-use pubsub_stree::{CompactConfig, CompactSTree, DeltaOverlay, EntryId, Tombstones};
+use pubsub_stree::{DeltaOverlay, EntryId, Tombstones};
 
 use crate::covering::{self, build_covering, CoveringConfig, CoveringStats, CoveringTable};
 use crate::pipeline::MatchArena;
+use crate::slab::SlabFilter;
 use crate::{BrokerError, MatchedSet, SubscriptionStream};
 
 /// Identifier of one subscription (one rectangle; a subscriber may own
@@ -28,17 +28,17 @@ impl fmt::Display for SubscriptionId {
 
 /// The matcher: the covering layer's representative set (interned,
 /// subsumed and optionally merged subscription rectangles, clamped to
-/// the space) in a `u16`-quantized, Hilbert-packed [`CompactSTree`],
-/// plus the covering table that resolves a representative hit to the
-/// runs of concrete subscriptions it stands for, and the
-/// subscription→subscriber mapping.
+/// the space) under a slab filter — one 64-slab bitmap per dimension —
+/// plus the covering table that decides each candidate exactly and
+/// resolves a hit to the runs of concrete subscriptions it stands for,
+/// and the subscription→subscriber mapping.
 ///
-/// The paper's S-tree (`pubsub_stree::STree`) is not the product's
-/// matcher: on the paper's own testbed a point query visits 32 of its
-/// 39 nodes against 22 for a Hilbert-packed tree (EXPERIMENTS.md §3),
-/// and quantizing the packed bounds to `u16` sweeps a quarter of the
-/// bytes per visit. Matches are exact either way: boundary-ambiguous hits
-/// of the quantized index are re-checked against the `f64` rectangles.
+/// An event is matched on its own, without a tree walk: the AND of its
+/// slabs' bitmaps picks the candidate representatives (the paper's grid
+/// model, Appendix A, in separable form), and each candidate gets the
+/// exact half-open `f64` test ([`CoveringTable::hit_runs`]). The filter
+/// is conservative — every representative containing the event is a
+/// candidate — so matches are exact by construction.
 ///
 /// # Example
 ///
@@ -68,8 +68,8 @@ impl fmt::Display for SubscriptionId {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Matcher {
-    /// The representatives' quantized index.
-    index: CompactSTree,
+    /// Which representatives can contain a point.
+    slabs: SlabFilter,
     /// Shared with every [`MatchedSet`] that references its runs, so an
     /// outcome outlives a recompile of the matcher.
     covering: Arc<CoveringTable>,
@@ -78,46 +78,28 @@ pub struct Matcher {
     max_node: u32,
 }
 
-/// Running totals of the SIMD block kernels: how many event blocks were
-/// dispatched, at which kernel level, and how full their lanes were.
-/// Accumulated per [`MatchScratch`], drained by the publish pipeline
-/// into [`crate::metrics::PipelineCounters`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KernelCounters {
-    /// Event blocks dispatched through the block-mode queries.
-    pub blocks: u64,
-    /// Blocks matched by a SIMD kernel level (SSE2 or AVX2).
-    pub simd_blocks: u64,
-    /// Blocks matched by the portable scalar fallback kernels.
-    pub scalar_blocks: u64,
-    /// Active event lanes summed over all blocks; lane utilization is
-    /// `lanes / (blocks × LANES)`.
-    pub lanes: u64,
-}
-
 /// Reusable per-thread scratch for [`Matcher::match_event_into`]: the
-/// block query's traversal stack, quantized block and per-lane hit
-/// buffers, the subscriber dedup bitmap, and the one-event arena the
-/// single-event entry points collect into. One scratch makes every
-/// subsequent match on the same thread allocation-free (output vectors
-/// aside).
+/// event's slab rows, its hit runs and loose hits, the subscriber dedup
+/// bitmap, the one-event arena the single-event entry points collect
+/// into, and the work counters the publish pipeline drains into
+/// [`crate::PipelineCounters`]. One scratch makes every subsequent match
+/// on the same thread allocation-free (output vectors aside).
 #[derive(Debug, Default, Clone)]
 pub struct MatchScratch {
     /// Subscriber dedup bitmap, indexed by node id; bits are cleared
     /// after every match so the buffer stays reusable.
     seen: Vec<u64>,
-    /// Lane-masked traversal stack of the block query.
-    block_stack: Vec<u64>,
-    /// Per-lane loose subscription hits of the current block before the
-    /// sort — overlay hits and the live members of tombstoned runs
-    /// ([`LANES`] buffers).
-    lane_hits: Vec<Vec<EntryId>>,
-    /// Per-lane hit covering groups of the current block.
-    lane_runs: Vec<Vec<u32>>,
-    /// Block-kernel dispatch totals since the last drain.
-    kernels: KernelCounters,
-    /// Quantized SoA block of the block query.
-    qblock: QuantBlock,
+    /// The current event's slab row per dimension.
+    rows: Vec<usize>,
+    /// Loose subscription hits of the current event before the sort —
+    /// overlay hits and the live members of tombstoned runs.
+    hits: Vec<EntryId>,
+    /// Hit covering groups of the current event.
+    runs: Vec<u32>,
+    /// Representatives given the exact test since the last drain.
+    candidates: u64,
+    /// Bitmap and summary words ANDed since the last drain.
+    words: u64,
     /// One-event arena of the single-event entry points.
     single: MatchArena,
 }
@@ -128,10 +110,14 @@ impl MatchScratch {
         MatchScratch::default()
     }
 
-    /// Drains the accumulated [`KernelCounters`], resetting them to
-    /// zero.
-    pub fn take_kernels(&mut self) -> KernelCounters {
-        std::mem::take(&mut self.kernels)
+    /// Drains the work counters — `(candidates, words)`: representatives
+    /// given the exact test and slab-filter words ANDed — resetting them
+    /// to zero.
+    pub(crate) fn take_work(&mut self) -> (u64, u64) {
+        (
+            std::mem::take(&mut self.candidates),
+            std::mem::take(&mut self.words),
+        )
     }
 }
 
@@ -191,7 +177,7 @@ impl Matcher {
     /// are streamed (never materialized as an O(N) rectangle array),
     /// clamped to `space` so unbounded predicates index cleanly,
     /// interned/subsumed/merged into a representative set, and the
-    /// representatives compiled into a quantized [`CompactSTree`].
+    /// representatives' slab bitmaps built.
     /// Matches are exactly those of a linear scan over the clamped
     /// rectangles, whatever `config` aggregates; memory per subscription
     /// drops with the workload's duplicate skew.
@@ -207,15 +193,11 @@ impl Matcher {
     ) -> Result<Self, BrokerError> {
         let built = build_covering(space, subscriptions, config)?;
         let table = built.table;
-        let reps = table.rep_count();
-        let index = CompactSTree::build(
-            space.dims(),
-            reps,
-            |r, d| table.rep_bounds(r, d),
-            CompactConfig::default(),
-        );
+        let slabs = SlabFilter::build(space.dims(), table.rep_count(), |r, d| {
+            table.rep_bounds(r, d)
+        });
         Ok(Matcher {
-            index,
+            slabs,
             covering: Arc::new(table),
             owners: built.owners,
             max_node: built.max_node,
@@ -227,10 +209,10 @@ impl Matcher {
         self.covering.stats()
     }
 
-    /// Bytes of heap held by the compact index and covering table,
+    /// Bytes of heap held by the slab bitmaps and covering table,
     /// per-run owner-node sets included.
-    pub fn compact_heap_bytes(&self) -> usize {
-        self.index.heap_bytes() + self.covering.heap_bytes()
+    pub fn heap_bytes(&self) -> usize {
+        self.slabs.heap_bytes() + self.covering.heap_bytes()
     }
 
     /// Number of subscriptions indexed.
@@ -291,8 +273,8 @@ impl Matcher {
         });
     }
 
-    /// Matches one event — a one-lane block query — into the scratch's
-    /// one-event arena and hands it to `read`.
+    /// Matches one event into the scratch's one-event arena and hands it
+    /// to `read`.
     fn match_one<R>(
         &self,
         event: &Point,
@@ -302,12 +284,12 @@ impl Matcher {
     ) -> R {
         assert_eq!(
             event.dims(),
-            self.index.dims(),
+            self.slabs.dims(),
             "event dimensionality differs from the matcher's space"
         );
         let mut arena = std::mem::take(&mut scratch.single);
         arena.begin();
-        self.match_block_append(std::slice::from_ref(event), 0, 1, view, scratch, &mut arena);
+        self.append_event(event, view, scratch, &mut arena);
         let result = read(&arena);
         scratch.single = arena;
         result
@@ -343,25 +325,42 @@ impl Matcher {
         )
     }
 
-    /// Post-query bookkeeping of one block lane: seals one arena event
-    /// from the hit `runs` of `event`, merged with the churn overlay when
+    /// Matches `event` and seals it as one arena event: the slab filter
+    /// picks the candidate representatives, the covering table decides
+    /// each exactly into hit runs, and the churn overlay is merged when
     /// `view` is given.
     ///
     /// A run stays a run — its index is recorded, its owner nodes come
     /// from the precomputed node set (or a walk over a small run's
     /// members) and no id is written — unless a tombstone sits inside
-    /// it: then its live members join `hits`. `hits`, with the overlay's
-    /// matches, become the event's sorted loose ids. Owners dedup and
-    /// sort through the `seen` bitmap (one bit per node id).
+    /// it: then its live members join the loose hits. Those, with the
+    /// overlay's matches, become the event's sorted loose ids. Owners
+    /// dedup and sort through the `seen` bitmap (one bit per node id).
     fn append_event(
         &self,
         event: &Point,
         view: Option<&MatchOverlay<'_>>,
-        hits: &mut Vec<EntryId>,
-        runs: &[u32],
-        seen: &mut Vec<u64>,
+        scratch: &mut MatchScratch,
         arena: &mut MatchArena,
     ) {
+        let MatchScratch {
+            seen,
+            rows,
+            hits,
+            runs,
+            candidates,
+            words: anded,
+            ..
+        } = scratch;
+        let point = event.as_slice();
+        let covering = &*self.covering;
+        hits.clear();
+        runs.clear();
+        *anded += self.slabs.candidates(point, rows, |rep| {
+            *candidates += 1;
+            covering.hit_runs(rep, point, runs);
+        });
+
         let max_node = view.map_or(self.max_node, |v| self.max_node.max(v.max_node));
         let words = max_node as usize / 64 + 1;
         if seen.len() < words {
@@ -373,7 +372,7 @@ impl Matcher {
         let mut span = (usize::MAX, 0usize);
         let mut run_members = 0usize;
         let dead = view.map(|v| v.tombstones).filter(|t| !t.is_empty());
-        for &run in runs {
+        for &run in runs.iter() {
             let members = self.covering.run(run);
             if let Some(dead) = dead {
                 if members.iter().any(|&m| dead.contains(EntryId(m))) {
@@ -458,71 +457,6 @@ impl Matcher {
         });
     }
 
-    /// Matches [`LANES`] (or fewer) consecutive events starting at
-    /// `events[start]` through one joint SIMD block query, then appends
-    /// each lane's results to the arena in event order. `view` merges
-    /// the churn overlay into every lane.
-    fn match_block_append(
-        &self,
-        events: &[Point],
-        start: usize,
-        k: usize,
-        view: Option<&MatchOverlay<'_>>,
-        scratch: &mut MatchScratch,
-        arena: &mut MatchArena,
-    ) {
-        debug_assert!((1..=LANES).contains(&k));
-        let level = simd::active_level();
-        let mut lane_refs: [&[f64]; LANES] = [&[]; LANES];
-        for (l, slot) in lane_refs.iter_mut().take(k).enumerate() {
-            *slot = events[start + l].as_slice();
-        }
-        if scratch.lane_hits.len() < LANES {
-            scratch.lane_hits.resize_with(LANES, Vec::new);
-            scratch.lane_runs.resize_with(LANES, Vec::new);
-        }
-        let MatchScratch {
-            block_stack,
-            lane_hits,
-            lane_runs,
-            seen,
-            kernels,
-            qblock,
-            ..
-        } = scratch;
-        for (hits, runs) in lane_hits.iter_mut().zip(lane_runs.iter_mut()) {
-            hits.clear();
-            runs.clear();
-        }
-        let covering = &self.covering;
-        self.index.fill_block(&lane_refs[..k], qblock);
-        self.index
-            .query_point_block_at(level, qblock, block_stack, |rep, lanes, amb| {
-                let mut m = lanes;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    covering.hit_runs(rep, amb >> l & 1 == 1, lane_refs[l], &mut lane_runs[l]);
-                }
-            });
-        kernels.blocks += 1;
-        if level == SimdLevel::Scalar {
-            kernels.scalar_blocks += 1;
-        } else {
-            kernels.simd_blocks += 1;
-        }
-        kernels.lanes += k as u64;
-
-        for (l, (hits, runs)) in lane_hits
-            .iter_mut()
-            .zip(lane_runs.iter())
-            .take(k)
-            .enumerate()
-        {
-            self.append_event(&events[start + l], view, hits, runs, seen, arena);
-        }
-    }
-
     /// Matches the events at the given index `ranges` (ascending, e.g. a
     /// worker's [`pubsub_parallel::block_ranges`]) into a CSR
     /// [`MatchArena`]: one appended arena event per index, in range
@@ -540,13 +474,8 @@ impl Matcher {
     ) where
         I: IntoIterator<Item = std::ops::Range<usize>>,
     {
-        for range in ranges {
-            let mut i = range.start;
-            while i < range.end {
-                let k = (range.end - i).min(LANES);
-                self.match_block_append(events, i, k, view, scratch, arena);
-                i += k;
-            }
+        for i in ranges.into_iter().flatten() {
+            self.append_event(&events[i], view, scratch, arena);
         }
     }
 }
@@ -777,7 +706,7 @@ mod tests {
 
     /// Every covering configuration matches exactly what a linear scan
     /// over the clamped rectangles matches, and so does the
-    /// interning-only build, one event at a time and in full blocks.
+    /// interning-only build, one event at a time and into one arena.
     #[test]
     fn covered_and_interned_matchers_equal_a_linear_scan() {
         // Duplicate-heavy with nesting: exercises interning, subsumption
@@ -844,7 +773,7 @@ mod tests {
                 assert_eq!(covered.match_event(e), want, "event {e:?}");
                 assert_eq!(interned.match_event(e), want, "event {e:?}");
             }
-            // Full blocks into one arena agree with the scan too.
+            // One arena over all events agrees with the scan too.
             let mut scratch = MatchScratch::new();
             let mut arena = MatchArena::new();
             arena.begin();
@@ -867,6 +796,56 @@ mod tests {
                 );
                 assert_eq!(arena.node_slice(i), &nodes_want[..], "event {i}");
             }
+        }
+    }
+
+    /// No cliff at large `R`: 65,536 disjoint boxes on a 256 × 256
+    /// lattice, subscribed in a scrambled order. A flat AND would read
+    /// `dims × R/64` = 2,048 words per event; every event here must AND
+    /// at most an eighth of that. Without the summary level each event
+    /// reads all 2,048; without the Hilbert renumbering a bitmap word
+    /// holds 64 boxes scattered over the lattice and most summary bits
+    /// survive the AND.
+    #[test]
+    fn summary_and_hilbert_order_bound_the_words_per_event() {
+        use rand::{Rng, SeedableRng};
+        let side = 256u32;
+        let mut cells: Vec<u32> = (0..side * side).collect();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        for i in (1..cells.len()).rev() {
+            cells.swap(i, rng.gen_range(0..=i));
+        }
+        let subs: Vec<(NodeId, Rect)> = cells
+            .iter()
+            .map(|&c| {
+                let (x, y) = (f64::from(c % side), f64::from(c / side));
+                let lo = [x + 0.1, y + 0.1];
+                (
+                    NodeId(c % 97),
+                    Rect::from_corners(&lo, &[x + 0.9, y + 0.9]).unwrap(),
+                )
+            })
+            .collect();
+        let space = Space::anonymous(
+            Rect::from_corners(&[0.0, 0.0], &[f64::from(side), f64::from(side)]).unwrap(),
+        )
+        .unwrap();
+        let m = Matcher::build(&space, &subs, CoveringConfig::default()).unwrap();
+        assert_eq!(m.covering_stats().representatives, subs.len());
+        let flat_words = 2 * subs.len() as u64 / 64;
+        let mut scratch = MatchScratch::new();
+        let (mut ids, mut nodes) = (Vec::new(), Vec::new());
+        for (i, &c) in cells.iter().enumerate().step_by(37) {
+            let (x, y) = (f64::from(c % side), f64::from(c / side));
+            let event = Point::new(vec![x + 0.5, y + 0.5]).unwrap();
+            m.match_event_into(&event, &mut scratch, &mut ids, &mut nodes);
+            assert_eq!(ids, vec![SubscriptionId(i as u32)], "event {event:?}");
+            let (candidates, words) = scratch.take_work();
+            assert!(candidates >= 1);
+            assert!(
+                words * 8 <= flat_words,
+                "event {event:?} ANDed {words} of {flat_words} words"
+            );
         }
     }
 }

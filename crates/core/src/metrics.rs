@@ -158,21 +158,14 @@ pub struct PipelineCounters {
     /// Batches that needed at least one inline quarantine retry.
     #[serde(default)]
     pub retried_batches: u64,
-    /// Event blocks dispatched through the SIMD block-mode matcher
-    /// (events are matched 8 per block).
+    /// Representatives the matcher's slab filter passed to the exact
+    /// test (`CoveringTable::hit_runs`), summed over events.
     #[serde(default)]
-    pub match_blocks: u64,
-    /// Blocks matched by a runtime-detected SIMD kernel (SSE2 or AVX2).
+    pub match_candidates: u64,
+    /// Slab-filter words ANDed — summary words plus the bitmap words
+    /// the summaries let through — summed over events.
     #[serde(default)]
-    pub simd_blocks: u64,
-    /// Blocks matched by the portable scalar fallback kernels (non-x86
-    /// hosts or `PUBSUB_NO_SIMD`).
-    #[serde(default)]
-    pub scalar_blocks: u64,
-    /// Active event lanes summed over all blocks; lane utilization is
-    /// `match_lanes / (8 × match_blocks)`.
-    #[serde(default)]
-    pub match_lanes: u64,
+    pub match_words: u64,
     /// Fault-clock segments dispatched by batches under an installed
     /// fault plan (each segment is one pipeline pass).
     #[serde(default)]

@@ -2,7 +2,7 @@
 //! snapshot.
 //!
 //! An [`EngineSnapshot`] bundles everything the publish path reads —
-//! the compiled [`Matcher`] (covering table + compact index), the clustering
+//! the compiled [`Matcher`] (covering table + slab bitmaps), the clustering
 //! [`GridModel`], the [`SpacePartition`] and the materialized
 //! [`MulticastGroups`] — behind one epoch number. The [`crate::Broker`]
 //! swaps the whole bundle atomically (`Arc` replacement) whenever any of

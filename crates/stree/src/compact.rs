@@ -6,8 +6,9 @@
 //! entry — 64 bytes of bounds for a 4-D subscription before ids. At the
 //! ROADMAP's millions-of-subscriptions scale that blows the cache and
 //! the build materializes an O(N) `Rect` intermediate. [`CompactSTree`]
-//! is the index the core covering layer builds for the deduplicated
-//! *representative* set:
+//! is a compressed index for a deduplicated *representative* set, such
+//! as the core covering layer's (the broker's matcher itself filters
+//! that set through slab bitmaps; this index stays as a baseline):
 //!
 //! * per-dimension **affine quantization** to `u16` cells with
 //!   conservative outward rounding — `lo` cells round down, `hi` cells

@@ -22,14 +22,14 @@
 //!   equality/wild-card subscriptions, the predicate class the paper says
 //!   Gryphon's algorithms are optimized for (and which cannot express
 //!   ranges);
-//! * [`CompactSTree`] — the index `pubsub_core`'s matcher queries:
+//! * [`CompactSTree`] — a compressed baseline for representative sets:
 //!   `u16`-quantized bounds with conservative outward rounding,
 //!   Hilbert-packed and built streaming from a bounds accessor (no O(N)
 //!   `f64` intermediate), reporting boundary-ambiguous hits for the
-//!   caller's exact re-check. The product matches through it rather than
-//!   the S-tree because the packed shape visits fewer nodes per point
-//!   query on the paper's testbed (EXPERIMENTS.md §3) and the `u16`
-//!   bounds sweep a quarter of the bytes;
+//!   caller's exact re-check. The packed shape visits fewer nodes per
+//!   point query than the S-tree on the paper's testbed (EXPERIMENTS.md
+//!   §3); `pubsub_core`'s matcher has since replaced it with slab
+//!   bitmaps, which walk no tree at all;
 //! * [`simd`] — explicit SIMD interval-containment kernels (AVX2/SSE2
 //!   with runtime dispatch and a portable scalar fallback) over
 //!   quantized 8-event [`QuantBlock`]s, the batches behind

@@ -42,12 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let covering = broker.matcher().covering_stats();
     println!(
         "matcher: {} subscriptions as {} representatives ({} distinct, {} subsumed), \
-         {:.1} KiB of quantized index and covering table",
+         {:.1} KiB of slab bitmaps and covering table",
         covering.concrete,
         covering.representatives,
         covering.uniques,
         covering.subsumed,
-        broker.matcher().compact_heap_bytes() as f64 / 1024.0
+        broker.matcher().heap_bytes() as f64 / 1024.0
     );
 
     // A trading session.

@@ -4,8 +4,8 @@
 //! depend on a single crate:
 //!
 //! * [`geom`] — event-space geometry (points, half-open rectangles, grids);
-//! * [`stree`] — the S-tree spatial index, baseline indexes, and the
-//!   quantized packed index the broker's matcher queries;
+//! * [`stree`] — the S-tree spatial index and the baseline indexes
+//!   (including the quantized packed `CompactSTree`);
 //! * [`netsim`] — transit-stub network simulation and multicast cost models;
 //! * [`workload`] — stock-market subscription/publication generators;
 //! * [`clustering`] — grid-based subscription clustering (Forgy k-means,
