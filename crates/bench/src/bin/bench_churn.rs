@@ -6,16 +6,17 @@
 //!
 //! 1. **static** — baseline `publish_batch` throughput on a fully
 //!    compiled broker (no churn machinery active).
-//! 2. **overlay** — the same subscription set, but with 10% of it
-//!    subscribed live after the build, so every match merges the flat
-//!    index with the 100-entry delta overlay.
-//! 3. **recompile** — latency of folding that overlay back into a fully
-//!    compiled engine, and verification that the result is bit-identical
+//! 2. **live-added** — the same subscription set, but with 10% of it
+//!    subscribed live after the build: the matcher holds those 100 as
+//!    singleton representatives appended in place, not interned or
+//!    Hilbert-ordered until the next compile.
+//! 3. **recompile** — latency of compiling those subscriptions into a
+//!    fresh engine, and verification that the result is bit-identical
 //!    to the static broker (same ids, decisions and costs).
 //! 4. **churn** — sustained throughput while one subscribe/unsubscribe
-//!    pair lands every `CHURN_PERIOD` events: overlay matching, exact
-//!    group maintenance and periodic local partition refreshes all stay
-//!    on. The drift-triggered full recompile is suppressed
+//!    pair lands every `CHURN_PERIOD` events: in-place matcher edits,
+//!    exact group maintenance and periodic local partition refreshes all
+//!    stay on. The drift-triggered full recompile is suppressed
 //!    (`recluster_fraction(10.0)`) so the phase measures the incremental
 //!    steady state; phase 3 prices the recompile separately.
 //!
@@ -50,6 +51,8 @@ struct Output {
     nodes: usize,
     edges: usize,
     subscriptions: usize,
+    /// Subscriptions added live after the build (the JSON name predates
+    /// in-place churn, when they sat in a separate overlay).
     overlay_subscriptions: usize,
     events: usize,
     samples: usize,
@@ -62,8 +65,9 @@ struct Output {
     /// baseline the churn phase is gated against (same fan-out
     /// granularity, so the difference is churn alone).
     static_chunked_events_per_sec: f64,
+    /// Throughput with the 10% added live and not yet recompiled.
     overlay_events_per_sec: f64,
-    /// Publish slowdown from matching through the 10% overlay, percent.
+    /// Publish slowdown from that pending 10%, percent.
     overlay_overhead_pct: f64,
     recompile_ms: f64,
     churn_events_per_sec: f64,
@@ -121,50 +125,50 @@ fn main() {
     };
     let static_eps = measure(n, samples, &mut static_pass);
 
-    // Phase 2: 90% compiled, 10% live-subscribed into the overlay. A
-    // high recluster fraction keeps the overlay pending (no drift
-    // recompile) for the whole measurement.
-    let mut overlay_broker = build(&testbed, testbed.subscriptions[..compiled].to_vec(), 10.0);
+    // Phase 2: 90% compiled, 10% subscribed live into the matcher. A
+    // high recluster fraction keeps them pending (no drift recompile)
+    // for the whole measurement.
+    let mut live_broker = build(&testbed, testbed.subscriptions[..compiled].to_vec(), 10.0);
     for (node, rect) in &testbed.subscriptions[compiled..] {
-        overlay_broker
+        live_broker
             .subscribe(*node, rect.clone())
             .expect("testbed subscription is valid");
     }
     assert_eq!(
-        overlay_broker.metrics_snapshot().churn.overlay_len,
+        live_broker.metrics_snapshot().churn.overlay_len,
         total - compiled,
-        "the overlay must still be pending"
+        "the live-added subscriptions must still be pending"
     );
     // Same subscription set, same insertion order: matching must agree
-    // exactly (overlay ids continue the compiled numbering).
+    // exactly (live-added ids continue the compiled numbering).
     for event in events.iter().take(200) {
-        let live = overlay_broker
+        let live = live_broker
             .match_only(event)
             .expect("events come from the model");
         let fresh = static_broker
             .match_only(event)
             .expect("events come from the model");
-        assert_eq!(live.0, fresh.0, "overlay match ids diverge");
-        assert_eq!(live.1, fresh.1, "overlay match nodes diverge");
+        assert_eq!(live.0, fresh.0, "live-added match ids diverge");
+        assert_eq!(live.1, fresh.1, "live-added match nodes diverge");
     }
-    let mut overlay_pass = || {
-        overlay_broker.reset_report();
-        overlay_broker
+    let mut live_pass = || {
+        live_broker.reset_report();
+        live_broker
             .publish_batch(&events, None)
             .expect("events come from the model")
             .len()
     };
-    let overlay_eps = measure(n, samples, &mut overlay_pass);
+    let overlay_eps = measure(n, samples, &mut live_pass);
 
-    // Phase 3: fold the overlay back into a compiled engine and verify
-    // the result is bit-identical to the never-churned broker.
+    // Phase 3: compile the live-added subscriptions into a fresh engine
+    // and verify the result is bit-identical to the never-churned broker.
     let start = std::time::Instant::now();
-    overlay_broker.recompile().expect("recompile is valid");
+    live_broker.recompile().expect("recompile is valid");
     let recompile_ms = start.elapsed().as_secs_f64() * 1e3;
     let probe = &events[..events.len().min(500)];
-    overlay_broker.reset_report();
+    live_broker.reset_report();
     static_broker.reset_report();
-    let a = overlay_broker
+    let a = live_broker
         .publish_batch(probe, None)
         .expect("events come from the model");
     let b = static_broker
@@ -252,7 +256,7 @@ fn main() {
 
     println!(
         "live-churn broker throughput, {} nodes / {} edges, {} subscriptions, {} events\n\
-         (overlay + recompiled engines verified identical to the static build):",
+         (live-added + recompiled engines verified identical to the static build):",
         testbed.topology.graph().node_count(),
         testbed.topology.graph().edge_count(),
         total,
@@ -268,7 +272,7 @@ fn main() {
     );
     println!(
         "{:<28} {:>14.0} {:>9.1}%",
-        "overlay (10% pending)", overlay_eps, overlay_overhead_pct
+        "live-added (10% pending)", overlay_eps, overlay_overhead_pct
     );
     println!(
         "{:<28} {:>14.0} {:>9.1}%",

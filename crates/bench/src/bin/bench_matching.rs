@@ -236,7 +236,7 @@ fn main() {
         .collect();
     let pool_batch = measure(n, samples, || {
         let used = pool.pipeline(threads, &mut states, events.len(), |_w, st, ranges| {
-            matcher.match_events_into_arena(&events, ranges, None, &mut st.scratch, &mut st.arena);
+            matcher.match_events_into_arena(&events, ranges, &mut st.scratch, &mut st.arena);
         });
         states[..used]
             .iter()

@@ -4,15 +4,16 @@
 //! # Two-layer architecture
 //!
 //! The broker's state is split into a mutable
-//! [`SubscriptionRegistry`] (the only structure `subscribe`/`unsubscribe`
-//! touch directly) and an immutable [`EngineSnapshot`] (everything the
-//! publish path reads: compiled matcher, grid model, partition, multicast
-//! groups), versioned by an epoch and swapped atomically. Between full
-//! recompiles, churn is absorbed incrementally:
+//! [`SubscriptionRegistry`] (live subscriptions with stable handles) and
+//! an [`EngineSnapshot`] (everything the publish path reads: matcher,
+//! grid model, partition, multicast groups), versioned by an epoch.
+//! Between full recompiles, churn is absorbed incrementally:
 //!
-//! * new subscriptions land in a linear-scan delta overlay merged with
-//!   the compiled index at match time; removals of compiled subscriptions
-//!   are masked by a tombstone bitset;
+//! * the matcher is edited in place: a new subscription becomes one more
+//!   representative with its slab bits set, a removed one leaves its
+//!   run. Edits go through `Arc::make_mut`, so a snapshot or outcome held
+//!   elsewhere keeps what it saw, and nothing is copied when nothing
+//!   else holds it;
 //! * multicast groups are kept *exact* under the current partition via
 //!   per-(group, node) incidence refcounts, and an
 //!   [`IncrementalClusterer`] mirrors every change so the partition
@@ -39,11 +40,10 @@ use pubsub_netsim::{
     SptTable, SptView, Topology,
 };
 use pubsub_parallel::{pipeline_inline, BlockRanges, PipelineRun, WorkerPool};
-use pubsub_stree::{DeltaOverlay, Entry, EntryId, Tombstones};
 use serde::{Deserialize, Serialize};
 
 use crate::journal::{DurableJournal, JournalConfig, JournalOp, RegistryImage};
-use crate::matcher::{self, MatchOverlay};
+use crate::matcher;
 use crate::metrics::{
     ChurnCounters, Delivery, MetricsSnapshot, PipelineCounters, RecoveryCounters,
 };
@@ -750,9 +750,9 @@ fn eval_group_health(
 }
 
 /// The broker's churn machinery, created lazily on the first
-/// subscribe/unsubscribe: the mirror clusterer, the match-side overlay and
-/// tombstones, and the per-(group, node) incidence refcounts that keep
-/// multicast groups exact between partition refreshes.
+/// subscribe/unsubscribe: the mirror clusterer, the per-(group, node)
+/// incidence refcounts that keep multicast groups exact between
+/// partition refreshes, and the churn counts since the last compile.
 #[derive(Debug)]
 struct ChurnState {
     clusterer: IncrementalClusterer,
@@ -762,15 +762,10 @@ struct ChurnState {
     /// is positive. Dense indexing keeps the per-churn-op update O(cells
     /// intersected) with no hashing.
     group_rc: Vec<Vec<u32>>,
-    overlay: DeltaOverlay,
-    tombstones: Tombstones,
-    /// Owner nodes of overlay entries, indexed by `engine_id - base`;
-    /// slots of removed entries keep their value so indexing stays
-    /// stable.
-    overlay_owners: Vec<NodeId>,
-    /// Registry handles of overlay entries (`None` once unsubscribed).
-    overlay_handles: Vec<Option<SubscriptionHandle>>,
-    overlay_max_node: u32,
+    /// Live subscriptions added since the last compile.
+    added: usize,
+    /// Compiled subscriptions removed since the last compile.
+    removed: usize,
     ops_since_refresh: usize,
     /// Scratch of the per-op cell walk behind the `group_rc` delta.
     walk: CellWalkBuf,
@@ -785,8 +780,8 @@ pub struct Broker {
     space: Space,
     /// The mutable layer: live subscriptions with stable handles.
     registry: SubscriptionRegistry,
-    /// The immutable layer: everything the publish path reads, swapped
-    /// atomically on change.
+    /// The engine layer: everything the publish path reads, swapped on a
+    /// recompile or group change and edited copy-on-write by churn.
     snapshot: Arc<EngineSnapshot>,
     policy: DistributionPolicy,
     /// The default publisher; `publish_from` supports others.
@@ -939,7 +934,7 @@ impl Broker {
     /// outcomes do not depend on how the events were cut into batches or
     /// on the thread count (`None` = available parallelism): N events in
     /// one batch at T workers equal N one-event batches, including
-    /// mid-churn with a pending overlay and tombstones.
+    /// mid-churn between recompiles.
     ///
     /// With a fault plan installed the batch still runs through the
     /// worker pool: it is cut into *fault-clock segments* at the plan's
@@ -1148,7 +1143,6 @@ impl Broker {
             self.delivery,
             publisher,
             self.alm_dist.as_deref(),
-            churn_view_of(&self.churn, &self.snapshot),
             &self.spt,
             degraded,
             events,
@@ -1623,11 +1617,10 @@ impl Broker {
     // ------------------------------------------------------------------
 
     /// Adds a subscription live, without recompiling the engine: the
-    /// subscription lands in the delta overlay (matched by linear scan
-    /// merged with the compiled index) and the multicast groups are updated
-    /// exactly under the current partition. When accumulated churn trips
-    /// the clusterer's drift threshold, a full [`Broker::recompile`] runs
-    /// automatically.
+    /// matcher gains it as one more representative (its id is the next
+    /// unused one) and the multicast groups are updated exactly under the
+    /// current partition. When accumulated churn trips the clusterer's
+    /// drift threshold, a full [`Broker::recompile`] runs automatically.
     ///
     /// Returns the stable handle for [`Broker::unsubscribe`]; handles
     /// survive recompiles.
@@ -1661,18 +1654,14 @@ impl Broker {
             rect: rect.clone(),
         });
         let clamped = self.space.clamp(&rect);
-        let base = self.snapshot.compiled_count() as u32;
         let churn = self.churn.as_mut().expect("ensured above");
-        let engine_id = base + churn.overlay_owners.len() as u32;
-        churn
-            .overlay
-            .insert(Entry::new(clamped.clone(), EntryId(engine_id)))?;
-        churn.overlay_owners.push(node);
-        churn.overlay_handles.push(Some(handle));
-        churn.overlay_max_node = churn.overlay_max_node.max(node.0);
         let ch = churn.clusterer.insert(node.0 as usize, rect)?;
         churn.cl_handles.insert(handle, ch);
-        self.registry.set_engine_id(handle, engine_id);
+        churn.added += 1;
+        let snapshot = Arc::make_mut(&mut self.snapshot);
+        let id = Arc::make_mut(&mut snapshot.matcher).insert(node, &clamped);
+        Arc::make_mut(&mut snapshot.id_to_handle).push(handle);
+        self.registry.set_engine_id(handle, id.0);
         self.counters.subscribes += 1;
         self.after_churn_op(node, &clamped, 1)?;
         // Append-after-apply: if this fails the op is applied in memory
@@ -1684,11 +1673,10 @@ impl Broker {
         Ok(handle)
     }
 
-    /// Removes a live subscription by handle. Compiled subscriptions are
-    /// tombstoned (filtered out of every match) until the next recompile;
-    /// overlay subscriptions are dropped immediately. Groups are updated
-    /// exactly, and heavy churn triggers a full recompile, as in
-    /// [`Broker::subscribe`].
+    /// Removes a live subscription by handle: its id leaves its run in
+    /// the matcher (and is not reused until the next recompile renumbers).
+    /// Groups are updated exactly, and heavy churn triggers a full
+    /// recompile, as in [`Broker::subscribe`].
     ///
     /// # Errors
     ///
@@ -1704,13 +1692,13 @@ impl Broker {
         let engine_id = self.registry.engine_id(handle).expect("checked live");
         let (node, rect) = self.registry.remove(handle)?;
         let clamped = self.space.clamp(&rect);
-        let base = self.snapshot.compiled_count() as u32;
+        let matcher = Arc::make_mut(&mut Arc::make_mut(&mut self.snapshot).matcher);
+        matcher.remove(SubscriptionId(engine_id), &clamped);
         let churn = self.churn.as_mut().expect("ensured above");
-        if engine_id < base {
-            churn.tombstones.insert(EntryId(engine_id));
+        if (engine_id as usize) < matcher.covering_stats().concrete {
+            churn.removed += 1;
         } else {
-            churn.overlay.remove(EntryId(engine_id));
-            churn.overlay_handles[(engine_id - base) as usize] = None;
+            churn.added -= 1;
         }
         let ch = churn.cl_handles.remove(&handle).expect("mirrored on add");
         churn.clusterer.remove(ch)?;
@@ -1728,11 +1716,10 @@ impl Broker {
     /// Recompiles the whole engine from the registry's live
     /// subscriptions: fresh matcher, grid model, partition and groups —
     /// bit-identical to [`BrokerBuilder::build`] over the same
-    /// subscription list — then swaps the snapshot (epoch + 1) and clears
-    /// the overlay and tombstones. [`SubscriptionId`]s are renumbered in
-    /// registry (insertion) order; handles are unaffected. Per-group
-    /// threshold overrides are cleared (group identities change); the
-    /// cost report is kept.
+    /// subscription list — then swaps the snapshot (epoch + 1).
+    /// [`SubscriptionId`]s are renumbered in registry (insertion) order;
+    /// handles are unaffected. Per-group threshold overrides are cleared
+    /// (group identities change); the cost report is kept.
     ///
     /// # Errors
     ///
@@ -1764,11 +1751,8 @@ impl Broker {
         self.policy.clear_group_thresholds();
         self.counters.recompiles += 1;
         if let Some(churn) = self.churn.as_mut() {
-            churn.overlay.clear();
-            churn.tombstones.clear();
-            churn.overlay_owners.clear();
-            churn.overlay_handles.clear();
-            churn.overlay_max_node = 0;
+            churn.added = 0;
+            churn.removed = 0;
             churn.ops_since_refresh = 0;
             churn
                 .clusterer
@@ -1958,7 +1942,7 @@ impl Broker {
 
     /// Creates the churn machinery on the first subscribe/unsubscribe:
     /// a mirror clusterer seeded with every live subscription, synced to
-    /// the current snapshot's partition, plus empty overlay/tombstones.
+    /// the current snapshot's partition, with no churn counted yet.
     fn ensure_churn_state(&mut self) -> Result<(), BrokerError> {
         if self.churn.is_some() {
             return Ok(());
@@ -1990,11 +1974,8 @@ impl Broker {
             clusterer,
             cl_handles,
             group_rc,
-            overlay: DeltaOverlay::new(),
-            tombstones: Tombstones::new(),
-            overlay_owners: Vec::new(),
-            overlay_handles: Vec::new(),
-            overlay_max_node: 0,
+            added: 0,
+            removed: 0,
             ops_since_refresh: 0,
             walk: CellWalkBuf::default(),
         });
@@ -2030,8 +2011,8 @@ impl Broker {
 
     /// Matches an event without publishing: no decision, no cost, no
     /// report mutation. Returns the matching subscription ids and the
-    /// deduplicated interested subscriber nodes, merging the churn
-    /// overlay when one is pending. Uses thread-local scratch.
+    /// deduplicated interested subscriber nodes. Uses thread-local
+    /// scratch.
     ///
     /// # Errors
     ///
@@ -2044,18 +2025,17 @@ impl Broker {
         self.validate_batch(std::slice::from_ref(event))?;
         let mut subs = Vec::new();
         let mut nodes = Vec::new();
-        let matcher = &self.snapshot.matcher;
-        matcher::with_thread_scratch(|scratch| match churn_view_of(&self.churn, &self.snapshot) {
-            Some(view) => {
-                matcher.match_event_overlaid_into(event, &view, scratch, &mut subs, &mut nodes)
-            }
-            None => matcher.match_event_into(event, scratch, &mut subs, &mut nodes),
+        matcher::with_thread_scratch(|scratch| {
+            self.snapshot
+                .matcher
+                .match_event_into(event, scratch, &mut subs, &mut nodes);
         });
         Ok((subs, nodes))
     }
 
     /// The current engine snapshot (cheap `Arc` clone). The clone stays
-    /// internally consistent — if stale — across later broker mutations.
+    /// internally consistent — if stale — across later broker mutations:
+    /// churn copies what the clone shares before editing it.
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
         Arc::clone(&self.snapshot)
     }
@@ -2072,8 +2052,8 @@ impl Broker {
         let mut churn = self.counters;
         churn.epoch = self.snapshot.epoch;
         if let Some(state) = &self.churn {
-            churn.overlay_len = state.overlay.len();
-            churn.tombstone_len = state.tombstones.len();
+            churn.overlay_len = state.added;
+            churn.tombstone_len = state.removed;
         }
         MetricsSnapshot {
             epoch: self.snapshot.epoch,
@@ -2100,18 +2080,8 @@ impl Broker {
     /// The registry handle behind a subscription id from a match result
     /// (`None` if that subscription has been removed since).
     pub fn handle_of(&self, id: SubscriptionId) -> Option<SubscriptionHandle> {
-        let base = self.snapshot.compiled_count() as u32;
-        if id.0 < base {
-            let handle = self.snapshot.handle_of(id)?;
-            self.registry.contains(handle).then_some(handle)
-        } else {
-            self.churn
-                .as_ref()?
-                .overlay_handles
-                .get((id.0 - base) as usize)
-                .copied()
-                .flatten()
-        }
+        let handle = self.snapshot.handle_of(id)?;
+        self.registry.contains(handle).then_some(handle)
     }
 
     /// The grid model the clustering runs on (cell memberships, masses).
@@ -2120,9 +2090,9 @@ impl Broker {
         &self.snapshot.grid_model
     }
 
-    /// The matcher (S-tree statistics, subscription lookup). Overlay
-    /// subscriptions added since the last recompile are *not* in it; see
-    /// [`Broker::match_only`] for churn-aware matching.
+    /// The matcher (covering statistics, subscription lookup): the last
+    /// compile plus every subscribe and unsubscribe since, so every id
+    /// the broker hands out resolves through [`Matcher::owner`].
     pub fn matcher(&self) -> &Matcher {
         &self.snapshot.matcher
     }
@@ -2235,7 +2205,6 @@ struct FusedPass<'a> {
     delivery: DeliveryMode,
     publisher: NodeId,
     alm_dist: Option<&'a [Vec<f64>]>,
-    overlay: Option<MatchOverlay<'a>>,
     pub_view: SptView<'a>,
     sparse: Option<(SptView<'a>, f64)>,
     degraded: bool,
@@ -2246,13 +2215,11 @@ impl<'a> FusedPass<'a> {
     /// Binds a pass over `events` published from `publisher`, whose SPT
     /// row (and, in sparse mode, the rendezvous point's) must be in
     /// `spt`.
-    #[allow(clippy::too_many_arguments)]
     fn bind(
         snapshot: &'a EngineSnapshot,
         delivery: DeliveryMode,
         publisher: NodeId,
         alm_dist: Option<&'a [Vec<f64>]>,
-        overlay: Option<MatchOverlay<'a>>,
         spt: &'a SptTable,
         degraded: bool,
         events: &'a [Point],
@@ -2263,7 +2230,6 @@ impl<'a> FusedPass<'a> {
             delivery,
             publisher,
             alm_dist,
-            overlay,
             pub_view,
             sparse: sparse_binding(delivery, spt, pub_view),
             degraded,
@@ -2278,7 +2244,6 @@ impl<'a> FusedPass<'a> {
             delivery,
             publisher,
             alm_dist,
-            overlay,
             pub_view,
             sparse,
             degraded,
@@ -2295,7 +2260,6 @@ impl<'a> FusedPass<'a> {
             snapshot.matcher.match_events_into_arena(
                 events,
                 std::iter::once(range.clone()),
-                overlay.as_ref(),
                 matching,
                 arena,
             );
@@ -2356,26 +2320,6 @@ impl<'a> FusedPass<'a> {
             }
         }
     }
-}
-
-/// The overlay view over a broker's churn state, free of `&Broker` so
-/// the batch pipeline can build it while `pipeline_states` is mutably
-/// borrowed. `None` when the compiled matcher alone is current.
-fn churn_view_of<'a>(
-    churn: &'a Option<ChurnState>,
-    snapshot: &EngineSnapshot,
-) -> Option<MatchOverlay<'a>> {
-    let churn = churn.as_ref()?;
-    if churn.overlay.is_empty() && churn.tombstones.is_empty() {
-        return None;
-    }
-    Some(MatchOverlay {
-        overlay: &churn.overlay,
-        owners: &churn.overlay_owners,
-        tombstones: &churn.tombstones,
-        base_count: snapshot.compiled_count() as u32,
-        max_node: churn.overlay_max_node,
-    })
 }
 
 /// Derives per-(group, node) incidence refcounts from the clusterer's
@@ -2919,7 +2863,8 @@ mod tests {
         assert_eq!(counters.unsubscribes, 3);
         assert!(counters.epoch > 0 || counters.recompiles > 0);
 
-        // An overlay handle resolves back through a live match.
+        // A handle subscribed since the build resolves back through a
+        // live match.
         let (subs, _) = live
             .match_only(&Point::new(vec![1.0, 1.0]).unwrap())
             .unwrap();
@@ -2938,7 +2883,7 @@ mod tests {
             .grid_cells(4)
             .subscriptions(survivors.clone());
 
-        // Before the recompile the overlay handles matching; interested
+        // Before the recompile the in-place edits handle matching; interested
         // sets already agree with the fresh build.
         let mut fresh = fresh_builder.build().unwrap();
         for i in 0..20 {
@@ -2986,7 +2931,7 @@ mod tests {
             counters.recompiles >= 1,
             "9 subscribes over 8 compiled subscriptions should trip the 0.5 drift threshold: {counters:?}"
         );
-        // Post-recompile the overlay is drained into the compiled index.
+        // Post-recompile every subscription is compiled.
         assert_eq!(broker.matcher().subscription_count(), 17);
         for h in handles {
             broker.unsubscribe(h).unwrap();
@@ -3067,6 +3012,79 @@ mod tests {
             Some(h)
         );
         broker.unsubscribe(h).unwrap();
+    }
+
+    #[test]
+    fn every_id_a_broker_hands_out_resolves_through_its_matcher() {
+        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
+        let nodes = broker.topology().stub_nodes().to_vec();
+        let h = broker
+            .subscribe(nodes[3], rect(&[1.0, 1.0], &[3.0, 9.0]))
+            .unwrap();
+        broker
+            .unsubscribe(broker.handle_of(SubscriptionId(2)).unwrap())
+            .unwrap();
+        assert_eq!(broker.metrics_snapshot().churn.recompiles, 0);
+        assert_eq!(broker.matcher().subscription_count(), 8);
+        let (ids, _) = broker
+            .match_only(&Point::new(vec![2.0, 5.0]).unwrap())
+            .unwrap();
+        assert_eq!(ids, [0, 4, 6, 8].map(SubscriptionId));
+        assert_eq!(broker.handle_of(SubscriptionId(8)), Some(h));
+        assert_eq!(broker.handle_of(SubscriptionId(2)), None);
+        for id in ids {
+            let handle = broker.handle_of(id).unwrap();
+            let node = broker
+                .registry()
+                .live()
+                .find(|&(hh, _, _)| hh == handle)
+                .unwrap()
+                .1;
+            assert_eq!(broker.matcher().owner(id), node, "{id}");
+        }
+    }
+
+    #[test]
+    fn churn_edits_the_matcher_copy_on_write() {
+        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
+        let node = broker.topology().stub_nodes()[3];
+        let event = Point::new(vec![2.0, 5.0]).unwrap();
+        let before = broker.match_only(&event).unwrap();
+        assert_eq!(before.0, [0, 2, 4, 6].map(SubscriptionId));
+        // Held across churn: an outcome whose ids are not materialized
+        // yet, and a snapshot clone.
+        let held = broker.publish(&event).unwrap();
+        let snapshot = broker.snapshot();
+        broker
+            .unsubscribe(broker.handle_of(SubscriptionId(4)).unwrap())
+            .unwrap();
+        broker
+            .subscribe(node, rect(&[0.0, 0.0], &[10.0, 10.0]))
+            .unwrap();
+        assert_eq!(
+            broker.match_only(&event).unwrap().0,
+            [0, 2, 6, 8].map(SubscriptionId)
+        );
+        assert_eq!(&held.matched_subscriptions[..], &before.0[..]);
+        assert_eq!(snapshot.matcher().match_event(&event), before);
+        assert_eq!(snapshot.matcher().subscription_count(), 8);
+        drop((held, snapshot));
+
+        // Nothing else holds the matcher now: churn edits it where it is.
+        let matcher: *const Matcher = broker.matcher();
+        let h = broker
+            .subscribe(node, rect(&[1.0, 1.0], &[2.0, 2.0]))
+            .unwrap();
+        broker.unsubscribe(h).unwrap();
+        assert_eq!(broker.metrics_snapshot().churn.recompiles, 0);
+        assert!(std::ptr::eq(broker.matcher(), matcher));
+        assert_eq!(
+            broker
+                .match_only(&Point::new(vec![1.5, 1.5]).unwrap())
+                .unwrap()
+                .0,
+            [0, 2, 6, 8].map(SubscriptionId)
+        );
     }
 
     // --------------------------------------------------------------

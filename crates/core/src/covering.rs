@@ -35,6 +35,12 @@
 //! because their rectangle *is* the representative's, which was already
 //! tested. The covering-parity proptests in `tests/covering_parity.rs`
 //! pin this end to end.
+//!
+//! Runs hold only live members. Between recompiles the matcher edits
+//! the table in place: `Matcher::insert` appends a singleton
+//! representative (an identity group of one), and `Matcher::remove`
+//! deletes an id from its run, giving a run it empties a re-check
+//! rectangle nothing passes.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -184,6 +190,11 @@ impl CoveringTable {
         }
     }
 
+    /// Number of live subscriptions: the members of every run.
+    pub(crate) fn live_count(&self) -> usize {
+        self.members.len()
+    }
+
     /// Aggregation statistics of the build.
     pub fn stats(&self) -> &CoveringStats {
         &self.stats
@@ -208,6 +219,80 @@ impl CoveringTable {
                 + self.members.capacity()
                 + self.group_nodes.capacity())
                 * 4
+    }
+
+    /// Appends a representative with the bounds of `rect` standing for
+    /// one identity group whose only member is `id`, and returns its
+    /// index. Nothing is interned: the next compile does that.
+    pub(crate) fn push_singleton(&mut self, rect: &Rect, id: u32) -> u32 {
+        let rep = self.rep_count() as u32;
+        if self.group_start.is_empty() {
+            self.group_start.push(0);
+            self.group_member_start.push(0);
+        }
+        let sides = rect.sides().iter();
+        self.rep_bounds.extend(sides.map(|s| (s.lo(), s.hi())));
+        self.group_rect.push(u32::MAX);
+        self.group_nodes.push(u32::MAX);
+        self.group_start.push(self.group_rect.len() as u32);
+        self.members.push(id);
+        self.group_member_start.push(self.members.len() as u32);
+        rep
+    }
+
+    /// The group of representative `rep` whose run holds `id`.
+    pub(crate) fn group_of(&self, rep: u32, id: u32) -> Option<u32> {
+        let r = rep as usize;
+        (self.group_start[r]..self.group_start[r + 1])
+            .find(|&g| self.run(g).binary_search(&id).is_ok())
+    }
+
+    /// Deletes `id` from the run of `group`, a group of `rep`, keeping
+    /// the run ascending; a node bitmap is recomputed over the members
+    /// left (owned per `owners`). An emptied group gets an empty
+    /// re-check rectangle, so it never reaches a match. Returns whether
+    /// every group of `rep` is now empty.
+    pub(crate) fn remove_member(
+        &mut self,
+        rep: u32,
+        group: u32,
+        id: u32,
+        owners: &[NodeId],
+    ) -> bool {
+        let g = group as usize;
+        let start = self.group_member_start[g] as usize;
+        let pos = self.run(group).binary_search(&id).expect("id is a member");
+        self.members.remove(start + pos);
+        for s in &mut self.group_member_start[g + 1..] {
+            *s -= 1;
+        }
+        let span = start..self.group_member_start[g + 1] as usize;
+        if self.group_nodes[g] != u32::MAX {
+            let row = self.group_nodes[g] as usize * self.node_words;
+            let bits = &mut self.node_bits[row..][..self.node_words];
+            bits.fill(0);
+            for &m in &self.members[span.clone()] {
+                let node = owners[m as usize].0 as usize;
+                bits[node / 64] |= 1 << (node % 64);
+            }
+        }
+        if span.is_empty() {
+            // `lo < x` fails for every `x`, NaN and +∞ included.
+            let row = match self.group_rect[g] {
+                u32::MAX => {
+                    let row = self.grect_lo.len() / self.dims;
+                    self.grect_lo.resize(self.grect_lo.len() + self.dims, 0.0);
+                    self.grect_hi.resize(self.grect_hi.len() + self.dims, 0.0);
+                    self.group_rect[g] = row as u32;
+                    row
+                }
+                row => row as usize,
+            };
+            self.grect_lo[row * self.dims..][..self.dims].fill(f64::INFINITY);
+            self.grect_hi[row * self.dims..][..self.dims].fill(f64::NEG_INFINITY);
+        }
+        let r = rep as usize;
+        (self.group_start[r]..self.group_start[r + 1]).all(|g| self.run(g).is_empty())
     }
 
     /// Decides a candidate representative exactly: appends to `runs`
@@ -280,12 +365,10 @@ fn node_set_min_members(words: usize) -> usize {
 /// The matched subscription ids of one event.
 ///
 /// An event matches whole covering groups, so the set holds
-/// *references* — the hit runs of a shared [`CoveringTable`] plus the
-/// loose ids no run accounts for (overlay hits, the live members of a
-/// run with a tombstone in it) — and materializes the ascending id list
-/// once, on first read through [`Deref`]. The count is known without
-/// materializing. A set without runs (only loose hits, or built from an
-/// id list) is just that list.
+/// *references* — the hit runs of a shared [`CoveringTable`] — and
+/// materializes the ascending id list once, on first read through
+/// [`Deref`]. The count is known without materializing. A set built
+/// from an id list is just that list.
 ///
 /// Equality, `Debug` and serialization are by content (the ascending id
 /// sequence), so a set of runs and the same ids as a list compare equal.
@@ -294,31 +377,20 @@ pub struct MatchedSet {
     table: Option<Arc<CoveringTable>>,
     /// Hit groups of `table`; empty when `table` is `None`.
     runs: Vec<u32>,
-    /// Ids outside every run, ascending.
-    loose: Vec<SubscriptionId>,
     len: usize,
-    /// The materialized list; unused while `runs` is empty (`loose` is
-    /// then already the whole list).
+    /// The ascending id list: given up front for a plain list,
+    /// materialized from the runs on first read otherwise.
     ids: OnceLock<Vec<SubscriptionId>>,
 }
 
 impl MatchedSet {
-    /// A set of `runs` of `table` plus `loose` ids (ascending), `len`
-    /// ids in total. The runs and ids must be pairwise disjoint.
-    pub(crate) fn from_runs(
-        table: &Arc<CoveringTable>,
-        runs: &[u32],
-        loose: &[SubscriptionId],
-        len: usize,
-    ) -> Self {
-        debug_assert_eq!(
-            len,
-            loose.len() + runs.iter().map(|&g| table.run(g).len()).sum::<usize>()
-        );
+    /// A set of `runs` of `table`, `len` ids in total. The runs must be
+    /// pairwise disjoint.
+    pub(crate) fn from_runs(table: &Arc<CoveringTable>, runs: &[u32], len: usize) -> Self {
+        debug_assert_eq!(len, runs.iter().map(|&g| table.run(g).len()).sum::<usize>());
         MatchedSet {
             table: (!runs.is_empty()).then(|| Arc::clone(table)),
             runs: runs.to_vec(),
-            loose: loose.to_vec(),
             len,
             ids: OnceLock::new(),
         }
@@ -335,36 +407,26 @@ impl MatchedSet {
     }
 }
 
-/// Writes the ascending id list of `runs` ∪ `loose` to the tail of
-/// `out`.
-pub(crate) fn materialize_into(
-    table: &CoveringTable,
-    runs: &[u32],
-    loose: &[SubscriptionId],
-    out: &mut Vec<SubscriptionId>,
-) {
+/// Writes the ascending id list of `runs` to the tail of `out`.
+pub(crate) fn materialize_into(table: &CoveringTable, runs: &[u32], out: &mut Vec<SubscriptionId>) {
     let start = out.len();
     for &g in runs {
         out.extend(table.run(g).iter().map(|&s| SubscriptionId(s)));
     }
-    out.extend_from_slice(loose);
-    if !runs.is_empty() {
-        out[start..].sort_unstable();
-    }
+    out[start..].sort_unstable();
 }
 
 impl Deref for MatchedSet {
     type Target = [SubscriptionId];
 
     fn deref(&self) -> &[SubscriptionId] {
-        match &self.table {
-            None => &self.loose,
-            Some(table) => self.ids.get_or_init(|| {
-                let mut ids = Vec::with_capacity(self.len);
-                materialize_into(table, &self.runs, &self.loose, &mut ids);
-                ids
-            }),
-        }
+        self.ids.get_or_init(|| {
+            let mut ids = Vec::with_capacity(self.len);
+            if let Some(table) = &self.table {
+                materialize_into(table, &self.runs, &mut ids);
+            }
+            ids
+        })
     }
 }
 
@@ -372,7 +434,7 @@ impl From<Vec<SubscriptionId>> for MatchedSet {
     fn from(ids: Vec<SubscriptionId>) -> Self {
         MatchedSet {
             len: ids.len(),
-            loose: ids,
+            ids: OnceLock::from(ids),
             ..MatchedSet::default()
         }
     }
@@ -758,7 +820,7 @@ mod tests {
             table.hit_runs(r as u32, point, &mut runs);
         }
         let mut ids = Vec::new();
-        materialize_into(table, &runs, &[], &mut ids);
+        materialize_into(table, &runs, &mut ids);
         ids.into_iter().map(|s| s.0).collect()
     }
 
@@ -870,14 +932,10 @@ mod tests {
             table.hit_runs(r as u32, &[2.0, 2.0], &mut runs);
         }
         assert_eq!(runs.len(), 2, "two distinct rectangles, both hit");
-        let loose = [SubscriptionId(9)];
-        let set = MatchedSet::from_runs(&table, &runs, &loose, 7);
-        assert_eq!(set.len(), 7);
+        let set = MatchedSet::from_runs(&table, &runs, 6);
+        assert_eq!(set.len(), 6);
         assert!(set.ids.get().is_none(), "len() must not materialize");
-        let flat: MatchedSet = [0, 1, 2, 3, 4, 5, 9]
-            .map(SubscriptionId)
-            .into_iter()
-            .collect();
+        let flat: MatchedSet = [0, 1, 2, 3, 4, 5].map(SubscriptionId).into_iter().collect();
         assert_eq!(set, flat);
         assert!(
             set.windows(2).all(|w| w[0] < w[1]),
@@ -889,7 +947,7 @@ mod tests {
         let back: MatchedSet = serde_json::from_str(&json).unwrap();
         assert_eq!(back, set);
         assert!(!MatchedSet::default().iter().any(|_| true));
-        assert!(MatchedSet::from_runs(&table, &[], &[], 0).is_empty());
+        assert!(MatchedSet::from_runs(&table, &[], 0).is_empty());
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   reported directly from a [`CostReport`].
 //! * **Live churn** — the broker is split into a mutable
 //!   [`SubscriptionRegistry`] (stable [`SubscriptionHandle`]s) and an
-//!   immutable, epoch-versioned [`EngineSnapshot`]; `subscribe` /
-//!   `unsubscribe` absorb churn through a delta overlay and tombstones
-//!   until drift triggers a full recompile. See [`Broker::subscribe`].
+//!   epoch-versioned [`EngineSnapshot`]; `subscribe` / `unsubscribe`
+//!   edit the snapshot's matcher in place, copy-on-write, until drift
+//!   triggers a full recompile. See [`Broker::subscribe`].
 //!
 //! # Example
 //!
@@ -77,7 +77,7 @@ pub use groups::MulticastGroups;
 pub use journal::{
     crc32, DurableJournal, JournalConfig, JournalOp, JournalReplay, JournalStats, RegistryImage,
 };
-pub use matcher::{MatchOverlay, MatchScratch, Matcher, SubscriptionId};
+pub use matcher::{MatchScratch, Matcher, SubscriptionId};
 pub use metrics::{
     ChurnCounters, CostReport, Delivery, MessageCosts, MetricsSnapshot, PipelineCounters,
     RecoveryCounters,

@@ -1,4 +1,8 @@
 //! The matching problem (paper §3): event → interested subscribers.
+//!
+//! One [`Matcher`] answers every match, from the build through any
+//! churn: subscribe and unsubscribe edit its slab filter and covering
+//! table in place, so there is no second source to merge.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -8,7 +12,6 @@ use serde::{Deserialize, Serialize};
 
 use pubsub_geom::{Point, Rect, Space};
 use pubsub_netsim::NodeId;
-use pubsub_stree::{DeltaOverlay, EntryId, Tombstones};
 
 use crate::covering::{self, build_covering, CoveringConfig, CoveringStats, CoveringTable};
 use crate::pipeline::MatchArena;
@@ -39,6 +42,12 @@ impl fmt::Display for SubscriptionId {
 /// exact half-open `f64` test ([`CoveringTable::hit_runs`]). The filter
 /// is conservative — every representative containing the event is a
 /// candidate — so matches are exact by construction.
+///
+/// Between recompiles the broker edits its matcher in place:
+/// `Matcher::insert` appends a singleton representative and sets its
+/// slab bits, `Matcher::remove` deletes an id from its run. Runs hold
+/// only live members, so the match path is the same before and after
+/// churn.
 ///
 /// # Example
 ///
@@ -79,7 +88,7 @@ pub struct Matcher {
 }
 
 /// Reusable per-thread scratch for [`Matcher::match_event_into`]: the
-/// event's slab rows, its hit runs and loose hits, the subscriber dedup
+/// event's slab rows, its hit runs, the subscriber dedup
 /// bitmap, the one-event arena the single-event entry points collect
 /// into, and the work counters the publish pipeline drains into
 /// [`crate::PipelineCounters`]. One scratch makes every subsequent match
@@ -91,9 +100,6 @@ pub struct MatchScratch {
     seen: Vec<u64>,
     /// The current event's slab row per dimension.
     rows: Vec<usize>,
-    /// Loose subscription hits of the current event before the sort —
-    /// overlay hits and the live members of tombstoned runs.
-    hits: Vec<EntryId>,
     /// Hit covering groups of the current event.
     runs: Vec<u32>,
     /// Representatives given the exact test since the last drain.
@@ -131,29 +137,6 @@ thread_local! {
 /// without owning a scratch.
 pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut MatchScratch) -> R) -> R {
     MATCH_SCRATCH.with_borrow_mut(f)
-}
-
-/// A borrowed view of the churn state the broker layers over a compiled
-/// [`Matcher`] between engine recompiles: subscriptions added since the
-/// last compile (linear-scan overlay) and compiled subscriptions removed
-/// since (tombstones).
-///
-/// Overlay entry ids start at `base_count` (the compiled subscription
-/// count); `owners[id - base_count]` is the subscriber node of overlay
-/// entry `id`. Owner slots of removed overlay entries keep their value —
-/// the indexing stays stable, the entry itself is gone from the overlay.
-#[derive(Debug, Clone, Copy)]
-pub struct MatchOverlay<'a> {
-    /// Entries inserted since the last compile.
-    pub overlay: &'a DeltaOverlay,
-    /// Owner nodes of overlay entries, indexed by `id - base_count`.
-    pub owners: &'a [NodeId],
-    /// Compiled entries removed since the last compile.
-    pub tombstones: &'a Tombstones,
-    /// Number of compiled subscriptions (= first overlay id).
-    pub base_count: u32,
-    /// Largest owner node id in `owners` (sizes the dedup bitmap).
-    pub max_node: u32,
 }
 
 impl Matcher {
@@ -204,6 +187,54 @@ impl Matcher {
         })
     }
 
+    /// Adds a subscription of `node` over `clamped` (a rectangle already
+    /// clamped to the space) and returns its id, the next unused one. It
+    /// becomes one more representative — a single identity group — with
+    /// its slab bits set under the build's extent; nothing is interned
+    /// or renumbered until the next compile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rectangle's dimensionality differs from the space
+    /// the matcher was built over.
+    pub(crate) fn insert(&mut self, node: NodeId, clamped: &Rect) -> SubscriptionId {
+        assert_eq!(
+            clamped.dims(),
+            self.slabs.dims(),
+            "rectangle dimensionality"
+        );
+        let id = SubscriptionId(self.owners.len() as u32);
+        let rep = Arc::make_mut(&mut self.covering).push_singleton(clamped, id.0);
+        let sides = clamped.sides();
+        self.slabs
+            .push(rep as usize, |d| (sides[d].lo(), sides[d].hi()));
+        self.owners.push(node);
+        self.max_node = self.max_node.max(node.0);
+        id
+    }
+
+    /// Removes live subscription `id`, whose clamped rectangle is
+    /// `clamped`, from its run. The run is found through the slab
+    /// filter: its representative contains the rectangle, so it is a
+    /// candidate of the rectangle's `hi` corner. A representative left
+    /// with no member drops out of the filter. The id is not reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not live with that rectangle.
+    pub(crate) fn remove(&mut self, id: SubscriptionId, clamped: &Rect) {
+        let corner: Vec<f64> = clamped.sides().iter().map(|s| s.hi()).collect();
+        let mut found = None;
+        self.slabs.candidates(&corner, &mut Vec::new(), |rep| {
+            found = found.or_else(|| self.covering.group_of(rep, id.0).map(|g| (rep, g)));
+        });
+        let (rep, group) = found.expect("a live id is in a run of a candidate");
+        let covering = Arc::make_mut(&mut self.covering);
+        if covering.remove_member(rep, group, id.0, &self.owners) {
+            self.slabs.clear(rep as usize);
+        }
+    }
+
     /// Aggregation statistics of the covering build.
     pub fn covering_stats(&self) -> &CoveringStats {
         self.covering.stats()
@@ -215,16 +246,18 @@ impl Matcher {
         self.slabs.heap_bytes() + self.covering.heap_bytes()
     }
 
-    /// Number of subscriptions indexed.
+    /// Number of live subscriptions: the compiled ones still live plus
+    /// those inserted since.
     pub fn subscription_count(&self) -> usize {
-        self.owners.len()
+        self.covering.live_count()
     }
 
-    /// The subscriber node owning a subscription.
+    /// The subscriber node owning a subscription — any id the matcher
+    /// assigned, removed ones included.
     ///
     /// # Panics
     ///
-    /// Panics if the id is out of range.
+    /// Panics if the id was never assigned.
     pub fn owner(&self, id: SubscriptionId) -> NodeId {
         self.owners[id.0 as usize]
     }
@@ -268,20 +301,6 @@ impl Matcher {
         subs: &mut Vec<SubscriptionId>,
         nodes: &mut Vec<NodeId>,
     ) {
-        self.match_one(event, None, scratch, |arena| {
-            self.write_event(arena, subs, nodes);
-        });
-    }
-
-    /// Matches one event into the scratch's one-event arena and hands it
-    /// to `read`.
-    fn match_one<R>(
-        &self,
-        event: &Point,
-        view: Option<&MatchOverlay<'_>>,
-        scratch: &mut MatchScratch,
-        read: impl FnOnce(&MatchArena) -> R,
-    ) -> R {
         assert_eq!(
             event.dims(),
             self.slabs.dims(),
@@ -289,28 +308,12 @@ impl Matcher {
         );
         let mut arena = std::mem::take(&mut scratch.single);
         arena.begin();
-        self.append_event(event, view, scratch, &mut arena);
-        let result = read(&arena);
-        scratch.single = arena;
-        result
-    }
-
-    /// Writes out the only event of a one-event arena.
-    fn write_event(
-        &self,
-        arena: &MatchArena,
-        subs: &mut Vec<SubscriptionId>,
-        nodes: &mut Vec<NodeId>,
-    ) {
+        self.append_event(event, scratch, &mut arena);
         subs.clear();
         nodes.clear();
-        covering::materialize_into(
-            &self.covering,
-            arena.run_slice(0),
-            arena.loose_slice(0),
-            subs,
-        );
+        covering::materialize_into(&self.covering, arena.run_slice(0), subs);
         nodes.extend_from_slice(arena.node_slice(0));
+        scratch.single = arena;
     }
 
     /// The subscriptions local event `local` of `arena` matched, as a
@@ -320,33 +323,22 @@ impl Matcher {
         MatchedSet::from_runs(
             &self.covering,
             arena.run_slice(local),
-            arena.loose_slice(local),
             arena.match_count(local),
         )
     }
 
     /// Matches `event` and seals it as one arena event: the slab filter
-    /// picks the candidate representatives, the covering table decides
-    /// each exactly into hit runs, and the churn overlay is merged when
-    /// `view` is given.
+    /// picks the candidate representatives and the covering table
+    /// decides each exactly into hit runs.
     ///
     /// A run stays a run — its index is recorded, its owner nodes come
     /// from the precomputed node set (or a walk over a small run's
-    /// members) and no id is written — unless a tombstone sits inside
-    /// it: then its live members join the loose hits. Those, with the
-    /// overlay's matches, become the event's sorted loose ids. Owners
-    /// dedup and sort through the `seen` bitmap (one bit per node id).
-    fn append_event(
-        &self,
-        event: &Point,
-        view: Option<&MatchOverlay<'_>>,
-        scratch: &mut MatchScratch,
-        arena: &mut MatchArena,
-    ) {
+    /// members) and no id is written. Owners dedup and sort through the
+    /// `seen` bitmap (one bit per node id).
+    fn append_event(&self, event: &Point, scratch: &mut MatchScratch, arena: &mut MatchArena) {
         let MatchScratch {
             seen,
             rows,
-            hits,
             runs,
             candidates,
             words: anded,
@@ -354,15 +346,13 @@ impl Matcher {
         } = scratch;
         let point = event.as_slice();
         let covering = &*self.covering;
-        hits.clear();
         runs.clear();
         *anded += self.slabs.candidates(point, rows, |rep| {
             *candidates += 1;
             covering.hit_runs(rep, point, runs);
         });
 
-        let max_node = view.map_or(self.max_node, |v| self.max_node.max(v.max_node));
-        let words = max_node as usize / 64 + 1;
+        let words = self.max_node as usize / 64 + 1;
         if seen.len() < words {
             seen.resize(words, 0);
         }
@@ -371,19 +361,11 @@ impl Matcher {
         // drains.
         let mut span = (usize::MAX, 0usize);
         let mut run_members = 0usize;
-        let dead = view.map(|v| v.tombstones).filter(|t| !t.is_empty());
         for &run in runs.iter() {
-            let members = self.covering.run(run);
-            if let Some(dead) = dead {
-                if members.iter().any(|&m| dead.contains(EntryId(m))) {
-                    let live = members.iter().map(|&m| EntryId(m));
-                    hits.extend(live.filter(|&e| !dead.contains(e)));
-                    continue;
-                }
-            }
+            let members = covering.run(run);
             arena.runs.push(run);
             run_members += members.len();
-            match self.covering.run_nodes(run) {
+            match covering.run_nodes(run) {
                 Some(bits) => {
                     for (word, &row) in seen.iter_mut().zip(bits) {
                         *word |= row;
@@ -396,20 +378,6 @@ impl Matcher {
                     }
                 }
             }
-        }
-        if let Some(view) = view {
-            view.overlay.query_point_into(event, hits);
-        }
-
-        let sub_start = arena.subs.len();
-        arena.subs.extend(hits.iter().map(|&e| SubscriptionId(e.0)));
-        arena.subs[sub_start..].sort_unstable();
-        for &e in hits.iter() {
-            let owner = match view {
-                Some(v) if e.0 >= v.base_count => v.owners[(e.0 - v.base_count) as usize],
-                _ => self.owners[e.0 as usize],
-            };
-            mark(seen, &mut span, owner);
         }
 
         // Draining the touched words in order yields the nodes ascending
@@ -427,55 +395,29 @@ impl Matcher {
         arena.end_event(run_members);
     }
 
-    /// Largest subscriber node id seen at build time (used to size
-    /// bitmaps).
+    /// Largest subscriber node id of any subscription the matcher was
+    /// built or inserted with (sizes the dedup bitmap).
     pub fn max_node_id(&self) -> u32 {
         self.max_node
-    }
-
-    /// [`Matcher::match_event_into`] merged with a churn overlay: compiled
-    /// hits are filtered through `view.tombstones`, then the overlay is
-    /// scanned linearly, and subscriptions/subscribers are sorted and
-    /// deduplicated across both sources. Semantics are identical to a
-    /// matcher freshly built over (compiled − removed) ∪ overlay, except
-    /// that overlay subscriptions keep their overlay ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event's dimensionality differs from the space the
-    /// matcher was built over.
-    pub fn match_event_overlaid_into(
-        &self,
-        event: &Point,
-        view: &MatchOverlay<'_>,
-        scratch: &mut MatchScratch,
-        subs: &mut Vec<SubscriptionId>,
-        nodes: &mut Vec<NodeId>,
-    ) {
-        self.match_one(event, Some(view), scratch, |arena| {
-            self.write_event(arena, subs, nodes);
-        });
     }
 
     /// Matches the events at the given index `ranges` (ascending, e.g. a
     /// worker's [`pubsub_parallel::block_ranges`]) into a CSR
     /// [`MatchArena`]: one appended arena event per index, in range
     /// order. The per-event slices are identical to what
-    /// [`Matcher::match_event_into`] (with `view`:
-    /// [`Matcher::match_event_overlaid_into`]) produces; nothing is
-    /// allocated once scratch and arena are warm.
+    /// [`Matcher::match_event_into`] produces; nothing is allocated once
+    /// scratch and arena are warm.
     pub fn match_events_into_arena<I>(
         &self,
         events: &[Point],
         ranges: I,
-        view: Option<&MatchOverlay<'_>>,
         scratch: &mut MatchScratch,
         arena: &mut MatchArena,
     ) where
         I: IntoIterator<Item = std::ops::Range<usize>>,
     {
         for i in ranges.into_iter().flatten() {
-            self.append_event(&events[i], view, scratch, arena);
+            self.append_event(&events[i], scratch, arena);
         }
     }
 }
@@ -492,8 +434,11 @@ fn mark(seen: &mut [u64], span: &mut (usize, usize), node: NodeId) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use pubsub_geom::Interval;
-    use pubsub_stree::{Entry, LinearScan, SpatialIndex};
+    use pubsub_stree::{Entry, EntryId, LinearScan, SpatialIndex};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn space() -> Space {
         Space::anonymous(Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap()).unwrap()
@@ -612,80 +557,6 @@ mod tests {
         assert_eq!(nodes, vec![NodeId(3), NodeId(64)]);
     }
 
-    #[test]
-    fn overlaid_matching_equals_fresh_build_over_survivors() {
-        // Base: 4 subscriptions; kill one compiled, add two via overlay.
-        let base = vec![
-            (
-                NodeId(3),
-                Rect::from_corners(&[0.0, 0.0], &[5.0, 5.0]).unwrap(),
-            ),
-            (
-                NodeId(4),
-                Rect::from_corners(&[0.0, 0.0], &[5.0, 5.0]).unwrap(),
-            ),
-            (
-                NodeId(5),
-                Rect::from_corners(&[4.0, 4.0], &[9.0, 9.0]).unwrap(),
-            ),
-            (
-                NodeId(3),
-                Rect::from_corners(&[8.0, 0.0], &[10.0, 10.0]).unwrap(),
-            ),
-        ];
-        let m = Matcher::build(&space(), &base, CoveringConfig::default()).unwrap();
-        let mut overlay = DeltaOverlay::new();
-        let mut tombstones = Tombstones::new();
-        tombstones.insert(EntryId(1)); // drop NodeId(4)'s subscription
-        let added = [
-            (
-                NodeId(70),
-                Rect::from_corners(&[0.0, 0.0], &[9.0, 9.0]).unwrap(),
-            ),
-            (
-                NodeId(2),
-                Rect::from_corners(&[4.0, 4.0], &[6.0, 6.0]).unwrap(),
-            ),
-        ];
-        let mut owners = Vec::new();
-        for (i, (n, r)) in added.iter().enumerate() {
-            overlay
-                .insert(Entry::new(r.clone(), EntryId(4 + i as u32)))
-                .unwrap();
-            owners.push(*n);
-        }
-        let view = MatchOverlay {
-            overlay: &overlay,
-            owners: &owners,
-            tombstones: &tombstones,
-            base_count: 4,
-            max_node: 70,
-        };
-
-        // Oracle: fresh matcher over survivors + additions.
-        let survivors: Vec<(NodeId, Rect)> = vec![
-            base[0].clone(),
-            base[2].clone(),
-            base[3].clone(),
-            added[0].clone(),
-            added[1].clone(),
-        ];
-        let fresh = Matcher::build(&space(), &survivors, CoveringConfig::default()).unwrap();
-
-        let mut scratch = MatchScratch::new();
-        let (mut subs, mut nodes) = (Vec::new(), Vec::new());
-        let events: Vec<Point> = (0..40)
-            .map(|i| {
-                Point::new(vec![f64::from(i) * 1.37 % 10.0, f64::from(i) * 2.11 % 10.0]).unwrap()
-            })
-            .collect();
-        for e in &events {
-            m.match_event_overlaid_into(e, &view, &mut scratch, &mut subs, &mut nodes);
-            let (_, fresh_nodes) = fresh.match_event(e);
-            assert_eq!(nodes, fresh_nodes, "event {e:?}");
-        }
-    }
-
     /// The reference matches of `subs`: a linear scan over the clamped
     /// rectangles, ids ascending, owner nodes deduplicated ascending.
     fn scan_match(
@@ -780,14 +651,12 @@ mod tests {
             covered.match_events_into_arena(
                 &events,
                 std::iter::once(0..events.len()),
-                None,
                 &mut scratch,
                 &mut arena,
             );
             for (i, e) in events.iter().enumerate() {
                 let (subs_want, nodes_want) = scan_match(&scan, &subs, e);
                 // Run-level: no id was written, the count is the run sum.
-                assert!(arena.loose_slice(i).is_empty(), "event {i}");
                 assert_eq!(arena.match_count(i), subs_want.len(), "event {i}");
                 assert_eq!(
                     &covered.matched_set(&arena, i)[..],
@@ -808,10 +677,9 @@ mod tests {
     /// survive the AND.
     #[test]
     fn summary_and_hilbert_order_bound_the_words_per_event() {
-        use rand::{Rng, SeedableRng};
         let side = 256u32;
         let mut cells: Vec<u32> = (0..side * side).collect();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
         for i in (1..cells.len()).rev() {
             cells.swap(i, rng.gen_range(0..=i));
         }
@@ -847,5 +715,280 @@ mod tests {
                 "event {event:?} ANDed {words} of {flat_words} words"
             );
         }
+    }
+
+    /// The live subscriptions of a churned matcher, in id order, with
+    /// the rectangles the matcher was given for them.
+    type Live = Vec<(SubscriptionId, NodeId, Rect)>;
+
+    /// Asserts that `m` matches every event exactly as a linear scan
+    /// over `live` does — ids and nodes, one event at a time and into
+    /// one arena — and that no arena run is empty.
+    fn assert_matches_scan(m: &Matcher, live: &Live, events: &[Point]) {
+        let scan = LinearScan::new(
+            live.iter()
+                .map(|(id, _, r)| Entry::new(r.clone(), EntryId(id.0)))
+                .collect(),
+        )
+        .unwrap();
+        let mut scratch = MatchScratch::new();
+        let mut arena = MatchArena::new();
+        arena.begin();
+        m.match_events_into_arena(
+            events,
+            std::iter::once(0..events.len()),
+            &mut scratch,
+            &mut arena,
+        );
+        for (i, e) in events.iter().enumerate() {
+            let ids: Vec<SubscriptionId> = scan
+                .query_point(e)
+                .into_iter()
+                .map(|id| SubscriptionId(id.0))
+                .collect();
+            let mut nodes: Vec<NodeId> = live
+                .iter()
+                .filter(|(id, _, _)| ids.binary_search(id).is_ok())
+                .map(|&(_, n, _)| n)
+                .collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            assert_eq!(
+                m.match_event(e),
+                (ids.clone(), nodes.clone()),
+                "event {e:?}"
+            );
+            assert_eq!(&m.matched_set(&arena, i)[..], &ids[..], "event {e:?}");
+            assert_eq!(arena.node_slice(i), &nodes[..], "event {e:?}");
+            for &run in arena.run_slice(i) {
+                assert!(
+                    !m.covering.run(run).is_empty(),
+                    "empty run {run} reached the arena"
+                );
+            }
+        }
+    }
+
+    /// A coordinate on the grid of 64ths of `[0, 10]`.
+    fn grid(rng: &mut ChaCha8Rng) -> f64 {
+        f64::from(rng.gen_range(0..=64u32)) * (10.0 / 64.0)
+    }
+
+    /// An event coordinate along `d`: a slab edge of the space, a bound
+    /// of a live rectangle, an extreme value, or anywhere around the
+    /// space. Events are finite ([`Point::new`] rejects NaN and ±∞, which
+    /// the slab filter's own tests feed it directly), so an infinite
+    /// bound becomes the largest finite value of its sign.
+    fn coordinate(rng: &mut ChaCha8Rng, live: &Live, d: usize) -> f64 {
+        let x = match rng.gen_range(0..8u32) {
+            0 | 1 => grid(rng),
+            2 | 3 if !live.is_empty() => {
+                let side = live[rng.gen_range(0..live.len())].2.side(d);
+                if rng.gen_bool(0.5) {
+                    side.lo()
+                } else {
+                    side.hi()
+                }
+            }
+            4 => [f64::MAX, f64::MIN, 1e300, -1e300][rng.gen_range(0..4usize)],
+            _ => rng.gen_range(-3.0..13.0),
+        };
+        if x.is_finite() {
+            x
+        } else {
+            f64::MAX.copysign(x)
+        }
+    }
+
+    /// A rectangle to subscribe after the build: anywhere, often outside
+    /// the build's extent, with infinite or zero-wide sides.
+    fn churn_rect(rng: &mut ChaCha8Rng, dims: usize) -> Rect {
+        let sides = (0..dims)
+            .map(|_| match rng.gen_range(0..8u32) {
+                0 => Interval::unbounded(),
+                1 => Interval::at_least(rng.gen_range(-5.0..15.0)),
+                2 => Interval::at_most(rng.gen_range(-5.0..15.0)),
+                3 => Interval::empty_at(grid(rng)),
+                4 => {
+                    let a = rng.gen_range(-20.0..-1.0);
+                    Interval::new(a, a + rng.gen_range(0.0..3.0)).unwrap()
+                }
+                _ => {
+                    let (a, b) = (grid(rng), grid(rng));
+                    Interval::new(a.min(b), a.max(b)).unwrap()
+                }
+            })
+            .collect();
+        Rect::new(sides).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Subscribe and unsubscribe edit the matcher in place, and after
+        /// every op it matches exactly what a linear scan over the live
+        /// subscriptions matches. The build is duplicate- and
+        /// nesting-heavy (subsumed and merged groups, multi-member ones
+        /// with node bitmaps); the ops remove from those groups, empty
+        /// groups and whole representatives, re-subscribe identical
+        /// rectangles, remove just-added ids and add rectangles outside
+        /// the build's extent, with infinite or zero-wide sides, past
+        /// 64-representative word boundaries.
+        #[test]
+        fn in_place_churn_equals_a_linear_scan(
+            dims in 1usize..=3,
+            merge in prop::bool::ANY,
+            shape in 0u32..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let space = Space::anonymous(
+                Rect::from_corners(&vec![0.0; dims], &vec![10.0; dims]).unwrap(),
+            )
+            .unwrap();
+            let count = match shape {
+                0 => 0,
+                1 => rng.gen_range(1..8usize),
+                2 => rng.gen_range(56..64usize),
+                _ => rng.gen_range(100..160usize),
+            };
+            // Three popular wide boxes (cover candidates); boxes nested
+            // in all three, a few subscribers each (multi-member
+            // subsumed groups with node bitmaps); and single boxes a
+            // hair apart near the origin (merged into one hull).
+            let boxes = |rng: &mut ChaCha8Rng, n: usize, lo: (f64, f64), hi: (f64, f64)| {
+                (0..n)
+                    .map(|_| {
+                        let sides = (0..dims)
+                            .map(|_| {
+                                let (a, b) = (rng.gen_range(lo.0..lo.1), rng.gen_range(hi.0..hi.1));
+                                Interval::new(a, b).unwrap()
+                            })
+                            .collect();
+                        Rect::new(sides).unwrap()
+                    })
+                    .collect::<Vec<Rect>>()
+            };
+            let wide = boxes(&mut rng, 3, (2.0, 4.0), (6.0, 8.0));
+            let nested = boxes(&mut rng, (count / 8).max(1), (4.0, 5.0), (5.0, 6.0));
+            let subs: Vec<(NodeId, Rect)> = (0..count)
+                .map(|_| {
+                    let r = match rng.gen_range(0..3u32) {
+                        0 => wide[rng.gen_range(0..wide.len())].clone(),
+                        1 => nested[rng.gen_range(0..nested.len())].clone(),
+                        _ => boxes(&mut rng, 1, (0.6, 0.61), (1.6, 1.61)).remove(0),
+                    };
+                    (NodeId(rng.gen_range(0..7)), r)
+                })
+                .collect();
+            let config = CoveringConfig {
+                merge_cells: if merge { 8 } else { 0 },
+                ..CoveringConfig::default()
+            };
+            let mut m = Matcher::build_covered(&space, &subs.as_slice(), &config).unwrap();
+            if count >= 100 {
+                let stats = m.covering_stats();
+                prop_assert!(stats.subsumed > 0 && (stats.merged > 0) == merge, "{:?}", stats);
+            }
+            let mut live: Live = subs
+                .iter()
+                .enumerate()
+                .map(|(i, (n, r))| (SubscriptionId(i as u32), *n, space.clamp(r)))
+                .collect();
+            for _ in 0..48 {
+                match rng.gen_range(0..10u32) {
+                    // Remove one.
+                    0..=2 if !live.is_empty() => {
+                        let (id, _, r) = live.remove(rng.gen_range(0..live.len()));
+                        m.remove(id, &r);
+                    }
+                    // Remove every subscription sharing one's rectangle:
+                    // empties its group, often its representative.
+                    3 if !live.is_empty() => {
+                        let r = live[rng.gen_range(0..live.len())].2.clone();
+                        for (id, _, rr) in live.iter().filter(|(_, _, rr)| *rr == r) {
+                            m.remove(*id, rr);
+                        }
+                        live.retain(|(_, _, rr)| *rr != r);
+                    }
+                    // Re-subscribe a live rectangle.
+                    4 if !live.is_empty() => {
+                        let r = live[rng.gen_range(0..live.len())].2.clone();
+                        let node = NodeId(rng.gen_range(0..7));
+                        live.push((m.insert(node, &r), node, r));
+                    }
+                    // Add and remove at once.
+                    5 => {
+                        let r = churn_rect(&mut rng, dims);
+                        let id = m.insert(NodeId(3), &r);
+                        m.remove(id, &r);
+                    }
+                    // Add, sometimes from a node past the build's.
+                    _ => {
+                        let r = churn_rect(&mut rng, dims);
+                        let node = NodeId(rng.gen_range(0..150));
+                        live.push((m.insert(node, &r), node, r));
+                    }
+                }
+                prop_assert_eq!(m.subscription_count(), live.len());
+                let events: Vec<Point> = (0..12)
+                    .map(|_| {
+                        Point::new((0..dims).map(|d| coordinate(&mut rng, &live, d)).collect())
+                            .unwrap()
+                    })
+                    .collect();
+                assert_matches_scan(&m, &live, &events);
+            }
+        }
+    }
+
+    /// Growth past the 4,096th representative opens a second summary
+    /// word; the matcher keeps matching exactly across it, and removing
+    /// the new representatives again empties their words.
+    #[test]
+    fn growth_across_the_summary_word_keeps_matches_exact() {
+        let space =
+            Space::anonymous(Rect::from_corners(&[0.0, 0.0], &[64.0, 64.0]).unwrap()).unwrap();
+        let cell = |c: u32| {
+            let (x, y) = (f64::from(c % 64), f64::from(c / 64));
+            Rect::from_corners(&[x, y], &[x + 1.0, y + 1.0]).unwrap()
+        };
+        let subs: Vec<(NodeId, Rect)> = (0..4_090).map(|c| (NodeId(c % 61), cell(c))).collect();
+        let mut m = Matcher::build(&space, &subs, CoveringConfig::default()).unwrap();
+        let mut live: Live = subs
+            .iter()
+            .enumerate()
+            .map(|(i, (n, r))| (SubscriptionId(i as u32), *n, r.clone()))
+            .collect();
+        // 4,090 -> 4,110 representatives: the last six cells, then
+        // fourteen out of the build's extent.
+        for k in 0..20u32 {
+            let r = if k < 6 {
+                cell(4_090 + k)
+            } else {
+                let x = 70.0 + f64::from(k);
+                Rect::from_corners(&[x, -3.0], &[x + 0.5, 80.0]).unwrap()
+            };
+            live.push((m.insert(NodeId(k), &r), NodeId(k), r));
+        }
+        assert_eq!(m.slabs.summary_word_in_use(1), Some(true));
+        assert_eq!(m.slabs.summary_word_in_use(2), None);
+        let events: Vec<Point> = (0..300u32)
+            .map(|i| {
+                let c = (i * 113) % 4_096;
+                let x = if i % 5 == 0 {
+                    70.0 + f64::from(i % 20) + 0.25
+                } else {
+                    f64::from(c % 64) + 0.5
+                };
+                Point::new(vec![x, f64::from(c / 64) + 0.5]).unwrap()
+            })
+            .collect();
+        assert_matches_scan(&m, &live, &events);
+        for (id, _, r) in live.drain(4_090..) {
+            m.remove(id, &r);
+        }
+        assert_matches_scan(&m, &live, &events);
+        assert_eq!(m.slabs.summary_word_in_use(1), Some(false));
     }
 }

@@ -120,11 +120,12 @@ pub struct ChurnCounters {
     /// Local partition refreshes (incremental-clusterer local updates
     /// folded into the snapshot without a recompile).
     pub local_refreshes: u64,
-    /// Subscriptions currently in the delta overlay (added since the last
-    /// recompile).
+    /// Live subscriptions added since the last recompile (the name
+    /// predates in-place churn, when they sat in a delta overlay).
     pub overlay_len: usize,
-    /// Compiled subscriptions currently tombstoned (removed since the
-    /// last recompile).
+    /// Subscriptions the last recompile numbered that have been removed
+    /// since (the name predates in-place churn, when a tombstone bitset
+    /// masked them).
     pub tombstone_len: usize,
 }
 

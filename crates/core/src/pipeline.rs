@@ -21,14 +21,13 @@ use pubsub_netsim::{CostScratch, NodeId, PairCost};
 use pubsub_parallel::{PipelineScratch, BLOCK};
 
 use crate::matcher::MatchScratch;
-use crate::{MatchedSet, Matcher, SubscriptionId};
+use crate::{MatchedSet, Matcher};
 
 /// A reusable CSR result arena for batch matching, holding **run-level
 /// records**: per event the hit covering groups (`runs`, indices into
-/// the matcher's [`crate::CoveringTable`]), the loose subscription ids
-/// no run accounts for (`subs` — overlay hits and the live members of
-/// runs with a tombstone in them), the match count,
-/// and the deduplicated interested nodes. Each vector is cut into
+/// the matcher's [`crate::CoveringTable`]), the match count (the summed
+/// lengths of those runs, which hold only live subscriptions) and the
+/// deduplicated interested nodes. The run and node vectors are cut into
 /// per-event slices by an offsets vector. Filled through
 /// `Matcher::match_events_into_arena`; reset
 /// with [`MatchArena::begin`], which keeps the capacity so a warm arena
@@ -39,12 +38,7 @@ pub struct MatchArena {
     pub(crate) runs: Vec<u32>,
     /// CSR offsets into `runs`.
     pub(crate) run_offsets: Vec<u32>,
-    /// Loose subscription ids, ascending within each event's slice.
-    pub(crate) subs: Vec<SubscriptionId>,
-    /// CSR offsets into `subs`: event `i` owns `subs[sub_offsets[i]..sub_offsets[i+1]]`.
-    pub(crate) sub_offsets: Vec<u32>,
-    /// Per event: matched subscriptions, run members and loose ids
-    /// together.
+    /// Per event: matched subscriptions, the members of its runs.
     pub(crate) counts: Vec<u32>,
     /// Deduplicated interested nodes, ascending within each event's slice.
     pub(crate) nodes: Vec<NodeId>,
@@ -57,7 +51,7 @@ pub struct MatchArena {
     pub(crate) splits: Vec<u32>,
     /// Capacities snapshotted by [`MatchArena::begin`] for growth
     /// detection.
-    caps: [usize; 8],
+    caps: [usize; 6],
 }
 
 impl MatchArena {
@@ -69,25 +63,20 @@ impl MatchArena {
     /// Starts a new batch: clears the arena but keeps its capacity.
     pub fn begin(&mut self) {
         self.runs.clear();
-        self.subs.clear();
         self.counts.clear();
         self.nodes.clear();
         self.run_offsets.clear();
-        self.sub_offsets.clear();
         self.node_offsets.clear();
         self.splits.clear();
         self.run_offsets.push(0);
-        self.sub_offsets.push(0);
         self.node_offsets.push(0);
         self.caps = self.capacities();
     }
 
-    fn capacities(&self) -> [usize; 8] {
+    fn capacities(&self) -> [usize; 6] {
         [
             self.runs.capacity(),
             self.run_offsets.capacity(),
-            self.subs.capacity(),
-            self.sub_offsets.capacity(),
             self.counts.capacity(),
             self.nodes.capacity(),
             self.node_offsets.capacity(),
@@ -101,14 +90,12 @@ impl MatchArena {
         self.capacities() != self.caps
     }
 
-    /// Seals the current event: everything appended to `runs`/`subs`/
-    /// `nodes` since the previous seal becomes the next event's slices,
+    /// Seals the current event: everything appended to `runs`/`nodes`
+    /// since the previous seal becomes the next event's slices,
     /// `run_members` being the summed lengths of the appended runs.
     pub(crate) fn end_event(&mut self, run_members: usize) {
-        let loose = self.subs.len() - self.sub_offsets[self.counts.len()] as usize;
-        self.counts.push((run_members + loose) as u32);
+        self.counts.push(run_members as u32);
         self.run_offsets.push(self.runs.len() as u32);
-        self.sub_offsets.push(self.subs.len() as u32);
         self.node_offsets.push(self.nodes.len() as u32);
     }
 
@@ -117,8 +104,8 @@ impl MatchArena {
         self.counts.len()
     }
 
-    /// How many subscriptions local event `local` matched — run members
-    /// and loose ids together.
+    /// How many subscriptions local event `local` matched: the members
+    /// of its runs.
     ///
     /// # Panics
     ///
@@ -135,16 +122,6 @@ impl MatchArena {
     /// Panics if `local >= event_count()`.
     pub fn run_slice(&self, local: usize) -> &[u32] {
         &self.runs[self.run_offsets[local] as usize..self.run_offsets[local + 1] as usize]
-    }
-
-    /// The matching subscription ids of local event `local` that no run
-    /// accounts for (ascending).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local >= event_count()`.
-    pub fn loose_slice(&self, local: usize) -> &[SubscriptionId] {
-        &self.subs[self.sub_offsets[local] as usize..self.sub_offsets[local + 1] as usize]
     }
 
     /// The deduplicated interested nodes of local event `local`
@@ -210,8 +187,8 @@ impl MatchArena {
         self.splits.push((w - start) as u32);
     }
 
-    /// Total matched subscriptions across all events of the batch
-    /// (run members included, though their ids were never written).
+    /// Total matched subscriptions across all events of the batch (run
+    /// members, though their ids were never written).
     pub fn total_subs(&self) -> usize {
         self.counts.iter().map(|&c| c as usize).sum()
     }
@@ -364,10 +341,9 @@ mod tests {
     fn arena_reuse_keeps_capacity() {
         let mut arena = MatchArena::new();
         arena.begin();
-        // Every event: one loose id, one 10-member run, one node.
+        // Every event: one 10-member run, one node.
         let fill = |arena: &mut MatchArena| {
             for i in 0..100u32 {
-                arena.subs.push(SubscriptionId(i));
                 arena.runs.push(i % 3);
                 arena.nodes.push(NodeId(i % 7));
                 arena.end_event(10);
@@ -376,13 +352,12 @@ mod tests {
         fill(&mut arena);
         assert_eq!(arena.event_count(), 100);
         assert!(arena.grew(), "first batch grows from empty");
-        assert_eq!(arena.loose_slice(3), &[SubscriptionId(3)]);
         assert_eq!(arena.run_slice(5), &[2]);
-        assert_eq!(arena.match_count(5), 11);
+        assert_eq!(arena.match_count(5), 10);
         assert_eq!(arena.node_slice(8), &[NodeId(1)]);
         assert_eq!(
             arena.total_subs(),
-            1100,
+            1000,
             "count-level: run members included"
         );
         assert_eq!(arena.total_nodes(), 100);
@@ -403,14 +378,14 @@ mod tests {
         let mut arena = MatchArena::new();
         arena.begin();
         arena.end_event(0);
-        arena.subs.push(SubscriptionId(9));
-        arena.end_event(0);
+        arena.runs.push(9);
+        arena.end_event(4);
         assert_eq!(arena.event_count(), 2);
-        assert!(arena.loose_slice(0).is_empty());
         assert!(arena.run_slice(0).is_empty());
         assert!(arena.node_slice(0).is_empty());
         assert_eq!(arena.match_count(0), 0);
-        assert_eq!(arena.loose_slice(1), &[SubscriptionId(9)]);
+        assert_eq!(arena.run_slice(1), &[9]);
+        assert_eq!(arena.match_count(1), 4);
     }
 
     #[test]
@@ -425,7 +400,7 @@ mod tests {
             state.begin_batch();
             for range in pubsub_parallel::block_ranges(len, workers, w) {
                 for i in range {
-                    state.arena.subs.push(SubscriptionId(i as u32));
+                    state.arena.runs.push(i as u32);
                     state.arena.end_event(0);
                 }
             }
@@ -439,11 +414,7 @@ mod tests {
         assert!(!batch.is_empty());
         for i in 0..len {
             let (w, local) = batch.locate(i);
-            assert_eq!(
-                states[w].arena.loose_slice(local),
-                &[SubscriptionId(i as u32)],
-                "event {i}"
-            );
+            assert_eq!(states[w].arena.run_slice(local), &[i as u32], "event {i}");
             assert!(batch.interested(i).is_empty());
         }
     }

@@ -1,9 +1,9 @@
 //! The mutable half of the two-layer broker core: a registry of live
 //! subscriptions with stable handles.
 //!
-//! The [`crate::Broker`] splits its state into this registry (the only
-//! structure `subscribe`/`unsubscribe` mutate directly) and an immutable
-//! [`crate::EngineSnapshot`] compiled from it. Handles stay valid across
+//! The [`crate::Broker`] splits its state into this registry and an
+//! [`crate::EngineSnapshot`] compiled from it, whose matcher
+//! `subscribe`/`unsubscribe` edit copy-on-write. Handles stay valid across
 //! engine recompiles — the registry slot is the subscription's identity,
 //! while the engine-internal [`crate::SubscriptionId`]s are reassigned on
 //! every recompile.
@@ -47,9 +47,9 @@ struct Slot {
     /// The subscription as registered (pre-clamp; the engine clamps).
     rect: Rect,
     alive: bool,
-    /// The engine id currently bound to this slot: the compiled
-    /// [`crate::SubscriptionId`] after the last recompile, or an overlay
-    /// id past the compiled range for subscriptions added since.
+    /// The engine id currently bound to this slot: the
+    /// [`crate::SubscriptionId`] the last recompile assigned, or the one
+    /// `subscribe` assigned past the compiled range since.
     engine_id: u32,
 }
 
@@ -279,7 +279,8 @@ impl SubscriptionRegistry {
             .map(|s| s.engine_id)
     }
 
-    /// Binds an engine id to a live handle (overlay insert).
+    /// Binds an engine id to a live handle (a subscribe between
+    /// recompiles).
     pub(crate) fn set_engine_id(&mut self, handle: SubscriptionHandle, engine_id: u32) {
         self.slots[handle.0 as usize].engine_id = engine_id;
     }

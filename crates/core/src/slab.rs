@@ -27,6 +27,14 @@
 //! representatives along the Hilbert curve of their centres
 //! ([`hilbert_order`]), so one bitmap word holds representatives close
 //! in space and the surviving words are few.
+//!
+//! **Edited in place.** Because `slab` is monotone over the whole line,
+//! a representative added after the build needs no rebuild: its bits go
+//! in `slab(lo)..=slab(hi)` under the build's extent, and a bound
+//! outside that extent saturates into an end slab, which keeps the
+//! filter conservative. Rows gain a word when the count crosses a
+//! multiple of 64 ([`SlabFilter::push`]); a representative whose
+//! subscriptions are all gone drops out ([`SlabFilter::clear`]).
 
 use pubsub_stree::hilbert_index;
 
@@ -135,22 +143,53 @@ impl SlabFilter {
             sum_words,
             summary: vec![0; dims * SLABS * sum_words],
         };
-        for d in 0..dims {
-            for r in 0..count {
-                let (lo, hi) = bounds(r, d);
-                for s in filter.slab(d, lo)..=filter.slab(d, hi) {
-                    filter.bits[(d * SLABS + s) * words + r / 64] |= 1 << (r % 64);
-                }
-            }
-        }
-        for row in 0..dims * SLABS {
-            for (w, &word) in filter.bits[row * words..][..words].iter().enumerate() {
-                if word != 0 {
-                    filter.summary[row * sum_words + w / 64] |= 1 << (w % 64);
-                }
-            }
+        for r in 0..count {
+            filter.set(r, |d| bounds(r, d));
         }
         filter
+    }
+
+    /// Adds representative `r`, the next one (`r` is the count so far),
+    /// whose bounds along dimension `d` are `bounds(d)`. Rows (and
+    /// summary rows) gain a word when `r` opens a new one.
+    pub(crate) fn push(&mut self, r: usize, bounds: impl Fn(usize) -> (f64, f64)) {
+        let rows = self.dims() * SLABS;
+        if r / 64 == self.words {
+            self.bits = widen(&self.bits, rows, self.words);
+            self.words += 1;
+            if self.words > self.sum_words * 64 {
+                self.summary = widen(&self.summary, rows, self.sum_words);
+                self.sum_words += 1;
+            }
+        }
+        self.set(r, bounds);
+    }
+
+    /// Sets representative `r`'s bits in `slab(lo)..=slab(hi)` of every
+    /// dimension, and the summary bits of the words they land in.
+    fn set(&mut self, r: usize, bounds: impl Fn(usize) -> (f64, f64)) {
+        let w = r / 64;
+        for d in 0..self.dims() {
+            let (lo, hi) = bounds(d);
+            for s in self.slab(d, lo)..=self.slab(d, hi) {
+                let row = d * SLABS + s;
+                self.bits[row * self.words + w] |= 1 << (r % 64);
+                self.summary[row * self.sum_words + w / 64] |= 1 << (w % 64);
+            }
+        }
+    }
+
+    /// Drops representative `r` from every row, and each summary bit
+    /// whose bitmap word went to zero.
+    pub(crate) fn clear(&mut self, r: usize) {
+        let w = r / 64;
+        for row in 0..self.dims() * SLABS {
+            let word = &mut self.bits[row * self.words + w];
+            *word &= !(1 << (r % 64));
+            if *word == 0 {
+                self.summary[row * self.sum_words + w / 64] &= !(1 << (w % 64));
+            }
+        }
     }
 
     /// Dimensionality of the space the filter was built over.
@@ -207,10 +246,29 @@ impl SlabFilter {
         anded
     }
 
+    /// Whether summary word `sw` of some row has a bit set; `None` past
+    /// the last summary word.
+    #[cfg(test)]
+    pub(crate) fn summary_word_in_use(&self, sw: usize) -> Option<bool> {
+        (sw < self.sum_words).then(|| {
+            (0..self.dims() * SLABS).any(|row| self.summary[row * self.sum_words + sw] != 0)
+        })
+    }
+
     /// Bytes of heap held by the bitmaps.
     pub(crate) fn heap_bytes(&self) -> usize {
         (self.bits.capacity() + self.summary.capacity()) * 8 + self.slab_of.capacity() * 16
     }
+}
+
+/// `rows` rows of `stride` words each, copied into rows one word wider
+/// (the new last word of each row is zero).
+fn widen(words: &[u64], rows: usize, stride: usize) -> Vec<u64> {
+    let mut wide = vec![0; rows * (stride + 1)];
+    for row in 0..rows {
+        wide[row * (stride + 1)..][..stride].copy_from_slice(&words[row * stride..][..stride]);
+    }
+    wide
 }
 
 #[cfg(test)]
@@ -401,7 +459,7 @@ mod tests {
                 runs.clear();
                 ids.clear();
                 filter.candidates(&x, &mut rows, |rep| table.hit_runs(rep, &x, &mut runs));
-                materialize_into(&table, &runs, &[], &mut ids);
+                materialize_into(&table, &runs, &mut ids);
                 let got: Vec<usize> = ids.iter().map(|s| s.0 as usize).collect();
                 let want: Vec<usize> =
                     (0..count).filter(|&i| contains(&clamped[i], &x)).collect();

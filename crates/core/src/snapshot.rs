@@ -1,16 +1,19 @@
-//! The immutable half of the two-layer broker core: one compiled engine
+//! The engine half of the two-layer broker core: one compiled engine
 //! snapshot.
 //!
 //! An [`EngineSnapshot`] bundles everything the publish path reads —
 //! the compiled [`Matcher`] (covering table + slab bitmaps), the clustering
 //! [`GridModel`], the [`SpacePartition`] and the materialized
 //! [`MulticastGroups`] — behind one epoch number. The [`crate::Broker`]
-//! swaps the whole bundle atomically (`Arc` replacement) whenever any of
-//! it changes: a full recompile bumps the epoch and replaces everything; a
+//! swaps the bundle (`Arc` replacement) whenever the clustering side
+//! changes: a full recompile bumps the epoch and replaces everything; a
 //! churn-driven group update bumps the epoch and replaces only the
-//! groups/partition `Arc`s, sharing the rest. Epoch-keyed caches (the
-//! scheme-cost memo) invalidate themselves by comparing epochs instead of
-//! being told.
+//! groups/partition `Arc`s, sharing the rest. Subscribe and unsubscribe
+//! edit the matcher and the id → handle map in place under the same
+//! epoch, copy-on-write (`Arc::make_mut`), so a snapshot or outcome
+//! someone else holds never changes. Epoch-keyed caches (the scheme-cost
+//! memo) invalidate themselves by comparing epochs instead of being
+//! told: nothing they cache depends on the matcher.
 
 use std::sync::Arc;
 
@@ -18,10 +21,11 @@ use pubsub_clustering::{GridModel, SpacePartition};
 
 use crate::{Matcher, MulticastGroups, SubscriptionHandle, SubscriptionId};
 
-/// One immutable, epoch-versioned compilation of the engine state the
-/// publish path reads. Obtained from [`crate::Broker::snapshot`]; all
-/// fields are shared (`Arc`), so cloning a snapshot is cheap and a clone
-/// stays valid (if stale) across later broker mutations.
+/// One epoch-versioned compilation of the engine state the publish path
+/// reads. Obtained from [`crate::Broker::snapshot`]; all fields are
+/// shared (`Arc`), so cloning a snapshot is cheap, and the broker edits
+/// copy-on-write, so a clone stays valid (if stale) across later broker
+/// mutations.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     pub(crate) epoch: u64,
@@ -29,18 +33,21 @@ pub struct EngineSnapshot {
     pub(crate) grid_model: Arc<GridModel>,
     pub(crate) partition: Arc<SpacePartition>,
     pub(crate) groups: Arc<MulticastGroups>,
-    /// Compiled [`SubscriptionId`] → registry handle, in id order.
+    /// [`SubscriptionId`] → registry handle, in id order: the compiled
+    /// ids, then one per subscribe since. Removed ids keep their entry.
     pub(crate) id_to_handle: Arc<Vec<SubscriptionHandle>>,
 }
 
 impl EngineSnapshot {
     /// The snapshot's version. Strictly increases on every swap; two
-    /// snapshots with the same epoch are the same snapshot.
+    /// snapshots with the same epoch share their partition, groups and
+    /// grid model, while churn edits the matcher copy-on-write under
+    /// one epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// The compiled matcher.
+    /// The matcher: the last compile plus the churn since.
     pub fn matcher(&self) -> &Matcher {
         &self.matcher
     }
@@ -62,14 +69,16 @@ impl EngineSnapshot {
         &self.groups
     }
 
-    /// The registry handle a *compiled* subscription id maps to (`None`
-    /// for overlay ids at or past the compiled range).
+    /// The registry handle subscription id `id` was bound to (`None` for
+    /// an id never handed out). A removed subscription keeps its entry;
+    /// [`crate::Broker::handle_of`] filters those.
     pub fn handle_of(&self, id: SubscriptionId) -> Option<SubscriptionHandle> {
         self.id_to_handle.get(id.0 as usize).copied()
     }
 
-    /// Number of compiled subscriptions (overlay ids start here).
+    /// Number of subscriptions the last compile numbered; ids at or past
+    /// it were subscribed since.
     pub fn compiled_count(&self) -> usize {
-        self.id_to_handle.len()
+        self.matcher.covering_stats().concrete
     }
 }

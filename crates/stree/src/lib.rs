@@ -34,10 +34,7 @@
 //!   with runtime dispatch and a portable scalar fallback) over
 //!   quantized 8-event [`QuantBlock`]s, the batches behind
 //!   [`CompactSTree::query_point_block`];
-//! * [`LinearScan`] — the brute-force correctness oracle;
-//! * [`DeltaOverlay`] / [`Tombstones`] — the churn primitives the core
-//!   broker merges with its compiled matcher to absorb
-//!   subscribe/unsubscribe between engine recompiles.
+//! * [`LinearScan`] — the brute-force correctness oracle.
 //!
 //! Every index but [`CompactSTree`] implements the [`SpatialIndex`]
 //! trait.
@@ -72,7 +69,6 @@ mod gryphon;
 mod hilbert;
 mod index;
 mod linear;
-mod overlay;
 mod packed;
 pub mod simd;
 mod stree;
@@ -85,7 +81,6 @@ pub use gryphon::{EqualitySubscription, GryphonIndex};
 pub use hilbert::{hilbert_index, morton_index, CurveKind};
 pub use index::SpatialIndex;
 pub use linear::LinearScan;
-pub use overlay::{DeltaOverlay, Tombstones};
 pub use packed::{PackedConfig, PackedRTree};
 pub use simd::{QuantBlock, SimdLevel, LANES};
 pub use stree::{STree, STreeConfig, STreeStats};
