@@ -56,7 +56,7 @@ struct Output {
     overlay_subscriptions: usize,
     events: usize,
     samples: usize,
-    /// Host core count and runtime kernel level, uniform across every
+    /// Host core count and SIMD level, uniform across every
     /// `BENCH_*.json` header.
     host: pubsub_bench::HostInfo,
     churn_period: usize,

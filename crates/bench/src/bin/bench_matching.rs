@@ -1,24 +1,20 @@
 //! Matching-throughput comparison on the paper's testbed: the paper's
-//! node-based S-tree walk vs the quantized `CompactSTree` baseline
-//! (block query on the SIMD and on the scalar kernels) vs the broker's
-//! matcher (slab bitmaps plus the exact check), single-threaded and
-//! pooled, vs the fused publish pipeline.
+//! node-based S-tree walk vs the broker's matcher (slab bitmaps plus the
+//! exact check), single-threaded and pooled, vs the fused publish
+//! pipeline.
 //!
 //! Prints a throughput table and writes the machine-readable result to
 //! `BENCH_matching.json` in the current directory. Event count is
-//! overridable with `PUBSUB_EVENTS`, worker count with `PUBSUB_THREADS`,
-//! and `PUBSUB_NO_SIMD=1` forces the scalar fallback kernels.
+//! overridable with `PUBSUB_EVENTS`, worker count with `PUBSUB_THREADS`.
 //!
-//! With `--quick` the run doubles as a regression gate: when a SIMD
-//! kernel level is active, the compact block query must beat the same
-//! query on the scalar kernels; and when at least two workers are
-//! requested *and* the host actually has at least two cores, the pooled
-//! arena pipeline must beat the same matcher on one thread — or the
-//! process exits non-zero. The
-//! covering-layer scale rows (100k and 1M subscriptions under `--quick`)
-//! gate the count-level publish path: the 1M row must hold at least a
-//! third of the 100k row's events/s. Gates whose precondition the host
-//! cannot meet are skipped loudly.
+//! With `--quick` the run doubles as a regression gate: when at least
+//! two workers are requested *and* the host actually has at least two
+//! cores, the pooled arena pipeline must beat the same matcher on one
+//! thread — or the process exits non-zero. The covering-layer scale rows
+//! (100k and 1M subscriptions under `--quick`) gate the count-level
+//! publish path: the 1M row must hold at least a third of the 100k row's
+//! events/s. Gates whose precondition the host cannot meet are skipped
+//! loudly.
 
 use std::sync::Arc;
 
@@ -35,8 +31,7 @@ use pubsub_core::{
 use pubsub_geom::{Point, Rect};
 use pubsub_netsim::NodeId;
 use pubsub_parallel::{effective_threads, PipelineScratch, WorkerPool};
-use pubsub_stree::simd::{self, QuantBlock, SimdLevel, LANES};
-use pubsub_stree::{CompactConfig, CompactSTree, Entry, EntryId, STree, STreeConfig, SpatialIndex};
+use pubsub_stree::{Entry, EntryId, STree, STreeConfig, SpatialIndex};
 use pubsub_workload::{stock_space, Modes, ScaleConfig, ScaleWorkload};
 
 /// Live-byte accounting for the scale rows' `bytes_per_subscription`.
@@ -81,13 +76,9 @@ struct Output {
     events: usize,
     threads: usize,
     samples: usize,
-    /// Host core count and runtime kernel level, uniform across every
+    /// Host core count and SIMD level, uniform across every
     /// `BENCH_*.json` header.
     host: pubsub_bench::HostInfo,
-    /// The compact block query on the runtime-dispatched SIMD kernels vs
-    /// the same query on the scalar kernels, both single-threaded — the
-    /// number the `--quick` SIMD gate checks.
-    simd_speedup_vs_scalar: f64,
     /// Pooled arena matching vs the same matcher on one thread
     /// (`matcher_scalar`) — the number the `--quick` gate checks on
     /// multi-core hosts.
@@ -147,25 +138,15 @@ fn main() {
     let space = stock_space();
     let matcher = Matcher::build(&space, &testbed.subscriptions, CoveringConfig::default())
         .expect("testbed is valid");
-    // The paper's S-tree and the CompactSTree baseline, built here over
-    // the clamped testbed rectangles; the matcher queries neither.
-    let clamped: Vec<Rect> = testbed
+    // The paper's S-tree, built here over the clamped testbed rectangles;
+    // the matcher does not query it.
+    let entries: Vec<Entry> = testbed
         .subscriptions
         .iter()
-        .map(|(_, r)| space.clamp(r))
-        .collect();
-    let entries: Vec<Entry> = clamped
-        .iter()
         .enumerate()
-        .map(|(i, r)| Entry::new(r.clone(), EntryId(i as u32)))
+        .map(|(i, (_, r))| Entry::new(space.clamp(r), EntryId(i as u32)))
         .collect();
     let stree = STree::build(entries, STreeConfig::default()).expect("testbed is valid");
-    let compact = CompactSTree::build(
-        space.dims(),
-        clamped.len(),
-        |i, d| (clamped[i].side(d).lo(), clamped[i].side(d).hi()),
-        CompactConfig::default(),
-    );
     let model = scenario(Modes::Nine);
     let events: Vec<Point> = sample_events(&model, n, seeds.publications);
 
@@ -185,31 +166,6 @@ fn main() {
         }
         total
     });
-
-    // The baseline's compact block query, 8 events per quantized block,
-    // at the given kernel level; counts hit lanes, ambiguous or not (an
-    // exact re-check is not part of the kernel).
-    let compact_block = |level: SimdLevel| {
-        measure(n, samples, || {
-            let mut block = QuantBlock::new();
-            let mut stack = Vec::new();
-            let mut total = 0usize;
-            for chunk in events.chunks(LANES) {
-                let mut lane_refs: [&[f64]; LANES] = [&[]; LANES];
-                for (slot, e) in lane_refs.iter_mut().zip(chunk) {
-                    *slot = e.as_slice();
-                }
-                compact.fill_block(&lane_refs[..chunk.len()], &mut block);
-                compact.query_point_block_at(level, &block, &mut stack, |_, lanes, _| {
-                    total += lanes.count_ones() as usize;
-                });
-            }
-            total
-        })
-    };
-    let simd_level = simd::active_level();
-    let compact_simd = compact_block(simd_level);
-    let compact_scalar = compact_block(SimdLevel::Scalar);
 
     // The full single-thread matcher (slab filter, exact check, run
     // resolution and dedup into nodes).
@@ -294,16 +250,6 @@ fn main() {
             speedup_vs_scalar: 1.0,
         },
         Row {
-            name: "compact_block_scalar",
-            events_per_sec: compact_scalar,
-            speedup_vs_scalar: compact_scalar / scalar,
-        },
-        Row {
-            name: "compact_block",
-            events_per_sec: compact_simd,
-            speedup_vs_scalar: compact_simd / scalar,
-        },
-        Row {
             name: "matcher_scalar",
             events_per_sec: matcher_scalar,
             speedup_vs_scalar: matcher_scalar / scalar,
@@ -330,7 +276,6 @@ fn main() {
         },
     ];
     let parallel_speedup_vs_matcher = pool_batch / matcher_scalar;
-    let simd_speedup_vs_scalar = compact_simd / compact_scalar;
 
     // Covering-layer scale sweep: generate a Zipf-skewed duplicate-heavy
     // population, stream it through the covered compile (no O(N)
@@ -413,13 +358,11 @@ fn main() {
         (last.bytes_per_subscription, last.aggregation_ratio);
 
     println!(
-        "matching throughput, k = {} subscriptions, {} events, {} threads ({} cores), \
-         {} kernels:",
+        "matching throughput, k = {} subscriptions, {} events, {} threads ({} cores):",
         testbed.subscriptions.len(),
         n,
         threads,
-        available,
-        simd_level.name()
+        available
     );
     println!("{:<24} {:>14} {:>10}", "engine", "events/s", "speedup");
     for r in &rows {
@@ -428,7 +371,6 @@ fn main() {
             r.name, r.events_per_sec, r.speedup_vs_scalar
         );
     }
-    println!("compact_block vs its scalar kernels: {simd_speedup_vs_scalar:.2}x");
     println!("pool_batch vs matcher_scalar: {parallel_speedup_vs_matcher:.2}x");
     println!(
         "pipeline per-batch latency ({BATCH_EVENTS} events): p50 {:.2} ms / p99 {:.2} ms \
@@ -463,7 +405,6 @@ fn main() {
         threads,
         samples,
         host: pubsub_bench::host_info(),
-        simd_speedup_vs_scalar,
         parallel_speedup_vs_matcher,
         batch_events: BATCH_EVENTS,
         batched_events_per_sec: batched_eps,
@@ -479,22 +420,6 @@ fn main() {
     }
 
     if quick {
-        if simd_level != SimdLevel::Scalar {
-            if simd_speedup_vs_scalar <= 1.0 {
-                eprintln!(
-                    "FAIL: the compact block query on {} kernels is not faster than on \
-                     the scalar kernels ({simd_speedup_vs_scalar:.2}x <= 1.00x)",
-                    simd_level.name()
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "simd gate passed: {simd_speedup_vs_scalar:.2}x > 1.00x with {} kernels",
-                simd_level.name()
-            );
-        } else {
-            println!("simd gate skipped: scalar fallback kernels active");
-        }
         // The scale gate: the covering layer must actually aggregate the
         // duplicate-heavy population, and the covered matcher's resident
         // footprint must stay far below one flat f64 entry per

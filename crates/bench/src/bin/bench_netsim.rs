@@ -40,7 +40,7 @@ struct Output {
     events: usize,
     groups: usize,
     samples: usize,
-    /// Host core count and runtime kernel level, uniform across every
+    /// Host core count and SIMD level, uniform across every
     /// `BENCH_*.json` header.
     host: pubsub_bench::HostInfo,
     rows: Vec<Row>,

@@ -46,7 +46,7 @@ use pubsub_workload::{Modes, OpenLoopConfig, PublicationModel};
 
 #[derive(Debug, Serialize)]
 struct Output {
-    /// Host core count and runtime kernel level, uniform across every
+    /// Host core count and SIMD level, uniform across every
     /// `BENCH_*.json` header.
     host: HostInfo,
     clients: usize,

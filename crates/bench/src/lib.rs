@@ -186,9 +186,8 @@ pub struct HostInfo {
     /// `std::thread::available_parallelism()` at process start (1 when
     /// the host cannot report it).
     pub host_cores: usize,
-    /// The interval-containment kernel level the matcher dispatched to
-    /// at runtime ("scalar", "sse2" or "avx2") — also reflects
-    /// `PUBSUB_NO_SIMD=1`.
+    /// The widest SIMD level the host CPU supports ("scalar", "sse2" or
+    /// "avx2"); it describes the host, no code dispatches on it.
     pub simd_level: &'static str,
 }
 

@@ -169,6 +169,10 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
     fn done(&self) -> bool {
         self.pos == self.data.len()
     }
@@ -281,6 +285,12 @@ impl RegistryImage {
         let count = cur.u32()? as usize;
         if count > next_slot as usize {
             return Err(corrupt("snapshot live count exceeds issued slots"));
+        }
+        // Each entry takes at least a handle, a node and a
+        // one-dimensional rect (dims + lo + hi): a count the payload
+        // cannot hold is corrupt, and must not size the allocation.
+        if count > cur.remaining() / (4 + 4 + 4 + 16) {
+            return Err(corrupt("snapshot live count exceeds its payload"));
         }
         let mut live = Vec::with_capacity(count);
         for _ in 0..count {
@@ -662,6 +672,24 @@ mod tests {
     fn crc32_matches_known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// A checksummed snapshot whose live count claims `u32::MAX` entries
+    /// in a 12-byte payload is corrupt, not a 137 GB allocation.
+    #[test]
+    fn snapshot_count_beyond_payload_is_corrupt() {
+        let mut payload = Vec::new();
+        put_u32(&mut payload, 1);
+        put_u32(&mut payload, u32::MAX);
+        put_u32(&mut payload, u32::MAX);
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        put_u32(&mut bytes, payload.len() as u32);
+        put_u32(&mut bytes, crc32(&payload));
+        bytes.extend_from_slice(&payload);
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(BrokerError::Journal { .. })
+        ));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! [`Graph`] is the *construction* representation — `Vec<Vec<(NodeId,
 //! u32)>>` adjacency whose neighbor iteration chases an extra pointer into
 //! the edge array per hop. [`FlatNet`] is the *query* representation, in
-//! the same spirit as the matching side's `CompactSTree`: one compilation
-//! pass packs the adjacency into three flat arrays (classic compressed
-//! sparse row), so Dijkstra's inner loop reads each node's neighbors and
-//! weights as two contiguous runs.
+//! the same spirit as the matching side's compiled slab bitmaps: one
+//! compilation pass packs the adjacency into three flat arrays (classic
+//! compressed sparse row), so Dijkstra's inner loop reads each node's
+//! neighbors and weights as two contiguous runs.
 //!
 //! On top of the CSR graph sit two precompute layers:
 //!

@@ -73,6 +73,7 @@
 //! of hanging. See the [`supervise`] module docs for the exact
 //! guarantees.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 

@@ -199,6 +199,12 @@ fn accept_loop(listener: &TcpListener, handle: &IngestHandle, shutdown: &AtomicB
         }
         match accepted {
             Ok((stream, _peer)) => {
+                // Join the threads whose clients hung up and drop the
+                // loop's copies of their sockets, which would otherwise
+                // sit in CLOSE_WAIT until stop().
+                for (_stream, conn) in connections.extract_if(.., |(_, conn)| conn.is_finished()) {
+                    let _ = conn.join();
+                }
                 let fallback = next_client.fetch_add(1, Ordering::Relaxed);
                 let handle = handle.clone();
                 let sessions = Arc::clone(&sessions);
@@ -901,6 +907,55 @@ mod tests {
         let err = client.metrics().expect_err("no metrics ever");
         assert!(matches!(err, ClientError::Timeout), "got: {err}");
         drop(listener);
+    }
+
+    /// Sockets on local `port` in `CLOSE_WAIT` (state `08`): the peer
+    /// hung up and this process still holds the descriptor.
+    #[cfg(target_os = "linux")]
+    fn close_wait_sockets(port: u16) -> usize {
+        let port = format!(":{port:04X}");
+        let mut held = 0;
+        for path in ["/proc/net/tcp", "/proc/net/tcp6"] {
+            let table = std::fs::read_to_string(path).unwrap_or_default();
+            for row in table.lines().skip(1) {
+                let cols: Vec<&str> = row.split_whitespace().collect();
+                if cols.len() > 3 && cols[1].ends_with(&port) && cols[3] == "08" {
+                    held += 1;
+                }
+            }
+        }
+        held
+    }
+
+    /// Clients that connect and hang up leave no socket behind: the
+    /// front reaps finished connections as it accepts new ones, instead
+    /// of holding every socket it ever accepted until `stop()`.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn hung_up_connections_are_released() {
+        let server = StagedServer::start(
+            tiny_broker(),
+            ServingConfig::default(),
+            Box::new(CollectorSink::new()),
+        );
+        let front = TcpFront::start("127.0.0.1:0", server.handle()).expect("bind");
+        let addr = front.local_addr();
+        for _ in 0..64 {
+            drop(TcpStream::connect(addr).expect("connect"));
+        }
+        // Each accept reaps what has finished by then, so poll with one
+        // more connection until the stragglers are gone.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut held = close_wait_sockets(addr.port());
+        while held > 4 && std::time::Instant::now() < deadline {
+            drop(TcpStream::connect(addr).expect("connect"));
+            std::thread::sleep(Duration::from_millis(20));
+            held = close_wait_sockets(addr.port());
+        }
+        assert!(held <= 4, "{held} hung-up connections still held open");
+
+        front.stop();
+        server.stop();
     }
 
     #[test]

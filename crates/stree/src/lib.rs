@@ -22,22 +22,12 @@
 //!   equality/wild-card subscriptions, the predicate class the paper says
 //!   Gryphon's algorithms are optimized for (and which cannot express
 //!   ranges);
-//! * [`CompactSTree`] — a compressed baseline for representative sets:
-//!   `u16`-quantized bounds with conservative outward rounding,
-//!   Hilbert-packed and built streaming from a bounds accessor (no O(N)
-//!   `f64` intermediate), reporting boundary-ambiguous hits for the
-//!   caller's exact re-check. The packed shape visits fewer nodes per
-//!   point query than the S-tree on the paper's testbed (EXPERIMENTS.md
-//!   §3); `pubsub_core`'s matcher has since replaced it with slab
-//!   bitmaps, which walk no tree at all;
-//! * [`simd`] — explicit SIMD interval-containment kernels (AVX2/SSE2
-//!   with runtime dispatch and a portable scalar fallback) over
-//!   quantized 8-event [`QuantBlock`]s, the batches behind
-//!   [`CompactSTree::query_point_block`];
 //! * [`LinearScan`] — the brute-force correctness oracle.
 //!
-//! Every index but [`CompactSTree`] implements the [`SpatialIndex`]
-//! trait.
+//! Every range index implements the [`SpatialIndex`] trait;
+//! [`GryphonIndex`] matches equality subscriptions through its own
+//! interface. [`simd`] reports the host's SIMD level for benchmark
+//! headers; no index dispatches on it.
 //!
 //! # Example
 //!
@@ -58,10 +48,10 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-mod compact;
 mod counting;
 mod entry;
 mod error;
@@ -73,7 +63,6 @@ mod packed;
 pub mod simd;
 mod stree;
 
-pub use compact::{CompactConfig, CompactSTree};
 pub use counting::CountingIndex;
 pub use entry::{Entry, EntryId};
 pub use error::{IndexError, InvariantViolation};
@@ -82,5 +71,5 @@ pub use hilbert::{hilbert_index, morton_index, CurveKind};
 pub use index::SpatialIndex;
 pub use linear::LinearScan;
 pub use packed::{PackedConfig, PackedRTree};
-pub use simd::{QuantBlock, SimdLevel, LANES};
+pub use simd::SimdLevel;
 pub use stree::{STree, STreeConfig, STreeStats};

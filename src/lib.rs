@@ -5,7 +5,7 @@
 //!
 //! * [`geom`] — event-space geometry (points, half-open rectangles, grids);
 //! * [`stree`] — the S-tree spatial index and the baseline indexes
-//!   (including the quantized packed `CompactSTree`);
+//!   (packed R-tree, counting, Gryphon-style equality, linear scan);
 //! * [`netsim`] — transit-stub network simulation and multicast cost models;
 //! * [`workload`] — stock-market subscription/publication generators;
 //! * [`clustering`] — grid-based subscription clustering (Forgy k-means,
@@ -23,6 +23,7 @@
 //! topology and a workload, cluster subscriptions into multicast groups,
 //! then publish events and let the broker decide unicast vs multicast.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub use pubsub_clustering as clustering;
