@@ -130,66 +130,21 @@ impl GridModel {
         })
     }
 
-    /// Assembles a model from precomputed per-cell masses and membership
-    /// sets — the constructor incremental maintenance uses (see
-    /// [`crate::IncrementalClusterer`]), where memberships are kept as
-    /// refcounts across subscription churn rather than recomputed from
-    /// scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidConfig`] if the vector lengths do
-    /// not match the grid's cell count or a membership set's capacity
-    /// differs from `subscriber_count`, and [`ClusterError::InvalidDensity`]
-    /// for negative or non-finite masses.
-    pub fn from_parts(
-        grid: Grid,
+    /// This model's grid and masses with other membership sets, which
+    /// may be *sparse*: untouched cells carry zero-capacity (empty) sets
+    /// instead of full-width bitsets. Sound only for consumers that never
+    /// union or diff an untouched cell's set — the incremental local
+    /// update, which inspects working-set and cluster cells exclusively.
+    pub(crate) fn with_sparse_members(
+        &self,
         subscriber_count: usize,
-        masses: Vec<f64>,
         members: Vec<SubscriberSet>,
-    ) -> Result<Self, ClusterError> {
-        if masses.len() != grid.cell_count() || members.len() != grid.cell_count() {
-            return Err(ClusterError::InvalidConfig {
-                parameter: "masses/members",
-                constraint: "one entry per grid cell",
-            });
-        }
-        if members.iter().any(|m| m.capacity() != subscriber_count) {
-            return Err(ClusterError::InvalidConfig {
-                parameter: "members",
-                constraint: "capacity == subscriber_count",
-            });
-        }
-        if let Some(bad) = masses.iter().find(|&&m| !(m >= 0.0 && m.is_finite())) {
-            return Err(ClusterError::InvalidDensity {
-                value: bad.to_string(),
-            });
-        }
-        Ok(GridModel {
-            grid,
-            subscriber_count,
-            masses,
-            members,
-        })
-    }
-
-    /// Assembles a model whose membership sets may be *sparse*:
-    /// untouched cells carry zero-capacity (empty) sets instead of
-    /// full-width bitsets. Sound only for consumers that never union or
-    /// diff an untouched cell's set — the incremental local-update path,
-    /// which inspects working-set and cluster cells exclusively.
-    pub(crate) fn from_parts_sparse(
-        grid: Grid,
-        subscriber_count: usize,
-        masses: Vec<f64>,
-        members: Vec<SubscriberSet>,
-    ) -> Self {
-        debug_assert_eq!(masses.len(), grid.cell_count());
-        debug_assert_eq!(members.len(), grid.cell_count());
+    ) -> GridModel {
+        debug_assert_eq!(members.len(), self.grid.cell_count());
         GridModel {
-            grid,
+            grid: self.grid.clone(),
             subscriber_count,
-            masses,
+            masses: self.masses.clone(),
             members,
         }
     }

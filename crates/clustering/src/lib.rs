@@ -64,5 +64,5 @@ pub use bitset::SubscriberSet;
 pub use cells::GridModel;
 pub use error::ClusterError;
 pub use ew::GroupState;
-pub use incremental::{IncrementalClusterer, MaintenanceStats, SubscriptionHandle};
+pub use incremental::IncrementalClusterer;
 pub use partition::SpacePartition;

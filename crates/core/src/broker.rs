@@ -15,25 +15,25 @@
 //!   elsewhere keeps what it saw, and nothing is copied when nothing
 //!   else holds it;
 //! * multicast groups are kept *exact* under the current partition via
-//!   per-(group, node) incidence refcounts, and an
-//!   [`IncrementalClusterer`] mirrors every change so the partition
-//!   itself is refreshed locally every few operations;
-//! * when the clusterer's drift threshold trips, the broker recompiles
-//!   the whole engine from the registry — bit-identical to a fresh
-//!   [`BrokerBuilder::build`] over the surviving subscriptions.
+//!   per-(group, node) incidence counts, and the partition itself is
+//!   refreshed locally every few operations from per-(cell, node)
+//!   counts — both fed by one cell walk per operation, with the
+//!   registry the only copy of each subscription (`crate::churn`);
+//! * when the operations since the last compile pass the drift
+//!   threshold, the broker recompiles the whole engine from the
+//!   registry — bit-identical to a fresh [`BrokerBuilder::build`] over
+//!   the surviving subscriptions.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use pubsub_clustering::{
-    cluster, ClusteringAlgorithm, ClusteringConfig, GridModel, IncrementalClusterer,
-    SpacePartition, SubscriptionHandle as ClustererHandle,
+    cluster, ClusteringAlgorithm, ClusteringConfig, GridModel, SpacePartition,
 };
-use pubsub_geom::{CellId, CellWalkBuf, Grid, Point, Rect, Space};
+use pubsub_geom::{Grid, Point, Rect, Space};
 use pubsub_netsim::{
     cost_events_into, multicast_tree_cost_flat, sparse_mode_cost_flat, unicast_cost_flat,
     CostScratch, DijkstraScratch, FaultEvent, FaultPlan, FaultyRouting, FlatNet, NetError, NodeId,
@@ -42,6 +42,7 @@ use pubsub_netsim::{
 use pubsub_parallel::{pipeline_inline, BlockRanges, PipelineRun, WorkerPool};
 use serde::{Deserialize, Serialize};
 
+use crate::churn::{ChurnPolicy, ChurnState, ChurnStep};
 use crate::journal::{DurableJournal, JournalConfig, JournalOp, RegistryImage};
 use crate::matcher;
 use crate::metrics::{
@@ -502,8 +503,10 @@ impl BrokerBuilder {
             alm_dist,
             report: CostReport::default(),
             compile: self.compile,
-            recluster_fraction: self.recluster_fraction,
-            local_refresh_every: self.local_refresh_every,
+            churn_policy: ChurnPolicy {
+                recluster_fraction: self.recluster_fraction,
+                local_refresh_every: self.local_refresh_every,
+            },
             churn: None,
             counters: ChurnCounters::default(),
             pool: self.pool,
@@ -749,28 +752,6 @@ fn eval_group_health(
     slot.committed
 }
 
-/// The broker's churn machinery, created lazily on the first
-/// subscribe/unsubscribe: the mirror clusterer, the per-(group, node)
-/// incidence refcounts that keep multicast groups exact between
-/// partition refreshes, and the churn counts since the last compile.
-#[derive(Debug)]
-struct ChurnState {
-    clusterer: IncrementalClusterer,
-    cl_handles: HashMap<SubscriptionHandle, ClustererHandle>,
-    /// Per group: a dense node-indexed count of (subscription, cell)
-    /// incidences in the group's region. A node is a member iff its count
-    /// is positive. Dense indexing keeps the per-churn-op update O(cells
-    /// intersected) with no hashing.
-    group_rc: Vec<Vec<u32>>,
-    /// Live subscriptions added since the last compile.
-    added: usize,
-    /// Compiled subscriptions removed since the last compile.
-    removed: usize,
-    ops_since_refresh: usize,
-    /// Scratch of the per-op cell walk behind the `group_rc` delta.
-    walk: CellWalkBuf,
-}
-
 /// The content-based pub-sub broker of the paper, end to end: publish an
 /// event, get back the matched subscribers, the unicast/multicast
 /// decision and the communication costs. Subscriptions can be added and
@@ -804,8 +785,8 @@ pub struct Broker {
     report: CostReport,
     /// Retained so `recompile` reproduces `build` exactly.
     compile: CompileInputs,
-    recluster_fraction: f64,
-    local_refresh_every: usize,
+    churn_policy: ChurnPolicy,
+    /// `None` until the first subscribe or unsubscribe.
     churn: Option<ChurnState>,
     counters: ChurnCounters,
     /// The persistent worker pool behind `publish_batch`; `None` until a
@@ -1619,8 +1600,9 @@ impl Broker {
     /// Adds a subscription live, without recompiling the engine: the
     /// matcher gains it as one more representative (its id is the next
     /// unused one) and the multicast groups are updated exactly under the
-    /// current partition. When accumulated churn trips the clusterer's
-    /// drift threshold, a full [`Broker::recompile`] runs automatically.
+    /// current partition. When the operations since the last compile
+    /// exceed [`BrokerBuilder::recluster_fraction`] of the live
+    /// subscriptions, a full [`Broker::recompile`] runs automatically.
     ///
     /// Returns the stable handle for [`Broker::unsubscribe`]; handles
     /// survive recompiles.
@@ -1644,30 +1626,35 @@ impl Broker {
                 got: rect.dims(),
             });
         }
-        self.ensure_churn_state()?;
-        let handle = self.registry.insert(node, rect.clone())?;
-        // Captured up front (the rect moves into the clusterer below);
-        // journal-less brokers skip the clone entirely.
-        let journal_op = self.journal.is_some().then(|| JournalOp::Subscribe {
-            handle: handle.raw(),
-            node: node.0,
-            rect: rect.clone(),
+        let churn = self.churn.get_or_insert_with(|| {
+            let clustering = &self.compile.clustering;
+            ChurnState::seed(
+                &self.registry,
+                &self.snapshot,
+                clustering,
+                self.churn_policy,
+            )
         });
         let clamped = self.space.clamp(&rect);
-        let churn = self.churn.as_mut().expect("ensured above");
-        let ch = churn.clusterer.insert(node.0 as usize, rect)?;
-        churn.cl_handles.insert(handle, ch);
-        churn.added += 1;
+        // Journal-less brokers skip the clone entirely.
+        let journal_rect = self.journal.is_some().then(|| rect.clone());
+        let handle = self.registry.insert(node, rect)?;
         let snapshot = Arc::make_mut(&mut self.snapshot);
         let id = Arc::make_mut(&mut snapshot.matcher).insert(node, &clamped);
         Arc::make_mut(&mut snapshot.id_to_handle).push(handle);
         self.registry.set_engine_id(handle, id.0);
         self.counters.subscribes += 1;
-        self.after_churn_op(node, &clamped, 1)?;
+        self.counters.overlay_len += 1;
+        let step = churn.apply(node, &clamped, true, self.registry.len(), &self.snapshot)?;
+        self.install_churn_step(step)?;
         // Append-after-apply: if this fails the op is applied in memory
         // but must not be acked — the caller sees the journal error.
-        if let Some(op) = journal_op {
-            self.journal_append(&op)?;
+        if let Some(rect) = journal_rect {
+            self.journal_append(&JournalOp::Subscribe {
+                handle: handle.raw(),
+                node: node.0,
+                rect,
+            })?;
             self.journal_snapshot_if_due()?;
         }
         Ok(handle)
@@ -1688,22 +1675,28 @@ impl Broker {
                 handle: handle.raw(),
             });
         }
-        self.ensure_churn_state()?;
+        let churn = self.churn.get_or_insert_with(|| {
+            let clustering = &self.compile.clustering;
+            ChurnState::seed(
+                &self.registry,
+                &self.snapshot,
+                clustering,
+                self.churn_policy,
+            )
+        });
         let engine_id = self.registry.engine_id(handle).expect("checked live");
         let (node, rect) = self.registry.remove(handle)?;
         let clamped = self.space.clamp(&rect);
         let matcher = Arc::make_mut(&mut Arc::make_mut(&mut self.snapshot).matcher);
         matcher.remove(SubscriptionId(engine_id), &clamped);
-        let churn = self.churn.as_mut().expect("ensured above");
         if (engine_id as usize) < matcher.covering_stats().concrete {
-            churn.removed += 1;
+            self.counters.tombstone_len += 1;
         } else {
-            churn.added -= 1;
+            self.counters.overlay_len -= 1;
         }
-        let ch = churn.cl_handles.remove(&handle).expect("mirrored on add");
-        churn.clusterer.remove(ch)?;
         self.counters.unsubscribes += 1;
-        self.after_churn_op(node, &clamped, -1)?;
+        let step = churn.apply(node, &clamped, false, self.registry.len(), &self.snapshot)?;
+        self.install_churn_step(step)?;
         if self.journal.is_some() {
             self.journal_append(&JournalOp::Unsubscribe {
                 handle: handle.raw(),
@@ -1746,26 +1739,14 @@ impl Broker {
             &self.compile,
             self.snapshot.epoch + 1,
         )?;
-        // Nothing below can fail (the clusterer re-adoption is over the
-        // same grid by construction).
+        // Nothing below can fail (the churn state's re-adoption is over
+        // the same grid by construction).
         self.policy.clear_group_thresholds();
         self.counters.recompiles += 1;
+        self.counters.overlay_len = 0;
+        self.counters.tombstone_len = 0;
         if let Some(churn) = self.churn.as_mut() {
-            churn.added = 0;
-            churn.removed = 0;
-            churn.ops_since_refresh = 0;
-            churn
-                .clusterer
-                .adopt_partition(&self.snapshot.partition)
-                .expect("clusterer grid matches the compiled grid");
-            churn.group_rc = rebuild_group_rc(&churn.clusterer, &self.snapshot.partition);
-            debug_assert_eq!(
-                rc_members(&churn.group_rc),
-                (0..self.snapshot.groups.len())
-                    .map(|q| self.snapshot.groups.members(q).to_vec())
-                    .collect::<Vec<_>>(),
-                "refcount-derived groups must equal compiled groups"
-            );
+            churn.adopt(&self.snapshot);
         }
         Ok(())
     }
@@ -1788,137 +1769,20 @@ impl Broker {
         Ok(())
     }
 
-    /// The shared tail of every churn operation: recompile on drift,
-    /// otherwise fold the operation's group-membership delta into the
-    /// snapshot and periodically refresh the partition locally.
-    fn after_churn_op(
-        &mut self,
-        node: NodeId,
-        clamped: &Rect,
-        delta: i32,
-    ) -> Result<(), BrokerError> {
-        if self
-            .churn
-            .as_ref()
-            .expect("churn ops come from churn paths")
-            .clusterer
-            .needs_full_recluster()
-        {
-            return self.recompile_inner();
-        }
-        let churn = self.churn.as_mut().expect("checked above");
-        let snapshot = &self.snapshot;
-        let mut dirty: Vec<usize> = Vec::new();
-        let grid = snapshot.partition.grid();
-        for cell in grid.cell_runs(clamped, &mut churn.walk).flatten() {
-            let Some(q) = snapshot.partition.group_of_cell(CellId(cell)) else {
-                continue;
-            };
-            let rc = &mut churn.group_rc[q][node.0 as usize];
-            if delta > 0 {
-                if *rc == 0 && !dirty.contains(&q) {
-                    dirty.push(q);
+    /// Installs what the churn path returned for one operation. Local
+    /// refreshes keep per-group threshold overrides: they preserve group
+    /// identities.
+    fn install_churn_step(&mut self, step: ChurnStep) -> Result<(), BrokerError> {
+        match step {
+            ChurnStep::Unchanged => {}
+            ChurnStep::Regroup { partition, groups } => {
+                if partition.is_some() {
+                    self.counters.local_refreshes += 1;
                 }
-                *rc += 1;
-            } else {
-                debug_assert!(*rc > 0, "unbalanced group refcount");
-                *rc -= 1;
-                if *rc == 0 && !dirty.contains(&q) {
-                    dirty.push(q);
-                }
+                self.bump_snapshot(partition.map(Arc::new), Arc::new(groups));
             }
+            ChurnStep::Recompile => self.recompile_inner()?,
         }
-        churn.ops_since_refresh += 1;
-        if churn.ops_since_refresh >= self.local_refresh_every {
-            // The refcounts already include this op; hand its dirty set to
-            // the refresh so the op's membership delta is re-materialized
-            // even when no cell moves between partitions.
-            return self.local_refresh(dirty);
-        }
-        if !dirty.is_empty() {
-            let members: Vec<Vec<NodeId>> = (0..snapshot.groups.len())
-                .map(|q| {
-                    if dirty.contains(&q) {
-                        dense_members(&churn.group_rc[q])
-                    } else {
-                        snapshot.groups.members(q).to_vec()
-                    }
-                })
-                .collect();
-            let groups = Arc::new(MulticastGroups::from_members(members));
-            self.bump_snapshot(None, groups);
-        }
-        Ok(())
-    }
-
-    /// Runs an incremental-clusterer local update and folds the refreshed
-    /// partition (and the groups re-derived from the refcounts) into a
-    /// new snapshot. Per-group threshold overrides are kept: a local
-    /// update preserves group identities (surviving cells keep their
-    /// group). `dirty` seeds the set of groups whose members must be
-    /// re-derived — the caller's pending membership delta (refcounts
-    /// already folded in, snapshot members not yet) — and is extended
-    /// with every group a cell moved into or out of.
-    ///
-    /// The refcounts are updated by *diffing* the partitions — only cells
-    /// that changed groups move their counts — so the refresh costs
-    /// O(cells + moved-cell incidences), not a full rebuild over every
-    /// (cell, subscriber) incidence.
-    fn local_refresh(&mut self, mut dirty: Vec<usize>) -> Result<(), BrokerError> {
-        let churn = self.churn.as_mut().expect("called from churn path");
-        let old_partition = Arc::clone(&self.snapshot.partition);
-        let partition = churn.clusterer.partition()?;
-        if partition.group_count() == old_partition.group_count() {
-            for i in 0..partition.grid().cell_count() {
-                let cell = CellId(i);
-                let old_q = old_partition.group_of_cell(cell);
-                let new_q = partition.group_of_cell(cell);
-                if old_q == new_q {
-                    continue;
-                }
-                let counts: Vec<(usize, u32)> = churn.clusterer.cell_refcounts(cell).collect();
-                if let Some(q) = old_q {
-                    if !dirty.contains(&q) {
-                        dirty.push(q);
-                    }
-                    for &(s, c) in &counts {
-                        churn.group_rc[q][s] -= c;
-                    }
-                }
-                if let Some(q) = new_q {
-                    if !dirty.contains(&q) {
-                        dirty.push(q);
-                    }
-                    for &(s, c) in &counts {
-                        churn.group_rc[q][s] += c;
-                    }
-                }
-            }
-            debug_assert_eq!(
-                churn.group_rc,
-                rebuild_group_rc(&churn.clusterer, &partition),
-                "diffed refcounts must equal a full rebuild"
-            );
-        } else {
-            // A local update never changes the group count; this arm only
-            // guards against future clusterer behaviour changes.
-            churn.group_rc = rebuild_group_rc(&churn.clusterer, &partition);
-            dirty = (0..partition.group_count()).collect();
-        }
-        let snapshot = &self.snapshot;
-        let members: Vec<Vec<NodeId>> = (0..partition.group_count())
-            .map(|q| {
-                if dirty.contains(&q) || q >= snapshot.groups.len() {
-                    dense_members(&churn.group_rc[q])
-                } else {
-                    snapshot.groups.members(q).to_vec()
-                }
-            })
-            .collect();
-        let groups = Arc::new(MulticastGroups::from_members(members));
-        churn.ops_since_refresh = 0;
-        self.counters.local_refreshes += 1;
-        self.bump_snapshot(Some(Arc::new(partition)), groups);
         Ok(())
     }
 
@@ -1938,48 +1802,6 @@ impl Broker {
             groups,
             id_to_handle: Arc::clone(&old.id_to_handle),
         });
-    }
-
-    /// Creates the churn machinery on the first subscribe/unsubscribe:
-    /// a mirror clusterer seeded with every live subscription, synced to
-    /// the current snapshot's partition, with no churn counted yet.
-    fn ensure_churn_state(&mut self) -> Result<(), BrokerError> {
-        if self.churn.is_some() {
-            return Ok(());
-        }
-        let grid = self.snapshot.grid_model.grid().clone();
-        let node_count = self.topology.graph().node_count();
-        let space_volume = self.space.bounds().volume();
-        let density = self.compile.density.as_deref();
-        let mut clusterer = IncrementalClusterer::new(
-            grid,
-            node_count,
-            move |r| match density {
-                Some(f) => f(r),
-                None => r.volume() / space_volume,
-            },
-            self.compile.clustering,
-            self.recluster_fraction,
-        )?;
-        let mut cl_handles = HashMap::with_capacity(self.registry.len());
-        for (handle, node, rect) in self.registry.live() {
-            let ch = clusterer.insert(node.0 as usize, rect.clone())?;
-            cl_handles.insert(handle, ch);
-        }
-        clusterer
-            .adopt_partition(&self.snapshot.partition)
-            .expect("snapshot partition is over the compile grid");
-        let group_rc = rebuild_group_rc(&clusterer, &self.snapshot.partition);
-        self.churn = Some(ChurnState {
-            clusterer,
-            cl_handles,
-            group_rc,
-            added: 0,
-            removed: 0,
-            ops_since_refresh: 0,
-            walk: CellWalkBuf::default(),
-        });
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -2051,10 +1873,6 @@ impl Broker {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut churn = self.counters;
         churn.epoch = self.snapshot.epoch;
-        if let Some(state) = &self.churn {
-            churn.overlay_len = state.added;
-            churn.tombstone_len = state.removed;
-        }
         MetricsSnapshot {
             epoch: self.snapshot.epoch,
             report: self.report,
@@ -2322,40 +2140,6 @@ impl<'a> FusedPass<'a> {
     }
 }
 
-/// Derives per-(group, node) incidence refcounts from the clusterer's
-/// per-cell membership counts under `partition`. Each group's counts are
-/// dense, indexed by node id (the clusterer's subscriber index).
-fn rebuild_group_rc(clusterer: &IncrementalClusterer, partition: &SpacePartition) -> Vec<Vec<u32>> {
-    let width = clusterer.subscriber_count();
-    let mut rc: Vec<Vec<u32>> = vec![vec![0; width]; partition.group_count()];
-    for (q, counts) in rc.iter_mut().enumerate() {
-        for cell in partition.cells_of_group(q) {
-            for (subscriber, count) in clusterer.cell_refcounts(cell) {
-                counts[subscriber] += count;
-            }
-        }
-    }
-    rc
-}
-
-/// Materializes sorted member lists from group refcounts (dense node
-/// indexing means ascending iteration is already sorted).
-fn rc_members(group_rc: &[Vec<u32>]) -> Vec<Vec<NodeId>> {
-    group_rc
-        .iter()
-        .map(|counts| dense_members(counts))
-        .collect()
-}
-
-/// The nodes with a positive refcount, ascending.
-fn dense_members(counts: &[u32]) -> Vec<NodeId> {
-    counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(n, _)| NodeId(n as u32))
-        .collect()
-}
 #[cfg(test)]
 mod tests {
     use super::*;

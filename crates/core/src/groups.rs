@@ -76,12 +76,6 @@ impl MulticastGroups {
     pub fn sizes(&self) -> Vec<usize> {
         self.groups.iter().map(Vec::len).collect()
     }
-
-    /// Total state the routers would hold: the sum of group sizes (the
-    /// paper notes dense-mode state is proportional to publishers×groups).
-    pub fn total_memberships(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +106,6 @@ mod tests {
         assert_eq!(groups.members(0), &[NodeId(10), NodeId(30)]);
         assert_eq!(groups.members(1), &[NodeId(20), NodeId(30)]);
         assert_eq!(groups.sizes(), vec![2, 2]);
-        assert_eq!(groups.total_memberships(), 4);
         assert!(!groups.is_empty());
     }
 

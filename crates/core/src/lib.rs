@@ -53,6 +53,7 @@
 #![deny(missing_debug_implementations)]
 
 mod broker;
+mod churn;
 mod covering;
 mod distribution;
 mod efficiency;

@@ -395,12 +395,6 @@ impl Matcher {
         arena.end_event(run_members);
     }
 
-    /// Largest subscriber node id of any subscription the matcher was
-    /// built or inserted with (sizes the dedup bitmap).
-    pub fn max_node_id(&self) -> u32 {
-        self.max_node
-    }
-
     /// Matches the events at the given index `ranges` (ascending, e.g. a
     /// worker's [`pubsub_parallel::block_ranges`]) into a CSR
     /// [`MatchArena`]: one appended arena event per index, in range
@@ -470,7 +464,6 @@ mod tests {
         assert_eq!(nodes, vec![NodeId(3)]);
         assert_eq!(m.owner(SubscriptionId(2)), NodeId(5));
         assert_eq!(m.subscription_count(), 3);
-        assert_eq!(m.max_node_id(), 5);
     }
 
     #[test]
@@ -632,7 +625,6 @@ mod tests {
             assert!(stats.representatives < subs.len());
             assert!(stats.representatives <= interned.covering_stats().representatives);
             assert_eq!(covered.subscription_count(), subs.len());
-            assert_eq!(covered.max_node_id(), 16);
             let events: Vec<Point> = (0..120)
                 .map(|i| {
                     Point::new(vec![f64::from(i) * 1.37 % 10.0, f64::from(i) * 2.11 % 10.0])

@@ -187,12 +187,6 @@ impl MatchArena {
         self.splits.push((w - start) as u32);
     }
 
-    /// Total matched subscriptions across all events of the batch (run
-    /// members, though their ids were never written).
-    pub fn total_subs(&self) -> usize {
-        self.counts.iter().map(|&c| c as usize).sum()
-    }
-
     /// Total interested-node entries across all events of the batch.
     pub fn total_nodes(&self) -> usize {
         self.nodes.len()
@@ -355,11 +349,6 @@ mod tests {
         assert_eq!(arena.run_slice(5), &[2]);
         assert_eq!(arena.match_count(5), 10);
         assert_eq!(arena.node_slice(8), &[NodeId(1)]);
-        assert_eq!(
-            arena.total_subs(),
-            1000,
-            "count-level: run members included"
-        );
         assert_eq!(arena.total_nodes(), 100);
 
         arena.begin();

@@ -65,8 +65,6 @@ pub struct SubscriptionRegistry {
     live: usize,
     /// Per node (by raw id): number of live subscriptions it owns.
     node_refcounts: Vec<u32>,
-    /// Number of nodes with at least one live subscription.
-    active_nodes: usize,
 }
 
 impl SubscriptionRegistry {
@@ -76,7 +74,6 @@ impl SubscriptionRegistry {
             slots: Vec::new(),
             live: 0,
             node_refcounts: vec![0; node_count],
-            active_nodes: 0,
         }
     }
 
@@ -104,11 +101,7 @@ impl SubscriptionRegistry {
             engine_id: u32::MAX,
         });
         self.live += 1;
-        let rc = &mut self.node_refcounts[node.0 as usize];
-        if *rc == 0 {
-            self.active_nodes += 1;
-        }
-        *rc += 1;
+        self.node_refcounts[node.0 as usize] += 1;
         Ok(handle)
     }
 
@@ -128,11 +121,7 @@ impl SubscriptionRegistry {
         self.live -= 1;
         let node = slot.node;
         let rect = slot.rect.clone();
-        let rc = &mut self.node_refcounts[node.0 as usize];
-        *rc -= 1;
-        if *rc == 0 {
-            self.active_nodes -= 1;
-        }
+        self.node_refcounts[node.0 as usize] -= 1;
         Ok((node, rect))
     }
 
@@ -165,20 +154,6 @@ impl SubscriptionRegistry {
             .get(handle.0 as usize)
             .filter(|s| s.alive)
             .map(|s| &s.rect)
-    }
-
-    /// Number of live subscriptions owned by `node` (0 for out-of-range
-    /// nodes).
-    pub fn node_refcount(&self, node: NodeId) -> u32 {
-        self.node_refcounts
-            .get(node.0 as usize)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Number of distinct nodes with at least one live subscription.
-    pub fn subscriber_count(&self) -> usize {
-        self.active_nodes
     }
 
     /// The nodes with at least one live subscription, ascending — the
@@ -262,11 +237,7 @@ impl SubscriptionRegistry {
             slot.rect = rect;
             slot.alive = true;
             registry.live += 1;
-            let rc = &mut registry.node_refcounts[node.0 as usize];
-            if *rc == 0 {
-                registry.active_nodes += 1;
-            }
-            *rc += 1;
+            registry.node_refcounts[node.0 as usize] += 1;
         }
         Ok(registry)
     }
@@ -327,18 +298,16 @@ mod tests {
         let b = reg.insert(NodeId(1), rect(2.0, 3.0)).unwrap();
         let c = reg.insert(NodeId(3), rect(4.0, 5.0)).unwrap();
         assert_eq!(reg.len(), 3);
-        assert_eq!(reg.subscriber_count(), 2);
-        assert_eq!(reg.node_refcount(NodeId(1)), 2);
+        let active = |reg: &SubscriptionRegistry| reg.active_nodes().collect::<Vec<_>>();
+        assert_eq!(active(&reg), vec![NodeId(1), NodeId(3)]);
         assert_eq!(reg.node(b), Some(NodeId(1)));
         assert_eq!(reg.rect(c), Some(&rect(4.0, 5.0)));
 
         let (node, r) = reg.remove(a).unwrap();
         assert_eq!((node, r), (NodeId(1), rect(0.0, 1.0)));
-        assert_eq!(reg.node_refcount(NodeId(1)), 1);
-        assert_eq!(reg.subscriber_count(), 2);
+        assert_eq!(active(&reg), vec![NodeId(1), NodeId(3)], "b still counts");
         reg.remove(b).unwrap();
-        assert_eq!(reg.node_refcount(NodeId(1)), 0);
-        assert_eq!(reg.subscriber_count(), 1);
+        assert_eq!(active(&reg), vec![NodeId(3)]);
         assert!(!reg.contains(a));
         assert!(reg.contains(c));
     }

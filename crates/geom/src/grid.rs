@@ -116,15 +116,6 @@ impl Grid {
         self.cells_per_dim.len()
     }
 
-    /// Cells along dimension `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d >= self.dims()`.
-    pub fn cells_along(&self, d: usize) -> usize {
-        self.cells_per_dim[d]
-    }
-
     /// Total number of cells.
     pub fn cell_count(&self) -> usize {
         self.cells_per_dim.iter().product()
@@ -370,7 +361,6 @@ mod tests {
         let g = grid_2d();
         assert_eq!(g.cell_count(), 10);
         assert_eq!(g.dims(), 2);
-        assert_eq!(g.cells_along(0), 5);
         for id in 0..g.cell_count() {
             let coords = g.coords_of_id(CellId(id));
             assert_eq!(g.id_of_coords(&coords), CellId(id));

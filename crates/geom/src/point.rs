@@ -61,31 +61,6 @@ impl Point {
     pub fn as_slice(&self) -> &[f64] {
         &self.coords
     }
-
-    /// Consumes the point, returning the coordinate vector.
-    pub fn into_coords(self) -> Vec<f64> {
-        self.coords
-    }
-
-    /// Squared Euclidean distance to another point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeomError::DimensionMismatch`] if dimensionalities differ.
-    pub fn distance_sq(&self, other: &Point) -> Result<f64, GeomError> {
-        if self.dims() != other.dims() {
-            return Err(GeomError::DimensionMismatch {
-                expected: self.dims(),
-                got: other.dims(),
-            });
-        }
-        Ok(self
-            .coords
-            .iter()
-            .zip(&other.coords)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum())
-    }
 }
 
 impl Index<usize> for Point {
@@ -120,22 +95,6 @@ mod tests {
         assert_eq!(p.coord(1), 2.0);
         assert_eq!(p[2], 3.0);
         assert_eq!(p.as_slice(), &[1.0, 2.0, 3.0]);
-        assert_eq!(p.clone().into_coords(), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn distance() {
-        let a = Point::new(vec![0.0, 0.0]).unwrap();
-        let b = Point::new(vec![3.0, 4.0]).unwrap();
-        assert_eq!(a.distance_sq(&b).unwrap(), 25.0);
-        let c = Point::new(vec![1.0]).unwrap();
-        assert!(matches!(
-            a.distance_sq(&c),
-            Err(GeomError::DimensionMismatch {
-                expected: 2,
-                got: 1
-            })
-        ));
     }
 
     #[test]

@@ -702,14 +702,6 @@ impl FaultyRouting {
         }
     }
 
-    /// Heals every row currently in the table.
-    pub fn heal_all(&mut self, net: &FlatNet, table: &mut SptTable) {
-        let sources: Vec<NodeId> = table.sources().to_vec();
-        for source in sources {
-            self.heal(net, table, source);
-        }
-    }
-
     /// `true` if `node` is currently up.
     ///
     /// # Panics
@@ -862,7 +854,9 @@ mod tests {
         let mut routing = FaultyRouting::new(&net, &table);
         let down = FaultEvent::NodeDown { node: NodeId(1) };
         assert!(routing.apply(&net, &table, &down).unwrap());
-        routing.heal_all(&net, &mut table);
+        for source in [NodeId(0), NodeId(2)] {
+            routing.heal(&net, &mut table, source);
+        }
         for &source in &[NodeId(0), NodeId(2)] {
             let oracle = faulted_oracle(&g, &[], &[1], source);
             let view = table.view(source).unwrap();

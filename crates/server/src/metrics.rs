@@ -59,15 +59,6 @@ impl LatencyHisto {
         self.count == 0
     }
 
-    /// Mean recorded latency in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-
     /// The `q`-quantile (`0 ≤ q ≤ 1`) in nanoseconds, interpolated
     /// linearly within the winning bucket. Returns 0 when empty.
     pub fn quantile_ns(&self, q: f64) -> f64 {
@@ -191,7 +182,6 @@ mod tests {
         assert!((524_288.0..=1_048_576.0).contains(&p999), "p999 = {p999}");
         assert!(h.quantile_ns(0.0) >= 512.0);
         assert_eq!(LatencyHisto::default().quantile_ns(0.5), 0.0);
-        assert!((h.mean_ns() - (99.0 * 1000.0 + 1_000_000.0) / 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -199,7 +189,6 @@ mod tests {
         let h = LatencyHisto::default();
         assert!(h.is_empty());
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean_ns(), 0.0);
         for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
             assert_eq!(h.quantile_ns(q), 0.0, "q={q} on an empty histogram");
         }
@@ -210,7 +199,6 @@ mod tests {
         let mut h = LatencyHisto::default();
         h.record(1_000);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.mean_ns(), 1_000.0);
         // Every quantile of a single sample resolves in its bucket
         // [512, 1024): above the bucket floor, at most the next power.
         for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
@@ -237,7 +225,7 @@ mod tests {
         assert!(h.quantile_ns(0.5) >= top_floor);
         assert!(h.quantile_ns(1.0) <= 2.0 * top_floor);
         // total_ns saturates instead of wrapping.
-        assert_eq!(h.mean_ns(), u64::MAX as f64 / 2.0);
+        assert_eq!(h.total_ns, u64::MAX);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! A living system: subscriptions churn, groups are maintained
 //! incrementally, and the distribution thresholds adapt per group.
 //!
-//! Demonstrates two extensions beyond the paper's static setting:
-//! `IncrementalClusterer` (group maintenance without full re-clustering)
-//! and `AdaptiveController` (the §6 future-work per-group thresholds).
-//! Matching under churn is `Broker::subscribe` / `Broker::unsubscribe`.
+//! Demonstrates two extensions beyond the paper's static setting: live
+//! churn through `Broker::subscribe` / `Broker::unsubscribe` (groups kept
+//! exact, the partition refreshed locally, a recompile once drift passes
+//! the threshold) and `AdaptiveController` (the §6 future-work per-group
+//! thresholds).
 //!
 //! Run with: `cargo run --release --example churn_and_adapt`
 
-use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig, IncrementalClusterer};
+use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
 use pubsub::core::{AdaptiveConfig, AdaptiveController, Broker};
-use pubsub::geom::Grid;
 use pubsub::netsim::TransitStubConfig;
 use pubsub::workload::{stock_space, Modes, SubscriptionConfig};
 use rand::{Rng, SeedableRng};
@@ -20,61 +20,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topology = TransitStubConfig::riabov().generate(1903)?;
     let space = stock_space();
     let model = Modes::Nine.model();
-    let mut placed = SubscriptionConfig::riabov().generate(&topology, 2003)?;
+    let placed = SubscriptionConfig::riabov().generate(&topology, 2003)?;
     let mut rng = ChaCha8Rng::seed_from_u64(77);
 
-    // --- Incremental clustering over a churning subscription set. ---
-    let mut nodes: Vec<_> = topology.stub_nodes().to_vec();
-    nodes.sort_unstable();
-    let index_of = |n: pubsub::netsim::NodeId| nodes.binary_search(&n).unwrap();
-    let grid = Grid::uniform(space.bounds().clone(), 10)?;
     let density_model = model.clone();
-    let mut inc = IncrementalClusterer::new(
-        grid,
-        nodes.len(),
-        move |r| density_model.mass(r),
-        ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 11),
-        0.3, // full re-cluster after 30% churn
-    )?;
-    let mut handles = Vec::new();
-    for p in &placed {
-        handles.push(inc.insert(index_of(p.node), space.clamp(&p.rect))?);
-    }
-    let p0 = inc.partition()?;
-    println!(
-        "initial clustering: {} groups over {} working cells (full re-clusters: {})",
-        p0.group_count(),
-        p0.assigned_cell_count(),
-        inc.stats().full_reclusters
-    );
-
-    // Churn 10% of the subscriptions, refresh locally.
-    for _ in 0..100 {
-        let k = rng.gen_range(0..handles.len());
-        inc.remove(handles.swap_remove(k))?;
-    }
-    let refresh = SubscriptionConfig::riabov().generate(&topology, 2077)?;
-    for p in refresh.iter().take(100) {
-        handles.push(inc.insert(index_of(p.node), space.clamp(&p.rect))?);
-        placed.push(p.clone());
-    }
-    let p1 = inc.partition()?;
-    println!(
-        "after 10% churn: {} groups, {} cells; maintenance = {:?}",
-        p1.group_count(),
-        p1.assigned_cell_count(),
-        inc.stats()
-    );
-
-    // --- Adaptive thresholds on a broker built from the churned set. ---
-    let density_model = model.clone();
-    let mut broker = Broker::builder(topology, space)
+    let mut broker = Broker::builder(topology.clone(), space)
         .subscriptions(placed.iter().map(|p| (p.node, p.rect.clone())))
         .clustering(ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 11))
         .threshold(0.15)
         .density(move |r| density_model.mass(r))
+        .recluster_fraction(0.3) // recompile after 30% churn
         .build()?;
+    println!(
+        "initial clustering: {} groups over {} working cells",
+        broker.partition().group_count(),
+        broker.partition().assigned_cell_count()
+    );
 
+    // --- Churn 10% of the subscriptions live. ---
+    let mut handles: Vec<_> = broker.registry().live().map(|(h, _, _)| h).collect();
+    for _ in 0..100 {
+        let k = rng.gen_range(0..handles.len());
+        broker.unsubscribe(handles.swap_remove(k))?;
+    }
+    let refresh = SubscriptionConfig::riabov().generate(&topology, 2077)?;
+    for p in refresh.into_iter().take(100) {
+        handles.push(broker.subscribe(p.node, p.rect)?);
+    }
+    let churn = broker.metrics_snapshot().churn;
+    println!(
+        "after 10% churn: {} groups, {} cells; {} subscribes, {} unsubscribes, \
+         {} local refreshes, {} recompiles",
+        broker.partition().group_count(),
+        broker.partition().assigned_cell_count(),
+        churn.subscribes,
+        churn.unsubscribes,
+        churn.local_refreshes,
+        churn.recompiles
+    );
+
+    // --- Adaptive thresholds on the churned broker. ---
     let train: Vec<_> = (0..4000).map(|_| model.sample(&mut rng)).collect();
     let eval: Vec<_> = (0..4000).map(|_| model.sample(&mut rng)).collect();
 

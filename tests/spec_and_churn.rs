@@ -1,11 +1,16 @@
 //! Integration tests for the extension features: the predicate language
-//! feeding the broker, incremental clustering tracking a churning
-//! population, and the adaptive controller beating a fixed threshold.
+//! feeding the broker, multicast groups kept exact under churn, and the
+//! adaptive controller beating a fixed threshold.
 
-use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig, IncrementalClusterer};
-use pubsub::core::{AdaptiveConfig, AdaptiveController, Broker, Predicate, SubscriptionSpec};
-use pubsub::geom::{Grid, Interval, Point};
-use pubsub::netsim::TransitStubConfig;
+use std::collections::BTreeSet;
+
+use proptest::prelude::*;
+use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
+use pubsub::core::{
+    AdaptiveConfig, AdaptiveController, Broker, Predicate, SubscriptionHandle, SubscriptionSpec,
+};
+use pubsub::geom::{Interval, Point, Rect, Space};
+use pubsub::netsim::{NodeId, TransitStubConfig};
 use pubsub::workload::{stock_space, Modes, SubscriptionConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -52,61 +57,82 @@ fn specs_compile_and_match_through_the_broker() {
     assert!(miss.interested.is_empty());
 }
 
-#[test]
-fn incremental_clusterer_tracks_the_full_recluster() {
-    // After arbitrary churn, a *fresh* full clustering over the same
-    // subscriptions and the incremental model must see identical cell
-    // memberships (the partition may differ - maintenance is heuristic -
-    // but the underlying model must be exact).
-    let topology = TransitStubConfig::riabov().generate(51).unwrap();
-    let placed = SubscriptionConfig::riabov()
-        .generate(&topology, 52)
-        .unwrap();
-    let space = stock_space();
-    let mut nodes: Vec<_> = topology.stub_nodes().to_vec();
-    nodes.sort_unstable();
-    let index_of = |n| nodes.binary_search(&n).unwrap();
+/// (node pick, x lo, x width, y lo, y height) of one subscription.
+type Sub = (usize, f64, f64, f64, f64);
 
-    let grid = Grid::uniform(space.bounds().clone(), 8).unwrap();
-    let mut inc = IncrementalClusterer::new(
-        grid.clone(),
-        nodes.len(),
-        |_| 0.01,
-        ClusteringConfig::new(ClusteringAlgorithm::MinimumSpanningTree, 7),
-        0.5,
+fn sub_rect(&(_, x, w, y, h): &Sub) -> Rect {
+    Rect::from_corners(&[x, y], &[x + w, y + h]).unwrap()
+}
+
+fn sub() -> impl Strategy<Value = Sub> {
+    // Origins reach past the space, so some rectangles are clamped.
+    (
+        0usize..64,
+        -1.0f64..10.0,
+        0.2f64..5.0,
+        -1.0f64..10.0,
+        0.2f64..5.0,
     )
-    .unwrap();
+}
 
-    let mut handles = Vec::new();
-    for p in &placed {
-        handles.push(inc.insert(index_of(p.node), space.clamp(&p.rect)).unwrap());
-    }
-    // Remove every third subscription.
-    let mut kept = Vec::new();
-    for (i, h) in handles.into_iter().enumerate() {
-        if i % 3 == 0 {
-            inc.remove(h).unwrap();
-        } else {
-            kept.push(i);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Between recompiles the multicast groups stay exact: after every
+    /// subscribe and unsubscribe, group `q`'s members are the nodes with
+    /// a live subscription whose clamped rectangle touches a cell of the
+    /// current partition's `S_q`. More than 64 operations cross at least
+    /// one local partition refresh; `recluster_fraction(10.0)` keeps the
+    /// drift threshold out of reach, so no recompile resets the state.
+    #[test]
+    fn groups_stay_exact_between_refreshes(
+        topo_seed in 0u64..20,
+        // At least 16, so 160 ops stay under 10 × the live count.
+        initial in prop::collection::vec(sub(), 16..40),
+        // (unsubscribe?, live pick, new subscription)
+        ops in prop::collection::vec((0usize..5, 0usize..1000, sub()), 65..160),
+    ) {
+        let topology = TransitStubConfig::tiny().generate(topo_seed).unwrap();
+        let nodes = topology.stub_nodes().to_vec();
+        let node_of = |s: &Sub| nodes[s.0 % nodes.len()];
+        let space = Space::anonymous(Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap())
+            .unwrap();
+        let mut broker = Broker::builder(topology, space)
+            .subscriptions(initial.iter().map(|s| (node_of(s), sub_rect(s))))
+            .clustering(
+                ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 4).with_max_cells(12),
+            )
+            .grid_cells(6)
+            .recluster_fraction(10.0)
+            .build()
+            .unwrap();
+        let mut handles: Vec<SubscriptionHandle> =
+            broker.registry().live().map(|(h, _, _)| h).collect();
+        for (kind, pick, s) in &ops {
+            if *kind < 2 && !handles.is_empty() {
+                let h = handles.swap_remove(pick % handles.len());
+                broker.unsubscribe(h).unwrap();
+            } else {
+                handles.push(broker.subscribe(node_of(s), sub_rect(s)).unwrap());
+            }
+            let partition = broker.partition();
+            let mut expected = vec![BTreeSet::new(); broker.groups().len()];
+            for (_, node, rect) in broker.registry().live() {
+                let clamped = broker.space().clamp(rect);
+                for cell in partition.grid().cells_intersecting(&clamped) {
+                    if let Some(q) = partition.group_of_cell(cell) {
+                        expected[q].insert(node);
+                    }
+                }
+            }
+            for (q, members) in expected.iter().enumerate() {
+                let members: Vec<NodeId> = members.iter().copied().collect();
+                prop_assert_eq!(broker.groups().members(q), &members[..], "group {}", q);
+            }
         }
-    }
-    assert_eq!(inc.len(), kept.len());
-
-    // Reference model built from scratch over the survivors.
-    let survivors: Vec<(usize, pubsub::geom::Rect)> = kept
-        .iter()
-        .map(|&i| (index_of(placed[i].node), space.clamp(&placed[i].rect)))
-        .collect();
-    let reference =
-        pubsub::clustering::GridModel::build(grid, nodes.len(), &survivors, |_| 0.01).unwrap();
-    let incremental = inc.model();
-    for c in 0..reference.grid().cell_count() {
-        let cell = pubsub::geom::CellId(c);
-        assert_eq!(
-            incremental.members(cell),
-            reference.members(cell),
-            "cell {c} memberships diverged"
-        );
+        let churn = broker.metrics_snapshot().churn;
+        prop_assert_eq!(churn.recompiles, 0);
+        prop_assert!(churn.local_refreshes >= 1);
     }
 }
 
