@@ -14,9 +14,9 @@
 //!    fresh engine, and verification that the result is bit-identical
 //!    to the static broker (same ids, decisions and costs).
 //! 4. **churn** — sustained throughput while one subscribe/unsubscribe
-//!    pair lands every `CHURN_PERIOD` events: in-place matcher edits,
-//!    exact group maintenance and periodic local partition refreshes all
-//!    stay on. The drift-triggered full recompile is suppressed
+//!    pair lands every `CHURN_PERIOD` events: in-place matcher edits and
+//!    exact group maintenance under the compiled partition stay on. The
+//!    drift-triggered full recompile is suppressed
 //!    (`recluster_fraction(10.0)`) so the phase measures the incremental
 //!    steady state; phase 3 prices the recompile separately.
 //!
@@ -290,9 +290,8 @@ fn main() {
     );
     println!("recompile latency: {recompile_ms:.1} ms (1000 subscriptions)");
     println!(
-        "sustained churn within 20% of static at equal batch size: {} ({} local refreshes)",
+        "sustained churn within 20% of static at equal batch size: {}",
         if within_20_percent { "yes" } else { "NO" },
-        churn_counters.local_refreshes
     );
 
     let out = Output {

@@ -92,11 +92,6 @@ impl ClusteringConfig {
         self.groups
     }
 
-    /// The working-set size `T`.
-    pub fn max_cells(&self) -> usize {
-        self.max_cells
-    }
-
     /// The iteration cap.
     pub fn max_iterations(&self) -> usize {
         self.max_iterations
@@ -515,7 +510,7 @@ mod tests {
             .with_max_iterations(10);
         assert_eq!(cfg.algorithm(), ClusteringAlgorithm::BatchKMeans);
         assert_eq!(cfg.groups(), 3);
-        assert_eq!(cfg.max_cells(), 50);
+        assert_eq!(cfg.max_cells, 50);
         assert_eq!(cfg.max_iterations(), 10);
     }
 

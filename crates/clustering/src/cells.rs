@@ -130,25 +130,6 @@ impl GridModel {
         })
     }
 
-    /// This model's grid and masses with other membership sets, which
-    /// may be *sparse*: untouched cells carry zero-capacity (empty) sets
-    /// instead of full-width bitsets. Sound only for consumers that never
-    /// union or diff an untouched cell's set — the incremental local
-    /// update, which inspects working-set and cluster cells exclusively.
-    pub(crate) fn with_sparse_members(
-        &self,
-        subscriber_count: usize,
-        members: Vec<SubscriberSet>,
-    ) -> GridModel {
-        debug_assert_eq!(members.len(), self.grid.cell_count());
-        GridModel {
-            grid: self.grid.clone(),
-            subscriber_count,
-            masses: self.masses.clone(),
-            members,
-        }
-    }
-
     /// The underlying grid.
     pub fn grid(&self) -> &Grid {
         &self.grid

@@ -56,7 +56,6 @@ mod bitset;
 mod cells;
 mod error;
 mod ew;
-mod incremental;
 mod partition;
 
 pub use algorithms::{cluster, expected_waste, ClusteringAlgorithm, ClusteringConfig};
@@ -64,5 +63,4 @@ pub use bitset::SubscriberSet;
 pub use cells::GridModel;
 pub use error::ClusterError;
 pub use ew::GroupState;
-pub use incremental::IncrementalClusterer;
 pub use partition::SpacePartition;

@@ -14,11 +14,11 @@
 //!   run. Edits go through `Arc::make_mut`, so a snapshot or outcome held
 //!   elsewhere keeps what it saw, and nothing is copied when nothing
 //!   else holds it;
-//! * multicast groups are kept *exact* under the current partition via
-//!   per-(group, node) incidence counts, and the partition itself is
-//!   refreshed locally every few operations from per-(cell, node)
-//!   counts — both fed by one cell walk per operation, with the
-//!   registry the only copy of each subscription (`crate::churn`);
+//! * the partition stays the one the compile produced, and multicast
+//!   groups are kept *exact* under it via per-(group, node) incidence
+//!   counts, fed by one cell walk per operation and seeded from the
+//!   registry, the only copy of each subscription, by the first
+//!   operation after a compile (`crate::churn`);
 //! * when the operations since the last compile pass the drift
 //!   threshold, the broker recompiles the whole engine from the
 //!   registry — bit-identical to a fresh [`BrokerBuilder::build`] over
@@ -42,7 +42,7 @@ use pubsub_netsim::{
 use pubsub_parallel::{pipeline_inline, BlockRanges, PipelineRun, WorkerPool};
 use serde::{Deserialize, Serialize};
 
-use crate::churn::{ChurnPolicy, ChurnState, ChurnStep};
+use crate::churn::{ChurnState, ChurnStep};
 use crate::journal::{DurableJournal, JournalConfig, JournalOp, RegistryImage};
 use crate::matcher;
 use crate::metrics::{
@@ -115,7 +115,6 @@ pub struct BrokerBuilder {
     threshold: f64,
     delivery: DeliveryMode,
     recluster_fraction: f64,
-    local_refresh_every: usize,
     pool: Option<Arc<WorkerPool>>,
     journal: Option<JournalConfig>,
 }
@@ -134,7 +133,6 @@ impl fmt::Debug for BrokerBuilder {
                 &self.compile.density.as_ref().map(|_| "<closure>"),
             )
             .field("recluster_fraction", &self.recluster_fraction)
-            .field("local_refresh_every", &self.local_refresh_every)
             .field("pool", &self.pool.as_ref().map(|p| p.threads()))
             .field("covering", &self.compile.covering)
             .field("journal", &self.journal)
@@ -209,15 +207,6 @@ impl BrokerBuilder {
     /// of the live population (default 0.5).
     pub fn recluster_fraction(mut self, fraction: f64) -> Self {
         self.recluster_fraction = fraction;
-        self
-    }
-
-    /// Sets how many subscribe/unsubscribe operations run between local
-    /// partition refreshes (default 64). Between refreshes the groups are
-    /// still kept exact under the current partition; the refresh lets the
-    /// partition itself follow the population.
-    pub fn local_refresh_every(mut self, ops: usize) -> Self {
-        self.local_refresh_every = ops;
         self
     }
 
@@ -416,12 +405,6 @@ impl BrokerBuilder {
                 constraint: "0 < fraction < inf",
             });
         }
-        if self.local_refresh_every == 0 {
-            return Err(BrokerError::InvalidConfig {
-                parameter: "local_refresh_every",
-                constraint: "at least 1",
-            });
-        }
         let publisher = match self.publisher {
             Some(p) => {
                 if p.0 as usize >= self.topology.graph().node_count() {
@@ -503,10 +486,7 @@ impl BrokerBuilder {
             alm_dist,
             report: CostReport::default(),
             compile: self.compile,
-            churn_policy: ChurnPolicy {
-                recluster_fraction: self.recluster_fraction,
-                local_refresh_every: self.local_refresh_every,
-            },
+            recluster_fraction: self.recluster_fraction,
             churn: None,
             counters: ChurnCounters::default(),
             pool: self.pool,
@@ -785,8 +765,10 @@ pub struct Broker {
     report: CostReport,
     /// Retained so `recompile` reproduces `build` exactly.
     compile: CompileInputs,
-    churn_policy: ChurnPolicy,
-    /// `None` until the first subscribe or unsubscribe.
+    /// The drift threshold of [`BrokerBuilder::recluster_fraction`].
+    recluster_fraction: f64,
+    /// `None` until the first subscribe or unsubscribe after a build or
+    /// recompile.
     churn: Option<ChurnState>,
     counters: ChurnCounters,
     /// The persistent worker pool behind `publish_batch`; `None` until a
@@ -843,7 +825,6 @@ impl Broker {
             threshold: 0.15,
             delivery: DeliveryMode::DenseMode,
             recluster_fraction: 0.5,
-            local_refresh_every: 64,
             pool: None,
             journal: None,
         }
@@ -1600,9 +1581,12 @@ impl Broker {
     /// Adds a subscription live, without recompiling the engine: the
     /// matcher gains it as one more representative (its id is the next
     /// unused one) and the multicast groups are updated exactly under the
-    /// current partition. When the operations since the last compile
-    /// exceed [`BrokerBuilder::recluster_fraction`] of the live
-    /// subscriptions, a full [`Broker::recompile`] runs automatically.
+    /// partition of the last compile, which churn never changes. The
+    /// first operation after a build or recompile first counts every live
+    /// subscription under that partition. When the operations since the
+    /// last compile exceed [`BrokerBuilder::recluster_fraction`] of the
+    /// live subscriptions, a full [`Broker::recompile`] runs
+    /// automatically.
     ///
     /// Returns the stable handle for [`Broker::unsubscribe`]; handles
     /// survive recompiles.
@@ -1627,13 +1611,7 @@ impl Broker {
             });
         }
         let churn = self.churn.get_or_insert_with(|| {
-            let clustering = &self.compile.clustering;
-            ChurnState::seed(
-                &self.registry,
-                &self.snapshot,
-                clustering,
-                self.churn_policy,
-            )
+            ChurnState::seed(&self.registry, &self.snapshot, self.recluster_fraction)
         });
         let clamped = self.space.clamp(&rect);
         // Journal-less brokers skip the clone entirely.
@@ -1645,7 +1623,7 @@ impl Broker {
         self.registry.set_engine_id(handle, id.0);
         self.counters.subscribes += 1;
         self.counters.overlay_len += 1;
-        let step = churn.apply(node, &clamped, true, self.registry.len(), &self.snapshot)?;
+        let step = churn.apply(node, &clamped, true, self.registry.len(), &self.snapshot);
         self.install_churn_step(step)?;
         // Append-after-apply: if this fails the op is applied in memory
         // but must not be acked — the caller sees the journal error.
@@ -1676,13 +1654,7 @@ impl Broker {
             });
         }
         let churn = self.churn.get_or_insert_with(|| {
-            let clustering = &self.compile.clustering;
-            ChurnState::seed(
-                &self.registry,
-                &self.snapshot,
-                clustering,
-                self.churn_policy,
-            )
+            ChurnState::seed(&self.registry, &self.snapshot, self.recluster_fraction)
         });
         let engine_id = self.registry.engine_id(handle).expect("checked live");
         let (node, rect) = self.registry.remove(handle)?;
@@ -1695,7 +1667,7 @@ impl Broker {
             self.counters.overlay_len -= 1;
         }
         self.counters.unsubscribes += 1;
-        let step = churn.apply(node, &clamped, false, self.registry.len(), &self.snapshot)?;
+        let step = churn.apply(node, &clamped, false, self.registry.len(), &self.snapshot);
         self.install_churn_step(step)?;
         if self.journal.is_some() {
             self.journal_append(&JournalOp::Unsubscribe {
@@ -1739,15 +1711,13 @@ impl Broker {
             &self.compile,
             self.snapshot.epoch + 1,
         )?;
-        // Nothing below can fail (the churn state's re-adoption is over
-        // the same grid by construction).
+        // Nothing below can fail.
         self.policy.clear_group_thresholds();
         self.counters.recompiles += 1;
         self.counters.overlay_len = 0;
         self.counters.tombstone_len = 0;
-        if let Some(churn) = self.churn.as_mut() {
-            churn.adopt(&self.snapshot);
-        }
+        // The next operation reseeds the counts under the new partition.
+        self.churn = None;
         Ok(())
     }
 
@@ -1769,38 +1739,26 @@ impl Broker {
         Ok(())
     }
 
-    /// Installs what the churn path returned for one operation. Local
-    /// refreshes keep per-group threshold overrides: they preserve group
-    /// identities.
+    /// Installs what the churn path returned for one operation. A regroup
+    /// keeps per-group threshold overrides: the partition, and with it
+    /// every group's identity, is unchanged.
     fn install_churn_step(&mut self, step: ChurnStep) -> Result<(), BrokerError> {
         match step {
             ChurnStep::Unchanged => {}
-            ChurnStep::Regroup { partition, groups } => {
-                if partition.is_some() {
-                    self.counters.local_refreshes += 1;
-                }
-                self.bump_snapshot(partition.map(Arc::new), Arc::new(groups));
-            }
+            ChurnStep::Regroup(groups) => self.bump_snapshot(Arc::new(groups)),
             ChurnStep::Recompile => self.recompile_inner()?,
         }
         Ok(())
     }
 
-    /// Swaps in a new snapshot sharing everything except the partition
-    /// (if given) and groups; bumps the epoch.
-    fn bump_snapshot(
-        &mut self,
-        partition: Option<Arc<SpacePartition>>,
-        groups: Arc<MulticastGroups>,
-    ) {
+    /// Swaps in a new snapshot sharing everything except the groups;
+    /// bumps the epoch.
+    fn bump_snapshot(&mut self, groups: Arc<MulticastGroups>) {
         let old = &self.snapshot;
         self.snapshot = Arc::new(EngineSnapshot {
             epoch: old.epoch + 1,
-            matcher: Arc::clone(&old.matcher),
-            grid_model: Arc::clone(&old.grid_model),
-            partition: partition.unwrap_or_else(|| Arc::clone(&old.partition)),
             groups,
-            id_to_handle: Arc::clone(&old.id_to_handle),
+            ..EngineSnapshot::clone(old)
         });
     }
 

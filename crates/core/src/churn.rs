@@ -1,160 +1,68 @@
 //! The churn path: what [`crate::Broker::subscribe`] and
-//! [`crate::Broker::unsubscribe`] do to the multicast groups and the
-//! partition between two compiles.
+//! [`crate::Broker::unsubscribe`] do to the multicast groups between two
+//! compiles.
 //!
-//! Each live subscription is stored once, in the broker's
-//! [`SubscriptionRegistry`]; the churn path seeds two count tables from
-//! it on the first operation and keeps nothing else:
-//!
-//! * an [`IncrementalClusterer`]'s `cells × nodes` table of live
-//!   subscriptions per (cell, node), read by the local partition refresh
-//!   every `local_refresh_every` operations;
-//! * `group_rc`, the (subscription, cell) incidences per (group, node): a
-//!   node is in `M_q` iff its count is positive, which keeps the groups
-//!   exact under the current partition.
-//!
-//! One walk of an operation's rectangle over the grid updates both.
+//! The partition is the one the last compile produced; churn never moves
+//! a cell between groups. Each live subscription is stored once, in the
+//! broker's [`SubscriptionRegistry`], and the churn path keeps only
+//! `group_rc`, the (subscription, cell) incidences per (group, node): a
+//! node is in `M_q` iff its count is positive, which keeps the groups
+//! exact under the compiled partition. The first operation after a build
+//! or recompile seeds the counts with one walk over the registry; each
+//! operation then walks its own rectangle's cells once.
 
-use pubsub_clustering::{ClusterError, ClusteringConfig, IncrementalClusterer, SpacePartition};
-use pubsub_geom::{CellId, Rect};
+use pubsub_geom::{CellId, CellWalkBuf, Rect};
 use pubsub_netsim::NodeId;
 
 use crate::{EngineSnapshot, MulticastGroups, SubscriptionRegistry};
-
-/// When churn recompiles and when it refreshes the partition: the
-/// builder's `recluster_fraction` and `local_refresh_every`.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ChurnPolicy {
-    pub(crate) recluster_fraction: f64,
-    pub(crate) local_refresh_every: usize,
-}
 
 /// What the broker installs after one churn operation.
 #[derive(Debug)]
 pub(crate) enum ChurnStep {
     /// Group membership is unchanged.
     Unchanged,
-    /// New groups, and after a local refresh a new partition.
-    Regroup {
-        partition: Option<SpacePartition>,
-        groups: MulticastGroups,
-    },
+    /// New groups under the same partition.
+    Regroup(MulticastGroups),
     /// The drift threshold tripped: recompile the engine.
     Recompile,
 }
 
-/// The broker's churn machinery, created on the first
-/// subscribe/unsubscribe; see the module docs.
+/// The broker's churn counts since the last compile, created by the
+/// first subscribe/unsubscribe after it; see the module docs.
 #[derive(Debug)]
 pub(crate) struct ChurnState {
-    policy: ChurnPolicy,
-    clusterer: IncrementalClusterer,
+    /// The builder's drift threshold: recompile once the operations
+    /// since the compile exceed this fraction of the live subscriptions.
+    recluster_fraction: f64,
     /// Per group: a dense node-indexed count of (subscription, cell)
     /// incidences in the group's region. Dense indexing keeps the per-op
     /// update O(cells intersected) with no hashing.
     group_rc: Vec<Vec<u32>>,
+    /// Scratch of the per-operation cell walk.
+    walk: CellWalkBuf,
     ops_since_compile: usize,
-    ops_since_refresh: usize,
 }
 
 impl ChurnState {
-    /// Counts every live subscription of `registry` and syncs to
-    /// `snapshot`'s partition, with no churn counted yet.
+    /// Counts every live subscription of `registry` under `snapshot`'s
+    /// partition, with no churn counted yet.
     pub(crate) fn seed(
         registry: &SubscriptionRegistry,
         snapshot: &EngineSnapshot,
-        clustering: &ClusteringConfig,
-        policy: ChurnPolicy,
+        recluster_fraction: f64,
     ) -> Self {
-        let mut clusterer =
-            IncrementalClusterer::new(&snapshot.partition, registry.node_capacity(), clustering);
-        for (_, node, rect) in registry.live() {
-            clusterer.insert(node.0 as usize, rect, |_| {});
-        }
-        let mut state = ChurnState {
-            clusterer,
-            policy,
-            group_rc: Vec::new(),
-            ops_since_compile: 0,
-            ops_since_refresh: 0,
-        };
-        state.adopt(snapshot);
-        state
-    }
-
-    /// Folds in one operation: `node`'s subscription `clamped` was just
-    /// added (`added`) or removed, leaving `live` subscriptions. One walk
-    /// of its cells updates both count tables; then the drift threshold
-    /// (operations since the compile > `recluster_fraction` × `live`)
-    /// and the refresh cadence decide what the broker installs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a failed local refresh.
-    pub(crate) fn apply(
-        &mut self,
-        node: NodeId,
-        clamped: &Rect,
-        added: bool,
-        live: usize,
-        snapshot: &EngineSnapshot,
-    ) -> Result<ChurnStep, ClusterError> {
-        let n = node.0 as usize;
         let partition = &snapshot.partition;
-        let group_rc = &mut self.group_rc;
-        let mut dirty: Vec<usize> = Vec::new();
-        let on_cell = |cell| {
-            let Some(q) = partition.group_of_cell(cell) else {
-                return;
-            };
-            let rc = &mut group_rc[q][n];
-            if added {
-                *rc += 1;
-            } else {
-                *rc -= 1;
+        let mut group_rc = vec![vec![0u32; registry.node_capacity()]; partition.group_count()];
+        let mut walk = CellWalkBuf::default();
+        for (_, node, rect) in registry.live() {
+            for cell in partition.grid().cell_runs(rect, &mut walk).flatten() {
+                if let Some(q) = partition.group_of_cell(CellId(cell)) {
+                    group_rc[q][node.0 as usize] += 1;
+                }
             }
-            // The node joined `M_q` (count now 1) or left it (now 0).
-            if *rc == u32::from(added) {
-                mark(&mut dirty, q);
-            }
-        };
-        if added {
-            self.clusterer.insert(n, clamped, on_cell);
-        } else {
-            self.clusterer.remove(n, clamped, on_cell);
         }
-        self.ops_since_compile += 1;
-        if self.ops_since_compile as f64 > self.policy.recluster_fraction * live.max(1) as f64 {
-            return Ok(ChurnStep::Recompile);
-        }
-        self.ops_since_refresh += 1;
-        if self.ops_since_refresh >= self.policy.local_refresh_every {
-            // The counts already include this op; its dirty set rides
-            // along so its membership delta lands even when no cell
-            // moves between groups.
-            return self.local_refresh(dirty, snapshot);
-        }
-        if dirty.is_empty() {
-            return Ok(ChurnStep::Unchanged);
-        }
-        Ok(ChurnStep::Regroup {
-            partition: None,
-            groups: self.regroup(&snapshot.groups, &dirty),
-        })
-    }
-
-    /// Re-bases on a freshly compiled snapshot: adopts its partition,
-    /// rebuilds the group counts under it and zeroes the churn since the
-    /// compile.
-    pub(crate) fn adopt(&mut self, snapshot: &EngineSnapshot) {
-        self.ops_since_compile = 0;
-        self.ops_since_refresh = 0;
-        self.clusterer
-            .adopt_partition(&snapshot.partition)
-            .expect("clusterer grid matches the compiled grid");
-        self.group_rc = rebuild_group_rc(&self.clusterer, &snapshot.partition);
         debug_assert_eq!(
-            self.group_rc
+            group_rc
                 .iter()
                 .map(|c| dense_members(c))
                 .collect::<Vec<_>>(),
@@ -163,55 +71,63 @@ impl ChurnState {
                 .collect::<Vec<_>>(),
             "refcount-derived groups must equal compiled groups"
         );
+        ChurnState {
+            recluster_fraction,
+            group_rc,
+            walk,
+            ops_since_compile: 0,
+        }
     }
 
-    /// Runs the clusterer's local update and re-derives the groups under
-    /// the refreshed partition. A local update keeps the group count and
-    /// the group of every surviving cell, so per-group threshold
-    /// overrides stay valid. `dirty` holds the groups whose members must
-    /// be re-derived — the caller's pending membership delta — and is
-    /// extended with every group a cell moved into or out of.
+    /// Folds in one operation: `node`'s subscription `clamped` was just
+    /// added (`added`) or removed, leaving `live` subscriptions. One walk
+    /// of its cells updates the counts; then the drift threshold
+    /// (operations since the compile > `recluster_fraction` × `live`)
+    /// decides what the broker installs.
     ///
-    /// The counts are updated by *diffing* the partitions — only cells
-    /// that changed groups move their counts — so the refresh costs
-    /// O(cells + moved-cell incidences), not a full rebuild.
-    fn local_refresh(
+    /// # Panics
+    ///
+    /// Panics if a removal meets a group where `node` has no counted
+    /// incidence: the subscription was never counted.
+    pub(crate) fn apply(
         &mut self,
-        mut dirty: Vec<usize>,
+        node: NodeId,
+        clamped: &Rect,
+        added: bool,
+        live: usize,
         snapshot: &EngineSnapshot,
-    ) -> Result<ChurnStep, ClusterError> {
-        let old = &snapshot.partition;
-        let partition = self.clusterer.partition(&snapshot.grid_model)?;
-        for i in 0..partition.grid().cell_count() {
-            let cell = CellId(i);
-            let (old_q, new_q) = (old.group_of_cell(cell), partition.group_of_cell(cell));
-            if old_q == new_q {
+    ) -> ChurnStep {
+        let n = node.0 as usize;
+        let partition = &snapshot.partition;
+        let mut dirty: Vec<usize> = Vec::new();
+        for cell in partition
+            .grid()
+            .cell_runs(clamped, &mut self.walk)
+            .flatten()
+        {
+            let Some(q) = partition.group_of_cell(CellId(cell)) else {
                 continue;
-            }
-            let counts: Vec<(usize, u32)> = self.clusterer.cell_refcounts(cell).collect();
-            if let Some(q) = old_q {
-                mark(&mut dirty, q);
-                for &(s, c) in &counts {
-                    self.group_rc[q][s] -= c;
-                }
-            }
-            if let Some(q) = new_q {
-                mark(&mut dirty, q);
-                for &(s, c) in &counts {
-                    self.group_rc[q][s] += c;
-                }
+            };
+            let rc = &mut self.group_rc[q][n];
+            *rc = if added {
+                *rc + 1
+            } else {
+                rc.checked_sub(1)
+                    .unwrap_or_else(|| panic!("node {n} is not counted in group {q}"))
+            };
+            // The node joined `M_q` (count now 1) or left it (now 0).
+            if *rc == u32::from(added) && !dirty.contains(&q) {
+                dirty.push(q);
             }
         }
-        debug_assert_eq!(
-            self.group_rc,
-            rebuild_group_rc(&self.clusterer, &partition),
-            "diffed refcounts must equal a full rebuild"
-        );
-        self.ops_since_refresh = 0;
-        Ok(ChurnStep::Regroup {
-            partition: Some(partition),
-            groups: self.regroup(&snapshot.groups, &dirty),
-        })
+        self.ops_since_compile += 1;
+        if self.ops_since_compile as f64 > self.recluster_fraction * live.max(1) as f64 {
+            ChurnStep::Recompile
+        } else if dirty.is_empty() {
+            ChurnStep::Unchanged
+        } else {
+            ChurnStep::Regroup(self.regroup(&snapshot.groups, &dirty))
+        }
     }
 
     /// `groups` with every `dirty` group re-derived from its counts.
@@ -230,29 +146,6 @@ impl ChurnState {
     }
 }
 
-/// Adds group `q` to the dirty list once.
-fn mark(dirty: &mut Vec<usize>, q: usize) {
-    if !dirty.contains(&q) {
-        dirty.push(q);
-    }
-}
-
-/// Derives per-(group, node) incidence counts from the clusterer's
-/// per-cell counts under `partition`. Each group's counts are dense,
-/// indexed by node id (the clusterer's subscriber index).
-fn rebuild_group_rc(clusterer: &IncrementalClusterer, partition: &SpacePartition) -> Vec<Vec<u32>> {
-    let width = clusterer.subscriber_count();
-    let mut rc: Vec<Vec<u32>> = vec![vec![0; width]; partition.group_count()];
-    for (q, counts) in rc.iter_mut().enumerate() {
-        for cell in partition.cells_of_group(q) {
-            for (subscriber, count) in clusterer.cell_refcounts(cell) {
-                counts[subscriber] += count;
-            }
-        }
-    }
-    rc
-}
-
 /// The nodes with a positive count, ascending.
 fn dense_members(counts: &[u32]) -> Vec<NodeId> {
     counts
@@ -261,4 +154,29 @@ fn dense_members(counts: &[u32]) -> Vec<NodeId> {
         .filter(|&(_, &c)| c > 0)
         .map(|(n, _)| NodeId(n as u32))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Broker;
+    use pubsub_geom::Space;
+    use pubsub_netsim::TransitStubConfig;
+
+    #[test]
+    #[should_panic(expected = "not counted")]
+    fn removing_an_uncounted_subscription_panics() {
+        let topo = TransitStubConfig::tiny().generate(3).unwrap();
+        let (subscriber, other) = (topo.stub_nodes()[0], topo.stub_nodes()[1]);
+        let corner = Rect::from_corners(&[0.0, 0.0], &[2.0, 2.0]).unwrap();
+        let space =
+            Space::anonymous(Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap()).unwrap();
+        let broker = Broker::builder(topo, space)
+            .subscription(subscriber, corner.clone())
+            .build()
+            .unwrap();
+        let snapshot = broker.snapshot();
+        let mut state = ChurnState::seed(broker.registry(), &snapshot, 0.5);
+        state.apply(other, &corner, false, 0, &snapshot);
+    }
 }

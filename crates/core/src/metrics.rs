@@ -109,7 +109,7 @@ impl CostReport {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct ChurnCounters {
     /// Current engine-snapshot epoch (bumps on every snapshot swap:
-    /// recompiles, churn-driven group updates, local partition refreshes).
+    /// recompiles and churn-driven group updates).
     pub epoch: u64,
     /// Subscriptions added via `subscribe` since construction.
     pub subscribes: u64,
@@ -117,9 +117,6 @@ pub struct ChurnCounters {
     pub unsubscribes: u64,
     /// Full engine recompiles (drift-triggered or explicit `recompile`).
     pub recompiles: u64,
-    /// Local partition refreshes (incremental-clusterer local updates
-    /// folded into the snapshot without a recompile).
-    pub local_refreshes: u64,
     /// Live subscriptions added since the last recompile (the name
     /// predates in-place churn, when they sat in a delta overlay).
     pub overlay_len: usize,

@@ -8,7 +8,7 @@
 //! swaps the bundle (`Arc` replacement) whenever the clustering side
 //! changes: a full recompile bumps the epoch and replaces everything; a
 //! churn-driven group update bumps the epoch and replaces only the
-//! groups/partition `Arc`s, sharing the rest. Subscribe and unsubscribe
+//! groups `Arc`, sharing the rest. Subscribe and unsubscribe
 //! edit the matcher and the id → handle map in place under the same
 //! epoch, copy-on-write (`Arc::make_mut`), so a snapshot or outcome
 //! someone else holds never changes. Epoch-keyed caches (the scheme-cost

@@ -3,8 +3,8 @@
 //!
 //! Demonstrates two extensions beyond the paper's static setting: live
 //! churn through `Broker::subscribe` / `Broker::unsubscribe` (groups kept
-//! exact, the partition refreshed locally, a recompile once drift passes
-//! the threshold) and `AdaptiveController` (the §6 future-work per-group
+//! exact under the compiled partition, a recompile once drift passes the
+//! threshold) and `AdaptiveController` (the §6 future-work per-group
 //! thresholds).
 //!
 //! Run with: `cargo run --release --example churn_and_adapt`
@@ -50,12 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let churn = broker.metrics_snapshot().churn;
     println!(
         "after 10% churn: {} groups, {} cells; {} subscribes, {} unsubscribes, \
-         {} local refreshes, {} recompiles",
+         {} recompiles",
         broker.partition().group_count(),
         broker.partition().assigned_cell_count(),
         churn.subscribes,
         churn.unsubscribes,
-        churn.local_refreshes,
         churn.recompiles
     );
 

@@ -7,6 +7,10 @@
 //! `publish_batch` additionally allocates only O(runs + nodes) bytes per
 //! event: outcomes reference covering runs instead of copying ids.
 //!
+//! Churn allocates in proportion to what it keeps: the first
+//! subscribe/unsubscribe after a build seeds per-(group, node) counts,
+//! not a per-(cell, node) table.
+//!
 //! Verified with a counting global allocator. This test lives in its own
 //! integration-test file so it owns the process: the only threads that
 //! can allocate while the counter is armed are the ones under test.
@@ -15,11 +19,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
 use pubsub::core::{Broker, CoveringConfig};
 use pubsub::geom::{Point, Rect, Space};
 use pubsub::netsim::TransitStubConfig;
 use pubsub::parallel::WorkerPool;
-use pubsub::workload::{stock_space, Modes, ScaleConfig};
+use pubsub::workload::{stock_space, Modes, ScaleConfig, SubscriptionConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -233,4 +238,37 @@ fn journaled_broker_publish_path_is_still_allocation_free() {
     );
     drop(broker);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The first churn pair on the paper broker seeds the churn counts from
+/// the registry: groups × nodes `u32`s (11 × 522 here), not the
+/// cells × nodes table (21.9 MB) a per-cell count would need.
+#[test]
+fn first_churn_op_allocates_no_table() {
+    let _serial = COUNTER_OWNER.lock().unwrap();
+    let topo = TransitStubConfig::riabov().generate(1903).unwrap();
+    let placed = SubscriptionConfig::riabov().generate(&topo, 2003).unwrap();
+    let model = Modes::Nine.model();
+    let mut broker = Broker::builder(topo, stock_space())
+        .subscriptions(placed.into_iter().map(|p| (p.node, p.rect)))
+        .clustering(ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 11))
+        .density(move |r| model.mass(r))
+        .build()
+        .unwrap();
+    let (handle, node, rect) = broker
+        .registry()
+        .live()
+        .map(|(h, n, r)| (h, n, r.clone()))
+        .next()
+        .unwrap();
+
+    count_allocations(|| {
+        broker.unsubscribe(handle).unwrap();
+        broker.subscribe(node, rect).unwrap();
+    });
+    let bytes = BYTES.load(Ordering::SeqCst);
+    assert!(
+        bytes < 1 << 20,
+        "the first churn pair requested {bytes} bytes"
+    );
 }

@@ -1,9 +1,10 @@
-//! The churn-parity property: any interleaving of subscribe/unsubscribe,
-//! followed by `recompile()`, leaves the broker bit-identical to a fresh
-//! `BrokerBuilder::build()` over the surviving subscriptions — same
-//! subscription ids, same match sets, same decisions, same message costs
-//! to the last bit. Before the recompile, the overlay-merged matching
-//! path must already agree with a fresh build on who is interested.
+//! The churn-parity property: any interleaving of subscribe, unsubscribe
+//! and recompile, followed by `recompile()`, leaves the broker
+//! bit-identical to a fresh `BrokerBuilder::build()` over the surviving
+//! subscriptions — same subscription ids, same match sets, same
+//! decisions, same message costs to the last bit. Before the recompile,
+//! the overlay-merged matching path must already agree with a fresh
+//! build on who is interested.
 
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
@@ -19,6 +20,9 @@ enum ChurnOp {
     Subscribe(SubSpec),
     /// Unsubscribes the live handle at this index (mod the live count).
     Unsubscribe(usize),
+    /// An explicit `recompile()`: the next op reseeds the churn counts
+    /// under the new partition.
+    Recompile,
 }
 
 #[derive(Debug, Clone)]
@@ -41,14 +45,13 @@ fn sub_spec() -> impl Strategy<Value = SubSpec> {
 }
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
-    // 3:2 subscribe/unsubscribe mix, encoded as a mapped tuple (the
-    // vendored proptest shim has no `prop_oneof!`).
-    let op = (0usize..5, sub_spec(), 0usize..64).prop_map(|(kind, spec, idx)| {
-        if kind < 3 {
-            ChurnOp::Subscribe(spec)
-        } else {
-            ChurnOp::Unsubscribe(idx)
-        }
+    // 3:2 subscribe/unsubscribe mix with one recompile in 11 ops,
+    // encoded as a mapped tuple (the vendored proptest shim has no
+    // `prop_oneof!`).
+    let op = (0usize..11, sub_spec(), 0usize..64).prop_map(|(kind, spec, idx)| match kind {
+        0..=5 => ChurnOp::Subscribe(spec),
+        6..=9 => ChurnOp::Unsubscribe(idx),
+        _ => ChurnOp::Recompile,
     });
     (
         0u64..50,
@@ -81,16 +84,11 @@ fn spec_rect((_, (x, w), (y, h)): &SubSpec) -> Rect {
 }
 
 fn builder(s: &Scenario, subs: Vec<(NodeId, Rect)>) -> Broker {
-    builder_refresh(s, subs, 64)
-}
-
-fn builder_refresh(s: &Scenario, subs: Vec<(NodeId, Rect)>, every: usize) -> Broker {
     let topo = TransitStubConfig::tiny().generate(s.topo_seed).unwrap();
     Broker::builder(topo, space_2d())
         .threshold(s.threshold)
         .clustering(ClusteringConfig::new(s.algorithm, s.groups).with_max_cells(30))
         .grid_cells(5)
-        .local_refresh_every(every)
         .subscriptions(subs)
         .build()
         .unwrap()
@@ -148,6 +146,7 @@ proptest! {
                     let h = handles.swap_remove(i % handles.len());
                     live.unsubscribe(h).unwrap();
                 }
+                ChurnOp::Recompile => live.recompile().unwrap(),
             }
         }
         prop_assert_eq!(live.registry().len(), handles.len());
@@ -200,14 +199,13 @@ proptest! {
         }
     }
 
-    /// The exact-groups invariant at local-refresh boundaries: with
-    /// `local_refresh_every(1)` every churn op runs the local-refresh
-    /// path, and after each op the snapshot's multicast groups must
-    /// equal the members derived from the live subscriptions and the
-    /// current partition — the op's own membership delta must survive
-    /// the refresh.
+    /// The exact-groups invariant: after every op — a churn op, an
+    /// explicit recompile, or the first op after one, which reseeds the
+    /// churn counts — the snapshot's multicast groups must equal the
+    /// members derived from the live subscriptions and the current
+    /// partition.
     #[test]
-    fn groups_stay_exact_across_local_refreshes(s in scenario_strategy()) {
+    fn groups_stay_exact_after_every_op(s in scenario_strategy()) {
         let topo = TransitStubConfig::tiny().generate(s.topo_seed).unwrap();
         let nodes = topo.stub_nodes().to_vec();
         let initial: Vec<(NodeId, Rect)> = s
@@ -215,7 +213,7 @@ proptest! {
             .iter()
             .map(|spec| (nodes[spec.0 % nodes.len()], spec_rect(spec)))
             .collect();
-        let mut live = builder_refresh(&s, initial, 1);
+        let mut live = builder(&s, initial);
 
         let mut handles: Vec<SubscriptionHandle> =
             live.registry().live().map(|(h, _, _)| h).collect();
@@ -232,6 +230,7 @@ proptest! {
                     let h = handles.swap_remove(i % handles.len());
                     live.unsubscribe(h).unwrap();
                 }
+                ChurnOp::Recompile => live.recompile().unwrap(),
             }
             let derived = derived_members(&live);
             for (q, expected) in derived.iter().enumerate() {
