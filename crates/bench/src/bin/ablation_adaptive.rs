@@ -1,20 +1,22 @@
-//! Adaptive per-group thresholds (the paper's §6 future work) vs the best
-//! single global threshold.
+//! The exact cost rule (the paper's §6 "where to draw the line") vs the
+//! best single global threshold.
 //!
-//! Phase 1 trains an `AdaptiveController` on one event stream: it
-//! estimates each group's break-even interest ratio
-//! `t*_q = m_q / (ū_q · |M_q|)` from observed costs. Phase 2 evaluates on
-//! a *fresh* stream, comparing the global-threshold sweep's best value
-//! against the learned per-group thresholds.
+//! The rule `|s|/|M_q| ≥ t` approximates a cost comparison: one
+//! multicast to `M_q` costs `m_q`, unicasting the interested set costs
+//! about `|s| · ū_q`. `DistributionPolicy::cost_exact` makes the
+//! comparison itself, event by event, from the costs the broker already
+//! computes. This ablation sweeps Figure 6's 11-point threshold grid and
+//! runs the exact rule on the same event stream.
 //!
-//! Writes `results/ablation_adaptive.json`. Override the event counts
-//! with `PUBSUB_EVENTS` (default 6000 per phase).
+//! Writes `results/ablation_adaptive.json`. Override the event count
+//! with `PUBSUB_EVENTS` (default 6000).
 
 use pubsub_bench::{
-    build_broker, build_testbed, drive, event_count, sample_events, scenario, write_json, Seeds,
+    build_broker, build_testbed, drive, event_count, sample_events, scenario, threshold_sweep,
+    write_json, Seeds, FIG6_THRESHOLDS,
 };
 use pubsub_clustering::ClusteringAlgorithm;
-use pubsub_core::{AdaptiveConfig, AdaptiveController, DeliveryMode};
+use pubsub_core::{DeliveryMode, DistributionPolicy};
 use pubsub_workload::Modes;
 use serde::Serialize;
 
@@ -22,22 +24,19 @@ use serde::Serialize;
 struct Out {
     global_sweep: Vec<(f64, f64)>,
     best_global: (f64, f64),
-    adaptive_improvement: f64,
-    groups_adapted: usize,
-    per_group: Vec<pubsub_core::GroupEfficiency>,
+    cost_exact_improvement: f64,
+    cost_exact_multicast_fraction: f64,
 }
 
 fn main() {
     let n = event_count(6000);
     let testbed = build_testbed(Seeds::default());
     let model = scenario(Modes::Nine);
-    let train = sample_events(&model, n, 101);
-    let eval = sample_events(&model, n, 202);
+    let events = sample_events(&model, n, 202);
     let groups = 11usize;
 
-    println!("== Adaptive per-group thresholds (9 modes, {groups} groups, {n} events/phase) ==\n");
+    println!("== Exact cost rule vs global thresholds (9 modes, {groups} groups, {n} events) ==\n");
 
-    // Baseline: sweep a global threshold, evaluated on the eval stream.
     let mut broker = build_broker(
         &testbed,
         &model,
@@ -46,18 +45,13 @@ fn main() {
         0.15,
         DeliveryMode::DenseMode,
     );
-    let mut global_sweep = Vec::new();
-    println!("global threshold sweep (eval stream):");
-    for t in [0.0, 0.05, 0.10, 0.15, 0.20, 0.30] {
-        broker.set_threshold(t).expect("valid threshold");
-        broker.policy_mut().clear_group_thresholds();
-        let report = drive(&mut broker, &eval);
-        println!(
-            "  t = {:>4.0}%: {:>6.1}%",
-            t * 100.0,
-            report.improvement_percent()
-        );
-        global_sweep.push((t, report.improvement_percent()));
+    println!("global threshold sweep:");
+    let global_sweep: Vec<(f64, f64)> = threshold_sweep(&mut broker, &events, &FIG6_THRESHOLDS)
+        .into_iter()
+        .map(|p| (p.threshold, p.improvement_percent))
+        .collect();
+    for (t, improvement) in &global_sweep {
+        println!("  t = {:>4.1}%: {improvement:>6.1}%", t * 100.0);
     }
     let best_global = global_sweep
         .iter()
@@ -65,45 +59,19 @@ fn main() {
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("non-empty sweep");
 
-    // Train the controller at the paper's recommended global threshold.
-    broker.set_threshold(0.15).expect("valid threshold");
-    broker.policy_mut().clear_group_thresholds();
-    let mut controller = AdaptiveController::for_broker(&broker, AdaptiveConfig::default());
-    broker.reset_report();
-    for e in &train {
-        let outcome = broker.publish(e).expect("valid event");
-        controller.observe(&outcome);
-    }
-    let per_group = controller.tracker().summarize(&broker);
-    println!("\nlearned per-group break-even ratios:");
+    *broker.policy_mut() = DistributionPolicy::cost_exact();
+    let exact = drive(&mut broker, &events);
+    let sent = (exact.unicasts + exact.multicasts).max(1);
+    let multicast_fraction = exact.multicasts as f64 / sent as f64;
     println!(
-        "{:>6} {:>6} {:>7} {:>11} {:>11} {:>12}",
-        "group", "size", "hits", "avg |s|/|M|", "break-even", "m_q"
-    );
-    for g in &per_group {
-        println!(
-            "{:>6} {:>6} {:>7} {:>10.1}% {:>10.1}% {:>12.1}",
-            g.group,
-            g.size,
-            g.hits,
-            g.avg_interest_ratio * 100.0,
-            g.break_even_ratio * 100.0,
-            g.group_multicast_cost
-        );
-    }
-
-    // Apply and evaluate on the fresh stream.
-    let applied = controller.apply(&mut broker).expect("clamped thresholds");
-    let adaptive_report = drive(&mut broker, &eval);
-    println!("\nadapted {applied} of {groups} groups");
-    println!(
-        "best global threshold: t = {:.0}% -> {:.1}% improvement",
+        "\nbest global threshold: t = {:.1}% -> {:.1}% improvement",
         best_global.0 * 100.0,
         best_global.1
     );
     println!(
-        "adaptive per-group thresholds -> {:.1}% improvement",
-        adaptive_report.improvement_percent()
+        "exact cost rule min(unicast, m_q) -> {:.1}% improvement ({:.1}% of sends multicast)",
+        exact.improvement_percent(),
+        multicast_fraction * 100.0
     );
 
     write_json(
@@ -111,9 +79,8 @@ fn main() {
         &Out {
             global_sweep,
             best_global,
-            adaptive_improvement: adaptive_report.improvement_percent(),
-            groups_adapted: applied,
-            per_group,
+            cost_exact_improvement: exact.improvement_percent(),
+            cost_exact_multicast_fraction: multicast_fraction,
         },
     );
     println!("\nwrote results/ablation_adaptive.json");

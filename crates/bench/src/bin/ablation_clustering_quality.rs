@@ -18,7 +18,7 @@ use pubsub_bench::{
 use pubsub_clustering::{
     cluster, expected_waste, ClusteringAlgorithm, ClusteringConfig, GridModel,
 };
-use pubsub_core::DeliveryMode;
+use pubsub_core::{DeliveryMode, DistributionPolicy};
 use pubsub_geom::Grid;
 use pubsub_workload::{stock_space, Modes};
 use serde::Serialize;
@@ -69,7 +69,7 @@ fn main() {
             let mut broker =
                 build_broker(&testbed, &model, alg, groups, 0.0, DeliveryMode::DenseMode);
             let static_report = drive(&mut broker, &events);
-            broker.set_threshold(0.15).expect("valid");
+            *broker.policy_mut() = DistributionPolicy::new(0.15).expect("valid");
             let dynamic_report = drive(&mut broker, &events);
             println!(
                 "{:>22} {:>7} {:>14.3} {:>11.1}% {:>11.1}%",

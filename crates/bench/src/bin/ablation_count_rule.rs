@@ -52,7 +52,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for t in [0.0, 0.05, 0.10, 0.15, 0.20, 0.30] {
-        broker.set_threshold(t).expect("valid threshold");
+        *broker.policy_mut() = DistributionPolicy::new(t).expect("valid threshold");
         let r = drive(&mut broker, &events);
         println!(
             "{:>10} {:>11.0}% {:>11.1}% {:>11}",

@@ -12,7 +12,7 @@
 
 use pubsub_bench::{drive, event_count, sample_events, scenario, write_json};
 use pubsub_clustering::{ClusteringAlgorithm, ClusteringConfig};
-use pubsub_core::{AdaptiveConfig, AdaptiveController, Broker, DeliveryMode};
+use pubsub_core::{Broker, DeliveryMode, DistributionPolicy};
 use pubsub_netsim::{Topology, TransitStubConfig, WaxmanConfig};
 use pubsub_workload::{stock_space, Modes, SubscriptionConfig};
 use serde::Serialize;
@@ -24,7 +24,7 @@ struct Row {
     edges: usize,
     static_improvement: f64,
     dynamic_improvement: f64,
-    adaptive_improvement: f64,
+    cost_exact_improvement: f64,
 }
 
 /// A single-block subscription config usable on flat topologies.
@@ -51,28 +51,22 @@ fn run(label: &str, topo: Topology, subs_cfg: &SubscriptionConfig, rows: &mut Ve
         .expect("valid broker");
     let events = sample_events(&model, n, 23);
     let static_report = drive(&mut broker, &events);
-    broker.set_threshold(0.12).expect("valid");
+    *broker.policy_mut() = DistributionPolicy::new(0.12).expect("valid");
     let dynamic_report = drive(&mut broker, &events);
 
-    // The §6 adaptive controller learns each topology's own break-even
-    // points — on flat graphs they are far above any fixed global `t`.
-    let train = sample_events(&model, n, 24);
-    let mut controller = AdaptiveController::for_broker(&broker, AdaptiveConfig::default());
-    broker.reset_report();
-    for e in &train {
-        let out = broker.publish(e).expect("valid event");
-        controller.observe(&out);
-    }
-    controller.apply(&mut broker).expect("clamped thresholds");
-    let adaptive_report = drive(&mut broker, &events);
+    // The exact cost rule compares each event's unicast cost with the
+    // group send — on flat graphs the break-even points sit far above
+    // any fixed global `t`.
+    *broker.policy_mut() = DistributionPolicy::cost_exact();
+    let exact_report = drive(&mut broker, &events);
 
     println!(
-        "{label:>24}: {:>4} nodes {:>5} edges | static {:>8.1}% | dynamic t=.12 {:>8.1}% | adaptive {:>6.1}%",
+        "{label:>24}: {:>4} nodes {:>5} edges | static {:>8.1}% | dynamic t=.12 {:>8.1}% | cost-exact {:>6.1}%",
         stats.nodes,
         stats.edges,
         static_report.improvement_percent(),
         dynamic_report.improvement_percent(),
-        adaptive_report.improvement_percent()
+        exact_report.improvement_percent()
     );
     rows.push(Row {
         topology: label.to_string(),
@@ -80,7 +74,7 @@ fn run(label: &str, topo: Topology, subs_cfg: &SubscriptionConfig, rows: &mut Ve
         edges: stats.edges,
         static_improvement: static_report.improvement_percent(),
         dynamic_improvement: dynamic_report.improvement_percent(),
-        adaptive_improvement: adaptive_report.improvement_percent(),
+        cost_exact_improvement: exact_report.improvement_percent(),
     });
 }
 
@@ -118,8 +112,8 @@ fn main() {
 
     println!("\nexpected shape: multicast's leverage comes from the hierarchy — on flat Waxman");
     println!("graphs any fixed low threshold multicasts itself far below unicast, and only the");
-    println!("adaptive per-group thresholds (which learn each topology's break-even points)");
-    println!("recover. The transit-stub testbed is not incidental to the paper's results.");
+    println!("exact cost rule (multicast iff the group send is cheaper than unicast) recovers");
+    println!("to unicast. The transit-stub testbed is not incidental to the paper's results.");
     write_json("ablation_topology", &rows);
     println!("wrote results/ablation_topology.json");
 }

@@ -16,16 +16,13 @@
 
 use pubsub_bench::{
     build_broker, build_testbed, event_count, sample_events, scenario, threshold_sweep, write_json,
-    Seeds, SweepPoint,
+    Seeds, SweepPoint, FIG6_THRESHOLDS,
 };
 use pubsub_clustering::ClusteringAlgorithm;
 use pubsub_core::DeliveryMode;
 use pubsub_workload::Modes;
 use serde::Serialize;
 
-const THRESHOLDS: [f64; 11] = [
-    0.0, 0.025, 0.05, 0.075, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50,
-];
 const ALGORITHMS: [ClusteringAlgorithm; 3] = [
     ClusteringAlgorithm::ForgyKMeans,
     ClusteringAlgorithm::PairwiseGrouping,
@@ -66,9 +63,9 @@ fn main() {
             for alg in ALGORITHMS {
                 let mut broker =
                     build_broker(&testbed, &model, alg, groups, 0.0, DeliveryMode::DenseMode);
-                sweeps.push(threshold_sweep(&mut broker, &events, &THRESHOLDS));
+                sweeps.push(threshold_sweep(&mut broker, &events, &FIG6_THRESHOLDS));
             }
-            for (ti, &t) in THRESHOLDS.iter().enumerate() {
+            for (ti, &t) in FIG6_THRESHOLDS.iter().enumerate() {
                 print!("{:>9.1}%", t * 100.0);
                 for sweep in &sweeps {
                     print!(" {:>21.1}%", sweep[ti].improvement_percent);

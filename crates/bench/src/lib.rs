@@ -14,7 +14,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
 use pubsub_clustering::{ClusteringAlgorithm, ClusteringConfig};
-use pubsub_core::{Broker, CostReport, DeliveryMode};
+use pubsub_core::{Broker, CostReport, DeliveryMode, DistributionPolicy};
 use pubsub_geom::Point;
 use pubsub_netsim::{Topology, TransitStubConfig};
 use pubsub_workload::{stock_space, Modes, PublicationModel, SubscriptionConfig};
@@ -129,6 +129,12 @@ pub fn drive_with(broker: &mut Broker, events: &[Point], threads: Option<usize>)
     *broker.report()
 }
 
+/// Figure 6's threshold grid: the horizontal axis of every sweep that is
+/// compared with the paper.
+pub const FIG6_THRESHOLDS: [f64; 11] = [
+    0.0, 0.025, 0.05, 0.075, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50,
+];
+
 /// One row of a threshold sweep.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct SweepPoint {
@@ -158,7 +164,7 @@ pub fn threshold_sweep(
     thresholds
         .iter()
         .map(|&t| {
-            broker.set_threshold(t).expect("threshold in [0,1]");
+            *broker.policy_mut() = DistributionPolicy::new(t).expect("threshold in [0,1]");
             let report = drive(broker, events);
             let sent = (report.unicasts + report.multicasts).max(1);
             SweepPoint {

@@ -87,8 +87,8 @@ pub struct PublishOutcome {
     /// How the message was delivered.
     pub decision: Decision,
     /// The group region `S_q` the event fell in (`None` for `S_0`), even
-    /// when the decision was unicast or drop — efficiency trackers need
-    /// to attribute unicast decisions to the group they bypassed.
+    /// when the decision was unicast or drop, so a caller can attribute
+    /// unicast decisions to the group they bypassed.
     pub group_region: Option<usize>,
     /// The matching subscription ids, ascending. The set references
     /// whole covering runs and writes the id list out on first read;
@@ -1144,10 +1144,11 @@ impl Broker {
 
     /// The sequential tail of every publication, with or without faults:
     /// walks the fused results **in global event order** and, per event,
-    /// decides by the paper's rule (unicast from `S_0`, drop an empty
-    /// interested set, multicast to `M_q` iff `|s|/|M_q| ≥ t`), resolves
-    /// the multicast scheme cost through the memo and folds everything
-    /// into the cumulative report. The scheme cost of a group send is
+    /// decides by the policy (unicast from `S_0`, drop an empty
+    /// interested set, multicast to `M_q` iff `|s|/|M_q| ≥ t`, or under
+    /// the exact rule iff the memoized group send costs less than the
+    /// event's unicast), resolves the multicast scheme cost through the
+    /// memo and folds everything into the cumulative report. The scheme cost of a group send is
     /// event-independent, so each (epoch, fault stamp, publisher, group)
     /// is walked at most once, and switching publishers does not evict
     /// other publishers' rows. When `outcomes` is given, also
@@ -1243,15 +1244,16 @@ impl Broker {
                 other => other,
             };
 
-            let (scheme, delivered, wasted) = match decision {
+            let (decision, scheme, delivered, wasted) = match decision {
                 Decision::Drop => (
+                    decision,
                     0.0,
                     Delivery::Dropped {
                         unreachable: unreach.len() as u32,
                     },
                     0,
                 ),
-                Decision::Unicast { .. } => (meta.unicast, Delivery::Unicast, 0),
+                Decision::Unicast { .. } => (decision, meta.unicast, Delivery::Unicast, 0),
                 // Both multicast flavors cost (and deliver) over the
                 // *reachable* member subset: an interested member is
                 // covered exactly when the healed tree still reaches it,
@@ -1291,16 +1293,23 @@ impl Broker {
                             cost
                         }
                     };
-                    let delivered = if matches!(decision, Decision::Multicast { .. }) {
-                        Delivery::Multicast
+                    if policy.unicast_is_cheaper(meta.unicast, scheme) {
+                        let reason = UnicastReason::BelowThreshold;
+                        (
+                            Decision::Unicast { reason },
+                            meta.unicast,
+                            Delivery::Unicast,
+                            0,
+                        )
                     } else {
-                        Delivery::PartialMulticast
-                    };
-                    (
-                        scheme,
-                        delivered,
-                        (reach_members.len() - interested.len()) as u64,
-                    )
+                        let delivered = if matches!(decision, Decision::Multicast { .. }) {
+                            Delivery::Multicast
+                        } else {
+                            Delivery::PartialMulticast
+                        };
+                        let wasted = (reach_members.len() - interested.len()) as u64;
+                        (decision, scheme, delivered, wasted)
+                    }
                 }
             };
             let costs = MessageCosts {
@@ -1482,27 +1491,6 @@ impl Broker {
         }
         faults.step += 1;
         faults.routing.ever_faulted()
-    }
-
-    /// The cost of one multicast to the *whole* group `q` from the
-    /// default publisher under the configured delivery mode — the
-    /// per-group fixed cost the adaptive controller balances against
-    /// unicast. Cold path (`&self`): allocates a fresh scratch rather
-    /// than borrowing the broker's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range.
-    pub fn group_multicast_cost(&self, q: usize) -> f64 {
-        let mut scratch = CostScratch::new();
-        Self::send_cost(
-            self.delivery,
-            &self.spt,
-            self.alm_dist.as_deref(),
-            self.publisher,
-            self.snapshot.groups.members(q),
-            &mut scratch,
-        )
     }
 
     /// Cost of one group send from `publisher` to `members` under the
@@ -1712,7 +1700,6 @@ impl Broker {
             self.snapshot.epoch + 1,
         )?;
         // Nothing below can fail.
-        self.policy.clear_group_thresholds();
         self.counters.recompiles += 1;
         self.counters.overlay_len = 0;
         self.counters.tombstone_len = 0;
@@ -1775,18 +1762,6 @@ impl Broker {
     /// Clears the cumulative report.
     pub fn reset_report(&mut self) {
         self.report = CostReport::default();
-    }
-
-    /// Changes the distribution threshold `t` without rebuilding the
-    /// index, clustering or groups — threshold sweeps (Figure 6) only
-    /// re-publish.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::InvalidConfig`] unless `0 ≤ t ≤ 1`.
-    pub fn set_threshold(&mut self, threshold: f64) -> Result<(), BrokerError> {
-        self.policy = DistributionPolicy::new(threshold)?;
-        Ok(())
     }
 
     /// Matches an event without publishing: no decision, no cost, no
@@ -1888,8 +1863,10 @@ impl Broker {
         &self.policy
     }
 
-    /// Mutable access to the distribution policy (e.g. to install
-    /// per-group threshold overrides).
+    /// Mutable access to the distribution policy: the one way to change
+    /// the rule without rebuilding the index, clustering or groups —
+    /// e.g. `*broker.policy_mut() = DistributionPolicy::new(t)?` for a
+    /// Figure 6 threshold sweep, or [`DistributionPolicy::cost_exact`].
     pub fn policy_mut(&mut self) -> &mut DistributionPolicy {
         &mut self.policy
     }
@@ -2397,34 +2374,60 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_controller_end_to_end() {
-        use crate::{AdaptiveConfig, AdaptiveController};
-        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
-        let mut controller = AdaptiveController::for_broker(
-            &broker,
-            AdaptiveConfig {
-                min_hits: 1,
-                margin: 1.0,
-            },
-        );
-        for i in 0..100 {
-            let x = f64::from(i % 10) + 0.5;
-            let y = f64::from(i % 7) + 0.5;
-            let out = broker.publish(&Point::new(vec![x, y]).unwrap()).unwrap();
-            controller.observe(&out);
+    fn cost_exact_pays_the_cheaper_of_unicast_and_the_group_send() {
+        // Each node subscribes to its camp's lower half and to one narrow
+        // upper strip: events below y = 5 interest half the nodes (the
+        // group send is cheaper), events above interest one (unicast is).
+        // Under t = 0 every group hit multicasts at `m_q`, so the exact
+        // rule must pay `min(unicast, m_q)` event by event, in every
+        // delivery mode.
+        let nodes = tiny_topo().stub_nodes().to_vec();
+        let rp = tiny_topo().transit_nodes()[1];
+        for mode in [
+            DeliveryMode::DenseMode,
+            DeliveryMode::SparseMode { rendezvous: rp },
+            DeliveryMode::ApplicationLevel,
+        ] {
+            let build = |policy: DistributionPolicy| {
+                let mut b = Broker::builder(tiny_topo(), space_2d())
+                    .delivery_mode(mode)
+                    .clustering(ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 2))
+                    .grid_cells(4);
+                for (i, &n) in nodes.iter().enumerate().take(8) {
+                    let (x, camp) = (1.25 * i as f64, 5.0 * (i % 2) as f64);
+                    b = b.subscription(n, rect(&[camp, 0.0], &[camp + 5.0, 5.0]));
+                    b = b.subscription(n, rect(&[x, 5.0], &[x + 1.25, 10.0]));
+                }
+                let mut broker = b.build().unwrap();
+                *broker.policy_mut() = policy;
+                broker
+            };
+            let mut exact = build(DistributionPolicy::cost_exact());
+            let mut always = build(DistributionPolicy::new(0.0).unwrap());
+            let mut seen = [0, 0];
+            for i in 0..10 {
+                let event = Point::new(vec![f64::from(i) + 0.5, f64::from(i) + 0.25]).unwrap();
+                let a = always.publish(&event).unwrap();
+                let e = exact.publish(&event).unwrap();
+                assert_eq!(e.interested, a.interested);
+                match a.decision {
+                    Decision::Multicast { group } => {
+                        let cheaper = a.costs.scheme < a.costs.unicast;
+                        seen[usize::from(cheaper)] += 1;
+                        assert_eq!(e.costs.scheme, a.costs.scheme.min(a.costs.unicast));
+                        if cheaper {
+                            assert_eq!(e.decision, Decision::Multicast { group });
+                        } else {
+                            let reason = UnicastReason::BelowThreshold;
+                            assert_eq!(e.decision, Decision::Unicast { reason });
+                        }
+                    }
+                    _ => assert_eq!(e, a),
+                }
+            }
+            assert!(seen[0] > 0 && seen[1] > 0, "{mode:?}: {seen:?}");
+            assert!(exact.report().scheme_cost < always.report().scheme_cost);
         }
-        assert!(controller.tracker().observed() > 0);
-        let summaries = controller.tracker().summarize(&broker);
-        assert_eq!(summaries.len(), broker.groups().len());
-        for s in &summaries {
-            assert!(s.break_even_ratio >= 0.0 && s.break_even_ratio <= 1.0);
-            assert!(s.group_multicast_cost >= 0.0);
-        }
-        let applied = controller.apply(&mut broker).unwrap();
-        assert!(applied >= 1);
-        // The policy now carries overrides.
-        let t0 = broker.policy().threshold_for(0);
-        assert!((0.0..=1.0).contains(&t0));
     }
 
     #[test]

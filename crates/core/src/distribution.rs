@@ -1,4 +1,17 @@
 //! The distribution-method scheme (paper §4): the per-message decision.
+//!
+//! The paper's rule `|s|/|M_q| ≥ t` stands in for a cost comparison. For
+//! an event in `S_q`, one multicast to `M_q` costs a per-(publisher,
+//! group) constant `m_q` (the dense-mode tree, shared tree or ALM overlay
+//! spanning the whole group), while unicasting the interested set `s`
+//! costs about `|s| · ū_q`, with `ū_q` the group's average per-receiver
+//! unicast cost. Multicast wins exactly when `|s| > m_q / ū_q`, i.e. above
+//! the group's break-even ratio `t*_q = m_q / (ū_q · |M_q|)`; a global
+//! `t` draws one line for every group (§6 leaves "where to draw the line"
+//! open). The broker already knows both sides for every event — the
+//! unicast cost of `s` and the memoized `m_q` — so
+//! [`DistributionPolicy::cost_exact`] skips the estimate and compares
+//! them directly.
 
 use pubsub_netsim::NodeId;
 use serde::{Deserialize, Serialize};
@@ -10,9 +23,9 @@ use crate::BrokerError;
 pub enum Decision {
     /// No interested subscribers: "the publication will be not sent".
     Drop,
-    /// Unicast to exactly the interested subscribers — either the event
-    /// fell in the catch-all `S_0`, or the interested fraction of the
-    /// group was below the threshold.
+    /// Unicast to exactly the interested subscribers — the event fell in
+    /// the catch-all `S_0`, the rule in force preferred unicast, or
+    /// faults severed the group.
     Unicast {
         /// Why unicast was chosen.
         reason: UnicastReason,
@@ -38,7 +51,10 @@ pub enum Decision {
 pub enum UnicastReason {
     /// The event fell in the catch-all region `S_0`.
     CatchAll,
-    /// The event fell in `S_q` but `|s|/|M_q| < t`.
+    /// The event fell in `S_q` but the rule in force preferred unicast:
+    /// `|s|/|M_q| < t`, fewer than the count rule's minimum, or (under
+    /// [`DistributionPolicy::cost_exact`]) a group send no cheaper than
+    /// unicasting `s`.
     BelowThreshold,
     /// The event fell in `S_q` but faults severed the group's multicast
     /// tree (fewer than half the members reachable): the bottom rung of
@@ -51,10 +67,9 @@ pub enum UnicastReason {
 /// `t = 0` reproduces the *static* scheme (always multicast when a group
 /// region is hit); the paper finds `t ≈ 0.15` consistently best.
 ///
-/// Beyond the paper, the policy supports *per-group* threshold overrides
-/// — the §6 future-work question of "where to draw the line" for each
-/// individual group; see [`crate::AdaptiveController`] for a controller
-/// that learns them from observed costs.
+/// Beyond the paper, [`DistributionPolicy::cost_exact`] decides each
+/// event by comparing the two costs the threshold approximates (see the
+/// module docs).
 ///
 /// # Example
 ///
@@ -80,9 +95,9 @@ pub struct DistributionPolicy {
     /// number to the group size)"): when set, unicast iff
     /// `|s| < min_interested`, ignoring the group size.
     min_interested: Option<usize>,
-    /// Sparse per-group overrides; indexes beyond the vector fall back to
-    /// the global threshold.
-    group_overrides: Vec<Option<f64>>,
+    /// The exact rule: a multicast candidate stands only if the group
+    /// send costs less than unicasting `s`.
+    cost_exact: bool,
 }
 
 impl DistributionPolicy {
@@ -92,11 +107,16 @@ impl DistributionPolicy {
     ///
     /// Returns [`BrokerError::InvalidConfig`] unless `0 ≤ t ≤ 1`.
     pub fn new(threshold: f64) -> Result<Self, BrokerError> {
-        Self::check(threshold)?;
+        if !(0.0..=1.0).contains(&threshold) || threshold.is_nan() {
+            return Err(BrokerError::InvalidConfig {
+                parameter: "threshold",
+                constraint: "0 <= t <= 1",
+            });
+        }
         Ok(DistributionPolicy {
             threshold,
             min_interested: None,
-            group_overrides: Vec::new(),
+            cost_exact: false,
         })
     }
 
@@ -107,8 +127,34 @@ impl DistributionPolicy {
         DistributionPolicy {
             threshold: 0.0,
             min_interested: Some(min_interested),
-            group_overrides: Vec::new(),
+            cost_exact: false,
         }
+    }
+
+    /// Creates the exact cost rule: an event in `S_q` with a non-empty
+    /// `s` is multicast to `M_q` (over its reachable members when faults
+    /// degrade the group) iff that group send `m_q` costs strictly less
+    /// than unicasting `s`, so each event pays `min(unicast, m_q)`.
+    /// Severed groups, a cut rendezvous point, `S_0` and an empty `s`
+    /// decide as under any other rule.
+    ///
+    /// The counts alone cannot apply it: [`DistributionPolicy::decide`]
+    /// and [`DistributionPolicy::decide_counts`] return the multicast
+    /// candidate (as under `t = 0`), and the broker's fold confirms it
+    /// against the costs it already holds.
+    pub fn cost_exact() -> Self {
+        DistributionPolicy {
+            threshold: 0.0,
+            min_interested: None,
+            cost_exact: true,
+        }
+    }
+
+    /// Whether the exact rule turns a multicast candidate whose group
+    /// send costs `group_send` into a unicast costing `unicast`. Always
+    /// `false` for the ratio and count rules.
+    pub(crate) fn unicast_is_cheaper(&self, unicast: f64, group_send: f64) -> bool {
+        self.cost_exact && group_send >= unicast
     }
 
     /// The absolute-count rule in force, if any.
@@ -116,48 +162,9 @@ impl DistributionPolicy {
         self.min_interested
     }
 
-    fn check(threshold: f64) -> Result<(), BrokerError> {
-        if !(0.0..=1.0).contains(&threshold) || threshold.is_nan() {
-            return Err(BrokerError::InvalidConfig {
-                parameter: "threshold",
-                constraint: "0 <= t <= 1",
-            });
-        }
-        Ok(())
-    }
-
-    /// The global threshold `t`.
+    /// The threshold `t` (`0` under the count and exact rules).
     pub fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    /// The threshold in force for a group (the override if set, the
-    /// global threshold otherwise).
-    pub fn threshold_for(&self, group: usize) -> f64 {
-        self.group_overrides
-            .get(group)
-            .copied()
-            .flatten()
-            .unwrap_or(self.threshold)
-    }
-
-    /// Overrides the threshold of one group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::InvalidConfig`] unless `0 ≤ t ≤ 1`.
-    pub fn set_group_threshold(&mut self, group: usize, threshold: f64) -> Result<(), BrokerError> {
-        Self::check(threshold)?;
-        if self.group_overrides.len() <= group {
-            self.group_overrides.resize(group + 1, None);
-        }
-        self.group_overrides[group] = Some(threshold);
-        Ok(())
-    }
-
-    /// Removes every per-group override.
-    pub fn clear_group_thresholds(&mut self) {
-        self.group_overrides.clear();
     }
 
     /// Decides how to deliver a publication.
@@ -200,7 +207,7 @@ impl DistributionPolicy {
                         } else {
                             interested as f64 / group_size as f64
                         };
-                        ratio < self.threshold_for(q)
+                        ratio < self.threshold
                     }
                 };
                 if below {
@@ -346,25 +353,22 @@ mod tests {
     }
 
     #[test]
-    fn per_group_overrides() {
-        let mut p = DistributionPolicy::new(0.15).unwrap();
-        p.set_group_threshold(2, 0.5).unwrap();
-        assert_eq!(p.threshold_for(0), 0.15);
-        assert_eq!(p.threshold_for(2), 0.5);
-        assert_eq!(p.threshold_for(99), 0.15);
-        // 3/10 = 30%: multicast for group 0 (t=.15) but unicast for
-        // group 2 (t=.5).
+    fn cost_exact_counts_give_the_multicast_candidate() {
+        let p = DistributionPolicy::cost_exact();
         assert_eq!(
-            p.decide(Some(0), &nodes(3), 10),
-            Decision::Multicast { group: 0 }
+            p.decide(Some(3), &nodes(1), 1000),
+            Decision::Multicast { group: 3 }
         );
+        assert_eq!(p.decide(Some(3), &[], 10), Decision::Drop);
         assert!(matches!(
-            p.decide(Some(2), &nodes(3), 10),
+            p.decide(None, &nodes(2), 0),
             Decision::Unicast { .. }
         ));
-        assert!(p.set_group_threshold(1, 1.5).is_err());
-        p.clear_group_thresholds();
-        assert_eq!(p.threshold_for(2), 0.15);
+        assert!(p.unicast_is_cheaper(5.0, 5.0));
+        assert!(!p.unicast_is_cheaper(5.0, 4.9));
+        assert!(!DistributionPolicy::new(0.0)
+            .unwrap()
+            .unicast_is_cheaper(1.0, 9.0));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   per-message decision: drop when nobody matched, unicast when the
 //!   event falls in the catch-all region `S_0` or when the interested
 //!   fraction `|s|/|M_q|` is below the threshold `t`, multicast to `M_q`
-//!   otherwise.
+//!   otherwise; [`DistributionPolicy::cost_exact`] instead multicasts iff
+//!   the group send costs less than unicasting the interested set.
 //! * **Cost accounting** (§5.2) — every publication is costed three ways
 //!   (scheme / pure unicast / ideal per-message multicast) so the paper's
 //!   "improvement percentage" scale (0% = unicast, 100% = ideal) can be
@@ -56,7 +57,6 @@ mod broker;
 mod churn;
 mod covering;
 mod distribution;
-mod efficiency;
 mod error;
 mod event;
 mod groups;
@@ -72,7 +72,6 @@ mod spec;
 pub use broker::{Broker, BrokerBuilder, DeliveryMode, GroupHealth, PublishOutcome};
 pub use covering::{CoveringConfig, CoveringStats, CoveringTable, MatchedSet, SubscriptionStream};
 pub use distribution::{Decision, DistributionPolicy, UnicastReason};
-pub use efficiency::{AdaptiveConfig, AdaptiveController, EfficiencyTracker, GroupEfficiency};
 pub use error::BrokerError;
 pub use event::EventBuilder;
 pub use groups::MulticastGroups;

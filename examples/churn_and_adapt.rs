@@ -1,16 +1,17 @@
 //! A living system: subscriptions churn, groups are maintained
-//! incrementally, and the distribution thresholds adapt per group.
+//! incrementally, and each event is sent the cheaper way.
 //!
 //! Demonstrates two extensions beyond the paper's static setting: live
 //! churn through `Broker::subscribe` / `Broker::unsubscribe` (groups kept
 //! exact under the compiled partition, a recompile once drift passes the
-//! threshold) and `AdaptiveController` (the §6 future-work per-group
-//! thresholds).
+//! threshold) and `DistributionPolicy::cost_exact` (the §6 question of
+//! where to draw the line, answered per event: multicast iff the group
+//! send costs less than unicasting the interested set).
 //!
 //! Run with: `cargo run --release --example churn_and_adapt`
 
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
-use pubsub::core::{AdaptiveConfig, AdaptiveController, Broker};
+use pubsub::core::{Broker, DistributionPolicy};
 use pubsub::netsim::TransitStubConfig;
 use pubsub::workload::{stock_space, Modes, SubscriptionConfig};
 use rand::{Rng, SeedableRng};
@@ -58,38 +59,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         churn.recompiles
     );
 
-    // --- Adaptive thresholds on the churned broker. ---
-    let train: Vec<_> = (0..4000).map(|_| model.sample(&mut rng)).collect();
-    let eval: Vec<_> = (0..4000).map(|_| model.sample(&mut rng)).collect();
-
-    let mut controller = AdaptiveController::for_broker(&broker, AdaptiveConfig::default());
-    for e in &train {
-        let out = broker.publish(e)?;
-        controller.observe(&out);
-    }
+    // --- The exact cost rule on the churned broker. ---
+    let events: Vec<_> = (0..4000).map(|_| model.sample(&mut rng)).collect();
     broker.reset_report();
-    for e in &eval {
-        broker.publish(e)?;
-    }
-    let fixed = broker.report().improvement_percent();
+    broker.publish_batch(&events, None)?;
+    let fixed = *broker.report();
 
-    let adapted = controller.apply(&mut broker)?;
+    *broker.policy_mut() = DistributionPolicy::cost_exact();
     broker.reset_report();
-    for e in &eval {
-        broker.publish(e)?;
-    }
-    let adaptive = broker.report().improvement_percent();
+    broker.publish_batch(&events, None)?;
+    let exact = *broker.report();
 
-    println!("\nglobal threshold t=0.15:   {fixed:>5.1}% improvement");
-    println!("adaptive ({adapted} groups tuned): {adaptive:>5.1}% improvement");
-    for g in controller.tracker().summarize(&broker).iter().take(4) {
-        println!(
-            "  group {}: {} members, observed interest {:.1}%, break-even threshold {:.1}%",
-            g.group,
-            g.size,
-            g.avg_interest_ratio * 100.0,
-            g.break_even_ratio * 100.0
-        );
-    }
+    println!(
+        "\nglobal threshold t=0.15: {:>5.1}% improvement, {} multicasts",
+        fixed.improvement_percent(),
+        fixed.multicasts
+    );
+    println!(
+        "exact cost rule:         {:>5.1}% improvement, {} multicasts",
+        exact.improvement_percent(),
+        exact.multicasts
+    );
+    assert!(exact.scheme_cost <= fixed.scheme_cost);
     Ok(())
 }

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example threshold_tuning`
 
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
-use pubsub::core::Broker;
+use pubsub::core::{Broker, DistributionPolicy};
 use pubsub::netsim::TransitStubConfig;
 use pubsub::workload::{stock_space, Modes, SubscriptionConfig};
 use rand::SeedableRng;
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("threshold  improvement  multicast share");
     let mut best = (0.0, f64::NEG_INFINITY);
     for t in [0.0, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40, 0.50] {
-        broker.set_threshold(t)?;
+        *broker.policy_mut() = DistributionPolicy::new(t)?;
         broker.reset_report();
         for e in &events {
             broker.publish(e)?;

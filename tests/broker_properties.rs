@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
-use pubsub::core::{Broker, Decision, UnicastReason};
+use pubsub::core::{Broker, Decision, DistributionPolicy, UnicastReason};
 use pubsub::geom::{Point, Rect, Space};
 use pubsub::netsim::TransitStubConfig;
 
@@ -96,7 +96,7 @@ proptest! {
                             let size = broker.groups().members(q).len();
                             let ratio = out.interested.len() as f64 / size.max(1) as f64;
                             prop_assert!(
-                                ratio < broker.policy().threshold_for(q) || size == 0
+                                ratio < broker.policy().threshold() || size == 0
                             );
                         }
                         UnicastReason::GroupSevered => {
@@ -110,8 +110,8 @@ proptest! {
                     let members = broker.groups().members(*group);
                     let ratio = out.interested.len() as f64 / members.len().max(1) as f64;
                     prop_assert!(
-                        ratio >= broker.policy().threshold_for(*group)
-                            || (members.is_empty() && broker.policy().threshold_for(*group) == 0.0)
+                        ratio >= broker.policy().threshold()
+                            || (members.is_empty() && broker.policy().threshold() == 0.0)
                     );
                     // Containment: every interested node is a group member.
                     for n in &out.interested {
@@ -179,7 +179,7 @@ proptest! {
             .collect();
         let mut last = u64::MAX;
         for t in [0.0, 0.25, 0.5, 1.0] {
-            broker.set_threshold(t).unwrap();
+            *broker.policy_mut() = DistributionPolicy::new(t).unwrap();
             broker.reset_report();
             for e in &events {
                 broker.publish(e).unwrap();

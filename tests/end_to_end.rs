@@ -3,7 +3,7 @@
 //! asserting the headline *shapes* of the evaluation at fixed seeds.
 
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
-use pubsub::core::{Broker, CostReport};
+use pubsub::core::{Broker, CostReport, DistributionPolicy};
 use pubsub::geom::Point;
 use pubsub::netsim::TransitStubConfig;
 use pubsub::workload::{stock_space, Modes, SubscriptionConfig};
@@ -63,7 +63,7 @@ fn dynamic_threshold_beats_static_on_the_paper_workload() {
     let static_report = run(&mut broker, &evs);
     let mut best = f64::NEG_INFINITY;
     for threshold in [0.05, 0.08, 0.1, 0.12, 0.15, 0.2] {
-        broker.set_threshold(threshold).unwrap();
+        *broker.policy_mut() = DistributionPolicy::new(threshold).unwrap();
         best = best.max(run(&mut broker, &evs).improvement_percent());
     }
     assert!(

@@ -11,6 +11,7 @@ use pubsub::workload::stats::{fit_loglog_slope, fit_normal, fit_pareto_alpha, ra
 use pubsub::workload::Modes;
 use pubsub_bench::{
     build_broker, build_testbed, drive, sample_events, scenario, threshold_sweep, Seeds,
+    FIG6_THRESHOLDS,
 };
 
 #[test]
@@ -74,6 +75,38 @@ fn fig6_pipeline_miniature_sweep() {
     // Multicast usage decays with the threshold; t=0.5 is near-unicast.
     assert!(sweep[0].multicast_fraction >= sweep[2].multicast_fraction);
     assert!(sweep[2].improvement_percent.abs() < 10.0);
+}
+
+#[test]
+fn fig6_headline_interior_threshold_wins() {
+    // Figure 6's claim: the best threshold is interior — above the static
+    // scheme (t = 0) and far above near-unicast (t = 50%).
+    let testbed = build_testbed(Seeds::default());
+    for modes in [Modes::Four, Modes::Nine] {
+        let model = scenario(modes);
+        let events = sample_events(&model, 2000, Seeds::default().publications);
+        let mut broker = build_broker(
+            &testbed,
+            &model,
+            ClusteringAlgorithm::ForgyKMeans,
+            11,
+            0.0,
+            DeliveryMode::DenseMode,
+        );
+        let sweep = threshold_sweep(&mut broker, &events, &FIG6_THRESHOLDS);
+        let best = sweep
+            .iter()
+            .max_by(|a, b| a.improvement_percent.total_cmp(&b.improvement_percent))
+            .unwrap();
+        let (at_zero, at_half) = (sweep[0], sweep[sweep.len() - 1]);
+        assert!(
+            [0.075, 0.10].contains(&best.threshold),
+            "{modes}: best t = {}",
+            best.threshold
+        );
+        assert!(best.improvement_percent >= at_zero.improvement_percent + 2.0);
+        assert!(best.improvement_percent >= at_half.improvement_percent + 10.0);
+    }
 }
 
 #[test]
