@@ -2,8 +2,8 @@
 //! ratio of the number to the group size) of subscriptions relevant to
 //! each publication event").
 //!
-//! Sweeps the fraction threshold and the absolute-count threshold on the
-//! same broker and event stream. With similarly-sized groups the two
+//! Sweeps the fraction threshold over Figure 6's grid and the
+//! absolute-count threshold on the same broker and event stream. With similarly-sized groups the two
 //! rules coincide around `count ≈ t·|M|`; the ratio rule adapts to group
 //! size, the count rule is cheaper to evaluate and needs no group-size
 //! bookkeeping.
@@ -13,6 +13,7 @@
 
 use pubsub_bench::{
     build_broker, build_testbed, drive, event_count, sample_events, scenario, write_json, Seeds,
+    FIG6_THRESHOLDS,
 };
 use pubsub_clustering::ClusteringAlgorithm;
 use pubsub_core::{DeliveryMode, DistributionPolicy};
@@ -51,11 +52,11 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for t in [0.0, 0.05, 0.10, 0.15, 0.20, 0.30] {
+    for t in FIG6_THRESHOLDS {
         *broker.policy_mut() = DistributionPolicy::new(t).expect("valid threshold");
         let r = drive(&mut broker, &events);
         println!(
-            "{:>10} {:>11.0}% {:>11.1}% {:>11}",
+            "{:>10} {:>11.1}% {:>11.1}% {:>11}",
             "ratio",
             t * 100.0,
             r.improvement_percent(),

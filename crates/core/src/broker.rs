@@ -35,9 +35,9 @@ use pubsub_clustering::{
 };
 use pubsub_geom::{Grid, Point, Rect, Space};
 use pubsub_netsim::{
-    cost_events_into, multicast_tree_cost_flat, sparse_mode_cost_flat, unicast_cost_flat,
-    CostScratch, DijkstraScratch, FaultEvent, FaultPlan, FaultyRouting, FlatNet, NetError, NodeId,
-    SptTable, SptView, Topology,
+    all_pairs_dists, alm_tree_cost, cost_events_into, multicast_tree_cost_flat,
+    sparse_mode_cost_flat, unicast_cost_flat, CostScratch, DijkstraScratch, FaultEvent, FaultPlan,
+    FaultyRouting, FlatNet, NetError, NodeId, SptTable, SptView, Topology,
 };
 use pubsub_parallel::{pipeline_inline, BlockRanges, PipelineRun, WorkerPool};
 use serde::{Deserialize, Serialize};
@@ -65,19 +65,19 @@ type DensityFn = Box<dyn Fn(&Rect) -> f64 + Send + Sync>;
 pub enum DeliveryMode {
     /// Network-supported dense-mode multicast: one message down the
     /// shortest-path tree rooted at the publisher (the paper's §5.2
-    /// assumption).
+    /// assumption; see [`pubsub_netsim::multicast_tree_cost_flat`]).
     DenseMode,
     /// Network-supported sparse-mode multicast: the message is tunneled
     /// to a rendezvous point and flooded down the RP-rooted shared tree
     /// (the other router flavor the paper names; see
-    /// `pubsub_netsim::sparse_mode_cost`).
+    /// [`pubsub_netsim::sparse_mode_cost_flat`]).
     SparseMode {
         /// The rendezvous point all groups share.
         rendezvous: NodeId,
     },
     /// Application-level multicast: a greedy overlay tree among group
     /// members, every overlay hop a unicast (extension; see
-    /// `pubsub_netsim::alm_tree_cost`).
+    /// [`pubsub_netsim::alm_tree_cost`]).
     ApplicationLevel,
 }
 
@@ -450,24 +450,10 @@ impl BrokerBuilder {
             spt_sources.push(rendezvous);
         }
         let spt = SptTable::build(&net, &spt_sources, None);
-        let alm_dist = match self.delivery {
-            DeliveryMode::DenseMode | DeliveryMode::SparseMode { .. } => None,
-            DeliveryMode::ApplicationLevel => {
-                // Full distance matrix so per-message Prim is table
-                // lookups; one parallel flat-Dijkstra pass per row.
-                let sources: Vec<NodeId> = self.topology.graph().node_ids().collect();
-                let rows = pubsub_parallel::map_with_scratch(
-                    &sources,
-                    pubsub_parallel::effective_threads(None),
-                    DijkstraScratch::new,
-                    |&s, scratch| {
-                        let sp = net.shortest_paths(s, scratch);
-                        (0..node_count).map(|t| sp.dist(NodeId(t as u32))).collect()
-                    },
-                );
-                Some(rows)
-            }
-        };
+        // ALM prices overlays from the full distance matrix, so per-message
+        // Prim is table lookups.
+        let alm_dist =
+            (self.delivery == DeliveryMode::ApplicationLevel).then(|| all_pairs_dists(&net, None));
 
         Ok(Broker {
             topology: self.topology,
@@ -1517,49 +1503,12 @@ impl Broker {
                     sparse_binding(delivery, spt, pub_view).expect("sparse mode binds");
                 sparse_mode_cost_flat(rp_view, rp_dist, members, scratch)
             }
-            DeliveryMode::ApplicationLevel => Self::alm_cost(
+            DeliveryMode::ApplicationLevel => alm_tree_cost(
                 alm_dist.expect("ALM mode precomputes this"),
                 publisher,
                 members,
             ),
         }
-    }
-
-    /// Greedy Prim overlay over the precomputed distance matrix.
-    fn alm_cost(dist: &[Vec<f64>], publisher: NodeId, members: &[NodeId]) -> f64 {
-        let mut uniq: Vec<usize> = Vec::new();
-        for &m in members {
-            let i = m.0 as usize;
-            if m != publisher && !uniq.contains(&i) {
-                uniq.push(i);
-            }
-        }
-        if uniq.is_empty() {
-            return 0.0;
-        }
-        let src = publisher.0 as usize;
-        let n = uniq.len();
-        let mut in_tree = vec![false; n];
-        let mut best: Vec<f64> = uniq.iter().map(|&m| dist[src][m]).collect();
-        let mut total = 0.0;
-        for _ in 0..n {
-            let mut pick = usize::MAX;
-            let mut pick_d = f64::INFINITY;
-            for i in 0..n {
-                if !in_tree[i] && best[i] < pick_d {
-                    pick_d = best[i];
-                    pick = i;
-                }
-            }
-            in_tree[pick] = true;
-            total += pick_d;
-            for i in 0..n {
-                if !in_tree[i] {
-                    best[i] = best[i].min(dist[uniq[pick]][uniq[i]]);
-                }
-            }
-        }
-        total
     }
 
     // ------------------------------------------------------------------
@@ -2057,7 +2006,7 @@ impl<'a> FusedPass<'a> {
                     }
                     DeliveryMode::ApplicationLevel => {
                         let unicast = unicast_cost_flat(pub_view, nodes, cost);
-                        let ideal = Broker::alm_cost(
+                        let ideal = alm_tree_cost(
                             alm_dist.expect("ALM mode precomputes this"),
                             publisher,
                             nodes,
@@ -2079,7 +2028,7 @@ impl<'a> FusedPass<'a> {
 mod tests {
     use super::*;
     use crate::UnicastReason;
-    use pubsub_netsim::TransitStubConfig;
+    use pubsub_netsim::{Graph, TransitStubConfig};
 
     fn space_2d() -> Space {
         Space::anonymous(Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap()).unwrap()
@@ -2290,6 +2239,34 @@ mod tests {
         assert!(out.costs.scheme.is_finite());
         assert!(out.costs.ideal.is_finite());
         assert!(out.costs.ideal <= out.costs.unicast + 1e-9);
+    }
+
+    #[test]
+    fn alm_mode_prices_an_unreachable_member_at_infinity_like_dense_mode() {
+        // Two islands, 0–1 and 2–3: the publisher at 0 cannot reach 3.
+        let mut g = Graph::new(4);
+        g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        g.add_edge(NodeId(2), NodeId(3), 1.0).unwrap();
+        for mode in [DeliveryMode::DenseMode, DeliveryMode::ApplicationLevel] {
+            let mut broker = Broker::builder(Topology::flat(g.clone()), space_2d())
+                .threshold(0.0)
+                .publisher(NodeId(0))
+                .delivery_mode(mode)
+                .subscription(NodeId(1), rect(&[0.0, 0.0], &[10.0, 10.0]))
+                .subscription(NodeId(3), rect(&[0.0, 0.0], &[10.0, 10.0]))
+                .build()
+                .unwrap();
+            let out = broker
+                .publish(&Point::new(vec![5.0, 5.0]).unwrap())
+                .unwrap();
+            assert!(
+                matches!(out.decision, Decision::Multicast { .. }),
+                "{mode:?}"
+            );
+            assert_eq!(out.costs.scheme, f64::INFINITY, "{mode:?}");
+            assert_eq!(out.costs.unicast, f64::INFINITY, "{mode:?}");
+            assert_eq!(out.costs.ideal, f64::INFINITY, "{mode:?}");
+        }
     }
 
     #[test]
@@ -2508,35 +2485,6 @@ mod tests {
         // fresh walk.
         let first_other = broker.publish_from(other, &event).unwrap();
         assert_eq!(via_other.costs, first_other.costs);
-    }
-
-    #[test]
-    fn flat_costs_are_byte_identical_to_node_based_walks() {
-        // Acceptance gate for the compiled engine: every cost the broker
-        // reports must equal the legacy node-based SPT walk bit for bit.
-        use pubsub_netsim::{dijkstra, multicast_tree_cost, unicast_cost};
-        let mut broker = build_two_camp_broker(0.15, DeliveryMode::DenseMode);
-        let spt = dijkstra(broker.topology().graph(), broker.publisher());
-        let events: Vec<Point> = (0..60)
-            .map(|i| Point::new(vec![f64::from(i % 10) + 0.5, f64::from(i % 7) + 0.5]).unwrap())
-            .collect();
-        let outcomes = broker.publish_batch(&events, None).unwrap();
-        for out in &outcomes {
-            assert_eq!(
-                out.costs.unicast.to_bits(),
-                unicast_cost(&spt, &out.interested).to_bits()
-            );
-            assert_eq!(
-                out.costs.ideal.to_bits(),
-                multicast_tree_cost(&spt, &out.interested).to_bits()
-            );
-            if let Decision::Multicast { group } = out.decision {
-                assert_eq!(
-                    out.costs.scheme.to_bits(),
-                    multicast_tree_cost(&spt, broker.groups().members(group)).to_bits()
-                );
-            }
-        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! standard mesh-first/tree-second ALMI construction collapsed to its tree
 //! step.
 
-use crate::{dijkstra, Graph, NodeId};
+use crate::NodeId;
 
 /// Cost of delivering one message from `source` to all `members` over a
-/// greedy minimum-spanning overlay tree.
+/// greedy minimum-spanning overlay tree, with `dist` the all-pairs
+/// distance table of [`crate::all_pairs_dists`].
 ///
 /// Each overlay edge costs the shortest-path distance between its
 /// endpoints; unlike dense-mode multicast, underlay links shared by
@@ -22,30 +23,22 @@ use crate::{dijkstra, Graph, NodeId};
 ///
 /// # Panics
 ///
-/// Panics if `source` or a member id is out of range for the graph.
-pub fn alm_tree_cost(graph: &Graph, source: NodeId, members: &[NodeId]) -> f64 {
-    let mut uniq: Vec<NodeId> = Vec::new();
+/// Panics if `source` or a member id is out of range for the table.
+pub fn alm_tree_cost(dist: &[Vec<f64>], source: NodeId, members: &[NodeId]) -> f64 {
+    let mut uniq: Vec<usize> = Vec::new();
     for &m in members {
-        if m != source && !uniq.contains(&m) {
-            uniq.push(m);
+        let i = m.0 as usize;
+        if m != source && !uniq.contains(&i) {
+            uniq.push(i);
         }
     }
     if uniq.is_empty() {
         return 0.0;
     }
-
-    // Distances from the source and from every member (metric closure rows
-    // we need).
-    let from_source = dijkstra(graph, source);
-    if uniq.iter().any(|&m| !from_source.reachable(m)) {
-        return f64::INFINITY;
-    }
-    let from_member: Vec<_> = uniq.iter().map(|&m| dijkstra(graph, m)).collect();
-
     // Prim over {source} ∪ members.
     let n = uniq.len();
     let mut in_tree = vec![false; n];
-    let mut best: Vec<f64> = uniq.iter().map(|&m| from_source.dist(m)).collect();
+    let mut best: Vec<f64> = uniq.iter().map(|&m| dist[source.0 as usize][m]).collect();
     let mut total = 0.0;
     for _ in 0..n {
         let mut pick = usize::MAX;
@@ -56,15 +49,15 @@ pub fn alm_tree_cost(graph: &Graph, source: NodeId, members: &[NodeId]) -> f64 {
                 pick = i;
             }
         }
-        debug_assert!(pick != usize::MAX);
+        if pick == usize::MAX {
+            // Every member left is cut off from the overlay.
+            return f64::INFINITY;
+        }
         in_tree[pick] = true;
         total += pick_d;
         for i in 0..n {
             if !in_tree[i] {
-                let d = from_member[pick].dist(uniq[i]);
-                if d < best[i] {
-                    best[i] = d;
-                }
+                best[i] = best[i].min(dist[uniq[pick]][uniq[i]]);
             }
         }
     }
@@ -74,7 +67,10 @@ pub fn alm_tree_cost(graph: &Graph, source: NodeId, members: &[NodeId]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{multicast_tree_cost, unicast_cost};
+    use crate::{
+        all_pairs_dists, multicast_tree_cost_flat, unicast_cost_flat, CostScratch, FlatNet, Graph,
+        SptTable,
+    };
 
     /// Line graph 0-1-2-3 with unit costs.
     fn line() -> Graph {
@@ -85,19 +81,23 @@ mod tests {
         g
     }
 
+    fn dists(g: &Graph) -> Vec<Vec<f64>> {
+        all_pairs_dists(&FlatNet::compile(g), Some(1))
+    }
+
     #[test]
     fn line_graph_overlay_chains_members() {
-        let g = line();
+        let d = dists(&line());
         // Members 1,2,3 from source 0: greedy overlay is the chain
         // 0->1->2->3, total 3 (one hop each).
         assert_eq!(
-            alm_tree_cost(&g, NodeId(0), &[NodeId(1), NodeId(2), NodeId(3)]),
+            alm_tree_cost(&d, NodeId(0), &[NodeId(1), NodeId(2), NodeId(3)]),
             3.0
         );
         // Without member 1 and 2 relaying, 0->3 costs 3 directly.
-        assert_eq!(alm_tree_cost(&g, NodeId(0), &[NodeId(3)]), 3.0);
+        assert_eq!(alm_tree_cost(&d, NodeId(0), &[NodeId(3)]), 3.0);
         // Member 2 relays to 3: 0->2 (2) + 2->3 (1).
-        assert_eq!(alm_tree_cost(&g, NodeId(0), &[NodeId(2), NodeId(3)]), 3.0);
+        assert_eq!(alm_tree_cost(&d, NodeId(0), &[NodeId(2), NodeId(3)]), 3.0);
     }
 
     #[test]
@@ -107,11 +107,14 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 10.0).unwrap();
         g.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
         g.add_edge(NodeId(1), NodeId(3), 1.0).unwrap();
-        let spt = dijkstra(&g, NodeId(0));
+        let net = FlatNet::compile(&g);
+        let table = SptTable::build(&net, &[NodeId(0)], Some(1));
+        let spt = table.view(NodeId(0)).unwrap();
+        let mut scratch = CostScratch::new();
         let members = [NodeId(2), NodeId(3)];
-        let ip = multicast_tree_cost(&spt, &members);
-        let alm = alm_tree_cost(&g, NodeId(0), &members);
-        let uni = unicast_cost(&spt, &members);
+        let ip = multicast_tree_cost_flat(spt, &members, &mut scratch);
+        let alm = alm_tree_cost(&all_pairs_dists(&net, Some(1)), NodeId(0), &members);
+        let uni = unicast_cost_flat(spt, &members, &mut scratch);
         // IP multicast pays the trunk once (12), ALM pays it once because
         // member 2 relays to 3 (11 + 2 = 13 vs unicast 22).
         assert_eq!(ip, 12.0);
@@ -122,12 +125,12 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        let g = line();
-        assert_eq!(alm_tree_cost(&g, NodeId(0), &[]), 0.0);
-        assert_eq!(alm_tree_cost(&g, NodeId(0), &[NodeId(0)]), 0.0);
+        let d = dists(&line());
+        assert_eq!(alm_tree_cost(&d, NodeId(0), &[]), 0.0);
+        assert_eq!(alm_tree_cost(&d, NodeId(0), &[NodeId(0)]), 0.0);
         assert_eq!(
-            alm_tree_cost(&g, NodeId(0), &[NodeId(1), NodeId(1)]),
-            alm_tree_cost(&g, NodeId(0), &[NodeId(1)])
+            alm_tree_cost(&d, NodeId(0), &[NodeId(1), NodeId(1)]),
+            alm_tree_cost(&d, NodeId(0), &[NodeId(1)])
         );
     }
 
@@ -135,6 +138,13 @@ mod tests {
     fn unreachable_member_is_infinite() {
         let mut g = Graph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
-        assert_eq!(alm_tree_cost(&g, NodeId(0), &[NodeId(2)]), f64::INFINITY);
+        let d = dists(&g);
+        assert_eq!(alm_tree_cost(&d, NodeId(0), &[NodeId(2)]), f64::INFINITY);
+        // A reachable member joins first; the cut-off one still prices
+        // the overlay at +∞ rather than indexing past the members.
+        assert_eq!(
+            alm_tree_cost(&d, NodeId(0), &[NodeId(1), NodeId(2)]),
+            f64::INFINITY
+        );
     }
 }

@@ -9,9 +9,10 @@
 //!   a seed ([`FaultPlan::seeded`]).
 //! * `FaultOverlay` (internal) — the *current* fault state: a per-CSR-slot
 //!   cost factor (`+∞` = cut) and a per-node down flag, epoch-stamped on
-//!   every change. Its degraded Dijkstra multiplies each pristine weight
-//!   by its factor, so with no active fault the output is **bit-identical**
-//!   to [`FlatNet::sssp_into`] (multiplying by `1.0` is exact).
+//!   every change. Its degraded Dijkstra is [`FlatNet`]'s one relaxation
+//!   loop with each pristine weight multiplied by its factor, so with no
+//!   active fault the output is **bit-identical** to
+//!   [`FlatNet::sssp_into`] (multiplying by `1.0` is exact).
 //! * [`FaultyRouting`] — the self-healing routing state: it watches an
 //!   [`SptTable`], maintains a tree-edge → rows incidence index, and on
 //!   each fault invalidates *only* the rows whose shortest-path tree
@@ -398,46 +399,18 @@ impl FaultOverlay {
             net.sssp_into(source, scratch, dist, parent, up_cost);
             return;
         }
-        let n = net.node_count();
-        assert!((source.0 as usize) < n, "source out of range");
-        assert!(dist.len() == n && parent.len() == n && up_cost.len() == n);
-        dist.fill(f64::INFINITY);
-        parent.fill(NO_PARENT);
-        up_cost.fill(0.0);
         if self.node_down[source.0 as usize] {
             // A down source reaches nothing — not even itself.
+            dist.fill(f64::INFINITY);
+            parent.fill(NO_PARENT);
+            up_cost.fill(0.0);
             return;
         }
-        scratch.reset(n);
-        let cols = net.cols();
         let weights = net.slot_weights();
-        dist[source.0 as usize] = 0.0;
-        scratch.push(source.0, dist);
-        while let Some(v) = scratch.pop(dist) {
-            let (lo, hi) = net.row(v as usize);
-            let d = dist[v as usize];
-            for slot in lo..hi {
-                let nbr = cols[slot] as usize;
-                let factor = self.slot_factor[slot];
-                if factor.is_infinite() || self.node_down[nbr] {
-                    continue;
-                }
-                let nd = d + weights[slot] * factor;
-                if nd < dist[nbr] {
-                    dist[nbr] = nd;
-                    parent[nbr] = v;
-                    scratch.push_or_decrease(nbr as u32, dist);
-                }
-            }
-        }
-        for v in 0..n {
-            let p = parent[v];
-            up_cost[v] = if p == NO_PARENT {
-                0.0
-            } else {
-                dist[v] - dist[p as usize]
-            };
-        }
+        net.sssp_with(source, scratch, dist, parent, up_cost, |slot, nbr| {
+            let factor = self.slot_factor[slot];
+            (!factor.is_infinite() && !self.node_down[nbr]).then(|| weights[slot] * factor)
+        });
     }
 }
 
@@ -745,7 +718,6 @@ impl FaultyRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra;
 
     /// 0 —1— 1 —1— 2 —1— 3, plus a 10-cost shortcut 0—3.
     fn line_with_shortcut() -> Graph {
@@ -771,7 +743,8 @@ mod tests {
             }
             rebuilt.add_edge(a, b, cost).unwrap();
         }
-        let sp = dijkstra(&rebuilt, source);
+        let table = SptTable::build(&FlatNet::compile(&rebuilt), &[source], Some(1));
+        let sp = table.view(source).unwrap();
         (0..g.node_count() as u32)
             .map(|v| {
                 if (down.contains(&source.0) || down.contains(&v)) && v != source.0 {

@@ -18,13 +18,13 @@
 //!   sources (the broker's publishers and rendezvous points), built in
 //!   parallel and borrowed per event as a zero-cost [`SptView`].
 //!
-//! Tie-breaking is identical to [`crate::dijkstra`] (smallest distance,
-//! then smallest node id, relaxation on strict improvement in adjacency
-//! order), so distances **and** parent trees are bit-for-bit equal to the
-//! node-based walk — the property the broker's byte-identical-costs
-//! guarantee rests on.
+//! Ties break by smallest distance, then smallest node id, relaxing on
+//! strict improvement in adjacency order, so distances **and** parent
+//! trees are a pure function of the graph — the property the broker's
+//! byte-identical-costs guarantee rests on. The node-based textbook walk
+//! the root `tests/` hold as an oracle reproduces them bit for bit.
 
-use crate::{Graph, NodeId, ShortestPaths};
+use crate::{Graph, NodeId};
 
 /// Sentinel parent index: the source itself and unreachable nodes.
 pub const NO_PARENT: u32 = u32::MAX;
@@ -43,16 +43,18 @@ const SETTLED: u32 = u32::MAX - 1;
 /// # Example
 ///
 /// ```
-/// use pubsub_netsim::{dijkstra, FlatNet, DijkstraScratch, Graph, NodeId};
+/// use pubsub_netsim::{DijkstraScratch, FlatNet, Graph, NodeId, NO_PARENT};
 ///
 /// # fn main() -> Result<(), pubsub_netsim::NetError> {
 /// let mut g = Graph::new(3);
 /// g.add_edge(NodeId(0), NodeId(1), 2.0)?;
 /// g.add_edge(NodeId(1), NodeId(2), 3.0)?;
 /// let net = FlatNet::compile(&g);
-/// let mut scratch = DijkstraScratch::new();
-/// let sp = net.shortest_paths(NodeId(0), &mut scratch);
-/// assert_eq!(sp.dist(NodeId(2)), dijkstra(&g, NodeId(0)).dist(NodeId(2)));
+/// let (mut dist, mut parent, mut up_cost) = (vec![0.0; 3], vec![0; 3], vec![0.0; 3]);
+/// net.sssp_into(NodeId(0), &mut DijkstraScratch::new(), &mut dist, &mut parent, &mut up_cost);
+/// assert_eq!(dist, [0.0, 2.0, 5.0]);
+/// assert_eq!(parent, [NO_PARENT, 0, 1]);
+/// assert_eq!(up_cost, [0.0, 2.0, 3.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -158,6 +160,24 @@ impl FlatNet {
         parent: &mut [u32],
         up_cost: &mut [f64],
     ) {
+        self.sssp_with(source, scratch, dist, parent, up_cost, |slot, _| {
+            Some(self.weights[slot])
+        });
+    }
+
+    /// The one Dijkstra relaxation loop: [`FlatNet::sssp_into`] with edge
+    /// slot `slot` into node `nbr` costing `weight(slot, nbr)`, or
+    /// skipped where that is `None`. The fault overlay relaxes through
+    /// here with its per-slot factors and down nodes.
+    pub(crate) fn sssp_with(
+        &self,
+        source: NodeId,
+        scratch: &mut DijkstraScratch,
+        dist: &mut [f64],
+        parent: &mut [u32],
+        up_cost: &mut [f64],
+        weight: impl Fn(usize, usize) -> Option<f64>,
+    ) {
         let n = self.nodes;
         assert!((source.0 as usize) < n, "source out of range");
         assert!(dist.len() == n && parent.len() == n && up_cost.len() == n);
@@ -172,7 +192,8 @@ impl FlatNet {
             let d = dist[v as usize];
             for slot in lo..hi {
                 let nbr = self.col_indices[slot] as usize;
-                let nd = d + self.weights[slot];
+                let Some(w) = weight(slot, nbr) else { continue };
+                let nd = d + w;
                 if nd < dist[nbr] {
                     dist[nbr] = nd;
                     parent[nbr] = v;
@@ -190,35 +211,15 @@ impl FlatNet {
             };
         }
     }
-
-    /// Single-source shortest paths as a [`ShortestPaths`] — identical
-    /// output to [`crate::dijkstra`], computed on the CSR arrays with the
-    /// reusable scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is out of range.
-    pub fn shortest_paths(&self, source: NodeId, scratch: &mut DijkstraScratch) -> ShortestPaths {
-        let n = self.nodes;
-        let mut dist = vec![f64::INFINITY; n];
-        let mut parent = vec![NO_PARENT; n];
-        let mut up_cost = vec![0.0; n];
-        self.sssp_into(source, scratch, &mut dist, &mut parent, &mut up_cost);
-        let parent = parent
-            .into_iter()
-            .map(|p| (p != NO_PARENT).then_some(NodeId(p)))
-            .collect();
-        ShortestPaths::from_raw(source, dist, parent)
-    }
 }
 
 /// Reusable state for CSR Dijkstra: an indexed binary heap (decrease-key
-/// instead of the lazy-deletion `Reverse` tuple churn of the node-based
-/// walk) whose buffers persist across runs — after the first run on a
-/// given graph size, a shortest-path computation allocates nothing.
+/// instead of lazy deletion) whose buffers persist across runs — after
+/// the first run on a given graph size, a shortest-path computation
+/// allocates nothing.
 ///
-/// The heap orders nodes by `(dist, node id)` ascending, matching the
-/// node-based walk's tie-breaking exactly.
+/// The heap orders nodes by `(dist, node id)` ascending, which fixes the
+/// tie-breaking.
 #[derive(Clone, Debug, Default)]
 pub struct DijkstraScratch {
     /// Heap of node ids, ordered by `(dist[id], id)`.
@@ -557,7 +558,6 @@ impl<'a> SptView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra;
 
     fn diamond() -> Graph {
         // Two equal-cost routes 0→3 (via 1 and via 2): a distance tie, so
@@ -570,19 +570,12 @@ mod tests {
         g
     }
 
-    fn assert_same_spt(g: &Graph, source: NodeId) {
-        let net = FlatNet::compile(g);
-        let mut scratch = DijkstraScratch::new();
-        let flat = net.shortest_paths(source, &mut scratch);
-        let node = dijkstra(g, source);
-        for v in g.node_ids() {
-            assert!(
-                flat.dist(v).to_bits() == node.dist(v).to_bits()
-                    || (flat.dist(v).is_infinite() && node.dist(v).is_infinite()),
-                "dist mismatch at {v}"
-            );
-            assert_eq!(flat.parent(v), node.parent(v), "parent mismatch at {v}");
-        }
+    /// One single-source run into fresh rows.
+    fn sssp(net: &FlatNet, source: NodeId, scratch: &mut DijkstraScratch) -> (Vec<f64>, Vec<u32>) {
+        let n = net.node_count();
+        let (mut dist, mut parent, mut up_cost) = (vec![0.0; n], vec![0; n], vec![0.0; n]);
+        net.sssp_into(source, scratch, &mut dist, &mut parent, &mut up_cost);
+        (dist, parent)
     }
 
     #[test]
@@ -599,12 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_dijkstra_matches_node_walk_including_ties() {
-        assert_same_spt(&diamond(), NodeId(0));
-        assert_same_spt(&diamond(), NodeId(3));
-    }
-
-    #[test]
     fn scratch_is_reusable_across_runs_and_graphs() {
         let g1 = diamond();
         let mut g2 = Graph::new(6);
@@ -615,11 +602,18 @@ mod tests {
         let n1 = FlatNet::compile(&g1);
         let n2 = FlatNet::compile(&g2);
         let mut scratch = DijkstraScratch::new();
+        let first = (
+            sssp(&n1, NodeId(1), &mut scratch),
+            sssp(&n2, NodeId(5), &mut scratch),
+        );
+        assert_eq!(first.0 .0[3], 1.0);
+        assert_eq!(first.1 .0[0], 0.5 + 1.5 + 2.5 + 3.5 + 4.5);
         for _ in 0..3 {
-            let a = n1.shortest_paths(NodeId(1), &mut scratch);
-            assert_eq!(a.dist(NodeId(3)), dijkstra(&g1, NodeId(1)).dist(NodeId(3)));
-            let b = n2.shortest_paths(NodeId(5), &mut scratch);
-            assert_eq!(b.dist(NodeId(0)), dijkstra(&g2, NodeId(5)).dist(NodeId(0)));
+            let again = (
+                sssp(&n1, NodeId(1), &mut scratch),
+                sssp(&n2, NodeId(5), &mut scratch),
+            );
+            assert_eq!(again, first);
         }
     }
 
@@ -650,10 +644,10 @@ mod tests {
             assert!(!table.is_empty());
             for &s in table.sources() {
                 let view = table.view(s).unwrap();
-                let oracle = dijkstra(&g, s);
+                let (dist, parent) = sssp(&net, s, &mut DijkstraScratch::new());
                 for v in g.node_ids() {
-                    assert_eq!(view.dist(v), oracle.dist(v));
-                    assert_eq!(view.parent(v), oracle.parent(v));
+                    assert_eq!(view.dist(v).to_bits(), dist[v.0 as usize].to_bits());
+                    assert_eq!(view.raw_parent()[v.0 as usize], parent[v.0 as usize]);
                 }
             }
             assert!(table.view(NodeId(3)).is_none());

@@ -7,35 +7,41 @@
 //! transit-stub model and the cost machinery the experiments need:
 //!
 //! * [`Graph`] — an undirected weighted graph;
-//! * [`dijkstra`] / [`ShortestPaths`] — single-source shortest paths and
-//!   the shortest-path tree (SPT) rooted at a publisher;
 //! * [`TransitStubConfig`] / [`Topology`] — the GT-ITM-style generator,
 //!   with [`TransitStubConfig::riabov`] reproducing the paper's parameters;
-//! * [`unicast_cost`] / [`multicast_tree_cost`] — the two delivery cost
-//!   models: per-receiver unicast along shortest paths, and *dense-mode*
-//!   multicast over the SPT (the paper's router model);
-//! * [`alm_tree_cost`] — an application-level multicast overlay variant
-//!   (extension; the paper notes its results apply to both flavors);
-//! * [`FlatNet`] / [`SptTable`] / [`CostScratch`] — the compiled network
-//!   engine: CSR adjacency, precomputed shortest-path-tree tables built
-//!   in parallel, and epoch-stamped allocation-free cost walks
-//!   ([`unicast_cost_flat`], [`multicast_tree_cost_flat`],
-//!   [`unicast_and_tree_cost`], [`cost_events`]) that are bit-identical
-//!   to the node-based functions.
+//! * [`FlatNet`] / [`SptTable`] — the compiled network engine: CSR
+//!   adjacency and its one Dijkstra ([`FlatNet::sssp_into`]), with dense
+//!   shortest-path-tree (SPT) rows for the publishers and rendezvous
+//!   points built in parallel;
+//! * [`unicast_cost_flat`] / [`multicast_tree_cost_flat`] /
+//!   [`sparse_mode_cost_flat`] — the delivery cost models as
+//!   allocation-free walks over an [`SptView`] with a reusable
+//!   [`CostScratch`]: per-receiver unicast along shortest paths,
+//!   *dense-mode* multicast over the publisher's SPT (the paper's router
+//!   model) and sparse mode over a rendezvous point's; the publish
+//!   pipeline costs whole batches with [`cost_events_into`];
+//! * [`all_pairs_dists`] / [`alm_tree_cost`] — an application-level
+//!   multicast overlay over the all-pairs distance table (extension; the
+//!   paper notes its results apply to both flavors);
+//! * [`FaultyRouting`] — link and node faults over an [`SptTable`], with
+//!   lazily healed rows.
+//!
+//! The node-based textbook walks these reproduce bit for bit live in the
+//! workspace's root `tests/` as the oracle, not here.
 //!
 //! # Example
 //!
 //! ```
-//! use pubsub_netsim::{dijkstra, multicast_tree_cost, unicast_cost, NodeId, TransitStubConfig};
+//! use pubsub_netsim::{unicast_and_tree_cost, CostScratch, FlatNet, NodeId, SptTable, TransitStubConfig};
 //!
 //! # fn main() -> Result<(), pubsub_netsim::NetError> {
 //! let topo = TransitStubConfig::riabov().generate(42)?;
 //! let publisher = topo.transit_nodes()[0];
-//! let spt = dijkstra(topo.graph(), publisher);
+//! let table = SptTable::build(&FlatNet::compile(topo.graph()), &[publisher], None);
+//! let spt = table.view(publisher).expect("built for the publisher");
 //! let receivers: Vec<NodeId> = topo.stub_nodes().iter().take(10).copied().collect();
-//! let uni = unicast_cost(&spt, &receivers);
-//! let multi = multicast_tree_cost(&spt, &receivers);
-//! assert!(multi <= uni); // sharing links never costs more
+//! let cost = unicast_and_tree_cost(spt, &receivers, &mut CostScratch::new());
+//! assert!(cost.tree <= cost.unicast); // sharing links never costs more
 //! # Ok(())
 //! # }
 //! ```
@@ -60,10 +66,9 @@ pub use fault::{FaultEvent, FaultPlan, FaultPlanConfig, FaultyRouting, Scheduled
 pub use flat::{DijkstraScratch, FlatNet, SptTable, SptView, NO_PARENT};
 pub use graph::{EdgeId, Graph, NodeId};
 pub use multicast::{
-    cost_events, cost_events_into, multicast_tree_cost, multicast_tree_cost_flat, sparse_mode_cost,
-    sparse_mode_cost_flat, unicast_and_tree_cost, unicast_cost, unicast_cost_flat, CostScratch,
-    PairCost,
+    cost_events_into, multicast_tree_cost_flat, sparse_mode_cost_flat, unicast_and_tree_cost,
+    unicast_cost_flat, CostScratch, PairCost,
 };
-pub use shortest::{all_pairs_dists, dijkstra, ShortestPaths};
+pub use shortest::all_pairs_dists;
 pub use transit_stub::{NodeRole, StubInfo, Topology, TopologyStats, TransitStubConfig};
 pub use waxman::WaxmanConfig;

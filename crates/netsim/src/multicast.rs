@@ -11,79 +11,19 @@
 //!
 //! The paper's "100% improvement" reference point — a multicast group
 //! formed of exactly the interested subscribers — is
-//! [`multicast_tree_cost`] applied to the matched set itself.
+//! [`multicast_tree_cost_flat`] applied to the matched set itself.
+//!
+//! Every walk here reads a precomputed [`SptView`] and marks visited nodes
+//! in a reusable [`CostScratch`], so costing an event allocates nothing.
 
-use crate::{NodeId, ShortestPaths, SptView};
+use crate::{NodeId, SptView};
 
-/// Total cost of unicasting one message to each receiver along its
-/// shortest path: `Σ_r dist(publisher, r)`.
+/// Reusable epoch-stamped visited marks for the cost walks.
 ///
-/// Receivers equal to the source cost nothing; duplicate receivers are
-/// counted once (a subscriber node receives one copy regardless of how many
-/// of its subscriptions matched). Unreachable receivers contribute `+∞`,
-/// which surfaces configuration errors loudly rather than silently.
-pub fn unicast_cost(spt: &ShortestPaths, receivers: &[NodeId]) -> f64 {
-    let mut seen = vec![false; spt.node_count()];
-    let mut total = 0.0;
-    for &r in receivers {
-        if r == spt.source() || seen[r.0 as usize] {
-            continue;
-        }
-        seen[r.0 as usize] = true;
-        total += spt.dist(r);
-    }
-    total
-}
-
-/// Total cost of one dense-mode multicast to `receivers`: the sum of edge
-/// costs over the union of shortest paths from the publisher to each
-/// receiver (each shared link paid once).
-///
-/// Unreachable receivers contribute `+∞`.
-pub fn multicast_tree_cost(spt: &ShortestPaths, receivers: &[NodeId]) -> f64 {
-    // Walk each receiver's parent chain toward the source, stopping at the
-    // first node already in the tree. Edge cost = dist(child) - dist(parent).
-    let mut in_tree = vec![false; spt.node_count()];
-    in_tree[spt.source().0 as usize] = true;
-    let mut total = 0.0;
-    for &r in receivers {
-        if !spt.reachable(r) {
-            return f64::INFINITY;
-        }
-        let mut cur = r;
-        while !in_tree[cur.0 as usize] {
-            in_tree[cur.0 as usize] = true;
-            let Some(p) = spt.parent(cur) else { break };
-            total += spt.dist(cur) - spt.dist(p);
-            cur = p;
-        }
-    }
-    total
-}
-
-/// Total cost of one *sparse-mode* multicast: the message is tunneled
-/// from the publisher to the rendezvous point (`publisher_to_rp`, a
-/// shortest-path unicast) and flooded down the shared tree rooted at the
-/// RP (`rp_spt`).
-///
-/// Sparse mode is the other router flavor the paper names (§5.2); it
-/// trades per-publisher tree state for the RP detour. An empty receiver
-/// set costs nothing; unreachable receivers contribute `+∞`.
-pub fn sparse_mode_cost(rp_spt: &ShortestPaths, publisher_to_rp: f64, receivers: &[NodeId]) -> f64 {
-    if receivers.is_empty() {
-        return 0.0;
-    }
-    publisher_to_rp + multicast_tree_cost(rp_spt, receivers)
-}
-
-/// Reusable epoch-stamped visited marks for the flat cost walks.
-///
-/// The node-based cost functions allocate (and zero) a fresh
-/// `vec![false; n]` per call — three allocations per published event on
-/// the broker's hot path. `CostScratch` replaces the booleans with `u32`
-/// epoch stamps: a mark is "set" iff it equals the current epoch, so
-/// clearing between calls is a single counter increment and the buffers
-/// are allocated once per broker, not once per event.
+/// A mark is "set" iff it equals the current epoch, so clearing between
+/// calls is a single counter increment instead of a fresh
+/// `vec![false; n]`, and the buffers are allocated once per broker, not
+/// once per event.
 ///
 /// Two mark arrays are kept because [`unicast_and_tree_cost`] needs
 /// independent "already billed" (unicast dedup) and "already in tree"
@@ -123,17 +63,22 @@ impl CostScratch {
 }
 
 /// The unicast and dense-mode tree costs of one receiver set, computed
-/// together by [`unicast_and_tree_cost`] / [`cost_events`].
+/// together by [`unicast_and_tree_cost`] / [`cost_events_into`].
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PairCost {
-    /// `Σ_r dist(source, r)` — see [`unicast_cost`].
+    /// `Σ_r dist(source, r)` — see [`unicast_cost_flat`].
     pub unicast: f64,
-    /// Dense-mode SPT tree cost — see [`multicast_tree_cost`].
+    /// Dense-mode SPT tree cost — see [`multicast_tree_cost_flat`].
     pub tree: f64,
 }
 
-/// [`unicast_cost`] against a precomputed [`SptView`], allocation-free.
-/// Bit-identical to the node-based function for the same tree.
+/// Total cost of unicasting one message to each receiver along its
+/// shortest path in `view`: `Σ_r dist(publisher, r)`.
+///
+/// Receivers equal to the source cost nothing; duplicate receivers are
+/// counted once (a subscriber node receives one copy regardless of how many
+/// of its subscriptions matched). Unreachable receivers contribute `+∞`,
+/// which surfaces configuration errors loudly rather than silently.
 pub fn unicast_cost_flat(
     view: SptView<'_>,
     receivers: &[NodeId],
@@ -154,12 +99,15 @@ pub fn unicast_cost_flat(
     total
 }
 
-/// [`multicast_tree_cost`] against a precomputed [`SptView`],
-/// allocation-free: each receiver's parent chain is walked once, stopping
-/// at the first epoch-stamped node, and every tree edge is paid via the
-/// precomputed `up_cost` row (the same `dist(child) - dist(parent)`
-/// subtraction, done once at table-build time). Bit-identical to the
-/// node-based function for the same tree.
+/// Total cost of one dense-mode multicast to `receivers`: the sum of edge
+/// costs over the union of shortest paths from the publisher to each
+/// receiver in `view` (each shared link paid once). Unreachable receivers
+/// contribute `+∞`.
+///
+/// Each receiver's parent chain is walked once, stopping at the first
+/// epoch-stamped node, and every tree edge is paid via the precomputed
+/// `up_cost` row (the `dist(child) - dist(parent)` subtraction, done once
+/// at table-build time).
 pub fn multicast_tree_cost_flat(
     view: SptView<'_>,
     receivers: &[NodeId],
@@ -188,8 +136,14 @@ pub fn multicast_tree_cost_flat(
     total
 }
 
-/// [`sparse_mode_cost`] against a precomputed rendezvous-point
-/// [`SptView`], allocation-free.
+/// Total cost of one *sparse-mode* multicast: the message is tunneled
+/// from the publisher to the rendezvous point (`publisher_to_rp`, a
+/// shortest-path unicast) and flooded down the shared tree rooted at the
+/// RP (`rp_view`).
+///
+/// Sparse mode is the other router flavor the paper names (§5.2); it
+/// trades per-publisher tree state for the RP detour. An empty receiver
+/// set costs nothing; unreachable receivers contribute `+∞`.
 pub fn sparse_mode_cost_flat(
     rp_view: SptView<'_>,
     publisher_to_rp: f64,
@@ -202,8 +156,8 @@ pub fn sparse_mode_cost_flat(
     publisher_to_rp + multicast_tree_cost_flat(rp_view, receivers, scratch)
 }
 
-/// Computes [`unicast_cost`] and [`multicast_tree_cost`] for one receiver
-/// set in a single pass over the receivers: each receiver's `dist` load
+/// Computes [`unicast_cost_flat`] and [`multicast_tree_cost_flat`] for one
+/// receiver set in a single pass over the receivers: each receiver's `dist` load
 /// is shared between the unicast sum and the reachability check, and no
 /// allocation happens. Both accumulators add terms in exactly the order
 /// the separate functions would, so the results are bit-identical.
@@ -251,18 +205,7 @@ pub fn unicast_and_tree_cost(
 }
 
 /// Batched costing: [`unicast_and_tree_cost`] over many receiver sets
-/// (one per published event) with a single scratch — the broker's
-/// `publish_batch` wires its dense-mode cost stage through this.
-pub fn cost_events<'a, I>(view: SptView<'_>, sets: I, scratch: &mut CostScratch) -> Vec<PairCost>
-where
-    I: IntoIterator<Item = &'a [NodeId]>,
-{
-    let mut out = Vec::new();
-    cost_events_into(view, sets, scratch, &mut out);
-    out
-}
-
-/// [`cost_events`] writing into a caller-owned buffer: appends one
+/// (one per published event) with a single scratch, appending one
 /// [`PairCost`] per receiver set without clearing `out`, so a warm
 /// buffer makes the whole cost stage allocation-free. The fused publish
 /// pipeline's per-worker scratch reuses its pair buffer this way.
@@ -283,7 +226,7 @@ pub fn cost_events_into<'a, I>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dijkstra, FlatNet, Graph, SptTable};
+    use crate::{FlatNet, Graph, SptTable};
 
     /// A star with a shared trunk:
     ///
@@ -299,119 +242,110 @@ mod tests {
         g
     }
 
+    /// Rows rooted at 0 (the publisher) and 1 (a rendezvous point).
+    fn trunk_table() -> SptTable {
+        SptTable::build(
+            &FlatNet::compile(&trunk()),
+            &[NodeId(0), NodeId(1)],
+            Some(1),
+        )
+    }
+
     #[test]
     fn unicast_pays_trunk_per_receiver() {
-        let spt = dijkstra(&trunk(), NodeId(0));
-        let cost = unicast_cost(&spt, &[NodeId(2), NodeId(3)]);
+        let table = trunk_table();
+        let spt = table.view(NodeId(0)).unwrap();
+        let cost = unicast_cost_flat(spt, &[NodeId(2), NodeId(3)], &mut CostScratch::new());
         assert_eq!(cost, (2.0 + 3.0) + (2.0 + 4.0));
     }
 
     #[test]
     fn multicast_pays_trunk_once() {
-        let spt = dijkstra(&trunk(), NodeId(0));
-        let cost = multicast_tree_cost(&spt, &[NodeId(2), NodeId(3)]);
+        let table = trunk_table();
+        let spt = table.view(NodeId(0)).unwrap();
+        let cost = multicast_tree_cost_flat(spt, &[NodeId(2), NodeId(3)], &mut CostScratch::new());
         assert_eq!(cost, 2.0 + 3.0 + 4.0);
     }
 
     #[test]
     fn multicast_never_exceeds_unicast() {
-        let spt = dijkstra(&trunk(), NodeId(0));
+        let table = trunk_table();
+        let spt = table.view(NodeId(0)).unwrap();
+        let mut scratch = CostScratch::new();
         for receivers in [
             vec![NodeId(1)],
             vec![NodeId(2)],
             vec![NodeId(1), NodeId(2), NodeId(3)],
             vec![NodeId(3), NodeId(2)],
         ] {
-            assert!(multicast_tree_cost(&spt, &receivers) <= unicast_cost(&spt, &receivers) + 1e-9);
+            assert!(
+                multicast_tree_cost_flat(spt, &receivers, &mut scratch)
+                    <= unicast_cost_flat(spt, &receivers, &mut scratch) + 1e-9
+            );
         }
     }
 
     #[test]
     fn source_and_duplicates_cost_nothing_extra() {
-        let spt = dijkstra(&trunk(), NodeId(0));
-        assert_eq!(unicast_cost(&spt, &[NodeId(0)]), 0.0);
-        assert_eq!(multicast_tree_cost(&spt, &[NodeId(0)]), 0.0);
-        assert_eq!(
-            unicast_cost(&spt, &[NodeId(2), NodeId(2)]),
-            unicast_cost(&spt, &[NodeId(2)])
-        );
-        assert_eq!(
-            multicast_tree_cost(&spt, &[NodeId(2), NodeId(2)]),
-            multicast_tree_cost(&spt, &[NodeId(2)])
-        );
+        let table = trunk_table();
+        let spt = table.view(NodeId(0)).unwrap();
+        let mut scratch = CostScratch::new();
+        let mut uni = |r: &[NodeId]| unicast_cost_flat(spt, r, &mut scratch);
+        assert_eq!(uni(&[NodeId(0)]), 0.0);
+        assert_eq!(uni(&[NodeId(2), NodeId(2)]), uni(&[NodeId(2)]));
+        let mut tree = |r: &[NodeId]| multicast_tree_cost_flat(spt, r, &mut scratch);
+        assert_eq!(tree(&[NodeId(0)]), 0.0);
+        assert_eq!(tree(&[NodeId(2), NodeId(2)]), tree(&[NodeId(2)]));
     }
 
     #[test]
     fn empty_receiver_set_is_free() {
-        let spt = dijkstra(&trunk(), NodeId(0));
-        assert_eq!(unicast_cost(&spt, &[]), 0.0);
-        assert_eq!(multicast_tree_cost(&spt, &[]), 0.0);
+        let table = trunk_table();
+        let spt = table.view(NodeId(0)).unwrap();
+        let mut scratch = CostScratch::new();
+        assert_eq!(unicast_cost_flat(spt, &[], &mut scratch), 0.0);
+        assert_eq!(multicast_tree_cost_flat(spt, &[], &mut scratch), 0.0);
     }
 
     #[test]
     fn unreachable_receiver_is_infinite() {
         let mut g = Graph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
-        let spt = dijkstra(&g, NodeId(0));
-        assert_eq!(unicast_cost(&spt, &[NodeId(2)]), f64::INFINITY);
-        assert_eq!(multicast_tree_cost(&spt, &[NodeId(2)]), f64::INFINITY);
+        let table = SptTable::build(&FlatNet::compile(&g), &[NodeId(0)], Some(1));
+        let spt = table.view(NodeId(0)).unwrap();
+        let mut scratch = CostScratch::new();
+        assert_eq!(
+            unicast_cost_flat(spt, &[NodeId(2)], &mut scratch),
+            f64::INFINITY
+        );
+        assert_eq!(
+            multicast_tree_cost_flat(spt, &[NodeId(2)], &mut scratch),
+            f64::INFINITY
+        );
     }
 
     #[test]
     fn sparse_mode_adds_the_rendezvous_detour() {
-        let g = trunk();
+        let table = trunk_table();
+        let (pub_spt, rp_spt) = (
+            table.view(NodeId(0)).unwrap(),
+            table.view(NodeId(1)).unwrap(),
+        );
+        let mut scratch = CostScratch::new();
         // RP at node 1: publisher 0 tunnels 0->1 (cost 2), then the shared
         // tree 1->{2,3} costs 3+4.
-        let rp_spt = dijkstra(&g, NodeId(1));
-        let pub_spt = dijkstra(&g, NodeId(0));
         let to_rp = pub_spt.dist(NodeId(1));
-        let cost = sparse_mode_cost(&rp_spt, to_rp, &[NodeId(2), NodeId(3)]);
+        let receivers = [NodeId(2), NodeId(3)];
+        let cost = sparse_mode_cost_flat(rp_spt, to_rp, &receivers, &mut scratch);
         assert_eq!(cost, 2.0 + 3.0 + 4.0);
         // With RP = publisher, sparse mode equals dense mode.
-        let same = sparse_mode_cost(&pub_spt, 0.0, &[NodeId(2), NodeId(3)]);
-        assert_eq!(same, multicast_tree_cost(&pub_spt, &[NodeId(2), NodeId(3)]));
+        let same = sparse_mode_cost_flat(pub_spt, 0.0, &receivers, &mut scratch);
+        assert_eq!(
+            same,
+            multicast_tree_cost_flat(pub_spt, &receivers, &mut scratch)
+        );
         // Empty receivers are free even with a positive tunnel cost.
-        assert_eq!(sparse_mode_cost(&rp_spt, to_rp, &[]), 0.0);
-    }
-
-    #[test]
-    fn flat_costs_equal_node_based_costs() {
-        let g = trunk();
-        let spt = dijkstra(&g, NodeId(0));
-        let net = FlatNet::compile(&g);
-        let table = SptTable::build(&net, &[NodeId(0), NodeId(1)], Some(1));
-        let view = table.view(NodeId(0)).unwrap();
-        let mut scratch = CostScratch::new();
-        for receivers in [
-            vec![],
-            vec![NodeId(0)],
-            vec![NodeId(2)],
-            vec![NodeId(2), NodeId(2), NodeId(3)],
-            vec![NodeId(1), NodeId(2), NodeId(3), NodeId(0)],
-        ] {
-            let uni = unicast_cost(&spt, &receivers);
-            let tree = multicast_tree_cost(&spt, &receivers);
-            assert_eq!(unicast_cost_flat(view, &receivers, &mut scratch), uni);
-            assert_eq!(
-                multicast_tree_cost_flat(view, &receivers, &mut scratch),
-                tree
-            );
-            let pair = unicast_and_tree_cost(view, &receivers, &mut scratch);
-            assert_eq!(pair, PairCost { unicast: uni, tree });
-        }
-        // Sparse mode through the RP view.
-        let rp_spt = dijkstra(&g, NodeId(1));
-        let rp_view = table.view(NodeId(1)).unwrap();
-        let to_rp = spt.dist(NodeId(1));
-        let receivers = [NodeId(2), NodeId(3)];
-        assert_eq!(
-            sparse_mode_cost_flat(rp_view, to_rp, &receivers, &mut scratch),
-            sparse_mode_cost(&rp_spt, to_rp, &receivers)
-        );
-        assert_eq!(
-            sparse_mode_cost_flat(rp_view, to_rp, &[], &mut scratch),
-            0.0
-        );
+        assert_eq!(sparse_mode_cost_flat(rp_spt, to_rp, &[], &mut scratch), 0.0);
     }
 
     #[test]
@@ -438,9 +372,7 @@ mod tests {
 
     #[test]
     fn cost_events_batches_with_one_scratch() {
-        let g = trunk();
-        let net = FlatNet::compile(&g);
-        let table = SptTable::build(&net, &[NodeId(0)], Some(1));
+        let table = trunk_table();
         let view = table.view(NodeId(0)).unwrap();
         let sets: Vec<Vec<NodeId>> = vec![
             vec![NodeId(2), NodeId(3)],
@@ -449,26 +381,34 @@ mod tests {
             vec![NodeId(3), NodeId(3), NodeId(2)],
         ];
         let mut scratch = CostScratch::new();
-        let batched = cost_events(view, sets.iter().map(Vec::as_slice), &mut scratch);
-        assert_eq!(batched.len(), sets.len());
-        let spt = dijkstra(&g, NodeId(0));
-        for (set, pair) in sets.iter().zip(&batched) {
-            assert_eq!(pair.unicast, unicast_cost(&spt, set));
-            assert_eq!(pair.tree, multicast_tree_cost(&spt, set));
+        let mut batched = vec![PairCost {
+            unicast: -1.0,
+            tree: -1.0,
+        }];
+        cost_events_into(
+            view,
+            sets.iter().map(Vec::as_slice),
+            &mut scratch,
+            &mut batched,
+        );
+        // Appends after what the buffer already held.
+        assert_eq!(batched.len(), 1 + sets.len());
+        for (set, pair) in sets.iter().zip(&batched[1..]) {
+            let mut fresh = CostScratch::new();
+            assert_eq!(pair.unicast, unicast_cost_flat(view, set, &mut fresh));
+            assert_eq!(pair.tree, multicast_tree_cost_flat(view, set, &mut fresh));
         }
     }
 
     #[test]
     fn cost_scratch_survives_epoch_wraparound_and_resize() {
-        let g = trunk();
-        let net = FlatNet::compile(&g);
-        let table = SptTable::build(&net, &[NodeId(0)], Some(1));
+        let table = trunk_table();
         let view = table.view(NodeId(0)).unwrap();
         let mut scratch = CostScratch {
             epoch: u32::MAX - 2,
             ..CostScratch::new()
         };
-        let expected = multicast_tree_cost(&dijkstra(&g, NodeId(0)), &[NodeId(2), NodeId(3)]);
+        let expected = 2.0 + 3.0 + 4.0;
         for _ in 0..6 {
             assert_eq!(
                 multicast_tree_cost_flat(view, &[NodeId(2), NodeId(3)], &mut scratch),
@@ -494,9 +434,11 @@ mod tests {
     #[test]
     fn multicast_subset_monotonicity() {
         // Adding receivers can only grow the tree.
-        let spt = dijkstra(&trunk(), NodeId(0));
-        let small = multicast_tree_cost(&spt, &[NodeId(2)]);
-        let big = multicast_tree_cost(&spt, &[NodeId(2), NodeId(3)]);
+        let table = trunk_table();
+        let spt = table.view(NodeId(0)).unwrap();
+        let mut scratch = CostScratch::new();
+        let small = multicast_tree_cost_flat(spt, &[NodeId(2)], &mut scratch);
+        let big = multicast_tree_cost_flat(spt, &[NodeId(2), NodeId(3)], &mut scratch);
         assert!(big >= small);
     }
 }

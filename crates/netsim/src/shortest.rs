@@ -1,172 +1,27 @@
-//! Single-source shortest paths (Dijkstra) and the all-pairs distance
-//! table.
+//! The all-pairs distance table over a compiled [`FlatNet`].
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::{DijkstraScratch, FlatNet, NodeId, NO_PARENT};
 
-use crate::{DijkstraScratch, FlatNet, Graph, NodeId};
-
-/// The result of a single-source shortest-path computation: distances and
-/// the shortest-path tree (SPT) rooted at the source.
+/// All-pairs shortest distances: row `s` holds `dist(s, t)` for every
+/// node `t` (`+∞` where unreachable).
 ///
-/// In the paper's *dense-mode* multicast model, "the routing tree is a
-/// shortest path tree rooted at the publisher" — this structure *is* that
-/// routing tree.
-#[derive(Clone, Debug)]
-pub struct ShortestPaths {
-    source: NodeId,
-    dist: Vec<f64>,
-    parent: Vec<Option<NodeId>>,
-}
-
-impl ShortestPaths {
-    /// Assembles a result from precomputed rows (the [`FlatNet`] engine
-    /// produces bit-identical rows on flat arrays).
-    pub(crate) fn from_raw(source: NodeId, dist: Vec<f64>, parent: Vec<Option<NodeId>>) -> Self {
-        ShortestPaths {
-            source,
-            dist,
-            parent,
-        }
-    }
-
-    /// The source node of the computation.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// Distance from the source to `node` (`+∞` if unreachable).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn dist(&self, node: NodeId) -> f64 {
-        self.dist[node.0 as usize]
-    }
-
-    /// The parent of `node` in the SPT (`None` for the source and for
-    /// unreachable nodes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.parent[node.0 as usize]
-    }
-
-    /// `true` if `node` is reachable from the source.
-    pub fn reachable(&self, node: NodeId) -> bool {
-        self.dist[node.0 as usize].is_finite()
-    }
-
-    /// The path from the source to `node` (inclusive on both ends), or
-    /// `None` if unreachable.
-    pub fn path_to(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        if !self.reachable(node) {
-            return None;
-        }
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some(p) = self.parent[cur.0 as usize] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    /// Number of nodes covered by the computation.
-    pub fn node_count(&self) -> usize {
-        self.dist.len()
-    }
-}
-
-#[derive(PartialEq)]
-struct HeapItem {
-    dist: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance via reversed comparison; distances are
-        // finite and non-NaN by construction.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.0.cmp(&self.node.0))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Computes single-source shortest paths with Dijkstra's algorithm.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range for the graph.
-pub fn dijkstra(graph: &Graph, source: NodeId) -> ShortestPaths {
-    let n = graph.node_count();
-    assert!((source.0 as usize) < n, "source out of range");
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[source.0 as usize] = 0.0;
-    heap.push(HeapItem {
-        dist: 0.0,
-        node: source,
-    });
-    while let Some(HeapItem { dist: d, node }) = heap.pop() {
-        let ni = node.0 as usize;
-        if done[ni] {
-            continue;
-        }
-        done[ni] = true;
-        for (nbr, cost) in graph.neighbors(node) {
-            let nd = d + cost;
-            if nd < dist[nbr.0 as usize] {
-                dist[nbr.0 as usize] = nd;
-                parent[nbr.0 as usize] = Some(node);
-                heap.push(HeapItem {
-                    dist: nd,
-                    node: nbr,
-                });
-            }
-        }
-    }
-    ShortestPaths {
-        source,
-        dist,
-        parent,
-    }
-}
-
-/// All-pairs shortest distances: one row per source node.
-///
-/// Implemented as repeated Dijkstra over the compiled [`FlatNet`] —
-/// `O(V·E log V)`, versus the `O(V^3)` Floyd–Warshall this replaced —
-/// with the rows computed in parallel on the `pubsub-parallel` scoped
-/// pool (`threads = None` means available parallelism). Distances are
-/// bit-identical to per-source [`dijkstra`] calls; a Floyd–Warshall
-/// parity test keeps the algorithms honest on random Waxman graphs.
-pub fn all_pairs_dists(graph: &Graph, threads: Option<usize>) -> Vec<Vec<f64>> {
-    let net = FlatNet::compile(graph);
-    let sources: Vec<NodeId> = graph.node_ids().collect();
+/// One [`FlatNet::sssp_into`] per source — `O(V·E log V)` — with the rows
+/// computed in parallel on the `pubsub-parallel` scoped pool
+/// (`threads = None` means available parallelism). Each row is the one a
+/// single-source run produces, bit for bit, for any thread count.
+/// Application-level multicast prices its overlay over this table (see
+/// [`crate::alm_tree_cost`]).
+pub fn all_pairs_dists(net: &FlatNet, threads: Option<usize>) -> Vec<Vec<f64>> {
+    let n = net.node_count();
+    let sources: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
     pubsub_parallel::map_with_scratch(
         &sources,
         pubsub_parallel::effective_threads(threads),
         DijkstraScratch::new,
         |&source, scratch| {
-            let mut dist = vec![f64::INFINITY; net.node_count()];
-            let mut parent = vec![crate::NO_PARENT; net.node_count()];
-            let mut up_cost = vec![0.0; net.node_count()];
+            let mut dist = vec![f64::INFINITY; n];
+            let mut parent = vec![NO_PARENT; n];
+            let mut up_cost = vec![0.0; n];
             net.sssp_into(source, scratch, &mut dist, &mut parent, &mut up_cost);
             dist
         },
@@ -176,6 +31,7 @@ pub fn all_pairs_dists(graph: &Graph, threads: Option<usize>) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Graph, SptTable};
 
     /// A small weighted graph with a known structure:
     ///
@@ -192,17 +48,20 @@ mod tests {
         g
     }
 
+    fn spt(g: &Graph, source: NodeId) -> SptTable {
+        SptTable::build(&FlatNet::compile(g), &[source], Some(1))
+    }
+
     #[test]
     fn dijkstra_prefers_cheap_two_hop_path() {
-        let sp = dijkstra(&triangle(), NodeId(0));
+        let table = spt(&triangle(), NodeId(0));
+        let sp = table.view(NodeId(0)).unwrap();
         assert_eq!(sp.dist(NodeId(0)), 0.0);
         assert_eq!(sp.dist(NodeId(1)), 1.0);
         assert_eq!(sp.dist(NodeId(2)), 2.0);
         assert_eq!(sp.parent(NodeId(2)), Some(NodeId(1)));
-        assert_eq!(
-            sp.path_to(NodeId(2)).unwrap(),
-            vec![NodeId(0), NodeId(1), NodeId(2)]
-        );
+        assert_eq!(sp.parent(NodeId(1)), Some(NodeId(0)));
+        assert_eq!(sp.parent(NodeId(0)), None);
         assert_eq!(sp.source(), NodeId(0));
         assert_eq!(sp.node_count(), 3);
     }
@@ -211,10 +70,15 @@ mod tests {
     fn unreachable_nodes() {
         let mut g = Graph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
-        let sp = dijkstra(&g, NodeId(0));
+        let table = spt(&g, NodeId(0));
+        let sp = table.view(NodeId(0)).unwrap();
         assert!(!sp.reachable(NodeId(2)));
-        assert_eq!(sp.path_to(NodeId(2)), None);
+        assert_eq!(sp.parent(NodeId(2)), None);
         assert_eq!(sp.dist(NodeId(2)), f64::INFINITY);
+        assert_eq!(
+            all_pairs_dists(&FlatNet::compile(&g), Some(1))[2][0],
+            f64::INFINITY
+        );
     }
 
     #[test]
@@ -222,40 +86,8 @@ mod tests {
         let mut g = Graph::new(2);
         g.add_edge(NodeId(0), NodeId(1), 5.0).unwrap();
         g.add_edge(NodeId(0), NodeId(1), 2.0).unwrap();
-        let sp = dijkstra(&g, NodeId(0));
-        assert_eq!(sp.dist(NodeId(1)), 2.0);
-    }
-
-    /// The `O(V^3)` Floyd–Warshall this module used to ship, retained as
-    /// the parity oracle for [`all_pairs_dists`].
-    fn floyd_warshall_oracle(graph: &Graph) -> Vec<Vec<f64>> {
-        let n = graph.node_count();
-        let mut d = vec![vec![f64::INFINITY; n]; n];
-        for (i, row) in d.iter_mut().enumerate() {
-            row[i] = 0.0;
-        }
-        for id in 0..graph.edge_count() {
-            let (a, b, c) = graph.edge(crate::EdgeId(id as u32));
-            let (ai, bi) = (a.0 as usize, b.0 as usize);
-            if c < d[ai][bi] {
-                d[ai][bi] = c;
-                d[bi][ai] = c;
-            }
-        }
-        for k in 0..n {
-            for i in 0..n {
-                if d[i][k].is_infinite() {
-                    continue;
-                }
-                for j in 0..n {
-                    let via = d[i][k] + d[k][j];
-                    if via < d[i][j] {
-                        d[i][j] = via;
-                    }
-                }
-            }
-        }
-        d
+        let table = spt(&g, NodeId(0));
+        assert_eq!(table.view(NodeId(0)).unwrap().dist(NodeId(1)), 2.0);
     }
 
     #[test]
@@ -283,37 +115,19 @@ mod tests {
                     .unwrap();
             }
         }
-        let apsp = all_pairs_dists(&g, Some(2));
-        for (s, row) in apsp.iter().enumerate().take(n) {
-            let sp = dijkstra(&g, NodeId(s as u32));
-            for (t, &d) in row.iter().enumerate().take(n) {
-                // Bit-identical to per-source Dijkstra by construction.
-                assert_eq!(sp.dist(NodeId(t as u32)), d, "s={s} t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn all_pairs_matches_floyd_warshall_on_waxman_graphs() {
-        for seed in [3u64, 17, 42] {
-            let topo = crate::WaxmanConfig {
-                nodes: 30,
-                alpha: 0.4,
-                beta: 0.4,
-                cost_scale: 10.0,
-            }
-            .generate(seed)
-            .unwrap();
-            let g = topo.graph();
-            let fast = all_pairs_dists(g, None);
-            let oracle = floyd_warshall_oracle(g);
-            for s in 0..g.node_count() {
-                for t in 0..g.node_count() {
-                    assert!(
-                        (fast[s][t] - oracle[s][t]).abs() < 1e-9,
-                        "seed={seed} s={s} t={t}: {} vs {}",
-                        fast[s][t],
-                        oracle[s][t]
+        let net = FlatNet::compile(&g);
+        let sources: Vec<NodeId> = g.node_ids().collect();
+        let table = SptTable::build(&net, &sources, Some(1));
+        for threads in [Some(1), Some(2), None] {
+            let apsp = all_pairs_dists(&net, threads);
+            for (s, row) in apsp.iter().enumerate().take(n) {
+                let sp = table.view(NodeId(s as u32)).unwrap();
+                for (t, &d) in row.iter().enumerate().take(n) {
+                    // Bit-identical to the single-source rows.
+                    assert_eq!(
+                        sp.dist(NodeId(t as u32)).to_bits(),
+                        d.to_bits(),
+                        "s={s} t={t}"
                     );
                 }
             }
@@ -323,7 +137,8 @@ mod tests {
     #[test]
     fn spt_distances_are_consistent_with_parents() {
         let g = triangle();
-        let sp = dijkstra(&g, NodeId(0));
+        let table = spt(&g, NodeId(0));
+        let sp = table.view(NodeId(0)).unwrap();
         for t in 1..3u32 {
             if let Some(p) = sp.parent(NodeId(t)) {
                 // dist(child) = dist(parent) + cost(parent, child)
@@ -333,6 +148,7 @@ mod tests {
                     .map(|(_, c)| c)
                     .fold(f64::INFINITY, f64::min);
                 assert!((sp.dist(NodeId(t)) - sp.dist(p) - edge_cost).abs() < 1e-9);
+                assert_eq!(sp.up_cost(NodeId(t)), sp.dist(NodeId(t)) - sp.dist(p));
             }
         }
     }

@@ -142,7 +142,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dijkstra, multicast_tree_cost, unicast_cost};
+    use crate::{multicast_tree_cost_flat, unicast_cost_flat, CostScratch, FlatNet, SptTable};
 
     #[test]
     fn generates_connected_deterministic_topologies() {
@@ -204,9 +204,14 @@ mod tests {
     #[test]
     fn multicast_still_beats_unicast_on_flat_graphs() {
         let topo = WaxmanConfig::riabov_sized().generate(11).unwrap();
-        let spt = dijkstra(topo.graph(), NodeId(0));
+        let table = SptTable::build(&FlatNet::compile(topo.graph()), &[NodeId(0)], Some(1));
+        let spt = table.view(NodeId(0)).unwrap();
         let receivers: Vec<NodeId> = (1..60).map(NodeId).collect();
-        assert!(multicast_tree_cost(&spt, &receivers) <= unicast_cost(&spt, &receivers));
+        let mut scratch = CostScratch::new();
+        assert!(
+            multicast_tree_cost_flat(spt, &receivers, &mut scratch)
+                <= unicast_cost_flat(spt, &receivers, &mut scratch)
+        );
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! never changes who is interested, and under faults still delivers
 //! exactly the reachable interested set.
 
-use std::collections::HashSet;
+#[path = "common/reach.rs"]
+mod reach;
 
 use pubsub::clustering::ClusteringAlgorithm;
 use pubsub::core::{Broker, DeliveryMode, DistributionPolicy, PublishOutcome};
 use pubsub::geom::Point;
-use pubsub::netsim::{FaultEvent, FaultPlan, FaultPlanConfig, NodeId, Topology};
+use pubsub::netsim::{FaultPlan, FaultPlanConfig, NodeId};
 use pubsub::workload::{Modes, PublicationModel};
 use pubsub_bench::{
     build_broker, build_testbed, drive, sample_events, scenario, threshold_sweep, Seeds, Testbed,
@@ -100,29 +101,6 @@ fn cost_exact_matches_or_beats_the_best_threshold_on_every_fig6_configuration() 
     }
 }
 
-/// Nodes reachable from `source` once every plan event due by `step`
-/// has fired, by BFS over the pristine graph minus the cut links.
-fn reachable(topo: &Topology, plan: &FaultPlan, step: u64, source: NodeId) -> HashSet<NodeId> {
-    let mut cut = HashSet::new();
-    for scheduled in plan.events().iter().take_while(|s| s.at <= step) {
-        match scheduled.event {
-            FaultEvent::LinkCut { a, b } => cut.insert((a.min(b), a.max(b))),
-            FaultEvent::LinkRestore { a, b } => cut.remove(&(a.min(b), a.max(b))),
-            other => panic!("link-only plan, got {other:?}"),
-        };
-    }
-    let mut seen = HashSet::from([source]);
-    let mut stack = vec![source];
-    while let Some(n) = stack.pop() {
-        for (m, _) in topo.graph().neighbors(n) {
-            if !cut.contains(&(n.min(m), n.max(m))) && seen.insert(m) {
-                stack.push(m);
-            }
-        }
-    }
-    seen
-}
-
 #[test]
 fn cost_exact_delivers_exactly_the_reachable_interested_set_under_faults() {
     let testbed = build_testbed(Seeds::default());
@@ -148,7 +126,8 @@ fn cost_exact_delivers_exactly_the_reachable_interested_set_under_faults() {
         let (_, matched) = exact.match_only(event).unwrap();
         let e = exact.publish(event).unwrap();
         let f = fixed.publish(event).unwrap();
-        let reach = reachable(&testbed.topology, &plan, step as u64, publisher);
+        let due = plan.events().iter().take_while(|s| s.at <= step as u64);
+        let reach = reach::reachable(testbed.topology.graph(), due.map(|s| &s.event), publisher);
         let want: Vec<NodeId> = matched
             .iter()
             .copied()

@@ -6,7 +6,8 @@
 //! every other matched subscriber is in `unreachable`, and no cost is
 //! ever infinite.
 
-use std::collections::HashSet;
+#[path = "common/reach.rs"]
+mod reach;
 
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
@@ -101,56 +102,6 @@ fn resolve_fault(spec: &FaultSpec, nodes: usize) -> (u64, FaultEvent) {
     (at as u64, event)
 }
 
-/// The from-scratch oracle: cut pairs and down nodes accumulated by
-/// replaying the plan, with reachability recomputed by BFS over the
-/// pristine graph minus the faulted parts on every query.
-#[derive(Default)]
-struct Oracle {
-    cut: HashSet<(u32, u32)>,
-    down: HashSet<u32>,
-}
-
-impl Oracle {
-    fn apply(&mut self, event: &FaultEvent) {
-        match *event {
-            FaultEvent::LinkCut { a, b } => {
-                self.cut.insert((a.0.min(b.0), a.0.max(b.0)));
-            }
-            FaultEvent::LinkRestore { a, b } => {
-                self.cut.remove(&(a.0.min(b.0), a.0.max(b.0)));
-            }
-            // Degradations change costs, never connectivity.
-            FaultEvent::LinkDegrade { .. } => {}
-            FaultEvent::NodeDown { node } => {
-                self.down.insert(node.0);
-            }
-            FaultEvent::NodeUp { node } => {
-                self.down.remove(&node.0);
-            }
-        }
-    }
-
-    fn reachable_from(&self, topo: &Topology, source: NodeId) -> HashSet<u32> {
-        let mut seen = HashSet::new();
-        if self.down.contains(&source.0) {
-            return seen;
-        }
-        let mut stack = vec![source];
-        seen.insert(source.0);
-        while let Some(n) = stack.pop() {
-            for (m, _) in topo.graph().neighbors(n) {
-                let key = (n.0.min(m.0), n.0.max(m.0));
-                if self.down.contains(&m.0) || self.cut.contains(&key) || seen.contains(&m.0) {
-                    continue;
-                }
-                seen.insert(m.0);
-                stack.push(m);
-            }
-        }
-        seen
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -173,7 +124,6 @@ proptest! {
         schedule.sort_by_key(|&(at, _)| at);
         broker.install_fault_plan(plan).unwrap();
 
-        let mut oracle = Oracle::default();
         let mut fired = 0usize;
         let mut live_handles = Vec::new();
 
@@ -200,10 +150,13 @@ proptest! {
             // Mirror the broker's fault clock: events due at `step` fire
             // before the publication.
             while fired < schedule.len() && schedule[fired].0 <= step as u64 {
-                oracle.apply(&schedule[fired].1);
                 fired += 1;
             }
-            let reachable = oracle.reachable_from(&topo, publisher);
+            // The from-scratch oracle: BFS over the pristine graph minus
+            // every fault fired so far. A down publisher reaches nothing,
+            // not even itself.
+            let fired_events = schedule[..fired].iter().map(|(_, event)| event);
+            let reachable = reach::reachable(topo.graph(), fired_events, publisher);
 
             let event = Point::new(vec![x, y]).unwrap();
             let (_, matched) = broker.match_only(&event).unwrap();
@@ -211,12 +164,12 @@ proptest! {
                 Err(BrokerError::Net(NetError::Unreachable { node })) => {
                     // Only a downed publisher aborts a publish.
                     prop_assert_eq!(node, publisher.0);
-                    prop_assert!(oracle.down.contains(&publisher.0));
+                    prop_assert!(!reachable.contains(&publisher));
                     continue;
                 }
                 Err(e) => return Err(format!("unexpected error: {e}")),
                 Ok(out) => {
-                    prop_assert!(!oracle.down.contains(&publisher.0));
+                    prop_assert!(reachable.contains(&publisher));
                     // Partition: interested ∪ unreachable == matched,
                     // split exactly by oracle reachability.
                     let mut got: Vec<NodeId> =
@@ -227,13 +180,13 @@ proptest! {
                     prop_assert_eq!(&got, &want);
                     for n in &out.interested {
                         prop_assert!(
-                            reachable.contains(&n.0),
+                            reachable.contains(n),
                             "delivered to oracle-unreachable node {}", n.0
                         );
                     }
                     for n in &out.unreachable {
                         prop_assert!(
-                            !reachable.contains(&n.0),
+                            !reachable.contains(n),
                             "skipped oracle-reachable node {}", n.0
                         );
                     }

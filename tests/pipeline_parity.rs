@@ -7,8 +7,12 @@
 //! non-empty overlay and tombstones. Since `publish` is itself a
 //! one-event batch, correctness rests on an independent reference:
 //! `outcomes_equal_an_independent_oracle` recomputes every outcome from
-//! the registry, the policy and node-based SPT walks. Also exercises
-//! pool sharing (two brokers, one pool) and clean shutdown on drop.
+//! the registry, the policy and the node-based walks of
+//! `common/walks.rs`. Also exercises pool sharing (two brokers, one pool)
+//! and clean shutdown on drop.
+
+#[path = "common/walks.rs"]
+mod walks;
 
 use std::sync::Arc;
 
@@ -16,10 +20,9 @@ use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
 use pubsub::core::{Broker, CostReport, Decision, DeliveryMode, PublishOutcome};
 use pubsub::geom::{Point, Rect, Space};
-use pubsub::netsim::{
-    dijkstra, multicast_tree_cost, sparse_mode_cost, unicast_cost, NodeId, TransitStubConfig,
-};
+use pubsub::netsim::{NodeId, TransitStubConfig};
 use pubsub::parallel::WorkerPool;
+use walks::{alm_tree_cost, dijkstra, multicast_tree_cost, sparse_mode_cost, unicast_cost};
 
 /// (node pick, (x origin, width), (y origin, height)).
 type SubSpec = (usize, (f64, f64), (f64, f64));
@@ -175,7 +178,6 @@ fn assert_outcomes_match_oracle(broker: &Broker, events: &[Point], outcomes: &[P
         }
         _ => None,
     };
-    let dense = broker.delivery_mode() == DeliveryMode::DenseMode;
     for (event, out) in events.iter().zip(outcomes) {
         let mut want: Vec<NodeId> = broker
             .registry()
@@ -201,25 +203,22 @@ fn assert_outcomes_match_oracle(broker: &Broker, events: &[Point], outcomes: &[P
 
         let unicast = unicast_cost(&spt, &want);
         assert_eq!(out.costs.unicast.to_bits(), unicast.to_bits());
-        // Application-level multicast has no node-walk oracle; its
-        // interested set, decision and unicast cost are still checked.
-        let send = |receivers: &[NodeId]| match &rendezvous {
-            Some((rp_spt, pub_to_rp)) => Some(sparse_mode_cost(rp_spt, *pub_to_rp, receivers)),
-            None if dense => Some(multicast_tree_cost(&spt, receivers)),
-            None => None,
+        let send = |receivers: &[NodeId]| match (broker.delivery_mode(), &rendezvous) {
+            (_, Some((rp_spt, pub_to_rp))) => sparse_mode_cost(rp_spt, *pub_to_rp, receivers),
+            (DeliveryMode::ApplicationLevel, None) => {
+                alm_tree_cost(graph, broker.publisher(), receivers)
+            }
+            (_, None) => multicast_tree_cost(&spt, receivers),
         };
-        if let Some(ideal) = send(&want) {
-            assert_eq!(out.costs.ideal.to_bits(), ideal.to_bits());
-        }
+        assert_eq!(out.costs.ideal.to_bits(), send(&want).to_bits());
         match out.decision {
             Decision::Drop => assert_eq!(out.costs.scheme.to_bits(), 0f64.to_bits()),
             Decision::Unicast { .. } => {
                 assert_eq!(out.costs.scheme.to_bits(), unicast.to_bits());
             }
             Decision::Multicast { group } => {
-                if let Some(scheme) = send(broker.groups().members(group)) {
-                    assert_eq!(out.costs.scheme.to_bits(), scheme.to_bits());
-                }
+                let scheme = send(broker.groups().members(group));
+                assert_eq!(out.costs.scheme.to_bits(), scheme.to_bits());
             }
             Decision::PartialMulticast { .. } => panic!("no fault plan is installed"),
         }
@@ -372,4 +371,54 @@ fn pool_shutdown_joins_cleanly_after_broker_drop() {
     drop(broker);
     assert_eq!(Arc::strong_count(&pool), 1);
     drop(pool); // joins the workers; must not hang or panic
+}
+
+/// Acceptance gate for the compiled engine: every cost the broker
+/// reports equals the node-based SPT walk bit for bit (the dense
+/// two-camp broker: eight stub subscribers split between the halves of
+/// the space, two Forgy groups, t = 0.15).
+#[test]
+fn flat_costs_are_byte_identical_to_node_based_walks() {
+    let topo = TransitStubConfig::tiny().generate(5).unwrap();
+    let nodes = topo.stub_nodes().to_vec();
+    assert!(nodes.len() >= 8);
+    let halves = [
+        Rect::from_corners(&[0.0, 0.0], &[5.0, 10.0]).unwrap(),
+        Rect::from_corners(&[5.0, 0.0], &[10.0, 10.0]).unwrap(),
+    ];
+    let mut broker = Broker::builder(topo, space_2d())
+        .threshold(0.15)
+        .delivery_mode(DeliveryMode::DenseMode)
+        .clustering(ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 2))
+        .grid_cells(4)
+        .subscriptions(
+            nodes
+                .iter()
+                .take(8)
+                .enumerate()
+                .map(|(i, &n)| (n, halves[i % 2].clone())),
+        )
+        .build()
+        .unwrap();
+    let spt = dijkstra(broker.topology().graph(), broker.publisher());
+    let events: Vec<Point> = (0..60)
+        .map(|i| Point::new(vec![f64::from(i % 10) + 0.5, f64::from(i % 7) + 0.5]).unwrap())
+        .collect();
+    let outcomes = broker.publish_batch(&events, None).unwrap();
+    for out in &outcomes {
+        assert_eq!(
+            out.costs.unicast.to_bits(),
+            unicast_cost(&spt, &out.interested).to_bits()
+        );
+        assert_eq!(
+            out.costs.ideal.to_bits(),
+            multicast_tree_cost(&spt, &out.interested).to_bits()
+        );
+        if let Decision::Multicast { group } = out.decision {
+            assert_eq!(
+                out.costs.scheme.to_bits(),
+                multicast_tree_cost(&spt, broker.groups().members(group)).to_bits()
+            );
+        }
+    }
 }

@@ -5,7 +5,7 @@
 use pubsub::clustering::{cluster, ClusteringAlgorithm, ClusteringConfig, GridModel};
 use pubsub::core::CostReport;
 use pubsub::geom::{Grid, Interval, Point, Rect, Space};
-use pubsub::netsim::TransitStubConfig;
+use pubsub::netsim::{FlatNet, SptTable, TransitStubConfig};
 use pubsub::prelude::*;
 use pubsub::workload::{IntervalDistribution, Modes, SubscriptionConfig};
 
@@ -63,8 +63,11 @@ fn topology_roundtrips_with_behaviour() {
     assert_eq!(back.stats(), topo.stats());
     assert_eq!(back.graph().total_cost(), topo.graph().total_cost());
     // Shortest paths agree.
-    let a = pubsub::netsim::dijkstra(topo.graph(), NodeId(0));
-    let b = pubsub::netsim::dijkstra(back.graph(), NodeId(0));
+    let spt = |t: &pubsub::netsim::Topology| {
+        SptTable::build(&FlatNet::compile(t.graph()), &[NodeId(0)], Some(1))
+    };
+    let (a, b) = (spt(&topo), spt(&back));
+    let (a, b) = (a.view(NodeId(0)).unwrap(), b.view(NodeId(0)).unwrap());
     for n in topo.graph().node_ids() {
         assert_eq!(a.dist(n), b.dist(n));
     }
