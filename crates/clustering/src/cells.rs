@@ -1,13 +1,21 @@
 //! The grid model: per-cell subscriber membership and publication mass
 //! (Appendix A, step 0).
 
-use pubsub_geom::{CellId, CellWalkBuf, Grid, Point, Rect};
+use pubsub_geom::{CellId, CellWalkBuf, Grid, Interval, Point, Rect};
 
 use crate::{ClusterError, SubscriberSet};
 
 /// The precomputed grid statistics the clustering algorithms work on:
 /// for every cell `g`, the membership list `l(g)` (subscribers whose
 /// rectangle intersects the cell) and the publication mass `p_p(g)`.
+///
+/// The model records only *which* subscribers touch each cell, so a
+/// rectangle shared by many subscriptions adds nothing after its first
+/// walk. [`GridModel::build_grouped`] therefore takes items of (subscriber
+/// set, rectangle) and walks each item's cells once, whatever the size of
+/// its set; [`GridModel::build`] is the same accumulation with one
+/// subscriber per item. Both yield the same model for the same
+/// (subscriber, cell) incidences, however they are grouped.
 #[derive(Debug, Clone)]
 pub struct GridModel {
     grid: Grid,
@@ -43,65 +51,100 @@ impl GridModel {
     where
         F: Fn(&Rect) -> f64,
     {
-        Self::build_iter(
+        Self::build_grouped(
             grid,
             subscriber_count,
-            subscriptions.iter().map(|(s, r)| (*s, r)),
+            subscriptions
+                .iter()
+                .map(|(s, r)| (std::iter::once(*s), r.sides().iter().copied())),
             density,
         )
     }
 
-    /// [`GridModel::build`] over a streaming subscription source, so the
-    /// caller never has to materialize an O(N) rectangle array.
+    /// [`GridModel::build`] over items that each name a set of
+    /// subscribers sharing one rectangle, given by its sides — e.g. the
+    /// groups of identical rectangles a covering pass interned, so the
+    /// caller never materializes a rectangle per subscription.
     ///
     /// Membership accumulates in one flat word array, word-major: word
     /// `w` of every cell's set is contiguous (`planes[w·cells + cell]`).
-    /// Each rectangle is walked with [`Grid::cell_runs`] — clamped to the
-    /// grid bounds there, no intermediate rectangle or cell list — and a
-    /// run of consecutive cells becomes one contiguous `|=` of the
-    /// subscriber's bit. The words are cut into per-cell
-    /// [`SubscriberSet`]s once at the end. Sets are order-free, so the
-    /// model depends only on which `(subscriber, cell)` pairs the walk
-    /// yields, not on how they are accumulated.
+    /// An item's subscribers are first set in one reused set-sized word
+    /// buffer; its rectangle is then walked once with [`Grid::cell_runs`]
+    /// — clamped to the grid bounds there, so a rectangle and its
+    /// clamped form give the same cells — and each run of consecutive
+    /// cells becomes one contiguous `|=` per non-zero buffer word. The
+    /// words are cut into per-cell [`SubscriberSet`]s once at the end.
+    /// OR is commutative and idempotent, so the model depends only on
+    /// which `(subscriber, cell)` pairs the items cover, not on how they
+    /// are grouped or ordered. Nothing is allocated per item.
     ///
     /// # Errors
     ///
-    /// As [`GridModel::build`].
-    pub fn build_iter<I, R, F>(
+    /// As [`GridModel::build`]; an item with a number of sides other than
+    /// the grid's dimensionality is a
+    /// [`ClusterError::DimensionMismatch`].
+    pub fn build_grouped<I, S, R, F>(
         grid: Grid,
         subscriber_count: usize,
-        subscriptions: I,
+        items: I,
         density: F,
     ) -> Result<Self, ClusterError>
     where
-        I: IntoIterator<Item = (usize, R)>,
-        R: std::borrow::Borrow<Rect>,
+        I: IntoIterator<Item = (S, R)>,
+        S: IntoIterator<Item = usize>,
+        R: IntoIterator<Item = Interval>,
         F: Fn(&Rect) -> f64,
     {
         let cell_count = grid.cell_count();
+        let dims = grid.dims();
         let words_per_set = subscriber_count.div_ceil(64);
         let mut planes = vec![0u64; words_per_set * cell_count];
         let mut walk = CellWalkBuf::default();
-        for (subscriber, rect) in subscriptions {
-            let rect = rect.borrow();
-            if subscriber >= subscriber_count {
-                return Err(ClusterError::SubscriberOutOfRange {
-                    subscriber,
-                    count: subscriber_count,
-                });
-            }
-            if rect.dims() != grid.dims() {
-                return Err(ClusterError::DimensionMismatch {
-                    expected: grid.dims(),
-                    got: rect.dims(),
-                });
-            }
-            let bit = 1u64 << (subscriber % 64);
-            let plane = &mut planes[subscriber / 64 * cell_count..][..cell_count];
-            for run in grid.cell_runs(rect, &mut walk) {
-                for word in &mut plane[run] {
-                    *word |= bit;
+        // The item's rectangle, its subscriber words and the indices of
+        // the non-zero ones: reused by every item.
+        let mut rect = grid.bounds().clone();
+        let mut words = vec![0u64; words_per_set];
+        let mut nonzero: Vec<usize> = Vec::new();
+        for (subscribers, sides) in items {
+            let mut got = 0;
+            for side in sides {
+                if got < dims {
+                    rect.set_side(got, side);
                 }
+                got += 1;
+            }
+            if got != dims {
+                return Err(ClusterError::DimensionMismatch {
+                    expected: dims,
+                    got,
+                });
+            }
+            for subscriber in subscribers {
+                if subscriber >= subscriber_count {
+                    return Err(ClusterError::SubscriberOutOfRange {
+                        subscriber,
+                        count: subscriber_count,
+                    });
+                }
+                let w = subscriber / 64;
+                if words[w] == 0 {
+                    nonzero.push(w);
+                }
+                words[w] |= 1 << (subscriber % 64);
+            }
+            if nonzero.is_empty() {
+                continue;
+            }
+            for run in grid.cell_runs(&rect, &mut walk) {
+                for &w in &nonzero {
+                    let bits = words[w];
+                    for word in &mut planes[w * cell_count..][run.clone()] {
+                        *word |= bits;
+                    }
+                }
+            }
+            for w in nonzero.drain(..) {
+                words[w] = 0;
             }
         }
         let members = (0..cell_count)
@@ -190,7 +233,6 @@ impl GridModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pubsub_geom::Interval;
 
     fn grid() -> Grid {
         Grid::uniform(Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap(), 5).unwrap()

@@ -97,19 +97,26 @@ proptest! {
         }
     }
 
-    /// The flat-word build against the recipe it replaced — clamp, list
-    /// the cells, insert one bit at a time — at subscriber counts on both
-    /// sides of a word boundary, with repeated `(subscriber, rect)` pairs
-    /// and rectangles that are unbounded, empty or outside the grid.
+    /// The grouped build against the per-pair build and the recipe both
+    /// replaced — clamp, list the cells, insert one bit at a time — at
+    /// subscriber counts on both sides of a word boundary. Items carry
+    /// subscriber sets of any size (empty, repeated indices, across
+    /// words); their rectangles are unbounded, empty or outside the grid,
+    /// and some repeat.
     #[test]
-    fn build_iter_equals_the_per_cell_insert_recipe(
+    fn grouped_build_equals_the_per_pair_build(
         count_idx in 0usize..5,
         cells in 1usize..6,
-        subs in prop::collection::vec(
-            (0usize..130, 0usize..6, (-2.0f64..11.0, 0.0f64..8.0), (-2.0f64..11.0, 0.0f64..8.0)),
-            0..40,
+        items in prop::collection::vec(
+            (
+                prop::collection::vec(0usize..130, 0..6),
+                0usize..6,
+                (-2.0f64..11.0, 0.0f64..8.0),
+                (-2.0f64..11.0, 0.0f64..8.0),
+            ),
+            0..30,
         ),
-        repeats in prop::collection::vec(0usize..40, 0..8),
+        repeats in prop::collection::vec(0usize..30, 0..8),
     ) {
         let count = [1, 63, 64, 65, 130][count_idx];
         let grid = Grid::new(
@@ -117,9 +124,9 @@ proptest! {
             vec![cells, cells + 1],
         )
         .unwrap();
-        let mut rects: Vec<(usize, Rect)> = subs
+        let mut groups: Vec<(Vec<usize>, Rect)> = items
             .into_iter()
-            .map(|(s, kind, (x, w), (y, h))| {
+            .map(|(subs, kind, (x, w), (y, h))| {
                 let first = match kind {
                     0 => Interval::at_least(x),
                     1 => Interval::unbounded(),
@@ -127,28 +134,39 @@ proptest! {
                     _ => Interval::new(x, x + w).unwrap(),
                 };
                 let second = Interval::new(y, y + h).unwrap();
-                (s % count, Rect::new(vec![first, second]).unwrap())
+                let subs = subs.into_iter().map(|s| s % count).collect();
+                (subs, Rect::new(vec![first, second]).unwrap())
             })
             .collect();
         for r in repeats {
-            if let Some(again) = rects.get(r).cloned() {
-                rects.push(again);
+            if let Some(again) = groups.get(r).cloned() {
+                groups.push(again);
             }
         }
+        let pairs: Vec<(usize, Rect)> = groups
+            .iter()
+            .flat_map(|(subs, r)| subs.iter().map(move |&s| (s, r.clone())))
+            .collect();
 
         let mut reference = vec![SubscriberSet::new(count); grid.cell_count()];
-        for (s, r) in &rects {
+        for (s, r) in &pairs {
             for cell in grid.cells_intersecting(&r.clamp_to(grid.bounds())) {
                 reference[cell.0].insert(*s);
             }
         }
-        let streamed =
-            GridModel::build_iter(grid.clone(), count, rects.iter().map(|(s, r)| (*s, r)), |_| 0.5)
-                .unwrap();
-        let sliced = GridModel::build(grid.clone(), count, &rects, |_| 0.5).unwrap();
+        let grouped = GridModel::build_grouped(
+            grid.clone(),
+            count,
+            groups
+                .iter()
+                .map(|(subs, r)| (subs.iter().copied(), r.sides().iter().copied())),
+            |_| 0.5,
+        )
+        .unwrap();
+        let per_pair = GridModel::build(grid.clone(), count, &pairs, |_| 0.5).unwrap();
         for (i, want) in reference.iter().enumerate() {
-            prop_assert_eq!(streamed.members(CellId(i)), want, "cell {}", i);
-            prop_assert_eq!(sliced.members(CellId(i)), want, "cell {}", i);
+            prop_assert_eq!(grouped.members(CellId(i)), want, "cell {}", i);
+            prop_assert_eq!(per_pair.members(CellId(i)), want, "cell {}", i);
         }
     }
 

@@ -505,9 +505,13 @@ struct CompileInputs {
 /// [`SubscriptionRegistry::live`] order and the clustering is seed-free.
 /// The matcher streams the registry through the covering layer and
 /// builds its representatives' slab bitmaps
-/// ([`Matcher::build_covered`]); the grid model, partition and groups
-/// see the per-subscription sequence, so nothing downstream of matching
-/// depends on how the covering layer aggregated.
+/// ([`Matcher::build_covered`]). Per subscription, the compile only
+/// interns; the grid model walks each covering group — one distinct
+/// clamped rectangle with its members — once
+/// ([`GridModel::build_grouped`]). The model records which subscribers
+/// touch each cell, so it equals the per-subscription build bit for bit
+/// and nothing downstream of matching depends on how the covering layer
+/// aggregated.
 fn compile_engine(
     space: &Space,
     registry: &mut SubscriptionRegistry,
@@ -524,16 +528,21 @@ fn compile_engine(
         dense_of[node.0 as usize] = i;
     }
 
-    // The grid covers the space bounds, so the model's cell walk clamps
-    // each rectangle exactly as the matcher's `space.clamp` does.
+    // The grid covers the space bounds, so walking a group's clamped
+    // rectangle visits the cells its members' raw rectangles meet.
     let grid = Grid::uniform(space.bounds().clone(), inputs.grid_cells)?;
-    let indexed = subs.live().map(|(_, n, r)| (dense_of[n.0 as usize], r));
+    let groups = matcher.covering().groups().map(|(run, sides)| {
+        let dense = run
+            .iter()
+            .map(|&id| dense_of[matcher.owner(SubscriptionId(id)).0 as usize]);
+        (dense, sides)
+    });
     let grid_model = match inputs.density.as_deref() {
-        Some(f) => GridModel::build_iter(grid, distinct.len(), indexed, f)?,
+        Some(f) => GridModel::build_grouped(grid, distinct.len(), groups, f)?,
         None => {
             let space_volume = space.bounds().volume();
             let uniform = move |r: &Rect| r.volume() / space_volume;
-            GridModel::build_iter(grid, distinct.len(), indexed, uniform)?
+            GridModel::build_grouped(grid, distinct.len(), groups, uniform)?
         }
     };
     let partition = cluster(&grid_model, &inputs.clustering)?;
@@ -1548,7 +1557,11 @@ impl Broker {
             });
         }
         let churn = self.churn.get_or_insert_with(|| {
-            ChurnState::seed(&self.registry, &self.snapshot, self.recluster_fraction)
+            ChurnState::seed(
+                &self.snapshot,
+                self.registry.node_capacity(),
+                self.recluster_fraction,
+            )
         });
         let clamped = self.space.clamp(&rect);
         // Journal-less brokers skip the clone entirely.
@@ -1591,7 +1604,11 @@ impl Broker {
             });
         }
         let churn = self.churn.get_or_insert_with(|| {
-            ChurnState::seed(&self.registry, &self.snapshot, self.recluster_fraction)
+            ChurnState::seed(
+                &self.snapshot,
+                self.registry.node_capacity(),
+                self.recluster_fraction,
+            )
         });
         let engine_id = self.registry.engine_id(handle).expect("checked live");
         let (node, rect) = self.registry.remove(handle)?;

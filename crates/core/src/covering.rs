@@ -49,7 +49,7 @@ use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-use pubsub_geom::{Rect, Space};
+use pubsub_geom::{Interval, Rect, Space};
 use pubsub_netsim::NodeId;
 
 use crate::slab::hilbert_order;
@@ -332,6 +332,34 @@ impl CoveringTable {
         }
     }
 
+    /// Every group with a live member, in group order: its run and the
+    /// sides of its exact (clamped) rectangle — the representative's
+    /// bounds for an identity group, its own re-check rectangle
+    /// otherwise. Groups are the distinct rectangles of the compile, so
+    /// per-rectangle work over them visits each rectangle once.
+    pub(crate) fn groups(
+        &self,
+    ) -> impl Iterator<Item = (&[u32], impl Iterator<Item = Interval> + '_)> + '_ {
+        (0..self.rep_count()).flat_map(move |r| {
+            (self.group_start[r]..self.group_start[r + 1])
+                .filter(|&g| !self.run(g).is_empty())
+                .map(move |g| {
+                    let rect = self.group_rect[g as usize];
+                    let sides = (0..self.dims).map(move |d| {
+                        let (lo, hi) = match rect {
+                            u32::MAX => self.rep_bounds[r * self.dims + d],
+                            row => {
+                                let at = row as usize * self.dims + d;
+                                (self.grect_lo[at], self.grect_hi[at])
+                            }
+                        };
+                        Interval::new(lo, hi).expect("a live group's bounds are ordered")
+                    });
+                    (self.run(g), sides)
+                })
+        })
+    }
+
     /// The member subscription ids of group `run`, ascending.
     #[inline]
     pub fn run(&self, run: u32) -> &[u32] {
@@ -512,24 +540,23 @@ pub(crate) fn build_covering(
             });
             return;
         }
-        let clamped = space.clamp(rect);
         owners.push(node);
         max_node = max_node.max(node.0);
+        // The clamped rectangle, as the bit patterns of its bounds.
         key.clear();
-        for d in 0..dims {
-            let side = clamped.side(d);
-            key.push(side.lo().to_bits());
-            key.push(side.hi().to_bits());
+        for (side, bound) in rect.sides().iter().zip(space.bounds().sides()) {
+            let clamped = side.clamp_to(bound);
+            key.push(clamped.lo().to_bits());
+            key.push(clamped.hi().to_bits());
         }
         let uniq = match intern.get(key.as_slice()) {
             Some(&u) => u,
             None => {
                 let u = uniq_counts.len() as u32;
                 intern.insert(key.clone().into_boxed_slice(), u);
-                for d in 0..dims {
-                    let side = clamped.side(d);
-                    uniq_lo.push(side.lo());
-                    uniq_hi.push(side.hi());
+                for side in key.chunks_exact(2) {
+                    uniq_lo.push(f64::from_bits(side[0]));
+                    uniq_hi.push(f64::from_bits(side[1]));
                 }
                 uniq_counts.push(0);
                 u

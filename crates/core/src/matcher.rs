@@ -235,6 +235,11 @@ impl Matcher {
         }
     }
 
+    /// The covering table the matcher queries.
+    pub(crate) fn covering(&self) -> &CoveringTable {
+        &self.covering
+    }
+
     /// Aggregation statistics of the covering build.
     pub fn covering_stats(&self) -> &CoveringStats {
         self.covering.stats()

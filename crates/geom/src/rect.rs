@@ -89,6 +89,16 @@ impl Rect {
         &self.sides[d]
     }
 
+    /// Replaces the projection onto dimension `d`, so one rectangle can
+    /// serve as reused scratch for a loop over many bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d >= self.dims()`.
+    pub fn set_side(&mut self, d: usize, side: Interval) {
+        self.sides[d] = side;
+    }
+
     /// All per-dimension intervals.
     pub fn sides(&self) -> &[Interval] {
         &self.sides

@@ -2,14 +2,20 @@
 //! the compiled engine (`FlatNet`, `SptTable`, the `CostScratch` walks,
 //! the all-pairs table and the ALM overlay over it) equals the node-based
 //! oracle of `common/walks.rs` bit for bit, and the product's cost models
-//! keep their orderings.
+//! keep their orderings. Also: the broker's grid model, built once per
+//! distinct covering rectangle, equals the per-subscription build.
 
 #[path = "common/floyd.rs"]
 mod floyd;
 #[path = "common/walks.rs"]
 mod walks;
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
+use pubsub::clustering::GridModel;
+use pubsub::core::{Broker, CoveringConfig};
+use pubsub::geom::{CellId, Grid, Interval, Rect, Space};
 use pubsub::netsim::{
     all_pairs_dists, alm_tree_cost, cost_events_into, multicast_tree_cost_flat,
     sparse_mode_cost_flat, unicast_and_tree_cost, unicast_cost_flat, CostScratch, DijkstraScratch,
@@ -424,4 +430,107 @@ fn path_to(view: SptView<'_>, target: NodeId) -> Vec<NodeId> {
     }
     path.reverse();
     path
+}
+
+/// One side of a test rectangle over the space `(0, 10]`: bounded
+/// inside, unbounded on one or both ends, or wholly outside.
+fn side_strategy() -> impl Strategy<Value = Interval> {
+    (0usize..6, -4.0f64..12.0, 0.0f64..6.0).prop_map(|(kind, x, w)| match kind {
+        0 => Interval::at_least(x),
+        1 => Interval::at_most(x),
+        2 => Interval::unbounded(),
+        3 => Interval::new(11.0 + w, 12.0 + w).unwrap(),
+        _ => Interval::new(x, x + w).unwrap(),
+    })
+}
+
+/// `GridModel::build` over the registry's raw `(dense subscriber, rect)`
+/// pairs, with the broker's default (uniform) density.
+fn per_subscription_model(broker: &Broker, cells: usize) -> GridModel {
+    let registry = broker.registry();
+    let nodes: BTreeSet<NodeId> = registry.live().map(|(_, n, _)| n).collect();
+    let dense = |n: NodeId| nodes.iter().position(|&m| m == n).unwrap();
+    let pairs: Vec<(usize, Rect)> = registry
+        .live()
+        .map(|(_, n, r)| (dense(n), r.clone()))
+        .collect();
+    let bounds = broker.space().bounds().clone();
+    let volume = bounds.volume();
+    let grid = Grid::uniform(bounds, cells).unwrap();
+    GridModel::build(grid, nodes.len(), &pairs, |r| r.volume() / volume).unwrap()
+}
+
+/// Asserts two grid models equal: masses bit for bit, member sets equal.
+fn assert_same_model(got: &GridModel, want: &GridModel) -> Result<(), String> {
+    prop_assert_eq!(got.subscriber_count(), want.subscriber_count());
+    prop_assert_eq!(got.grid().cell_count(), want.grid().cell_count());
+    for i in 0..want.grid().cell_count() {
+        let c = CellId(i);
+        prop_assert_eq!(
+            got.mass(c).to_bits(),
+            want.mass(c).to_bits(),
+            "mass of {}",
+            c
+        );
+        prop_assert_eq!(got.members(c), want.members(c), "members of {}", c);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The compile walks each covering group's clamped rectangle once and
+    /// ORs in its members; the model must equal one walk per live
+    /// subscription after `build()` and after churn plus `recompile()`.
+    ///
+    /// Populations are duplicate-heavy: the first half of the stub nodes
+    /// draw from a small pool (with `x ≤ 5` always in it), so those
+    /// rectangles intern and become cover candidates. The other half hold
+    /// one-off rectangles, which are subsumed or merged, and whose cells
+    /// no heavy subscriber masks. Sides are unbounded, bounded or wholly
+    /// outside the space, under the interning-only, subsuming and merging
+    /// covering configs.
+    #[test]
+    fn grid_model_per_group_equals_per_subscription(
+        seed in 0u64..50,
+        pool in prop::collection::vec((side_strategy(), side_strategy()), 0..6),
+        heavy in prop::collection::vec((0usize..64, 0usize..8), 1..100),
+        light in prop::collection::vec((0usize..64, side_strategy(), side_strategy()), 0..12),
+        churn in prop::collection::vec((0usize..64, 0usize..8, 0usize..200), 0..12),
+        merge_idx in 0usize..3,
+        min_cover_members in 2usize..5,
+        cells in 2usize..7,
+    ) {
+        let merge_cells = [0, 4, 16][merge_idx];
+        let topo = TransitStubConfig::tiny().generate(seed).unwrap();
+        let stubs = topo.stub_nodes().to_vec();
+        let (heavy_nodes, light_nodes) = stubs.split_at(stubs.len() / 2);
+        let mut pool: Vec<Rect> = pool.into_iter().map(|(a, b)| Rect::new(vec![a, b]).unwrap()).collect();
+        pool.push(Rect::new(vec![Interval::at_most(5.0), Interval::unbounded()]).unwrap());
+        let pick = |n: usize, r: usize| (heavy_nodes[n % heavy_nodes.len()], pool[r % pool.len()].clone());
+        let subs = heavy
+            .iter()
+            .map(|&(n, r)| pick(n, r))
+            .chain(light.into_iter().map(|(n, a, b)| {
+                (light_nodes[n % light_nodes.len()], Rect::new(vec![a, b]).unwrap())
+            }));
+        let space = Space::anonymous(Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap()).unwrap();
+        let mut broker = Broker::builder(topo, space)
+            .covering(CoveringConfig { merge_cells, min_cover_members, ..CoveringConfig::default() })
+            .grid_cells(cells)
+            .subscriptions(subs)
+            .build()
+            .unwrap();
+        assert_same_model(broker.grid_model(), &per_subscription_model(&broker, cells))?;
+
+        for (n, r, victim) in churn {
+            let (node, rect) = pick(n, r);
+            broker.subscribe(node, rect).unwrap();
+            let live: Vec<_> = broker.registry().live().map(|(h, _, _)| h).collect();
+            broker.unsubscribe(live[victim % live.len()]).unwrap();
+        }
+        broker.recompile().unwrap();
+        assert_same_model(broker.grid_model(), &per_subscription_model(&broker, cells))?;
+    }
 }
