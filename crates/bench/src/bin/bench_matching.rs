@@ -28,7 +28,7 @@ use pubsub_clustering::ClusteringAlgorithm;
 use pubsub_core::{
     Broker, CoveringConfig, DeliveryMode, MatchArena, MatchScratch, Matcher, SubscriptionStream,
 };
-use pubsub_geom::{Point, Rect};
+use pubsub_geom::{Interval, Point};
 use pubsub_netsim::NodeId;
 use pubsub_parallel::{effective_threads, PipelineScratch, WorkerPool};
 use pubsub_stree::{Entry, EntryId, STree, STreeConfig, SpatialIndex};
@@ -102,7 +102,7 @@ struct Output {
 }
 
 /// [`ScaleWorkload`] as a replayable subscription stream for the covered
-/// compile.
+/// compile; a subscription's rectangle id is its pool index.
 struct PoolStream<'a>(&'a ScaleWorkload);
 
 impl SubscriptionStream for PoolStream<'_> {
@@ -110,8 +110,16 @@ impl SubscriptionStream for PoolStream<'_> {
         self.0.len()
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(NodeId, &Rect)) {
-        self.0.for_each(f);
+    fn rect_count(&self) -> usize {
+        self.0.pool_size()
+    }
+
+    fn sides(&self, rect: u32) -> &[Interval] {
+        self.0.pool_rect(rect as usize).sides()
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(NodeId, u32)) {
+        self.0.for_each_pick(f);
     }
 }
 

@@ -109,7 +109,13 @@ pub struct PublishOutcome {
 pub struct BrokerBuilder {
     topology: Topology,
     space: Space,
-    subscriptions: Vec<(NodeId, Rect)>,
+    /// The registry the broker will own: `subscription(s)` interns into
+    /// it, so `build()` only compiles.
+    registry: SubscriptionRegistry,
+    /// What `build()` reports for the subscriptions the registry
+    /// rejected: the first unknown node, else the first dimension
+    /// mismatch.
+    insert_error: Option<BrokerError>,
     publisher: Option<NodeId>,
     compile: CompileInputs,
     threshold: f64,
@@ -122,7 +128,7 @@ pub struct BrokerBuilder {
 impl fmt::Debug for BrokerBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BrokerBuilder")
-            .field("subscriptions", &self.subscriptions.len())
+            .field("subscriptions", &self.registry.len())
             .field("publisher", &self.publisher)
             .field("clustering", &self.compile.clustering)
             .field("grid_cells", &self.compile.grid_cells)
@@ -141,19 +147,43 @@ impl fmt::Debug for BrokerBuilder {
 }
 
 impl BrokerBuilder {
-    /// Adds one subscription.
+    /// Adds one subscription: its rectangle is interned into the
+    /// builder's registry, and the `Rect` itself is dropped. An invalid
+    /// subscription is reported by [`BrokerBuilder::build`].
     pub fn subscription(mut self, node: NodeId, rect: Rect) -> Self {
-        self.subscriptions.push((node, rect));
+        self.insert(node, &rect);
         self
     }
 
-    /// Adds many subscriptions.
+    /// Adds many subscriptions, as [`BrokerBuilder::subscription`] does.
     pub fn subscriptions<I>(mut self, subs: I) -> Self
     where
         I: IntoIterator<Item = (NodeId, Rect)>,
     {
-        self.subscriptions.extend(subs);
+        let subs = subs.into_iter();
+        self.registry.reserve(subs.size_hint().0);
+        for (node, rect) in subs {
+            self.insert(node, &rect);
+        }
         self
+    }
+
+    /// Interns one subscription, keeping the error `build()` returns. An
+    /// unknown node outranks a dimension mismatch whatever their order,
+    /// as when nodes were checked on insert and dimensions at compile.
+    fn insert(&mut self, node: NodeId, rect: &Rect) {
+        if let Err(e) = self.registry.insert(node, rect) {
+            let outranks = match &self.insert_error {
+                None => true,
+                Some(BrokerError::DimensionMismatch { .. }) => {
+                    matches!(e, BrokerError::UnknownNode { .. })
+                }
+                Some(_) => false,
+            };
+            if outranks {
+                self.insert_error = Some(e);
+            }
+        }
     }
 
     /// Sets the publisher node (default: the topology's first transit
@@ -276,7 +306,7 @@ impl BrokerBuilder {
                 constraint: "recover() requires BrokerBuilder::journal(...)",
             });
         };
-        if !self.subscriptions.is_empty() {
+        if self.registry.issued() > 0 || self.insert_error.is_some() {
             return Err(BrokerError::InvalidConfig {
                 parameter: "subscriptions",
                 constraint: "empty — recovery replays the journal, not builder subscriptions",
@@ -297,7 +327,8 @@ impl BrokerBuilder {
                 ),
             });
         }
-        let mut registry = image.restore()?;
+        self.registry = image.restore(self.space.dims())?;
+        let registry = &mut self.registry;
         let mut replayed_ops = 0u64;
         let mut stale_ops = 0u64;
         // Replay is idempotent against the crash window between the
@@ -312,7 +343,7 @@ impl BrokerBuilder {
                         stale_ops += 1;
                         continue;
                     }
-                    let issued = registry.insert(NodeId(*node), rect.clone())?;
+                    let issued = registry.insert(NodeId(*node), rect)?;
                     if issued.raw() != *handle {
                         return Err(BrokerError::Journal {
                             message: format!(
@@ -345,7 +376,7 @@ impl BrokerBuilder {
         // Epoch 1: the engine a never-crashed broker holds after
         // recompiling over these survivors at this point.
         let (policy, publisher) = self.validate()?;
-        let mut broker = self.assemble(policy, publisher, registry, 1)?;
+        let mut broker = self.assemble(policy, publisher, 1)?;
         journal.write_snapshot(&broker.registry)?;
         broker.journal = Some(journal);
         broker.recovery = RecoveryCounters {
@@ -360,23 +391,19 @@ impl BrokerBuilder {
     /// Builds the broker: indexes subscriptions, clusters the event
     /// space, materializes multicast groups and precomputes routing.
     ///
-    /// The builder's subscriptions are *moved* into the registry and the
-    /// engine is compiled from there — the path every later
-    /// [`Broker::recompile`] takes — so no second copy of the rectangles
-    /// exists during the build.
+    /// The subscriptions are already in the registry the builder holds
+    /// (every one has its stable handle), so this is the compile alone —
+    /// the path every later [`Broker::recompile`] takes.
     ///
     /// # Errors
     ///
-    /// Propagates every layer's configuration errors; additionally
-    /// rejects out-of-topology nodes and dimensionality mismatches.
+    /// Propagates every layer's configuration errors; then reports the
+    /// subscriptions the registry rejected: the first out-of-topology
+    /// node, else the first dimensionality mismatch.
     pub fn build(mut self) -> Result<Broker, BrokerError> {
         let (policy, publisher) = self.validate()?;
-
-        // The mutable layer: every subscription gets a stable handle.
-        let mut registry = SubscriptionRegistry::new(self.topology.graph().node_count());
-        registry.reserve(self.subscriptions.len());
-        for (node, rect) in std::mem::take(&mut self.subscriptions) {
-            registry.insert(node, rect)?;
+        if let Some(e) = self.insert_error.take() {
+            return Err(e);
         }
 
         // A configured journal starts from a fresh directory with the
@@ -385,12 +412,12 @@ impl BrokerBuilder {
         let journal = match self.journal.take() {
             Some(config) => {
                 let mut journal = DurableJournal::create(&config)?;
-                journal.write_snapshot(&registry)?;
+                journal.write_snapshot(&self.registry)?;
                 Some(journal)
             }
             None => None,
         };
-        let mut broker = self.assemble(policy, publisher, registry, 0)?;
+        let mut broker = self.assemble(policy, publisher, 0)?;
         broker.journal = journal;
         Ok(broker)
     }
@@ -425,18 +452,17 @@ impl BrokerBuilder {
         Ok((policy, publisher))
     }
 
-    /// Compiles the engine from `registry` at `epoch`, precomputes routing
-    /// and assembles the (journal-less) broker — the tail
-    /// [`BrokerBuilder::build`] and [`BrokerBuilder::recover`] share.
+    /// Compiles the engine from the builder's registry at `epoch`,
+    /// precomputes routing and assembles the (journal-less) broker — the
+    /// tail [`BrokerBuilder::build`] and [`BrokerBuilder::recover`] share.
     fn assemble(
-        self,
+        mut self,
         policy: DistributionPolicy,
         publisher: NodeId,
-        mut registry: SubscriptionRegistry,
         epoch: u64,
     ) -> Result<Broker, BrokerError> {
         let node_count = self.topology.graph().node_count();
-        let snapshot = compile_engine(&self.space, &mut registry, &self.compile, epoch)?;
+        let snapshot = compile_engine(&self.space, &mut self.registry, &self.compile, epoch)?;
 
         // The compiled network engine: CSR adjacency once, then dense SPT
         // rows for every routing source the delivery mode needs, built in
@@ -457,8 +483,9 @@ impl BrokerBuilder {
 
         Ok(Broker {
             topology: self.topology,
+            clamped: self.space.bounds().clone(),
             space: self.space,
-            registry,
+            registry: self.registry,
             snapshot,
             policy,
             publisher,
@@ -506,8 +533,9 @@ struct CompileInputs {
 /// The matcher streams the registry through the covering layer and
 /// builds its representatives' slab bitmaps
 /// ([`Matcher::build_covered`]). Per subscription, the compile only
-/// interns; the grid model walks each covering group — one distinct
-/// clamped rectangle with its members — once
+/// looks up the unique of the subscription's registry row, each row
+/// being clamped and interned once; the grid model walks each covering
+/// group — one distinct clamped rectangle with its members — once
 /// ([`GridModel::build_grouped`]). The model records which subscribers
 /// touch each cell, so it equals the per-subscription build bit for bit
 /// and nothing downstream of matching depends on how the covering layer
@@ -549,6 +577,7 @@ fn compile_engine(
     let groups = MulticastGroups::from_partition(&grid_model, &partition, &distinct);
 
     // Commit point: nothing below can fail.
+    registry.shrink_to_fit();
     Ok(Arc::new(EngineSnapshot {
         epoch,
         matcher: Arc::new(matcher),
@@ -736,6 +765,8 @@ pub struct Broker {
     space: Space,
     /// The mutable layer: live subscriptions with stable handles.
     registry: SubscriptionRegistry,
+    /// Scratch: the clamped rectangle of the churn operation in flight.
+    clamped: Rect,
     /// The engine layer: everything the publish path reads, swapped on a
     /// recompile or group change and edited copy-on-write by churn.
     snapshot: Arc<EngineSnapshot>,
@@ -804,12 +835,14 @@ impl fmt::Debug for Broker {
 }
 
 impl Broker {
-    /// Starts building a broker over a topology and event space.
+    /// Starts building a broker over a topology and event space. The
+    /// builder holds the broker's subscription registry from here on.
     pub fn builder(topology: Topology, space: Space) -> BrokerBuilder {
         BrokerBuilder {
+            registry: SubscriptionRegistry::new(topology.graph().node_count(), space.dims()),
+            insert_error: None,
             topology,
             space,
-            subscriptions: Vec::new(),
             publisher: None,
             compile: CompileInputs {
                 clustering: ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 11),
@@ -1547,15 +1580,9 @@ impl Broker {
         node: NodeId,
         rect: Rect,
     ) -> Result<SubscriptionHandle, BrokerError> {
-        if node.0 as usize >= self.topology.graph().node_count() {
-            return Err(BrokerError::UnknownNode { node: node.0 });
-        }
-        if rect.dims() != self.space.dims() {
-            return Err(BrokerError::DimensionMismatch {
-                expected: self.space.dims(),
-                got: rect.dims(),
-            });
-        }
+        // The registry checks the node and the dimensionality before
+        // anything changes, and interns the rectangle by reference.
+        let handle = self.registry.insert(node, &rect)?;
         let churn = self.churn.get_or_insert_with(|| {
             ChurnState::seed(
                 &self.snapshot,
@@ -1563,21 +1590,25 @@ impl Broker {
                 self.recluster_fraction,
             )
         });
-        let clamped = self.space.clamp(&rect);
-        // Journal-less brokers skip the clone entirely.
-        let journal_rect = self.journal.is_some().then(|| rect.clone());
-        let handle = self.registry.insert(node, rect)?;
+        self.space.clamp_into(rect.sides(), &mut self.clamped);
         let snapshot = Arc::make_mut(&mut self.snapshot);
-        let id = Arc::make_mut(&mut snapshot.matcher).insert(node, &clamped);
+        let id = Arc::make_mut(&mut snapshot.matcher).insert(node, &self.clamped);
         Arc::make_mut(&mut snapshot.id_to_handle).push(handle);
         self.registry.set_engine_id(handle, id.0);
         self.counters.subscribes += 1;
         self.counters.overlay_len += 1;
-        let step = churn.apply(node, &clamped, true, self.registry.len(), &self.snapshot);
+        let step = churn.apply(
+            node,
+            &self.clamped,
+            true,
+            self.registry.len(),
+            &self.snapshot,
+        );
         self.install_churn_step(step)?;
         // Append-after-apply: if this fails the op is applied in memory
-        // but must not be acked — the caller sees the journal error.
-        if let Some(rect) = journal_rect {
+        // but must not be acked — the caller sees the journal error. The
+        // journal record takes the rectangle itself.
+        if self.journal.is_some() {
             self.journal_append(&JournalOp::Subscribe {
                 handle: handle.raw(),
                 node: node.0,
@@ -1598,11 +1629,13 @@ impl Broker {
     /// Returns [`BrokerError::UnknownHandle`] for a handle that is not
     /// live.
     pub fn unsubscribe(&mut self, handle: SubscriptionHandle) -> Result<(), BrokerError> {
-        if !self.registry.contains(handle) {
+        let Some(sides) = self.registry.rect(handle) else {
             return Err(BrokerError::UnknownHandle {
                 handle: handle.raw(),
             });
-        }
+        };
+        // Clamped from the registry row, before the row can be reclaimed.
+        self.space.clamp_into(sides, &mut self.clamped);
         let churn = self.churn.get_or_insert_with(|| {
             ChurnState::seed(
                 &self.snapshot,
@@ -1611,17 +1644,22 @@ impl Broker {
             )
         });
         let engine_id = self.registry.engine_id(handle).expect("checked live");
-        let (node, rect) = self.registry.remove(handle)?;
-        let clamped = self.space.clamp(&rect);
+        let node = self.registry.remove(handle)?;
         let matcher = Arc::make_mut(&mut Arc::make_mut(&mut self.snapshot).matcher);
-        matcher.remove(SubscriptionId(engine_id), &clamped);
+        matcher.remove(SubscriptionId(engine_id), &self.clamped);
         if (engine_id as usize) < matcher.covering_stats().concrete {
             self.counters.tombstone_len += 1;
         } else {
             self.counters.overlay_len -= 1;
         }
         self.counters.unsubscribes += 1;
-        let step = churn.apply(node, &clamped, false, self.registry.len(), &self.snapshot);
+        let step = churn.apply(
+            node,
+            &self.clamped,
+            false,
+            self.registry.len(),
+            &self.snapshot,
+        );
         self.install_churn_step(step)?;
         if self.journal.is_some() {
             self.journal_append(&JournalOp::Unsubscribe {
@@ -2305,10 +2343,22 @@ mod tests {
             .build();
         assert!(matches!(err, Err(BrokerError::InvalidConfig { .. })));
         // Wrong-dimension subscription.
-        let err = Broker::builder(topo, space_2d())
-            .subscription(NodeId(0), Rect::from_corners(&[0.0], &[1.0]).unwrap())
+        let line = Rect::from_corners(&[0.0], &[1.0]).unwrap();
+        let err = Broker::builder(topo.clone(), space_2d())
+            .subscription(NodeId(0), line.clone())
             .build();
         assert!(matches!(err, Err(BrokerError::DimensionMismatch { .. })));
+        // An unknown node outranks an earlier dimension mismatch, and an
+        // option error outranks both.
+        let bad = || {
+            Broker::builder(topo.clone(), space_2d())
+                .subscription(NodeId(0), line.clone())
+                .subscription(NodeId(9999), rect(&[0.0, 0.0], &[1.0, 1.0]))
+        };
+        let err = bad().build();
+        assert!(matches!(err, Err(BrokerError::UnknownNode { node: 9999 })));
+        let err = bad().threshold(2.0).build();
+        assert!(matches!(err, Err(BrokerError::InvalidConfig { .. })));
     }
 
     #[test]
@@ -2585,7 +2635,7 @@ mod tests {
         let survivors: Vec<(NodeId, Rect)> = live
             .registry()
             .live()
-            .map(|(_, n, r)| (n, r.clone()))
+            .map(|(_, n, r)| (n, Rect::new(r.to_vec()).unwrap()))
             .collect();
         let fresh_builder = Broker::builder(tiny_topo(), space_2d())
             .threshold(0.15)

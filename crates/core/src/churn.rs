@@ -195,8 +195,9 @@ mod tests {
         let partition = &snapshot.partition;
         let mut group_rc = vec![vec![0u32; registry.node_capacity()]; partition.group_count()];
         let mut walk = CellWalkBuf::default();
-        for (_, node, rect) in registry.live() {
-            for cell in partition.grid().cell_runs(rect, &mut walk).flatten() {
+        for (_, node, sides) in registry.live() {
+            let rect = Rect::new(sides.to_vec()).unwrap();
+            for cell in partition.grid().cell_runs(&rect, &mut walk).flatten() {
                 if let Some(q) = partition.group_of_cell(CellId(cell)) {
                     group_rc[q][node.0 as usize] += 1;
                 }

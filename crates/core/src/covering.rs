@@ -109,9 +109,11 @@ impl CoveringStats {
 }
 
 /// A replayable stream of `(subscriber, rectangle)` pairs — the input
-/// of the streaming compile path. Implemented for slices (tests,
-/// benches) and by the broker for its registry, so a recompile never
-/// has to materialize an O(N) rectangle array.
+/// of the streaming compile path — whose rectangles are named by id, so
+/// a compile does its per-rectangle work once per id, not once per
+/// subscription. Implemented for slices (tests, benches; the index is
+/// the id) and by the broker's registry (one id per distinct rectangle),
+/// so a recompile never has to materialize an O(N) rectangle array.
 pub trait SubscriptionStream {
     /// Number of subscriptions the stream yields.
     fn len(&self) -> usize;
@@ -119,10 +121,15 @@ pub trait SubscriptionStream {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Calls `f` once per subscription, in stable subscription-id
-    /// order. Replayable: every call visits the same pairs in the same
-    /// order.
-    fn for_each(&self, f: &mut dyn FnMut(NodeId, &Rect));
+    /// Rectangle ids are `0..rect_count()`; an id no subscription names
+    /// is never read.
+    fn rect_count(&self) -> usize;
+    /// The sides of rectangle `rect`.
+    fn sides(&self, rect: u32) -> &[Interval];
+    /// Calls `f` once per subscription with its node and rectangle id,
+    /// in stable subscription-id order. Replayable: every call visits the
+    /// same pairs in the same order.
+    fn for_each(&self, f: &mut dyn FnMut(NodeId, u32));
 }
 
 impl SubscriptionStream for &[(NodeId, Rect)] {
@@ -130,9 +137,17 @@ impl SubscriptionStream for &[(NodeId, Rect)] {
         <[_]>::len(self)
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(NodeId, &Rect)) {
-        for (node, rect) in *self {
-            f(*node, rect);
+    fn rect_count(&self) -> usize {
+        <[_]>::len(self)
+    }
+
+    fn sides(&self, rect: u32) -> &[Interval] {
+        self[rect as usize].1.sides()
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(NodeId, u32)) {
+        for (i, (node, _)) in self.iter().enumerate() {
+            f(*node, i as u32);
         }
     }
 }
@@ -509,8 +524,10 @@ pub(crate) struct CoveringBuild {
 /// Streams the subscriptions once, interning clamped rectangles,
 /// absorbing subsumed uniques into cover candidates and (optionally)
 /// merging near-identical uniques, and assembles the covering table.
-/// Transient memory is O(uniques) rectangles plus O(N) `u32`s — never
-/// O(N) rectangles.
+/// Each rectangle id is clamped and interned once, at its first
+/// subscription; every later subscription naming it costs a lookup.
+/// Transient memory is O(uniques) rectangles plus O(N + rect ids)
+/// `u32`s — never O(N) rectangles.
 pub(crate) fn build_covering(
     space: &Space,
     subs: &dyn SubscriptionStream,
@@ -519,11 +536,14 @@ pub(crate) fn build_covering(
     let dims = space.dims();
     let count = subs.len();
 
-    // Pass 1 (the only pass over the stream): clamp, intern, owners.
+    // Pass 1 (the only pass over the stream): clamp and intern each
+    // rectangle id once, record owners. Uniques are numbered in
+    // first-encounter order along the stream, whatever the ids.
     let mut intern: HashMap<Box<[u64]>, u32> = HashMap::new();
     let mut uniq_lo: Vec<f64> = Vec::new(); // row-major [u * dims + d]
     let mut uniq_hi: Vec<f64> = Vec::new();
     let mut uniq_counts: Vec<u32> = Vec::new();
+    let mut rect_uniq: Vec<u32> = vec![u32::MAX; subs.rect_count()];
     let mut sub_uniq: Vec<u32> = Vec::with_capacity(count);
     let mut owners: Vec<NodeId> = Vec::with_capacity(count);
     let mut max_node = 0u32;
@@ -533,42 +553,47 @@ pub(crate) fn build_covering(
         if first_err.is_some() {
             return;
         }
-        if rect.dims() != dims {
-            first_err = Some(BrokerError::DimensionMismatch {
-                expected: dims,
-                got: rect.dims(),
-            });
-            return;
+        let mut uniq = rect_uniq[rect as usize];
+        if uniq == u32::MAX {
+            let sides = subs.sides(rect);
+            if sides.len() != dims {
+                first_err = Some(BrokerError::DimensionMismatch {
+                    expected: dims,
+                    got: sides.len(),
+                });
+                return;
+            }
+            // The clamped rectangle, as the bit patterns of its bounds.
+            key.clear();
+            for (side, bound) in sides.iter().zip(space.bounds().sides()) {
+                let clamped = side.clamp_to(bound);
+                key.push(clamped.lo().to_bits());
+                key.push(clamped.hi().to_bits());
+            }
+            uniq = match intern.get(key.as_slice()) {
+                Some(&u) => u,
+                None => {
+                    let u = uniq_counts.len() as u32;
+                    intern.insert(key.clone().into_boxed_slice(), u);
+                    for side in key.chunks_exact(2) {
+                        uniq_lo.push(f64::from_bits(side[0]));
+                        uniq_hi.push(f64::from_bits(side[1]));
+                    }
+                    uniq_counts.push(0);
+                    u
+                }
+            };
+            rect_uniq[rect as usize] = uniq;
         }
         owners.push(node);
         max_node = max_node.max(node.0);
-        // The clamped rectangle, as the bit patterns of its bounds.
-        key.clear();
-        for (side, bound) in rect.sides().iter().zip(space.bounds().sides()) {
-            let clamped = side.clamp_to(bound);
-            key.push(clamped.lo().to_bits());
-            key.push(clamped.hi().to_bits());
-        }
-        let uniq = match intern.get(key.as_slice()) {
-            Some(&u) => u,
-            None => {
-                let u = uniq_counts.len() as u32;
-                intern.insert(key.clone().into_boxed_slice(), u);
-                for side in key.chunks_exact(2) {
-                    uniq_lo.push(f64::from_bits(side[0]));
-                    uniq_hi.push(f64::from_bits(side[1]));
-                }
-                uniq_counts.push(0);
-                u
-            }
-        };
         uniq_counts[uniq as usize] += 1;
         sub_uniq.push(uniq);
     });
     if let Some(e) = first_err {
         return Err(e);
     }
-    drop(intern);
+    drop((intern, rect_uniq));
     let uniques = uniq_counts.len();
     let ub = |u: usize, d: usize| (uniq_lo[u * dims + d], uniq_hi[u * dims + d]);
 

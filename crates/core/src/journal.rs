@@ -59,7 +59,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use pubsub_geom::Rect;
+use pubsub_geom::{Interval, Rect};
 use pubsub_netsim::NodeId;
 
 use crate::registry::SubscriptionRegistry;
@@ -178,10 +178,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_rect(buf: &mut Vec<u8>, rect: &Rect) {
-    put_u32(buf, rect.dims() as u32);
-    for d in 0..rect.dims() {
-        let side = rect.side(d);
+fn put_sides(buf: &mut Vec<u8>, sides: &[Interval]) {
+    put_u32(buf, sides.len() as u32);
+    for side in sides {
         put_u64(buf, side.lo().to_bits());
         put_u64(buf, side.hi().to_bits());
     }
@@ -210,7 +209,7 @@ impl JournalOp {
                 buf.push(TAG_SUBSCRIBE);
                 put_u32(buf, *handle);
                 put_u32(buf, *node);
-                put_rect(buf, rect);
+                put_sides(buf, rect.sides());
             }
             JournalOp::Unsubscribe { handle } => {
                 buf.push(TAG_UNSUBSCRIBE);
@@ -261,21 +260,21 @@ impl RegistryImage {
             next_slot: registry.issued() as u32,
             live: registry
                 .live()
-                .map(|(h, n, r)| (h.raw(), n.0, r.clone()))
+                .map(|(h, n, sides)| {
+                    let rect = Rect::new(sides.to_vec()).expect("a registered rect has sides");
+                    (h.raw(), n.0, rect)
+                })
                 .collect(),
         }
     }
 
+    /// The image's snapshot payload: the test oracle of
+    /// [`DurableJournal::write_snapshot`], which encodes the registry
+    /// directly.
+    #[cfg(test)]
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.clear();
-        put_u32(buf, self.node_count);
-        put_u32(buf, self.next_slot);
-        put_u32(buf, self.live.len() as u32);
-        for (handle, node, rect) in &self.live {
-            put_u32(buf, *handle);
-            put_u32(buf, *node);
-            put_rect(buf, rect);
-        }
+        let live = self.live.iter().map(|(h, n, r)| (*h, *n, r.sides()));
+        encode_image(buf, self.node_count, self.next_slot, self.live.len(), live);
     }
 
     fn decode(payload: &[u8]) -> Result<RegistryImage, BrokerError> {
@@ -309,21 +308,57 @@ impl RegistryImage {
         })
     }
 
-    /// Rebuilds a registry from the image.
+    /// Rebuilds a registry of `dims`-dimensional rectangles from the
+    /// image.
     ///
     /// # Errors
     ///
     /// [`BrokerError::Journal`] if the image is internally inconsistent
-    /// (out-of-range handles or nodes, duplicate handles).
-    pub fn restore(&self) -> Result<SubscriptionRegistry, BrokerError> {
+    /// (out-of-range handles or nodes, duplicate handles);
+    /// [`BrokerError::DimensionMismatch`] for a rectangle that is not
+    /// `dims`-dimensional.
+    pub fn restore(&self, dims: usize) -> Result<SubscriptionRegistry, BrokerError> {
         SubscriptionRegistry::restore(
             self.node_count as usize,
+            dims,
             self.next_slot,
-            self.live
-                .iter()
-                .map(|(h, n, r)| (*h, NodeId(*n), r.clone())),
+            self.live.iter().map(|(h, n, r)| (*h, NodeId(*n), r)),
         )
     }
+}
+
+/// The snapshot payload of a registry image: node count, next slot,
+/// then each live entry's handle, node and sides.
+fn encode_image<'a>(
+    buf: &mut Vec<u8>,
+    node_count: u32,
+    next_slot: u32,
+    count: usize,
+    live: impl Iterator<Item = (u32, u32, &'a [Interval])>,
+) {
+    buf.clear();
+    put_u32(buf, node_count);
+    put_u32(buf, next_slot);
+    put_u32(buf, count as u32);
+    for (handle, node, sides) in live {
+        put_u32(buf, handle);
+        put_u32(buf, node);
+        put_sides(buf, sides);
+    }
+}
+
+/// The snapshot payload of `registry`, encoded straight from its rows:
+/// the bytes of `RegistryImage::capture(registry)`'s encoding, without
+/// the image.
+fn encode_registry(buf: &mut Vec<u8>, registry: &SubscriptionRegistry) {
+    let live = registry.live().map(|(h, n, sides)| (h.raw(), n.0, sides));
+    encode_image(
+        buf,
+        registry.node_capacity() as u32,
+        registry.issued() as u32,
+        registry.len(),
+        live,
+    );
 }
 
 /// What [`DurableJournal::resume`] found on disk: the last snapshot (if
@@ -563,9 +598,8 @@ impl DurableJournal {
     /// [`BrokerError::Journal`] on I/O failure; the previous snapshot
     /// stays intact if the write or rename fails.
     pub fn write_snapshot(&mut self, registry: &SubscriptionRegistry) -> Result<(), BrokerError> {
-        let image = RegistryImage::capture(registry);
         let mut payload = std::mem::take(&mut self.encode_buf);
-        image.encode(&mut payload);
+        encode_registry(&mut payload, registry);
         let mut bytes = Vec::with_capacity(12 + payload.len());
         bytes.extend_from_slice(&SNAPSHOT_MAGIC);
         put_u32(&mut bytes, payload.len() as u32);
@@ -689,6 +723,53 @@ mod tests {
         assert!(matches!(
             decode_snapshot(&bytes),
             Err(BrokerError::Journal { .. })
+        ));
+    }
+
+    /// The snapshot is encoded straight from the registry's rows; the
+    /// captured image is the oracle of its bytes. The registry shares
+    /// rows, reuses a freed one and keeps dead slots.
+    #[test]
+    fn snapshot_bytes_equal_the_captured_image() {
+        let mut registry = SubscriptionRegistry::new(5, 2);
+        let hot = rect2([0.25, -1.5], [9.75, f64::INFINITY]);
+        let mut handles = Vec::new();
+        for (node, r) in [
+            (1, &hot),
+            (2, &rect2([1.0, 1.0], [2.0, 2.0])),
+            (4, &hot),
+            (0, &rect2([-0.0, 3.0], [4.0, 5.0])),
+            (3, &hot),
+        ] {
+            handles.push(registry.insert(NodeId(node), r).expect("insert"));
+        }
+        registry.remove(handles[1]).expect("remove");
+        registry.remove(handles[2]).expect("remove");
+        registry
+            .insert(NodeId(2), &rect2([6.0, 7.0], [8.0, 9.0]))
+            .expect("insert into the freed row");
+        let image = RegistryImage::capture(&registry);
+        assert_eq!(image.live.len(), 4);
+        let (mut direct, mut captured) = (Vec::new(), Vec::new());
+        encode_registry(&mut direct, &registry);
+        image.encode(&mut captured);
+        assert_eq!(direct, captured);
+        assert_eq!(RegistryImage::decode(&direct).expect("decode"), image);
+        let restored = image.restore(2).expect("restore");
+        let live = |r: &SubscriptionRegistry| {
+            r.live()
+                .map(|(h, n, sides)| (h, n, sides.to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(live(&restored), live(&registry));
+        assert_eq!(restored.issued(), registry.issued());
+        assert_eq!(restored.distinct_rects(), registry.distinct_rects());
+        assert!(matches!(
+            image.restore(3),
+            Err(BrokerError::DimensionMismatch {
+                expected: 3,
+                got: 2
+            })
         ));
     }
 

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::{GeomError, Point, Rect};
+use crate::{GeomError, Interval, Point, Rect};
 
 /// A named, bounded event space `Ω`.
 ///
@@ -96,6 +96,20 @@ impl Space {
         r.clamp_to(&self.bounds)
     }
 
+    /// Clamps the sides of a subscription rectangle into the space
+    /// bounds, writing them into `out` — a rectangle of the space's
+    /// dimensionality reused as scratch — instead of allocating one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sides` or `out` is not of the space's dimensionality.
+    pub fn clamp_into(&self, sides: &[Interval], out: &mut Rect) {
+        assert_eq!(sides.len(), self.dims(), "rectangle dimensionality");
+        for (d, (side, bound)) in sides.iter().zip(self.bounds.sides()).enumerate() {
+            out.set_side(d, side.clamp_to(bound));
+        }
+    }
+
     /// `true` if the event lies inside the space.
     pub fn contains(&self, p: &Point) -> bool {
         self.bounds.contains_point(p)
@@ -105,7 +119,6 @@ impl Space {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Interval;
 
     fn space() -> Space {
         Space::new(
@@ -151,6 +164,9 @@ mod tests {
         let clamped = s.clamp(&sub);
         assert!(s.bounds().contains_rect(&clamped));
         assert!(clamped.is_finite());
+        let mut scratch = s.bounds().clone();
+        s.clamp_into(sub.sides(), &mut scratch);
+        assert_eq!(scratch, clamped);
     }
 
     #[test]

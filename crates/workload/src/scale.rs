@@ -214,16 +214,28 @@ impl ScaleWorkload {
         (self.owners[i], &self.pool[self.picks[i] as usize])
     }
 
-    /// Calls `f` once per subscription, in id order.
-    pub fn for_each(&self, f: &mut dyn FnMut(NodeId, &Rect)) {
+    /// Pool rectangle `i`: the rectangle [`ScaleWorkload::for_each_pick`]
+    /// names by `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= pool_size()`.
+    pub fn pool_rect(&self, i: usize) -> &Rect {
+        &self.pool[i]
+    }
+
+    /// Calls `f` once per subscription, in id order, with its subscriber
+    /// node and the index of its pool rectangle.
+    pub fn for_each_pick(&self, f: &mut dyn FnMut(NodeId, u32)) {
         for (owner, pick) in self.owners.iter().zip(&self.picks) {
-            f(*owner, &self.pool[*pick as usize]);
+            f(*owner, *pick);
         }
     }
 
     /// Materializes the population as a `(node, rectangle)` list —
     /// convenient for small counts; at scale, stream with
-    /// [`ScaleWorkload::for_each`] instead.
+    /// [`ScaleWorkload::for_each_pick`] and [`ScaleWorkload::pool_rect`]
+    /// instead.
     pub fn to_vec(&self) -> Vec<(NodeId, Rect)> {
         self.owners
             .iter()

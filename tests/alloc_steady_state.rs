@@ -258,7 +258,7 @@ fn first_churn_op_allocates_no_table() {
     let (handle, node, rect) = broker
         .registry()
         .live()
-        .map(|(h, n, r)| (h, n, r.clone()))
+        .map(|(h, n, r)| (h, n, Rect::new(r.to_vec()).unwrap()))
         .next()
         .unwrap();
 

@@ -103,7 +103,7 @@ fn derived_members(b: &Broker) -> Vec<Vec<NodeId>> {
     let part = b.partition();
     let mut members = vec![std::collections::BTreeSet::new(); b.groups().len()];
     for (_, node, rect) in b.registry().live() {
-        let clamped = b.space().clamp(rect);
+        let clamped = b.space().clamp(&Rect::new(rect.to_vec()).unwrap());
         for cell in part.grid().cells_intersecting(&clamped) {
             if let Some(q) = part.group_of_cell(cell) {
                 members[q].insert(node);
@@ -156,7 +156,7 @@ proptest! {
         let survivors: Vec<(NodeId, Rect)> = live
             .registry()
             .live()
-            .map(|(_, n, r)| (n, r.clone()))
+            .map(|(_, n, r)| (n, Rect::new(r.to_vec()).unwrap()))
             .collect();
         let mut fresh = builder(&s, survivors);
 

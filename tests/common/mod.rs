@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use pubsub::core::{Broker, PublishOutcome};
-use pubsub::geom::Point;
+use pubsub::geom::{Point, Rect};
 use pubsub::netsim::NodeId;
 use pubsub::stree::{Entry, EntryId, LinearScan, SpatialIndex};
 
@@ -24,7 +24,8 @@ impl ScanOracle {
         let mut entries = Vec::new();
         for (handle, node, rect) in broker.registry().live() {
             owners.insert(handle.raw(), node);
-            entries.push(Entry::new(space.clamp(rect), EntryId(handle.raw())));
+            let rect = Rect::new(rect.to_vec()).expect("registered rects have sides");
+            entries.push(Entry::new(space.clamp(&rect), EntryId(handle.raw())));
         }
         ScanOracle {
             scan: LinearScan::new(entries).expect("one space, one dimensionality"),

@@ -7,10 +7,11 @@
 //! registry into a `(NodeId, Rect)` list, for a population large enough
 //! that the difference is unambiguous.
 //!
-//! `build()` takes the same compile: it moves the builder's rectangles
-//! into the registry (no second copy), and its per-subscription work —
-//! registry insert, interning — does not allocate; the grid model walks
-//! each distinct rectangle once.
+//! `build()` takes the same compile, and only the compile: the builder
+//! already holds the registry, which stores each distinct rectangle once
+//! (12 bytes of slot per subscription). The compile clamps and interns
+//! once per distinct rectangle, its per-subscription work does not
+//! allocate, and the grid model walks each distinct rectangle once.
 //!
 //! These tests live in their own integration-test file so they own the
 //! process-global allocator, and take [`METER`] so they do not meter
@@ -110,7 +111,8 @@ fn space_2d() -> Space {
 }
 
 /// A duplicate-heavy population: `SUBS` subscriptions drawn round-robin
-/// with a stride from a pool of `POOL` distinct rectangles.
+/// with a stride from a pool of `POOL` rectangles (55 of them distinct:
+/// the caps at 10 make some equal).
 fn population(nodes: &[NodeId]) -> Vec<(NodeId, Rect)> {
     let pool: Vec<Rect> = (0..POOL)
         .map(|i| {
@@ -160,7 +162,7 @@ fn covered_recompile_never_holds_an_o_n_rect_intermediate() {
         broker
             .registry()
             .live()
-            .map(|(_, n, r)| (n, r.clone()))
+            .map(|(_, n, r)| (n, Rect::new(r.to_vec()).unwrap()))
             .collect::<Vec<(NodeId, Rect)>>()
     });
     assert_eq!(collected.len(), SUBS);
@@ -212,9 +214,27 @@ fn covered_build_moves_its_rectangles_and_walks_without_allocating() {
     let build_calls = calls() - calls_before;
     assert_eq!(broker.registry().len(), SUBS);
 
-    // No allocation per subscription: the covering pass clamps each side
-    // straight into its intern key, the registry insert adds none, and
-    // the grid model walks each of the `POOL` distinct rectangles once.
+    // The registry stores each pool rectangle once: a 12-byte slot per
+    // subscription and a per-node count are nearly all it holds. Read
+    // from its own accounting and from the meter, over a clone (which
+    // allocates what the registry holds, at exact capacities).
+    let registry = broker.registry();
+    assert!(registry.distinct_rects() <= POOL);
+    let (clone_bytes, clone) = transient_peak(|| registry.clone());
+    drop(clone);
+    for (what, bytes) in [
+        ("heap_bytes", registry.heap_bytes()),
+        ("clone", clone_bytes),
+    ] {
+        assert!(
+            bytes <= 16 * SUBS,
+            "registry {what}: {bytes} bytes for {SUBS} subscriptions over {POOL} rectangles"
+        );
+    }
+
+    // No allocation per subscription: the covering pass clamps and
+    // interns each of the registry's `POOL` rectangles once, and the grid
+    // model walks each of them once.
     // What is left (~600 calls) is per representative and per build.
     // With a clamped `Rect` per subscription this was just over one per
     // subscription; with a registry clone, two more clamps and three

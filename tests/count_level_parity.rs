@@ -20,7 +20,7 @@ use common::ScanOracle;
 use proptest::prelude::*;
 use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
 use pubsub::core::{Broker, CoveringConfig, PublishOutcome};
-use pubsub::geom::Point;
+use pubsub::geom::{Point, Rect};
 use pubsub::netsim::{FaultEvent, FaultPlan, NodeId, Topology, TransitStubConfig};
 use pubsub::parallel::WorkerPool;
 use pubsub::workload::{stock_space, Modes, ScaleConfig, SubscriptionConfig};
@@ -180,7 +180,7 @@ proptest! {
                 .registry()
                 .live()
                 .find(|(h, _, _)| *h == handle)
-                .map(|(_, node, rect)| (node, rect.clone()))
+                .map(|(_, node, rect)| (node, Rect::new(rect.to_vec()).unwrap()))
                 .unwrap();
             covered.unsubscribe(handle).unwrap();
             interned.unsubscribe(handle).unwrap();
@@ -194,7 +194,7 @@ proptest! {
             let live: Vec<_> = covered
                 .registry()
                 .live()
-                .map(|(h, node, rect)| (h, node, rect.clone()))
+                .map(|(h, node, rect)| (h, node, Rect::new(rect.to_vec()).unwrap()))
                 .collect();
             let (handle, node, rect) = live[pick % live.len()].clone();
             if kind % 2 == 0 {

@@ -241,7 +241,7 @@ proptest! {
                             .live()
                             .find(|(h, _, _)| *h == covered_handles[i])
                             .unwrap();
-                        (node, rect.clone())
+                        (node, Rect::new(rect.to_vec()).unwrap())
                     };
                     covered_handles.push(covered.subscribe(node, rect.clone()).unwrap());
                     interned_handles.push(interned.subscribe(node, rect).unwrap());

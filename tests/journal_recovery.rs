@@ -123,7 +123,7 @@ fn live_set(broker: &Broker) -> Vec<(u32, u32, Rect)> {
     broker
         .registry()
         .live()
-        .map(|(h, n, r)| (h.raw(), n.0, r.clone()))
+        .map(|(h, n, r)| (h.raw(), n.0, Rect::new(r.to_vec()).unwrap()))
         .collect()
 }
 

@@ -182,7 +182,7 @@ fn assert_outcomes_match_oracle(broker: &Broker, events: &[Point], outcomes: &[P
         let mut want: Vec<NodeId> = broker
             .registry()
             .live()
-            .filter(|(_, _, rect)| rect.contains_point(event))
+            .filter(|(_, _, sides)| Rect::new(sides.to_vec()).unwrap().contains_point(event))
             .map(|(_, node, _)| node)
             .collect();
         want.sort();

@@ -452,7 +452,7 @@ fn per_subscription_model(broker: &Broker, cells: usize) -> GridModel {
     let dense = |n: NodeId| nodes.iter().position(|&m| m == n).unwrap();
     let pairs: Vec<(usize, Rect)> = registry
         .live()
-        .map(|(_, n, r)| (dense(n), r.clone()))
+        .map(|(_, n, r)| (dense(n), Rect::new(r.to_vec()).unwrap()))
         .collect();
     let bounds = broker.space().bounds().clone();
     let volume = bounds.volume();

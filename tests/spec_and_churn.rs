@@ -115,7 +115,7 @@ proptest! {
             let partition = broker.partition();
             let mut expected = vec![BTreeSet::new(); broker.groups().len()];
             for (_, node, rect) in broker.registry().live() {
-                let clamped = broker.space().clamp(rect);
+                let clamped = broker.space().clamp(&Rect::new(rect.to_vec()).unwrap());
                 for cell in partition.grid().cells_intersecting(&clamped) {
                     if let Some(q) = partition.group_of_cell(cell) {
                         expected[q].insert(node);
