@@ -83,7 +83,31 @@ struct Output {
     /// The acceptance gate: sustained churn throughput within 20% of the
     /// static baseline at the same batch granularity.
     within_20_percent: bool,
-    churn_counters: ChurnCounters,
+    churn_counters: Churn,
+}
+
+/// The JSON copy of [`ChurnCounters`], field for field.
+#[derive(Debug, Serialize)]
+struct Churn {
+    epoch: u64,
+    subscribes: u64,
+    unsubscribes: u64,
+    recompiles: u64,
+    overlay_len: usize,
+    tombstone_len: usize,
+}
+
+impl From<ChurnCounters> for Churn {
+    fn from(c: ChurnCounters) -> Self {
+        Churn {
+            epoch: c.epoch,
+            subscribes: c.subscribes,
+            unsubscribes: c.unsubscribes,
+            recompiles: c.recompiles,
+            overlay_len: c.overlay_len,
+            tombstone_len: c.tombstone_len,
+        }
+    }
 }
 
 fn build(
@@ -248,7 +272,7 @@ fn main() {
     let churn_eps = n as f64 / best_churn;
     let static_chunked_latency = batch_quantiles(&mut static_chunked_lat_ns);
     let churn_latency = batch_quantiles(&mut churn_lat_ns);
-    let churn_counters = churn_broker.metrics_snapshot().churn;
+    let churn_counters = churn_broker.metrics_snapshot().churn.into();
 
     let overlay_overhead_pct = 100.0 * (1.0 - overlay_eps / static_eps);
     let churn_overhead_pct = 100.0 * (1.0 - churn_eps / static_chunked_eps);

@@ -6,13 +6,44 @@
 //! writes `results/fig3_topology.json`.
 
 use pubsub_bench::{build_testbed, write_json, Seeds};
+use pubsub_netsim::TopologyStats;
 use serde::Serialize;
 
 #[derive(Serialize)]
 struct Fig3 {
-    stats: pubsub_netsim::TopologyStats,
+    stats: Stats,
     per_block: Vec<BlockRow>,
     degree_histogram: Vec<(usize, usize)>,
+}
+
+/// The JSON copy of [`TopologyStats`], field for field.
+#[derive(Serialize)]
+struct Stats {
+    nodes: usize,
+    edges: usize,
+    transit_nodes: usize,
+    stub_nodes: usize,
+    stubs: usize,
+    blocks: usize,
+    avg_degree: f64,
+    avg_stub_size: f64,
+    connected: bool,
+}
+
+impl From<TopologyStats> for Stats {
+    fn from(s: TopologyStats) -> Self {
+        Stats {
+            nodes: s.nodes,
+            edges: s.edges,
+            transit_nodes: s.transit_nodes,
+            stub_nodes: s.stub_nodes,
+            stubs: s.stubs,
+            blocks: s.blocks,
+            avg_degree: s.avg_degree,
+            avg_stub_size: s.avg_stub_size,
+            connected: s.connected,
+        }
+    }
 }
 
 #[derive(Serialize)]
@@ -78,7 +109,7 @@ fn main() {
     write_json(
         "fig3_topology",
         &Fig3 {
-            stats,
+            stats: stats.into(),
             per_block,
             degree_histogram: degrees.into_iter().collect(),
         },

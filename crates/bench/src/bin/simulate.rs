@@ -13,8 +13,41 @@
 
 use pubsub_bench::{build_broker, build_testbed, drive, sample_events, scenario, Seeds};
 use pubsub_clustering::ClusteringAlgorithm;
-use pubsub_core::DeliveryMode;
+use pubsub_core::{CostReport, DeliveryMode};
 use pubsub_workload::Modes;
+use serde::Serialize;
+
+/// The `--json` copy of [`CostReport`], field for field.
+#[derive(Serialize)]
+struct Report {
+    messages: u64,
+    dropped: u64,
+    unicasts: u64,
+    multicasts: u64,
+    partial_multicasts: u64,
+    scheme_cost: f64,
+    unicast_cost: f64,
+    ideal_cost: f64,
+    wasted_deliveries: u64,
+    unreachable_skipped: u64,
+}
+
+impl From<CostReport> for Report {
+    fn from(r: CostReport) -> Self {
+        Report {
+            messages: r.messages,
+            dropped: r.dropped,
+            unicasts: r.unicasts,
+            multicasts: r.multicasts,
+            partial_multicasts: r.partial_multicasts,
+            scheme_cost: r.scheme_cost,
+            unicast_cost: r.unicast_cost,
+            ideal_cost: r.ideal_cost,
+            wasted_deliveries: r.wasted_deliveries,
+            unreachable_skipped: r.unreachable_skipped,
+        }
+    }
+}
 
 #[derive(Debug)]
 struct Args {
@@ -166,7 +199,7 @@ fn main() {
     if args.json {
         println!(
             "{}",
-            serde_json::to_string_pretty(&report).expect("report serializes")
+            serde_json::to_string_pretty(&Report::from(report)).expect("report serializes")
         );
     }
 }

@@ -1,5 +1,4 @@
-//! Shared experiment harness for the figure/table binaries and Criterion
-//! benches.
+//! Shared experiment harness for the figure/table and `bench_*` binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (see DESIGN.md's per-experiment index); this library

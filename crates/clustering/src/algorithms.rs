@@ -1,13 +1,12 @@
 //! The clustering algorithms (Appendix A.2–A.3) and the top-level driver.
 
 use pubsub_geom::CellId;
-use serde::{Deserialize, Serialize};
 
 use crate::ew::{merge_distance, GroupState};
 use crate::{ClusterError, GridModel, SpacePartition};
 
 /// Which subscription clustering algorithm to run.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ClusteringAlgorithm {
     /// The appendix's k-means on grid cells with immediate reassignment —
     /// the paper's best performer in both quality and running time.
@@ -50,7 +49,7 @@ impl std::fmt::Display for ClusteringAlgorithm {
 
 /// Configuration of a clustering run. The paper caps both the working set
 /// and the k-means iterations at `T = 200`.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ClusteringConfig {
     algorithm: ClusteringAlgorithm,
     groups: usize,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// A fixed-capacity bitset over subscriber indices.
 ///
 /// Cell membership lists `l(g)` and group membership unions are sets of
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.diff_count(&b), 1); // {3}
 /// assert_eq!(b.diff_count(&a), 0);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SubscriberSet {
     words: Vec<u64>,
     capacity: usize,

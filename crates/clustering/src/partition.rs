@@ -2,7 +2,6 @@
 //! catch-all `S_0`.
 
 use pubsub_geom::{CellId, Grid, Point};
-use serde::{Deserialize, Serialize};
 
 use crate::ClusterError;
 
@@ -12,7 +11,7 @@ use crate::ClusterError;
 /// Each region `S_q` is a union of grid cells; a published event maps to a
 /// group by locating its cell. Events outside the grid, or in cells not
 /// assigned to any group, belong to `S_0` (delivered by unicast).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpacePartition {
     grid: Grid,
     /// Per cell: group index, or `u32::MAX` for `S_0`.

@@ -40,7 +40,6 @@ use pubsub_netsim::{
     FaultyRouting, FlatNet, NetError, NodeId, SptTable, SptView, Topology,
 };
 use pubsub_parallel::{pipeline_inline, BlockRanges, PipelineRun, WorkerPool};
-use serde::{Deserialize, Serialize};
 
 use crate::churn::{ChurnState, ChurnStep};
 use crate::journal::{DurableJournal, JournalConfig, JournalOp, RegistryImage};
@@ -61,7 +60,7 @@ type DensityFn = Box<dyn Fn(&Rect) -> f64 + Send + Sync>;
 /// Which multicast flavor the broker simulates (the paper notes its
 /// results apply to both network-supported and application-level
 /// multicast).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DeliveryMode {
     /// Network-supported dense-mode multicast: one message down the
     /// shortest-path tree rooted at the publisher (the paper's §5.2
@@ -82,7 +81,7 @@ pub enum DeliveryMode {
 }
 
 /// The outcome of publishing one event. Passive data: public fields.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct PublishOutcome {
     /// How the message was delivered.
     pub decision: Decision,
@@ -99,7 +98,6 @@ pub struct PublishOutcome {
     /// Matched subscriber nodes that were unreachable under the broker's
     /// fault state and therefore skipped — always empty on a fault-free
     /// broker.
-    #[serde(default)]
     pub unreachable: Vec<NodeId>,
     /// Scheme / unicast / ideal costs of this message.
     pub costs: MessageCosts,

@@ -47,8 +47,6 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
 use pubsub_geom::{Interval, Rect, Space};
 use pubsub_netsim::NodeId;
 
@@ -58,7 +56,7 @@ use crate::{BrokerError, SubscriptionId};
 /// Knobs of the covering layer. The defaults aggregate duplicates and
 /// obvious subsumptions; `merge_cells` enables the lossier (but still
 /// exactly re-checked) quantized merge of near-identical rectangles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoveringConfig {
     /// Maximum number of cover candidates considered for subsumption
     /// (the most-subscribed unique rectangles). Each non-candidate
@@ -83,7 +81,7 @@ impl Default for CoveringConfig {
 }
 
 /// Aggregation statistics of one covering build.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoveringStats {
     /// Concrete subscriptions streamed in.
     pub concrete: usize,
@@ -413,8 +411,8 @@ fn node_set_min_members(words: usize) -> usize {
 /// [`Deref`]. The count is known without materializing. A set built
 /// from an id list is just that list.
 ///
-/// Equality, `Debug` and serialization are by content (the ascending id
-/// sequence), so a set of runs and the same ids as a list compare equal.
+/// Equality and `Debug` are by content (the ascending id sequence), so a
+/// set of runs and the same ids as a list compare equal.
 #[derive(Clone, Default)]
 pub struct MatchedSet {
     table: Option<Arc<CoveringTable>>,
@@ -498,18 +496,6 @@ impl PartialEq for MatchedSet {
 impl fmt::Debug for MatchedSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl Serialize for MatchedSet {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for MatchedSet {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Vec::<SubscriptionId>::deserialize(deserializer).map(MatchedSet::from)
     }
 }
 
@@ -994,10 +980,6 @@ mod tests {
             "ascending, no duplicates"
         );
         assert_eq!(format!("{set:?}"), format!("{flat:?}"));
-        let json = serde_json::to_string(&set).unwrap();
-        assert_eq!(json, serde_json::to_string(&flat).unwrap());
-        let back: MatchedSet = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, set);
         assert!(!MatchedSet::default().iter().any(|_| true));
         assert!(MatchedSet::from_runs(&table, &[], 0).is_empty());
     }

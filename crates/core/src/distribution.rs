@@ -14,12 +14,11 @@
 //! them directly.
 
 use pubsub_netsim::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::BrokerError;
 
 /// How one publication is delivered.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Decision {
     /// No interested subscribers: "the publication will be not sent".
     Drop,
@@ -47,7 +46,7 @@ pub enum Decision {
 }
 
 /// Why a publication was unicast.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum UnicastReason {
     /// The event fell in the catch-all region `S_0`.
     CatchAll,
@@ -88,7 +87,7 @@ pub enum UnicastReason {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct DistributionPolicy {
     threshold: f64,
     /// The paper's alternative rule ("the number (or the ratio of the

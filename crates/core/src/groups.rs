@@ -2,11 +2,10 @@
 
 use pubsub_clustering::{GridModel, SpacePartition};
 use pubsub_netsim::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// The multicast groups induced by a space partition: group `q` contains
 /// every subscriber with a subscription intersecting region `S_q`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MulticastGroups {
     groups: Vec<Vec<NodeId>>,
 }

@@ -8,8 +8,6 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use pubsub_geom::{Point, Rect, Space};
 use pubsub_netsim::NodeId;
 
@@ -20,7 +18,7 @@ use crate::{BrokerError, MatchedSet, SubscriptionStream};
 
 /// Identifier of one subscription (one rectangle; a subscriber may own
 /// several).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SubscriptionId(pub u32);
 
 impl fmt::Display for SubscriptionId {

@@ -4,10 +4,8 @@
 //! around the broker (stage latencies, queue gauges, restarts) is the
 //! front-end's to keep.
 
-use serde::{Deserialize, Serialize};
-
 /// The three costs of delivering one publication.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct MessageCosts {
     /// What the configured scheme actually paid.
     pub scheme: f64,
@@ -26,7 +24,7 @@ pub struct MessageCosts {
 /// `100·(ΣC_unicast − ΣC_scheme)/(ΣC_unicast − ΣC_ideal)`, which avoids
 /// the per-message singularity when a message has a single receiver
 /// (unicast cost = ideal cost); see DESIGN.md choice 7.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct CostReport {
     /// Publications processed.
     pub messages: u64,
@@ -38,7 +36,6 @@ pub struct CostReport {
     pub multicasts: u64,
     /// Publications delivered by partial multicast — a fault-degraded
     /// group send covering only the reachable members.
-    #[serde(default)]
     pub partial_multicasts: u64,
     /// Total cost paid by the scheme.
     pub scheme_cost: f64,
@@ -52,7 +49,6 @@ pub struct CostReport {
     /// Total matched subscribers that were skipped because the fault
     /// state made them unreachable from the publisher. Zero on a
     /// fault-free broker.
-    #[serde(default)]
     pub unreachable_skipped: u64,
 }
 
@@ -106,7 +102,7 @@ impl CostReport {
 
 /// Counters describing the broker's churn machinery: how the live
 /// subscription set has been mutated and how the engine kept up.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ChurnCounters {
     /// Current engine-snapshot epoch (bumps on every snapshot swap:
     /// recompiles and churn-driven group updates).
@@ -129,7 +125,7 @@ pub struct ChurnCounters {
 /// Counters describing the fused batch-publish pipeline: how batches
 /// were dispatched on the persistent worker pool and whether the
 /// per-worker arenas are being reused (steady state) or still growing.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PipelineCounters {
     /// Passes through the publish pipeline: every `publish_batch` /
     /// `publish_batch_stats` call (one per fault-clock segment under a
@@ -151,32 +147,26 @@ pub struct PipelineCounters {
     pub arena_growths: u64,
     /// Workers whose fused pass panicked and were quarantined; their
     /// blocks were recomputed inline so the batch still completed.
-    #[serde(default)]
     pub quarantined_workers: u64,
     /// Batches that needed at least one inline quarantine retry.
-    #[serde(default)]
     pub retried_batches: u64,
     /// Representatives the matcher's slab filter passed to the exact
     /// test (`CoveringTable::hit_runs`), summed over events.
-    #[serde(default)]
     pub match_candidates: u64,
     /// Slab-filter words ANDed — summary words plus the bitmap words
     /// the summaries let through — summed over events.
-    #[serde(default)]
     pub match_words: u64,
     /// Fault-clock segments dispatched by batches under an installed
     /// fault plan (each segment is one pipeline pass).
-    #[serde(default)]
     pub fault_segments: u64,
     /// Fault-clock segments that ran in degraded (reachability-masked)
     /// mode.
-    #[serde(default)]
     pub degraded_segments: u64,
 }
 
 /// Counters describing the journal recovery that produced this broker
 /// (`BrokerBuilder::recover`). All-zero on a broker built fresh.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RecoveryCounters {
     /// Torn trailing journal records discarded during the last recovery.
     pub truncated_records: u64,
@@ -189,13 +179,12 @@ pub struct RecoveryCounters {
     /// Stale journal records the last recovery skipped because the
     /// snapshot had already folded them — a crash landed between the
     /// snapshot rename and the WAL truncation.
-    #[serde(default)]
     pub stale_ops: u64,
 }
 
 /// One coherent view of every broker-side counter family — the only
 /// way to read them, through `Broker::metrics_snapshot`.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Current engine-snapshot epoch.
     pub epoch: u64,
@@ -208,7 +197,6 @@ pub struct MetricsSnapshot {
     /// Scheme-cost memo misses (cost walks actually performed).
     pub scheme_cost_walks: u64,
     /// Journal-recovery counters.
-    #[serde(default)]
     pub recovery: RecoveryCounters,
 }
 
@@ -361,15 +349,5 @@ mod tests {
         assert_eq!(r.multicasts, 0);
         assert_eq!(r.wasted_deliveries, 1);
         assert_eq!(r.unreachable_skipped, 5);
-    }
-
-    #[test]
-    fn snapshot_roundtrips_serde() {
-        let mut m = MetricsSnapshot::default();
-        m.pipeline.events = 7;
-        m.recovery.replayed_ops = 3;
-        let json = serde_json::to_string(&m).expect("serialize");
-        let back: MetricsSnapshot = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, m);
     }
 }

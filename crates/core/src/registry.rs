@@ -19,14 +19,13 @@ use std::fmt;
 
 use pubsub_geom::{Interval, Rect};
 use pubsub_netsim::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::{BrokerError, SubscriptionStream};
 
 /// Stable identity of one registered subscription, valid until it is
 /// explicitly removed — in particular across engine recompiles, which
 /// renumber the internal [`crate::SubscriptionId`]s.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SubscriptionHandle(u32);
 
 impl SubscriptionHandle {

@@ -33,13 +33,12 @@
 use std::collections::BTreeMap;
 
 use pubsub_geom::{Interval, Rect, Space};
-use serde::{Deserialize, Serialize};
 
 use crate::BrokerError;
 
 /// A single-attribute predicate: one or more half-open ranges of the
 /// attribute's (linearized) domain.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Predicate {
     /// The admissible ranges (at least one; a union is decomposed at
     /// compile time).
@@ -124,7 +123,7 @@ impl Predicate {
 /// attributes are wild-cards. Compiling against a [`Space`] produces the
 /// equivalent set of rectangles (one per combination of per-attribute
 /// ranges).
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct SubscriptionSpec {
     predicates: BTreeMap<String, Predicate>,
 }

@@ -1,12 +1,10 @@
 use std::fmt;
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GeomError, Interval, Point, Rect};
 
 /// Identifier of a grid cell: the linearized (row-major) cell index.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CellId(pub usize);
 
 impl fmt::Display for CellId {
@@ -39,7 +37,7 @@ pub type CellCoords = Vec<usize>;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Grid {
     bounds: Rect,
     cells_per_dim: Vec<usize>,

@@ -31,114 +31,6 @@ pub struct Interval {
     hi: f64,
 }
 
-/// JSON-safe (de)serialization of interval bounds: finite bounds are
-/// numbers, infinite bounds are the strings `"inf"` / `"-inf"`.
-/// `serde_json` would otherwise flatten `±∞` to `null`, silently turning
-/// wild-card predicates into garbage on a round trip. The bounds need a
-/// custom wire format, so `Interval` implements the traits by hand
-/// instead of deriving them.
-mod bound_serde {
-    use super::Interval;
-    use serde::de::{Error as DeError, MapAccess, Visitor};
-    use serde::ser::SerializeStruct;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    /// One bound with the `"inf"` / `"-inf"` encoding for infinities.
-    struct Bound(f64);
-
-    impl Serialize for Bound {
-        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            if self.0.is_finite() {
-                serializer.serialize_f64(self.0)
-            } else if self.0 > 0.0 {
-                serializer.serialize_str("inf")
-            } else {
-                serializer.serialize_str("-inf")
-            }
-        }
-    }
-
-    impl<'de> Deserialize<'de> for Bound {
-        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-            struct BoundVisitor;
-
-            impl<'de> Visitor<'de> for BoundVisitor {
-                type Value = Bound;
-
-                fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                    f.write_str("a number, \"inf\" or \"-inf\"")
-                }
-
-                fn visit_f64<E: DeError>(self, v: f64) -> Result<Bound, E> {
-                    Ok(Bound(v))
-                }
-
-                fn visit_i64<E: DeError>(self, v: i64) -> Result<Bound, E> {
-                    Ok(Bound(v as f64))
-                }
-
-                fn visit_u64<E: DeError>(self, v: u64) -> Result<Bound, E> {
-                    Ok(Bound(v as f64))
-                }
-
-                fn visit_str<E: DeError>(self, v: &str) -> Result<Bound, E> {
-                    match v {
-                        "inf" => Ok(Bound(f64::INFINITY)),
-                        "-inf" => Ok(Bound(f64::NEG_INFINITY)),
-                        other => Err(E::custom(format!(
-                            "invalid interval bound: {other:?}, expected a number, \"inf\" or \"-inf\""
-                        ))),
-                    }
-                }
-            }
-
-            deserializer.deserialize_any(BoundVisitor)
-        }
-    }
-
-    impl Serialize for Interval {
-        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            let mut state = serializer.serialize_struct("Interval", 2)?;
-            state.serialize_field("lo", &Bound(self.lo()))?;
-            state.serialize_field("hi", &Bound(self.hi()))?;
-            state.end()
-        }
-    }
-
-    impl<'de> Deserialize<'de> for Interval {
-        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-            struct IntervalVisitor;
-
-            impl<'de> Visitor<'de> for IntervalVisitor {
-                type Value = Interval;
-
-                fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                    f.write_str("struct Interval")
-                }
-
-                fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Interval, A::Error> {
-                    let mut lo: Option<Bound> = None;
-                    let mut hi: Option<Bound> = None;
-                    while let Some(key) = map.next_key()? {
-                        match key.as_str() {
-                            "lo" => lo = Some(map.next_value()?),
-                            "hi" => hi = Some(map.next_value()?),
-                            _ => {
-                                let _ignored: serde::de::IgnoredAny = map.next_value()?;
-                            }
-                        }
-                    }
-                    let lo = lo.ok_or_else(|| A::Error::missing_field("lo"))?;
-                    let hi = hi.ok_or_else(|| A::Error::missing_field("hi"))?;
-                    Ok(Interval { lo: lo.0, hi: hi.0 })
-                }
-            }
-
-            deserializer.deserialize_any(IntervalVisitor)
-        }
-    }
-}
-
 impl Interval {
     /// Creates the interval `(lo, hi]`.
     ///
@@ -403,24 +295,6 @@ mod tests {
         assert_eq!(Interval::at_least(5.0).center(), 5.0);
         assert_eq!(Interval::at_most(7.0).center(), 7.0);
         assert_eq!(Interval::unbounded().center(), 0.0);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_infinities() {
-        for iv in [
-            Interval::new(1.0, 2.0).unwrap(),
-            Interval::unbounded(),
-            Interval::at_least(5.0),
-            Interval::at_most(-3.0),
-            Interval::empty_at(0.0),
-        ] {
-            let json = serde_json::to_string(&iv).unwrap();
-            let back: Interval = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, iv, "json was {json}");
-        }
-        // The wire format is explicit about infinities.
-        let json = serde_json::to_string(&Interval::at_least(5.0)).unwrap();
-        assert!(json.contains("\"inf\""), "{json}");
     }
 
     #[test]

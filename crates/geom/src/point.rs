@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::Index;
 
-use serde::{Deserialize, Serialize};
-
 use crate::GeomError;
 
 /// A published event: a point in the `N`-dimensional event space `Ω ⊆ R^N`.
@@ -20,7 +18,7 @@ use crate::GeomError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Point {
     coords: Vec<f64>,
 }

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GeomError, Interval, Point};
 
 /// An axis-aligned rectangle in `R^N`: the geometric form of a subscription.
@@ -24,7 +22,7 @@ use crate::{GeomError, Interval, Point};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Rect {
     sides: Vec<Interval>,
 }

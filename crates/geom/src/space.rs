@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{GeomError, Interval, Point, Rect};
 
 /// A named, bounded event space `Ω`.
@@ -24,7 +22,7 @@ use crate::{GeomError, Interval, Point, Rect};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Space {
     attributes: Vec<String>,
     bounds: Rect,

@@ -1,11 +1,9 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::NetError;
 
 /// Identifier of a network node.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -15,10 +13,10 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of an undirected edge (its index in insertion order).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EdgeId(pub u32);
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct Edge {
     a: NodeId,
     b: NodeId,
@@ -43,7 +41,7 @@ struct Edge {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Graph {
     nodes: usize,
     edges: Vec<Edge>,

@@ -10,12 +10,11 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Graph, NetError, NodeId};
 
 /// Role of a node in a transit-stub topology.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NodeRole {
     /// A backbone router inside transit block `block`.
     Transit {
@@ -32,7 +31,7 @@ pub enum NodeRole {
 }
 
 /// A stub network: a leaf domain attached to one transit node.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StubInfo {
     /// Transit block this stub belongs to.
     pub block: usize,
@@ -44,7 +43,7 @@ pub struct StubInfo {
 
 /// Configuration of the transit-stub generator. Passive data: all fields
 /// are public.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TransitStubConfig {
     /// Number of transit blocks (the paper uses 3).
     pub transit_blocks: usize,
@@ -310,7 +309,7 @@ fn pick<'a, T>(items: &'a [T], rng: &mut ChaCha8Rng) -> &'a T {
 }
 
 /// A generated transit-stub topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Topology {
     graph: Graph,
     roles: Vec<NodeRole>,
@@ -466,7 +465,7 @@ impl Topology {
 }
 
 /// Summary statistics of a [`Topology`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TopologyStats {
     /// Total nodes.
     pub nodes: usize,

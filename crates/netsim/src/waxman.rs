@@ -12,12 +12,11 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Graph, NetError, NodeId, NodeRole, StubInfo, Topology};
 
 /// Configuration of the Waxman generator. Passive data: public fields.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WaxmanConfig {
     /// Number of nodes.
     pub nodes: usize,

@@ -1,10 +1,12 @@
 //! What the staged server measures around the broker: the fixed-bucket
 //! [`LatencyHisto`] behind its per-stage latency gauges, the
 //! [`ServerStats`] that keep them beside the admission and restart
-//! counts, and the [`ServingMetrics`] a metrics poll returns.
+//! counts, and the [`ServingMetrics`] a metrics poll returns, with the
+//! JSON writer for the wire `Metrics` frame.
 
-use pubsub_core::MetricsSnapshot;
-use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
+
+use pubsub_core::{ChurnCounters, CostReport, MetricsSnapshot, PipelineCounters, RecoveryCounters};
 
 /// Number of power-of-two buckets in a [`LatencyHisto`]: bucket `i`
 /// covers `[2^i, 2^(i+1))` nanoseconds, so 40 buckets span 1 ns to
@@ -19,7 +21,7 @@ pub const HISTO_BUCKETS: usize = 40;
 /// inside the winning power-of-two bucket (so the answer is exact to
 /// within a factor of 2, plenty for p50/p99/p999 gauges; the serving
 /// bench keeps exact end-to-end latencies separately).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LatencyHisto {
     /// Sample counts per power-of-two bucket; see [`HISTO_BUCKETS`].
     pub buckets: [u64; HISTO_BUCKETS],
@@ -92,7 +94,7 @@ impl LatencyHisto {
 /// histograms, the delivery counts and its own restarts (they survive a
 /// fold recovery). A metrics poll and `stop` read the same fold-side
 /// copy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ServerStats {
     /// Submissions accepted (each produced exactly one sink record).
     pub accepted: u64,
@@ -137,12 +139,139 @@ pub struct ServerStats {
 /// One metrics poll of a running server — what
 /// [`IngestHandle::metrics`](crate::IngestHandle::metrics) returns and
 /// what a wire `Metrics` frame carries as JSON.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ServingMetrics {
     /// The broker's own counters (`Broker::metrics_snapshot`).
     pub broker: MetricsSnapshot,
     /// What the server measured around the broker.
     pub server: ServerStats,
+}
+
+impl ServingMetrics {
+    /// The JSON a wire `Metrics` frame carries: one compact object with
+    /// every field under its own name, in declaration order, nested
+    /// structs as nested objects. A float prints with a `.0` when it is
+    /// integral and below 1e16, in shortest form otherwise, and as
+    /// `null` when it is not finite. Pollers find keys by name, so
+    /// renaming a field changes the wire format.
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(2048);
+        self.write_json(&mut out);
+        out
+    }
+}
+
+/// Appends a value's JSON form to a string.
+trait WriteJson {
+    fn write_json(&self, out: &mut String);
+}
+
+impl WriteJson for u64 {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl WriteJson for usize {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl WriteJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        let v = *self;
+        let _ = if !v.is_finite() {
+            write!(out, "null")
+        } else if v.fract() == 0.0 && v.abs() < 1e16 {
+            write!(out, "{v:.1}")
+        } else {
+            write!(out, "{v}")
+        };
+    }
+}
+
+impl<const N: usize> WriteJson for [u64; N] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// Implements [`WriteJson`] for structs as objects of their fields in
+/// the order listed. The listing destructures the struct without `..`,
+/// so a field added to one of them fails to compile here instead of
+/// going missing from the frame.
+macro_rules! json_object {
+    ($($ty:ident { $first:ident $(, $rest:ident)* $(,)? })*) => {$(
+        impl WriteJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                let $ty { $first $(, $rest)* } = self;
+                out.push_str(concat!("{\"", stringify!($first), "\":"));
+                $first.write_json(out);
+                $(
+                    out.push_str(concat!(",\"", stringify!($rest), "\":"));
+                    $rest.write_json(out);
+                )*
+                out.push('}');
+            }
+        }
+    )*};
+}
+
+json_object! {
+    ServingMetrics { broker, server }
+    MetricsSnapshot { epoch, report, churn, pipeline, scheme_cost_walks, recovery }
+    CostReport {
+        messages,
+        dropped,
+        unicasts,
+        multicasts,
+        partial_multicasts,
+        scheme_cost,
+        unicast_cost,
+        ideal_cost,
+        wasted_deliveries,
+        unreachable_skipped,
+    }
+    ChurnCounters { epoch, subscribes, unsubscribes, recompiles, overlay_len, tombstone_len }
+    PipelineCounters {
+        batches,
+        pooled_batches,
+        inline_batches,
+        events,
+        max_workers,
+        arena_growths,
+        quarantined_workers,
+        retried_batches,
+        match_candidates,
+        match_words,
+        fault_segments,
+        degraded_segments,
+    }
+    RecoveryCounters { truncated_records, recovery_ms, replayed_ops, stale_ops }
+    ServerStats {
+        accepted,
+        rejected,
+        delivered,
+        failed,
+        batches,
+        ingest_queue_max_depth,
+        restarts,
+        replayed_batches,
+        stage_ingest,
+        stage_batcher,
+        stage_queue_wait,
+        stage_pipeline,
+        stage_egress,
+    }
+    LatencyHisto { buckets, count, total_ns }
 }
 
 #[cfg(test)]
@@ -250,16 +379,138 @@ mod tests {
         assert!(h.quantile_ns(-1.0) <= h.quantile_ns(2.0));
     }
 
-    #[test]
-    fn stats_with_histos_roundtrip_serde() {
-        let mut stats = ServerStats {
-            rejected: 3,
-            ingest_queue_max_depth: 7,
-            ..ServerStats::default()
+    /// A `ServingMetrics` with a distinct non-zero value in every field.
+    fn golden() -> ServingMetrics {
+        let histo = |base: u64| {
+            let mut buckets = [0u64; HISTO_BUCKETS];
+            for (i, b) in buckets.iter_mut().enumerate() {
+                *b = base * 100 + i as u64 + 1;
+            }
+            LatencyHisto {
+                buckets,
+                count: base * 1000 + 1,
+                total_ns: base * 1000 + 2,
+            }
         };
-        stats.stage_pipeline.record(12_345);
-        let json = serde_json::to_string(&stats).expect("serialize");
-        let back: ServerStats = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, stats);
+        ServingMetrics {
+            broker: MetricsSnapshot {
+                epoch: 1,
+                report: CostReport {
+                    messages: 2,
+                    dropped: 3,
+                    unicasts: 4,
+                    multicasts: 5,
+                    partial_multicasts: 6,
+                    scheme_cost: f64::INFINITY,
+                    unicast_cost: 1234.5678,
+                    ideal_cost: 2.5e16,
+                    wasted_deliveries: 7,
+                    unreachable_skipped: 8,
+                },
+                churn: ChurnCounters {
+                    epoch: 9,
+                    subscribes: 10,
+                    unsubscribes: 11,
+                    recompiles: 12,
+                    overlay_len: 13,
+                    tombstone_len: 14,
+                },
+                pipeline: PipelineCounters {
+                    batches: 15,
+                    pooled_batches: 16,
+                    inline_batches: 17,
+                    events: 18,
+                    max_workers: 19,
+                    arena_growths: 20,
+                    quarantined_workers: 21,
+                    retried_batches: 22,
+                    match_candidates: 23,
+                    match_words: 24,
+                    fault_segments: 25,
+                    degraded_segments: 26,
+                },
+                scheme_cost_walks: 27,
+                recovery: RecoveryCounters {
+                    truncated_records: 28,
+                    recovery_ms: 29,
+                    replayed_ops: 30,
+                    stale_ops: 31,
+                },
+            },
+            server: ServerStats {
+                accepted: 32,
+                rejected: 33,
+                delivered: 34,
+                failed: 35,
+                batches: 36,
+                ingest_queue_max_depth: 37,
+                restarts: 38,
+                replayed_batches: 39,
+                stage_ingest: histo(1),
+                stage_batcher: histo(2),
+                stage_queue_wait: histo(3),
+                stage_pipeline: histo(4),
+                stage_egress: histo(5),
+            },
+        }
+    }
+
+    /// The metrics frame byte for byte, as pollers read it: they find
+    /// keys by name, so any change to this literal is a wire change.
+    #[test]
+    fn to_json_matches_the_serde_frame() {
+        let frame = concat!(
+            r#"{"broker":{"epoch":1,"#,
+            r#""report":{"messages":2,"dropped":3,"unicasts":4,"multicasts":5,"#,
+            r#""partial_multicasts":6,"scheme_cost":null,"unicast_cost":1234.5678,"#,
+            r#""ideal_cost":25000000000000000,"wasted_deliveries":7,"#,
+            r#""unreachable_skipped":8},"#,
+            r#""churn":{"epoch":9,"subscribes":10,"unsubscribes":11,"recompiles":12,"#,
+            r#""overlay_len":13,"tombstone_len":14},"#,
+            r#""pipeline":{"batches":15,"pooled_batches":16,"inline_batches":17,"#,
+            r#""events":18,"max_workers":19,"arena_growths":20,"quarantined_workers":21,"#,
+            r#""retried_batches":22,"match_candidates":23,"match_words":24,"#,
+            r#""fault_segments":25,"degraded_segments":26},"#,
+            r#""scheme_cost_walks":27,"recovery":{"truncated_records":28,"recovery_ms":29,"#,
+            r#""replayed_ops":30,"stale_ops":31}},"#,
+            r#""server":{"accepted":32,"rejected":33,"delivered":34,"failed":35,"#,
+            r#""batches":36,"ingest_queue_max_depth":37,"restarts":38,"#,
+            r#""replayed_batches":39,"#,
+            r#""stage_ingest":{"buckets":[101,102,103,104,105,106,107,108,109,110,111,112,"#,
+            r#"113,114,115,116,117,118,119,120,121,122,123,124,125,126,127,128,129,130,131,"#,
+            r#"132,133,134,135,136,137,138,139,140],"count":1001,"total_ns":1002},"#,
+            r#""stage_batcher":{"buckets":[201,202,203,204,205,206,207,208,209,210,211,212,"#,
+            r#"213,214,215,216,217,218,219,220,221,222,223,224,225,226,227,228,229,230,231,"#,
+            r#"232,233,234,235,236,237,238,239,240],"count":2001,"total_ns":2002},"#,
+            r#""stage_queue_wait":{"buckets":[301,302,303,304,305,306,307,308,309,310,311,"#,
+            r#"312,313,314,315,316,317,318,319,320,321,322,323,324,325,326,327,328,329,330,"#,
+            r#"331,332,333,334,335,336,337,338,339,340],"count":3001,"total_ns":3002},"#,
+            r#""stage_pipeline":{"buckets":[401,402,403,404,405,406,407,408,409,410,411,"#,
+            r#"412,413,414,415,416,417,418,419,420,421,422,423,424,425,426,427,428,429,430,"#,
+            r#"431,432,433,434,435,436,437,438,439,440],"count":4001,"total_ns":4002},"#,
+            r#""stage_egress":{"buckets":[501,502,503,504,505,506,507,508,509,510,511,512,"#,
+            r#"513,514,515,516,517,518,519,520,521,522,523,524,525,526,527,528,529,530,531,"#,
+            r#"532,533,534,535,536,537,538,539,540],"count":5001,"total_ns":5002}}}"#,
+        );
+        assert_eq!(golden().to_json(), frame);
+        // Each float rule, on one field: integral below 1e16 keeps a
+        // `.0`, anything else prints in shortest form, non-finite is null.
+        for (v, text) in [
+            (4096.0, "4096.0"),
+            (-7.0, "-7.0"),
+            (-0.0, "-0.0"),
+            (0.1, "0.1"),
+            (1e-7, "0.0000001"),
+            (123456789.125, "123456789.125"),
+            (9999999999999998.0, "9999999999999998.0"),
+            (1e16, "10000000000000000"),
+            (f64::NAN, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            let mut m = golden();
+            m.broker.report.unicast_cost = v;
+            let want = frame.replace("1234.5678", text);
+            assert_eq!(m.to_json(), want, "unicast_cost = {v:?}");
+        }
     }
 }

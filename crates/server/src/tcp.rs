@@ -312,8 +312,7 @@ fn serve_connection(
             }
             Frame::MetricsRequest => {
                 let json = match handle.metrics() {
-                    Ok(snapshot) => serde_json::to_string(&snapshot)
-                        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}")),
+                    Ok(snapshot) => snapshot.to_json(),
                     Err(e) => format!("{{\"error\":\"{e}\"}}"),
                 };
                 write_frame(&mut writer, &Frame::Metrics { json })?;
@@ -779,8 +778,11 @@ mod tests {
         assert_eq!(reason, REASON_MALFORMED);
 
         let json = client.metrics().expect("metrics");
-        let polled: crate::ServingMetrics = serde_json::from_str(&json).expect("metrics JSON");
-        assert_eq!(polled.server.accepted, 1);
+        let accepted = json
+            .split_once("\"accepted\":")
+            .and_then(|(_, rest)| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .expect("accepted in metrics JSON");
+        assert_eq!(accepted, "1", "{json}");
         // The keys the reference benchmark finds by string search: a
         // rename would silently zero its per-layer numbers.
         for key in [

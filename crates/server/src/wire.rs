@@ -83,7 +83,7 @@ pub enum Frame {
     MetricsRequest,
     /// Server → client: the metrics snapshot as JSON.
     Metrics {
-        /// Serialized [`ServingMetrics`](crate::ServingMetrics).
+        /// [`ServingMetrics::to_json`](crate::ServingMetrics::to_json).
         json: String,
     },
     /// Client → server: open (or resume) a session identified by a

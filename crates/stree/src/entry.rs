@@ -1,12 +1,10 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use pubsub_geom::Rect;
 
 /// Identifier carried by an index entry — in the pub-sub application this is
 /// the subscription identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EntryId(pub u32);
 
 impl fmt::Display for EntryId {
@@ -19,7 +17,7 @@ impl fmt::Display for EntryId {
 /// paper's notation, where `I` is the subscription rectangle.
 ///
 /// This is passive compound data, so the fields are public.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Entry {
     /// The subscription rectangle.
     pub rect: Rect,

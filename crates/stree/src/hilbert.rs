@@ -8,10 +8,8 @@
 //! algorithm), plus the simpler Morton / Z-order interleaving as a second
 //! baseline.
 
-use serde::{Deserialize, Serialize};
-
 /// Which space-filling curve a [`crate::PackedRTree`] sorts by.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CurveKind {
     /// N-dimensional Hilbert curve — better locality, slightly costlier keys.
     Hilbert,

@@ -7,13 +7,12 @@
 //! S-tree packing.
 
 use pubsub_geom::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 use crate::hilbert::{curve_index, CurveKind};
 use crate::{Entry, EntryId, IndexError, InvariantViolation, SpatialIndex};
 
 /// Construction parameters of a [`PackedRTree`].
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PackedConfig {
     fanout: usize,
     curve: CurveKind,

@@ -4,7 +4,6 @@ mod binarize;
 mod compress;
 
 use pubsub_geom::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 use crate::{Entry, EntryId, IndexError, InvariantViolation, SpatialIndex};
 
@@ -15,7 +14,7 @@ use crate::{Entry, EntryId, IndexError, InvariantViolation, SpatialIndex};
 /// * `skew` — the skew factor `p ∈ (0, 1/2]`; low values allow greater
 ///   imbalance but more design flexibility; "typically p is chosen to be
 ///   about 0.3".
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct STreeConfig {
     fanout: usize,
     skew: f64,
@@ -458,7 +457,7 @@ impl SpatialIndex for STree {
 }
 
 /// Structural statistics of a built [`STree`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct STreeStats {
     /// Total entries indexed.
     pub entry_count: usize,

@@ -13,14 +13,13 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rand_distr::{Distribution, Normal, Pareto};
-use serde::{Deserialize, Serialize};
 
 use pubsub_geom::Point;
 
 use crate::{WorkloadError, ZipfLike};
 
 /// One executed trade.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Trade {
     /// Stock index in `0..stocks`.
     pub stock: usize,
@@ -31,7 +30,7 @@ pub struct Trade {
 }
 
 /// Configuration of the synthetic trading day. Passive data: public fields.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NyseConfig {
     /// Number of distinct stocks.
     pub stocks: usize,
@@ -140,7 +139,7 @@ impl NyseConfig {
 }
 
 /// A generated trading day.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TradingDay {
     stocks: usize,
     trades: Vec<Trade>,
@@ -243,7 +242,7 @@ impl TradingDay {
 
 /// How [`TradingDay::replay_events`] maps trades into the event space.
 /// Passive data: public fields.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReplayConfig {
     /// Probabilities of labeling a trade B, S or T (the feed itself has
     /// no side information; the paper's workload uses 0.4/0.4/0.2).

@@ -7,7 +7,6 @@
 
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 use pubsub_geom::{Point, Rect};
 
@@ -15,7 +14,7 @@ use crate::math::normal_mass;
 use crate::WorkloadError;
 
 /// A one-dimensional mixture of normal components.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DimMixture {
     /// `(weight, mean, sd)` triples; weights sum to 1.
     components: Vec<(f64, f64, f64)>,
@@ -103,7 +102,7 @@ impl DimMixture {
 
 /// A publication model: independent per-dimension mixtures whose product
 /// forms the joint event distribution.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PublicationModel {
     dims: Vec<DimMixture>,
 }
@@ -162,7 +161,7 @@ impl PublicationModel {
 
 /// The paper's three publication scenarios (§5): mixtures with 1, 4 and 9
 /// hot spots.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Modes {
     /// Single multivariate normal.
     One,

@@ -26,7 +26,6 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use pubsub_geom::Rect;
 use pubsub_netsim::{NodeId, Topology};
@@ -40,7 +39,7 @@ use crate::{SubscriptionConfig, WorkloadError, ZipfLike};
 pub const CHUNK: usize = 1 << 16;
 
 /// Configuration of the scale generator. Passive data: public fields.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScaleConfig {
     /// Total subscriptions to generate.
     pub count: usize,

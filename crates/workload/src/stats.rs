@@ -1,14 +1,12 @@
 //! Lightweight descriptive statistics used by the figure harnesses:
 //! histograms, rank-frequency tables and closed-form distribution fits.
 
-use serde::{Deserialize, Serialize};
-
 use crate::WorkloadError;
 
 /// A fixed-width histogram over `[lo, hi)` with out-of-range values
 /// clamped into the boundary bins (the figure harnesses care about shape,
 /// not tail truncation artifacts).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

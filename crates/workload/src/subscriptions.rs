@@ -8,7 +8,6 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rand_distr::{Distribution, Normal, Pareto};
-use serde::{Deserialize, Serialize};
 
 use pubsub_geom::{Interval, Rect, Space};
 use pubsub_netsim::{NodeId, Topology};
@@ -35,7 +34,7 @@ pub fn stock_space() -> Space {
 /// Pareto length.
 ///
 /// Passive configuration data: fields are public.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IntervalDistribution {
     /// Probability of a wild-card (`*`) predicate.
     pub q0: f64,
@@ -146,7 +145,7 @@ impl IntervalDistribution {
 }
 
 /// A subscription placed on a topology node. Passive data: public fields.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlacedSubscription {
     /// The subscriber node.
     pub node: NodeId,
@@ -158,7 +157,7 @@ pub struct PlacedSubscription {
 
 /// Configuration of the subscription generator. Passive configuration
 /// data: fields are public.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SubscriptionConfig {
     /// Total subscriptions to generate (the paper uses 1000).
     pub count: usize,

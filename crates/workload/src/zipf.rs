@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::WorkloadError;
 
@@ -24,7 +23,7 @@ use crate::WorkloadError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ZipfLike {
     /// Cumulative probabilities; `cum[i]` = P(rank <= i).
     cum: Vec<f64>,
