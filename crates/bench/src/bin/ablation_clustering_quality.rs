@@ -10,6 +10,10 @@
 //! metric weighs link costs, so the rankings correlate only loosely —
 //! which is itself a finding: the EW distance optimizes a proxy.
 //!
+//! A second table prints each algorithm's running time on the same grid
+//! model (T = 200 cells): the median wall time of 21 `cluster()` calls,
+//! to stdout only, so the JSON stays a deterministic result.
+//!
 //! Writes `results/ablation_clustering_quality.json`. Override the event
 //! count with `PUBSUB_EVENTS` (default 4000).
 
@@ -24,6 +28,10 @@ use pubsub_core::{DeliveryMode, DistributionPolicy};
 use pubsub_geom::Grid;
 use pubsub_workload::{stock_space, Modes};
 use serde::Serialize;
+use std::time::{Duration, Instant};
+
+/// Timed `cluster()` calls per algorithm and group count.
+const RUNS: usize = 21;
 
 #[derive(Serialize)]
 struct Row {
@@ -102,6 +110,24 @@ fn main() {
     }
     println!("\nexpected shape: 61 groups dominate 11 on both columns; the waste objective");
     println!("(deliveries) and the improvement metric (link costs) correlate loosely.");
+
+    println!("\n== Clustering running time: median of {RUNS} cluster() calls, T = 200 ==\n");
+    println!("{:>22} {:>12} {:>12}", "algorithm", "n=11", "n=61");
+    for alg in ClusteringAlgorithm::ALL {
+        let [few, many] = [11usize, 61].map(|groups| {
+            let config = ClusteringConfig::new(alg, groups);
+            let mut times: Vec<Duration> = (0..RUNS)
+                .map(|_| {
+                    let start = Instant::now();
+                    cluster(&grid_model, &config).expect("valid config");
+                    start.elapsed()
+                })
+                .collect();
+            times.sort_unstable();
+            times[RUNS / 2].as_secs_f64() * 1e3
+        });
+        println!("{:>22} {few:>9.2} ms {many:>9.2} ms", alg.to_string());
+    }
     write_json("ablation_clustering_quality", &rows);
     println!("wrote results/ablation_clustering_quality.json");
 }

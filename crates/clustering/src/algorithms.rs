@@ -2,7 +2,7 @@
 
 use pubsub_geom::CellId;
 
-use crate::ew::{merge_distance, GroupState};
+use crate::ew::{fold_from, merge_distance, GroupState};
 use crate::{ClusterError, GridModel, SpacePartition};
 
 /// Which subscription clustering algorithm to run.
@@ -167,10 +167,11 @@ pub fn cluster(
 /// exact form to evaluate clustering quality.
 pub fn expected_waste(model: &GridModel, partition: &SpacePartition) -> f64 {
     let mut total = 0.0;
+    let mut words = Vec::new();
     for q in 0..partition.group_count() {
         let cells = partition.cells_of_group(q);
-        let group = GroupState::from_cells(model, &cells);
-        let group_size = group.members().len() as f64;
+        let sized = cells.iter().map(|&c| (c, model.members(c).len()));
+        let group_size = fold_from(model, None, sized, &mut words).count() as f64;
         for cell in cells {
             total += model.mass(cell) * (group_size - model.members(cell).len() as f64);
         }
@@ -195,77 +196,126 @@ fn kmeans(
         .map(|&c| GroupState::singleton(model, c))
         .collect();
     let mut assignment: Vec<usize> = (0..n).collect();
-    for (i, &cell) in h.iter().enumerate().skip(n) {
-        let q = closest_group(model, &groups, cell);
+    for &cell in &h[n..] {
+        let q = closest(n, |q| groups[q].distance_to(model, cell));
         groups[q].add(model, cell);
         assignment.push(q);
-        debug_assert_eq!(assignment.len(), i + 1);
     }
-
     // Steps 2-3: reassign until stable or the iteration cap.
+    if immediate {
+        forgy_sweeps(model, h, &mut groups, assignment, max_iterations);
+    } else {
+        batch_sweeps(model, h, &mut groups, assignment, max_iterations);
+    }
+    groups.iter().map(|g| g.cells().to_vec()).collect()
+}
+
+/// Forgy's sweeps: each cell in turn moves to its closest group at once.
+///
+/// The distance from cell `i` to group `q` is memoized at `memo[i·n + q]`
+/// with the group's version then; a group's version changes whenever its
+/// cells do. After the first sweep few cells move, so most distances of a
+/// sweep are reused.
+fn forgy_sweeps(
+    model: &GridModel,
+    h: &[CellId],
+    groups: &mut [GroupState],
+    mut assignment: Vec<usize>,
+    max_iterations: usize,
+) {
+    let n = groups.len();
+    let mut versions = vec![0u64; n];
+    let mut memo = vec![(u64::MAX, 0.0); h.len() * n];
+    let mut scratch = Vec::new();
     for _ in 0..max_iterations {
         let mut changed = false;
-        if immediate {
-            for (i, &cell) in h.iter().enumerate() {
-                let current = assignment[i];
-                if groups[current].len() <= 1 {
-                    continue; // never orphan a group
+        for (i, &cell) in h.iter().enumerate() {
+            let current = assignment[i];
+            if groups[current].len() <= 1 {
+                continue; // never orphan a group
+            }
+            let memo = &mut memo[i * n..][..n];
+            let q = closest(n, |q| {
+                if memo[q].0 != versions[q] {
+                    let g = &groups[q];
+                    // The cell is measured against its own group as if it
+                    // had left: the EW increase of re-joining.
+                    let d = if q == current {
+                        g.ew() - g.ew_without(model, cell, &mut scratch)
+                    } else {
+                        g.distance_to(model, cell)
+                    };
+                    memo[q] = (versions[q], d);
                 }
+                memo[q].1
+            });
+            if q != current {
                 groups[current].remove(model, cell);
-                let q = closest_group(model, &groups, cell);
                 groups[q].add(model, cell);
-                if q != current {
-                    changed = true;
-                    assignment[i] = q;
-                }
-            }
-        } else {
-            // Frozen-state assignment pass.
-            let mut next: Vec<usize> = Vec::with_capacity(h.len());
-            for (i, &cell) in h.iter().enumerate() {
-                let current = assignment[i];
-                if groups[current].len() <= 1 {
-                    next.push(current);
-                    continue;
-                }
-                next.push(closest_group(model, &groups, cell));
-            }
-            if next != assignment {
+                versions[current] += 1;
+                versions[q] += 1;
                 changed = true;
-                assignment = next;
-                let mut rebuilt: Vec<Vec<CellId>> = vec![Vec::new(); n];
-                for (i, &cell) in h.iter().enumerate() {
-                    rebuilt[assignment[i]].push(cell);
-                }
-                // Guard against emptied groups: reseed each with the
-                // worst-fitting cell of the largest group.
-                for q in 0..n {
-                    if rebuilt[q].is_empty() {
-                        let donor = (0..n).max_by_key(|&g| rebuilt[g].len()).expect("n >= 1");
-                        let cell = rebuilt[donor].pop().expect("largest group non-empty");
-                        rebuilt[q].push(cell);
-                        let i = h.iter().position(|&c| c == cell).expect("cell from h");
-                        assignment[i] = q;
-                    }
-                }
-                groups = rebuilt
-                    .iter()
-                    .map(|cells| GroupState::from_cells(model, cells))
-                    .collect();
+                assignment[i] = q;
             }
         }
         if !changed {
             break;
         }
     }
-    groups.iter().map(|g| g.cells().to_vec()).collect()
 }
 
-fn closest_group(model: &GridModel, groups: &[GroupState], cell: CellId) -> usize {
+/// Batch sweeps: every assignment against the frozen groups, then the
+/// groups rebuilt once.
+fn batch_sweeps(
+    model: &GridModel,
+    h: &[CellId],
+    groups: &mut Vec<GroupState>,
+    mut assignment: Vec<usize>,
+    max_iterations: usize,
+) {
+    let n = groups.len();
+    for _ in 0..max_iterations {
+        let mut next: Vec<usize> = Vec::with_capacity(h.len());
+        for (i, &cell) in h.iter().enumerate() {
+            let current = assignment[i];
+            if groups[current].len() <= 1 {
+                next.push(current);
+                continue;
+            }
+            next.push(closest(n, |q| groups[q].distance_to(model, cell)));
+        }
+        if next == assignment {
+            break;
+        }
+        assignment = next;
+        let mut rebuilt: Vec<Vec<CellId>> = vec![Vec::new(); n];
+        for (i, &cell) in h.iter().enumerate() {
+            rebuilt[assignment[i]].push(cell);
+        }
+        // Guard against emptied groups: reseed each with the
+        // worst-fitting cell of the largest group.
+        for q in 0..n {
+            if rebuilt[q].is_empty() {
+                let donor = (0..n).max_by_key(|&g| rebuilt[g].len()).expect("n >= 1");
+                let cell = rebuilt[donor].pop().expect("largest group non-empty");
+                rebuilt[q].push(cell);
+                let i = h.iter().position(|&c| c == cell).expect("cell from h");
+                assignment[i] = q;
+            }
+        }
+        *groups = rebuilt
+            .iter()
+            .map(|cells| GroupState::from_cells(model, cells))
+            .collect();
+    }
+}
+
+/// The group `q < n` of least `distance(q)`, the first on a tie.
+fn closest(n: usize, mut distance: impl FnMut(usize) -> f64) -> usize {
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
-    for (q, g) in groups.iter().enumerate() {
-        let d = g.distance_to(model, cell);
+    for q in 0..n {
+        let d = distance(q);
         if d < best_d {
             best_d = d;
             best = q;
@@ -283,6 +333,7 @@ fn pairwise(model: &GridModel, h: &[CellId], n: usize) -> Vec<Vec<CellId>> {
         .map(|&c| Some(GroupState::singleton(model, c)))
         .collect();
     let t = groups.len();
+    let (mut tail, mut words) = (Vec::new(), Vec::new());
     let mut dist = vec![f64::INFINITY; t * t];
     for i in 0..t {
         for j in (i + 1)..t {
@@ -290,6 +341,8 @@ fn pairwise(model: &GridModel, h: &[CellId], n: usize) -> Vec<Vec<CellId>> {
                 model,
                 groups[i].as_ref().expect("alive"),
                 groups[j].as_ref().expect("alive"),
+                &mut tail,
+                &mut words,
             );
             dist[i * t + j] = d;
         }
@@ -325,6 +378,8 @@ fn pairwise(model: &GridModel, h: &[CellId], n: usize) -> Vec<Vec<CellId>> {
                 model,
                 groups[bi].as_ref().expect("alive"),
                 groups[k].as_ref().expect("alive"),
+                &mut tail,
+                &mut words,
             );
             let (a, b) = if k < bi { (k, bi) } else { (bi, k) };
             dist[a * t + b] = d;
@@ -343,10 +398,12 @@ fn pairwise(model: &GridModel, h: &[CellId], n: usize) -> Vec<Vec<CellId>> {
 fn mst(model: &GridModel, h: &[CellId], n: usize) -> Vec<Vec<CellId>> {
     let t = h.len();
     let singletons: Vec<GroupState> = h.iter().map(|&c| GroupState::singleton(model, c)).collect();
+    let (mut tail, mut words) = (Vec::new(), Vec::new());
     let mut edges: Vec<(f64, usize, usize)> = Vec::with_capacity(t * (t - 1) / 2);
     for i in 0..t {
         for j in (i + 1)..t {
-            edges.push((merge_distance(model, &singletons[i], &singletons[j]), i, j));
+            let d = merge_distance(model, &singletons[i], &singletons[j], &mut tail, &mut words);
+            edges.push((d, i, j));
         }
     }
     edges.sort_by(|a, b| a.0.total_cmp(&b.0));

@@ -40,6 +40,11 @@ impl SubscriberSet {
         SubscriberSet { words, capacity }
     }
 
+    /// The packed words, bit `i % 64` of word `i / 64` being index `i`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// The capacity the set was created with.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -211,17 +211,15 @@ impl GridModel {
     /// Appendix A; fewer than `t` cells are returned when the grid has
     /// fewer populated cells.
     pub fn top_cells(&self, t: usize) -> Vec<CellId> {
-        let mut cells: Vec<CellId> = (0..self.grid.cell_count())
+        let mut cells: Vec<(f64, CellId)> = (0..self.grid.cell_count())
             .map(CellId)
             .filter(|&c| !self.members[c.0].is_empty())
+            .map(|c| (self.weight(c), c))
             .collect();
-        cells.sort_by(|&a, &b| {
-            self.weight(b)
-                .total_cmp(&self.weight(a))
-                .then_with(|| a.cmp(&b))
-        });
-        cells.truncate(t);
-        cells
+        // Ids are distinct, so the order is total and an unstable sort
+        // gives the one answer.
+        cells.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        cells.into_iter().take(t).map(|(_, c)| c).collect()
     }
 
     /// The cell containing an event, if inside the grid.

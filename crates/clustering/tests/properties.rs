@@ -1,18 +1,29 @@
-//! Property tests: clustering invariants on random subscription layouts.
+//! Property tests: clustering invariants on random subscription layouts,
+//! and parity with the full-refold reference in `reference/`.
+
+mod reference;
 
 use proptest::prelude::*;
 use pubsub_clustering::{
-    cluster, ClusteringAlgorithm, ClusteringConfig, GridModel, GroupState, SubscriberSet,
+    cluster, expected_waste, ClusteringAlgorithm, ClusteringConfig, GridModel, GroupState,
+    SubscriberSet,
 };
 use pubsub_geom::{CellId, Grid, Interval, Rect};
+use reference::RefGroup;
 
 fn model_strategy() -> impl Strategy<Value = GridModel> {
+    model_strategy_over(12)
+}
+
+/// Up to 40 random rectangles over `subscribers` subscriber indices on a
+/// 2×2 to 5×5 grid.
+fn model_strategy_over(subscribers: usize) -> impl Strategy<Value = GridModel> {
     let sub = (
-        0usize..12,
+        0usize..subscribers,
         (0.0f64..9.0, 0.5f64..6.0),
         (0.0f64..9.0, 0.5f64..6.0),
     );
-    (prop::collection::vec(sub, 1..40), 2usize..6).prop_map(|(subs, cells)| {
+    (prop::collection::vec(sub, 1..40), 2usize..6).prop_map(move |(subs, cells)| {
         let grid = Grid::uniform(
             Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap(),
             cells,
@@ -28,12 +39,151 @@ fn model_strategy() -> impl Strategy<Value = GridModel> {
             })
             .collect();
         // A synthetic density putting more mass near the origin.
-        GridModel::build(grid, 12, &rects, |r| {
+        GridModel::build(grid, subscribers, &rects, |r| {
             let c = r.center();
             (20.0 - c.coord(0) - c.coord(1)).max(0.0) / 400.0
         })
         .unwrap()
     })
+}
+
+/// Every algorithm's partition, its exact waste and the working set are
+/// those of the reference, to the bit.
+fn cluster_parity(model: &GridModel, n: usize, t: usize) -> Result<(), String> {
+    prop_assert_eq!(model.top_cells(t), reference::top_cells(model, t));
+    for alg in ClusteringAlgorithm::ALL {
+        let got = cluster(model, &ClusteringConfig::new(alg, n).with_max_cells(t)).unwrap();
+        let want = reference::cluster(model, alg, n, t);
+        prop_assert_eq!(&got, &want, "{} n={} t={}", alg, n, t);
+        prop_assert_eq!(
+            expected_waste(model, &got).to_bits(),
+            reference::expected_waste(model, &want).to_bits(),
+            "{} waste",
+            alg
+        );
+    }
+    Ok(())
+}
+
+/// One group and its reference through the same `add`/`remove`/`merge`
+/// sequence: after every op the cells, EW, mass and union size agree, and
+/// so does the distance to every cell of the grid, to the bit. An op is
+/// `(kind, cell, cells to merge)`; a removal picks a member.
+fn group_parity(model: &GridModel, ops: &[(usize, usize, Vec<usize>)]) -> Result<(), String> {
+    let count = model.grid().cell_count();
+    let ids =
+        |cells: &[usize]| -> Vec<CellId> { cells.iter().map(|&c| CellId(c % count)).collect() };
+    let mut group = GroupState::from_cells(model, &[]);
+    let mut want = RefGroup::from_cells(model, &[]);
+    for (kind, cell, others) in ops {
+        let cell = CellId(cell % count);
+        match kind {
+            0 => {
+                group.add(model, cell);
+                want.add(model, cell);
+            }
+            1 => {
+                let cell = group
+                    .cells()
+                    .get(cell.0 % group.len().max(1))
+                    .copied()
+                    .unwrap_or(cell);
+                group.remove(model, cell);
+                want.remove(model, cell);
+            }
+            _ => {
+                group.merge(model, &GroupState::from_cells(model, &ids(others)));
+                want.merge(model, &RefGroup::from_cells(model, &ids(others)));
+            }
+        }
+        prop_assert_eq!(group.cells(), want.cells());
+        prop_assert_eq!(
+            group.ew().to_bits(),
+            want.ew().to_bits(),
+            "ew {} vs {}",
+            group.ew(),
+            want.ew()
+        );
+        prop_assert_eq!(group.mass().to_bits(), want.mass().to_bits());
+        prop_assert_eq!(group.member_count(), want.members().len());
+        for c in (0..count).map(CellId) {
+            let (got, expected) = (group.distance_to(model, c), want.distance_to(model, c));
+            prop_assert_eq!(
+                got.to_bits(),
+                expected.to_bits(),
+                "distance to {:?}: {} vs {}",
+                c,
+                got,
+                expected
+            );
+        }
+    }
+    Ok(())
+}
+
+fn ops_strategy() -> impl Strategy<Value = Vec<(usize, usize, Vec<usize>)>> {
+    prop::collection::vec(
+        (
+            0usize..3,
+            0usize..25,
+            prop::collection::vec(0usize..25, 0..4),
+        ),
+        1..16,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn clustering_matches_the_full_refold_reference(
+        narrow in model_strategy(),
+        wide in model_strategy_over(130),
+        n in 1usize..=6,
+        t in 1usize..=25,
+    ) {
+        cluster_parity(&narrow, n, t)?;
+        cluster_parity(&wide, n, t)?;
+    }
+
+    #[test]
+    fn group_ops_match_the_full_refold_reference(
+        narrow in model_strategy(),
+        wide in model_strategy_over(130),
+        ops in ops_strategy(),
+    ) {
+        group_parity(&narrow, &ops)?;
+        group_parity(&wide, &ops)?;
+    }
+}
+
+// The same properties over 512 cases: `cargo test -p pubsub-clustering --
+// --ignored`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    #[ignore]
+    fn clustering_matches_the_full_refold_reference_deep(
+        narrow in model_strategy(),
+        wide in model_strategy_over(130),
+        n in 1usize..=6,
+        t in 1usize..=25,
+    ) {
+        cluster_parity(&narrow, n, t)?;
+        cluster_parity(&wide, n, t)?;
+    }
+
+    #[test]
+    #[ignore]
+    fn group_ops_match_the_full_refold_reference_deep(
+        narrow in model_strategy(),
+        wide in model_strategy_over(130),
+        ops in ops_strategy(),
+    ) {
+        group_parity(&narrow, &ops)?;
+        group_parity(&wide, &ops)?;
+    }
 }
 
 proptest! {

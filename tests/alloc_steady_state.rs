@@ -11,6 +11,9 @@
 //! subscribe/unsubscribe after a build seeds per-(group, node) counts,
 //! not a per-(cell, node) table.
 //!
+//! Clustering allocates per group and per sweep, not per distance: the
+//! EW fold resumes from each group's cached prefix states in place.
+//!
 //! Verified with a counting global allocator. This test lives in its own
 //! integration-test file so it owns the process: the only threads that
 //! can allocate while the counter is armed are the ones under test.
@@ -19,7 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pubsub::clustering::{ClusteringAlgorithm, ClusteringConfig};
+use pubsub::clustering::{cluster, ClusteringAlgorithm, ClusteringConfig};
 use pubsub::core::{Broker, CoveringConfig};
 use pubsub::geom::{Point, Rect, Space};
 use pubsub::netsim::TransitStubConfig;
@@ -240,21 +243,46 @@ fn journaled_broker_publish_path_is_still_allocation_free() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The paper broker: the testbed's 1000 subscriptions on the riabov
+/// topology, clustered by Forgy k-means into 11 groups over the
+/// nine-mode publication model.
+fn paper_broker() -> Broker {
+    let topo = TransitStubConfig::riabov().generate(1903).unwrap();
+    let placed = SubscriptionConfig::riabov().generate(&topo, 2003).unwrap();
+    let model = Modes::Nine.model();
+    Broker::builder(topo, stock_space())
+        .subscriptions(placed.into_iter().map(|p| (p.node, p.rect)))
+        .clustering(ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 11))
+        .density(move |r| model.mass(r))
+        .build()
+        .unwrap()
+}
+
+/// Re-clustering the paper testbed's grid model allocates a few hundred
+/// times — group states, the distance memo, the partition — and never
+/// per distance: Forgy k-means evaluates some 17,000 distances
+/// here, so one allocation per distance would break the bound many times
+/// over.
+#[test]
+fn clustering_allocates_per_group_not_per_distance() {
+    let _serial = COUNTER_OWNER.lock().unwrap();
+    let broker = paper_broker();
+    let config = ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 11);
+    let (allocations, partition) = count_allocations(|| cluster(broker.grid_model(), &config));
+    assert_eq!(partition.unwrap().group_count(), 11);
+    assert!(
+        allocations <= 2_000,
+        "cluster() made {allocations} heap allocations"
+    );
+}
+
 /// The first churn pair on the paper broker seeds the churn counts from
 /// the registry: groups × nodes `u32`s (11 × 522 here), not the
 /// cells × nodes table (21.9 MB) a per-cell count would need.
 #[test]
 fn first_churn_op_allocates_no_table() {
     let _serial = COUNTER_OWNER.lock().unwrap();
-    let topo = TransitStubConfig::riabov().generate(1903).unwrap();
-    let placed = SubscriptionConfig::riabov().generate(&topo, 2003).unwrap();
-    let model = Modes::Nine.model();
-    let mut broker = Broker::builder(topo, stock_space())
-        .subscriptions(placed.into_iter().map(|p| (p.node, p.rect)))
-        .clustering(ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 11))
-        .density(move |r| model.mass(r))
-        .build()
-        .unwrap();
+    let mut broker = paper_broker();
     let (handle, node, rect) = broker
         .registry()
         .live()
