@@ -266,15 +266,29 @@ fn forgy_sweeps(
 
 /// Batch sweeps: every assignment against the frozen groups, then the
 /// groups rebuilt once.
+///
+/// Distances are memoized as in [`forgy_sweeps`]. A group's state
+/// depends only on its set of cells, so a group whose rebuilt cells are
+/// the ones it had keeps its state and its version, and every distance
+/// to it is reused.
+///
+/// A sweep depends only on the assignment it starts from, so once an
+/// assignment recurs two sweeps later the sweeps alternate between the
+/// last two until the cap; the loop stops there and keeps whichever of
+/// the two the cap lands on.
 fn batch_sweeps(
     model: &GridModel,
     h: &[CellId],
-    groups: &mut Vec<GroupState>,
+    groups: &mut [GroupState],
     mut assignment: Vec<usize>,
     max_iterations: usize,
 ) {
     let n = groups.len();
-    for _ in 0..max_iterations {
+    let mut versions = vec![0u64; n];
+    let mut memo = vec![(u64::MAX, 0.0); h.len() * n];
+    // The assignment one sweep back and two sweeps back.
+    let (mut last, mut before_last) = (Vec::new(), Vec::new());
+    for sweep in 1..=max_iterations {
         let mut next: Vec<usize> = Vec::with_capacity(h.len());
         for (i, &cell) in h.iter().enumerate() {
             let current = assignment[i];
@@ -282,31 +296,70 @@ fn batch_sweeps(
                 next.push(current);
                 continue;
             }
-            next.push(closest(n, |q| groups[q].distance_to(model, cell)));
+            let memo = &mut memo[i * n..][..n];
+            next.push(closest(n, |q| {
+                if memo[q].0 != versions[q] {
+                    memo[q] = (versions[q], groups[q].distance_to(model, cell));
+                }
+                memo[q].1
+            }));
         }
         if next == assignment {
             break;
         }
-        assignment = next;
-        let mut rebuilt: Vec<Vec<CellId>> = vec![Vec::new(); n];
-        for (i, &cell) in h.iter().enumerate() {
-            rebuilt[assignment[i]].push(cell);
-        }
-        // Guard against emptied groups: reseed each with the
-        // worst-fitting cell of the largest group.
-        for q in 0..n {
-            if rebuilt[q].is_empty() {
-                let donor = (0..n).max_by_key(|&g| rebuilt[g].len()).expect("n >= 1");
-                let cell = rebuilt[donor].pop().expect("largest group non-empty");
-                rebuilt[q].push(cell);
-                let i = h.iter().position(|&c| c == cell).expect("cell from h");
-                assignment[i] = q;
+        std::mem::swap(&mut before_last, &mut last);
+        last = std::mem::replace(&mut assignment, next);
+        reseed_emptied(&mut assignment, n);
+        rebuild(model, h, &assignment, groups, &mut versions);
+        if assignment == before_last {
+            if (max_iterations - sweep) % 2 == 1 {
+                rebuild(model, h, &last, groups, &mut versions);
             }
+            break;
         }
-        *groups = rebuilt
-            .iter()
-            .map(|cells| GroupState::from_cells(model, cells))
-            .collect();
+    }
+}
+
+/// Gives each group left without a cell the worst-fitting cell of the
+/// largest group (the last of its cells in `h` order).
+fn reseed_emptied(assignment: &mut [usize], n: usize) {
+    let mut sizes = vec![0usize; n];
+    for &q in assignment.iter() {
+        sizes[q] += 1;
+    }
+    for q in 0..n {
+        if sizes[q] == 0 {
+            let donor = (0..n).max_by_key(|&g| sizes[g]).expect("n >= 1");
+            let i = assignment
+                .iter()
+                .rposition(|&g| g == donor)
+                .expect("donor non-empty");
+            assignment[i] = q;
+            sizes[donor] -= 1;
+            sizes[q] = 1;
+        }
+    }
+}
+
+/// Makes each group the cells `assignment` gives it, rebuilding (and
+/// bumping the version of) only the groups whose cells changed.
+fn rebuild(
+    model: &GridModel,
+    h: &[CellId],
+    assignment: &[usize],
+    groups: &mut [GroupState],
+    versions: &mut [u64],
+) {
+    let mut cells: Vec<Vec<CellId>> = vec![Vec::new(); groups.len()];
+    for (&cell, &q) in h.iter().zip(assignment) {
+        cells[q].push(cell);
+    }
+    for (q, cells) in cells.iter_mut().enumerate() {
+        cells.sort_unstable();
+        if groups[q].cells() != cells.as_slice() {
+            groups[q] = GroupState::from_cells(model, cells);
+            versions[q] += 1;
+        }
     }
 }
 
@@ -513,6 +566,109 @@ mod tests {
             }
             assert_eq!(total, 8, "{alg}");
         }
+    }
+
+    /// Batch k-means as it reads: every sweep against groups rebuilt
+    /// from scratch, no memo, and all `max_iterations` sweeps unless one
+    /// changes nothing. Returns the partition each cap `1..=max_iterations`
+    /// ends with.
+    fn plain_batch(model: &GridModel, n: usize, max_iterations: usize) -> Vec<SpacePartition> {
+        let h = model.top_cells(200);
+        let n = n.min(h.len());
+        let mut groups: Vec<GroupState> = h[..n]
+            .iter()
+            .map(|&c| GroupState::singleton(model, c))
+            .collect();
+        let mut assignment: Vec<usize> = (0..n).collect();
+        for &cell in &h[n..] {
+            let q = closest(n, |q| groups[q].distance_to(model, cell));
+            groups[q].add(model, cell);
+            assignment.push(q);
+        }
+        let partition = |groups: &[GroupState]| {
+            let clusters: Vec<Vec<CellId>> = groups.iter().map(|g| g.cells().to_vec()).collect();
+            SpacePartition::from_clusters(model.grid().clone(), &clusters).unwrap()
+        };
+        let mut by_cap = Vec::new();
+        for _ in 0..max_iterations {
+            let next: Vec<usize> = h
+                .iter()
+                .zip(&assignment)
+                .map(|(&cell, &current)| match groups[current].len() {
+                    0 | 1 => current,
+                    _ => closest(n, |q| groups[q].distance_to(model, cell)),
+                })
+                .collect();
+            if next != assignment {
+                assignment = next;
+                reseed_emptied(&mut assignment, n);
+                groups = (0..n)
+                    .map(|q| {
+                        let cells: Vec<CellId> = h
+                            .iter()
+                            .zip(&assignment)
+                            .filter(|&(_, &g)| g == q)
+                            .map(|(&c, _)| c)
+                            .collect();
+                        GroupState::from_cells(model, &cells)
+                    })
+                    .collect();
+            }
+            by_cap.push(partition(&groups));
+        }
+        by_cap
+    }
+
+    /// Random overlapping rectangles on a 6 × 6 grid, with mass skewed
+    /// toward the origin.
+    fn random_model(seed: u64) -> GridModel {
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let grid = Grid::uniform(Rect::from_corners(&[0.0, 0.0], &[6.0, 6.0]).unwrap(), 6).unwrap();
+        let subs: Vec<(usize, Rect)> = (0..60usize)
+            .map(|i| {
+                let (x, y) = (next() * 6.0, next() * 6.0);
+                let (w, h) = (next() * 3.0, next() * 3.0);
+                (
+                    i % 24,
+                    Rect::from_corners(&[x, y], &[x + w, y + h]).unwrap(),
+                )
+            })
+            .collect();
+        GridModel::build(grid, 24, &subs, |r| {
+            let c = r.center();
+            (12.0 - c.coord(0) - c.coord(1)) / 432.0
+        })
+        .unwrap()
+    }
+
+    /// The memo and the stop at a two-sweep cycle change no partition,
+    /// at any iteration cap, including caps that end a cycle on either
+    /// of its two states.
+    #[test]
+    fn batch_kmeans_equals_the_plain_sweeps_at_every_cap() {
+        let mut cycling = 0;
+        for seed in 1..=24u64 {
+            let model = random_model(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            for n in [2usize, 3, 5] {
+                let plain = plain_batch(&model, n, 30);
+                for (cap, want) in (1..=30).zip(&plain) {
+                    let config = ClusteringConfig::new(ClusteringAlgorithm::BatchKMeans, n)
+                        .with_max_iterations(cap);
+                    let got = cluster(&model, &config).unwrap();
+                    assert_eq!(&got, want, "seed {seed} n {n} cap {cap}");
+                }
+                if plain[27] != plain[28] && plain[27] == plain[29] {
+                    cycling += 1;
+                }
+            }
+        }
+        assert!(cycling > 0, "no case alternates, so the stop is untested");
     }
 
     #[test]

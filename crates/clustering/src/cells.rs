@@ -16,12 +16,20 @@ use crate::{ClusterError, SubscriberSet};
 /// its set; [`GridModel::build`] is the same accumulation with one
 /// subscriber per item. Both yield the same model for the same
 /// (subscriber, cell) incidences, however they are grouped.
+///
+/// Each distinct membership list is stored once, and each cell holds
+/// the index of its own: the model's size follows the number of distinct
+/// lists, not the number of cells (on the paper testbed 54% of the
+/// 10,000 cells are empty and 1,887 distinct lists remain).
 #[derive(Debug, Clone)]
 pub struct GridModel {
     grid: Grid,
     subscriber_count: usize,
     masses: Vec<f64>,
-    members: Vec<SubscriberSet>,
+    /// The distinct membership lists; `sets[0]` is the empty list.
+    sets: Vec<SubscriberSet>,
+    /// Per cell, the index in `sets` of its membership list.
+    set_of: Vec<u32>,
 }
 
 impl GridModel {
@@ -73,10 +81,12 @@ impl GridModel {
     /// — clamped to the grid bounds there, so a rectangle and its
     /// clamped form give the same cells — and each run of consecutive
     /// cells becomes one contiguous `|=` per non-zero buffer word. The
-    /// words are cut into per-cell [`SubscriberSet`]s once at the end.
-    /// OR is commutative and idempotent, so the model depends only on
-    /// which `(subscriber, cell)` pairs the items cover, not on how they
-    /// are grouped or ordered. Nothing is allocated per item.
+    /// words are then interned once, cell by cell: each distinct
+    /// non-empty list becomes one [`SubscriberSet`], and an empty cell
+    /// points at the shared empty set without being hashed. OR is
+    /// commutative and idempotent, so the model depends only on which
+    /// `(subscriber, cell)` pairs the items cover, not on how they are
+    /// grouped or ordered. Nothing is allocated per item or per cell.
     ///
     /// # Errors
     ///
@@ -147,17 +157,12 @@ impl GridModel {
                 words[w] = 0;
             }
         }
-        let members = (0..cell_count)
-            .map(|cell| {
-                let words = (0..words_per_set)
-                    .map(|w| planes[w * cell_count + cell])
-                    .collect();
-                SubscriberSet::from_words(words, subscriber_count)
-            })
-            .collect();
+        let (sets, set_of) = intern_cells(&planes, cell_count, subscriber_count);
+        // `rect` now holds each cell in turn.
         let mut masses = Vec::with_capacity(cell_count);
         for i in 0..cell_count {
-            let m = density(&grid.cell_rect(CellId(i)));
+            grid.cell_rect_into(CellId(i), &mut rect);
+            let m = density(&rect);
             if !(m >= 0.0 && m.is_finite()) {
                 return Err(ClusterError::InvalidDensity {
                     value: m.to_string(),
@@ -169,7 +174,8 @@ impl GridModel {
             grid,
             subscriber_count,
             masses,
-            members,
+            sets,
+            set_of,
         })
     }
 
@@ -198,12 +204,12 @@ impl GridModel {
     ///
     /// Panics if the cell id is out of range.
     pub fn members(&self, cell: CellId) -> &SubscriberSet {
-        &self.members[cell.0]
+        &self.sets[self.set_of[cell.0] as usize]
     }
 
     /// The cell weight `p_p(g)·|l(g)|` used to select the working set.
     pub fn weight(&self, cell: CellId) -> f64 {
-        self.masses[cell.0] * self.members[cell.0].len() as f64
+        self.masses[cell.0] * self.members(cell).len() as f64
     }
 
     /// The `t` heaviest cells with non-empty membership, by decreasing
@@ -213,7 +219,7 @@ impl GridModel {
     pub fn top_cells(&self, t: usize) -> Vec<CellId> {
         let mut cells: Vec<(f64, CellId)> = (0..self.grid.cell_count())
             .map(CellId)
-            .filter(|&c| !self.members[c.0].is_empty())
+            .filter(|&c| self.set_of[c.0] != 0)
             .map(|c| (self.weight(c), c))
             .collect();
         // Ids are distinct, so the order is total and an unstable sort
@@ -226,6 +232,59 @@ impl GridModel {
     pub fn cell_of_point(&self, p: &Point) -> Option<CellId> {
         self.grid.cell_of_point(p)
     }
+}
+
+/// Cuts word-major `planes` (word `w` of cell `c` at `w·cells + c`)
+/// into membership lists, each distinct list stored once: returns the
+/// lists, the empty one first, and each cell's index into them.
+///
+/// An all-zero cell takes index 0 without being hashed. Any other cell's
+/// words are hashed where they lie in `planes` and looked up in an
+/// open-addressing table of list indices, comparing against the stored
+/// lists; only a list seen for the first time is copied out. The table's
+/// vacant slot is 0, the empty list's index, which it never holds.
+fn intern_cells(
+    planes: &[u64],
+    cells: usize,
+    subscriber_count: usize,
+) -> (Vec<SubscriberSet>, Vec<u32>) {
+    let words = subscriber_count.div_ceil(64);
+    let word = |cell: usize, w: usize| planes[w * cells + cell];
+    let mut sets = vec![SubscriberSet::new(subscriber_count)];
+    let mut set_of = vec![0u32; cells];
+    // At least two slots per cell, so the table is at most half full.
+    let table_bits = (2 * cells).next_power_of_two().trailing_zeros();
+    let mut table = vec![0u32; 1 << table_bits];
+    let mask = table.len() - 1;
+    for (cell, set) in set_of.iter_mut().enumerate() {
+        if (0..words).all(|w| word(cell, w) == 0) {
+            continue;
+        }
+        let hash = (0..words).fold(0u64, |h, w| {
+            (h.rotate_left(5) ^ word(cell, w)).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        let mut slot = (hash >> (64 - table_bits)) as usize;
+        loop {
+            let id = table[slot];
+            if id == 0 {
+                let id = u32::try_from(sets.len()).expect("fewer than 2^32 distinct lists");
+                let copy = (0..words).map(|w| word(cell, w)).collect();
+                sets.push(SubscriberSet::from_words(copy, subscriber_count));
+                table[slot] = id;
+                *set = id;
+                break;
+            }
+            let stored = sets[id as usize].words();
+            if stored.iter().enumerate().all(|(w, &x)| x == word(cell, w)) {
+                *set = id;
+                break;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+    // The model keeps the lists for the broker's life.
+    sets.shrink_to_fit();
+    (sets, set_of)
 }
 
 #[cfg(test)]
@@ -351,6 +410,52 @@ mod tests {
             GridModel::build(grid(), 1, &subs, |_| -1.0),
             Err(ClusterError::InvalidDensity { .. })
         ));
+    }
+
+    #[test]
+    fn equal_member_lists_are_stored_once() {
+        // 70 subscribers, two words per list. The first 64 take one of
+        // three full-width bands, so every cell of a row has the same
+        // first word and some rows are empty; the last six take one
+        // short column strip each, so lists in the striped rows differ
+        // only in their second word.
+        let subs: Vec<(usize, Rect)> = (0..70usize)
+            .map(|s| {
+                let r = if s < 64 {
+                    let y = (s % 3) as f64 * 2.5;
+                    Rect::from_corners(&[0.0, y], &[10.0, y + 2.0])
+                } else {
+                    let x = (s - 64) as f64 * 1.5;
+                    Rect::from_corners(&[x, 0.0], &[x + 1.0, 5.0])
+                };
+                (s, r.unwrap())
+            })
+            .collect();
+        let model = GridModel::build(grid(), 70, &subs, |_| 0.0).unwrap();
+        let g = model.grid().clone();
+        let cells: Vec<CellId> = (0..g.cell_count()).map(CellId).collect();
+        for &c in &cells {
+            let mut want = SubscriberSet::new(70);
+            for (s, r) in &subs {
+                if g.cell_rect(c).intersects(r) {
+                    want.insert(*s);
+                }
+            }
+            assert_eq!(model.members(c), &want, "{c}");
+        }
+        let mut distinct: Vec<&SubscriberSet> = Vec::new();
+        for &a in &cells {
+            for &b in &cells {
+                let shared = std::ptr::eq(model.members(a), model.members(b));
+                assert_eq!(shared, model.members(a) == model.members(b), "{a} {b}");
+            }
+            if !distinct.contains(&model.members(a)) {
+                distinct.push(model.members(a));
+            }
+        }
+        assert!(distinct.iter().any(|s| s.is_empty()));
+        assert!(distinct.len() < cells.len());
+        assert_eq!(model.sets.len(), distinct.len());
     }
 
     #[test]

@@ -182,26 +182,38 @@ impl Grid {
     ///
     /// Panics if the id is out of range.
     pub fn cell_rect(&self, id: CellId) -> Rect {
+        let mut rect = self.bounds.clone();
+        self.cell_rect_into(id, &mut rect);
+        rect
+    }
+
+    /// Writes the rectangle covered by a cell into `out`, side by side:
+    /// [`Grid::cell_rect`] without allocating, so a loop over many cells
+    /// can reuse one rectangle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range or `out` has other than
+    /// [`Grid::dims`] dimensions.
+    pub fn cell_rect_into(&self, id: CellId, out: &mut Rect) {
         assert!(id.0 < self.cell_count(), "cell id out of range");
-        let coords = self.coords_of_id(id);
-        let sides = coords
-            .iter()
-            .enumerate()
-            .map(|(d, &c)| {
-                let side = self.bounds.side(d);
-                let w = self.widths[d];
-                let lo = side.lo() + c as f64 * w;
-                // Use the exact grid bound for the last cell so the cells
-                // tile the bounds without floating gaps.
-                let hi = if c + 1 == self.cells_per_dim[d] {
-                    side.hi()
-                } else {
-                    side.lo() + (c as f64 + 1.0) * w
-                };
-                Interval::new(lo, hi).expect("cell bounds are ordered")
-            })
-            .collect();
-        Rect::new(sides).expect("grid has >= 1 dimension")
+        assert_eq!(out.dims(), self.dims(), "cell rectangle dimensionality");
+        let mut rem = id.0;
+        for d in 0..self.dims() {
+            let c = rem / self.strides[d];
+            rem %= self.strides[d];
+            let side = self.bounds.side(d);
+            let w = self.widths[d];
+            let lo = side.lo() + c as f64 * w;
+            // Use the exact grid bound for the last cell so the cells
+            // tile the bounds without floating gaps.
+            let hi = if c + 1 == self.cells_per_dim[d] {
+                side.hi()
+            } else {
+                side.lo() + (c as f64 + 1.0) * w
+            };
+            out.set_side(d, Interval::new(lo, hi).expect("cell bounds are ordered"));
+        }
     }
 
     /// Walks the cells whose rectangles meet `r` clamped to the grid

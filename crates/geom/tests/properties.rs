@@ -53,7 +53,56 @@ fn walk_case() -> impl Strategy<Value = (Grid, Rect)> {
     })
 }
 
+/// A grid of 1..=4 dimensions, each with its own bounds and cell count,
+/// and those counts.
+fn grid_shape() -> impl Strategy<Value = (Grid, Vec<usize>)> {
+    let side = (-100.0f64..100.0, 0.001f64..200.0, 1usize..8);
+    prop::collection::vec(side, 1..5).prop_map(|sides| {
+        let bounds = sides
+            .iter()
+            .map(|&(lo, len, _)| Interval::new(lo, lo + len).unwrap())
+            .collect();
+        let cells: Vec<usize> = sides.iter().map(|s| s.2).collect();
+        (
+            Grid::new(Rect::new(bounds).unwrap(), cells.clone()).unwrap(),
+            cells,
+        )
+    })
+}
+
+fn side_bits(r: &Rect) -> Vec<(u64, u64)> {
+    r.sides()
+        .iter()
+        .map(|s| (s.lo().to_bits(), s.hi().to_bits()))
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn grid_cell_rect_into_writes_cell_rect_bit_for_bit((grid, cells) in grid_shape()) {
+        // One rectangle reused across every cell, as the mass pass does:
+        // what the previous cell left in it must not matter.
+        let mut reused = Rect::unbounded(grid.dims());
+        for id in (0..grid.cell_count()).map(CellId) {
+            grid.cell_rect_into(id, &mut reused);
+            let fresh = grid.cell_rect(id);
+            prop_assert_eq!(side_bits(&reused), side_bits(&fresh), "{}", id);
+            for (d, &c) in grid.coords_of_id(id).iter().enumerate() {
+                let bound = grid.bounds().side(d);
+                let w = bound.length() / cells[d] as f64;
+                let side = fresh.side(d);
+                prop_assert_eq!(side.lo().to_bits(), (bound.lo() + c as f64 * w).to_bits());
+                if c + 1 == cells[d] {
+                    // The last cell ends exactly on the grid bound.
+                    prop_assert_eq!(side.hi().to_bits(), bound.hi().to_bits());
+                } else {
+                    let hi = bound.lo() + (c as f64 + 1.0) * w;
+                    prop_assert_eq!(side.hi().to_bits(), hi.to_bits());
+                }
+            }
+        }
+    }
+
     #[test]
     fn grid_cell_runs_walk_the_bruteforce_set_in_order((grid, r) in walk_case()) {
         let clamped = r.clamp_to(grid.bounds());
