@@ -378,8 +378,16 @@ fn closest(n: usize, mut distance: impl FnMut(usize) -> f64) -> usize {
 }
 
 /// Pairwise grouping (Appendix A.3): merge the closest pair until `n`
-/// clusters remain. Distances to a merged cluster are recomputed; all
+/// clusters remain — the least distance, the lexicographically first
+/// `(i, j)` on a tie. Distances to a merged cluster are recomputed; all
 /// others are cached.
+///
+/// Each alive row `i` caches its nearest alive `j > i` (the least
+/// distance, the first `j` on a tie), so finding the pair reads one
+/// entry per row. A merge of `j` into `i` changes only distances to `i`
+/// and retires `j`: a row rescans itself when its nearest was either of
+/// them, and otherwise compares its new distance to `i` against its
+/// cached nearest.
 fn pairwise(model: &GridModel, h: &[CellId], n: usize) -> Vec<Vec<CellId>> {
     let mut groups: Vec<Option<GroupState>> = h
         .iter()
@@ -400,25 +408,29 @@ fn pairwise(model: &GridModel, h: &[CellId], n: usize) -> Vec<Vec<CellId>> {
             dist[i * t + j] = d;
         }
     }
-    let mut alive = t;
-    while alive > n {
-        // Find the closest alive pair.
-        let (mut bi, mut bj, mut bd) = (usize::MAX, usize::MAX, f64::INFINITY);
-        for i in 0..t {
-            if groups[i].is_none() {
-                continue;
-            }
-            for j in (i + 1)..t {
-                if groups[j].is_none() {
-                    continue;
-                }
-                if dist[i * t + j] < bd {
-                    bd = dist[i * t + j];
-                    bi = i;
-                    bj = j;
-                }
+    // Row `i`'s nearest alive `(distance, j)`; `(∞, usize::MAX)` when no
+    // distance in the row is below infinity.
+    let nearest_of = |i: usize, groups: &[Option<GroupState>], dist: &[f64]| {
+        let mut best = (f64::INFINITY, usize::MAX);
+        for j in (i + 1)..t {
+            if groups[j].is_some() && dist[i * t + j] < best.0 {
+                best = (dist[i * t + j], j);
             }
         }
+        best
+    };
+    let mut nearest: Vec<(f64, usize)> = (0..t).map(|i| nearest_of(i, &groups, &dist)).collect();
+    let mut alive = t;
+    while alive > n {
+        // The closest alive pair: the first row holding the least distance.
+        let (mut bi, mut bd) = (usize::MAX, f64::INFINITY);
+        for i in 0..t {
+            if groups[i].is_some() && nearest[i].0 < bd {
+                bd = nearest[i].0;
+                bi = i;
+            }
+        }
+        let bj = nearest[bi].1;
         let other = groups[bj].take().expect("alive");
         groups[bi].as_mut().expect("alive").merge(model, &other);
         alive -= 1;
@@ -436,6 +448,22 @@ fn pairwise(model: &GridModel, h: &[CellId], n: usize) -> Vec<Vec<CellId>> {
             );
             let (a, b) = if k < bi { (k, bi) } else { (bi, k) };
             dist[a * t + b] = d;
+        }
+        // Rows past `bj` hold neither `bi` nor `bj`; row `bi` changed whole.
+        nearest[bi] = nearest_of(bi, &groups, &dist);
+        for i in 0..bj {
+            if i == bi || groups[i].is_none() {
+                continue;
+            }
+            let (d, j) = nearest[i];
+            if j == bi || j == bj {
+                nearest[i] = nearest_of(i, &groups, &dist);
+            } else if i < bi {
+                let to_bi = dist[i * t + bi];
+                if to_bi < d || (to_bi == d && bi < j && d < f64::INFINITY) {
+                    nearest[i] = (to_bi, bi);
+                }
+            }
         }
     }
     groups

@@ -6,7 +6,7 @@
 //! The broker's state is split into a mutable
 //! [`SubscriptionRegistry`] (live subscriptions with stable handles) and
 //! an [`EngineSnapshot`] (everything the publish path reads: matcher,
-//! grid model, partition, multicast groups), versioned by an epoch.
+//! partition, multicast groups), versioned by an epoch.
 //! Between full recompiles, churn is absorbed incrementally:
 //!
 //! * the matcher is edited in place: a new subscription becomes one more
@@ -27,7 +27,7 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use pubsub_clustering::{
@@ -485,6 +485,7 @@ impl BrokerBuilder {
             space: self.space,
             registry: self.registry,
             snapshot,
+            grid_model: OnceLock::new(),
             policy,
             publisher,
             net,
@@ -520,11 +521,11 @@ struct CompileInputs {
     covering: CoveringConfig,
 }
 
-/// The one compile: matcher, grid model, partition and groups from the
-/// registry's live subscriptions, installed as the snapshot of `epoch`
-/// with the new engine ids bound to their handles. `build`, `recover`
-/// and every recompile end here, which is what makes them bit-identical
-/// over the same survivors; on error the registry is untouched.
+/// The one compile: matcher, partition and groups from the registry's
+/// live subscriptions, installed as the snapshot of `epoch` with the new
+/// engine ids bound to their handles. `build`, `recover` and every
+/// recompile end here, which is what makes them bit-identical over the
+/// same survivors; on error the registry is untouched.
 ///
 /// Deterministic in registry order: subscription ids are assigned in
 /// [`SubscriptionRegistry::live`] order and the clustering is seed-free.
@@ -532,24 +533,50 @@ struct CompileInputs {
 /// builds its representatives' slab bitmaps
 /// ([`Matcher::build_covered`]). Per subscription, the compile only
 /// looks up the unique of the subscription's registry row, each row
-/// being clamped and interned once; the grid model walks each covering
-/// group — one distinct clamped rectangle with its members — once
-/// ([`GridModel::build_grouped`]). The model records which subscribers
-/// touch each cell, so it equals the per-subscription build bit for bit
-/// and nothing downstream of matching depends on how the covering layer
-/// aggregated.
+/// being clamped and interned once. The grid model ([`grid_model_of`])
+/// is clustered, turned into groups and dropped: the publish path never
+/// reads it.
 fn compile_engine(
     space: &Space,
     registry: &mut SubscriptionRegistry,
     inputs: &CompileInputs,
     epoch: u64,
 ) -> Result<Arc<EngineSnapshot>, BrokerError> {
-    let subs: &SubscriptionRegistry = registry;
-    let matcher = Matcher::build_covered(space, subs, &inputs.covering)?;
+    let matcher = Matcher::build_covered(space, &*registry, &inputs.covering)?;
+    let (grid_model, distinct) = grid_model_of(space, &matcher, registry, inputs)?;
+    let partition = cluster(&grid_model, &inputs.clustering)?;
+    let groups = MulticastGroups::from_partition(&grid_model, &partition, &distinct);
 
+    // Commit point: nothing below can fail.
+    registry.shrink_to_fit();
+    Ok(Arc::new(EngineSnapshot {
+        epoch,
+        matcher: Arc::new(matcher),
+        partition: Arc::new(partition),
+        groups: Arc::new(groups),
+        id_to_handle: Arc::new(registry.bind_compiled_ids()),
+    }))
+}
+
+/// The grid model of the live subscriptions, with the subscriber nodes
+/// in dense-index order: the clustering input of [`compile_engine`], and
+/// what [`Broker::grid_model`] rebuilds on demand.
+///
+/// The model walks each covering group of `matcher` — one distinct
+/// clamped rectangle with its live members — once
+/// ([`GridModel::build_grouped`]). It records which subscribers touch
+/// each cell, so it equals the per-subscription build bit for bit, and
+/// nothing downstream of matching depends on how the covering layer
+/// aggregated or on the churn since the matcher's compile.
+fn grid_model_of(
+    space: &Space,
+    matcher: &Matcher,
+    registry: &SubscriptionRegistry,
+    inputs: &CompileInputs,
+) -> Result<(GridModel, Vec<NodeId>), BrokerError> {
     // Dense subscriber indexing for the clustering model.
-    let distinct: Vec<NodeId> = subs.active_nodes().collect();
-    let mut dense_of = vec![0usize; subs.node_capacity()];
+    let distinct: Vec<NodeId> = registry.active_nodes().collect();
+    let mut dense_of = vec![0usize; registry.node_capacity()];
     for (i, node) in distinct.iter().enumerate() {
         dense_of[node.0 as usize] = i;
     }
@@ -563,7 +590,7 @@ fn compile_engine(
             .map(|&id| dense_of[matcher.owner(SubscriptionId(id)).0 as usize]);
         (dense, sides)
     });
-    let grid_model = match inputs.density.as_deref() {
+    let model = match inputs.density.as_deref() {
         Some(f) => GridModel::build_grouped(grid, distinct.len(), groups, f)?,
         None => {
             let space_volume = space.bounds().volume();
@@ -571,19 +598,7 @@ fn compile_engine(
             GridModel::build_grouped(grid, distinct.len(), groups, uniform)?
         }
     };
-    let partition = cluster(&grid_model, &inputs.clustering)?;
-    let groups = MulticastGroups::from_partition(&grid_model, &partition, &distinct);
-
-    // Commit point: nothing below can fail.
-    registry.shrink_to_fit();
-    Ok(Arc::new(EngineSnapshot {
-        epoch,
-        matcher: Arc::new(matcher),
-        grid_model: Arc::new(grid_model),
-        partition: Arc::new(partition),
-        groups: Arc::new(groups),
-        id_to_handle: Arc::new(registry.bind_compiled_ids()),
-    }))
+    Ok((model, distinct))
 }
 
 /// Epoch-keyed, per-publisher memo of group-send costs: the scheme cost
@@ -768,6 +783,10 @@ pub struct Broker {
     /// The engine layer: everything the publish path reads, swapped on a
     /// recompile or group change and edited copy-on-write by churn.
     snapshot: Arc<EngineSnapshot>,
+    /// The grid model of the live subscriptions, rebuilt on demand by
+    /// [`Broker::grid_model`]; every registry edit and recompile empties
+    /// it.
+    grid_model: OnceLock<GridModel>,
     policy: DistributionPolicy,
     /// The default publisher; `publish_from` supports others.
     publisher: NodeId,
@@ -1581,6 +1600,7 @@ impl Broker {
         // The registry checks the node and the dimensionality before
         // anything changes, and interns the rectangle by reference.
         let handle = self.registry.insert(node, &rect)?;
+        self.grid_model.take();
         let churn = self.churn.get_or_insert_with(|| {
             ChurnState::seed(
                 &self.snapshot,
@@ -1643,6 +1663,7 @@ impl Broker {
         });
         let engine_id = self.registry.engine_id(handle).expect("checked live");
         let node = self.registry.remove(handle)?;
+        self.grid_model.take();
         let matcher = Arc::make_mut(&mut Arc::make_mut(&mut self.snapshot).matcher);
         matcher.remove(SubscriptionId(engine_id), &self.clamped);
         if (engine_id as usize) < matcher.covering_stats().concrete {
@@ -1669,7 +1690,7 @@ impl Broker {
     }
 
     /// Recompiles the whole engine from the registry's live
-    /// subscriptions: fresh matcher, grid model, partition and groups —
+    /// subscriptions: fresh matcher, partition and groups —
     /// bit-identical to [`BrokerBuilder::build`] over the same
     /// subscription list — then swaps the snapshot (epoch + 1).
     /// [`SubscriptionId`]s are renumbered in registry (insertion) order;
@@ -1702,6 +1723,7 @@ impl Broker {
             self.snapshot.epoch + 1,
         )?;
         // Nothing below can fail.
+        self.grid_model.take();
         self.counters.recompiles += 1;
         self.counters.overlay_len = 0;
         self.counters.tombstone_len = 0;
@@ -1837,10 +1859,27 @@ impl Broker {
         self.registry.contains(handle).then_some(handle)
     }
 
-    /// The grid model the clustering runs on (cell memberships, masses).
-    /// Between recompiles this is the model of the last compile.
+    /// The grid model of the live subscriptions (cell memberships `l(g)`,
+    /// masses `p_p(g)`): what the next [`Broker::recompile`] clusters. At
+    /// a compile point — after a build, a recovery or a recompile — it is
+    /// the model the current partition was clustered from.
+    ///
+    /// The broker does not keep the model: the publish path reads only
+    /// the partition and groups clustered from it. The first call after
+    /// a compile or a subscribe or unsubscribe rebuilds it by the
+    /// compile's own step, from the registry and the live matcher, and
+    /// later calls return the same model until the next such change.
     pub fn grid_model(&self) -> &GridModel {
-        &self.snapshot.grid_model
+        self.grid_model.get_or_init(|| {
+            grid_model_of(
+                &self.space,
+                &self.snapshot.matcher,
+                &self.registry,
+                &self.compile,
+            )
+            .expect("the last compile built a model over the same grid and density")
+            .0
+        })
     }
 
     /// The matcher (covering statistics, subscription lookup): the last

@@ -4,7 +4,6 @@ use std::fmt;
 use pubsub_clustering::ClusterError;
 use pubsub_geom::GeomError;
 use pubsub_netsim::NetError;
-use pubsub_stree::IndexError;
 
 /// Errors produced while building or driving a [`crate::Broker`].
 #[derive(Debug, Clone, PartialEq)]
@@ -43,8 +42,6 @@ pub enum BrokerError {
         /// What failed.
         message: String,
     },
-    /// Error from the spatial index layer.
-    Index(IndexError),
     /// Error from the clustering layer.
     Cluster(ClusterError),
     /// Error from the geometry layer.
@@ -73,7 +70,6 @@ impl fmt::Display for BrokerError {
                 write!(f, "subscription handle {handle} is not live")
             }
             BrokerError::Journal { message } => write!(f, "journal error: {message}"),
-            BrokerError::Index(e) => write!(f, "index error: {e}"),
             BrokerError::Cluster(e) => write!(f, "clustering error: {e}"),
             BrokerError::Geom(e) => write!(f, "geometry error: {e}"),
             BrokerError::Net(e) => write!(f, "network error: {e}"),
@@ -84,19 +80,11 @@ impl fmt::Display for BrokerError {
 impl Error for BrokerError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            BrokerError::Index(e) => Some(e),
             BrokerError::Cluster(e) => Some(e),
             BrokerError::Geom(e) => Some(e),
             BrokerError::Net(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-#[doc(hidden)]
-impl From<IndexError> for BrokerError {
-    fn from(e: IndexError) -> Self {
-        BrokerError::Index(e)
     }
 }
 
@@ -127,8 +115,10 @@ mod tests {
 
     #[test]
     fn renders_and_sources() {
-        let e = BrokerError::Index(IndexError::UnboundedRect { index: 3 });
-        assert!(e.to_string().contains("index error"));
+        let e = BrokerError::from(ClusterError::InvalidDensity {
+            value: "-1".to_string(),
+        });
+        assert!(e.to_string().contains("clustering error"));
         assert!(Error::source(&e).is_some());
         let c = BrokerError::InvalidConfig {
             parameter: "threshold",

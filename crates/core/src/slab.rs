@@ -36,7 +36,7 @@
 //! multiple of 64 ([`SlabFilter::push`]); a representative whose
 //! subscriptions are all gone drops out ([`SlabFilter::clear`]).
 
-use pubsub_stree::hilbert_index;
+use pubsub_geom::hilbert_index;
 
 /// Slabs per dimension. One bitmap bit per (dimension, slab) and
 /// representative: `dims × 64` bits, 32 bytes at 4-D.

@@ -1,23 +1,34 @@
 //! The engine half of the two-layer broker core: one compiled engine
 //! snapshot.
 //!
-//! An [`EngineSnapshot`] bundles everything the publish path reads —
-//! the compiled [`Matcher`] (covering table + slab bitmaps), the clustering
-//! [`GridModel`], the [`SpacePartition`] and the materialized
-//! [`MulticastGroups`] — behind one epoch number. The [`crate::Broker`]
-//! swaps the bundle (`Arc` replacement) whenever the clustering side
-//! changes: a full recompile bumps the epoch and replaces everything; a
-//! churn-driven group update bumps the epoch and replaces only the
-//! groups `Arc`, sharing the rest. Subscribe and unsubscribe
-//! edit the matcher and the id → handle map in place under the same
-//! epoch, copy-on-write (`Arc::make_mut`), so a snapshot or outcome
-//! someone else holds never changes. Epoch-keyed caches (the scheme-cost
-//! memo) invalidate themselves by comparing epochs instead of being
-//! told: nothing they cache depends on the matcher.
+//! An [`EngineSnapshot`] bundles what the publish path reads, and
+//! nothing else, behind one epoch number:
+//!
+//! * the compiled [`Matcher`] (covering table + slab bitmaps), which
+//!   matches every event;
+//! * the [`SpacePartition`], whose per-cell group table places every
+//!   event in its region `S_i`;
+//! * the materialized [`MulticastGroups`], whose member lists every
+//!   multicast decision and cost walk reads;
+//! * the id → handle map, which resolves a match to its registry handle.
+//!
+//! The clustering's grid model is a compile-time input: the compile
+//! clusters it, materializes the groups and drops it, and
+//! [`crate::Broker::grid_model`] rebuilds it on demand.
+//!
+//! The [`crate::Broker`] swaps the bundle (`Arc` replacement) whenever
+//! the clustering side changes: a full recompile bumps the epoch and
+//! replaces everything; a churn-driven group update bumps the epoch and
+//! replaces only the groups `Arc`, sharing the rest. Subscribe and
+//! unsubscribe edit the matcher and the id → handle map in place under
+//! the same epoch, copy-on-write (`Arc::make_mut`), so a snapshot or
+//! outcome someone else holds never changes. Epoch-keyed caches (the
+//! scheme-cost memo) invalidate themselves by comparing epochs instead
+//! of being told: nothing they cache depends on the matcher.
 
 use std::sync::Arc;
 
-use pubsub_clustering::{GridModel, SpacePartition};
+use pubsub_clustering::SpacePartition;
 
 use crate::{Matcher, MulticastGroups, SubscriptionHandle, SubscriptionId};
 
@@ -30,7 +41,6 @@ use crate::{Matcher, MulticastGroups, SubscriptionHandle, SubscriptionId};
 pub struct EngineSnapshot {
     pub(crate) epoch: u64,
     pub(crate) matcher: Arc<Matcher>,
-    pub(crate) grid_model: Arc<GridModel>,
     pub(crate) partition: Arc<SpacePartition>,
     pub(crate) groups: Arc<MulticastGroups>,
     /// [`SubscriptionId`] → registry handle, in id order: the compiled
@@ -40,9 +50,8 @@ pub struct EngineSnapshot {
 
 impl EngineSnapshot {
     /// The snapshot's version. Strictly increases on every swap; two
-    /// snapshots with the same epoch share their partition, groups and
-    /// grid model, while churn edits the matcher copy-on-write under
-    /// one epoch.
+    /// snapshots with the same epoch share their partition and groups,
+    /// while churn edits the matcher copy-on-write under one epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -50,13 +59,6 @@ impl EngineSnapshot {
     /// The matcher: the last compile plus the churn since.
     pub fn matcher(&self) -> &Matcher {
         &self.matcher
-    }
-
-    /// The grid model the partition was clustered from. Between full
-    /// recompiles this is the model of the *last compile*: churn-driven
-    /// group updates keep the groups exact but do not rebuild the model.
-    pub fn grid_model(&self) -> &GridModel {
-        &self.grid_model
     }
 
     /// The event-space partition `S_1..S_n` (+ implicit `S_0`).

@@ -14,6 +14,8 @@
 //!   subscription-clustering algorithms.
 //! * [`Space`] — a named, bounded event space used to clamp otherwise
 //!   unbounded predicates (e.g. `volume ≥ 1000`) to finite geometry.
+//! * [`hilbert_index`] / [`morton_index`] — space-filling curve keys of
+//!   quantized grid points.
 //!
 //! # Example
 //!
@@ -38,6 +40,7 @@
 
 mod error;
 mod grid;
+mod hilbert;
 mod interval;
 mod point;
 mod rect;
@@ -45,6 +48,7 @@ mod space;
 
 pub use error::GeomError;
 pub use grid::{CellCoords, CellId, CellRuns, CellWalkBuf, Grid};
+pub use hilbert::{hilbert_index, morton_index};
 pub use interval::Interval;
 pub use point::Point;
 pub use rect::Rect;

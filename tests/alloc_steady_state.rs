@@ -259,16 +259,18 @@ fn paper_broker() -> Broker {
 }
 
 /// Re-clustering the paper testbed's grid model allocates a few hundred
-/// times — group states, the distance memo, the partition — and never
-/// per distance: Forgy k-means evaluates some 17,000 distances
+/// times (248) — group states, the distance memo, the partition — and
+/// never per distance: Forgy k-means evaluates some 17,000 distances
 /// here, so one allocation per distance would break the bound many times
-/// over.
+/// over. The broker keeps no model, so it is rebuilt before the count
+/// starts: only `cluster()` is measured.
 #[test]
 fn clustering_allocates_per_group_not_per_distance() {
     let _serial = COUNTER_OWNER.lock().unwrap();
     let broker = paper_broker();
     let config = ClusteringConfig::new(ClusteringAlgorithm::ForgyKMeans, 11);
-    let (allocations, partition) = count_allocations(|| cluster(broker.grid_model(), &config));
+    let model = broker.grid_model();
+    let (allocations, partition) = count_allocations(|| cluster(model, &config));
     assert_eq!(partition.unwrap().group_count(), 11);
     assert!(
         allocations <= 2_000,

@@ -3,7 +3,8 @@
 //! the all-pairs table and the ALM overlay over it) equals the node-based
 //! oracle of `common/walks.rs` bit for bit, and the product's cost models
 //! keep their orderings. Also: the broker's grid model, built once per
-//! distinct covering rectangle, equals the per-subscription build.
+//! distinct covering rectangle, equals the per-subscription build, at a
+//! compile and between compiles.
 
 #[path = "common/floyd.rs"]
 mod floyd;
@@ -532,5 +533,63 @@ proptest! {
         }
         broker.recompile().unwrap();
         assert_same_model(broker.grid_model(), &per_subscription_model(&broker, cells))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The broker keeps no grid model: `grid_model()` rebuilds it from
+    /// the registry and the live matcher on first call. Between compiles
+    /// it must still be the model of the live subscriptions — what the
+    /// next recompile clusters — so each subscribe and unsubscribe,
+    /// churned in place with no recompile, must show in the next call,
+    /// while a second call with no edit between returns the same model.
+    /// Populations and covering configs are those of
+    /// `grid_model_per_group_equals_per_subscription`.
+    #[test]
+    fn grid_model_between_compiles_is_the_live_model(
+        seed in 0u64..50,
+        pool in prop::collection::vec((side_strategy(), side_strategy()), 0..6),
+        heavy in prop::collection::vec((0usize..64, 0usize..8), 1..100),
+        light in prop::collection::vec((0usize..64, side_strategy(), side_strategy()), 0..12),
+        churn in prop::collection::vec((0usize..64, 0usize..8, 0usize..200), 0..12),
+        merge_idx in 0usize..3,
+        min_cover_members in 2usize..5,
+        cells in 2usize..7,
+    ) {
+        let merge_cells = [0, 4, 16][merge_idx];
+        let topo = TransitStubConfig::tiny().generate(seed).unwrap();
+        let stubs = topo.stub_nodes().to_vec();
+        let (heavy_nodes, light_nodes) = stubs.split_at(stubs.len() / 2);
+        let mut pool: Vec<Rect> = pool.into_iter().map(|(a, b)| Rect::new(vec![a, b]).unwrap()).collect();
+        pool.push(Rect::new(vec![Interval::at_most(5.0), Interval::unbounded()]).unwrap());
+        let pick = |n: usize, r: usize| (heavy_nodes[n % heavy_nodes.len()], pool[r % pool.len()].clone());
+        let subs = heavy
+            .iter()
+            .map(|&(n, r)| pick(n, r))
+            .chain(light.into_iter().map(|(n, a, b)| {
+                (light_nodes[n % light_nodes.len()], Rect::new(vec![a, b]).unwrap())
+            }));
+        let space = Space::anonymous(Rect::from_corners(&[0.0, 0.0], &[10.0, 10.0]).unwrap()).unwrap();
+        let mut broker = Broker::builder(topo, space)
+            .covering(CoveringConfig { merge_cells, min_cover_members, ..CoveringConfig::default() })
+            .grid_cells(cells)
+            .recluster_fraction(1e9)
+            .subscriptions(subs)
+            .build()
+            .unwrap();
+
+        for (n, r, victim) in churn {
+            let (node, rect) = pick(n, r);
+            let before: *const GridModel = broker.grid_model();
+            prop_assert!(std::ptr::eq(before, broker.grid_model()), "no edit, same model");
+            broker.subscribe(node, rect).unwrap();
+            assert_same_model(broker.grid_model(), &per_subscription_model(&broker, cells))?;
+            let live: Vec<_> = broker.registry().live().map(|(h, _, _)| h).collect();
+            broker.unsubscribe(live[victim % live.len()]).unwrap();
+            assert_same_model(broker.grid_model(), &per_subscription_model(&broker, cells))?;
+        }
+        prop_assert_eq!(broker.metrics_snapshot().churn.recompiles, 0);
     }
 }
